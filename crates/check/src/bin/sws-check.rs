@@ -25,7 +25,6 @@
 use std::process::ExitCode;
 
 use sws_check::conform::{self, Proto, ReplayInput};
-use sws_shmem::HeapLayout;
 use sws_check::live::{
     corpus, explore_scenario, mutant_scenario, replay_schedule, write_schedule, ExplorerConfig,
 };
@@ -58,7 +57,6 @@ fn conform_cmd() -> ExitCode {
                 proto: Proto::Sws,
                 queue: conform::case_queue(case),
                 events: &events,
-                heap_layout: HeapLayout::default(),
                 mutate_claim_decode: Some(|raw| raw ^ 1),
             };
             let witness = conform::shrink(&input, d.kind);

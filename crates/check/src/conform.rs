@@ -31,9 +31,9 @@
 //! `set` (SWS: `sv` at its offset, completion slots and buffer follow
 //! per `SwsQueue::new`'s three collective allocations) and any metadata
 //! op (SDC: lock/tail/split at `meta..meta+3`, then the completion
-//! ring, then the buffer). [`ReplayInput::heap_layout`] selects the
-//! block-placement arithmetic: adjacent when packed, rounded up to the
-//! next cache-line boundary when aligned. Events targeting a victim whose
+//! ring, then the buffer); each following block starts at the next
+//! cache-line boundary, as `alloc_words_aligned` places it. Events
+//! targeting a victim whose
 //! anchor is missing (possible only in shrunken sub-traces) diverge with
 //! kind `no-anchor`, which the same-kind ddmin predicate rejects — the
 //! shrinker never discards the anchor.
@@ -45,7 +45,7 @@ use sws_core::ring::Ring;
 use sws_core::stealval::{Gate, Layout, ASTEALS_MASK, ASTEALS_SHIFT, ASTEAL_UNIT};
 use sws_core::{AtomicSite, QueueConfig};
 use sws_shmem::{
-    FaultPlan, GateMode, HeapLayout, OpClass, ProtoEvent, ProtoOp, TargetSel, CACHE_LINE_WORDS,
+    FaultPlan, GateMode, OpClass, ProtoEvent, ProtoOp, TargetSel, CACHE_LINE_WORDS,
 };
 
 /// Which protocol's abstract machine a trace is replayed against.
@@ -67,13 +67,6 @@ pub struct ReplayInput<'a> {
     pub queue: QueueConfig,
     /// The merged, globally ordered event stream.
     pub events: &'a [ProtoEvent],
-    /// Symmetric-heap layout of the run that produced the trace. The
-    /// queue constructors place their control blocks with consecutive
-    /// collective allocations, so the replay machines re-derive the
-    /// completion-array and buffer bases from the anchor offset with the
-    /// same arithmetic: packed blocks are adjacent, aligned blocks each
-    /// round up to the next cache-line boundary.
-    pub heap_layout: HeapLayout,
     /// Mutation hook for self-tests: applied to the *model's* copy of
     /// the stealval word before the claim-side decode (and nowhere
     /// else), so a deliberately broken decode diverges from production.
@@ -87,31 +80,18 @@ impl<'a> ReplayInput<'a> {
             proto,
             queue,
             events,
-            heap_layout: HeapLayout::default(),
             mutate_claim_decode: None,
         }
-    }
-
-    /// Replay against a specific heap layout (the default matches
-    /// production runs).
-    pub fn with_heap_layout(mut self, layout: HeapLayout) -> ReplayInput<'a> {
-        self.heap_layout = layout;
-        self
     }
 }
 
 /// Base offset of the collective allocation that follows a `words`-word
-/// block at `base` — adjacent when packed, rounded up to the next
-/// cache-line boundary when aligned (mirrors `alloc_words_aligned`).
-fn next_block(base: u64, words: u64, layout: HeapLayout) -> u64 {
-    let end = base + words;
-    match layout {
-        HeapLayout::Packed => end,
-        HeapLayout::Aligned => {
-            let line = CACHE_LINE_WORDS as u64;
-            end.div_ceil(line) * line
-        }
-    }
+/// block at `base`: the queue constructors place their control blocks
+/// with consecutive `alloc_words_aligned` calls, so each starts at the
+/// next cache-line boundary.
+fn next_block(base: u64, words: u64) -> u64 {
+    let line = CACHE_LINE_WORDS as u64;
+    (base + words).div_ceil(line) * line
 }
 
 /// A production transition the abstract machine does not allow.
@@ -179,14 +159,14 @@ struct SwsVictim {
 }
 
 impl SwsVictim {
-    fn new(sv_off: u64, cfg: &QueueConfig, heap: HeapLayout) -> SwsVictim {
+    fn new(sv_off: u64, cfg: &QueueConfig) -> SwsVictim {
         let comp_words = (cfg.layout.n_epochs() * cfg.policy.slot_budget()) as u64;
-        let comp_base = next_block(sv_off, 1, heap);
+        let comp_base = next_block(sv_off, 1);
         SwsVictim {
             sv_off,
             comp_base,
             comp_words,
-            buf_base: next_block(comp_base, comp_words, heap),
+            buf_base: next_block(comp_base, comp_words),
             buf_words: (cfg.capacity * cfg.task_words) as u64,
             sv: 0,
             comp: BTreeMap::new(),
@@ -217,12 +197,12 @@ struct SdcVictim {
 }
 
 impl SdcVictim {
-    fn new(meta_off: u64, cfg: &QueueConfig, heap: HeapLayout) -> SdcVictim {
-        let comp_base = next_block(meta_off, 3, heap);
+    fn new(meta_off: u64, cfg: &QueueConfig) -> SdcVictim {
+        let comp_base = next_block(meta_off, 3);
         SdcVictim {
             meta_off,
             comp_base,
-            buf_base: next_block(comp_base, cfg.capacity as u64, heap),
+            buf_base: next_block(comp_base, cfg.capacity as u64),
             buf_words: (cfg.capacity * cfg.task_words) as u64,
             lock: 0,
             tail: 0,
@@ -310,7 +290,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
             Proto::Sws => {
                 if e.site == AtomicSite::SwsOwnerAdvertise.id() {
                     sws.entry(e.target)
-                        .or_insert_with(|| SwsVictim::new(e.offset as u64, cfg, input.heap_layout));
+                        .or_insert_with(|| SwsVictim::new(e.offset as u64, cfg));
                 }
             }
             Proto::Sdc => {
@@ -325,7 +305,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
                     _ => None,
                 };
                 if let Some(m) = meta {
-                    sdc.entry(e.target).or_insert_with(|| SdcVictim::new(m, cfg, input.heap_layout));
+                    sdc.entry(e.target).or_insert_with(|| SdcVictim::new(m, cfg));
                 }
             }
         }
@@ -1123,7 +1103,6 @@ pub fn run_case(
         proto,
         queue,
         events: &events,
-        heap_layout: HeapLayout::default(),
         mutate_claim_decode: mutate,
     };
     let stats = replay(&input)?;
@@ -1257,8 +1236,8 @@ mod tests {
         let layout = cfg.layout;
         let spe = cfg.policy.slot_budget() as u64;
         let sv = 10u64;
-        let comp = sv + 1;
-        let buf = comp + cfg.layout.n_epochs() as u64 * spe;
+        let comp = next_block(sv, 1);
+        let buf = next_block(comp, cfg.layout.n_epochs() as u64 * spe);
         let empty = layout.encode(sws_core_stealval(0, 0, 0));
         let advert = layout.encode(sws_core_stealval(0, 2, 5));
         let claimed = advert.wrapping_add(ASTEAL_UNIT);
@@ -1319,7 +1298,7 @@ mod tests {
     #[test]
     fn hand_built_sws_trace_conforms() {
         let evs = sws_trace();
-        let input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         let stats = replay(&input).expect("trace conforms");
         assert_eq!(stats.victims, 1);
         assert_eq!(stats.claims, 2);
@@ -1332,7 +1311,7 @@ mod tests {
         // Turn the second claim into a "probe" that still fetch-adds —
         // the damping contract violation.
         evs[7].site = AtomicSite::SwsThiefProbe.id();
-        let input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         let d = replay(&input).unwrap_err();
         assert_eq!(d.kind, "site-op-mismatch");
         assert_eq!(d.index, 7);
@@ -1342,7 +1321,7 @@ mod tests {
     fn stale_prev_is_a_word_mismatch() {
         let mut evs = sws_trace();
         evs[4].prev ^= 1; // claim observed a value the model never held
-        let input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         let d = replay(&input).unwrap_err();
         assert_eq!(d.kind, "word-mismatch");
         assert_eq!(d.index, 4);
@@ -1352,12 +1331,12 @@ mod tests {
     fn wrong_payload_geometry_diverges_and_shrinks() {
         let mut evs = sws_trace();
         evs[5].offset += 3; // copy started one slot late
-        let input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         let d = replay(&input).unwrap_err();
         assert_eq!(d.kind, "payload-geometry");
         let small = shrink(&input, "payload-geometry");
         assert!(small.len() < evs.len());
-        let sub = ReplayInput::new(Proto::Sws, qc(), &small).with_heap_layout(HeapLayout::Packed);
+        let sub = ReplayInput::new(Proto::Sws, qc(), &small);
         assert_eq!(replay(&sub).unwrap_err().kind, "payload-geometry");
     }
 
@@ -1365,14 +1344,14 @@ mod tests {
     fn dropped_completion_leaves_unresolved_claim() {
         let mut evs = sws_trace();
         evs.remove(6); // the completion set_nbi
-        let input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         assert_eq!(replay(&input).unwrap_err().kind, "unresolved-claim");
     }
 
     #[test]
     fn mutated_claim_decode_diverges() {
         let evs = sws_trace();
-        let mut input = ReplayInput::new(Proto::Sws, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let mut input = ReplayInput::new(Proto::Sws, qc(), &evs);
         input.mutate_claim_decode = Some(|raw| raw ^ 1); // flip tail bit 0
         let d = replay(&input).unwrap_err();
         assert_eq!(d.kind, "payload-geometry");
@@ -1383,8 +1362,8 @@ mod tests {
     fn sdc_trace() -> Vec<ProtoEvent> {
         let meta = 20u64;
         let (lock, tail, split) = (meta, meta + 1, meta + 2);
-        let comp = meta + 3;
-        let buf = comp + 64;
+        let comp = next_block(meta, 3);
+        let buf = next_block(comp, 64);
         vec![
             ev(1, 0, 0, split, AtomicSite::SdcSplitPublish, ProtoOp::Set, 2, 0, 0),
             ev(2, 1, 0, lock, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
@@ -1409,7 +1388,7 @@ mod tests {
     #[test]
     fn hand_built_sdc_trace_conforms() {
         let evs = sdc_trace();
-        let input = ReplayInput::new(Proto::Sdc, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sdc, qc(), &evs);
         let stats = replay(&input).expect("trace conforms");
         assert_eq!(stats.victims, 1);
         assert_eq!(stats.claims, 1);
@@ -1419,7 +1398,7 @@ mod tests {
     fn tail_put_requires_the_lock() {
         let mut evs = sdc_trace();
         evs.remove(1); // drop the lock acquisition
-        let input = ReplayInput::new(Proto::Sdc, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sdc, qc(), &evs);
         let d = replay(&input).unwrap_err();
         // The meta read's captured values still match; the put is the
         // first illegal step.
@@ -1430,7 +1409,7 @@ mod tests {
     fn tail_must_advance_by_the_policy_volume() {
         let mut evs = sdc_trace();
         evs[3].arg = 2; // steal both tasks; steal-half of 2 takes 1
-        let input = ReplayInput::new(Proto::Sdc, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sdc, qc(), &evs);
         assert_eq!(replay(&input).unwrap_err().kind, "tail-volume");
     }
 
@@ -1439,7 +1418,7 @@ mod tests {
         let mut evs = sdc_trace();
         evs[4].issuer = 2;
         evs[4].t_ns = 5;
-        let input = ReplayInput::new(Proto::Sdc, qc(), &evs).with_heap_layout(HeapLayout::Packed);
+        let input = ReplayInput::new(Proto::Sdc, qc(), &evs);
         assert_eq!(replay(&input).unwrap_err().kind, "unlock-not-holder");
     }
 

@@ -388,7 +388,7 @@ pub fn run_schedule(sc: &Scenario, prefix: &[u32], max_steps: u64) -> RunResult 
         .with_seed(sc.seed)
         .with_damping(sc.damping)
         .with_progress_interval(2);
-    let mut run = RunConfig::new(sc.n_pes, sched).with_explore(Arc::clone(&gate));
+    let mut run = RunConfig::new(sc.n_pes, sched);
     if sc.weaken.is_some() {
         run = run.with_ordering(ordering_ctl(sc.n_pes, sc.weaken));
     }
@@ -398,13 +398,7 @@ pub fn run_schedule(sc: &Scenario, prefix: &[u32], max_steps: u64) -> RunResult 
         );
     }
     let bag = TaggedBag::new(sc.tasks, sc.spawn_total);
-    let res = try_run_workload_mode(
-        &run,
-        &bag,
-        ExecMode::Threaded {
-            inject_latency: false,
-        },
-    );
+    let res = try_run_workload_mode(&run, &bag, ExecMode::Explore(Arc::clone(&gate)));
     let trace = gate.take_trace();
     let truncated = trace.truncated;
     let failure = match res {

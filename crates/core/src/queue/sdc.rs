@@ -122,11 +122,10 @@ impl<'a> SdcQueue<'a> {
     /// Collectively construct one queue per PE (identical `cfg` everywhere).
     pub fn new(ctx: &'a ShmemCtx, cfg: QueueConfig) -> SdcQueue<'a> {
         cfg.validate();
-        // Line-isolated placement (aligned heap layouts only): the meta
-        // block (lock/tail/split — CASed by every thief) must not share
-        // a cache line with the completion ring (written by thieves,
-        // chain-followed by the owner) or the task buffer. Under
-        // `HeapLayout::Packed` these degrade to plain bumps.
+        // Line-isolated placement: the meta block (lock/tail/split —
+        // CASed by every thief) must not share a cache line with the
+        // completion ring (written by thieves, chain-followed by the
+        // owner) or the task buffer.
         let meta = ctx.alloc_words_aligned(META_WORDS);
         let comp = ctx.alloc_words_aligned(cfg.capacity);
         let buf_addr = ctx.alloc_words_aligned(cfg.buffer_words());

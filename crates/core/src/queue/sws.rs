@@ -150,14 +150,12 @@ impl<'a> SwsQueue<'a> {
         cfg.validate();
         let n_slots = cfg.layout.n_epochs();
         let slots_per_epoch = cfg.policy.slot_budget();
-        // Line-isolated placement (aligned heap layouts only): the
-        // stealval is the single most contended word in the system —
-        // every thief RMWs it — so it must never share a cache line with
-        // the completion arrays (written by thieves, polled by the
-        // owner) or the ring buffer (overwritten by the owner's
-        // enqueues). Aligned allocation puts each on its own 128-byte
-        // line; under `HeapLayout::Packed` these degrade to plain bumps
-        // and the historical packed geometry.
+        // Line-isolated placement: the stealval is the single most
+        // contended word in the system — every thief RMWs it — so it must
+        // never share a cache line with the completion arrays (written by
+        // thieves, polled by the owner) or the ring buffer (overwritten
+        // by the owner's enqueues). Aligned allocation puts each on its
+        // own 128-byte line.
         let sv_addr = ctx.alloc_words_aligned(1);
         let comp_addr = ctx.alloc_words_aligned(n_slots * slots_per_epoch);
         let buf_addr = ctx.alloc_words_aligned(cfg.buffer_words());

@@ -1,16 +1,17 @@
 //! Experiment runner: build a world, seed a workload, run every PE to
 //! global termination, and collect the paper's metrics.
 
-use sws_core::{SdcQueue, SwsQueue};
+use sws_core::{QueueConfig, SdcQueue, StealQueue, SwsQueue};
 use sws_shmem::{
-    run_world, ExecMode, FaultPlan, GateMode, NetModel, ShmemCtx, WorldConfig,
+    run_world, ExecMode, FaultPlan, GateMode, NetModel, ShmemCtx, ShmemError, WorldConfig,
+    CACHE_LINE_WORDS,
 };
 use sws_task::{TaskDescriptor, TaskRegistry};
 
 use crate::config::{QueueKind, SchedConfig, TdKind};
 use crate::report::{RunReport, WorkerStats};
 use crate::taskctx::TaskCtx;
-use crate::termination::make_td;
+use crate::termination::{make_td, Termination};
 use crate::worker::Worker;
 
 /// A benchmark workload: handler registration plus initial seeding.
@@ -57,20 +58,6 @@ pub struct RunConfig {
     /// capture, the counters are plain per-PE stores that never touch
     /// the virtual clock, so profiled runs stay byte-identical.
     pub profile_sites: bool,
-    /// Exploration gate: when set, the run is driven under the
-    /// systematic interleaving scheduler (threaded mode, one PE at a
-    /// time, a scheduling choice at every gated atomic site). Used by
-    /// `sws-check explore`; `None` for ordinary runs.
-    pub explore: Option<std::sync::Arc<sws_shmem::ExploreGate>>,
-    /// Symmetric-heap geometry. `Aligned` (the default) line-isolates
-    /// PE regions and collective allocations; `Packed` reproduces the
-    /// historical packed layout for differential testing. Virtual-time
-    /// reports are byte-identical across layouts.
-    pub heap_layout: sws_shmem::HeapLayout,
-    /// Yield the OS thread in oversubscribed threaded runs (default
-    /// true; see [`WorldConfig::oversub_yield`]). The wall-clock bench
-    /// turns this off to measure the pre-fix spin behavior.
-    pub oversub_yield: bool,
     /// Per-site memory-ordering control (override table + optional live
     /// happens-before tracker) for the necessity prover. `None` for
     /// ordinary runs; `sws-check necessity` attaches one to weaken a
@@ -91,9 +78,6 @@ impl RunConfig {
             gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
-            explore: None,
-            heap_layout: sws_shmem::HeapLayout::default(),
-            oversub_yield: true,
             ordering: None,
         }
     }
@@ -126,28 +110,6 @@ impl RunConfig {
         self
     }
 
-    /// Drive the run under an exploration gate (forces threaded mode;
-    /// the caller picks the schedule through the gate's choice prefix).
-    #[must_use]
-    pub fn with_explore(mut self, gate: std::sync::Arc<sws_shmem::ExploreGate>) -> RunConfig {
-        self.explore = Some(gate);
-        self
-    }
-
-    /// Select the symmetric-heap geometry (aligned by default).
-    #[must_use]
-    pub fn with_heap_layout(mut self, layout: sws_shmem::HeapLayout) -> RunConfig {
-        self.heap_layout = layout;
-        self
-    }
-
-    /// Enable or disable the oversubscription yield hint.
-    #[must_use]
-    pub fn with_oversub_yield(mut self, on: bool) -> RunConfig {
-        self.oversub_yield = on;
-        self
-    }
-
     /// Attach per-site ordering control (the necessity prover's mutant
     /// table and live tracker).
     #[must_use]
@@ -156,21 +118,136 @@ impl RunConfig {
         self
     }
 
-    pub(crate) fn heap_words(&self) -> usize {
+    fn heap_words(&self) -> usize {
         // Queue buffer + metadata + completion structures + TD + slack.
-        // Aligned layouts round each allocation up to a line start, so
+        // Each line-aligned allocation rounds up to a line start, so
         // budget one extra line per distinct allocation (the queues make
         // at most a handful; 16 lines of slack is comfortably enough).
-        let align_slack = match self.heap_layout {
-            sws_shmem::HeapLayout::Aligned => 16 * sws_shmem::CACHE_LINE_WORDS,
-            sws_shmem::HeapLayout::Packed => 0,
-        };
         self.sched.queue.buffer_words()
             + self.sched.queue.capacity
             + 1024
-            + align_slack
+            + 16 * CACHE_LINE_WORDS
             + self.extra_heap_words
     }
+
+    /// The world this run executes in under `mode`: the one place a
+    /// `RunConfig` field becomes a `WorldConfig` field, so no entry point
+    /// can honour a field another drops.
+    fn world(&self, mode: ExecMode) -> WorldConfig {
+        WorldConfig {
+            n_pes: self.n_pes,
+            heap_words: self.heap_words(),
+            net: self.net,
+            mode,
+            faults: self.faults.clone(),
+            gate: self.gate,
+            capture_proto: self.capture_proto,
+            profile_sites: self.profile_sites,
+            ordering: self.ordering.clone(),
+        }
+    }
+}
+
+/// What [`launch`] hands each PE's driver: the PE's context plus the
+/// registry, detector and (fault-adjusted) scheduler config the shared
+/// prologue built for it.
+pub(crate) struct PeSetup<'r, 'a> {
+    pub(crate) ctx: &'a ShmemCtx,
+    sched: SchedConfig,
+    reg: &'r TaskRegistry<TaskCtx<'a>>,
+    td: Box<dyn Termination>,
+    seeds: Vec<TaskDescriptor>,
+}
+
+impl<'r, 'a> PeSetup<'r, 'a> {
+    pub(crate) fn kind(&self) -> QueueKind {
+        self.sched.kind
+    }
+
+    /// This PE's seeded worker over a queue collectively built by
+    /// `make_queue` (`SwsQueue::new` / `SdcQueue::new`).
+    pub(crate) fn worker<Q: StealQueue>(
+        self,
+        make_queue: impl FnOnce(&'a ShmemCtx, QueueConfig) -> Q,
+    ) -> Worker<'r, 'a, Q> {
+        let queue = make_queue(self.ctx, self.sched.queue);
+        let mut w = Worker::new(self.ctx, queue, self.reg, self.td, self.sched);
+        w.seed(&self.seeds);
+        w
+    }
+}
+
+/// The launch shared by batch and service runs: validate the fault plan
+/// (no crash may hit a PE below `protected_pes` — PE 0 hosts the
+/// termination counters, service mode adds its ingress PEs), build the
+/// world, run `drive` on every PE between the common prologue and
+/// epilogue, and assemble the report.
+pub(crate) fn launch(
+    cfg: &RunConfig,
+    mode: ExecMode,
+    workload: &impl Workload,
+    protected_pes: usize,
+    drive: impl for<'r, 'a> Fn(PeSetup<'r, 'a>) -> WorkerStats + Sync,
+) -> Result<RunReport, ShmemError> {
+    let mut sched = cfg.sched;
+    if let Some(plan) = &cfg.faults {
+        if plan.is_active() {
+            plan.validate(cfg.n_pes).expect("invalid fault plan");
+            // A run that kills a protected PE (or relies on a
+            // crash-intolerant detector) cannot terminate, so reject the
+            // plan up front.
+            for pe in 0..protected_pes {
+                assert!(
+                    plan.crash_at(pe).is_none(),
+                    "fault plan crashes PE {pe}, which hosts the termination \
+                     counters or feeds the service (ingress PE)"
+                );
+            }
+            assert!(
+                sched.td == TdKind::Counter
+                    || (0..cfg.n_pes).all(|pe| plan.crash_at(pe).is_none()),
+                "crash-stop faults require the counter termination detector"
+            );
+        }
+        // Thread the fault-tolerance knobs into the queue config so both
+        // queue implementations retry and reclaim consistently.
+        sched.queue = sched
+            .queue
+            .with_retry(sched.ft.retry)
+            .with_reclaim_grace_ns(sched.ft.reclaim_grace_ns);
+    }
+    let out = run_world(cfg.world(mode), |ctx| {
+        let mut reg = TaskRegistry::new();
+        workload.register(&mut reg);
+        workload.setup(ctx);
+        let td = make_td(ctx, sched.td);
+        let seeds = workload.seeds(ctx.my_pe(), ctx.n_pes());
+        let mut ws = drive(PeSetup { ctx, sched, reg: &reg, td, seeds });
+        ws.engine = ctx.engine_stats();
+        ws.proto = ctx.take_proto_events();
+        ws.site_prof = ctx.take_site_profile();
+        ws
+    })?;
+
+    let mut workers = out.results;
+    for (w, &t) in workers.iter_mut().zip(out.virtual_ns.iter()) {
+        // In virtual mode runtime_ns was sampled pre-barrier; the final
+        // clock includes the closing barrier. Report the pre-barrier
+        // value (the paper stops timers at termination detection) but
+        // fall back to the world clock in threaded mode.
+        if w.runtime_ns == 0 {
+            w.runtime_ns = t;
+        }
+    }
+    let makespan_ns = workers.iter().map(|w| w.runtime_ns).max().unwrap_or(0);
+    Ok(RunReport {
+        system: sched.kind.label().to_string(),
+        n_pes: cfg.n_pes,
+        makespan_ns,
+        workers,
+        comm: out.stats,
+        wall_ms: out.elapsed.as_millis() as u64,
+    })
 }
 
 /// Run `workload` to global termination in a virtual-time world and
@@ -198,101 +275,9 @@ pub fn try_run_workload_mode(
     cfg: &RunConfig,
     workload: &impl Workload,
     mode: ExecMode,
-) -> Result<RunReport, sws_shmem::ShmemError> {
-    // An exploration gate serializes the PEs itself, so it requires
-    // (and implies) threaded mode: virtual time would deadlock against
-    // the gate's own blocking.
-    let mode = if cfg.explore.is_some() {
-        ExecMode::Threaded { inject_latency: false }
-    } else {
-        mode
-    };
-    let mut world_cfg = WorldConfig {
-        n_pes: cfg.n_pes,
-        heap_words: cfg.heap_words(),
-        net: cfg.net,
-        mode,
-        faults: None,
-        gate: cfg.gate,
-        capture_proto: cfg.capture_proto,
-        profile_sites: cfg.profile_sites,
-        explore: cfg.explore.clone(),
-        heap_layout: cfg.heap_layout,
-        oversub_yield: cfg.oversub_yield,
-        ordering: cfg.ordering.clone(),
-    };
-    let mut sched = cfg.sched;
-    if let Some(plan) = &cfg.faults {
-        if plan.is_active() {
-            plan.validate(cfg.n_pes).expect("invalid fault plan");
-            // Both termination-counter invariants live on PE 0; a run
-            // that kills it (or relies on a crash-intolerant detector)
-            // cannot terminate, so reject the plan up front.
-            assert!(
-                plan.crash_at(0).is_none(),
-                "fault plan crashes PE 0, which hosts the termination counters"
-            );
-            assert!(
-                sched.td == TdKind::Counter
-                    || (0..cfg.n_pes).all(|pe| plan.crash_at(pe).is_none()),
-                "crash-stop faults require the counter termination detector"
-            );
-        }
-        world_cfg = world_cfg.with_faults(plan.clone());
-        // Thread the fault-tolerance knobs into the queue config so both
-        // queue implementations retry and reclaim consistently.
-        sched.queue = sched
-            .queue
-            .with_retry(sched.ft.retry)
-            .with_reclaim_grace_ns(sched.ft.reclaim_grace_ns);
-    }
-    let run_pe = |ctx: &ShmemCtx| -> WorkerStats {
-        let mut reg = TaskRegistry::new();
-        workload.register(&mut reg);
-        workload.setup(ctx);
-        let td = make_td(ctx, sched.td);
-        match sched.kind {
-            QueueKind::Sws => {
-                let queue = SwsQueue::new(ctx, sched.queue);
-                let mut w = Worker::new(ctx, queue, &reg, td, sched);
-                w.seed(&workload.seeds(ctx.my_pe(), ctx.n_pes()));
-                let mut ws = w.run().0;
-                ws.engine = ctx.engine_stats();
-                ws.proto = ctx.take_proto_events();
-                ws.site_prof = ctx.take_site_profile();
-                ws
-            }
-            QueueKind::Sdc => {
-                let queue = SdcQueue::new(ctx, sched.queue);
-                let mut w = Worker::new(ctx, queue, &reg, td, sched);
-                w.seed(&workload.seeds(ctx.my_pe(), ctx.n_pes()));
-                let mut ws = w.run().0;
-                ws.engine = ctx.engine_stats();
-                ws.proto = ctx.take_proto_events();
-                ws.site_prof = ctx.take_site_profile();
-                ws
-            }
-        }
-    };
-    let out = run_world(world_cfg, run_pe)?;
-
-    let mut workers = out.results;
-    for (w, &t) in workers.iter_mut().zip(out.virtual_ns.iter()) {
-        // In virtual mode runtime_ns was sampled pre-barrier; the final
-        // clock includes the closing barrier. Report the pre-barrier
-        // value (the paper stops timers at termination detection) but
-        // fall back to the world clock in threaded mode.
-        if w.runtime_ns == 0 {
-            w.runtime_ns = t;
-        }
-    }
-    let makespan_ns = workers.iter().map(|w| w.runtime_ns).max().unwrap_or(0);
-    Ok(RunReport {
-        system: sched.kind.label().to_string(),
-        n_pes: cfg.n_pes,
-        makespan_ns,
-        workers,
-        comm: out.stats,
-        wall_ms: out.elapsed.as_millis() as u64,
+) -> Result<RunReport, ShmemError> {
+    launch(cfg, mode, workload, 1, |pe| match pe.kind() {
+        QueueKind::Sws => pe.worker(SwsQueue::new).run().0,
+        QueueKind::Sdc => pe.worker(SdcQueue::new).run().0,
     })
 }

@@ -42,14 +42,14 @@
 use std::collections::VecDeque;
 
 use sws_core::{SdcQueue, StealOutcome, StealQueue, SwsQueue};
-use sws_shmem::{run_world, ExecMode, ShmemCtx, SymAddr, WorldConfig};
-use sws_task::{TaskDescriptor, TaskRegistry};
+use sws_shmem::{ExecMode, SymAddr};
+use sws_task::TaskDescriptor;
 
-use crate::config::{QueueKind, TdKind};
+use crate::config::QueueKind;
 use crate::report::{RunReport, WorkerStats};
-use crate::runner::{RunConfig, Workload};
+use crate::runner::{launch, RunConfig, Workload};
 use crate::snapshot::SnapRow;
-use crate::termination::{insist, make_td};
+use crate::termination::insist;
 use crate::trace::EventKind;
 use crate::worker::Worker;
 
@@ -791,49 +791,8 @@ pub fn run_service<W: ServiceWorkload>(
     svc.membership
         .validate(cfg.n_pes, n_ingress)
         .expect("invalid membership plan");
-    let mut world_cfg = WorldConfig {
-        n_pes: cfg.n_pes,
-        heap_words: cfg.heap_words(),
-        net: cfg.net,
-        mode: ExecMode::Virtual,
-        faults: None,
-        gate: cfg.gate,
-        capture_proto: cfg.capture_proto,
-        profile_sites: cfg.profile_sites,
-        explore: None,
-        heap_layout: cfg.heap_layout,
-        oversub_yield: cfg.oversub_yield,
-        ordering: None,
-    };
-    let mut sched = cfg.sched;
-    if let Some(plan) = &cfg.faults {
-        if plan.is_active() {
-            plan.validate(cfg.n_pes).expect("invalid fault plan");
-            for pe in 0..n_ingress.max(1) {
-                assert!(
-                    plan.crash_at(pe).is_none(),
-                    "fault plan crashes PE {pe}, which is an ingress PE \
-                     (or PE 0, which hosts the termination counters and \
-                     service control block)"
-                );
-            }
-            assert!(
-                sched.td == TdKind::Counter
-                    || (0..cfg.n_pes).all(|pe| plan.crash_at(pe).is_none()),
-                "crash-stop faults require the counter termination detector"
-            );
-        }
-        world_cfg = world_cfg.with_faults(plan.clone());
-        sched.queue = sched
-            .queue
-            .with_retry(sched.ft.retry)
-            .with_reclaim_grace_ns(sched.ft.reclaim_grace_ns);
-    }
-    let run_pe = |ctx: &ShmemCtx| -> WorkerStats {
-        let mut reg = TaskRegistry::new();
-        workload.register(&mut reg);
-        workload.setup(ctx);
-        let td = make_td(ctx, sched.td);
+    launch(cfg, ExecMode::Virtual, workload, n_ingress, |pe| {
+        let ctx = pe.ctx;
         // Service control block (collective symmetric allocation; the
         // live words are PE 0's copy).
         let ctrl = ctx.alloc_words_aligned(SVC_WORDS);
@@ -844,40 +803,14 @@ pub fn run_service<W: ServiceWorkload>(
             ctx.my_pe() < n_ingress,
             "arrival_source() disagrees with n_ingress()"
         );
-        let mut ws = match sched.kind {
+        match pe.kind() {
             QueueKind::Sws => {
-                let queue = SwsQueue::new(ctx, sched.queue);
-                let mut w = Worker::new(ctx, queue, &reg, td, sched);
-                w.seed(&workload.seeds(ctx.my_pe(), ctx.n_pes()));
-                ServiceLoop::new(w, src, svc, ctrl, n_ingress).run()
+                ServiceLoop::new(pe.worker(SwsQueue::new), src, svc, ctrl, n_ingress).run()
             }
             QueueKind::Sdc => {
-                let queue = SdcQueue::new(ctx, sched.queue);
-                let mut w = Worker::new(ctx, queue, &reg, td, sched);
-                w.seed(&workload.seeds(ctx.my_pe(), ctx.n_pes()));
-                ServiceLoop::new(w, src, svc, ctrl, n_ingress).run()
+                ServiceLoop::new(pe.worker(SdcQueue::new), src, svc, ctrl, n_ingress).run()
             }
-        };
-        ws.engine = ctx.engine_stats();
-        ws.proto = ctx.take_proto_events();
-        ws.site_prof = ctx.take_site_profile();
-        ws
-    };
-    let out = run_world(world_cfg, run_pe).expect("service run failed");
-
-    let mut workers = out.results;
-    for (w, &t) in workers.iter_mut().zip(out.virtual_ns.iter()) {
-        if w.runtime_ns == 0 {
-            w.runtime_ns = t;
         }
-    }
-    let makespan_ns = workers.iter().map(|w| w.runtime_ns).max().unwrap_or(0);
-    RunReport {
-        system: sched.kind.label().to_string(),
-        n_pes: cfg.n_pes,
-        makespan_ns,
-        workers,
-        comm: out.stats,
-        wall_ms: out.elapsed.as_millis() as u64,
-    }
+    })
+    .expect("service run failed")
 }

@@ -9,20 +9,24 @@
 //! queue counters, and worker timing decompositions. Only wall-clock
 //! fields (`wall_ms`, `EngineStats`) may differ.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use sws_core::QueueConfig;
 use sws_sched::runner::run_workload_mode;
-use sws_sched::{run_workload, QueueKind, RunConfig, RunReport, SchedConfig};
-use sws_shmem::{ExecMode, GateMode, HeapLayout};
+use sws_sched::{
+    run_service, run_workload, QueueKind, RunConfig, RunReport, SchedConfig, ServiceConfig,
+    ArrivalSource, ServiceWorkload, TaskCtx, Workload,
+};
+use sws_shmem::{ExecMode, GateMode, OrderingCtl};
+use sws_task::{TaskDescriptor, TaskRegistry};
+use sws_workloads::arrivals::{ArrivalPlan, FlatServe};
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 fn report_for(kind: QueueKind, gate: GateMode, seed: u64) -> RunReport {
-    report_for_layout(kind, gate, seed, HeapLayout::default())
-}
-
-fn report_for_layout(kind: QueueKind, gate: GateMode, seed: u64, layout: HeapLayout) -> RunReport {
     let queue = QueueConfig::new(1024, 48);
     let sched = SchedConfig::new(kind, queue).with_seed(seed);
-    let cfg = RunConfig::new(8, sched).with_gate(gate).with_heap_layout(layout);
+    let cfg = RunConfig::new(8, sched).with_gate(gate);
     let wl = UtsWorkload::new(UtsParams::geo_small(8));
     run_workload(&cfg, &wl)
 }
@@ -84,57 +88,6 @@ fn engine_stats_reflect_the_selected_gate() {
     );
 }
 
-/// The aligned heap layout (the false-sharing fix) must be invisible in
-/// virtual time: op costs come from the network model keyed on op kind,
-/// byte count, and locality — never on addresses — and the aligned
-/// collective allocator issues the exact op sequence of the packed one.
-/// So a packed-layout run and an aligned-layout run of the same seed
-/// must produce identical reports, on both queue systems and under both
-/// gates. This is what lets the wall-clock fix land without touching a
-/// single golden figure.
-#[test]
-fn heap_layouts_agree_in_virtual_time() {
-    for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let packed = report_for_layout(kind, gate, 0xBA5E, HeapLayout::Packed);
-            let aligned = report_for_layout(kind, gate, 0xBA5E, HeapLayout::Aligned);
-            assert_reports_identical(&packed, &aligned);
-            assert!(packed.total_tasks() > 0, "workload must actually run");
-        }
-    }
-}
-
-/// Same claim at the artifact level: the figure CSV a sweep renders must
-/// come out byte-identical across heap layouts (the wall-clock companion
-/// CSV is excluded by construction — it reports nondeterministic time).
-#[test]
-fn figure_csv_is_byte_identical_across_heap_layouts() {
-    let csv_for_layout = |layout: HeapLayout| -> String {
-        let mut rows = String::from("pes,system,makespan_ns,steals\n");
-        for kind in [QueueKind::Sdc, QueueKind::Sws] {
-            for pes in [4, 8] {
-                let queue = QueueConfig::new(1024, 48);
-                let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
-                let cfg = RunConfig::new(pes, sched).with_heap_layout(layout);
-                let wl = UtsWorkload::new(UtsParams::geo_small(7));
-                let r = run_workload(&cfg, &wl);
-                rows.push_str(&format!(
-                    "{pes},{},{},{}\n",
-                    r.system,
-                    r.makespan_ns,
-                    r.total_steals()
-                ));
-            }
-        }
-        rows
-    };
-    assert_eq!(
-        csv_for_layout(HeapLayout::Packed),
-        csv_for_layout(HeapLayout::Aligned),
-        "heap layout leaked into a deterministic figure artifact"
-    );
-}
-
 /// Batched completion puts are a *timing* optimization, never a
 /// correctness one: turning them on must not lose or duplicate a single
 /// task, on either queue system. (Makespans may legitimately shift —
@@ -183,20 +136,13 @@ fn threaded_mode_ignores_gate_switch() {
     }
 }
 
-/// The necessity prover's identity override table — every site resolved
-/// through the table at its own production ordering, no tracker — must
-/// be invisible in virtual time: attaching it to a run changes how each
-/// gated op *looks up* its ordering, never which ordering it gets. A
-/// byte-level divergence here would mean campaign worlds measure a
-/// different system than production, voiding every live verdict.
-#[test]
-fn identity_override_table_is_invisible() {
-    use std::sync::Arc;
+/// The identity override table: every site resolved through the table
+/// at its own production ordering, no tracker.
+fn identity_ctl() -> Arc<OrderingCtl> {
     use sws_core::{AtomicSite, MemOrder};
     use sws_shmem::overrides::{ORD_ACQREL, ORD_ACQUIRE, ORD_RELAXED, ORD_RELEASE};
-    use sws_shmem::{OrderingCtl, OrderingOverrides};
 
-    let mut ov = OrderingOverrides::identity();
+    let mut ov = sws_shmem::OrderingOverrides::identity();
     for s in AtomicSite::ALL {
         let code = match s.production() {
             MemOrder::Relaxed => ORD_RELAXED,
@@ -206,10 +152,20 @@ fn identity_override_table_is_invisible() {
         };
         ov = ov.with(s.id(), code);
     }
-    let ctl = Arc::new(OrderingCtl {
+    Arc::new(OrderingCtl {
         overrides: ov,
         tracker: None,
-    });
+    })
+}
+
+/// The necessity prover's identity override table must be invisible in
+/// virtual time: attaching it to a run changes how each gated op *looks
+/// up* its ordering, never which ordering it gets. A byte-level
+/// divergence here would mean campaign worlds measure a different system
+/// than production, voiding every live verdict.
+#[test]
+fn identity_override_table_is_invisible() {
+    let ctl = identity_ctl();
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
         for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
             let queue = QueueConfig::new(1024, 48);
@@ -223,5 +179,66 @@ fn identity_override_table_is_invisible() {
             assert_reports_identical(&bare, &tabled);
             assert!(bare.total_tasks() > 0, "workload must actually run");
         }
+    }
+}
+
+/// `FlatServe` that records, from inside the running world, how many
+/// owners the ordering table has: more than exist outside the run means
+/// the world really carries it.
+struct TableProbe<'t> {
+    inner: FlatServe,
+    ctl: &'t Arc<OrderingCtl>,
+    owners_seen: AtomicUsize,
+}
+
+impl Workload for TableProbe<'_> {
+    fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
+        self.inner.register(reg)
+    }
+    fn seeds(&self, pe: usize, n_pes: usize) -> Vec<TaskDescriptor> {
+        self.inner.seeds(pe, n_pes)
+    }
+    fn setup(&self, _ctx: &sws_shmem::ShmemCtx) {
+        self.owners_seen
+            .fetch_max(Arc::strong_count(self.ctl), Ordering::Relaxed);
+    }
+}
+
+impl ServiceWorkload for TableProbe<'_> {
+    fn n_ingress(&self, n_pes: usize) -> usize {
+        self.inner.n_ingress(n_pes)
+    }
+    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
+        self.inner.arrival_source(pe, n_pes)
+    }
+}
+
+/// The service twin of [`identity_override_table_is_invisible`]:
+/// `run_service` must hand `RunConfig::ordering` to its world exactly as
+/// `run_workload` does, and the identity table must be just as invisible
+/// there.
+#[test]
+fn identity_override_table_reaches_service_worlds_invisibly() {
+    let ctl = identity_ctl();
+    for kind in [QueueKind::Sws, QueueKind::Sdc] {
+        let sched = SchedConfig::new(kind, QueueConfig::new(1024, 24));
+        let serve = || FlatServe::new(ArrivalPlan::poisson(0x5E41_0001, 4_000, 200_000), 2_500, 2);
+        let svc = ServiceConfig::default();
+        let bare = run_service(&RunConfig::new(4, sched), &svc, &serve());
+        let probe = TableProbe {
+            inner: serve(),
+            ctl: &ctl,
+            owners_seen: AtomicUsize::new(0),
+        };
+        let cfg = RunConfig::new(4, sched).with_ordering(ctl.clone());
+        let owners_outside = Arc::strong_count(&ctl);
+        let tabled = run_service(&cfg, &svc, &probe);
+        assert!(
+            probe.owners_seen.load(Ordering::Relaxed) > owners_outside,
+            "{kind:?}: the service world never received the ordering table"
+        );
+        assert_reports_identical(&bare, &tabled);
+        assert_eq!(bare.service_summary_line(), tabled.service_summary_line());
+        assert!(bare.total_offered() > 0, "plan must offer arrivals");
     }
 }

@@ -19,13 +19,7 @@ impl ShmemCtx {
     pub fn barrier_all(&self) {
         let cost = self.world().net.barrier_ns;
         self.record_barrier(cost);
-        match &self.world().vclock {
-            Some(vc) => vc.barrier(self.my_pe(), cost),
-            None => match &self.world().explore {
-                Some(eg) => eg.barrier(self.my_pe(), cost),
-                None => self.world().thread_barrier.wait(),
-            },
-        }
+        self.world().exec.barrier(self.my_pe(), cost);
     }
 
     /// Broadcast a 64-bit value from `root` to every PE; returns the value.
@@ -92,46 +86,25 @@ impl ShmemCtx {
     /// Panics on every PE when the heap is exhausted (the world's result
     /// then surfaces as [`crate::ShmemError::PePanicked`]).
     pub fn alloc_words(&self, words: usize) -> SymAddr {
-        let off = self.with_collective(|| {
-            let slot = SymmetricHeap::ctrl(ctrl::BCAST);
-            self.barrier_all();
-            if self.my_pe() == 0 {
-                let off = match self.world().heap.bump(words) {
-                    Some(off) => off as u64,
-                    None => ALLOC_FAILED,
-                };
-                self.atomic_set(0, slot, off);
-            }
-            self.barrier_all();
-            let off = self.atomic_fetch(0, slot);
-            self.barrier_all();
-            off
-        });
-        if off == ALLOC_FAILED {
-            panic!(
-                "symmetric heap exhausted: requested {words} words, {} available",
-                self.world().heap.words_free()
-            );
-        }
-        SymAddr::new(off as usize)
+        self.alloc(words, 1)
     }
 
     /// As [`alloc_words`](Self::alloc_words), but the returned address
     /// starts on a false-sharing isolation boundary
-    /// ([`crate::CACHE_LINE_WORDS`] words = 128 bytes) under the aligned
-    /// heap layout, so a contended word (a stealval, a lock) never shares
-    /// a line with the allocation before it. Under [`crate::HeapLayout::Packed`]
-    /// this is exactly `alloc_words` — same op sequence, same geometry.
+    /// ([`crate::CACHE_LINE_WORDS`] words = 128 bytes), so a contended
+    /// word (a stealval, a lock) never shares a line with the allocation
+    /// before it. Same op sequence as `alloc_words`, so virtual time
+    /// cannot tell them apart.
     pub fn alloc_words_aligned(&self, words: usize) -> SymAddr {
+        self.alloc(words, crate::heap::CACHE_LINE_WORDS)
+    }
+
+    fn alloc(&self, words: usize, align_words: usize) -> SymAddr {
         let off = self.with_collective(|| {
             let slot = SymmetricHeap::ctrl(ctrl::BCAST);
             self.barrier_all();
             if self.my_pe() == 0 {
-                let off = match self
-                    .world()
-                    .heap
-                    .bump_aligned(words, crate::heap::CACHE_LINE_WORDS)
-                {
+                let off = match self.world().heap.bump(words, align_words) {
                     Some(off) => off as u64,
                     None => ALLOC_FAILED,
                 };
@@ -144,57 +117,11 @@ impl ShmemCtx {
         });
         if off == ALLOC_FAILED {
             panic!(
-                "symmetric heap exhausted: requested {words} aligned words, {} available",
+                "symmetric heap exhausted: requested {words} words at alignment \
+                 {align_words}, {} available",
                 self.world().heap.words_free()
             );
         }
         SymAddr::new(off as usize)
-    }
-}
-
-impl ShmemCtx {
-    /// Global min reduction of one u64 per PE; every PE gets the minimum.
-    pub fn reduce_min_u64(&self, value: u64) -> u64 {
-        self.with_collective(|| {
-            let slot = SymmetricHeap::ctrl(ctrl::REDUCE);
-            if self.my_pe() == 0 {
-                self.atomic_set(0, slot, u64::MAX);
-            }
-            self.barrier_all();
-            let mut cur = self.atomic_fetch(0, slot);
-            while value < cur {
-                let prev = self.atomic_compare_swap(0, slot, cur, value);
-                if prev == cur {
-                    break;
-                }
-                cur = prev;
-            }
-            self.barrier_all();
-            let v = self.atomic_fetch(0, slot);
-            self.barrier_all();
-            v
-        })
-    }
-
-    /// All-gather one u64 per PE into a collectively allocated table;
-    /// returns every PE's contribution in rank order. The table address
-    /// is allocated on first use by the caller and passed in so repeated
-    /// gathers reuse the space.
-    pub fn all_gather64(&self, table: crate::SymAddr, value: u64) -> Vec<u64> {
-        assert!(
-            table.word() + self.n_pes() <= self.world().heap.words_per_pe(),
-            "all-gather table out of range"
-        );
-        // Everyone publishes into its slot of PE 0's table, then reads
-        // the whole table back (two barriers bracket the exchange).
-        self.with_collective(|| {
-            self.atomic_set_nbi(0, table.offset(self.my_pe()), value);
-            self.quiet();
-            self.barrier_all();
-            let mut out = vec![0u64; self.n_pes()];
-            self.get_words(0, table, &mut out);
-            self.barrier_all();
-            out
-        })
     }
 }

@@ -1,10 +1,10 @@
 //! The per-PE handle: one-sided operations with cost accounting.
 //!
-//! Every operation computes its modeled cost from the world's [`NetModel`]
-//! and records it in per-PE [`OpStats`]. In virtual-time mode the effect is
-//! gated through [`crate::vclock::VClock`] (applied in global virtual-time
-//! order, clock advanced by the cost); in threaded mode it is applied
-//! directly with real CPU atomics, optionally busy-waiting the cost out.
+//! Every operation computes its modeled cost from the world's [`NetModel`],
+//! applies its effect at the world's serialization point (see
+//! `crate::exec`: global virtual-time order, an explored schedule, or
+//! none at all on plain threads) and records the cost in per-PE
+//! [`OpStats`].
 //!
 //! Memory orderings (threaded mode): remote RMW atomics are `AcqRel`,
 //! atomic reads `Acquire`, atomic writes `Release`; bulk `get`/`put` use
@@ -22,12 +22,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use crate::addr::SymAddr;
 use crate::error::{OpError, OpResult};
-use crate::explore::{kind_writes, OpDesc};
-use crate::fault::{FaultInjector, FaultPlan, PreDecision};
+use crate::explore::{kind_writes, plain_desc, OpDesc};
+use crate::fault::{FaultInjector, PreDecision};
 use crate::net::OpKind;
 use crate::overrides::{ord_acquires, ord_releases, OrdTracker};
 use crate::prof::SiteCounters;
@@ -65,10 +64,10 @@ pub struct ShmemCtx {
     /// `AtomicSite` id armed by [`ShmemCtx::proto_site`] for the next
     /// one-sided op; consumed (reset to `NO_SITE`) by that op.
     armed_site: Cell<u16>,
-    /// Site id handed from [`ShmemCtx::armed`] to the exploration gate's
-    /// op descriptor (active only when the world carries a gate).
-    explore_site: Cell<u16>,
-    wall_start: Instant,
+    /// Whether anything consumes site annotations: capture, profiling,
+    /// a substrate that schedules on op descriptors, or per-site
+    /// ordering control.
+    sites_observed: bool,
 }
 
 impl ShmemCtx {
@@ -79,6 +78,10 @@ impl ShmemCtx {
             .map(|plan| FaultInjector::new(std::sync::Arc::clone(plan), pe));
         let capture = world.capture_proto.then(|| RefCell::new(Vec::new()));
         let site_prof = world.profile_sites.then(|| RefCell::new(Vec::new()));
+        let sites_observed = capture.is_some()
+            || site_prof.is_some()
+            || world.exec.schedules_sites()
+            || world.ordering.is_some();
         ShmemCtx {
             pe,
             world,
@@ -91,8 +94,7 @@ impl ShmemCtx {
             capture_window: Cell::new(true),
             site_prof,
             armed_site: Cell::new(NO_SITE),
-            explore_site: Cell::new(NO_SITE),
-            wall_start: Instant::now(),
+            sites_observed,
         }
     }
 
@@ -111,36 +113,22 @@ impl ShmemCtx {
     /// Whether the world runs under the virtual-time engine.
     #[inline]
     pub fn is_virtual(&self) -> bool {
-        self.world.vclock.is_some()
+        self.world.exec.is_virtual()
     }
 
     /// Current time in ns: virtual time under the engine, the gate's
     /// per-PE logical clock under exploration, wall time otherwise.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
-        match &self.world.vclock {
-            Some(vc) => vc.now(self.pe),
-            None => match &self.world.explore {
-                Some(eg) => eg.now(self.pe),
-                None => self.wall_start.elapsed().as_nanos() as u64,
-            },
-        }
+        self.world.exec.now(self.pe)
     }
 
     /// Charge `ns` of local computation (task execution). Advances the
     /// virtual clock, or busy-waits when latency injection is enabled in
     /// threaded mode.
+    #[inline]
     pub fn compute(&self, ns: u64) {
-        match &self.world.vclock {
-            Some(vc) => vc.advance(self.pe, ns),
-            None => match &self.world.explore {
-                Some(eg) => eg.advance(self.pe, ns),
-                None => {
-                    if self.world.inject_latency {
-                        spin_ns(ns);
-                    }
-                }
-            },
-        }
+        self.world.exec.advance(self.pe, ns);
     }
 
     /// Hint that this PE is spinning without work (an empty steal search,
@@ -152,9 +140,7 @@ impl ShmemCtx {
     /// machine loses nothing by spinning.
     #[inline]
     pub fn idle_hint(&self) {
-        if self.world.oversubscribed {
-            std::thread::yield_now();
-        }
+        self.world.exec.idle_hint();
     }
 
     /// Snapshot of this PE's op counters.
@@ -166,10 +152,7 @@ impl ShmemCtx {
     /// crossings, safe windows, wall-clock gate wait). All zeros in
     /// threaded mode, which has no gate.
     pub fn engine_stats(&self) -> crate::vclock::EngineStats {
-        match &self.world.vclock {
-            Some(vc) => vc.engine_stats(self.pe),
-            None => crate::vclock::EngineStats::default(),
-        }
+        self.world.exec.engine_stats(self.pe)
     }
 
     pub(crate) fn take_stats(&self) -> OpStats {
@@ -188,11 +171,7 @@ impl ShmemCtx {
     /// ops unconditionally and pays one branch here when all four are off.
     #[inline]
     pub fn proto_site(&self, site: u16) {
-        if self.capture.is_some()
-            || self.site_prof.is_some()
-            || self.world.explore.is_some()
-            || self.world.ordering.is_some()
-        {
+        if self.sites_observed {
             self.armed_site.set(site);
         }
     }
@@ -268,20 +247,10 @@ impl ShmemCtx {
     /// unrelated later op.
     #[inline]
     fn armed(&self) -> u16 {
-        if self.capture.is_none()
-            && self.site_prof.is_none()
-            && self.world.explore.is_none()
-            && self.world.ordering.is_none()
-        {
+        if !self.sites_observed {
             return NO_SITE;
         }
-        let site = self.armed_site.replace(NO_SITE);
-        if self.world.explore.is_some() {
-            // Hand the id to the op-layer explore branch, which builds
-            // the gate's OpDesc after the wrapper consumed the site.
-            self.explore_site.set(site);
-        }
-        site
+        self.armed_site.replace(NO_SITE)
     }
 
     /// Record one captured event. Must be called *inside* the op's gated
@@ -303,15 +272,8 @@ impl ShmemCtx {
         if site == NO_SITE || !self.capture_window.get() {
             return;
         }
-        let t_ns = match &self.world.vclock {
-            Some(vc) => vc.now(self.pe),
-            None => match &self.world.explore {
-                Some(eg) => eg.now(self.pe),
-                None => self.wall_start.elapsed().as_nanos() as u64,
-            },
-        };
         buf.borrow_mut().push(ProtoEvent {
-            t_ns,
+            t_ns: self.now_ns(),
             issuer: self.pe as u32,
             target: target as u32,
             offset: addr.word() as u32,
@@ -322,20 +284,6 @@ impl ShmemCtx {
             arg2,
             prev,
         });
-    }
-
-    /// Build the exploration gate's descriptor for the op about to gate:
-    /// the words it touches (`span` = first word offset, word count) and
-    /// the protocol site the wrapper consumed via [`Self::armed`].
-    #[inline]
-    fn explore_desc(&self, kind: OpKind, target: usize, span: (u32, u32)) -> OpDesc {
-        OpDesc {
-            site: self.explore_site.replace(NO_SITE),
-            target: target as u32,
-            offset: span.0,
-            len: span.1,
-            writes: kind_writes(kind),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -387,48 +335,6 @@ impl ShmemCtx {
         }
     }
 
-    /// Apply a shared-visible effect with cost accounting and (in virtual
-    /// mode) global virtual-time ordering. Fault-free fast path. `span`
-    /// names the touched words for the exploration gate's op descriptor.
-    #[inline]
-    fn op<R>(
-        &self,
-        kind: OpKind,
-        target: usize,
-        bytes: usize,
-        span: (u32, u32),
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let loc = self.world.net.locality(self.pe, target);
-        let cost = self.world.net.cost_ns(kind, bytes, loc);
-        self.stats.borrow_mut().record(kind, bytes, cost);
-        if !kind.is_blocking() {
-            let deferred = self.world.net.nbi_deferred_ns(bytes, loc);
-            self.pending_nbi_ns
-                .set(self.pending_nbi_ns.get().max(deferred));
-            self.pending_nbi_count
-                .set(self.pending_nbi_count.get() + 1);
-        }
-        match &self.world.vclock {
-            Some(vc) => vc.gated(self.pe, cost, f),
-            None => match &self.world.explore {
-                Some(eg) => {
-                    eg.gate(self.pe, self.explore_desc(kind, target, span));
-                    let r = f();
-                    eg.advance(self.pe, cost.max(1));
-                    r
-                }
-                None => {
-                    let r = f();
-                    if self.world.inject_latency {
-                        spin_ns(cost);
-                    }
-                    r
-                }
-            },
-        }
-    }
-
     /// Is this op subject to fault injection? Same-PE traffic and
     /// collective-internal (control-plane) ops never are.
     #[inline]
@@ -439,147 +345,84 @@ impl ShmemCtx {
         }
     }
 
-    /// Fallible variant of [`Self::op`] for *blocking* kinds: consults the
-    /// fault injector, charges the detection timeout on failure, and skips
-    /// the memory effect of failed ops (a dropped packet never reaches the
-    /// target).
-    fn try_op<R>(
+    /// The injector's verdict on one op: `Ok(added latency)` or the fault
+    /// it suffers. Must run at the serialization point — the target's
+    /// down flag and the issuer's clock are only exact there.
+    fn fault_verdict(&self, inj: &FaultInjector, kind: OpKind, target: usize) -> OpResult<u64> {
+        // Sampled first, unconditionally: a PE's decision stream depends
+        // only on its own op sequence.
+        let pre = inj.predecide(kind, target);
+        if self.world.down[target].load(Ordering::Acquire) {
+            Err(OpError::TargetDown { kind, target })
+        } else if inj.plan().target_stalled(target, self.now_ns()) {
+            Err(OpError::Timeout { kind, target })
+        } else {
+            match pre {
+                PreDecision::Drop => Err(OpError::Retriable { kind, target }),
+                PreDecision::Proceed { extra_ns } => Ok(extra_ns),
+            }
+        }
+    }
+
+    /// Issue one one-sided op: the only path from the op surface to the
+    /// world's serialization point. `span` (first word, word count) and
+    /// `site` describe the op to a substrate that schedules on it.
+    ///
+    /// A failed op never applies `f` (a dropped packet never reaches the
+    /// target). A blocking op then pays the detection timeout and returns
+    /// the fault; a non-blocking op pays its plain cost, because its loss
+    /// is invisible at issue time — exactly like a real NIC — and `quiet`
+    /// accounting proceeds as if it were in flight. The `_nbi` wrappers
+    /// discard the result for the same reason.
+    ///
+    /// Stats record the modeled charge; the gated clocks advance by
+    /// `max(charge, 1)` (see `Exec::leave`), so on a zero-cost network a
+    /// PE's clock runs 1 ns per op ahead of its `comm_ns`.
+    #[inline]
+    fn issue<R>(
         &self,
         kind: OpKind,
         target: usize,
         bytes: usize,
         span: (u32, u32),
+        site: u16,
         f: impl FnOnce() -> R,
     ) -> OpResult<R> {
-        debug_assert!(kind.is_blocking());
-        let Some(inj) = self.injectable(target) else {
-            return Ok(self.op(kind, target, bytes, span, f));
-        };
-        let loc = self.world.net.locality(self.pe, target);
-        let cost = self.world.net.cost_ns(kind, bytes, loc);
-        let plan = inj.plan();
-        let timeout_ns = plan.timeout_ns();
-        let (dropped, extra) = match inj.predecide(kind, target) {
-            PreDecision::Drop => (true, 0),
-            PreDecision::Proceed { extra_ns } => (false, extra_ns),
-        };
-
-        // The target-down and stall checks read shared/clock state, so they
-        // run at the serialization point (the gate) in virtual mode.
-        let decide = |now: u64| -> OpResult<()> {
-            if self.world.down[target].load(Ordering::Acquire) {
-                Err(OpError::TargetDown { kind, target })
-            } else if plan.target_stalled(target, now) {
-                Err(OpError::Timeout { kind, target })
-            } else if dropped {
-                Err(OpError::Retriable { kind, target })
-            } else {
-                Ok(())
-            }
-        };
-
-        let res: OpResult<R> = match &self.world.vclock {
-            Some(vc) => {
-                vc.gate(self.pe);
-                let res = decide(vc.now(self.pe)).map(|()| f());
-                let charge = match &res {
-                    Ok(_) => cost.saturating_add(extra),
-                    Err(_) => timeout_ns,
-                };
-                vc.advance(self.pe, charge.max(1));
-                self.stats.borrow_mut().record(kind, bytes, charge.max(1));
-                res
-            }
-            None => match &self.world.explore {
-                Some(eg) => {
-                    eg.gate(self.pe, self.explore_desc(kind, target, span));
-                    let res = decide(eg.now(self.pe)).map(|()| f());
-                    let charge = match &res {
-                        Ok(_) => cost.saturating_add(extra),
-                        Err(_) => timeout_ns,
-                    };
-                    eg.advance(self.pe, charge.max(1));
-                    self.stats.borrow_mut().record(kind, bytes, charge.max(1));
-                    res
-                }
-                None => {
-                    let res = decide(self.wall_start.elapsed().as_nanos() as u64).map(|()| f());
-                    let charge = match &res {
-                        Ok(_) => cost.saturating_add(extra),
-                        Err(_) => timeout_ns,
-                    };
-                    self.stats.borrow_mut().record(kind, bytes, charge);
-                    if self.world.inject_latency {
-                        spin_ns(charge);
-                    }
-                    res
-                }
+        let net = &self.world.net;
+        let loc = net.locality(self.pe, target);
+        let cost = net.cost_ns(kind, bytes, loc);
+        let blocking = kind.is_blocking();
+        if !blocking {
+            let deferred = net.nbi_deferred_ns(bytes, loc);
+            self.pending_nbi_ns
+                .set(self.pending_nbi_ns.get().max(deferred));
+            self.pending_nbi_count
+                .set(self.pending_nbi_count.get() + 1);
+        }
+        let exec = &self.world.exec;
+        exec.enter(self.pe, || OpDesc {
+            site,
+            target: target as u32,
+            offset: span.0,
+            len: span.1,
+            writes: kind_writes(kind),
+        });
+        let (res, charge) = match self.injectable(target) {
+            None => (Ok(f()), cost),
+            Some(inj) => match self.fault_verdict(inj, kind, target) {
+                Ok(extra_ns) if blocking => (Ok(f()), cost.saturating_add(extra_ns)),
+                Ok(_) => (Ok(f()), cost),
+                Err(e) if blocking => (Err(e), inj.plan().timeout_ns()),
+                Err(e) => (Err(e), cost),
             },
         };
+        exec.leave(self.pe, charge);
+        let mut stats = self.stats.borrow_mut();
+        stats.record(kind, bytes, charge);
         if res.is_err() {
-            self.stats.borrow_mut().record_failed(kind);
+            stats.record_failed(kind);
         }
         res
-    }
-
-    /// Fault-aware path for *non-blocking* kinds: losses are silent (the
-    /// issuer cannot observe an nbi failure at issue time — exactly like a
-    /// real NIC), so the effect is skipped but `Ok` semantics are kept and
-    /// `quiet` accounting proceeds as if the op were in flight.
-    fn op_nbi(&self, kind: OpKind, target: usize, bytes: usize, span: (u32, u32), f: impl FnOnce()) {
-        debug_assert!(!kind.is_blocking());
-        let Some(inj) = self.injectable(target) else {
-            self.op(kind, target, bytes, span, f);
-            return;
-        };
-        let plan = inj.plan();
-        let dropped = matches!(inj.predecide(kind, target), PreDecision::Drop);
-        let apply = |now: u64| -> bool {
-            !(dropped
-                || self.world.down[target].load(Ordering::Acquire)
-                || plan.target_stalled(target, now))
-        };
-        let loc = self.world.net.locality(self.pe, target);
-        let cost = self.world.net.cost_ns(kind, bytes, loc);
-        self.stats.borrow_mut().record(kind, bytes, cost);
-        let deferred = self.world.net.nbi_deferred_ns(bytes, loc);
-        self.pending_nbi_ns
-            .set(self.pending_nbi_ns.get().max(deferred));
-        self.pending_nbi_count
-            .set(self.pending_nbi_count.get() + 1);
-        let applied = match &self.world.vclock {
-            Some(vc) => vc.gated(self.pe, cost, || {
-                let ok = apply(vc.now(self.pe));
-                if ok {
-                    f();
-                }
-                ok
-            }),
-            None => match &self.world.explore {
-                Some(eg) => {
-                    eg.gate(self.pe, self.explore_desc(kind, target, span));
-                    let ok = apply(eg.now(self.pe));
-                    if ok {
-                        f();
-                    }
-                    eg.advance(self.pe, cost.max(1));
-                    ok
-                }
-                None => {
-                    let ok = apply(self.wall_start.elapsed().as_nanos() as u64);
-                    if ok {
-                        f();
-                    }
-                    if self.world.inject_latency {
-                        spin_ns(cost);
-                    }
-                    ok
-                }
-            },
-        };
-        if !applied {
-            self.stats.borrow_mut().record_failed(kind);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -597,7 +440,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_load(site);
-        self.try_op(OpKind::Get, pe, dst.len() * 8, (addr.word() as u32, dst.len() as u32), || {
+        self.issue(OpKind::Get, pe, dst.len() * 8, (addr.word() as u32, dst.len() as u32), site, || {
             for (i, d) in dst.iter_mut().enumerate() {
                 if let Some(tr) = self.tracker() {
                     tr.read(self.pe, pe, addr.offset(i).word(), i as u32, ord_acquires(ord), site);
@@ -644,7 +487,7 @@ impl ShmemCtx {
         // over-approximation that can only add dependences.
         let lo = a.0.word().min(b.0.word());
         let hi = (a.0.word() + a.1).max(b.0.word() + b.1);
-        self.try_op(OpKind::Get, pe, dst.len() * 8, (lo as u32, (hi - lo) as u32), || {
+        self.issue(OpKind::Get, pe, dst.len() * 8, (lo as u32, (hi - lo) as u32), site, || {
             let (first, second) = dst.split_at_mut(a.1);
             for (i, d) in first.iter_mut().enumerate() {
                 if let Some(tr) = self.tracker() {
@@ -676,7 +519,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_store(site);
-        self.try_op(OpKind::Put, pe, src.len() * 8, (addr.word() as u32, src.len() as u32), || {
+        self.issue(OpKind::Put, pe, src.len() * 8, (addr.word() as u32, src.len() as u32), site, || {
             self.prof_site(site, |c| c.bulk += 1);
             if site != NO_SITE {
                 let w0 = src.first().copied().unwrap_or(0);
@@ -692,20 +535,6 @@ impl ShmemCtx {
         })
     }
 
-    /// Non-blocking contiguous write; completion deferred to [`Self::quiet`].
-    ///
-    /// Under fault injection, losses of non-blocking ops are *silent*: the
-    /// effect is skipped but the call still succeeds, exactly as a real NIC
-    /// behaves at issue time.
-    pub fn put_words_nbi(&self, pe: usize, addr: SymAddr, src: &[u64]) {
-        let heap = &self.world.heap;
-        self.op_nbi(OpKind::PutNbi, pe, src.len() * 8, (addr.word() as u32, src.len() as u32), || {
-            for (i, &s) in src.iter().enumerate() {
-                heap.word(pe, addr.offset(i)).store(s, Ordering::Release);
-            }
-        });
-    }
-
     /// Wait for all outstanding non-blocking operations issued by this PE.
     pub fn quiet(&self) {
         if self.pending_nbi_count.get() == 0 {
@@ -715,19 +544,9 @@ impl ShmemCtx {
         self.pending_nbi_ns.set(0);
         self.pending_nbi_count.set(0);
         self.stats.borrow_mut().record(OpKind::Quiet, 0, deferred);
-        match &self.world.vclock {
-            Some(vc) => vc.advance(self.pe, deferred),
-            None => match &self.world.explore {
-                // NBI effects applied at issue (each was its own gate
-                // point); quiet only settles this PE's clock.
-                Some(eg) => eg.advance(self.pe, deferred),
-                None => {
-                    if self.world.inject_latency {
-                        spin_ns(deferred);
-                    }
-                }
-            },
-        }
+        // NBI effects applied at issue (each was its own serialization
+        // point); quiet only settles this PE's clock.
+        self.world.exec.advance(self.pe, deferred);
     }
 
     // ------------------------------------------------------------------
@@ -745,7 +564,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_rmw(site);
-        self.try_op(OpKind::AtomicFetchAdd, pe, 8, (addr.word() as u32, 1), || {
+        self.issue(OpKind::AtomicFetchAdd, pe, 8, (addr.word() as u32, 1), site, || {
             if let Some(tr) = self.tracker() {
                 tr.rmw(self.pe, pe, addr.word(), ord_acquires(ord), ord_releases(ord), site);
             }
@@ -766,7 +585,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_rmw(site);
-        self.try_op(OpKind::AtomicSwap, pe, 8, (addr.word() as u32, 1), || {
+        self.issue(OpKind::AtomicSwap, pe, 8, (addr.word() as u32, 1), site, || {
             if let Some(tr) = self.tracker() {
                 tr.rmw(self.pe, pe, addr.word(), ord_acquires(ord), ord_releases(ord), site);
             }
@@ -795,7 +614,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let (succ, fail) = self.ord_cas(site);
-        self.try_op(OpKind::AtomicCompareSwap, pe, 8, (addr.word() as u32, 1), || {
+        self.issue(OpKind::AtomicCompareSwap, pe, 8, (addr.word() as u32, 1), site, || {
             let (prev, won) = match heap
                 .word(pe, addr)
                 .compare_exchange(expected, new, succ, fail)
@@ -850,7 +669,7 @@ impl ShmemCtx {
             None if !acquire => Ordering::Relaxed,
             None => Ordering::Acquire,
         };
-        self.try_op(OpKind::AtomicFetch, pe, 8, (addr.word() as u32, 1), || {
+        self.issue(OpKind::AtomicFetch, pe, 8, (addr.word() as u32, 1), site, || {
             if let Some(tr) = self.tracker() {
                 tr.read(self.pe, pe, addr.word(), 0, ord_acquires(ord), site);
             }
@@ -871,7 +690,7 @@ impl ShmemCtx {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_store(site);
-        self.try_op(OpKind::AtomicSet, pe, 8, (addr.word() as u32, 1), || {
+        self.issue(OpKind::AtomicSet, pe, 8, (addr.word() as u32, 1), site, || {
             if site != NO_SITE && self.capturing() {
                 // The overwritten value is only observable while capturing
                 // (and inside the sampling window); the extra load happens
@@ -888,12 +707,14 @@ impl ShmemCtx {
     }
 
     /// Non-blocking atomic add (no fetched value); completed by `quiet`.
-    /// Losses under fault injection are silent (see [`Self::put_words_nbi`]).
+    /// Losses under fault injection are silent: the effect is skipped but
+    /// the call still succeeds, exactly as a real NIC behaves at issue
+    /// time.
     pub fn atomic_add_nbi(&self, pe: usize, addr: SymAddr, val: u64) {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_rmw(site);
-        self.op_nbi(OpKind::AtomicAddNbi, pe, 8, (addr.word() as u32, 1), || {
+        let _ = self.issue(OpKind::AtomicAddNbi, pe, 8, (addr.word() as u32, 1), site, || {
             if let Some(tr) = self.tracker() {
                 tr.rmw(self.pe, pe, addr.word(), ord_acquires(ord), ord_releases(ord), site);
             }
@@ -904,12 +725,12 @@ impl ShmemCtx {
     }
 
     /// Non-blocking atomic set; completed by `quiet`. Losses under fault
-    /// injection are silent (see [`Self::put_words_nbi`]).
+    /// injection are silent (see [`Self::atomic_add_nbi`]).
     pub fn atomic_set_nbi(&self, pe: usize, addr: SymAddr, val: u64) {
         let heap = &self.world.heap;
         let site = self.armed();
         let ord = self.ord_store(site);
-        self.op_nbi(OpKind::AtomicSetNbi, pe, 8, (addr.word() as u32, 1), || {
+        let _ = self.issue(OpKind::AtomicSetNbi, pe, 8, (addr.word() as u32, 1), site, || {
             if site != NO_SITE && self.capturing() {
                 let prev = heap.word(pe, addr).load(Ordering::Acquire);
                 self.capture_event(site, ProtoOp::SetNbi, pe, addr, 1, val, 0, prev);
@@ -957,11 +778,10 @@ impl ShmemCtx {
         let site = self.armed();
         self.prof_site(site, |c| c.stores += 1);
         if site != NO_SITE {
-            if let Some(eg) = &self.world.explore {
-                let desc =
-                    self.explore_desc(OpKind::Put, self.pe, (addr.word() as u32, src.len() as u32));
-                eg.gate(self.pe, desc);
-            }
+            self.world.exec.choice_point(self.pe, || OpDesc {
+                site,
+                ..plain_desc(self.pe, addr.word() as u32, src.len() as u32, true)
+            });
         }
         let ord = self.ord_store(site);
         for (i, &s) in src.iter().enumerate() {
@@ -1021,11 +841,6 @@ impl ShmemCtx {
         self.injector.is_some()
     }
 
-    /// The world's fault plan, if an active one is attached.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.injector.as_ref().map(|i| i.plan())
-    }
-
     /// Has this PE's scheduled crash point passed? The scheduler polls
     /// this at idle points and initiates the crash-stop protocol (drain,
     /// [`Self::mark_self_down`], exit) when it fires.
@@ -1043,24 +858,15 @@ impl ShmemCtx {
     /// [`OpError::TargetDown`]. The caller must already have drained its
     /// steal-protocol state (no in-flight claims against its queue).
     pub fn mark_self_down(&self) {
-        match &self.world.vclock {
-            // Serialized like any shared-visible effect so the transition
-            // is deterministic in virtual time.
-            Some(vc) => vc.gated(self.pe, 1, || {
-                self.world.down[self.pe].store(true, Ordering::Release)
-            }),
-            None => match &self.world.explore {
-                Some(eg) => {
-                    // Down flags live outside the heap; give them a
-                    // sentinel word so the transition is a schedulable
-                    // (and conflict-tracked) effect like any other.
-                    eg.gate(self.pe, crate::explore::plain_desc(self.pe, u32::MAX, 1, true));
-                    self.world.down[self.pe].store(true, Ordering::Release);
-                    eg.advance(self.pe, 1);
-                }
-                None => self.world.down[self.pe].store(true, Ordering::Release),
-            },
-        }
+        // Serialized like any shared-visible effect so the transition is
+        // deterministic. Down flags live outside the heap; a sentinel
+        // word makes the transition schedulable (and conflict-tracked).
+        self.world.exec.gated(
+            self.pe,
+            1,
+            || plain_desc(self.pe, u32::MAX, 1, true),
+            || self.world.down[self.pe].store(true, Ordering::Release),
+        );
     }
 
     /// Whether `pe` is known to be down (its crash-stop completed). This
@@ -1074,13 +880,7 @@ impl ShmemCtx {
     /// Poll loops that spin on remote state must check this to propagate
     /// failure instead of spinning forever.
     pub fn world_poisoned(&self) -> bool {
-        match &self.world.vclock {
-            Some(vc) => vc.is_poisoned(),
-            None => match &self.world.explore {
-                Some(eg) => eg.is_poisoned(),
-                None => self.world.thread_barrier.is_poisoned(),
-            },
-        }
+        self.world.exec.is_poisoned()
     }
 }
 
@@ -1089,51 +889,7 @@ fn op_panic<R>(e: OpError) -> R {
     panic!("unhandled injected fault on infallible op surface: {e} (use the try_* variant)")
 }
 
-/// Busy-wait approximately `ns` nanoseconds (threaded latency injection).
-fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
-}
-
 impl ShmemCtx {
-    /// Blocking strided read (OpenSHMEM `iget`): `dst[i]` ←
-    /// `(pe, addr + i·stride)`. One operation — RDMA NICs expose strided
-    /// access through scatter/gather descriptors.
-    pub fn iget_words(&self, pe: usize, addr: SymAddr, stride: usize, dst: &mut [u64]) {
-        assert!(stride >= 1, "stride must be at least one word");
-        let heap = &self.world.heap;
-        // Exploration span: contiguous cover of the strided range.
-        let cover = dst.len().saturating_sub(1) * stride + 1;
-        self.try_op(OpKind::Get, pe, dst.len() * 8, (addr.word() as u32, cover as u32), || {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = heap
-                    .word(pe, addr.offset(i * stride))
-                    .load(Ordering::Acquire);
-            }
-        })
-        .unwrap_or_else(op_panic)
-    }
-
-    /// Blocking strided write (OpenSHMEM `iput`): `(pe, addr + i·stride)`
-    /// ← `src[i]`.
-    pub fn iput_words(&self, pe: usize, addr: SymAddr, stride: usize, src: &[u64]) {
-        assert!(stride >= 1, "stride must be at least one word");
-        let heap = &self.world.heap;
-        let cover = src.len().saturating_sub(1) * stride + 1;
-        self.try_op(OpKind::Put, pe, src.len() * 8, (addr.word() as u32, cover as u32), || {
-            for (i, &s) in src.iter().enumerate() {
-                heap.word(pe, addr.offset(i * stride))
-                    .store(s, Ordering::Release);
-            }
-        })
-        .unwrap_or_else(op_panic)
-    }
-
     /// Convenience: blocking read of one remote word (a 1-word `get`,
     /// *not* an atomic — use [`Self::atomic_fetch`] for synchronizing
     /// reads).
@@ -1146,13 +902,6 @@ impl ShmemCtx {
     /// Convenience: blocking write of one remote word (a 1-word `put`).
     pub fn put_word(&self, pe: usize, addr: SymAddr, val: u64) {
         self.put_words(pe, addr, &[val]);
-    }
-
-    /// Fallible [`Self::get_word`].
-    pub fn try_get_word(&self, pe: usize, addr: SymAddr) -> OpResult<u64> {
-        let mut v = [0u64];
-        self.try_get_words(pe, addr, &mut v)?;
-        Ok(v[0])
     }
 
     /// Fallible [`Self::put_word`].

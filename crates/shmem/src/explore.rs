@@ -178,7 +178,7 @@ struct State {
 }
 
 /// The exploration scheduler's serialization point. Build one per
-/// schedule execution, pass it to `WorldConfig::with_explore`, and read
+/// schedule execution, pass it to `WorldConfig::exploration`, and read
 /// the decision log back with [`ExploreGate::take_trace`] after
 /// `run_world` returns.
 pub struct ExploreGate {

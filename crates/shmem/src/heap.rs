@@ -12,42 +12,23 @@
 //! The hot words the protocols fight over (the SWS stealval, completion
 //! arrays, the SDC meta block) are the whole point of the paper — so the
 //! heap must not manufacture *false* sharing on top of the true sharing
-//! the protocols intend. Under the default [`HeapLayout::Aligned`] the
-//! backing store is 128-byte aligned (two 64-byte lines: the common
-//! adjacent-line-prefetch granule), every PE region is padded to a
-//! 128-byte multiple so region boundaries never split a line, and
-//! [`SymmetricHeap::bump_aligned`] lets the collective allocator place
-//! contended words on private lines. [`HeapLayout::Packed`] preserves the
-//! historical word-granular packing; the differential suites run both to
-//! prove virtual-time results are byte-identical across layouts (op costs
-//! are address-independent by construction).
+//! the protocols intend. The backing store is 128-byte aligned (two
+//! 64-byte lines: the common adjacent-line-prefetch granule), every PE
+//! region is padded to a 128-byte multiple so region boundaries never
+//! split a line, and [`SymmetricHeap::bump`] lets the collective
+//! allocator place contended words on private lines. Virtual time cannot
+//! see any of this: op costs are address-independent by construction.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::addr::SymAddr;
-
-/// Placement policy for the symmetric heap backing store.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum HeapLayout {
-    /// 128-byte-aligned backing, PE regions padded to a line multiple,
-    /// and line-aligned collective allocation (`bump_aligned` honors its
-    /// alignment argument). The production default.
-    #[default]
-    Aligned,
-    /// Word-granular packing with no padding — the historical layout.
-    /// `bump_aligned` degrades to a plain bump so allocation geometry is
-    /// bit-compatible with pre-alignment builds; kept for differential
-    /// determinism testing and memory-tight configurations.
-    Packed,
-}
 
 /// Words per false-sharing isolation unit: 128 bytes = 16 words. Two
 /// 64-byte lines, because adjacent-line hardware prefetchers pull line
 /// pairs and write-invalidate both.
 pub const CACHE_LINE_WORDS: usize = 16;
 
-/// The isolation unit in bytes (backing-store alignment under
-/// [`HeapLayout::Aligned`]).
+/// The isolation unit in bytes (the backing-store alignment).
 pub const CACHE_LINE_BYTES: usize = CACHE_LINE_WORDS * 8;
 
 /// A heap backing store with explicit alignment: `len` zero-initialized
@@ -116,7 +97,6 @@ impl Drop for AlignedWords {
 pub struct SymmetricHeap {
     words_per_pe: usize,
     n_pes: usize,
-    layout: HeapLayout,
     /// `n_pes * words_per_pe` words, PE-major.
     words: AlignedWords,
     /// Collective bump-allocation cursor (word index), shared by all PEs.
@@ -138,22 +118,19 @@ pub(crate) mod ctrl {
 
 impl SymmetricHeap {
     /// Create a heap with `words_per_pe` words for each of `n_pes` regions.
-    /// Under [`HeapLayout::Aligned`] the per-PE size is rounded up to a
-    /// [`CACHE_LINE_WORDS`] multiple so every region starts on a 128-byte
-    /// boundary of the (128-byte-aligned) backing store.
-    pub(crate) fn new(n_pes: usize, words_per_pe: usize, layout: HeapLayout) -> SymmetricHeap {
+    /// The per-PE size is rounded up to a [`CACHE_LINE_WORDS`] multiple so
+    /// every region starts on a 128-byte boundary of the
+    /// (128-byte-aligned) backing store.
+    pub(crate) fn new(n_pes: usize, words_per_pe: usize) -> SymmetricHeap {
         assert!(n_pes > 0, "need at least one PE");
         assert!(
             words_per_pe > CTRL_WORDS,
             "heap must be larger than the control block ({CTRL_WORDS} words)"
         );
-        let words_per_pe = match layout {
-            HeapLayout::Packed => words_per_pe,
-            HeapLayout::Aligned => words_per_pe
-                .div_ceil(CACHE_LINE_WORDS)
-                .checked_mul(CACHE_LINE_WORDS)
-                .expect("heap size overflows usize"),
-        };
+        let words_per_pe = words_per_pe
+            .div_ceil(CACHE_LINE_WORDS)
+            .checked_mul(CACHE_LINE_WORDS)
+            .expect("heap size overflows usize");
         let total = n_pes
             .checked_mul(words_per_pe)
             .expect("heap size overflows usize");
@@ -161,7 +138,6 @@ impl SymmetricHeap {
         SymmetricHeap {
             words_per_pe,
             n_pes,
-            layout,
             words,
             cursor: AtomicUsize::new(CTRL_WORDS),
         }
@@ -177,12 +153,6 @@ impl SymmetricHeap {
     #[inline]
     pub fn words_per_pe(&self) -> usize {
         self.words_per_pe
-    }
-
-    /// The placement policy this heap was built with.
-    #[inline]
-    pub fn layout(&self) -> HeapLayout {
-        self.layout
     }
 
     /// Words still available to the collective allocator.
@@ -205,42 +175,17 @@ impl SymmetricHeap {
         &self.words[pe * self.words_per_pe + addr.word()]
     }
 
-    /// Bump the shared allocation cursor by `words`; returns the old cursor
-    /// or `None` when the region would overflow. Called by PE 0 inside the
-    /// collective allocation protocol.
-    pub(crate) fn bump(&self, words: usize) -> Option<usize> {
+    /// Bump the shared allocation cursor past `words` words starting at
+    /// the next multiple of `align_words` (a power of two ≤
+    /// [`CACHE_LINE_WORDS`]; 1 = no alignment); the skipped words are
+    /// wasted. Returns the start offset, or `None` when the region would
+    /// overflow. Because regions start on 128-byte boundaries, a
+    /// line-multiple offset is a line-aligned address in **every** PE's
+    /// region. Called by PE 0 inside the collective allocation protocol.
+    pub(crate) fn bump(&self, words: usize, align_words: usize) -> Option<usize> {
+        debug_assert!(align_words.is_power_of_two() && align_words <= CACHE_LINE_WORDS);
         // Single writer by protocol (PE 0 between barriers), but use a CAS
         // loop anyway so misuse cannot corrupt the cursor.
-        let mut cur = self.cursor.load(Ordering::Relaxed);
-        loop {
-            let next = cur.checked_add(words)?;
-            if next > self.words_per_pe {
-                return None;
-            }
-            match self.cursor.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(cur),
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// As [`bump`](Self::bump), but the returned offset is a multiple of
-    /// `align_words` (a power of two ≤ [`CACHE_LINE_WORDS`]); the skipped
-    /// words are wasted. Because regions start on 128-byte boundaries
-    /// under [`HeapLayout::Aligned`], a line-multiple offset is a
-    /// line-aligned address in **every** PE's region. Under
-    /// [`HeapLayout::Packed`] this is a plain bump — allocation geometry
-    /// stays bit-compatible with pre-alignment builds.
-    pub(crate) fn bump_aligned(&self, words: usize, align_words: usize) -> Option<usize> {
-        debug_assert!(align_words.is_power_of_two() && align_words <= CACHE_LINE_WORDS);
-        if self.layout == HeapLayout::Packed {
-            return self.bump(words);
-        }
         let mut cur = self.cursor.load(Ordering::Relaxed);
         loop {
             let start = cur.checked_add(align_words - 1)? & !(align_words - 1);
@@ -275,47 +220,45 @@ mod tests {
 
     #[test]
     fn regions_are_independent() {
-        for layout in [HeapLayout::Packed, HeapLayout::Aligned] {
-            let h = SymmetricHeap::new(3, 64, layout);
-            let a = SymAddr::new(CTRL_WORDS);
-            h.word(0, a).store(7, Relaxed);
-            h.word(1, a).store(8, Relaxed);
-            assert_eq!(h.word(0, a).load(Relaxed), 7);
-            assert_eq!(h.word(1, a).load(Relaxed), 8);
-            assert_eq!(h.word(2, a).load(Relaxed), 0);
-        }
+        let h = SymmetricHeap::new(3, 64);
+        let a = SymAddr::new(CTRL_WORDS);
+        h.word(0, a).store(7, Relaxed);
+        h.word(1, a).store(8, Relaxed);
+        assert_eq!(h.word(0, a).load(Relaxed), 7);
+        assert_eq!(h.word(1, a).load(Relaxed), 8);
+        assert_eq!(h.word(2, a).load(Relaxed), 0);
     }
 
     #[test]
     fn bump_allocates_disjoint_ranges() {
-        let h = SymmetricHeap::new(1, 64, HeapLayout::Packed);
-        let a = h.bump(10).unwrap();
-        let b = h.bump(10).unwrap();
+        let h = SymmetricHeap::new(1, 64);
+        let a = h.bump(10, 1).unwrap();
+        let b = h.bump(10, 1).unwrap();
         assert_eq!(b, a + 10);
         assert!(h.words_free() <= 64 - 20 - CTRL_WORDS);
     }
 
     #[test]
     fn bump_fails_cleanly_when_exhausted() {
-        let h = SymmetricHeap::new(1, 64, HeapLayout::Packed);
-        assert!(h.bump(1000).is_none());
+        let h = SymmetricHeap::new(1, 64);
+        assert!(h.bump(1000, 1).is_none());
         // A failed bump must not consume space.
         let before = h.words_free();
-        assert!(h.bump(usize::MAX).is_none());
+        assert!(h.bump(usize::MAX, 1).is_none());
         assert_eq!(h.words_free(), before);
-        assert!(h.bump(before).is_some());
-        assert!(h.bump(1).is_none());
+        assert!(h.bump(before, 1).is_some());
+        assert!(h.bump(1, 1).is_none());
     }
 
     #[test]
     #[should_panic(expected = "larger than the control block")]
     fn tiny_heap_rejected() {
-        let _ = SymmetricHeap::new(1, 4, HeapLayout::default());
+        let _ = SymmetricHeap::new(1, 4);
     }
 
     #[test]
     fn zeroed_at_start() {
-        let h = SymmetricHeap::new(2, 32, HeapLayout::Aligned);
+        let h = SymmetricHeap::new(2, 32);
         for pe in 0..2 {
             for w in 0..h.words_per_pe() {
                 assert_eq!(h.word(pe, SymAddr::new(w)).load(Relaxed), 0);
@@ -330,7 +273,7 @@ mod tests {
     fn aligned_regions_start_on_line_boundaries() {
         // 100 words is deliberately not a line multiple — it must round
         // up to 112 (7 × 16).
-        let h = SymmetricHeap::new(5, 100, HeapLayout::Aligned);
+        let h = SymmetricHeap::new(5, 100);
         assert_eq!(h.words_per_pe() % CACHE_LINE_WORDS, 0);
         assert_eq!(h.words_per_pe(), 112);
         for pe in 0..5 {
@@ -343,38 +286,28 @@ mod tests {
         }
     }
 
-    /// Packed mode keeps the historical geometry exactly: no rounding, no
-    /// alignment skips, `bump_aligned` ≡ `bump`.
-    #[test]
-    fn packed_layout_is_bit_compatible() {
-        let h = SymmetricHeap::new(2, 100, HeapLayout::Packed);
-        assert_eq!(h.words_per_pe(), 100);
-        assert_eq!(h.bump_aligned(3, CACHE_LINE_WORDS), Some(CTRL_WORDS));
-        assert_eq!(h.bump_aligned(1, CACHE_LINE_WORDS), Some(CTRL_WORDS + 3));
-    }
-
     #[test]
     fn bump_aligned_isolates_lines() {
-        let h = SymmetricHeap::new(1, 256, HeapLayout::Aligned);
+        let h = SymmetricHeap::new(1, 256);
         // Cursor starts at CTRL_WORDS = 8: the first aligned alloc skips
         // to the next line boundary.
-        let a = h.bump_aligned(1, CACHE_LINE_WORDS).unwrap();
+        let a = h.bump(1, CACHE_LINE_WORDS).unwrap();
         assert_eq!(a, CACHE_LINE_WORDS);
         // A second aligned alloc lands on a fresh line, not a's line.
-        let b = h.bump_aligned(5, CACHE_LINE_WORDS).unwrap();
+        let b = h.bump(5, CACHE_LINE_WORDS).unwrap();
         assert_eq!(b, 2 * CACHE_LINE_WORDS);
         assert!(b / CACHE_LINE_WORDS > a / CACHE_LINE_WORDS);
         // Plain bumps continue from the cursor as before.
-        let c = h.bump(2).unwrap();
+        let c = h.bump(2, 1).unwrap();
         assert_eq!(c, b + 5);
     }
 
     #[test]
     fn bump_aligned_fails_cleanly_when_exhausted() {
-        let h = SymmetricHeap::new(1, 64, HeapLayout::Aligned);
-        assert!(h.bump_aligned(1000, CACHE_LINE_WORDS).is_none());
+        let h = SymmetricHeap::new(1, 64);
+        assert!(h.bump(1000, CACHE_LINE_WORDS).is_none());
         let before = h.words_free();
-        assert!(h.bump_aligned(usize::MAX, CACHE_LINE_WORDS).is_none());
+        assert!(h.bump(usize::MAX, CACHE_LINE_WORDS).is_none());
         assert_eq!(h.words_free(), before);
     }
 }

@@ -15,7 +15,9 @@
 //! * a **network cost model** ([`NetModel`]) charging a configurable
 //!   latency + bandwidth cost per operation class, with per-PE counters
 //!   ([`OpStats`]) so experiments can report exact communication counts;
-//! * two execution modes ([`ExecMode`]):
+//! * three execution modes ([`ExecMode`]), one substrate each behind the
+//!   crate-private execution seam (`exec`) — the op surface and the
+//!   protocols above it cannot tell them apart:
 //!   - `Threaded`: PEs are OS threads performing real CPU atomics on the
 //!     shared heap — used for concurrency stress tests;
 //!   - `Virtual`: the same threads are additionally serialized by a
@@ -23,7 +25,11 @@
 //!     remote effect applies in global virtual-time order and advances the
 //!     issuing PE's clock by the modeled cost. This yields deterministic,
 //!     seedable "runs" of up to thousands of PEs on a single core, from
-//!     which runtime / steal time / search time are read off the clocks.
+//!     which runtime / steal time / search time are read off the clocks;
+//!   - `Explore`: the threads are serialized by an **exploration gate**
+//!     ([`explore::ExploreGate`]) that turns every gated effect into a
+//!     scheduling choice point — used to search interleavings of the
+//!     production queues.
 //!
 //! The public entry point is [`run_world`]:
 //!
@@ -49,6 +55,7 @@ mod addr;
 mod collectives;
 mod ctx;
 mod error;
+mod exec;
 pub mod explore;
 pub mod fault;
 mod heap;
@@ -61,7 +68,6 @@ pub mod proto;
 pub mod rng;
 mod runtime;
 mod stats;
-mod sync;
 pub mod vclock;
 
 pub use addr::SymAddr;
@@ -69,7 +75,7 @@ pub use explore::{Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc};
 pub use ctx::ShmemCtx;
 pub use error::{OpError, OpResult, ShmemError, ShmemResult};
 pub use fault::{FaultPlan, OpClass, RetryPolicy, TargetSel};
-pub use heap::{HeapLayout, SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS};
+pub use heap::{SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS};
 pub use net::{Locality, NetModel, OpKind, ALL_OP_KINDS, OP_KIND_COUNT};
 pub use onesided::OneSided;
 pub use overrides::{OrdTracker, OrderingCtl, OrderingOverrides};
@@ -78,4 +84,3 @@ pub use proto::{ProtoEvent, ProtoOp, NO_SITE};
 pub use runtime::{run_world, ExecMode, WorldConfig, WorldOutput};
 pub use stats::{OpStats, StatsSummary};
 pub use vclock::{EngineStats, GateMode};
-pub use sync::WaitCmp;

@@ -7,23 +7,23 @@
 //! [`ShmemError::PePanicked`].
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ctx::ShmemCtx;
 use crate::error::{ShmemError, ShmemResult};
+use crate::exec::Exec;
 use crate::explore::ExploreGate;
 use crate::fault::FaultPlan;
-use crate::heap::{HeapLayout, SymmetricHeap};
-use crate::lock::{Condvar, Mutex};
+use crate::heap::SymmetricHeap;
 use crate::net::NetModel;
 use crate::overrides::OrderingCtl;
 use crate::stats::{OpStats, StatsSummary};
-use crate::vclock::{GateMode, VClock};
+use crate::vclock::GateMode;
 
 /// How PEs execute.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub enum ExecMode {
     /// Real threads, real atomics; op costs optionally injected as
     /// busy-waits. Nondeterministic interleavings — use for stress tests.
@@ -34,6 +34,10 @@ pub enum ExecMode {
     /// Conservative virtual-time serialization: deterministic, scalable to
     /// thousands of PEs on few cores. Use for experiments.
     Virtual,
+    /// Real threads serialized behind an explicit schedule: every gated
+    /// effect is a scheduling choice point of the gate (see
+    /// [`crate::explore`]). Use for systematic interleaving search.
+    Explore(Arc<ExploreGate>),
 }
 
 /// World configuration.
@@ -43,13 +47,6 @@ pub struct WorldConfig {
     pub n_pes: usize,
     /// Symmetric heap size per PE, in 64-bit words.
     pub heap_words: usize,
-    /// Placement policy for the heap backing store. The aligned default
-    /// pads PE regions to 128-byte boundaries and honors line-aligned
-    /// collective allocation; `Packed` preserves the historical
-    /// word-granular geometry (differential testing, tight memory).
-    /// Virtual-time results are byte-identical across layouts because op
-    /// costs never depend on addresses.
-    pub heap_layout: HeapLayout,
     /// Network cost model.
     pub net: NetModel,
     /// Execution mode.
@@ -57,7 +54,7 @@ pub struct WorldConfig {
     /// Fault schedule; `None` (or an inactive plan) injects nothing and
     /// leaves every op count bit-identical to a fault-free world.
     pub faults: Option<FaultPlan>,
-    /// Virtual-time gate implementation (ignored in threaded mode). The
+    /// Virtual-time gate implementation (ignored in the other modes). The
     /// safe-window default and the handoff-per-op gate realize the same
     /// deterministic effect schedule; the switch exists for differential
     /// testing and engine benchmarking.
@@ -71,16 +68,6 @@ pub struct WorldConfig {
     /// --contention`). Off by default; when off, the op surface carries
     /// no profiling state.
     pub profile_sites: bool,
-    /// Exploration gate (see [`crate::explore`]): serializes every gated
-    /// effect behind an explicit schedule. Requires threaded mode (the
-    /// gate replaces the virtual-time engine as the serialization point).
-    pub explore: Option<Arc<ExploreGate>>,
-    /// Let [`ShmemCtx::idle_hint`](crate::ShmemCtx::idle_hint) yield the
-    /// OS thread when a threaded world runs more PEs than hardware
-    /// threads (on by default). Exists as a switch so the wall-clock
-    /// bench can measure the pre-fix spin behavior; virtual-time and
-    /// exploration runs never yield regardless.
-    pub oversub_yield: bool,
     /// Per-site memory-ordering control for the necessity prover (see
     /// [`crate::overrides`]): an override table resolving each annotated
     /// atomic's ordering through the site catalog, plus an optional live
@@ -96,15 +83,12 @@ impl WorldConfig {
         WorldConfig {
             n_pes,
             heap_words,
-            heap_layout: HeapLayout::default(),
             net: NetModel::edr_infiniband(),
             mode: ExecMode::Virtual,
             faults: None,
             gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
-            explore: None,
-            oversub_yield: true,
             ordering: None,
         }
     }
@@ -114,7 +98,6 @@ impl WorldConfig {
         WorldConfig {
             n_pes,
             heap_words,
-            heap_layout: HeapLayout::default(),
             net: NetModel::zero(),
             mode: ExecMode::Threaded {
                 inject_latency: false,
@@ -123,25 +106,17 @@ impl WorldConfig {
             gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
-            explore: None,
-            oversub_yield: true,
             ordering: None,
         }
     }
 
-    /// Threaded world serialized by an exploration gate: every gated op
-    /// becomes a scheduling choice point (see [`crate::explore`]).
+    /// Zero-cost-network world serialized by an exploration gate: every
+    /// gated op becomes a scheduling choice point (see [`crate::explore`]).
     pub fn exploration(n_pes: usize, heap_words: usize, gate: Arc<ExploreGate>) -> WorldConfig {
-        let mut cfg = WorldConfig::threaded(n_pes, heap_words);
-        cfg.explore = Some(gate);
-        cfg
-    }
-
-    /// Select the heap placement policy.
-    #[must_use]
-    pub fn with_heap_layout(mut self, layout: HeapLayout) -> WorldConfig {
-        self.heap_layout = layout;
-        self
+        WorldConfig {
+            mode: ExecMode::Explore(gate),
+            ..WorldConfig::threaded(n_pes, heap_words)
+        }
     }
 
     /// Replace the network model.
@@ -179,20 +154,6 @@ impl WorldConfig {
         self
     }
 
-    /// Attach an exploration gate (threaded mode only).
-    #[must_use]
-    pub fn with_explore(mut self, gate: Arc<ExploreGate>) -> WorldConfig {
-        self.explore = Some(gate);
-        self
-    }
-
-    /// Enable or disable the oversubscription yield hint.
-    #[must_use]
-    pub fn with_oversub_yield(mut self, on: bool) -> WorldConfig {
-        self.oversub_yield = on;
-        self
-    }
-
     /// Attach per-site ordering control (override table + optional
     /// tracker) for the necessity prover.
     #[must_use]
@@ -206,9 +167,8 @@ impl WorldConfig {
 pub(crate) struct WorldShared {
     pub(crate) heap: SymmetricHeap,
     pub(crate) net: NetModel,
-    pub(crate) vclock: Option<Arc<VClock>>,
-    pub(crate) thread_barrier: ThreadBarrier,
-    pub(crate) inject_latency: bool,
+    /// The substrate that serializes shared-visible effects.
+    pub(crate) exec: Exec,
     /// Active fault plan, if any (inactive plans are dropped at build).
     pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Per-PE down flags: set by a PE after it crash-stops and drains its
@@ -218,13 +178,6 @@ pub(crate) struct WorldShared {
     pub(crate) capture_proto: bool,
     /// Whether contexts record per-site contention counters.
     pub(crate) profile_sites: bool,
-    /// Exploration gate serializing every gated effect, if attached.
-    pub(crate) explore: Option<Arc<ExploreGate>>,
-    /// Plain threaded mode with more PEs than hardware threads: spin
-    /// loops should yield the timeslice ([`ShmemCtx::idle_hint`]) instead
-    /// of burning a core another PE could use. Never set in virtual-time
-    /// or exploration mode (their gates own all scheduling).
-    pub(crate) oversubscribed: bool,
     /// Per-site ordering control for the necessity prover, if attached.
     pub(crate) ordering: Option<Arc<OrderingCtl>>,
 }
@@ -278,44 +231,15 @@ where
         _ => None,
     };
 
-    if cfg.explore.is_some() && cfg.mode == ExecMode::Virtual {
-        return Err(ShmemError::BadConfig(
-            "exploration gate requires threaded mode (it replaces the virtual-time engine)"
-                .into(),
-        ));
-    }
-
-    let vclock = match cfg.mode {
-        ExecMode::Virtual => Some(Arc::new(VClock::with_gate(cfg.n_pes, cfg.gate))),
-        ExecMode::Threaded { .. } => None,
-    };
-    let explore = cfg.explore.clone();
-    let inject_latency = matches!(
-        cfg.mode,
-        ExecMode::Threaded {
-            inject_latency: true
-        }
-    );
-    let hw_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let oversubscribed = cfg.oversub_yield
-        && matches!(cfg.mode, ExecMode::Threaded { .. })
-        && explore.is_none()
-        && cfg.n_pes > hw_threads;
     let world = Arc::new(WorldShared {
-        heap: SymmetricHeap::new(cfg.n_pes, cfg.heap_words, cfg.heap_layout),
+        heap: SymmetricHeap::new(cfg.n_pes, cfg.heap_words),
         net: cfg.net,
-        vclock: vclock.clone(),
-        thread_barrier: ThreadBarrier::new(cfg.n_pes),
-        inject_latency,
+        exec: Exec::new(cfg.mode, cfg.gate, cfg.n_pes),
         faults,
         down: (0..cfg.n_pes).map(|_| AtomicBool::new(false)).collect(),
         capture_proto: cfg.capture_proto,
         profile_sites: cfg.profile_sites,
-        explore: explore.clone(),
-        oversubscribed,
-        ordering: cfg.ordering.clone(),
+        ordering: cfg.ordering,
     });
 
     let start = Instant::now();
@@ -327,48 +251,15 @@ where
         let mut handles = Vec::with_capacity(cfg.n_pes);
         for pe in 0..cfg.n_pes {
             let world = Arc::clone(&world);
-            let vclock = vclock.clone();
-            let explore = explore.clone();
             let f = &f;
             handles.push(scope.spawn(move || {
                 let ctx = ShmemCtx::new(pe, world);
                 let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 match out {
-                    Ok(r) => {
-                        let stats = ctx.take_stats();
-                        let t = match &vclock {
-                            Some(vc) => {
-                                let t = vc.now(pe);
-                                vc.finish(pe);
-                                t
-                            }
-                            None => match &explore {
-                                Some(eg) => {
-                                    let t = eg.now(pe);
-                                    eg.finish(pe);
-                                    t
-                                }
-                                None => {
-                                    // A crash-stopped PE exits with fewer
-                                    // barrier entries than its peers;
-                                    // retiring lets their barriers release
-                                    // without it.
-                                    ctx.world().thread_barrier.retire();
-                                    0
-                                }
-                            },
-                        };
-                        Ok((r, stats, t))
-                    }
+                    Ok(r) => Ok((r, ctx.take_stats(), ctx.world().exec.finish(pe))),
                     Err(payload) => {
                         // Poison so peers blocked in gates/barriers bail.
-                        if let Some(vc) = &vclock {
-                            vc.poison();
-                        }
-                        if let Some(eg) = &explore {
-                            eg.poison();
-                        }
-                        ctx.world().thread_barrier.poison();
+                        ctx.world().exec.poison();
                         Err(panic_message(&*payload))
                     }
                 }
@@ -428,80 +319,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
-    }
-}
-
-/// Reusable sense-reversing barrier for threaded mode, with poisoning so a
-/// panicked PE cannot leave peers blocked forever, and retirement so a
-/// crash-stopped PE that exits early cannot either.
-pub(crate) struct ThreadBarrier {
-    inner: Mutex<BarrierInner>,
-    cv: Condvar,
-    poisoned: AtomicBool,
-}
-
-struct BarrierInner {
-    arrived: usize,
-    generation: u64,
-    /// PEs still participating; barriers release at `arrived == live`.
-    live: usize,
-}
-
-impl ThreadBarrier {
-    pub(crate) fn new(n: usize) -> ThreadBarrier {
-        ThreadBarrier {
-            inner: Mutex::new(BarrierInner {
-                arrived: 0,
-                generation: 0,
-                live: n,
-            }),
-            cv: Condvar::new(),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn wait(&self) {
-        if self.poisoned.load(Ordering::Relaxed) {
-            panic!("threaded world poisoned: a peer PE panicked");
-        }
-        let mut g = self.inner.lock();
-        g.arrived += 1;
-        if g.arrived == g.live {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-        } else {
-            let gen = g.generation;
-            while g.generation == gen {
-                self.cv.wait(&mut g);
-                if self.poisoned.load(Ordering::Relaxed) {
-                    panic!("threaded world poisoned: a peer PE panicked");
-                }
-            }
-        }
-    }
-
-    /// Permanently remove one participant (a PE exiting early). If the
-    /// departure makes an in-progress barrier complete, release it.
-    pub(crate) fn retire(&self) {
-        let mut g = self.inner.lock();
-        g.live = g.live.saturating_sub(1);
-        if g.live > 0 && g.arrived == g.live {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-        }
-    }
-
-    /// Whether a peer PE has panicked and poisoned the world.
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn poison(&self) {
-        self.poisoned.store(true, Ordering::Relaxed);
-        let _g = self.inner.lock();
-        self.cv.notify_all();
     }
 }
 
@@ -639,7 +456,7 @@ mod tests {
         let out = run_world(WorldConfig::virtual_time(2, 256), |ctx| {
             let a = ctx.alloc_words(2);
             if ctx.my_pe() == 0 {
-                ctx.put_words_nbi(1, a, &[9, 9]);
+                ctx.atomic_set_nbi(1, a, 9);
                 ctx.atomic_add_nbi(1, a, 1);
                 ctx.quiet();
             }
@@ -743,19 +560,18 @@ mod threaded_poison_tests {
 
     #[test]
     fn threaded_panic_releases_peer_blocked_in_wait() {
-        // `quiet` never blocks on peers (it only settles this PE's own
-        // NBI clock); the primitive that parks a PE on remote state is
-        // `wait_until`. A peer panicking must release it via poison.
-        use crate::sync::WaitCmp;
+        // A PE polling remote state that will never change must be
+        // released by a peer's panic: the poll loop checks the poison
+        // flag between probes, as every recovery loop does.
         let err = run_world(WorldConfig::threaded(2, 256), |ctx| {
             let a = ctx.alloc_words(1);
-            ctx.put_words_nbi(0, a, &[0]);
-            ctx.quiet();
             if ctx.my_pe() == 1 {
                 panic!("deliberate test panic");
             }
             // The flag is never set; only the poison can end this wait.
-            ctx.wait_until(0, a, WaitCmp::Eq, 1);
+            while ctx.atomic_fetch(0, a) != 1 {
+                assert!(!ctx.world_poisoned(), "wait abandoned: world poisoned");
+            }
         })
         .unwrap_err();
         match err {
@@ -797,21 +613,6 @@ mod collective_tests {
     use super::*;
 
     #[test]
-    fn reduce_min_and_all_gather() {
-        let out = run_world(WorldConfig::virtual_time(5, 512), |ctx| {
-            let table = ctx.alloc_words(ctx.n_pes());
-            let min = ctx.reduce_min_u64(100 - ctx.my_pe() as u64);
-            let gathered = ctx.all_gather64(table, ctx.my_pe() as u64 * 11);
-            (min, gathered)
-        })
-        .unwrap();
-        for (min, gathered) in out.results {
-            assert_eq!(min, 96, "min of 100-pe over pe in 0..5");
-            assert_eq!(gathered, vec![0, 11, 22, 33, 44]);
-        }
-    }
-
-    #[test]
     fn repeated_collectives_do_not_interfere() {
         let out = run_world(WorldConfig::virtual_time(3, 512), |ctx| {
             let mut acc = Vec::new();
@@ -848,20 +649,11 @@ mod latency_injection_tests {
         let net = NetModel::uniform_latency(100_000);
         let run = |inject| {
             let cfg = WorldConfig {
-                n_pes: 1,
-                heap_words: 256,
-                heap_layout: HeapLayout::default(),
-                oversub_yield: true,
                 net,
                 mode: ExecMode::Threaded {
                     inject_latency: inject,
                 },
-                faults: None,
-                gate: GateMode::default(),
-                capture_proto: false,
-                profile_sites: false,
-                explore: None,
-                ordering: None,
+                ..WorldConfig::threaded(1, 256)
             };
             let t0 = Instant::now();
             run_world(cfg, |ctx| {
@@ -885,31 +677,8 @@ mod latency_injection_tests {
 }
 
 #[cfg(test)]
-mod strided_tests {
+mod word_tests {
     use super::*;
-
-    #[test]
-    fn strided_put_get_roundtrip() {
-        let out = run_world(WorldConfig::virtual_time(2, 512), |ctx| {
-            let a = ctx.alloc_words(32);
-            if ctx.my_pe() == 0 {
-                // Write a column of a 4-wide matrix on PE 1.
-                ctx.iput_words(1, a.offset(2), 4, &[10, 11, 12, 13]);
-            }
-            ctx.barrier_all();
-            let mut col = [0u64; 4];
-            ctx.iget_words(1, a.offset(2), 4, &mut col);
-            let mut row = [0u64; 4];
-            ctx.get_words(1, a, &mut row);
-            (col, row)
-        })
-        .unwrap();
-        for (col, row) in out.results {
-            assert_eq!(col, [10, 11, 12, 13]);
-            // Row 0: only word 2 (the column head) was touched.
-            assert_eq!(row, [0, 0, 10, 0]);
-        }
-    }
 
     #[test]
     fn word_convenience_ops() {
@@ -923,18 +692,5 @@ mod strided_tests {
         })
         .unwrap();
         assert_eq!(out.results, vec![77, 77]);
-    }
-
-    #[test]
-    fn stride_one_equals_contiguous() {
-        let out = run_world(WorldConfig::virtual_time(1, 256), |ctx| {
-            let a = ctx.alloc_words(8);
-            ctx.iput_words(0, a, 1, &[1, 2, 3, 4]);
-            let mut direct = [0u64; 4];
-            ctx.get_words(0, a, &mut direct);
-            direct
-        })
-        .unwrap();
-        assert_eq!(out.results[0], [1, 2, 3, 4]);
     }
 }

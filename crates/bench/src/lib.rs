@@ -10,7 +10,7 @@
 
 use sws_core::QueueConfig;
 use sws_sched::{QueueKind, RunConfig, RunReport, SchedConfig, Workload};
-use sws_shmem::{EngineStats, GateMode};
+use sws_shmem::EngineStats;
 
 /// PE counts to sweep (env `SWS_PES`).
 pub fn pe_sweep() -> Vec<usize> {
@@ -46,26 +46,12 @@ pub fn run_series<W: Workload>(
     n_pes: usize,
     queue: QueueConfig,
     runs: usize,
-    workload_for: impl FnMut(u64) -> W,
-) -> Vec<RunReport> {
-    run_series_gated(kind, n_pes, queue, runs, GateMode::default(), workload_for)
-}
-
-/// As [`run_series`], but selecting the virtual-time gate — used by the
-/// differential determinism suite to prove both gates realize the same
-/// experiment artifacts.
-pub fn run_series_gated<W: Workload>(
-    kind: QueueKind,
-    n_pes: usize,
-    queue: QueueConfig,
-    runs: usize,
-    gate: GateMode,
     mut workload_for: impl FnMut(u64) -> W,
 ) -> Vec<RunReport> {
     (0..runs)
         .map(|r| {
             let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E + r as u64 * 7919);
-            let cfg = RunConfig::new(n_pes, sched).with_gate(gate);
+            let cfg = RunConfig::new(n_pes, sched);
             sws_sched::run_workload(&cfg, &workload_for(r as u64))
         })
         .collect()
@@ -86,9 +72,7 @@ pub fn run_series_instrumented<W: Workload>(
         .map(|r| {
             let mut sched = SchedConfig::new(kind, queue).with_seed(0xBA5E + r as u64 * 7919);
             sched.trace = true;
-            let cfg = RunConfig::new(n_pes, sched)
-                .with_gate(GateMode::default())
-                .with_capture_proto();
+            let cfg = RunConfig::new(n_pes, sched).with_capture_proto();
             sws_sched::run_workload(&cfg, &workload_for(r as u64))
         })
         .collect()

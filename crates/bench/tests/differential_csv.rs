@@ -1,53 +1,49 @@
-//! Byte-identity of experiment artifacts across gate implementations.
+//! Byte-identity of experiment artifacts.
 //!
-//! Renders the Fig. 8-style CSV for a small UTS sweep under both
-//! virtual-time gates and asserts the artifacts are byte-identical —
-//! the safe-window engine must not perturb a single digit of any
-//! figure CSV. Wall-clock companions (`*_wall.csv`) are exempt.
+//! Renders the Fig. 8-style CSV for a small UTS sweep and asserts the
+//! artifact is byte-identical across reruns and with the telemetry
+//! stack armed — nothing but the configuration and the seeds may move a
+//! single digit of any figure CSV. Wall-clock companions (`*_wall.csv`)
+//! are exempt.
 
-use sws_bench::{csv_for, run_series_gated, run_series_instrumented, summarize, wall_csv_for, Cell};
+use sws_bench::{csv_for, run_series, run_series_instrumented, summarize, wall_csv_for, Cell};
 use sws_core::QueueConfig;
 use sws_sched::QueueKind;
-use sws_shmem::GateMode;
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 /// A miniature Fig. 8 sweep: both systems at each width, summarized
 /// exactly the way `six_panels` builds figure cells.
-fn sweep(gate: GateMode) -> Vec<(usize, Cell, Cell)> {
+fn sweep() -> Vec<(usize, Cell, Cell)> {
     let queue = QueueConfig::new(1024, 48);
     let params = UtsParams::geo_small(7);
     [2usize, 4]
         .iter()
         .map(|&pes| {
-            let sdc = run_series_gated(QueueKind::Sdc, pes, queue, 2, gate, |_r| {
-                UtsWorkload::new(params)
-            });
-            let sws = run_series_gated(QueueKind::Sws, pes, queue, 2, gate, |_r| {
-                UtsWorkload::new(params)
-            });
+            let sdc = run_series(QueueKind::Sdc, pes, queue, 2, |_r| UtsWorkload::new(params));
+            let sws = run_series(QueueKind::Sws, pes, queue, 2, |_r| UtsWorkload::new(params));
             (pes, summarize(&sdc), summarize(&sws))
         })
         .collect()
 }
 
 #[test]
-fn figure_csv_is_byte_identical_across_gates() {
-    let old = csv_for(&sweep(GateMode::HandoffPerOp));
-    let new = csv_for(&sweep(GateMode::SafeWindow));
-    assert!(!old.is_empty() && old.lines().count() == 1 + 2 * 2);
-    assert_eq!(old, new, "figure CSV must not depend on the gate");
+fn csv_rows_are_deterministic_across_reruns() {
+    let a = csv_for(&sweep());
+    let b = csv_for(&sweep());
+    assert!(!a.is_empty() && a.lines().count() == 1 + 2 * 2);
+    assert_eq!(a, b, "rerun with identical seeds must be byte-identical");
 
     // And the artifact on disk round-trips the same bytes.
     let dir = std::path::Path::new("../../target/experiments");
     std::fs::create_dir_all(dir).unwrap();
     let path = dir.join("differential_check.csv");
-    std::fs::write(&path, &new).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), new.as_bytes());
+    std::fs::write(&path, &a).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), a.as_bytes());
 }
 
 #[test]
 fn wall_csv_carries_engine_counters() {
-    let cells = sweep(GateMode::SafeWindow);
+    let cells = sweep();
     let wall = wall_csv_for(&cells);
     let mut lines = wall.lines();
     assert_eq!(
@@ -62,13 +58,6 @@ fn wall_csv_carries_engine_counters() {
         let slow: u64 = cols[4].parse().unwrap();
         assert!(fast + slow > 0, "no gated ops in row: {line}");
     }
-}
-
-#[test]
-fn csv_rows_are_deterministic_across_reruns() {
-    let a = csv_for(&sweep(GateMode::SafeWindow));
-    let b = csv_for(&sweep(GateMode::SafeWindow));
-    assert_eq!(a, b, "rerun with identical seeds must be byte-identical");
 }
 
 /// Arming the full telemetry stack (event tracing + per-op protocol
@@ -93,7 +82,7 @@ fn figure_csv_is_byte_identical_with_telemetry_armed() {
             (pes, summarize(&sdc), summarize(&sws))
         })
         .collect();
-    let disarmed = csv_for(&sweep(GateMode::default()));
+    let disarmed = csv_for(&sweep());
     assert_eq!(
         csv_for(&instrumented),
         disarmed,

@@ -18,14 +18,14 @@ fn clean_runs_conform_and_cover_both_protocols() {
         "conformance matrix failed:\n{}",
         report.render()
     );
-    assert!(report.cases.len() >= 8, "matrix shrank below the 8-config floor");
+    assert!(report.cases.len() >= 7, "matrix shrank below the 7-config floor");
 }
 
 #[test]
 fn mutated_claim_decode_is_caught_and_shrinks() {
     let cases = matrix();
     let case = &cases[0];
-    assert_eq!(case.name, "sws-epochs-safewindow");
+    assert_eq!(case.name, "sws-epochs");
 
     // A thief that misreads one bit of the fetched stealval mis-sizes or
     // mis-places its payload copy; the replay must notice.

@@ -87,7 +87,7 @@ fn load_bearing_sites_appear_in_captured_traces() {
     // One SWS case and one SDC case cover both protocols' site sets.
     for case in matrix()
         .iter()
-        .filter(|c| c.name == "sws-epochs-safewindow" || c.name == "sdc-safewindow")
+        .filter(|c| c.name == "sws-epochs" || c.name == "sdc")
     {
         let r = run_case(case, None)
             .unwrap_or_else(|d| panic!("case {} diverged during coverage run:\n{d}", case.name));

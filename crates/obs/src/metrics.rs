@@ -376,8 +376,8 @@ impl Registry {
         let comm_ns = reg.counter("sws_comm_ns", "virtual ns charged to communication");
         let fast_ops = reg.counter("sws_engine_fast_ops", "gate ops on the lock-free fast path");
         let slow_ops = reg.counter("sws_engine_slow_ops", "gate ops through the slow path");
-        let windows = reg.counter("sws_engine_windows", "safe windows granted");
-        let gate_wait_ns = reg.counter("sws_engine_gate_wait_ns", "wall ns parked at the gate");
+        let windows = reg.counter("sws_engine_windows", "horizons granted (PE resumes)");
+        let gate_wait_ns = reg.counter("sws_engine_gate_wait_ns", "always 0: PEs share one thread");
 
         // Span-level histograms (need stitched spans).
         let h_latency = reg.histogram("sws_span_latency_ns", "steal-span virtual latency");

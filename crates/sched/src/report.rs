@@ -406,12 +406,11 @@ impl RunReport {
             return None;
         }
         Some(format!(
-            "     engine: wall {:>8.3} s, {:>9} gated ops ({:>5.1}% windowed), {:>7} windows, gate wait {:>8.3} s",
+            "     engine: wall {:>8.3} s, {:>9} gated ops ({:>5.1}% windowed), {:>7} windows",
             self.wall_ms as f64 / 1e3,
             e.gated_ops(),
             e.fast_fraction() * 100.0,
             e.windows,
-            e.gate_wait_ns as f64 / 1e9,
         ))
     }
 

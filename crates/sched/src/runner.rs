@@ -3,7 +3,7 @@
 
 use sws_core::{QueueConfig, SdcQueue, StealQueue, SwsQueue};
 use sws_shmem::{
-    run_world, ExecMode, FaultPlan, GateMode, NetModel, ShmemCtx, ShmemError, WorldConfig,
+    run_world, ExecMode, FaultPlan, NetModel, ShmemCtx, ShmemError, WorldConfig,
     CACHE_LINE_WORDS,
 };
 use sws_task::{TaskDescriptor, TaskRegistry};
@@ -46,9 +46,6 @@ pub struct RunConfig {
     /// are dropped before the world is built, keeping clean runs
     /// bit-identical to a `None` plan.
     pub faults: Option<FaultPlan>,
-    /// Virtual-time gate implementation (safe-window by default; the
-    /// handoff-per-op gate is kept for differential testing).
-    pub gate: GateMode,
     /// Capture site-annotated protocol ops into `WorkerStats::proto`
     /// (the conformance checker's input). Off by default: hot paths see
     /// one extra predictable branch per op at most.
@@ -75,7 +72,6 @@ impl RunConfig {
             net: NetModel::edr_infiniband(),
             extra_heap_words: 4096,
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             ordering: None,
@@ -86,13 +82,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> RunConfig {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the virtual-time gate implementation.
-    #[must_use]
-    pub fn with_gate(mut self, gate: GateMode) -> RunConfig {
-        self.gate = gate;
         self
     }
 
@@ -140,7 +129,6 @@ impl RunConfig {
             net: self.net,
             mode,
             faults: self.faults.clone(),
-            gate: self.gate,
             capture_proto: self.capture_proto,
             profile_sites: self.profile_sites,
             ordering: self.ordering.clone(),

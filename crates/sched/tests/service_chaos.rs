@@ -3,15 +3,14 @@
 //! conserve arrivals (`completed + shed + in-flight == offered`, with
 //! in-flight zero at shutdown) — across arrival patterns, admission
 //! policies, elastic membership, and composed fault plans, on both
-//! queues and both virtual-time gates, with byte-identical reports for
-//! identical seeds.
+//! queues, with byte-identical reports for identical seeds.
 
 use sws_core::QueueConfig;
 use sws_sched::{
     run_service, AdmissionPolicy, MembershipPlan, QueueKind, RunConfig,
     RunReport, SchedConfig, ServiceConfig, TdKind,
 };
-use sws_shmem::{FaultPlan, GateMode, OpClass, TargetSel};
+use sws_shmem::{FaultPlan, OpClass, TargetSel};
 use sws_workloads::arrivals::{ArrivalPattern, ArrivalPlan, FlatServe, UtsServe};
 use sws_workloads::uts::UtsParams;
 
@@ -39,28 +38,26 @@ fn assert_conserved(r: &RunReport, label: &str) {
 }
 
 #[test]
-fn poisson_quiesces_clean_both_queues_both_gates() {
+fn poisson_quiesces_clean_both_queues() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let w = FlatServe::new(
-                ArrivalPlan::poisson(0x5E41_0001, 4_000, 400_000),
-                2_500,
-                2,
-            );
-            let cfg = config(kind, 4).with_gate(gate);
-            let label = format!("{kind:?}/{gate:?} poisson");
-            let r = run_service(&cfg, &ServiceConfig::default(), &w);
-            assert_conserved(&r, &label);
-            assert_eq!(
-                r.completed_arrivals(),
-                w.completed(),
-                "{label}: report disagrees with handler instrumentation"
-            );
-            assert!(
-                r.service_summary_line().is_some(),
-                "{label}: service summary missing"
-            );
-        }
+        let w = FlatServe::new(
+            ArrivalPlan::poisson(0x5E41_0001, 4_000, 400_000),
+            2_500,
+            2,
+        );
+        let cfg = config(kind, 4);
+        let label = format!("{kind:?} poisson");
+        let r = run_service(&cfg, &ServiceConfig::default(), &w);
+        assert_conserved(&r, &label);
+        assert_eq!(
+            r.completed_arrivals(),
+            w.completed(),
+            "{label}: report disagrees with handler instrumentation"
+        );
+        assert!(
+            r.service_summary_line().is_some(),
+            "{label}: service summary missing"
+        );
     }
 }
 

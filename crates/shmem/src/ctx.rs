@@ -34,7 +34,7 @@ use crate::proto::{ProtoEvent, ProtoOp, NO_SITE};
 use crate::runtime::WorldShared;
 use crate::stats::OpStats;
 
-/// Per-PE handle to the world. One per PE thread; not `Sync`.
+/// Per-PE handle to the world. One per PE; not `Sync`.
 pub struct ShmemCtx {
     pe: usize,
     world: std::sync::Arc<WorldShared>,
@@ -148,9 +148,9 @@ impl ShmemCtx {
         self.stats.borrow().clone()
     }
 
-    /// Snapshot of this PE's virtual-time engine counters (fast/slow gate
-    /// crossings, safe windows, wall-clock gate wait). All zeros in
-    /// threaded mode, which has no gate.
+    /// Snapshot of this PE's virtual-time engine counters (gate crossings
+    /// with and without a context switch, horizons granted). All zeros
+    /// in threaded mode, which has no gate.
     pub fn engine_stats(&self) -> crate::vclock::EngineStats {
         self.world.exec.engine_stats(self.pe)
     }

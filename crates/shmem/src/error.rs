@@ -106,6 +106,12 @@ pub enum ShmemError {
         /// Panic payload rendered to a string when possible.
         message: String,
     },
+    /// The virtual-time scheduler found no PE able to run while some had
+    /// not finished (an engine invariant broke). The PEs were unwound.
+    Deadlocked {
+        /// The unfinished PEs, each with where and when it was suspended.
+        stuck: String,
+    },
 }
 
 impl fmt::Display for ShmemError {
@@ -121,6 +127,9 @@ impl fmt::Display for ShmemError {
             ),
             ShmemError::PePanicked { pe, message } => {
                 write!(f, "PE {pe} panicked: {message}")
+            }
+            ShmemError::Deadlocked { stuck } => {
+                write!(f, "virtual-time world deadlocked, no PE can run: {stuck}")
             }
         }
     }
@@ -150,6 +159,11 @@ mod tests {
 
         let e = ShmemError::BadConfig("zero PEs".into());
         assert!(e.to_string().contains("zero PEs"));
+
+        let e = ShmemError::Deadlocked {
+            stuck: "PE 2 at a gate at 40 ns".into(),
+        };
+        assert!(e.to_string().contains("PE 2 at a gate"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::Instant;
 use crate::explore::{ExploreGate, OpDesc};
 use crate::lock::{Condvar, Mutex};
 use crate::runtime::ExecMode;
-use crate::vclock::{EngineStats, GateMode, VClock};
+use crate::vclock::{EngineStats, VClock};
 
 /// The substrate a world's PEs execute on.
 pub(crate) enum Exec {
@@ -38,9 +38,9 @@ pub(crate) enum Exec {
 }
 
 impl Exec {
-    pub(crate) fn new(mode: ExecMode, gate: GateMode, n_pes: usize) -> Exec {
+    pub(crate) fn new(mode: ExecMode, n_pes: usize) -> Exec {
         match mode {
-            ExecMode::Virtual => Exec::Virtual(VClock::with_gate(n_pes, gate)),
+            ExecMode::Virtual => Exec::Virtual(VClock::new(n_pes)),
             ExecMode::Explore(eg) => Exec::Explore(eg),
             ExecMode::Threaded { inject_latency } => Exec::Threads {
                 barrier: ThreadBarrier::new(n_pes),
@@ -152,11 +152,8 @@ impl Exec {
     /// — 0 on plain threads, which keep none.
     pub(crate) fn finish(&self, pe: usize) -> u64 {
         match self {
-            Exec::Virtual(vc) => {
-                let t = vc.now(pe);
-                vc.finish(pe);
-                t
-            }
+            // The scheduler loop sees the PE's context return.
+            Exec::Virtual(vc) => vc.now(pe),
             Exec::Explore(eg) => {
                 let t = eg.now(pe);
                 eg.finish(pe);

@@ -1,8 +1,9 @@
 //! Deterministic exploration gate: serialize PEs and expose every gated
 //! one-sided effect as a scheduling choice point.
 //!
-//! Where [`crate::vclock::VClock`] orders effects by *modeled cost* (one
-//! deterministic schedule per run), the [`ExploreGate`] orders them by an
+//! Where the virtual-time engine (`crate::vclock`) orders effects by
+//! *modeled cost* (one deterministic schedule per run), the
+//! [`ExploreGate`] orders them by an
 //! explicit **schedule**: real PE threads run their own local code freely,
 //! but every shared-visible effect funnels through [`ExploreGate::gate`],
 //! which blocks the PE until a central decision grants it the next turn.

@@ -36,42 +36,52 @@ pub const CACHE_LINE_BYTES: usize = CACHE_LINE_WORDS * 8;
 /// cannot carry over-alignment, so this owns the raw allocation and
 /// frees it with the matching layout.
 struct AlignedWords {
-    ptr: std::ptr::NonNull<AtomicU64>,
+    /// First word: `align`-byte aligned, inside the allocation at `raw`.
+    base: std::ptr::NonNull<AtomicU64>,
     len: usize,
+    raw: std::ptr::NonNull<u8>,
     layout: std::alloc::Layout,
 }
 
 // SAFETY: the backing store is a plain slice of atomics — `&[AtomicU64]`
-// is Send + Sync, and AlignedWords adds only the owning pointer.
+// is Send + Sync, and AlignedWords adds only the owning pointers.
 unsafe impl Send for AlignedWords {}
 // SAFETY: as above — shared access goes through &[AtomicU64].
 unsafe impl Sync for AlignedWords {}
 
 impl AlignedWords {
-    /// Allocate `len` zeroed words at `align`-byte alignment. Like the
-    /// previous `vec![0u64; N]` backing, this goes through
-    /// `alloc_zeroed`, so a multi-gigabyte heap (thousands of PEs) is
-    /// backed by untouched kernel zero pages and costs nothing until a
-    /// word is actually used; writing `AtomicU64::new(0)` per element
-    /// would first-touch every page up front.
+    /// Allocate `len` zeroed words at `align`-byte alignment. A
+    /// multi-gigabyte heap (thousands of PEs) must be backed by untouched
+    /// kernel zero pages and cost nothing until a word is actually used.
+    /// Only a `calloc`-shaped request gets that: asking `alloc_zeroed`
+    /// for more than the allocator's natural alignment makes std
+    /// `posix_memalign` and then `memset` the block, first-touching every
+    /// page (as would writing `AtomicU64::new(0)` per element). So this
+    /// asks for word alignment plus one `align` of slack and places the
+    /// base at the first aligned address inside.
     fn new_zeroed(len: usize, align: usize) -> AlignedWords {
         use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+        const WORD: usize = std::mem::size_of::<AtomicU64>();
         assert!(len > 0, "empty heap backing");
-        assert!(align.is_power_of_two() && align >= std::mem::align_of::<AtomicU64>());
+        assert!(align.is_power_of_two() && align >= WORD);
         let bytes = len
-            .checked_mul(std::mem::size_of::<AtomicU64>())
+            .checked_mul(WORD)
+            .and_then(|b| b.checked_add(align - WORD))
             .expect("heap size overflows usize");
-        let layout = Layout::from_size_align(bytes, align).expect("bad heap layout");
+        let layout = Layout::from_size_align(bytes, WORD).expect("bad heap layout");
         // SAFETY: `layout` has nonzero size (len > 0 asserted above).
         let raw = unsafe { alloc_zeroed(layout) };
-        if raw.is_null() {
-            handle_alloc_error(layout);
-        }
-        // SAFETY: null was handled above; the zeroed allocation is a valid
-        // bit pattern for `len` `AtomicU64`s (same layout as u64, and
-        // all-zero is a valid u64).
-        let ptr = unsafe { std::ptr::NonNull::new_unchecked(raw.cast::<AtomicU64>()) };
-        AlignedWords { ptr, len, layout }
+        let Some(raw) = std::ptr::NonNull::new(raw) else {
+            handle_alloc_error(layout)
+        };
+        // `raw` is word-aligned, so the gap to the next `align` boundary
+        // is a whole number of words and at most the slack added above.
+        let pad = raw.as_ptr().addr().wrapping_neg() & (align - 1);
+        // SAFETY: `pad + len * WORD <= bytes`, so the words from `base`
+        // lie inside the allocation; it is zeroed, and all-zero is a
+        // valid `AtomicU64` (same layout as u64).
+        let base = unsafe { raw.add(pad).cast::<AtomicU64>() };
+        AlignedWords { base, len, raw, layout }
     }
 }
 
@@ -79,17 +89,17 @@ impl std::ops::Deref for AlignedWords {
     type Target = [AtomicU64];
     #[inline]
     fn deref(&self) -> &[AtomicU64] {
-        // SAFETY: `ptr` is valid for `len` initialized AtomicU64s for the
+        // SAFETY: `base` is valid for `len` initialized AtomicU64s for the
         // lifetime of `self` (allocated in `new_zeroed`, freed in `drop`).
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        unsafe { std::slice::from_raw_parts(self.base.as_ptr(), self.len) }
     }
 }
 
 impl Drop for AlignedWords {
     fn drop(&mut self) {
-        // SAFETY: `ptr` came from `alloc_zeroed` with exactly this layout
+        // SAFETY: `raw` came from `alloc_zeroed` with exactly this layout
         // and has not been freed elsewhere.
-        unsafe { std::alloc::dealloc(self.ptr.as_ptr().cast(), self.layout) };
+        unsafe { std::alloc::dealloc(self.raw.as_ptr(), self.layout) };
     }
 }
 
@@ -284,6 +294,34 @@ mod tests {
                 "PE {pe} region not 128-byte aligned"
             );
         }
+    }
+
+    /// Resident pages of this process, from `/proc/self/statm`.
+    #[cfg(target_os = "linux")]
+    fn resident_pages() -> usize {
+        let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+        statm.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    /// Building a heap must not touch it: 1 GiB of PE regions stays on
+    /// the kernel's zero page until a word is used. (Regression: the
+    /// over-aligned `alloc_zeroed` of PR 8 memset every page.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_fresh_heap_is_not_resident() {
+        // Other tests of this process allocate meanwhile, which only
+        // ever adds to the reading: the quietest of a few attempts
+        // is the heap's own cost.
+        let grew = (0..5)
+            .map(|_| {
+                let before = resident_pages();
+                let h = SymmetricHeap::new(1024, 1 << 17);
+                assert_eq!(h.word(1023, SymAddr::new((1 << 17) - 1)).load(Relaxed), 0);
+                resident_pages().saturating_sub(before)
+            })
+            .min()
+            .unwrap();
+        assert!(grew * 4096 < 8 << 20, "a 1 GiB heap made {grew} pages resident");
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //!   protocols above it cannot tell them apart:
 //!   - `Threaded`: PEs are OS threads performing real CPU atomics on the
 //!     shared heap — used for concurrency stress tests;
-//!   - `Virtual`: the same threads are additionally serialized by a
-//!     conservative **virtual-time engine** ([`vclock::VClock`]): every
-//!     remote effect applies in global virtual-time order and advances the
-//!     issuing PE's clock by the modeled cost. This yields deterministic,
-//!     seedable "runs" of up to thousands of PEs on a single core, from
+//!   - `Virtual`: PEs are stackful contexts on the *one* OS thread that
+//!     called [`run_world`], scheduled by a conservative **virtual-time
+//!     engine** (`vclock`): every remote effect applies in global
+//!     virtual-time order and advances the issuing PE's clock by the
+//!     modeled cost. This yields deterministic, seedable "runs" of
+//!     thousands of PEs on a single core with no kernel on the path, from
 //!     which runtime / steal time / search time are read off the clocks;
-//!   - `Explore`: the threads are serialized by an **exploration gate**
+//!   - `Explore`: PEs are OS threads serialized by an **exploration gate**
 //!     ([`explore::ExploreGate`]) that turns every gated effect into a
 //!     scheduling choice point — used to search interleavings of the
 //!     production queues.
@@ -53,6 +54,7 @@
 
 mod addr;
 mod collectives;
+mod context;
 mod ctx;
 mod error;
 mod exec;
@@ -68,7 +70,7 @@ pub mod proto;
 pub mod rng;
 mod runtime;
 mod stats;
-pub mod vclock;
+mod vclock;
 
 pub use addr::SymAddr;
 pub use explore::{Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc};
@@ -83,4 +85,4 @@ pub use prof::{merge_site_profiles, SiteCounters};
 pub use proto::{ProtoEvent, ProtoOp, NO_SITE};
 pub use runtime::{run_world, ExecMode, WorldConfig, WorldOutput};
 pub use stats::{OpStats, StatsSummary};
-pub use vclock::{EngineStats, GateMode};
+pub use vclock::EngineStats;

@@ -1,12 +1,11 @@
 //! Minimal `Mutex`/`Condvar` wrappers over `std::sync` with a
 //! poisoning-free API (lock() returns the guard directly).
 //!
-//! The virtual-time engine and the threaded barrier deliberately panic
+//! The exploration gate and the threaded barrier deliberately panic
 //! *through* held locks when a world is poisoned; `std`'s lock poisoning
 //! would then turn every later acquisition into an unrelated panic. These
 //! wrappers recover the inner guard instead, so the world's own poison
-//! protocol (see [`crate::vclock::VClock::poison`]) stays the single
-//! source of failure truth.
+//! protocol (`Exec::poison`) stays the single source of failure truth.
 
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard};
 

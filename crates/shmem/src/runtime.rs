@@ -1,7 +1,8 @@
 //! World construction and PE execution.
 //!
-//! [`run_world`] spawns one OS thread per PE, hands each a [`ShmemCtx`],
-//! runs the supplied SPMD closure, and collects per-PE results, op
+//! [`run_world`] gives every PE a [`ShmemCtx`] and a carrier — a stackful
+//! context on the calling thread in virtual time, an OS thread otherwise —
+//! runs the supplied SPMD closure on each, and collects per-PE results, op
 //! statistics, and final (virtual) clocks. A panic on any PE poisons the
 //! world so blocked peers fail fast instead of deadlocking, and surfaces as
 //! [`ShmemError::PePanicked`].
@@ -11,6 +12,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::context::Context;
 use crate::ctx::ShmemCtx;
 use crate::error::{ShmemError, ShmemResult};
 use crate::exec::Exec;
@@ -20,7 +22,6 @@ use crate::heap::SymmetricHeap;
 use crate::net::NetModel;
 use crate::overrides::OrderingCtl;
 use crate::stats::{OpStats, StatsSummary};
-use crate::vclock::GateMode;
 
 /// How PEs execute.
 #[derive(Clone, Debug)]
@@ -32,7 +33,15 @@ pub enum ExecMode {
         inject_latency: bool,
     },
     /// Conservative virtual-time serialization: deterministic, scalable to
-    /// thousands of PEs on few cores. Use for experiments.
+    /// thousands of PEs on one core. Use for experiments.
+    ///
+    /// Every PE runs as a stackful context on the thread that called
+    /// [`run_world`], one at a time, switched in user space (2 MiB of
+    /// lazily touched stack and a guard page each). PE bodies may
+    /// therefore communicate **only through [`ShmemCtx`]**: an OS-level
+    /// wait on a peer — a mutex it holds, a channel it feeds, a spin on
+    /// plain memory — can never be satisfied, because the peer is not
+    /// running until this PE reaches a `ShmemCtx` operation.
     Virtual,
     /// Real threads serialized behind an explicit schedule: every gated
     /// effect is a scheduling choice point of the gate (see
@@ -54,11 +63,6 @@ pub struct WorldConfig {
     /// Fault schedule; `None` (or an inactive plan) injects nothing and
     /// leaves every op count bit-identical to a fault-free world.
     pub faults: Option<FaultPlan>,
-    /// Virtual-time gate implementation (ignored in the other modes). The
-    /// safe-window default and the handoff-per-op gate realize the same
-    /// deterministic effect schedule; the switch exists for differential
-    /// testing and engine benchmarking.
-    pub gate: GateMode,
     /// Record site-annotated one-sided ops as [`crate::ProtoEvent`]s for
     /// trace-conformance checking (see `crate::proto`). Off by default;
     /// when off, the op surface carries no capture state.
@@ -86,7 +90,6 @@ impl WorldConfig {
             net: NetModel::edr_infiniband(),
             mode: ExecMode::Virtual,
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             ordering: None,
@@ -103,7 +106,6 @@ impl WorldConfig {
                 inject_latency: false,
             },
             faults: None,
-            gate: GateMode::default(),
             capture_proto: false,
             profile_sites: false,
             ordering: None,
@@ -130,13 +132,6 @@ impl WorldConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> WorldConfig {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Select the virtual-time gate implementation.
-    #[must_use]
-    pub fn with_gate(mut self, gate: GateMode) -> WorldConfig {
-        self.gate = gate;
         self
     }
 
@@ -218,7 +213,9 @@ where
     }
     if cfg.n_pes > 1 << 16 {
         return Err(ShmemError::BadConfig(format!(
-            "n_pes = {} exceeds the 65536-PE thread budget",
+            "n_pes = {} exceeds 65536: every PE is an OS thread, or in virtual \
+             time a stack mapping plus a guard page (two mappings each, \
+             against vm.max_map_count)",
             cfg.n_pes
         )));
     }
@@ -234,7 +231,7 @@ where
     let world = Arc::new(WorldShared {
         heap: SymmetricHeap::new(cfg.n_pes, cfg.heap_words),
         net: cfg.net,
-        exec: Exec::new(cfg.mode, cfg.gate, cfg.n_pes),
+        exec: Exec::new(cfg.mode, cfg.n_pes),
         faults,
         down: (0..cfg.n_pes).map(|_| AtomicBool::new(false)).collect(),
         capture_proto: cfg.capture_proto,
@@ -247,31 +244,51 @@ where
     let mut slots: Vec<PeSlot<R>> = Vec::new();
     slots.resize_with(cfg.n_pes, || None);
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.n_pes);
-        for pe in 0..cfg.n_pes {
-            let world = Arc::clone(&world);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let ctx = ShmemCtx::new(pe, world);
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                match out {
-                    Ok(r) => Ok((r, ctx.take_stats(), ctx.world().exec.finish(pe))),
-                    Err(payload) => {
-                        // Poison so peers blocked in gates/barriers bail.
-                        ctx.world().exec.poison();
-                        Err(panic_message(&*payload))
-                    }
-                }
-            }));
+    // One PE's whole life, on whatever carries it.
+    let run_pe = |pe: usize| {
+        let ctx = ShmemCtx::new(pe, Arc::clone(&world));
+        match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            Ok(r) => Ok((r, ctx.take_stats(), ctx.world().exec.finish(pe))),
+            Err(payload) => {
+                // Poison so peers blocked in gates/barriers bail.
+                ctx.world().exec.poison();
+                Err(panic_message(&*payload))
+            }
         }
-        for (pe, h) in handles.into_iter().enumerate() {
-            slots[pe] = Some(match h.join() {
-                Ok(r) => r,
-                Err(payload) => Err(panic_message(&*payload)),
-            });
+    };
+    if let Exec::Virtual(vclock) = &world.exec {
+        let mut ctxs = Vec::with_capacity(cfg.n_pes);
+        for (pe, slot) in slots.iter_mut().enumerate() {
+            let run_pe = &run_pe;
+            let ctx = Context::spawn(move || *slot = Some(run_pe(pe))).map_err(|e| {
+                ShmemError::BadConfig(format!(
+                    "cannot give PE {pe} of {} a stack (two mappings per PE, \
+                     against vm.max_map_count): {e}",
+                    cfg.n_pes
+                ))
+            })?;
+            ctxs.push(ctx);
         }
-    });
+        vclock
+            .run(&mut ctxs)
+            .map_err(|stuck| ShmemError::Deadlocked { stuck })?;
+        ctxs.into_iter().for_each(Context::reap);
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..cfg.n_pes)
+                .map(|pe| {
+                    let run_pe = &run_pe;
+                    scope.spawn(move || run_pe(pe))
+                })
+                .collect();
+            for (slot, h) in slots.iter_mut().zip(handles) {
+                *slot = Some(match h.join() {
+                    Ok(r) => r,
+                    Err(payload) => Err(panic_message(&*payload)),
+                });
+            }
+        });
+    }
     let elapsed = start.elapsed();
 
     let mut results = Vec::with_capacity(cfg.n_pes);

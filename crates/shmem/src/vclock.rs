@@ -12,71 +12,47 @@
 //!
 //! This is the classic conservative (null-message-free, centralized)
 //! parallel-discrete-event-simulation rule: the minimum-timestamp entity
-//! runs next. PEs are real OS threads running straight-line scheduler code;
-//! the engine simply blocks a thread until its clock is minimal.
+//! runs next. Every PE is a stackful [`Context`] on the one OS thread
+//! that called `run_world`, and [`VClock::run`] — a plain loop on that
+//! thread's own stack — resumes the PE with the minimal `(clock, rank)`.
+//! A PE runs until it reaches a gated op it may not apply yet, enters a
+//! barrier, or finishes; then it suspends back to the loop. No lock, no
+//! wake-up, no kernel: exactly one context runs at any instant.
 //!
-//! # Safe-window (lookahead) execution
+//! # The cached horizon
 //!
-//! A strict handoff-per-op gate pays a mutex acquisition and a condvar
-//! handoff for *every* gated effect, which dominates wall time at
-//! paper-scale PE counts. The default [`GateMode::SafeWindow`] gate
-//! amortizes that cost: when a PE is granted the gate it also learns a
-//! *horizon* — the second-smallest eligible `(clock, rank)` key. Until its
-//! own `(clock, rank)` reaches that horizon, every further effect it issues
-//! is still globally minimal *by construction*, so it may apply them
-//! lock-free. The slow path is re-entered only when the clock crosses the
-//! horizon, the PE blocks (barrier, gate of another window), or the world
-//! is poisoned.
-//!
-//! Safety argument (why the order is unchanged, see DESIGN.md §5a):
-//!
-//! * while a PE holds a window, its *published* clock stays at the grant
-//!   value, so every other PE's gate key compares greater and no second
-//!   window can be granted concurrently;
-//! * other PEs' published clocks never decrease and PEs never (re)enter
-//!   the eligible set below the horizon (a barrier cannot release while
-//!   the window holder, which is live and not arrived, stays outside), so
-//!   the horizon is a permanent lower bound on every rival effect;
-//! * published clocks are always lower bounds of true clocks (local
-//!   advances are batched and published at the next slow-path visit), so
-//!   a granted gate under published clocks is also valid under true ones.
+//! When the loop resumes a PE it also hands it a *horizon*: the
+//! second-smallest eligible `(clock, rank)` key. While a PE runs nobody
+//! else's clock can change, so until its own key reaches the horizon every
+//! effect it issues is still globally minimal *by construction* and
+//! [`VClock::gate`] admits it with one compare. A 1-PE world has no rival
+//! and never leaves that path. (Why the order is the one a
+//! suspend-at-every-op engine would produce: DESIGN.md §5a.)
 //!
 //! Liveness requires every loop that waits on remote state to advance its
 //! clock between probes; [`crate::ShmemCtx`] enforces a ≥1 ns cost on every
-//! gated operation.
+//! gated operation. PE bodies may communicate only through `ShmemCtx`: an
+//! OS-level wait on a peer (a lock it holds, a channel it feeds) can never
+//! be satisfied, because the peer is not running.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread::{self, Thread};
-use std::time::Instant;
 
-use crate::lock::{Condvar, Mutex};
+use crate::context::{self, Context};
 
-/// How the virtual-time gate hands the global minimum between PEs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum GateMode {
-    /// Grant safe windows: a gated PE may apply every effect below the
-    /// second-smallest eligible clock lock-free (the fast engine).
-    #[default]
-    SafeWindow,
-    /// Take the global mutex and hand the gate off for every single op
-    /// (the original engine; kept for differential testing).
-    HandoffPerOp,
-}
-
-/// Per-PE engine counters: how often the gate was crossed lock-free vs.
-/// through the mutex, and how long the PE really waited for its turn.
+/// Per-PE engine counters: how often the gate was crossed with and
+/// without a context switch.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Gated ops admitted lock-free inside a safe window.
+    /// Gated ops admitted below the cached horizon, without a switch.
     pub fast_ops: u64,
-    /// Gated ops that took the mutex (includes every op in
-    /// [`GateMode::HandoffPerOp`]).
+    /// Gated ops that first suspended to the scheduler loop.
     pub slow_ops: u64,
-    /// Safe windows granted.
+    /// Times the scheduler resumed this PE with a fresh horizon.
     pub windows: u64,
-    /// Wall-clock ns spent blocked waiting for the gate.
+    /// Always 0: the PEs share one OS thread, so none ever waits for the
+    /// gate in wall-clock time. Kept so the struct keeps its shape.
     pub gate_wait_ns: u64,
 }
 
@@ -86,7 +62,7 @@ impl EngineStats {
         self.fast_ops + self.slow_ops
     }
 
-    /// Fraction of gated ops admitted lock-free (0 when none ran).
+    /// Fraction of gated ops admitted without a switch (0 when none ran).
     pub fn fast_fraction(&self) -> f64 {
         let total = self.gated_ops();
         if total == 0 {
@@ -105,453 +81,238 @@ impl EngineStats {
     }
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum PeState {
-    /// Executing; its clock participates in the global minimum.
-    Running,
-    /// Blocked in `gate` waiting to become the minimum.
-    Gating,
-    /// Blocked in a barrier; excluded from the minimum (it will apply no
-    /// effect until every PE has entered, at which point clocks resync).
-    InBarrier,
-    /// Finished; excluded from the minimum forever.
-    Done,
-}
-
-/// Per-PE fast-path state. Only the owning PE's thread reads or writes
-/// these fields (all with `Relaxed`); they are atomics solely so `VClock`
-/// stays `Sync` without per-PE unsafe. Aligned out to its own cache line
-/// so neighbouring PEs' fast paths never false-share.
-#[repr(align(128))]
+/// A `u64` touched only by whichever context is running. The contexts of
+/// a world run strictly one at a time and every switch between them is a
+/// synchronization point (the same OS thread, or a mutex hand-off where
+/// contexts are parked threads), so plain loads and stores suffice; the
+/// atomic type only keeps `VClock` `Sync` without `unsafe`.
 #[derive(Default)]
-struct PeWindow {
-    /// A safe window is open (set under the mutex at grant time, cleared
-    /// at every slow-path entry).
-    active: AtomicBool,
-    /// Direct-handoff token: the PE releasing the gate performs all
-    /// bookkeeping for the next minimum (state flip, window grant) under
-    /// the mutex, then sets this flag and unparks the winner — which
-    /// returns from `park` straight into its op without touching the
-    /// lock. Release/Acquire on this flag carries the happens-before
-    /// edge between consecutive effect applications across PEs.
-    granted: AtomicBool,
-    /// Horizon clock: effects strictly below `(h_t, h_rank)` are still
-    /// globally minimal. `u64::MAX` pair = no rival (unbounded window).
-    h_t: AtomicU64,
-    /// Horizon tie-break rank.
-    h_rank: AtomicU64,
-    /// Engine counters (see [`EngineStats`]).
-    fast_ops: AtomicU64,
-    slow_ops: AtomicU64,
-    windows: AtomicU64,
-    gate_wait_ns: AtomicU64,
-}
+struct Word(AtomicU64);
 
-impl PeWindow {
-    /// Owner-only increment: no rmw needed, nobody else writes.
+impl Word {
     #[inline]
-    fn bump(counter: &AtomicU64, by: u64) {
-        counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+    fn get(&self) -> u64 {
+        // relaxed: never accessed concurrently (see the type).
+        self.0.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn set(&self, v: u64) {
+        // relaxed: never accessed concurrently (see the type).
+        self.0.store(v, Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn bump(&self) {
+        self.set(self.get() + 1);
     }
 }
 
-struct Inner {
-    /// Published gating clocks — lower bounds of the true clocks in
-    /// `mirror`, refreshed at every slow-path visit.
-    clocks: Vec<u64>,
-    state: Vec<PeState>,
-    /// Lazy min-heap of (clock, pe); stale entries are skipped on pop.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Barrier bookkeeping.
-    bar_arrived: usize,
-    bar_generation: u64,
-    bar_max_clock: u64,
-    /// Park handles, registered lazily the first time a PE blocks in the
-    /// gate; `poison` unparks every registered thread.
-    threads: Vec<Option<Thread>>,
-}
-
-impl Inner {
-    /// Current minimum among eligible PEs, if any. Pops stale heap entries.
-    fn min_eligible(&mut self) -> Option<(u64, usize)> {
-        while let Some(&Reverse((t, pe))) = self.heap.peek() {
-            let eligible = matches!(self.state[pe], PeState::Running | PeState::Gating);
-            if eligible && self.clocks[pe] == t {
-                return Some((t, pe));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    fn push(&mut self, pe: usize) {
-        self.heap.push(Reverse((self.clocks[pe], pe)));
-    }
+#[derive(Default)]
+struct Pe {
+    /// Virtual clock, ns.
+    clock: Word,
+    /// Horizon `(h_t, h_rank)` cached when the scheduler last resumed
+    /// this PE: effects strictly below it are still globally minimal.
+    /// `(u64::MAX, u64::MAX)` = no rival.
+    h_t: Word,
+    h_rank: Word,
+    /// Nonzero while suspended in [`VClock::barrier`] — how the scheduler
+    /// tells a barrier arrival from a gate.
+    in_barrier: Word,
+    fast_ops: Word,
+    slow_ops: Word,
+    windows: Word,
 }
 
 /// The virtual-time engine shared by all PEs of a world.
-pub struct VClock {
-    inner: Mutex<Inner>,
-    /// Condvar for barrier generation changes (gate wakeups use direct
-    /// park/unpark handoff instead — see [`PeWindow::granted`]).
-    bar_cv: Condvar,
-    /// True clocks, written only by the owning PE (plus barrier release
-    /// under the mutex while the owner is parked); lock-free `now` reads.
-    mirror: Vec<AtomicU64>,
-    /// Per-PE safe-window state (owner-accessed).
-    window: Vec<PeWindow>,
-    /// Set when any PE panics, so blocked peers can bail out.
+pub(crate) struct VClock {
+    pes: Vec<Pe>,
+    /// Cost passed by the latest barrier arrival (the releasing one's is
+    /// what the barrier charges).
+    barrier_cost: Word,
+    /// Set when any PE panics, so suspended peers unwind instead of
+    /// resuming a computation whose partner is gone.
     poisoned: AtomicBool,
-    /// Safe-window lookahead enabled?
-    lookahead: bool,
-    n_pes: usize,
 }
 
+const POISON_MSG: &str = "virtual-time world poisoned: a peer PE panicked";
+
 impl VClock {
-    /// Engine for `n_pes` PEs, all clocks at 0, with the default
-    /// safe-window gate.
-    pub fn new(n_pes: usize) -> VClock {
-        VClock::with_gate(n_pes, GateMode::SafeWindow)
-    }
-
-    /// Engine with an explicit gate mode.
-    pub fn with_gate(n_pes: usize, gate: GateMode) -> VClock {
+    /// Engine for `n_pes` PEs, all clocks at 0.
+    pub(crate) fn new(n_pes: usize) -> VClock {
         assert!(n_pes > 0);
-        let mut heap = BinaryHeap::with_capacity(n_pes * 2);
-        for pe in 0..n_pes {
-            heap.push(Reverse((0, pe)));
-        }
         VClock {
-            inner: Mutex::new(Inner {
-                clocks: vec![0; n_pes],
-                state: vec![PeState::Running; n_pes],
-                heap,
-                bar_arrived: 0,
-                bar_generation: 0,
-                bar_max_clock: 0,
-                threads: vec![None; n_pes],
-            }),
-            bar_cv: Condvar::new(),
-            mirror: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
-            window: (0..n_pes).map(|_| PeWindow::default()).collect(),
+            pes: (0..n_pes).map(|_| Pe::default()).collect(),
+            barrier_cost: Word::default(),
             poisoned: AtomicBool::new(false),
-            lookahead: gate == GateMode::SafeWindow,
-            n_pes,
         }
     }
 
-    /// Number of PEs driven by this engine.
-    pub fn n_pes(&self) -> usize {
-        self.n_pes
-    }
-
-    /// The gate mode this engine runs.
-    pub fn gate_mode(&self) -> GateMode {
-        if self.lookahead {
-            GateMode::SafeWindow
-        } else {
-            GateMode::HandoffPerOp
-        }
-    }
-
-    /// Current virtual time of `pe`, in ns (lock-free).
+    /// Current virtual time of `pe`, in ns.
     #[inline]
-    pub fn now(&self, pe: usize) -> u64 {
-        self.mirror[pe].load(Ordering::Relaxed)
+    pub(crate) fn now(&self, pe: usize) -> u64 {
+        self.pes[pe].clock.get()
     }
 
     /// Engine counters for `pe`.
-    pub fn engine_stats(&self, pe: usize) -> EngineStats {
-        let w = &self.window[pe];
+    pub(crate) fn engine_stats(&self, pe: usize) -> EngineStats {
+        let p = &self.pes[pe];
         EngineStats {
-            fast_ops: w.fast_ops.load(Ordering::Relaxed),
-            slow_ops: w.slow_ops.load(Ordering::Relaxed),
-            windows: w.windows.load(Ordering::Relaxed),
-            gate_wait_ns: w.gate_wait_ns.load(Ordering::Relaxed),
+            fast_ops: p.fast_ops.get(),
+            slow_ops: p.slow_ops.get(),
+            windows: p.windows.get(),
+            gate_wait_ns: 0,
         }
     }
 
-    fn check_poison(&self) {
-        if self.poisoned.load(Ordering::Relaxed) {
-            panic!("virtual-time world poisoned: a peer PE panicked");
-        }
-    }
-
-    /// Mark the world poisoned (a PE panicked) and wake everyone. This
-    /// also invalidates every open safe window: the fast path checks the
-    /// poison flag before admitting each effect.
-    pub fn poison(&self) {
+    /// Mark the world poisoned (a PE panicked). Every later `gate` or
+    /// `barrier` call panics, and [`VClock::run`] resumes each suspended
+    /// PE so it does.
+    pub(crate) fn poison(&self) {
+        // relaxed: read by contexts that run strictly after this one.
         self.poisoned.store(true, Ordering::Relaxed);
-        let guard = self.inner.lock();
-        for t in guard.threads.iter().flatten() {
-            t.unpark();
-        }
-        self.bar_cv.notify_all();
     }
 
     /// Whether the world has been poisoned by a peer panic.
-    pub fn is_poisoned(&self) -> bool {
+    #[inline]
+    pub(crate) fn is_poisoned(&self) -> bool {
+        // relaxed: written by a context that ran strictly before.
         self.poisoned.load(Ordering::Relaxed)
     }
 
-    /// If the current global minimum is a PE parked in the gate, hand it
-    /// the gate: flip it to Running, grant its safe window, and publish
-    /// the token. Returns the winner's park handle — the caller must
-    /// unpark it **after dropping the lock**, so the woken PE (which
-    /// needs no lock itself) never collides with our critical section on
-    /// a preemptive single-core schedule.
-    #[must_use]
-    fn hand_off(&self, inner: &mut Inner) -> Option<Thread> {
-        let (_, pe) = inner.min_eligible()?;
-        if inner.state[pe] != PeState::Gating {
-            return None;
-        }
-        inner.state[pe] = PeState::Running;
-        if self.lookahead {
-            self.grant_window(inner, pe);
-        }
-        self.window[pe].granted.store(true, Ordering::Release);
-        inner.threads[pe].clone()
-    }
-
-    /// Is `pe` inside a safe window that still covers its current clock?
     #[inline]
-    fn window_ok(&self, pe: usize) -> bool {
-        if !self.lookahead {
-            return false;
+    fn check_poison(&self) {
+        if self.is_poisoned() {
+            panic!("{POISON_MSG}");
         }
-        let w = &self.window[pe];
-        if !w.active.load(Ordering::Relaxed) {
-            return false;
-        }
-        let t = self.mirror[pe].load(Ordering::Relaxed);
-        let (h_t, h_rank) = (
-            w.h_t.load(Ordering::Relaxed),
-            w.h_rank.load(Ordering::Relaxed),
-        );
-        (t, pe as u64) < (h_t, h_rank)
-    }
-
-    /// Publish `pe`'s true clock into the gating state. Returns whether
-    /// the published clock changed (the caller must then consider waking
-    /// the new minimum).
-    fn publish(&self, inner: &mut Inner, pe: usize) -> bool {
-        let t = self.mirror[pe].load(Ordering::Relaxed);
-        if inner.clocks[pe] == t {
-            return false;
-        }
-        inner.clocks[pe] = t;
-        inner.push(pe);
-        true
-    }
-
-    /// Grant a safe window to `pe`, whose fresh entry is the heap top:
-    /// the horizon is the second-smallest eligible key.
-    fn grant_window(&self, inner: &mut Inner, pe: usize) {
-        let mine = inner.heap.pop().expect("granted PE owns the heap top");
-        debug_assert_eq!(mine, Reverse((inner.clocks[pe], pe)));
-        let horizon = inner.min_eligible();
-        inner.heap.push(mine);
-        let (h_t, h_rank) = match horizon {
-            Some((t, rank)) => (t, rank as u64),
-            None => (u64::MAX, u64::MAX),
-        };
-        let w = &self.window[pe];
-        w.h_t.store(h_t, Ordering::Relaxed);
-        w.h_rank.store(h_rank, Ordering::Relaxed);
-        w.active.store(true, Ordering::Relaxed);
-        PeWindow::bump(&w.windows, 1);
     }
 
     /// Advance `pe`'s clock by `dt` ns without gating (local work: task
-    /// execution, queue bookkeeping). With the safe-window gate the new
-    /// clock is published lazily at the next slow-path visit; the
-    /// handoff-per-op gate publishes (and wakes the new minimum) at once.
-    pub fn advance(&self, pe: usize, dt: u64) {
-        if dt == 0 {
-            return;
-        }
-        let t = self.mirror[pe].load(Ordering::Relaxed).saturating_add(dt);
-        self.mirror[pe].store(t, Ordering::Relaxed);
-        if !self.lookahead {
-            let waker = {
-                let mut inner = self.inner.lock();
-                debug_assert_eq!(inner.state[pe], PeState::Running);
-                self.publish(&mut inner, pe);
-                self.hand_off(&mut inner)
-            };
-            if let Some(t) = waker {
-                t.unpark();
-            }
-        }
+    /// execution, queue bookkeeping, the cost of an effect just applied).
+    #[inline]
+    pub(crate) fn advance(&self, pe: usize, dt: u64) {
+        let clock = &self.pes[pe].clock;
+        clock.set(clock.get().saturating_add(dt));
     }
 
-    /// Block until `pe` holds the minimal (clock, rank) among eligible PEs.
-    /// On return the caller may apply one shared-visible effect, and must
-    /// then call [`VClock::advance`] with the effect's nonzero cost.
-    ///
-    /// Inside a still-valid safe window this is lock-free: the horizon
-    /// already proves the minimum.
+    /// Return once `pe` holds the minimal `(clock, rank)` among eligible
+    /// PEs. The caller may then apply one shared-visible effect, and must
+    /// [`VClock::advance`] by its nonzero cost. Below the cached horizon
+    /// this is one compare; otherwise the PE suspends until the scheduler
+    /// resumes it as the minimum.
     #[inline]
-    pub fn gate(&self, pe: usize) {
-        if self.window_ok(pe) {
-            self.check_poison();
-            PeWindow::bump(&self.window[pe].fast_ops, 1);
-            return;
+    pub(crate) fn gate(&self, pe: usize) {
+        self.check_poison();
+        let p = &self.pes[pe];
+        if (p.clock.get(), pe as u64) < (p.h_t.get(), p.h_rank.get()) {
+            p.fast_ops.bump();
+        } else {
+            self.gate_slow(p);
         }
-        self.gate_slow(pe);
     }
 
     #[cold]
-    fn gate_slow(&self, pe: usize) {
-        let w = &self.window[pe];
-        w.active.store(false, Ordering::Relaxed);
-        PeWindow::bump(&w.slow_ops, 1);
-        let mut inner = self.inner.lock();
-        let mut pending: Option<Thread> = None;
-        if self.publish(&mut inner, pe) {
-            // Raising our published clock may promote a gating peer to
-            // the global minimum; hand it the gate (the unpark itself is
-            // deferred until we release the lock below).
-            pending = self.hand_off(&mut inner);
-        }
-        loop {
-            self.check_poison();
-            match inner.min_eligible() {
-                Some((_, min_pe)) if min_pe == pe => {
-                    // `pending` is necessarily None here: a handed-off
-                    // peer became Running below our clock, so it — not we
-                    // — would be the minimum.
-                    inner.state[pe] = PeState::Running;
-                    if self.lookahead {
-                        self.grant_window(&mut inner, pe);
-                    }
-                    return;
-                }
-                Some(_) => {
-                    inner.state[pe] = PeState::Gating;
-                    if inner.threads[pe].is_none() {
-                        inner.threads[pe] = Some(thread::current());
-                    }
-                    drop(inner);
-                    if let Some(t) = pending.take() {
-                        t.unpark();
-                    }
-                    // Park until a peer hands us the gate (it has already
-                    // flipped us to Running and granted our window under
-                    // the lock) or the world is poisoned. A stale unpark
-                    // token only causes a benign spin of this loop.
-                    let t0 = Instant::now();
-                    while !w.granted.load(Ordering::Acquire) {
-                        self.check_poison();
-                        thread::park();
-                    }
-                    w.granted.store(false, Ordering::Relaxed);
-                    PeWindow::bump(&w.gate_wait_ns, t0.elapsed().as_nanos() as u64);
-                    return;
-                }
-                None => {
-                    // All peers are Done or in a barrier while we gate:
-                    // we must be eligible ourselves (we're live) — our own
-                    // entry may have gone stale; repush and retry.
-                    inner.state[pe] = PeState::Running;
-                    inner.push(pe);
-                }
-            }
-        }
-    }
-
-    /// Gate, apply `f`, advance by `cost` (clamped ≥ 1 ns), return `f`'s
-    /// result. This is the one-stop shop used for remote operations.
-    pub fn gated<R>(&self, pe: usize, cost: u64, f: impl FnOnce() -> R) -> R {
-        self.gate(pe);
-        let r = f();
-        self.advance(pe, cost.max(1));
-        r
+    fn gate_slow(&self, p: &Pe) {
+        p.slow_ops.bump();
+        context::suspend();
+        self.check_poison();
     }
 
     /// Synchronize all live PEs: every clock jumps to
-    /// `max(entry clocks) + cost`. PEs inside the barrier are excluded from
-    /// the gate minimum (they apply no effects until release).
-    pub fn barrier(&self, pe: usize, cost: u64) {
-        let mut inner = self.inner.lock();
+    /// `max(entry clocks) + cost`. PEs inside the barrier are excluded
+    /// from the gate minimum (they apply no effects until release).
+    pub(crate) fn barrier(&self, pe: usize, cost: u64) {
         self.check_poison();
-        self.window[pe].active.store(false, Ordering::Relaxed);
-        self.publish(&mut inner, pe);
-        assert_eq!(
-            inner.state[pe],
-            PeState::Running,
-            "barrier entered from a non-running state"
-        );
-        inner.state[pe] = PeState::InBarrier;
-        inner.bar_arrived += 1;
-        let my_clock = inner.clocks[pe];
-        inner.bar_max_clock = inner.bar_max_clock.max(my_clock);
-
-        if !self.maybe_release_barrier(&mut inner, cost) {
-            // This PE just left the eligible set — if it was the minimum,
-            // a gating peer may now be runnable and must be handed the
-            // gate (rare path: unparking under the lock is acceptable).
-            if let Some(t) = self.hand_off(&mut inner) {
-                t.unpark();
-            }
-            let gen = inner.bar_generation;
-            while inner.bar_generation == gen {
-                // Check poison only while the barrier is still pending: if
-                // the release already happened, this PE completed the
-                // barrier and reports its own failure (if any) later.
-                self.check_poison();
-                self.bar_cv.wait(&mut inner);
-            }
-        }
+        self.barrier_cost.set(cost);
+        self.pes[pe].in_barrier.set(1);
+        context::suspend();
+        self.check_poison();
     }
 
-    /// Release an in-progress barrier if every live PE has arrived.
-    /// Returns `true` when the barrier was released by this call.
-    fn maybe_release_barrier(&self, inner: &mut Inner, cost: u64) -> bool {
-        let live = inner
-            .state
-            .iter()
-            .filter(|s| !matches!(s, PeState::Done))
-            .count();
-        if inner.bar_arrived == 0 || inner.bar_arrived != live {
-            return false;
-        }
-        // Last arrival: release everyone at the synchronized clock.
-        let new_t = inner.bar_max_clock.saturating_add(cost);
-        for q in 0..self.n_pes {
-            if inner.state[q] == PeState::InBarrier {
-                inner.clocks[q] = new_t;
-                self.mirror[q].store(new_t, Ordering::Relaxed);
-                inner.state[q] = PeState::Running;
-                inner.push(q);
+    /// Run the world: `ctxs[pe]` is PE `pe`'s body, and every call that
+    /// body makes into this engine happens inside `ctxs[pe].resume()`.
+    /// Returns when all have finished. A finished PE blocks neither the
+    /// gate nor a barrier (a barrier whose last missing PE finishes is
+    /// released at no cost). `Err` names the PEs left suspended if the
+    /// loop ever finds none runnable — after unwinding them.
+    pub(crate) fn run(&self, ctxs: &mut [Context<'_>]) -> Result<(), String> {
+        let n = self.pes.len();
+        assert_eq!(ctxs.len(), n, "one context per PE");
+        // Every live PE is in exactly one place: running (at most one),
+        // suspended at a gate or not yet started (`ready`, keyed by a
+        // clock that cannot change while it sits there), or suspended in
+        // the barrier (`arrived`).
+        let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..n).map(|pe| Reverse((0, pe))).collect();
+        let mut arrived: Vec<usize> = Vec::new();
+        let mut done = vec![false; n];
+        let mut live = n;
+        let mut bar_max_clock = 0;
+
+        while live > 0 && !self.is_poisoned() {
+            let Some(Reverse((_, pe))) = ready.pop() else {
+                let stuck = (0..n)
+                    .filter(|&pe| !done[pe])
+                    .map(|pe| {
+                        let p = &self.pes[pe];
+                        let at = if p.in_barrier.get() != 0 {
+                            "in the barrier"
+                        } else {
+                            "at a gate"
+                        };
+                        format!("PE {pe} {at} at {} ns", p.clock.get())
+                    })
+                    .collect::<Vec<_>>();
+                self.poison();
+                self.unwind(ctxs, &mut done);
+                return Err(stuck.join(", "));
+            };
+            let p = &self.pes[pe];
+            let (h_t, h_rank) = match ready.peek() {
+                Some(&Reverse((t, rank))) => (t, rank as u64),
+                None => (u64::MAX, u64::MAX),
+            };
+            p.h_t.set(h_t);
+            p.h_rank.set(h_rank);
+            p.windows.bump();
+
+            let finished = ctxs[pe].resume();
+            if finished {
+                done[pe] = true;
+                live -= 1;
+            } else if p.in_barrier.get() != 0 {
+                arrived.push(pe);
+                bar_max_clock = bar_max_clock.max(p.clock.get());
+            } else {
+                ready.push(Reverse((p.clock.get(), pe)));
+            }
+
+            if !arrived.is_empty() && arrived.len() == live {
+                // Completed by a departure, not an arrival: no charge.
+                let cost = if finished { 0 } else { self.barrier_cost.get() };
+                let t = bar_max_clock.saturating_add(cost);
+                for q in arrived.drain(..) {
+                    self.pes[q].clock.set(t);
+                    self.pes[q].in_barrier.set(0);
+                    ready.push(Reverse((t, q)));
+                }
+                bar_max_clock = 0;
             }
         }
-        inner.bar_arrived = 0;
-        inner.bar_max_clock = 0;
-        inner.bar_generation += 1;
-        self.bar_cv.notify_all();
-        if let Some(t) = self.hand_off(inner) {
-            t.unpark();
-        }
-        true
+        self.unwind(ctxs, &mut done);
+        Ok(())
     }
 
-    /// Mark `pe` finished: its clock freezes and it no longer blocks the
-    /// gate or barriers. If `pe` was the last PE a pending barrier was
-    /// waiting on, the barrier releases (finished PEs cannot participate).
-    pub fn finish(&self, pe: usize) {
-        let mut inner = self.inner.lock();
-        self.window[pe].active.store(false, Ordering::Relaxed);
-        // Keep the final clock readable via `now`; the Done state (not a
-        // sentinel clock value) excludes the PE from gating.
-        inner.clocks[pe] = self.mirror[pe].load(Ordering::Relaxed);
-        inner.state[pe] = PeState::Done;
-        let waker = self.hand_off(&mut inner);
-        self.maybe_release_barrier(&mut inner, 0);
-        drop(inner);
-        if let Some(t) = waker {
-            t.unpark();
+    /// Resume every unfinished PE, in rank order, until it finishes. Only
+    /// called with the world poisoned (or nobody left), so each one
+    /// panics out of the `gate`/`barrier` it is suspended in — or at its
+    /// first, if it never started — and unwinds through its own frames.
+    fn unwind(&self, ctxs: &mut [Context<'_>], done: &mut [bool]) {
+        for (ctx, done) in ctxs.iter_mut().zip(done) {
+            while !*done {
+                *done = ctx.resume();
+            }
         }
     }
 }
@@ -559,259 +320,60 @@ impl VClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn single_pe_never_blocks() {
-        let vc = VClock::new(1);
-        vc.gate(0);
-        vc.advance(0, 10);
-        assert_eq!(vc.now(0), 10);
-        let r = vc.gated(0, 5, || 42);
-        assert_eq!(r, 42);
-        assert_eq!(vc.now(0), 15);
-        vc.finish(0);
-    }
-
-    #[test]
-    fn single_pe_window_is_unbounded() {
-        // One PE has no rival: after the first gate, every further gated
-        // op is admitted lock-free.
-        let vc = VClock::new(1);
-        for _ in 0..100 {
-            vc.gated(0, 3, || ());
-        }
-        let es = vc.engine_stats(0);
-        assert_eq!(es.gated_ops(), 100);
-        assert_eq!(es.slow_ops, 1, "only the first op takes the mutex");
-        assert_eq!(es.fast_ops, 99);
-        assert_eq!(es.windows, 1);
-        vc.finish(0);
-    }
-
-    #[test]
-    fn handoff_mode_never_grants_windows() {
-        let vc = VClock::with_gate(1, GateMode::HandoffPerOp);
-        assert_eq!(vc.gate_mode(), GateMode::HandoffPerOp);
-        for _ in 0..10 {
-            vc.gated(0, 3, || ());
-        }
-        let es = vc.engine_stats(0);
-        assert_eq!(es.fast_ops, 0);
-        assert_eq!(es.slow_ops, 10);
-        assert_eq!(es.windows, 0);
-        vc.finish(0);
-    }
-
-    fn ordered_log_run(gate: GateMode) -> Vec<(u64, usize)> {
-        let vc = Arc::new(VClock::with_gate(3, gate));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for pe in 0..3usize {
-            let vc = Arc::clone(&vc);
-            let log = Arc::clone(&log);
-            handles.push(thread::spawn(move || {
-                // Different per-PE step sizes make interleavings nontrivial.
-                let step = [7u64, 5, 11][pe];
-                for _ in 0..50 {
-                    vc.gated(pe, step, || {
-                        let t = vc.now(pe);
-                        log.lock().push((t, pe));
-                    });
-                }
-                vc.finish(pe);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = log.lock().clone();
-        v
-    }
-
-    #[test]
-    fn effects_apply_in_virtual_time_order() {
-        // Three PEs each record (virtual time, pe) into a shared log at
-        // gated points; the log must come out sorted by (time, pe) under
-        // both gates, and the two gates must produce the same log.
-        let fast = ordered_log_run(GateMode::SafeWindow);
-        assert_eq!(fast.len(), 150);
-        for w in fast.windows(2) {
-            assert!(w[0] <= w[1], "out of order: {:?} then {:?}", w[0], w[1]);
-        }
-        let slow = ordered_log_run(GateMode::HandoffPerOp);
-        assert_eq!(fast, slow, "gates disagree on the effect schedule");
-    }
-
-    #[test]
-    fn barrier_synchronizes_clocks() {
-        for gate in [GateMode::SafeWindow, GateMode::HandoffPerOp] {
-            let vc = Arc::new(VClock::with_gate(4, gate));
-            let mut handles = Vec::new();
-            for pe in 0..4usize {
-                let vc = Arc::clone(&vc);
-                handles.push(thread::spawn(move || {
-                    vc.advance(pe, (pe as u64 + 1) * 100);
-                    vc.barrier(pe, 50);
-                    let t = vc.now(pe);
-                    vc.finish(pe);
-                    t
-                }));
-            }
-            let times: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            // max entry clock = 400, +50 barrier cost.
-            assert!(times.iter().all(|&t| t == 450), "{gate:?}: {times:?}");
-        }
-    }
-
-    #[test]
-    fn finished_pes_do_not_block_gate() {
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        let h = thread::spawn(move || {
-            vc2.advance(0, 1);
-            vc2.finish(0);
-        });
-        h.join().unwrap();
-        // PE 1 at clock 0 gates; PE 0 is done at clock 1 — must not block.
-        vc.gated(1, 10, || ());
-        assert_eq!(vc.now(1), 10);
-        vc.finish(1);
-    }
-
-    #[test]
-    fn window_closes_at_the_horizon() {
-        // PE 1 parks at clock 1_000; PE 0's window must admit effects
-        // lock-free only below 1_000, then take the slow path again.
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        let h = thread::spawn(move || {
-            vc2.advance(1, 1_000);
-            vc2.gated(1, 1, || ()); // publishes clock 1_000, then waits
-            vc2.finish(1);
-        });
-        // Let PE 1 publish and block (it cannot pass PE 0 at clock 0).
-        thread::sleep(std::time::Duration::from_millis(20));
-        for _ in 0..12 {
-            vc.gated(0, 100, || ());
-        }
-        let es = vc.engine_stats(0);
-        // Grant at t=0 with horizon (1_000, rank 1): ops at 100..=900 are
-        // below it, and the op at exactly 1_000 still wins the rank
-        // tie-break — 10 fast ops. The first op and the op at 1_100 take
-        // the mutex.
-        assert!(es.fast_ops >= 10, "window batched ops: {es:?}");
-        assert!(es.slow_ops >= 2, "horizon forced a slow re-entry: {es:?}");
-        vc.finish(0);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn deterministic_interleaving() {
-        // Two identical runs must produce identical logs.
-        fn run() -> Vec<(u64, usize)> {
-            let vc = Arc::new(VClock::new(4));
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for pe in 0..4usize {
-                let vc = Arc::clone(&vc);
-                let log = Arc::clone(&log);
-                handles.push(thread::spawn(move || {
-                    let step = [3u64, 4, 5, 6][pe];
-                    for i in 0..40u64 {
-                        vc.gated(pe, step + (i % 3), || {
-                            let t = vc.now(pe);
-                            log.lock().push((t, pe));
-                        });
-                    }
-                    vc.finish(pe);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let v = log.lock().clone();
-            v
-        }
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn poison_wakes_blocked_peers() {
-        let vc = Arc::new(VClock::new(2));
-        let vc2 = Arc::clone(&vc);
-        // PE 1 will block in gate behind PE 0's clock 0; poisoning must
-        // wake it with a panic rather than deadlocking.
-        let h = thread::spawn(move || {
-            vc2.advance(1, 100);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                vc2.gate(1);
-            }));
-            r.is_err()
-        });
-        // Give the peer a moment to block, then poison.
-        thread::sleep(std::time::Duration::from_millis(20));
-        vc.poison();
-        assert!(h.join().unwrap(), "gate should panic on poison");
-    }
-
-    #[test]
-    fn poison_invalidates_open_windows() {
-        // A PE holding an unbounded window must still notice the poison
-        // at its next gated op.
-        let vc = VClock::new(1);
-        vc.gated(0, 1, || ()); // grants an unbounded window
-        vc.poison();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vc.gated(0, 1, || ());
-        }));
-        assert!(r.is_err(), "fast path must honour the poison flag");
-    }
-
-    #[test]
-    fn zero_advance_is_noop() {
-        let vc = VClock::new(1);
-        vc.advance(0, 0);
-        assert_eq!(vc.now(0), 0);
-    }
-}
-
-#[cfg(test)]
-mod randomized {
-    use super::*;
+    use crate::lock::Mutex;
     use crate::rng::SplitMix64;
-    use std::sync::Arc;
+    use crate::runtime::{run_world, WorldConfig};
+    use crate::ShmemError;
 
-    fn schedule_run(
-        gate: GateMode,
-        schedules: &[Vec<u64>],
-    ) -> (Vec<(u64, usize)>, Vec<u64>) {
-        let n = schedules.len();
-        let vc = Arc::new(VClock::with_gate(n, gate));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for (pe, costs) in schedules.iter().enumerate() {
-                let vc = Arc::clone(&vc);
-                let log = Arc::clone(&log);
-                scope.spawn(move || {
-                    for &c in costs {
-                        let t = vc.now(pe);
-                        vc.gated(pe, c, || log.lock().push((t, pe)));
+    /// Drive `body(vc, pe)` as PE `pe` of an `n`-PE engine, the way
+    /// `run_world` does, without a heap or an op layer in between.
+    fn drive(n: usize, body: impl Fn(&VClock, usize) + Sync) -> VClock {
+        let vc = VClock::new(n);
+        let mut ctxs: Vec<Context<'_>> = (0..n)
+            .map(|pe| {
+                let (vc, body) = (&vc, &body);
+                Context::spawn(move || {
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(vc, pe)));
+                    if r.is_err() {
+                        vc.poison();
                     }
-                    vc.finish(pe);
-                });
+                })
+                .unwrap()
+            })
+            .collect();
+        vc.run(&mut ctxs).unwrap();
+        ctxs.into_iter().for_each(Context::reap);
+        vc
+    }
+
+    fn gated(vc: &VClock, pe: usize, cost: u64, f: impl FnOnce()) {
+        vc.gate(pe);
+        f();
+        vc.advance(pe, cost.max(1));
+    }
+
+    #[test]
+    fn single_pe_never_leaves_the_fast_path() {
+        let vc = drive(1, |vc, pe| {
+            for _ in 0..100 {
+                gated(vc, pe, 3, || ());
             }
         });
-        let clocks = (0..n).map(|pe| vc.now(pe)).collect();
-        let v = log.lock().clone();
-        (v, clocks)
+        assert_eq!(vc.now(0), 300);
+        assert_eq!(
+            vc.engine_stats(0),
+            EngineStats {
+                fast_ops: 100,
+                slow_ops: 0,
+                windows: 1,
+                gate_wait_ns: 0
+            }
+        );
     }
 
     /// For randomized per-PE cost schedules, gated effects must apply in
     /// nondecreasing (time, pe) order and the final clocks must equal the
-    /// sum of each PE's costs — under both gates, with identical logs.
-    /// Seeded replacement for the former proptest.
+    /// sum of each PE's costs.
     #[test]
     fn gated_effects_are_ordered_for_any_schedule() {
         for case in 0..16u64 {
@@ -823,24 +385,236 @@ mod randomized {
                     (0..len).map(|_| rng.range(1, 500)).collect()
                 })
                 .collect();
-
-            let (log, clocks) = schedule_run(GateMode::SafeWindow, &schedules);
+            let log = Mutex::new(Vec::new());
+            let vc = drive(n, |vc, pe| {
+                for &c in &schedules[pe] {
+                    let t = vc.now(pe);
+                    gated(vc, pe, c, || log.lock().push((t, pe)));
+                }
+            });
+            let log = log.lock();
             assert_eq!(
                 log.len(),
                 schedules.iter().map(|s| s.len()).sum::<usize>(),
                 "case {case}"
             );
             for w in log.windows(2) {
-                assert!(w[0] <= w[1], "case {case}: order violated: {:?} -> {:?}", w[0], w[1]);
+                assert!(
+                    w[0] <= w[1],
+                    "case {case}: order violated: {:?} -> {:?}",
+                    w[0],
+                    w[1]
+                );
             }
             for (pe, costs) in schedules.iter().enumerate() {
-                assert_eq!(clocks[pe], costs.iter().sum::<u64>(), "case {case} pe {pe}");
+                assert_eq!(vc.now(pe), costs.iter().sum::<u64>(), "case {case} pe {pe}");
             }
-
-            // Differential: the handoff gate realizes the same schedule.
-            let (log2, clocks2) = schedule_run(GateMode::HandoffPerOp, &schedules);
-            assert_eq!(log, log2, "case {case}: gates disagree on the log");
-            assert_eq!(clocks, clocks2, "case {case}: gates disagree on clocks");
         }
+    }
+
+    #[test]
+    fn barrier_resynchronizes_to_max_plus_cost() {
+        let after = Mutex::new(vec![0; 4]);
+        drive(4, |vc, pe| {
+            vc.advance(pe, (pe as u64 + 1) * 100);
+            vc.barrier(pe, 50);
+            after.lock()[pe] = vc.now(pe);
+        });
+        // max entry clock = 400, +50 barrier cost.
+        assert_eq!(*after.lock(), [450; 4]);
+    }
+
+    #[test]
+    fn a_finished_pe_blocks_neither_gate_nor_barrier() {
+        let vc = drive(3, |vc, pe| match pe {
+            // Done at clock 1, before anyone else's first op.
+            0 => vc.advance(pe, 1),
+            // Gates at clock 0 with PE 0 frozen at 1 "ahead" of nobody,
+            // then waits in a barrier PE 0 will never enter.
+            _ => {
+                gated(vc, pe, 10, || ());
+                vc.barrier(pe, 5);
+            }
+        });
+        assert_eq!([vc.now(0), vc.now(1), vc.now(2)], [1, 15, 15]);
+    }
+
+    #[test]
+    fn a_barrier_whose_last_missing_pe_finishes_releases_free() {
+        let vc = drive(2, |vc, pe| {
+            if pe == 0 {
+                vc.advance(pe, 40);
+                vc.barrier(pe, 7);
+            } else {
+                // Still live when PE 0 arrives; finishes afterwards.
+                gated(vc, pe, 100, || ());
+            }
+        });
+        assert_eq!([vc.now(0), vc.now(1)], [40, 100]);
+    }
+
+    #[test]
+    fn the_horizon_admits_exactly_the_ops_below_it() {
+        // PE 1 sits at clock 1_000 from its first op on; PE 0 issues 12
+        // ops of cost 100 from clock 0.
+        let vc = drive(2, |vc, pe| {
+            if pe == 0 {
+                for _ in 0..12 {
+                    gated(vc, pe, 100, || ());
+                }
+            } else {
+                vc.advance(pe, 1_000);
+                gated(vc, pe, 1, || ());
+            }
+        });
+        // PE 0 starts with horizon (0, 1): its op at clock 0 is below it.
+        // The op at 100 is not, so PE 0 suspends; PE 1 runs up to its
+        // gate at (1_000, 1) and suspends in turn. Resumed with that
+        // horizon, PE 0's ops at 100..=900 and at 1_000 (rank 0 wins the
+        // tie) are admitted on the spot — 10 more — and the op at 1_100
+        // suspends again until PE 1 has finished.
+        let pe0 = vc.engine_stats(0);
+        assert_eq!((pe0.fast_ops, pe0.slow_ops, pe0.windows), (10, 2, 3));
+        let pe1 = vc.engine_stats(1);
+        assert_eq!((pe1.fast_ops, pe1.slow_ops, pe1.windows), (0, 1, 2));
+        assert_eq!([vc.now(0), vc.now(1)], [1_200, 1_001]);
+    }
+
+    /// Bumps a counter when dropped: proves a PE's frames were unwound.
+    struct Bump<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl Drop for Bump<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    #[test]
+    fn poison_closes_an_unbounded_window() {
+        // The last runnable PE has no rival and would never suspend
+        // again: the one-compare path must still honour the flag.
+        drive(1, |vc, pe| {
+            gated(vc, pe, 1, || ());
+            vc.poison();
+            let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vc.gate(pe)));
+            assert!(next.is_err(), "gate admitted an op in a poisoned world");
+        });
+    }
+
+    fn assert_root_cause(err: ShmemError, want_pe: usize) {
+        match err {
+            ShmemError::PePanicked { pe, message } => {
+                assert_eq!(pe, want_pe, "the root cause is reported, not a victim");
+                assert!(message.contains("deliberate"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poison_unwinds_pes_suspended_in_gate_and_barrier() {
+        let drops = std::sync::atomic::AtomicUsize::new(0);
+        let err = run_world(WorldConfig::virtual_time(4, 256), |ctx| {
+            let _unwound = Bump(&drops);
+            let a = ctx.alloc_words(1);
+            match ctx.my_pe() {
+                // Suspended at a gate far in the future.
+                1 => {
+                    ctx.compute(1_000_000);
+                    ctx.atomic_fetch_add(0, a, 1);
+                }
+                // Suspended at a gate it would have reached next.
+                2 => loop {
+                    ctx.atomic_fetch_add(0, a, 1);
+                },
+                3 => {
+                    ctx.compute(10_000);
+                    ctx.atomic_fetch_add(0, a, 1);
+                    panic!("deliberate test panic");
+                }
+                // Suspended in the barrier.
+                _ => ctx.barrier_all(),
+            }
+        })
+        .unwrap_err();
+        assert_root_cause(err, 3);
+        assert_eq!(
+            drops.load(Ordering::Acquire),
+            4,
+            "every PE's frames unwound"
+        );
+    }
+
+    #[test]
+    fn poison_unwinds_pes_that_never_started() {
+        let drops = std::sync::atomic::AtomicUsize::new(0);
+        let err = run_world(WorldConfig::virtual_time(3, 256), |ctx| {
+            let _unwound = Bump(&drops);
+            if ctx.my_pe() == 0 {
+                panic!("deliberate test panic");
+            }
+            ctx.barrier_all();
+        })
+        .unwrap_err();
+        assert_root_cause(err, 0);
+        assert_eq!(drops.load(Ordering::Acquire), 3);
+    }
+
+    #[test]
+    fn four_thousand_barrier_only_pes_launch_and_finish() {
+        let out = run_world(WorldConfig::virtual_time(4096, 64), |ctx| {
+            ctx.barrier_all();
+            ctx.barrier_all();
+            ctx.my_pe()
+        })
+        .unwrap();
+        assert_eq!(out.results.len(), 4096);
+        assert!(out.results.iter().enumerate().all(|(i, &r)| i == r));
+        assert!(out
+            .virtual_ns
+            .iter()
+            .all(|&t| t == out.virtual_ns[0] && t > 0));
+    }
+
+    fn counting_world(n: usize) -> Vec<u64> {
+        run_world(WorldConfig::virtual_time(n, 256), |ctx| {
+            let a = ctx.alloc_words(1);
+            for _ in 0..20 {
+                ctx.atomic_fetch_add(0, a, 1);
+            }
+            ctx.barrier_all();
+            ctx.atomic_fetch(0, a)
+        })
+        .unwrap()
+        .results
+    }
+
+    #[test]
+    fn a_world_launched_from_inside_a_pe_of_another_world_works() {
+        let out = run_world(WorldConfig::virtual_time(3, 256), |ctx| {
+            let a = ctx.alloc_words(1);
+            ctx.atomic_fetch_add(0, a, 1);
+            // Suspended peers of the outer world stay suspended while
+            // this PE is the root of a whole inner world.
+            let inner = counting_world(ctx.my_pe() + 2);
+            ctx.atomic_fetch_add(0, a, 1);
+            ctx.barrier_all();
+            (inner, ctx.atomic_fetch(0, a))
+        })
+        .unwrap();
+        for (pe, (inner, outer)) in out.results.iter().enumerate() {
+            assert_eq!(*inner, vec![20 * (pe as u64 + 2); pe + 2]);
+            assert_eq!(*outer, 6);
+        }
+    }
+
+    #[test]
+    fn two_worlds_on_two_os_threads_at_once() {
+        std::thread::scope(|s| {
+            let a = s.spawn(|| counting_world(7));
+            let b = s.spawn(|| counting_world(5));
+            assert_eq!(a.join().unwrap(), vec![140; 7]);
+            assert_eq!(b.join().unwrap(), vec![100; 5]);
+        });
     }
 }

@@ -18,7 +18,6 @@
 //!   --task-ns N      flat: task duration, ns           (default 50000)
 //!   --nodes N        PEs per node for the topology     (default 1=flat)
 //!   --capacity N     task-queue ring capacity, tasks   (default 16384)
-//!   --gate G         safe | handoff: virtual-time gate (default safe)
 //!   --engine         print engine wall-time/gate-traffic line
 //!   --timeline       print per-PE activity strips (enables tracing)
 //!   --histogram      print steal-volume and victim histograms (tracing)
@@ -111,7 +110,6 @@ struct Args {
     task_ns: u64,
     nodes: usize,
     capacity: usize,
-    gate: GateMode,
     engine: bool,
     timeline: bool,
     histogram: bool,
@@ -174,7 +172,7 @@ fn usage() -> ! {
     eprintln!("usage: sws-run <uts|bpc|flat> [--pes N] [--system sws|sdc|both] [--seed N]");
     eprintln!("       sws-run --conform");
     eprintln!("               [--depth N] [--consumers N] [--tasks N] [--task-ns N]");
-    eprintln!("               [--nodes N] [--gate safe|handoff] [--engine] [--timeline] [--json]");
+    eprintln!("               [--nodes N] [--engine] [--timeline] [--json]");
     eprintln!("               [--assert-comms] [--assert-steal-bound] [--metrics] [--trace-out FILE]");
     eprintln!("               [--sample N] [--contention]");
     eprintln!("               [--drop-prob P] [--stall PE:FROM:DUR] [--crash PE:AT]");
@@ -217,7 +215,6 @@ fn parse_args() -> Args {
         task_ns: 50_000,
         nodes: 1,
         capacity: 16384,
-        gate: GateMode::default(),
         engine: false,
         timeline: false,
         histogram: false,
@@ -276,16 +273,6 @@ fn parse_args() -> Args {
             "--nodes" => args.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
             "--capacity" => {
                 args.capacity = val("--capacity").parse().unwrap_or_else(|_| usage())
-            }
-            "--gate" => {
-                args.gate = match val("--gate").as_str() {
-                    "safe" => GateMode::SafeWindow,
-                    "handoff" => GateMode::HandoffPerOp,
-                    other => {
-                        eprintln!("unknown gate {other} (expected safe|handoff)");
-                        usage()
-                    }
-                }
             }
             "--engine" => args.engine = true,
             "--timeline" => args.timeline = true,
@@ -447,7 +434,7 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
     // The trace exporter draws scheduler instants and the idle counter
     // from the event log, so --trace-out arms tracing too.
     sched.trace = args.timeline || args.histogram || args.trace_out.is_some();
-    let mut cfg = RunConfig::new(args.pes, sched).with_gate(args.gate);
+    let mut cfg = RunConfig::new(args.pes, sched);
     if args.capture() {
         cfg = cfg.with_capture_proto();
     }

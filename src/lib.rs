@@ -59,7 +59,7 @@ pub mod prelude {
         ServiceConfig, TaskCtx, TdKind, Workload,
     };
     pub use sws_shmem::{
-        run_world, EngineStats, ExecMode, FaultPlan, GateMode, NetModel,
+        run_world, EngineStats, ExecMode, FaultPlan, NetModel,
         OpClass, RetryPolicy, ShmemCtx, TargetSel, WorldConfig,
     };
     pub use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};

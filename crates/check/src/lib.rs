@@ -43,8 +43,8 @@
 //! 4. **A live exploration scheduler** ([`live`], shipped as the
 //!    `sws-check` binary's `explore` subcommand): the *real*
 //!    `SwsQueue`/`SdcQueue` — not a model — run under
-//!    `sws_shmem::explore::ExploreGate`, which serializes the PE threads
-//!    and turns every annotated atomic op into a scheduling choice
+//!    `sws_shmem::explore::ExploreGate`: the PEs run one at a time on
+//!    the calling thread, and every gated op is a scheduling choice
 //!    point. [`live::explore_scenario`] searches the interleaving space
 //!    breadth-first under an injected-preemption bound, branching only
 //!    at dependent op pairs (same [`sws_core::DepClass`], overlapping

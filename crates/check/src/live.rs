@@ -1,15 +1,16 @@
 //! Live exploration: drive the **production** `SwsQueue`/`SdcQueue`
-//! through systematic thread interleavings.
+//! through systematic PE interleavings.
 //!
 //! The abstract model checker ([`crate::explore`]) enumerates schedules
 //! of re-stated protocol machines; this module closes the remaining gap
-//! by exploring the real queue code. Each schedule execution builds a
-//! threaded `sws-shmem` world with an [`ExploreGate`] attached: every
-//! gated one-sided effect becomes a scheduling choice point, a forced
-//! choice prefix replays a specific interleaving, and past the prefix a
-//! deterministic default policy (continue the running PE) completes the
-//! schedule. The DFS explorer then branches from the recorded
-//! [`Decision`] log:
+//! by exploring the real queue code. Each schedule execution builds an
+//! `ExecMode::Explore` `sws-shmem` world around an [`ExploreGate`]: the
+//! PEs run one at a time on the calling thread (the executor virtual-time
+//! worlds run on), every gated one-sided effect is a scheduling choice
+//! point, a forced choice prefix replays a specific interleaving, and
+//! past the prefix a deterministic default policy (continue the running
+//! PE) completes the schedule. The DFS explorer then branches from the
+//! recorded [`Decision`] log:
 //!
 //! * **Conflict-directed branching (DPOR-style).** At a decision where
 //!   op `A` ran, an alternative pending op `B` forces a new branch only
@@ -371,13 +372,10 @@ pub struct RunResult {
 /// Execute `scenario` once under the forced choice `prefix` (default
 /// policy past it) and check the oracles.
 pub fn run_schedule(sc: &Scenario, prefix: &[u32], max_steps: u64) -> RunResult {
-    let gate = Arc::new(ExploreGate::new(
-        sc.n_pes,
-        ExploreConfig {
-            prefix: prefix.to_vec(),
-            max_steps,
-        },
-    ));
+    let gate = Arc::new(ExploreGate::new(ExploreConfig {
+        prefix: prefix.to_vec(),
+        max_steps,
+    }));
     let mut queue = QueueConfig::new(sc.capacity, 24)
         .with_layout(sc.layout)
         .with_policy(sc.policy);

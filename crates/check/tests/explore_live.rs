@@ -4,7 +4,7 @@
 
 use sws_check::live::{
     corpus, explore_scenario, find_scenario, mutant_scenario, parse_schedule, replay_schedule,
-    run_schedule, write_schedule, Counterexample, ExplorerConfig,
+    run_schedule, write_schedule, Counterexample, ExplorerConfig, Scenario, ScenarioStats,
 };
 
 /// Small budgets so the tier-1 (debug) suite stays fast; the CI explore
@@ -103,4 +103,63 @@ fn mutation_is_found_shrunk_and_replayable() {
         ce.schedule.len() <= r1.trace.decisions.len(),
         "shrunk schedule longer than its replay"
     );
+}
+
+/// FNV-1a of the decision log of `sc`'s default schedule: every enabled
+/// set, descriptor and choice, in order.
+fn default_log_digest(sc: &Scenario) -> u64 {
+    let log = run_schedule(sc, &[], ExplorerConfig::default().max_steps).trace.decisions;
+    format!("{log:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The schedule is *the* schedule, whatever executes it. These counts and
+/// digests were taken at commit 908b838, where the PEs of an explored
+/// world were OS threads handing a grant token around under a mutex; any
+/// executor since must reproduce them exactly. They are the whole
+/// `sws-check explore` report at the default budget, plus the default
+/// schedule's decision log per scenario. A legitimate protocol, policy or
+/// corpus change re-pins them — in its own commit.
+#[test]
+fn explore_results_are_pinned() {
+    // (scenario, branches, pruned independent, pruned by the preemption
+    // bound, max depth, digest of the default schedule's log)
+    let pinned = [
+        ("sws-epochs-half", 1_361, 4_416, 482, 190, 0x85564d4e6868207b),
+        ("sws-validbit-half", 1_361, 4_416, 482, 190, 0x9b17799a36afff1f),
+        ("sws-epochs-one-damped", 674, 2_881, 559, 169, 0xe3aedcd6a0e36cfe),
+        ("sws-epochs-3pe", 2_602, 25_481, 7_702, 469, 0x55350201b928fdff),
+        ("sws-epochs-drops", 1_267, 3_686, 441, 150, 0x8d437d04709c69f0),
+        ("sdc-half", 307, 2_036, 1_790, 150, 0x11300700cf5404aa),
+        ("sdc-quarter-3pe", 1_557, 8_677, 1_546, 224, 0x51508503d3aa936c),
+        ("sdc-drops", 331, 2_209, 2_103, 153, 0xffceec48d81719c4),
+    ];
+    let cfg = ExplorerConfig::default();
+    let corpus = corpus();
+    assert_eq!(corpus.len(), pinned.len());
+    for (sc, (name, branches, pruned_independent, pruned_preempt, max_depth, log)) in
+        corpus.iter().zip(pinned)
+    {
+        assert_eq!(sc.name, name);
+        let (stats, ce) = explore_scenario(sc, &cfg);
+        assert_eq!(ce, None, "{name}");
+        let want = ScenarioStats {
+            schedules: 160,
+            truncated: 0,
+            pruned_independent,
+            pruned_preempt,
+            branches,
+            max_depth,
+        };
+        assert_eq!(stats, want, "{name}");
+        assert_eq!(default_log_digest(sc), log, "{name}: default schedule's log");
+    }
+
+    let sc = mutant_scenario();
+    let (stats, ce) = explore_scenario(&sc, &cfg);
+    let ce = ce.expect("the seeded bug is caught");
+    assert_eq!((stats.schedules, ce.schedule.len()), (17, 50));
+    assert_eq!(ce.failure, "conservation: tag 1 executed 0 times (want 1)");
+    assert_eq!(default_log_digest(&sc), 0x13a37d3432341610);
 }

@@ -61,16 +61,6 @@ pub struct QueueConfig {
     /// How long the owner lets a claimed block sit without a completion
     /// before reclaiming it (fault mode only).
     pub reclaim_grace_ns: u64,
-    /// Batch size for the thief's passive completion notifications. With
-    /// `0` (the default) every completion is an eager `atomic_set_nbi` +
-    /// quiet, exactly the paper's protocol. With `n > 0` up to `n`
-    /// completion puts are staged and flushed together in one quiet —
-    /// fewer line bounces on the victims' completion arrays when a thief
-    /// lands several steals between flushes. Staged completions are
-    /// always flushed before the thief's next steal attempt, at
-    /// `progress`, and at `flush_completions`/`retire`/`park`, so owners
-    /// observe every completion before the thief touches them again.
-    pub comp_batch: usize,
     /// Test-only seeded protocol bug, used by the exploration
     /// scheduler's mutation self-test to prove the explorer can find,
     /// shrink, and replay a real ordering violation. Always `None` in
@@ -103,17 +93,8 @@ impl QueueConfig {
             split_update_ns: 150,
             retry: RetryPolicy::default_thief(),
             reclaim_grace_ns: 200_000,
-            comp_batch: 0,
             mutation: None,
         }
-    }
-
-    /// Batch passive completion notifications `n` at a time (`0` =
-    /// eager, the default — see [`QueueConfig::comp_batch`]).
-    #[must_use]
-    pub fn with_comp_batch(mut self, n: usize) -> QueueConfig {
-        self.comp_batch = n;
-        self
     }
 
     /// Switch to the Fig. 3 single-epoch layout.

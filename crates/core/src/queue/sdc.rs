@@ -112,10 +112,6 @@ pub struct SdcQueue<'a> {
     rng: SplitMix64,
     stats: QueueStats,
     scratch: Vec<u64>,
-    /// Staged deferred completion signals (batched mode,
-    /// `cfg.comp_batch > 0`): `(victim, slot address, volume)` tuples not
-    /// yet issued. Always empty in eager mode.
-    pending_comps: Vec<(usize, SymAddr, u64)>,
 }
 
 impl<'a> SdcQueue<'a> {
@@ -148,7 +144,6 @@ impl<'a> SdcQueue<'a> {
             rng: SplitMix64::stream(0x5DC0_F417, ctx.my_pe() as u64),
             stats: QueueStats::default(),
             scratch: Vec::new(),
-            pending_comps: Vec::new(),
         }
     }
 
@@ -212,28 +207,12 @@ impl<'a> SdcQueue<'a> {
         self.ctx.atomic_set(self.ctx.my_pe(), self.lock_addr(), 0);
     }
 
-    /// Issue every staged completion signal (batched mode). Victim owners
-    /// reclaim lazily off these slots, so deferral is pure backpressure —
-    /// a ring slot cannot be re-claimed until its completion lands and is
-    /// reclaimed, which bounds staleness by the victim's capacity.
-    fn flush_pending_comps(&mut self) {
-        for (target, comp, vol) in self.pending_comps.drain(..) {
-            // ordering: SdcComplete
-            self.ctx.proto_site(AtomicSite::SdcComplete.id());
-            self.ctx.atomic_set_nbi(target, comp, vol);
-        }
-    }
-
     /// Take our own lock (and keep it), pull the unclaimed shared region
     /// back into the local portion, and drain every published claim — the
     /// shared body of [`StealQueue::retire`] and [`StealQueue::park`].
     /// Thieves contending on the held lock abort once they see
     /// `tail >= split`.
     fn lock_and_drain(&mut self) {
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-            self.ctx.quiet();
-        }
         self.lock_own();
         let tail = self.read_tail();
         if tail < self.split {
@@ -705,9 +684,6 @@ impl StealQueue for SdcQueue<'_> {
     }
 
     fn progress(&mut self) {
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-        }
         if self.ctx.faults_active() {
             self.progress_faulty();
             return;
@@ -809,20 +785,10 @@ impl StealQueue for SdcQueue<'_> {
         self.buf
             .steal_copy(self.ctx, target, start, vol as usize, &mut scratch);
 
-        // 6. Deferred completion signal (passive) — staged when batching
-        // is on, so a thief on a steal streak issues one flush of
-        // non-blocking puts instead of a put per steal.
-        let comp = self.comp_slot(tail);
-        if self.cfg.comp_batch > 0 {
-            self.pending_comps.push((target, comp, vol));
-            if self.pending_comps.len() >= self.cfg.comp_batch {
-                self.flush_pending_comps();
-            }
-        } else {
-            // ordering: SdcComplete
-            self.ctx.proto_site(AtomicSite::SdcComplete.id());
-            self.ctx.atomic_set_nbi(target, comp, vol);
-        }
+        // 6. Deferred completion signal (passive).
+        // ordering: SdcComplete
+        self.ctx.proto_site(AtomicSite::SdcComplete.id());
+        self.ctx.atomic_set_nbi(target, self.comp_slot(tail), vol);
 
         // ordering: SdcPayloadWrite (landing a stolen block)
         self.ctx.proto_site(AtomicSite::SdcPayloadWrite.id());
@@ -860,9 +826,6 @@ impl StealQueue for SdcQueue<'_> {
     }
 
     fn flush_completions(&mut self) {
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-        }
         self.ctx.quiet();
     }
 

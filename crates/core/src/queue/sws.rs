@@ -137,10 +137,6 @@ pub struct SwsQueue<'a> {
     rng: SplitMix64,
     stats: QueueStats,
     scratch: Vec<u64>,
-    /// Staged passive completion notifications (batched mode,
-    /// `cfg.comp_batch > 0`): `(victim, slot address, volume)` tuples not
-    /// yet issued. Always empty in eager mode.
-    pending_comps: Vec<(usize, SymAddr, u64)>,
 }
 
 impl<'a> SwsQueue<'a> {
@@ -194,7 +190,6 @@ impl<'a> SwsQueue<'a> {
             rng: SplitMix64::stream(0x57EA_F417, ctx.my_pe() as u64),
             stats: QueueStats::default(),
             scratch: Vec::new(),
-            pending_comps: Vec::new(),
         }
     }
 
@@ -444,13 +439,6 @@ impl<'a> SwsQueue<'a> {
     /// On return all tasks still owned sit in the local portion and no
     /// epoch record remains.
     fn close_gate_and_drain(&mut self) {
-        // Batched mode: our own staged completions must reach their
-        // victims before we stop participating — their owners may be
-        // waiting on them to reclaim ring space.
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-            self.ctx.quiet();
-        }
         // Close the gate. Thieves racing the swap either claimed before it
         // (drained below) or see Closed / TargetDown.
         let closed = self.cfg.layout.encode(StealVal {
@@ -480,17 +468,6 @@ impl<'a> SwsQueue<'a> {
             self.stats.owner_polls += 1;
             self.ctx.compute(200);
             self.ctx.idle_hint();
-        }
-    }
-
-    /// Issue every staged passive completion notification (batched mode).
-    /// The puts stay non-blocking; callers that need them settled follow
-    /// with a quiet ([`StealQueue::flush_completions`] does both).
-    fn flush_pending_comps(&mut self) {
-        for (target, comp, vol) in self.pending_comps.drain(..) {
-            // ordering: SwsThiefComplete
-            self.ctx.proto_site(AtomicSite::SwsThiefComplete.id());
-            self.ctx.atomic_set_nbi(target, comp, vol);
         }
     }
 
@@ -749,9 +726,6 @@ impl StealQueue for SwsQueue<'_> {
     }
 
     fn progress(&mut self) {
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-        }
         self.reclaim();
     }
 
@@ -814,20 +788,11 @@ impl StealQueue for SwsQueue<'_> {
                 .steal_copy(self.ctx, target, start, vol as usize, &mut scratch);
 
             // 3. Passive completion notification; the owner reconciles
-            // later. In batched mode the put is staged so several steals'
-            // notifications coalesce into one flush — fewer bounces of
-            // the victims' completion-array lines.
-            let comp = self.comp_slot(epoch as usize, a);
-            if self.cfg.comp_batch > 0 {
-                self.pending_comps.push((target, comp, vol));
-                if self.pending_comps.len() >= self.cfg.comp_batch {
-                    self.flush_pending_comps();
-                }
-            } else {
-                // ordering: SwsThiefComplete
-                self.ctx.proto_site(AtomicSite::SwsThiefComplete.id());
-                self.ctx.atomic_set_nbi(target, comp, vol);
-            }
+            // later.
+            // ordering: SwsThiefComplete
+            self.ctx.proto_site(AtomicSite::SwsThiefComplete.id());
+            self.ctx
+                .atomic_set_nbi(target, self.comp_slot(epoch as usize, a), vol);
         }
 
         // Land the block in our local portion.
@@ -869,9 +834,6 @@ impl StealQueue for SwsQueue<'_> {
     }
 
     fn flush_completions(&mut self) {
-        if !self.pending_comps.is_empty() {
-            self.flush_pending_comps();
-        }
         self.ctx.quiet();
     }
 

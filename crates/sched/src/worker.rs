@@ -357,15 +357,6 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             // read of PE 0 and would otherwise dominate search cost.
             self.td.enter_idle(self.ctx);
             self.log.record(self.ctx.now_ns(), EventKind::EnterIdle);
-            // A work-starved thief must not sit on staged completion puts:
-            // its victims may be blocked waiting for exactly those ring
-            // slots to reconcile (and termination can never fire while
-            // they are). Batching is only worth deferring while busy.
-            // Gated on comp_batch so the eager default's op stream (its
-            // quiet placement in particular) is untouched.
-            if self.cfg.queue.comp_batch > 0 {
-                self.queue.flush_completions();
-            }
             let mut search_iters = 0u32;
             loop {
                 if faulty && self.ctx.crash_due() {

@@ -7,10 +7,10 @@
 //! pin that: `virtual_results_are_pinned` holds report digests taken
 //! before the engine moved every PE onto one OS thread (when a second,
 //! hand-off-per-op gate was the in-tree oracle), and the rest prove that
-//! orthogonal switches (ordering tables, completion batching) leave
-//! makespans, per-PE communication counters (`OpStats`), queue counters
-//! and worker timing decompositions alone. Only wall-clock fields
-//! (`wall_ms`, `EngineStats`) may differ.
+//! orthogonal switches (ordering tables) leave makespans, per-PE
+//! communication counters (`OpStats`), queue counters and worker timing
+//! decompositions alone. Only wall-clock fields (`wall_ms`,
+//! `EngineStats`) may differ.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -138,29 +138,6 @@ fn reruns_are_identical_and_the_engine_is_live() {
         assert!(a.total_engine().gated_ops() > 0);
         assert_eq!(a.total_engine(), b.total_engine(), "one thread: even the engine counters repeat");
         assert_eq!(a.total_engine().gate_wait_ns, 0);
-    }
-}
-
-/// Batched completion puts are a *timing* optimization, never a
-/// correctness one: turning them on must not lose or duplicate a single
-/// task, on either queue system. (Makespans may legitimately shift —
-/// the batch changes when completion ops are charged — so this pins
-/// conservation, not byte-identity.)
-#[test]
-fn completion_batching_preserves_conservation() {
-    for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        let eager = report_for(kind, 0xBA5E);
-        let queue = QueueConfig::new(1024, 48).with_comp_batch(4);
-        let sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
-        let cfg = RunConfig::new(8, sched);
-        let wl = UtsWorkload::new(UtsParams::geo_small(8));
-        let batched = run_workload(&cfg, &wl);
-        assert_eq!(
-            batched.total_tasks(),
-            eager.total_tasks(),
-            "{kind:?}: batching lost or duplicated tasks"
-        );
-        assert!(batched.total_steals() > 0, "{kind:?}: no steals exercised");
     }
 }
 

@@ -1,10 +1,10 @@
-//! Stackful contexts: the switch primitive under the virtual-time engine.
+//! Stackful contexts: the switch primitive under the serial executor.
 //!
 //! A [`Context`] is a closure with a stack of its own. [`Context::resume`]
 //! runs it *on the calling thread* until it calls [`suspend`] or returns;
 //! `suspend` hands control back to whoever resumed it. That is all the
-//! virtual-time scheduler needs to run every PE of a world on one OS
-//! thread (see [`crate::vclock`]), and it nests: a context may itself
+//! root loop needs to run every PE of a world on one OS thread, in virtual
+//! time or under an explored schedule (see [`crate::vclock`]), and it nests: a context may itself
 //! resume others, so a world launched from inside a PE of another world
 //! just works. There is no global state beyond a thread-local "innermost
 //! running context", so worlds on different OS threads never meet.

@@ -110,14 +110,8 @@ impl ShmemCtx {
         self.world.heap.n_pes()
     }
 
-    /// Whether the world runs under the virtual-time engine.
-    #[inline]
-    pub fn is_virtual(&self) -> bool {
-        self.world.exec.is_virtual()
-    }
-
-    /// Current time in ns: virtual time under the engine, the gate's
-    /// per-PE logical clock under exploration, wall time otherwise.
+    /// Current time in ns: this PE's virtual clock on the serial executor
+    /// (a per-PE logical clock under exploration), wall time otherwise.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.world.exec.now(self.pe)
@@ -135,9 +129,9 @@ impl ShmemCtx {
     /// a capacity wait, a lock retry). In plain threaded mode on an
     /// oversubscribed machine — more PEs than hardware threads — this
     /// yields the timeslice so the thread actually holding the work (or
-    /// the lock) can run; everywhere else it is a no-op: virtual-time and
-    /// exploration gates own all scheduling, and an undersubscribed
-    /// machine loses nothing by spinning.
+    /// the lock) can run; everywhere else it is a no-op: the serial
+    /// executor owns all scheduling, and an undersubscribed machine loses
+    /// nothing by spinning.
     #[inline]
     pub fn idle_hint(&self) {
         self.world.exec.idle_hint();

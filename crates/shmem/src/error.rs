@@ -106,8 +106,8 @@ pub enum ShmemError {
         /// Panic payload rendered to a string when possible.
         message: String,
     },
-    /// The virtual-time scheduler found no PE able to run while some had
-    /// not finished (an engine invariant broke). The PEs were unwound.
+    /// The serial executor found no PE able to run while some had not
+    /// finished (an executor invariant broke). The PEs were unwound.
     Deadlocked {
         /// The unfinished PEs, each with where and when it was suspended.
         stuck: String,

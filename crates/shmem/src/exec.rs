@@ -4,27 +4,29 @@
 //! what applies their effects. That decision lives here and nowhere else:
 //! [`Exec`] is the world's single substrate value, and every mode-dependent
 //! step of an op (the clock, the serialization point, the charge, the
-//! barrier, teardown, poison) is one method on it. A further substrate
-//! (a process-per-PE backend, say) is one more variant in this file.
+//! barrier, teardown, poison) is one method on it. There are two: the
+//! serial executor (`crate::vclock` — virtual time and exploration are its
+//! two pick rules, not two substrates) and plain OS threads. A further
+//! substrate (a process-per-PE backend, say) is one more variant in this
+//! file.
 //!
 //! The enum is matched, not boxed: `enter`/`leave` sit on the un-gated
 //! single-PE hot path, where a virtual call would be the dominant cost.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use crate::explore::{ExploreGate, OpDesc};
+use crate::explore::OpDesc;
 use crate::lock::{Condvar, Mutex};
 use crate::runtime::ExecMode;
 use crate::vclock::{EngineStats, VClock};
 
 /// The substrate a world's PEs execute on.
 pub(crate) enum Exec {
-    /// Effects apply in global virtual-time order.
-    Virtual(VClock),
-    /// Effects apply in the order an explicit schedule grants them.
-    Explore(Arc<ExploreGate>),
+    /// One PE at a time, as contexts on the thread that called
+    /// `run_world`: effects apply in global virtual-time order, or — with
+    /// a gate — in the order an explicit schedule chooses them.
+    Serial(VClock),
     /// Real threads, real atomics, no serialization.
     Threads {
         barrier: ThreadBarrier,
@@ -40,8 +42,8 @@ pub(crate) enum Exec {
 impl Exec {
     pub(crate) fn new(mode: ExecMode, n_pes: usize) -> Exec {
         match mode {
-            ExecMode::Virtual => Exec::Virtual(VClock::new(n_pes)),
-            ExecMode::Explore(eg) => Exec::Explore(eg),
+            ExecMode::Virtual => Exec::Serial(VClock::new(n_pes, None)),
+            ExecMode::Explore(gate) => Exec::Serial(VClock::new(n_pes, Some(gate))),
             ExecMode::Threaded { inject_latency } => Exec::Threads {
                 barrier: ThreadBarrier::new(n_pes),
                 start: Instant::now(),
@@ -52,23 +54,18 @@ impl Exec {
         }
     }
 
-    pub(crate) fn is_virtual(&self) -> bool {
-        matches!(self, Exec::Virtual(_))
-    }
-
     /// Whether op descriptors (and so protocol-site annotations) are
     /// consumed by the substrate itself.
     pub(crate) fn schedules_sites(&self) -> bool {
-        matches!(self, Exec::Explore(_))
+        matches!(self, Exec::Serial(clock) if clock.explores())
     }
 
-    /// `pe`'s clock, ns: virtual time, the gate's logical clock, or wall
-    /// time since world start.
+    /// `pe`'s clock, ns: its virtual (or, under a schedule, logical)
+    /// clock, or wall time since world start.
     #[inline]
     pub(crate) fn now(&self, pe: usize) -> u64 {
         match self {
-            Exec::Virtual(vc) => vc.now(pe),
-            Exec::Explore(eg) => eg.now(pe),
+            Exec::Serial(clock) => clock.now(pe),
             Exec::Threads { start, .. } => start.elapsed().as_nanos() as u64,
         }
     }
@@ -78,8 +75,7 @@ impl Exec {
     #[inline]
     pub(crate) fn advance(&self, pe: usize, ns: u64) {
         match self {
-            Exec::Virtual(vc) => vc.advance(pe, ns),
-            Exec::Explore(eg) => eg.advance(pe, ns),
+            Exec::Serial(clock) => clock.advance(pe, ns),
             Exec::Threads { inject_latency, .. } => {
                 if *inject_latency {
                     spin_ns(ns);
@@ -93,8 +89,7 @@ impl Exec {
     #[inline]
     pub(crate) fn enter(&self, pe: usize, desc: impl FnOnce() -> OpDesc) {
         match self {
-            Exec::Virtual(vc) => vc.gate(pe),
-            Exec::Explore(eg) => eg.gate(pe, desc()),
+            Exec::Serial(clock) => clock.gate(pe, desc),
             Exec::Threads { .. } => {}
         }
     }
@@ -105,8 +100,7 @@ impl Exec {
     #[inline]
     pub(crate) fn leave(&self, pe: usize, charge: u64) {
         match self {
-            Exec::Virtual(vc) => vc.advance(pe, charge.max(1)),
-            Exec::Explore(eg) => eg.advance(pe, charge.max(1)),
+            Exec::Serial(clock) => clock.advance(pe, charge.max(1)),
             Exec::Threads { inject_latency, .. } => {
                 if *inject_latency {
                     spin_ns(charge);
@@ -135,15 +129,14 @@ impl Exec {
     /// nothing.
     #[inline]
     pub(crate) fn choice_point(&self, pe: usize, desc: impl FnOnce() -> OpDesc) {
-        if let Exec::Explore(eg) = self {
-            eg.gate(pe, desc());
+        if self.schedules_sites() {
+            self.enter(pe, desc);
         }
     }
 
     pub(crate) fn barrier(&self, pe: usize, cost: u64) {
         match self {
-            Exec::Virtual(vc) => vc.barrier(pe, cost),
-            Exec::Explore(eg) => eg.barrier(pe, cost),
+            Exec::Serial(clock) => clock.barrier(pe, cost),
             Exec::Threads { barrier, .. } => barrier.wait(),
         }
     }
@@ -152,13 +145,8 @@ impl Exec {
     /// — 0 on plain threads, which keep none.
     pub(crate) fn finish(&self, pe: usize) -> u64 {
         match self {
-            // The scheduler loop sees the PE's context return.
-            Exec::Virtual(vc) => vc.now(pe),
-            Exec::Explore(eg) => {
-                let t = eg.now(pe);
-                eg.finish(pe);
-                t
-            }
+            // The root loop sees the PE's context return.
+            Exec::Serial(clock) => clock.now(pe),
             Exec::Threads { barrier, .. } => {
                 // A crash-stopped PE exits with fewer barrier entries
                 // than its peers; retiring lets their barriers release
@@ -172,23 +160,22 @@ impl Exec {
     /// A PE panicked: make every peer blocked in a gate or barrier bail.
     pub(crate) fn poison(&self) {
         match self {
-            Exec::Virtual(vc) => vc.poison(),
-            Exec::Explore(eg) => eg.poison(),
+            Exec::Serial(clock) => clock.poison(),
             Exec::Threads { barrier, .. } => barrier.poison(),
         }
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
         match self {
-            Exec::Virtual(vc) => vc.is_poisoned(),
-            Exec::Explore(eg) => eg.is_poisoned(),
+            Exec::Serial(clock) => clock.is_poisoned(),
             Exec::Threads { barrier, .. } => barrier.is_poisoned(),
         }
     }
 
     /// Yield the timeslice when spinning cannot help: plain threads on
-    /// an oversubscribed machine. The gates own all scheduling, and an
-    /// undersubscribed machine loses nothing by spinning.
+    /// an oversubscribed machine. The serial executor owns all
+    /// scheduling, and an undersubscribed machine loses nothing by
+    /// spinning.
     #[inline]
     pub(crate) fn idle_hint(&self) {
         if let Exec::Threads {
@@ -200,11 +187,11 @@ impl Exec {
         }
     }
 
-    /// Virtual-time engine counters; zeros elsewhere (no engine).
+    /// The serial executor's counters; zeros on plain threads.
     pub(crate) fn engine_stats(&self, pe: usize) -> EngineStats {
         match self {
-            Exec::Virtual(vc) => vc.engine_stats(pe),
-            _ => EngineStats::default(),
+            Exec::Serial(clock) => clock.engine_stats(pe),
+            Exec::Threads { .. } => EngineStats::default(),
         }
     }
 }
@@ -262,7 +249,7 @@ impl ThreadBarrier {
         } else {
             let gen = g.generation;
             while g.generation == gen {
-                self.cv.wait(&mut g);
+                g = self.cv.wait(g);
                 if self.poisoned.load(Ordering::Acquire) {
                     panic!("threaded world poisoned: a peer PE panicked");
                 }
@@ -307,8 +294,8 @@ mod tests {
     /// Straight-line SPMD body touching every op shape the seam carries:
     /// blocking RMWs, a bulk get, an nbi op settled by `quiet`, local
     /// compute, collectives. Seeded drops send some ops down the fallible
-    /// path; nothing branches on an op's outcome, so every substrate
-    /// issues the same op stream.
+    /// path; nothing branches on an op's outcome, so every mode issues
+    /// the same op stream.
     fn body(ctx: &ShmemCtx) {
         let a = ctx.alloc_words(4);
         let peer = (ctx.my_pe() + 1) % ctx.n_pes();
@@ -336,7 +323,7 @@ mod tests {
     }
 
     fn explore() -> ExecMode {
-        ExecMode::Explore(Arc::new(ExploreGate::new(N_PES, ExploreConfig::default())))
+        ExecMode::Explore(Arc::new(ExploreGate::new(ExploreConfig::default())))
     }
 
     #[test]
@@ -345,13 +332,13 @@ mod tests {
         let virt = run(ExecMode::Virtual, net);
         let expl = run(explore(), net);
         let thr = run(ExecMode::Threaded { inject_latency: false }, net);
-        // Identical op streams, faults and charges on every substrate:
+        // Identical op streams, faults and charges in every mode:
         // `OpStats` equality covers counts, bytes, failed counts and the
         // summed modeled charge, per PE.
         assert_eq!(virt.stats.per_pe, expl.stats.per_pe);
         assert_eq!(virt.stats.per_pe, thr.stats.per_pe);
         assert!(virt.stats.total.total_failed() > 0, "no op took the fault path");
-        // The two gated substrates also keep the same clocks.
+        // The serial executor keeps the same clocks under both pick rules.
         assert_eq!(virt.virtual_ns, expl.virtual_ns);
         assert!(virt.makespan_ns() > 0);
         assert_eq!(thr.virtual_ns, vec![0; N_PES]);

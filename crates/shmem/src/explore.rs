@@ -1,42 +1,34 @@
-//! Deterministic exploration gate: serialize PEs and expose every gated
-//! one-sided effect as a scheduling choice point.
+//! The exploration pick rule: expose every gated one-sided effect as a
+//! scheduling choice point.
 //!
-//! Where the virtual-time engine (`crate::vclock`) orders effects by
-//! *modeled cost* (one deterministic schedule per run), the
-//! [`ExploreGate`] orders them by an
-//! explicit **schedule**: real PE threads run their own local code freely,
-//! but every shared-visible effect funnels through [`ExploreGate::gate`],
-//! which blocks the PE until a central decision grants it the next turn.
-//! Once every live PE is blocked at a gate (or a barrier), exactly one of
-//! the pending operations is chosen — by a forced choice prefix during
-//! replay, or by a default policy past it — and that PE runs alone until
-//! its next gate point. The result is a fully serialized, deterministic
-//! interleaving of the *production* protocol code at `AtomicSite`
-//! granularity, and a recorded [`Decision`] log an explorer can branch
-//! from (see `sws-check explore` in `crates/check`).
+//! An `ExecMode::Explore` world runs on the same serial executor as a
+//! virtual-time one (`crate::vclock`): every PE is a stackful context on
+//! the thread that called `run_world`, and one root loop decides which
+//! suspended PE runs next. Virtual time picks the minimal `(clock, rank)`;
+//! exploration picks by an explicit **schedule**. Every shared-visible
+//! effect suspends its PE at the gate with an [`OpDesc`]; once every live
+//! PE is suspended — at a gate, in the barrier — exactly one pending op is
+//! chosen, by a forced choice prefix during replay or by a default policy
+//! past it, and that PE runs alone to its next gate. The result is a fully
+//! serialized, deterministic interleaving of the *production* protocol
+//! code at `AtomicSite` granularity, and a recorded [`Decision`] log an
+//! explorer can branch from (see `sws-check explore` in `crates/check`).
 //!
-//! Why this is deterministic: between grants at most one PE executes
-//! shared-visible effects; the windows where several PEs run concurrently
-//! (before the first gate point, after a barrier release) execute only
-//! PE-local code on disjoint own-region words, so neither results nor the
-//! next decision's enabled set depend on thread timing. Clocks are per-PE
-//! and advance only with the owning PE's own ops, so `now_ns` reads are
-//! schedule-deterministic too.
+//! Determinism needs no argument any more: one PE runs at any instant, so
+//! a decision's enabled set and every result are functions of the schedule
+//! alone. Clocks, the barrier, poison and teardown are the executor's; this
+//! file holds only what the rule itself knows — the descriptors, the
+//! prefix, the default policy and the step budget.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
-use crate::lock::{Condvar, Mutex};
 use crate::net::OpKind;
 use crate::proto::NO_SITE;
 
-/// Panic message raised in PEs blocked on a gate when a peer poisons the
-/// world (mirrors the vclock poison message shape).
-pub const POISON_MSG: &str = "explore world poisoned: a peer PE panicked";
-
-/// Panic message raised when a schedule exceeds its step budget. Distinct
-/// from [`POISON_MSG`] so the explorer can classify truncation (an
-/// exhausted budget, usually a spin loop the schedule starves) apart from
-/// real failures.
+/// Panic message raised in every unfinished PE when a schedule exceeds
+/// its step budget. Distinct from the peer-panic poison message so the
+/// explorer can classify truncation (an exhausted budget, usually a spin
+/// loop the schedule starves) apart from real failures.
 pub const TRUNCATED_MSG: &str = "exploration step budget exceeded: schedule truncated";
 
 /// Descriptor of one pending gated operation — everything the explorer's
@@ -73,6 +65,25 @@ impl OpDesc {
         let b = other.offset as u64..other.offset as u64 + other.len as u64;
         a.start < b.end && b.start < a.end
     }
+
+    /// The descriptor as two words, for the executor's per-PE slot.
+    pub(crate) fn to_words(self) -> [u64; 2] {
+        [
+            u64::from(self.site) | u64::from(self.target) << 16 | u64::from(self.writes) << 48,
+            u64::from(self.offset) | u64::from(self.len) << 32,
+        ]
+    }
+
+    /// Inverse of [`OpDesc::to_words`].
+    pub(crate) fn from_words([a, b]: [u64; 2]) -> OpDesc {
+        OpDesc {
+            site: a as u16,
+            target: (a >> 16) as u32,
+            writes: a >> 48 != 0,
+            offset: b as u32,
+            len: (b >> 32) as u32,
+        }
+    }
 }
 
 /// Does this op kind write target memory? (Used to build [`OpDesc`].)
@@ -87,7 +98,7 @@ pub struct Decision {
     pub prev: Option<u32>,
     /// Pending ops at the decision point, ascending PE rank.
     pub enabled: Vec<(u32, OpDesc)>,
-    /// Index into `enabled` that was granted.
+    /// Index into `enabled` of the op that ran.
     pub chosen: u32,
 }
 
@@ -120,7 +131,7 @@ pub struct ExploreTrace {
     pub truncated: bool,
 }
 
-/// A pending PE left ungranted for this many decisions is *starving*
+/// A pending PE passed over for this many decisions is *starving*
 /// and takes the next turn unconditionally. This is the gate's only
 /// fairness guarantee strong enough to survive adversarial grant
 /// patterns: consecutive-grant streaks cannot detect a pair of PEs
@@ -135,263 +146,116 @@ const STARVE_AGE: u64 = 64;
 /// steals the progressing PE's turn exactly when it is mid-protocol.
 const SPIN_RUN: u32 = 2;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum PeState {
-    /// Executing local code (or its granted effect).
-    Running,
-    /// Blocked at a gate with this pending op.
-    Blocked(OpDesc),
-    /// Waiting at a barrier.
-    InBarrier,
-    /// Returned from the SPMD closure.
-    Done,
-}
-
-struct State {
-    status: Vec<PeState>,
-    /// PEs in `Running` state.
-    running: usize,
-    /// Per-PE grant flags (a blocked PE owns the next turn).
-    granted: Vec<bool>,
-    /// Per-PE logical clocks (ns), advanced only by the owning PE.
-    clock: Vec<u64>,
-    /// Descriptor granted at each PE's most recent grant. A PE whose
+/// The state of one schedule execution, owned by the root loop.
+pub(crate) struct Schedule {
+    /// The forced prefix (its cursor is `trace.decisions.len()`) and the
+    /// step budget.
+    cfg: ExploreConfig,
+    trace: ExploreTrace,
+    /// PE that took the last turn.
+    last: Option<u32>,
+    /// Decision index of each PE's most recent turn (0 if never).
+    last_grant: Vec<u64>,
+    /// Descriptor each PE ran at its most recent turn. A PE whose
     /// pending op equals it is in a *spin retry* (a failed CAS, a poll
-    /// that saw no change) — re-granting it before anyone else runs
+    /// that saw no change) — choosing it again before anyone else runs
     /// cannot change its outcome.
     last_desc: Vec<Option<OpDesc>>,
-    /// Consecutive grants of a byte-identical op, per PE. Only runs of
+    /// Consecutive turns spent on a byte-identical op, per PE. Only runs of
     /// [`SPIN_RUN`] or more mark the PE as spinning.
     spin_run: Vec<u32>,
-    /// Barrier release generation.
-    generation: u64,
-    /// Forced choices + cursor.
-    prefix: Vec<u32>,
-    cursor: usize,
-    /// Recorded decisions.
-    decisions: Vec<Decision>,
-    /// Last granted PE.
-    last: Option<u32>,
-    /// Decision index of each PE's most recent grant (0 if never).
-    last_grant: Vec<u64>,
-    max_steps: u64,
-    truncated: bool,
 }
 
-/// The exploration scheduler's serialization point. Build one per
-/// schedule execution, pass it to `WorldConfig::exploration`, and read
-/// the decision log back with [`ExploreGate::take_trace`] after
-/// `run_world` returns.
+/// One schedule execution's handle: the configuration going in, the
+/// decision log coming out. Build one per world, pass it to
+/// `WorldConfig::exploration`, and read the log back with
+/// [`ExploreGate::take_trace`] after `run_world` returns.
+#[derive(Debug)]
 pub struct ExploreGate {
-    inner: Mutex<State>,
-    cv: Condvar,
-    poisoned: AtomicBool,
-}
-
-impl std::fmt::Debug for ExploreGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExploreGate").finish_non_exhaustive()
-    }
+    cfg: ExploreConfig,
+    trace: OnceLock<ExploreTrace>,
 }
 
 impl ExploreGate {
-    /// A gate for `n_pes` PEs running one schedule under `cfg`.
-    pub fn new(n_pes: usize, cfg: ExploreConfig) -> ExploreGate {
+    /// A gate for one world running one schedule under `cfg`.
+    pub fn new(cfg: ExploreConfig) -> ExploreGate {
         ExploreGate {
-            inner: Mutex::new(State {
-                status: vec![PeState::Running; n_pes],
-                running: n_pes,
-                granted: vec![false; n_pes],
-                clock: vec![0; n_pes],
-                last_desc: vec![None; n_pes],
-                spin_run: vec![0; n_pes],
-                generation: 0,
-                prefix: cfg.prefix,
-                cursor: 0,
-                decisions: Vec::new(),
-                last: None,
-                last_grant: vec![0; n_pes],
-                max_steps: cfg.max_steps,
-                truncated: false,
-            }),
-            cv: Condvar::new(),
-            poisoned: AtomicBool::new(false),
+            cfg,
+            trace: OnceLock::new(),
         }
     }
 
-    /// Block until the scheduler grants this PE the next turn; on return
-    /// the caller is the only running PE and applies its effect.
-    ///
-    /// # Panics
-    /// With [`POISON_MSG`] if a peer poisoned the world while waiting, or
-    /// with [`TRUNCATED_MSG`] if the schedule exhausted its step budget.
-    pub fn gate(&self, pe: usize, desc: OpDesc) {
-        let mut g = self.inner.lock();
-        self.check_poison(&g);
-        g.status[pe] = PeState::Blocked(desc);
-        g.running -= 1;
-        if g.running == 0 {
-            self.on_all_blocked(&mut g);
-        }
-        while !g.granted[pe] {
-            self.cv.wait(&mut g);
-            self.check_poison(&g);
-        }
-        g.granted[pe] = false;
-    }
-
-    /// This PE's logical clock (ns).
-    pub fn now(&self, pe: usize) -> u64 {
-        self.inner.lock().clock[pe]
-    }
-
-    /// Advance this PE's logical clock (local compute, post-effect op
-    /// charges). Not a scheduling point.
-    pub fn advance(&self, pe: usize, dt: u64) {
-        self.inner.lock().clock[pe] += dt;
-    }
-
-    /// Barrier: park until every live PE has arrived, then release all of
-    /// them simultaneously (they run local code concurrently until their
-    /// next gate points). Clocks jump to the max entry clock plus `cost`.
-    pub fn barrier(&self, pe: usize, cost: u64) {
-        let mut g = self.inner.lock();
-        self.check_poison(&g);
-        g.status[pe] = PeState::InBarrier;
-        g.running -= 1;
-        let gen = g.generation;
-        if g.running == 0 {
-            self.on_all_blocked(&mut g);
-        }
-        while g.generation == gen && g.status[pe] == PeState::InBarrier {
-            self.cv.wait(&mut g);
-            self.check_poison(&g);
-        }
-        g.clock[pe] += cost;
-    }
-
-    /// Mark this PE finished (its SPMD closure returned).
-    pub fn finish(&self, pe: usize) {
-        let mut g = self.inner.lock();
-        g.status[pe] = PeState::Done;
-        g.running -= 1;
-        if g.running == 0 {
-            self.on_all_blocked(&mut g);
-        }
-    }
-
-    /// Poison the world: blocked PEs panic out of their gates.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        let _g = self.inner.lock();
-        self.cv.notify_all();
-    }
-
-    /// Whether a peer poisoned the world.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// The decision log of the finished run. Call after `run_world`
-    /// returns (all PE threads joined).
+    /// The decision log of the finished run (empty before `run_world`
+    /// returns).
     pub fn take_trace(&self) -> ExploreTrace {
-        let mut g = self.inner.lock();
-        ExploreTrace {
-            decisions: std::mem::take(&mut g.decisions),
-            truncated: g.truncated,
+        self.trace.get().cloned().unwrap_or_default()
+    }
+
+    /// A fresh schedule for this gate's world of `n_pes` PEs.
+    pub(crate) fn schedule(&self, n_pes: usize) -> Schedule {
+        Schedule {
+            cfg: self.cfg.clone(),
+            trace: ExploreTrace::default(),
+            last: None,
+            last_grant: vec![0; n_pes],
+            last_desc: vec![None; n_pes],
+            spin_run: vec![0; n_pes],
         }
     }
 
-    fn check_poison(&self, g: &State) {
-        if self.is_poisoned() {
-            if g.truncated {
-                panic!("{TRUNCATED_MSG}");
-            }
-            panic!("{POISON_MSG}");
-        }
+    /// The root loop is done with `schedule`: keep its log.
+    pub(crate) fn publish(&self, schedule: Schedule) {
+        let fresh = self.trace.set(schedule.trace).is_ok();
+        assert!(fresh, "an ExploreGate runs one world");
     }
+}
 
-    /// Every live PE is parked (`running == 0`): release the barrier if
-    /// everyone left is in it, otherwise make a scheduling decision among
-    /// the gate-blocked PEs.
-    fn on_all_blocked(&self, g: &mut State) {
-        let blocked: Vec<(u32, OpDesc)> = g
-            .status
-            .iter()
-            .enumerate()
-            .filter_map(|(pe, s)| match s {
-                PeState::Blocked(d) => Some((pe as u32, *d)),
-                _ => None,
-            })
-            .collect();
-        if blocked.is_empty() {
-            // All remaining PEs are in the barrier (or everyone is done):
-            // release the barrier generation.
-            let entry_max = g
-                .status
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == PeState::InBarrier)
-                .map(|(pe, _)| g.clock[pe])
-                .max();
-            let Some(entry_max) = entry_max else { return };
-            for pe in 0..g.status.len() {
-                if g.status[pe] == PeState::InBarrier {
-                    g.clock[pe] = entry_max;
-                    g.status[pe] = PeState::Running;
-                    g.running += 1;
-                }
-            }
-            g.generation += 1;
-            self.cv.notify_all();
-            return;
+impl Schedule {
+    /// Every live PE is suspended and `enabled` — ascending PE rank, not
+    /// empty — are the ops pending at gates: grant one and return its
+    /// index, or `None` once the step budget is spent (the caller poisons
+    /// the world with [`TRUNCATED_MSG`]).
+    pub(crate) fn decide(&mut self, enabled: &[(u32, OpDesc)]) -> Option<usize> {
+        let step = self.trace.decisions.len();
+        if step as u64 >= self.cfg.max_steps {
+            self.trace.truncated = true;
+            return None;
         }
-
-        if g.decisions.len() as u64 >= g.max_steps {
-            g.truncated = true;
-            self.poisoned.store(true, Ordering::Release);
-            self.cv.notify_all();
-            return;
-        }
-
-        let chosen = match g.prefix.get(g.cursor) {
-            Some(&forced) => (forced as usize).min(blocked.len() - 1),
-            None => self.default_pick(g, &blocked),
+        let chosen = match self.cfg.prefix.get(step) {
+            Some(&forced) => (forced as usize).min(enabled.len() - 1),
+            None => self.default_pick(enabled),
         };
-        g.cursor += 1;
-        let pe = blocked[chosen].0;
-        g.last_grant[pe as usize] = g.decisions.len() as u64;
-        if g.last_desc[pe as usize] == Some(blocked[chosen].1) {
-            g.spin_run[pe as usize] += 1;
+        let (pe, desc) = enabled[chosen];
+        let p = pe as usize;
+        self.last_grant[p] = step as u64;
+        if self.last_desc[p] == Some(desc) {
+            self.spin_run[p] += 1;
         } else {
-            g.spin_run[pe as usize] = 0;
+            self.spin_run[p] = 0;
         }
-        g.last_desc[pe as usize] = Some(blocked[chosen].1);
-        g.decisions.push(Decision {
-            prev: g.last,
-            enabled: blocked,
+        self.last_desc[p] = Some(desc);
+        self.trace.decisions.push(Decision {
+            prev: self.last,
+            enabled: enabled.to_vec(),
             chosen: chosen as u32,
         });
-        g.last = Some(pe);
-        g.status[pe as usize] = PeState::Running;
-        g.running += 1;
-        g.granted[pe as usize] = true;
-        self.cv.notify_all();
+        self.last = Some(pe);
+        Some(chosen)
     }
 
     /// Default (non-forced) policy: keep running the previous PE while it
     /// is pending and making progress — this minimizes preemptions, so
     /// the default schedule through any decision subtree is the cheapest
     /// one under the explorer's preemption bound — with three liveness
-    /// amendments, all pure functions of gate state (determinism holds):
+    /// amendments, all pure functions of the schedule's own state (determinism holds):
     ///
-    /// * **Aging.** A pending PE ungranted for [`STARVE_AGE`] decisions
+    /// * **Aging.** A pending PE passed over for [`STARVE_AGE`] decisions
     ///   takes the turn unconditionally (oldest first, lowest rank on
     ///   ties). This is the only rule strong enough to free a parked
     ///   lock *holder* when two other PEs interleave 1:1 around it —
     ///   consecutive-grant streak detection never fires in that pattern.
     /// * **Spin retries rotate away.** A PE whose pending op is
-    ///   byte-identical to its previously granted op (a failed lock CAS,
+    ///   byte-identical to the op of its previous turn (a failed lock CAS,
     ///   a poll that saw no change) cannot change its outcome until
     ///   someone else runs; the turn passes cyclically (next pending
     ///   rank, wrapping). Only a run of [`SPIN_RUN`] identical grants
@@ -403,12 +267,12 @@ impl ExploreGate {
     ///   (e.g. the instant a contended lock is released); fixed-stride
     ///   yields can otherwise align with the holder's critical section
     ///   forever — a scheduler-induced livelock.
-    fn default_pick(&self, g: &State, blocked: &[(u32, OpDesc)]) -> usize {
-        let now = g.decisions.len() as u64;
+    fn default_pick(&self, blocked: &[(u32, OpDesc)]) -> usize {
+        let now = self.trace.decisions.len() as u64;
         if let Some((j, _)) = blocked
             .iter()
             .enumerate()
-            .map(|(j, &(pe, _))| (j, now.saturating_sub(g.last_grant[pe as usize])))
+            .map(|(j, &(pe, _))| (j, now.saturating_sub(self.last_grant[pe as usize])))
             .filter(|&(_, age)| age >= STARVE_AGE)
             .max_by_key(|&(j, age)| (age, std::cmp::Reverse(j)))
         {
@@ -423,10 +287,10 @@ impl ExploreGate {
                 .unwrap_or(0)
         };
         let is_spin = |pe: u32, d: &OpDesc| {
-            g.last_desc[pe as usize].as_ref() == Some(d)
-                && g.spin_run[pe as usize] >= SPIN_RUN
+            self.last_desc[pe as usize].as_ref() == Some(d)
+                && self.spin_run[pe as usize] >= SPIN_RUN
         };
-        let Some(l) = g.last else { return 0 };
+        let Some(l) = self.last else { return 0 };
         let Some(li) = blocked.iter().position(|&(pe, _)| pe == l) else {
             return cyclic_next(l);
         };
@@ -483,21 +347,20 @@ mod tests {
 
     #[test]
     fn default_policy_prefers_last_then_rotates() {
-        let gate = ExploreGate::new(3, ExploreConfig::default());
-        let mut g = gate.inner.lock();
+        let mut g = ExploreGate::new(ExploreConfig::default()).schedule(3);
         let blocked = vec![(0, d(0, 0, 1, true)), (2, d(0, 1, 1, true))];
-        assert_eq!(gate.default_pick(&g, &blocked), 0, "no last yet");
+        assert_eq!(g.default_pick(&blocked), 0, "no last yet");
         g.last = Some(2);
-        assert_eq!(gate.default_pick(&g, &blocked), 1, "continue last");
+        assert_eq!(g.default_pick(&blocked), 1, "continue last");
         g.last_desc[2] = Some(d(0, 1, 1, true));
         assert_eq!(
-            gate.default_pick(&g, &blocked),
+            g.default_pick(&blocked),
             1,
             "a short identical run is not yet a spin"
         );
         g.spin_run[2] = SPIN_RUN;
         assert_eq!(
-            gate.default_pick(&g, &blocked),
+            g.default_pick(&blocked),
             0,
             "spin retry rotates away"
         );
@@ -506,7 +369,7 @@ mod tests {
         g.last_desc[0] = Some(d(0, 0, 1, true));
         g.spin_run[0] = SPIN_RUN;
         assert_eq!(
-            gate.default_pick(&g, &blocked),
+            g.default_pick(&blocked),
             0,
             "waiting spinner interleaved while pe2 progresses"
         );
@@ -514,8 +377,7 @@ mod tests {
 
     #[test]
     fn spin_yields_rotate_cyclically_over_three_pes() {
-        let gate = ExploreGate::new(4, ExploreConfig::default());
-        let mut g = gate.inner.lock();
+        let mut g = ExploreGate::new(ExploreConfig::default()).schedule(4);
         let blocked = vec![
             (0, d(0, 0, 1, true)),
             (1, d(0, 1, 1, true)),
@@ -524,23 +386,22 @@ mod tests {
         g.last = Some(0);
         g.last_desc[0] = Some(d(0, 0, 1, true));
         g.spin_run[0] = SPIN_RUN;
-        assert_eq!(gate.default_pick(&g, &blocked), 1);
+        assert_eq!(g.default_pick(&blocked), 1);
         g.last = Some(1);
         g.last_desc[1] = Some(d(0, 1, 1, true));
         g.spin_run[1] = SPIN_RUN;
-        assert_eq!(gate.default_pick(&g, &blocked), 2);
+        assert_eq!(g.default_pick(&blocked), 2);
         g.last = Some(3);
         g.last_desc[3] = Some(d(0, 2, 1, true));
         g.spin_run[3] = SPIN_RUN;
-        assert_eq!(gate.default_pick(&g, &blocked), 0, "wraps past top rank");
+        assert_eq!(g.default_pick(&blocked), 0, "wraps past top rank");
     }
 
     #[test]
     fn starving_pe_preempts_an_interleaving_pair() {
-        let gate = ExploreGate::new(4, ExploreConfig::default());
-        let mut g = gate.inner.lock();
+        let mut g = ExploreGate::new(ExploreConfig::default()).schedule(4);
         for _ in 0..STARVE_AGE {
-            g.decisions.push(Decision {
+            g.trace.decisions.push(Decision {
                 prev: None,
                 enabled: Vec::new(),
                 chosen: 0,
@@ -557,9 +418,9 @@ mod tests {
         g.last_grant[0] = 0;
         g.last_grant[1] = STARVE_AGE - 1;
         g.last_grant[3] = STARVE_AGE - 2;
-        assert_eq!(gate.default_pick(&g, &blocked), 0, "oldest pending wins");
+        assert_eq!(g.default_pick(&blocked), 0, "oldest pending wins");
         // Ties on age break toward the lowest rank.
         g.last_grant[3] = 0;
-        assert_eq!(gate.default_pick(&g, &blocked), 0, "tie goes to low rank");
+        assert_eq!(g.default_pick(&blocked), 0, "tie goes to low rank");
     }
 }

@@ -15,7 +15,7 @@
 //! * a **network cost model** ([`NetModel`]) charging a configurable
 //!   latency + bandwidth cost per operation class, with per-PE counters
 //!   ([`OpStats`]) so experiments can report exact communication counts;
-//! * three execution modes ([`ExecMode`]), one substrate each behind the
+//! * three execution modes ([`ExecMode`]) over two substrates behind the
 //!   crate-private execution seam (`exec`) — the op surface and the
 //!   protocols above it cannot tell them apart:
 //!   - `Threaded`: PEs are OS threads performing real CPU atomics on the
@@ -27,10 +27,11 @@
 //!     modeled cost. This yields deterministic, seedable "runs" of
 //!     thousands of PEs on a single core with no kernel on the path, from
 //!     which runtime / steal time / search time are read off the clocks;
-//!   - `Explore`: PEs are OS threads serialized by an **exploration gate**
-//!     ([`explore::ExploreGate`]) that turns every gated effect into a
-//!     scheduling choice point — used to search interleavings of the
-//!     production queues.
+//!   - `Explore`: the same contexts on the same one thread, under the
+//!     same root loop, but the next PE to run is picked by an explicit
+//!     **schedule** ([`explore::ExploreGate`]) instead of by the clocks:
+//!     every gated effect is a scheduling choice point — used to search
+//!     interleavings of the production queues.
 //!
 //! The public entry point is [`run_world`]:
 //!

@@ -1,11 +1,11 @@
 //! World construction and PE execution.
 //!
 //! [`run_world`] gives every PE a [`ShmemCtx`] and a carrier — a stackful
-//! context on the calling thread in virtual time, an OS thread otherwise —
-//! runs the supplied SPMD closure on each, and collects per-PE results, op
-//! statistics, and final (virtual) clocks. A panic on any PE poisons the
-//! world so blocked peers fail fast instead of deadlocking, and surfaces as
-//! [`ShmemError::PePanicked`].
+//! context on the calling thread for the two serialized modes, an OS
+//! thread for `Threaded` — runs the supplied SPMD closure on each, and
+//! collects per-PE results, op statistics, and final (virtual) clocks. A
+//! panic on any PE poisons the world so blocked peers fail fast instead of
+//! deadlocking, and surfaces as [`ShmemError::PePanicked`].
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::AtomicBool;
@@ -43,9 +43,12 @@ pub enum ExecMode {
     /// plain memory — can never be satisfied, because the peer is not
     /// running until this PE reaches a `ShmemCtx` operation.
     Virtual,
-    /// Real threads serialized behind an explicit schedule: every gated
-    /// effect is a scheduling choice point of the gate (see
-    /// [`crate::explore`]). Use for systematic interleaving search.
+    /// The same serial executor under an explicit schedule instead of
+    /// virtual time: every gated effect suspends its PE, and once all are
+    /// suspended the gate's schedule chooses which pending effect applies
+    /// next (see [`crate::explore`]). Use for systematic interleaving
+    /// search. The `Virtual` contract holds unchanged: PE bodies may
+    /// communicate **only through [`ShmemCtx`]**.
     Explore(Arc<ExploreGate>),
 }
 
@@ -112,8 +115,9 @@ impl WorldConfig {
         }
     }
 
-    /// Zero-cost-network world serialized by an exploration gate: every
-    /// gated op becomes a scheduling choice point (see [`crate::explore`]).
+    /// Zero-cost-network world whose PEs run one at a time in the order
+    /// `gate`'s schedule chooses: every gated op becomes a scheduling
+    /// choice point (see [`crate::explore`]).
     pub fn exploration(n_pes: usize, heap_words: usize, gate: Arc<ExploreGate>) -> WorldConfig {
         WorldConfig {
             mode: ExecMode::Explore(gate),
@@ -213,8 +217,8 @@ where
     }
     if cfg.n_pes > 1 << 16 {
         return Err(ShmemError::BadConfig(format!(
-            "n_pes = {} exceeds 65536: every PE is an OS thread, or in virtual \
-             time a stack mapping plus a guard page (two mappings each, \
+            "n_pes = {} exceeds 65536: every PE is an OS thread (threaded \
+             mode) or a stack mapping plus a guard page (two mappings each, \
              against vm.max_map_count)",
             cfg.n_pes
         )));
@@ -256,7 +260,7 @@ where
             }
         }
     };
-    if let Exec::Virtual(vclock) = &world.exec {
+    if let Exec::Serial(clock) = &world.exec {
         let mut ctxs = Vec::with_capacity(cfg.n_pes);
         for (pe, slot) in slots.iter_mut().enumerate() {
             let run_pe = &run_pe;
@@ -269,7 +273,7 @@ where
             })?;
             ctxs.push(ctx);
         }
-        vclock
+        clock
             .run(&mut ctxs)
             .map_err(|stuck| ShmemError::Deadlocked { stuck })?;
         ctxs.into_iter().for_each(Context::reap);

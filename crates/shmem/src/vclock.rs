@@ -1,4 +1,5 @@
-//! Conservative virtual-time engine.
+//! The serial executor: every PE of a world on one OS thread, one at a
+//! time, under one of two pick rules.
 //!
 //! The paper evaluates on up to 2,112 cores. To reproduce its scaling
 //! figures on commodity hardware, worlds can run in *virtual-time* mode:
@@ -19,15 +20,28 @@
 //! barrier, or finishes; then it suspends back to the loop. No lock, no
 //! wake-up, no kernel: exactly one context runs at any instant.
 //!
+//! # Two pick rules, one loop
+//!
+//! Which suspended PE the loop resumes next is its only mode-dependent
+//! step. Virtual time picks the minimal `(clock, rank)`. Exploration
+//! (`ExecMode::Explore`, see [`crate::explore`]) suspends a PE at *every*
+//! gated op, runs whoever needs no decision until all live PEs are
+//! suspended, then asks the gate's schedule which pending op goes next.
+//! Everything else — the clocks, `advance`, the barrier and its one
+//! release rule, poison, the rank-order unwind, the deadlock report — is
+//! written once, below, for both.
+//!
 //! # The cached horizon
 //!
-//! When the loop resumes a PE it also hands it a *horizon*: the
-//! second-smallest eligible `(clock, rank)` key. While a PE runs nobody
-//! else's clock can change, so until its own key reaches the horizon every
-//! effect it issues is still globally minimal *by construction* and
-//! [`VClock::gate`] admits it with one compare. A 1-PE world has no rival
-//! and never leaves that path. (Why the order is the one a
-//! suspend-at-every-op engine would produce: DESIGN.md §5a.)
+//! When the loop resumes a PE in virtual time it also hands it a
+//! *horizon*: the second-smallest eligible `(clock, rank)` key. While a PE
+//! runs nobody else's clock can change, so until its own key reaches the
+//! horizon every effect it issues is still globally minimal *by
+//! construction* and [`VClock::gate`] admits it with one compare. A 1-PE
+//! world has no rival and never leaves that path. (Why the order is the
+//! one a suspend-at-every-op engine would produce: DESIGN.md §5a.) Under
+//! a schedule no horizon is ever handed out, so the same compare sends
+//! every op to the loop.
 //!
 //! Liveness requires every loop that waits on remote state to advance its
 //! clock between probes; [`crate::ShmemCtx`] enforces a ≥1 ns cost on every
@@ -37,9 +51,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::context::{self, Context};
+use crate::explore::{ExploreGate, OpDesc, TRUNCATED_MSG};
 
 /// Per-PE engine counters: how often the gate was crossed with and
 /// without a context switch.
@@ -125,28 +141,53 @@ struct Pe {
     windows: Word,
 }
 
-/// The virtual-time engine shared by all PEs of a world.
+/// The serial executor shared by all PEs of a world: their clocks, and
+/// the root loop that runs them one at a time.
 pub(crate) struct VClock {
     pes: Vec<Pe>,
     /// Cost passed by the latest barrier arrival (the releasing one's is
     /// what the barrier charges).
     barrier_cost: Word,
-    /// Set when any PE panics, so suspended peers unwind instead of
+    /// Nonzero once the world is poisoned — [`PANICKED`] or [`TRUNCATED`],
+    /// whichever came first — so suspended peers unwind instead of
     /// resuming a computation whose partner is gone.
-    poisoned: AtomicBool,
+    poison: Word,
+    /// Set when its schedule, not virtual time, picks who runs next.
+    explore: Option<Arc<ExploreGate>>,
+    /// Under a schedule, the op the PE that last suspended at the gate
+    /// waits on, packed by [`OpDesc::to_words`]: the root loop collects it
+    /// before it resumes anyone else.
+    gate_op: [Word; 2],
 }
 
-const POISON_MSG: &str = "virtual-time world poisoned: a peer PE panicked";
+/// The one poison message of a serialized world.
+const POISON_MSG: &str = "world poisoned: a peer PE panicked";
+
+/// Why a world is poisoned: a PE panicked ([`POISON_MSG`]), or the schedule
+/// ran out of steps ([`TRUNCATED_MSG`]).
+const PANICKED: u64 = 1;
+const TRUNCATED: u64 = 2;
 
 impl VClock {
-    /// Engine for `n_pes` PEs, all clocks at 0.
-    pub(crate) fn new(n_pes: usize) -> VClock {
+    /// Executor for `n_pes` PEs, all clocks at 0, picking by virtual time
+    /// or — given a gate — by its schedule. Under a schedule every horizon
+    /// stays at its initial `(0, 0)`: no op is ever below it, so each one
+    /// suspends at the gate and waits to be chosen.
+    pub(crate) fn new(n_pes: usize, explore: Option<Arc<ExploreGate>>) -> VClock {
         assert!(n_pes > 0);
         VClock {
             pes: (0..n_pes).map(|_| Pe::default()).collect(),
             barrier_cost: Word::default(),
-            poisoned: AtomicBool::new(false),
+            poison: Word::default(),
+            explore,
+            gate_op: Default::default(),
         }
+    }
+
+    /// Whether a schedule picks (else virtual time does).
+    #[inline]
+    pub(crate) fn explores(&self) -> bool {
+        self.explore.is_some()
     }
 
     /// Current virtual time of `pe`, in ns.
@@ -170,21 +211,25 @@ impl VClock {
     /// `barrier` call panics, and [`VClock::run`] resumes each suspended
     /// PE so it does.
     pub(crate) fn poison(&self) {
-        // relaxed: read by contexts that run strictly after this one.
-        self.poisoned.store(true, Ordering::Relaxed);
+        // The first reason sticks: PEs unwinding from a truncation end
+        // up here too.
+        if !self.is_poisoned() {
+            self.poison.set(PANICKED);
+        }
     }
 
-    /// Whether the world has been poisoned by a peer panic.
+    /// Whether the world has been poisoned.
     #[inline]
     pub(crate) fn is_poisoned(&self) -> bool {
-        // relaxed: written by a context that ran strictly before.
-        self.poisoned.load(Ordering::Relaxed)
+        self.poison.get() != 0
     }
 
     #[inline]
     fn check_poison(&self) {
-        if self.is_poisoned() {
-            panic!("{POISON_MSG}");
+        match self.poison.get() {
+            0 => {}
+            TRUNCATED => panic!("{TRUNCATED_MSG}"),
+            _ => panic!("{POISON_MSG}"),
         }
     }
 
@@ -196,32 +241,41 @@ impl VClock {
         clock.set(clock.get().saturating_add(dt));
     }
 
-    /// Return once `pe` holds the minimal `(clock, rank)` among eligible
-    /// PEs. The caller may then apply one shared-visible effect, and must
-    /// [`VClock::advance`] by its nonzero cost. Below the cached horizon
-    /// this is one compare; otherwise the PE suspends until the scheduler
-    /// resumes it as the minimum.
+    /// Return once `pe` may apply one shared-visible effect — it holds the
+    /// minimal `(clock, rank)` among eligible PEs, or the schedule chose
+    /// the op `desc` describes (only evaluated under the exploration
+    /// rule). The caller must then [`VClock::advance`] by the effect's
+    /// nonzero cost. Below the cached horizon this is one compare;
+    /// otherwise the PE suspends until the root loop resumes it.
     #[inline]
-    pub(crate) fn gate(&self, pe: usize) {
+    pub(crate) fn gate(&self, pe: usize, desc: impl FnOnce() -> OpDesc) {
         self.check_poison();
         let p = &self.pes[pe];
         if (p.clock.get(), pe as u64) < (p.h_t.get(), p.h_rank.get()) {
             p.fast_ops.bump();
         } else {
-            self.gate_slow(p);
+            // `desc` is evaluated here, not handed down: a closure passed
+            // to the cold call is materialized before the compare above,
+            // on every op of every mode (≈2 ns of a 17 ns op).
+            self.gate_slow(pe, self.explores().then(desc));
         }
     }
 
     #[cold]
-    fn gate_slow(&self, p: &Pe) {
-        p.slow_ops.bump();
+    fn gate_slow(&self, pe: usize, desc: Option<OpDesc>) {
+        self.pes[pe].slow_ops.bump();
+        if let Some(desc) = desc {
+            let [a, b] = desc.to_words();
+            self.gate_op[0].set(a);
+            self.gate_op[1].set(b);
+        }
         context::suspend();
         self.check_poison();
     }
 
     /// Synchronize all live PEs: every clock jumps to
     /// `max(entry clocks) + cost`. PEs inside the barrier are excluded
-    /// from the gate minimum (they apply no effects until release).
+    /// from the pick (they apply no effects until release).
     pub(crate) fn barrier(&self, pe: usize, cost: u64) {
         self.check_poison();
         self.barrier_cost.set(cost);
@@ -231,50 +285,71 @@ impl VClock {
     }
 
     /// Run the world: `ctxs[pe]` is PE `pe`'s body, and every call that
-    /// body makes into this engine happens inside `ctxs[pe].resume()`.
-    /// Returns when all have finished. A finished PE blocks neither the
-    /// gate nor a barrier (a barrier whose last missing PE finishes is
-    /// released at no cost). `Err` names the PEs left suspended if the
-    /// loop ever finds none runnable — after unwinding them.
+    /// body makes into this executor happens inside `ctxs[pe].resume()`.
+    /// Returns when all have finished (and the gate, if any, holds the
+    /// decision log). A finished PE blocks neither the gate nor a barrier
+    /// (a barrier whose last missing PE finishes is released at no cost).
+    /// `Err` names the PEs left suspended if the loop ever finds none
+    /// runnable — after unwinding them.
     pub(crate) fn run(&self, ctxs: &mut [Context<'_>]) -> Result<(), String> {
         let n = self.pes.len();
         assert_eq!(ctxs.len(), n, "one context per PE");
-        // Every live PE is in exactly one place: running (at most one),
-        // suspended at a gate or not yet started (`ready`, keyed by a
-        // clock that cannot change while it sits there), or suspended in
-        // the barrier (`arrived`).
+        let mut schedule = self.explore.as_ref().map(|gate| gate.schedule(n));
+        // Every live PE is in exactly one place: running (at most one);
+        // suspended and free to run — not yet started, admitted by a
+        // decision, released from the barrier — in `ready`, keyed by a
+        // clock that cannot change while it sits there; suspended at the
+        // gate awaiting a decision (`pending`, exploration only: in
+        // virtual time the clock is the decision, so a gate goes straight
+        // to `ready`); or suspended in the barrier (`arrived`).
         let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
             (0..n).map(|pe| Reverse((0, pe))).collect();
+        let mut pending: Vec<(u32, OpDesc)> = Vec::new();
         let mut arrived: Vec<usize> = Vec::new();
         let mut done = vec![false; n];
         let mut live = n;
         let mut bar_max_clock = 0;
+        let mut stuck = Ok(());
 
         while live > 0 && !self.is_poisoned() {
+            // The two pick rules. Virtual time: the minimal `(clock,
+            // rank)` in `ready`, handed the runner-up's key as its
+            // horizon. Exploration: whoever is free, in rank order, each
+            // to its next gate, barrier or end; once all are suspended
+            // the schedule picks which pending op goes next.
+            if let Some(schedule) = &mut schedule {
+                if ready.is_empty() && !pending.is_empty() {
+                    let Some(chosen) = schedule.decide(&pending) else {
+                        self.poison.set(TRUNCATED);
+                        break;
+                    };
+                    let (pe, _) = pending.remove(chosen);
+                    ready.push(Reverse((self.now(pe as usize), pe as usize)));
+                }
+            }
             let Some(Reverse((_, pe))) = ready.pop() else {
-                let stuck = (0..n)
-                    .filter(|&pe| !done[pe])
-                    .map(|pe| {
-                        let p = &self.pes[pe];
-                        let at = if p.in_barrier.get() != 0 {
-                            "in the barrier"
-                        } else {
-                            "at a gate"
-                        };
-                        format!("PE {pe} {at} at {} ns", p.clock.get())
-                    })
-                    .collect::<Vec<_>>();
+                let names = (0..n).filter(|&pe| !done[pe]).map(|pe| {
+                    let p = &self.pes[pe];
+                    let at = if p.in_barrier.get() != 0 {
+                        "in the barrier"
+                    } else {
+                        "at a gate"
+                    };
+                    format!("PE {pe} {at} at {} ns", p.clock.get())
+                });
+                stuck = Err(names.collect::<Vec<_>>().join(", "));
                 self.poison();
-                self.unwind(ctxs, &mut done);
-                return Err(stuck.join(", "));
+                break;
             };
             let p = &self.pes[pe];
-            let (h_t, h_rank) = match ready.peek() {
-                Some(&Reverse((t, rank))) => (t, rank as u64),
-                None => (u64::MAX, u64::MAX),
-            };
-            p.h_t.set(h_t);
-            p.h_rank.set(h_rank);
+            if schedule.is_none() {
+                let (h_t, h_rank) = match ready.peek() {
+                    Some(&Reverse((t, rank))) => (t, rank as u64),
+                    None => (u64::MAX, u64::MAX),
+                };
+                p.h_t.set(h_t);
+                p.h_rank.set(h_rank);
+            }
             p.windows.bump();
 
             let finished = ctxs[pe].resume();
@@ -284,6 +359,10 @@ impl VClock {
             } else if p.in_barrier.get() != 0 {
                 arrived.push(pe);
                 bar_max_clock = bar_max_clock.max(p.clock.get());
+            } else if schedule.is_some() {
+                let at = pending.partition_point(|&(q, _)| (q as usize) < pe);
+                let desc = OpDesc::from_words([self.gate_op[0].get(), self.gate_op[1].get()]);
+                pending.insert(at, (pe as u32, desc));
             } else {
                 ready.push(Reverse((p.clock.get(), pe)));
             }
@@ -300,35 +379,52 @@ impl VClock {
                 bar_max_clock = 0;
             }
         }
-        self.unwind(ctxs, &mut done);
-        Ok(())
-    }
-
-    /// Resume every unfinished PE, in rank order, until it finishes. Only
-    /// called with the world poisoned (or nobody left), so each one
-    /// panics out of the `gate`/`barrier` it is suspended in — or at its
-    /// first, if it never started — and unwinds through its own frames.
-    fn unwind(&self, ctxs: &mut [Context<'_>], done: &mut [bool]) {
-        for (ctx, done) in ctxs.iter_mut().zip(done) {
-            while !*done {
-                *done = ctx.resume();
+        // Resume every unfinished PE, in rank order, until it finishes.
+        // There are only any if the world is poisoned, so each one panics
+        // out of the `gate`/`barrier` it is suspended in — or at its
+        // first, if it never started — and unwinds through its own frames.
+        for (ctx, mut finished) in ctxs.iter_mut().zip(done) {
+            while !finished {
+                finished = ctx.resume();
             }
         }
+        if let (Some(gate), Some(schedule)) = (&self.explore, schedule) {
+            gate.publish(schedule);
+        }
+        stuck
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{plain_desc, ExploreConfig};
     use crate::lock::Mutex;
     use crate::rng::SplitMix64;
     use crate::runtime::{run_world, WorldConfig};
     use crate::ShmemError;
 
-    /// Drive `body(vc, pe)` as PE `pe` of an `n`-PE engine, the way
-    /// `run_world` does, without a heap or an op layer in between.
-    fn drive(n: usize, body: impl Fn(&VClock, usize) + Sync) -> VClock {
-        let vc = VClock::new(n);
+    /// The two pick rules: virtual time, and a schedule (the default one).
+    const BOTH_RULES: [bool; 2] = [false, true];
+
+    fn new_gate(cfg: ExploreConfig) -> Arc<ExploreGate> {
+        Arc::new(ExploreGate::new(cfg))
+    }
+
+    /// A 256-word-heap world of `n` PEs under either rule.
+    fn world(explore: bool, n: usize) -> WorldConfig {
+        if explore {
+            WorldConfig::exploration(n, 256, new_gate(ExploreConfig::default()))
+        } else {
+            WorldConfig::virtual_time(n, 256)
+        }
+    }
+
+    /// Drive `body(vc, pe)` as PE `pe` of an `n`-PE executor under either
+    /// rule, the way `run_world` does, without a heap or an op layer in
+    /// between.
+    fn drive(explore: bool, n: usize, body: impl Fn(&VClock, usize) + Sync) -> VClock {
+        let vc = VClock::new(n, explore.then(|| new_gate(ExploreConfig::default())));
         let mut ctxs: Vec<Context<'_>> = (0..n)
             .map(|pe| {
                 let (vc, body) = (&vc, &body);
@@ -347,14 +443,14 @@ mod tests {
     }
 
     fn gated(vc: &VClock, pe: usize, cost: u64, f: impl FnOnce()) {
-        vc.gate(pe);
+        vc.gate(pe, || plain_desc(pe, 0, 1, true));
         f();
         vc.advance(pe, cost.max(1));
     }
 
     #[test]
     fn single_pe_never_leaves_the_fast_path() {
-        let vc = drive(1, |vc, pe| {
+        let vc = drive(false, 1, |vc, pe| {
             for _ in 0..100 {
                 gated(vc, pe, 3, || ());
             }
@@ -386,7 +482,7 @@ mod tests {
                 })
                 .collect();
             let log = Mutex::new(Vec::new());
-            let vc = drive(n, |vc, pe| {
+            let vc = drive(false, n, |vc, pe| {
                 for &c in &schedules[pe] {
                     let t = vc.now(pe);
                     gated(vc, pe, c, || log.lock().push((t, pe)));
@@ -414,50 +510,56 @@ mod tests {
 
     #[test]
     fn barrier_resynchronizes_to_max_plus_cost() {
-        let after = Mutex::new(vec![0; 4]);
-        drive(4, |vc, pe| {
-            vc.advance(pe, (pe as u64 + 1) * 100);
-            vc.barrier(pe, 50);
-            after.lock()[pe] = vc.now(pe);
-        });
-        // max entry clock = 400, +50 barrier cost.
-        assert_eq!(*after.lock(), [450; 4]);
+        for explore in BOTH_RULES {
+            let after = Mutex::new(vec![0; 4]);
+            drive(explore, 4, |vc, pe| {
+                vc.advance(pe, (pe as u64 + 1) * 100);
+                vc.barrier(pe, 50);
+                after.lock()[pe] = vc.now(pe);
+            });
+            // max entry clock = 400, +50 barrier cost.
+            assert_eq!(*after.lock(), [450; 4]);
+        }
     }
 
     #[test]
     fn a_finished_pe_blocks_neither_gate_nor_barrier() {
-        let vc = drive(3, |vc, pe| match pe {
-            // Done at clock 1, before anyone else's first op.
-            0 => vc.advance(pe, 1),
-            // Gates at clock 0 with PE 0 frozen at 1 "ahead" of nobody,
-            // then waits in a barrier PE 0 will never enter.
-            _ => {
-                gated(vc, pe, 10, || ());
-                vc.barrier(pe, 5);
-            }
-        });
-        assert_eq!([vc.now(0), vc.now(1), vc.now(2)], [1, 15, 15]);
+        for explore in BOTH_RULES {
+            let vc = drive(explore, 3, |vc, pe| match pe {
+                // Done at clock 1, before anyone else's first op.
+                0 => vc.advance(pe, 1),
+                // Gates at clock 0 with PE 0 frozen at 1 "ahead" of nobody,
+                // then waits in a barrier PE 0 will never enter.
+                _ => {
+                    gated(vc, pe, 10, || ());
+                    vc.barrier(pe, 5);
+                }
+            });
+            assert_eq!([vc.now(0), vc.now(1), vc.now(2)], [1, 15, 15]);
+        }
     }
 
     #[test]
     fn a_barrier_whose_last_missing_pe_finishes_releases_free() {
-        let vc = drive(2, |vc, pe| {
-            if pe == 0 {
-                vc.advance(pe, 40);
-                vc.barrier(pe, 7);
-            } else {
-                // Still live when PE 0 arrives; finishes afterwards.
-                gated(vc, pe, 100, || ());
-            }
-        });
-        assert_eq!([vc.now(0), vc.now(1)], [40, 100]);
+        for explore in BOTH_RULES {
+            let vc = drive(explore, 2, |vc, pe| {
+                if pe == 0 {
+                    vc.advance(pe, 40);
+                    vc.barrier(pe, 7);
+                } else {
+                    // Still live when PE 0 arrives; finishes afterwards.
+                    gated(vc, pe, 100, || ());
+                }
+            });
+            assert_eq!([vc.now(0), vc.now(1)], [40, 100]);
+        }
     }
 
     #[test]
     fn the_horizon_admits_exactly_the_ops_below_it() {
         // PE 1 sits at clock 1_000 from its first op on; PE 0 issues 12
         // ops of cost 100 from clock 0.
-        let vc = drive(2, |vc, pe| {
+        let vc = drive(false, 2, |vc, pe| {
             if pe == 0 {
                 for _ in 0..12 {
                     gated(vc, pe, 100, || ());
@@ -493,10 +595,12 @@ mod tests {
     fn poison_closes_an_unbounded_window() {
         // The last runnable PE has no rival and would never suspend
         // again: the one-compare path must still honour the flag.
-        drive(1, |vc, pe| {
+        drive(false, 1, |vc, pe| {
             gated(vc, pe, 1, || ());
             vc.poison();
-            let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vc.gate(pe)));
+            let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                gated(vc, pe, 1, || ())
+            }));
             assert!(next.is_err(), "gate admitted an op in a poisoned world");
         });
     }
@@ -513,51 +617,96 @@ mod tests {
 
     #[test]
     fn poison_unwinds_pes_suspended_in_gate_and_barrier() {
-        let drops = std::sync::atomic::AtomicUsize::new(0);
-        let err = run_world(WorldConfig::virtual_time(4, 256), |ctx| {
-            let _unwound = Bump(&drops);
-            let a = ctx.alloc_words(1);
-            match ctx.my_pe() {
-                // Suspended at a gate far in the future.
-                1 => {
-                    ctx.compute(1_000_000);
-                    ctx.atomic_fetch_add(0, a, 1);
+        for explore in BOTH_RULES {
+            let drops = std::sync::atomic::AtomicUsize::new(0);
+            let err = run_world(world(explore, 4), |ctx| {
+                let _unwound = Bump(&drops);
+                let a = ctx.alloc_words(1);
+                match ctx.my_pe() {
+                    // Virtual time: suspended at a gate far in the future.
+                    // (The default schedule lets it finish first.)
+                    1 => {
+                        ctx.compute(1_000_000);
+                        ctx.atomic_fetch_add(0, a, 1);
+                    }
+                    // Suspended at a gate it would have reached next.
+                    2 => loop {
+                        ctx.atomic_fetch_add(0, a, 1);
+                    },
+                    3 => {
+                        ctx.compute(10_000);
+                        ctx.atomic_fetch_add(0, a, 1);
+                        panic!("deliberate test panic");
+                    }
+                    // Suspended in the barrier.
+                    _ => ctx.barrier_all(),
                 }
-                // Suspended at a gate it would have reached next.
-                2 => loop {
-                    ctx.atomic_fetch_add(0, a, 1);
-                },
-                3 => {
-                    ctx.compute(10_000);
-                    ctx.atomic_fetch_add(0, a, 1);
-                    panic!("deliberate test panic");
-                }
-                // Suspended in the barrier.
-                _ => ctx.barrier_all(),
-            }
-        })
-        .unwrap_err();
-        assert_root_cause(err, 3);
-        assert_eq!(
-            drops.load(Ordering::Acquire),
-            4,
-            "every PE's frames unwound"
-        );
+            })
+            .unwrap_err();
+            assert_root_cause(err, 3);
+            assert_eq!(
+                drops.load(Ordering::Acquire),
+                4,
+                "every PE's frames unwound"
+            );
+        }
     }
 
     #[test]
     fn poison_unwinds_pes_that_never_started() {
+        for explore in BOTH_RULES {
+            let drops = std::sync::atomic::AtomicUsize::new(0);
+            let err = run_world(world(explore, 3), |ctx| {
+                let _unwound = Bump(&drops);
+                if ctx.my_pe() == 0 {
+                    panic!("deliberate test panic");
+                }
+                ctx.barrier_all();
+            })
+            .unwrap_err();
+            assert_root_cause(err, 0);
+            assert_eq!(drops.load(Ordering::Acquire), 3);
+        }
+    }
+
+    #[test]
+    fn an_exhausted_step_budget_truncates_instead_of_poisoning() {
         let drops = std::sync::atomic::AtomicUsize::new(0);
-        let err = run_world(WorldConfig::virtual_time(3, 256), |ctx| {
+        let gate = new_gate(ExploreConfig {
+            prefix: vec![1, 0, 1],
+            max_steps: 10,
+        });
+        let err = run_world(WorldConfig::exploration(2, 256, Arc::clone(&gate)), |ctx| {
             let _unwound = Bump(&drops);
-            if ctx.my_pe() == 0 {
-                panic!("deliberate test panic");
+            let a = ctx.alloc_words(1);
+            loop {
+                ctx.atomic_fetch_add(0, a, 1);
             }
-            ctx.barrier_all();
         })
         .unwrap_err();
-        assert_root_cause(err, 0);
-        assert_eq!(drops.load(Ordering::Acquire), 3);
+        match err {
+            ShmemError::PePanicked { pe: 0, message } => assert_eq!(message, TRUNCATED_MSG),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert_ne!(TRUNCATED_MSG, POISON_MSG);
+        let trace = gate.take_trace();
+        assert!(trace.truncated);
+        assert_eq!(trace.decisions.len(), 10);
+        assert_eq!(drops.load(Ordering::Acquire), 2, "both PEs unwound");
+    }
+
+    /// (Where contexts are switched, not parked threads: `crate::context`.)
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    fn an_explored_world_runs_every_pe_on_the_calling_thread() {
+        let out = run_world(world(true, 3), |ctx| {
+            let a = ctx.alloc_words(1);
+            ctx.atomic_fetch_add(0, a, 1);
+            ctx.barrier_all();
+            std::thread::current().id()
+        })
+        .unwrap();
+        assert_eq!(out.results, [std::thread::current().id(); 3]);
     }
 
     #[test]
@@ -576,8 +725,8 @@ mod tests {
             .all(|&t| t == out.virtual_ns[0] && t > 0));
     }
 
-    fn counting_world(n: usize) -> Vec<u64> {
-        run_world(WorldConfig::virtual_time(n, 256), |ctx| {
+    fn counting_world(explore: bool, n: usize) -> Vec<u64> {
+        run_world(world(explore, n), |ctx| {
             let a = ctx.alloc_words(1);
             for _ in 0..20 {
                 ctx.atomic_fetch_add(0, a, 1);
@@ -591,28 +740,30 @@ mod tests {
 
     #[test]
     fn a_world_launched_from_inside_a_pe_of_another_world_works() {
-        let out = run_world(WorldConfig::virtual_time(3, 256), |ctx| {
-            let a = ctx.alloc_words(1);
-            ctx.atomic_fetch_add(0, a, 1);
-            // Suspended peers of the outer world stay suspended while
-            // this PE is the root of a whole inner world.
-            let inner = counting_world(ctx.my_pe() + 2);
-            ctx.atomic_fetch_add(0, a, 1);
-            ctx.barrier_all();
-            (inner, ctx.atomic_fetch(0, a))
-        })
-        .unwrap();
-        for (pe, (inner, outer)) in out.results.iter().enumerate() {
-            assert_eq!(*inner, vec![20 * (pe as u64 + 2); pe + 2]);
-            assert_eq!(*outer, 6);
+        for inner_explores in BOTH_RULES {
+            let out = run_world(world(false, 3), |ctx| {
+                let a = ctx.alloc_words(1);
+                ctx.atomic_fetch_add(0, a, 1);
+                // Suspended peers of the outer world stay suspended while
+                // this PE is the root of a whole inner world.
+                let inner = counting_world(inner_explores, ctx.my_pe() + 2);
+                ctx.atomic_fetch_add(0, a, 1);
+                ctx.barrier_all();
+                (inner, ctx.atomic_fetch(0, a))
+            })
+            .unwrap();
+            for (pe, (inner, outer)) in out.results.iter().enumerate() {
+                assert_eq!(*inner, vec![20 * (pe as u64 + 2); pe + 2]);
+                assert_eq!(*outer, 6);
+            }
         }
     }
 
     #[test]
     fn two_worlds_on_two_os_threads_at_once() {
         std::thread::scope(|s| {
-            let a = s.spawn(|| counting_world(7));
-            let b = s.spawn(|| counting_world(5));
+            let a = s.spawn(|| counting_world(false, 7));
+            let b = s.spawn(|| counting_world(true, 5));
             assert_eq!(a.join().unwrap(), vec![140; 7]);
             assert_eq!(b.join().unwrap(), vec![100; 5]);
         });

@@ -17,7 +17,7 @@
 //! tells reviewers which edges the protocol's correctness actually rests
 //! on.
 
-use sws_core::{AtomicSite, MemOrder, Necessity};
+use sws_core::{AtomicSite, MemOrder, Necessity, Protocol};
 
 use crate::explore::{explore, Config, Failure};
 use crate::mem::OrdTable;
@@ -117,7 +117,7 @@ pub fn run_audit(cfg: &Config) -> Result<Vec<AuditRow>, Failure> {
     }
     let mut rows = Vec::new();
     for site in AtomicSite::ALL {
-        let proto = if site.protocol() == "SWS" { "sws" } else { "sdc" };
+        let proto = if site.protocol() == Protocol::Sws { "sws" } else { "sdc" };
         let weakened = |ord: MemOrder, cfg: &Config| -> Result<RunOutcome, Failure> {
             let mut t = OrdTable::production();
             t.set(site, ord);

@@ -26,36 +26,30 @@
 //! what makes divergence reports readable.
 //!
 //! Address learning: symmetric-heap layout is not part of the trace, so
-//! a pre-scan recovers each victim's base offsets from unambiguous
-//! anchor events — the construction [`AtomicSite::SwsOwnerAdvertise`]
-//! `set` (SWS: `sv` at its offset, completion slots and buffer follow
-//! per `SwsQueue::new`'s three collective allocations) and any metadata
-//! op (SDC: lock/tail/split at `meta..meta+3`, then the completion
-//! ring, then the buffer); each following block starts at the next
-//! cache-line boundary, as `alloc_words_aligned` places it. Events
-//! targeting a victim whose
-//! anchor is missing (possible only in shrunken sub-traces) diverge with
-//! kind `no-anchor`, which the same-kind ddmin predicate rejects — the
-//! shrinker never discards the anchor.
+//! a pre-scan recovers each victim's control-block base from an anchor
+//! event — the construction [`AtomicSite::SwsOwnerAdvertise`] `set` for
+//! SWS, any control-word op for SDC (its constructor issues no captured
+//! op) — and [`Protocol::geometry`] places the completion words and the
+//! task buffer after it exactly as the queue constructors do. Events
+//! targeting a victim whose anchor is missing (possible only in shrunken
+//! sub-traces) diverge with kind `no-anchor`, which the same-kind ddmin
+//! predicate rejects — the shrinker never discards the anchor.
+//!
+//! What a site admits, who may issue it and which word it touches come
+//! from the site catalog ([`sws_core::SiteRow`]); what an op's operands
+//! mean comes from [`sws_core::protocol::decode`]. This module owns only
+//! the model state and the rules that relate a step to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sws_core::queue::{COMP_CLAIMED, COMP_POISON, COMP_RECLAIMED, COMP_VOL_MASK};
+use sws_core::protocol::{claim_marker, decode, Claim as Claimed, Geometry, Step, Word};
 use sws_core::ring::Ring;
-use sws_core::stealval::{Gate, Layout, ASTEALS_MASK, ASTEALS_SHIFT, ASTEAL_UNIT};
+use sws_core::stealval::Layout;
 use sws_core::{AtomicSite, QueueConfig};
-use sws_shmem::{
-    FaultPlan, OpClass, ProtoEvent, ProtoOp, TargetSel, CACHE_LINE_WORDS,
-};
+use sws_shmem::{FaultPlan, OpClass, ProtoEvent, ProtoOp, TargetSel};
 
 /// Which protocol's abstract machine a trace is replayed against.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Proto {
-    /// The structured-atomic (stealval) protocol.
-    Sws,
-    /// The Scioto split-queue baseline.
-    Sdc,
-}
+pub use sws_core::Protocol as Proto;
 
 /// One replay: a captured trace plus the queue shape that produced it.
 #[derive(Copy, Clone)]
@@ -67,9 +61,9 @@ pub struct ReplayInput<'a> {
     pub queue: QueueConfig,
     /// The merged, globally ordered event stream.
     pub events: &'a [ProtoEvent],
-    /// Mutation hook for self-tests: applied to the *model's* copy of
-    /// the stealval word before the claim-side decode (and nowhere
-    /// else), so a deliberately broken decode diverges from production.
+    /// Mutation hook for self-tests: applied to the fetched stealval a
+    /// claim is decoded from (and nowhere else), so a deliberately broken
+    /// decode diverges from production.
     pub mutate_claim_decode: Option<fn(u64) -> u64>,
 }
 
@@ -85,20 +79,40 @@ impl<'a> ReplayInput<'a> {
     }
 }
 
-/// Base offset of the collective allocation that follows a `words`-word
-/// block at `base`: the queue constructors place their control blocks
-/// with consecutive `alloc_words_aligned` calls, so each starts at the
-/// next cache-line boundary.
-fn next_block(base: u64, words: u64) -> u64 {
-    let line = CACHE_LINE_WORDS as u64;
-    (base + words).div_ceil(line) * line
-}
+/// Every stable divergence kind [`replay`] can report, in the order an
+/// event is checked (the end-of-trace `unresolved-claim` last).
+pub const KINDS: [&str; 25] = [
+    "time-regression",
+    "unknown-site",
+    "site-op-mismatch",
+    "remote-owner-op",
+    "no-anchor",
+    "stray-offset",
+    "word-mismatch",
+    "advertise-arg",
+    "advertise-dirty-slot",
+    "swap-not-closed",
+    "claim-arg",
+    "asteals-overflow",
+    "claim-collision",
+    "zero-arg",
+    "zero-live-claim",
+    "payload-without-claim",
+    "payload-geometry",
+    "completion-without-claim",
+    "completion-volume",
+    "unlock-not-holder",
+    "tail-put-without-lock",
+    "tail-monotonic",
+    "tail-volume",
+    "split-shrink-without-lock",
+    "unresolved-claim",
+];
 
 /// A production transition the abstract machine does not allow.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// Stable divergence class (`word-mismatch`, `site-op-mismatch`,
-    /// `payload-geometry`, ...) — the ddmin predicate key.
+    /// Stable divergence class (one of [`KINDS`]) — the ddmin predicate key.
     pub kind: &'static str,
     /// Index of the offending event in the replayed trace (or
     /// `events.len()` for end-of-trace quiescence violations).
@@ -142,830 +156,364 @@ struct Claim {
     resolved: bool,
 }
 
-/// Word-exact model of one SWS victim: the stealval word plus the
-/// completion arrays. Buffer *contents* are not modeled (payload words
-/// carry task bodies); payload reads are checked for geometry only.
-struct SwsVictim {
-    sv_off: u64,
-    comp_base: u64,
-    comp_words: u64,
-    buf_base: u64,
-    buf_words: u64,
-    sv: u64,
+/// Word-exact model of one victim queue: its control words (the SWS
+/// stealval; the SDC lock, tail and split) and completion words. Buffer
+/// *contents* are not modeled (payload words carry task bodies); payload
+/// reads are checked for geometry only.
+struct Victim {
+    geo: Geometry,
+    ctl: [u64; 3],
     comp: BTreeMap<u64, u64>,
+    /// SDC: who holds the queue lock.
+    holder: Option<u32>,
+    /// Claims by the offset of their completion word.
     claims: BTreeMap<u64, Claim>,
     /// issuer → comp offset of the claim whose payload read is pending.
     pending_copy: BTreeMap<u32, u64>,
 }
 
-impl SwsVictim {
-    fn new(sv_off: u64, cfg: &QueueConfig) -> SwsVictim {
-        let comp_words = (cfg.layout.n_epochs() * cfg.policy.slot_budget()) as u64;
-        let comp_base = next_block(sv_off, 1);
-        SwsVictim {
-            sv_off,
-            comp_base,
-            comp_words,
-            buf_base: next_block(comp_base, comp_words),
-            buf_words: (cfg.capacity * cfg.task_words) as u64,
-            sv: 0,
-            comp: BTreeMap::new(),
-            claims: BTreeMap::new(),
-            pending_copy: BTreeMap::new(),
+impl Victim {
+    /// The model's value of the word at `off` (inside `word`'s range).
+    fn word(&self, word: Word, off: u64) -> u64 {
+        match word {
+            Word::Ctl(_) => {
+                let k = (off - self.geo.base[0]) as usize;
+                self.ctl.get(k).copied().unwrap_or(0)
+            }
+            Word::Comp => self.comp.get(&off).copied().unwrap_or(0),
+            Word::Payload => 0,
         }
     }
 
-    fn comp_word(&self, off: u64) -> u64 {
-        self.comp.get(&off).copied().unwrap_or(0)
+    fn live_claim(&self, comp_off: u64) -> bool {
+        self.claims.get(&comp_off).is_some_and(|c| !c.resolved)
     }
 }
 
-/// Word-exact model of one SDC victim: lock, tail, split, and the
-/// completion ring.
-struct SdcVictim {
-    meta_off: u64,
-    comp_base: u64,
-    buf_base: u64,
-    buf_words: u64,
-    lock: u64,
-    tail: u64,
-    split: u64,
-    holder: Option<u32>,
-    comp: BTreeMap<u64, u64>,
-    claims: BTreeMap<u64, Claim>,
-    pending_copy: BTreeMap<u32, u64>,
+/// One event under replay: builds this event's divergences.
+struct At<'a> {
+    index: usize,
+    e: &'a ProtoEvent,
 }
 
-impl SdcVictim {
-    fn new(meta_off: u64, cfg: &QueueConfig) -> SdcVictim {
-        let comp_base = next_block(meta_off, 3);
-        SdcVictim {
-            meta_off,
-            comp_base,
-            buf_base: next_block(comp_base, cfg.capacity as u64),
-            buf_words: (cfg.capacity * cfg.task_words) as u64,
-            lock: 0,
-            tail: 0,
-            split: 0,
-            holder: None,
-            comp: BTreeMap::new(),
-            claims: BTreeMap::new(),
-            pending_copy: BTreeMap::new(),
+impl At<'_> {
+    fn div(&self, kind: &'static str, detail: impl Into<String>) -> Divergence {
+        Divergence {
+            kind,
+            index: self.index,
+            event: self.e.to_string(),
+            detail: detail.into(),
         }
     }
-
-    fn comp_word(&self, off: u64) -> u64 {
-        self.comp.get(&off).copied().unwrap_or(0)
-    }
-}
-
-fn div(kind: &'static str, index: usize, e: &ProtoEvent, detail: String) -> Divergence {
-    Divergence {
-        kind,
-        index,
-        event: e.to_string(),
-        detail,
-    }
-}
-
-/// Is `op` a shape the protocol ever issues at `site`? This table *is*
-/// the structural damping check: `SwsThiefProbe` admits only `fetch`, so
-/// a probe that mutated the asteals counter (a claiming `fetch_add`)
-/// diverges immediately.
-fn site_admits(proto: Proto, site: AtomicSite, op: ProtoOp) -> bool {
-    use AtomicSite::*;
-    use ProtoOp::*;
-    match (proto, site) {
-        (Proto::Sws, SwsOwnerAdvertise | SwsOwnerSlotZero) => op == Set,
-        (Proto::Sws, SwsOwnerAcquireSwap) => op == Swap,
-        (Proto::Sws, SwsOwnerSvRead | SwsThiefProbe) => op == Fetch,
-        (Proto::Sws, SwsThiefClaim) => op == FetchAdd,
-        (Proto::Sws, SwsThiefComplete) => matches!(op, SetNbi | CompareSwap),
-        (Proto::Sws, SwsOwnerReclaimRead) => matches!(op, Fetch | CompareSwap),
-        (Proto::Sws, SwsThiefPayloadRead) => op == Get,
-        (Proto::Sdc, SdcLockCas) => op == CompareSwap,
-        (Proto::Sdc, SdcUnlock) => op == Set,
-        (Proto::Sdc, SdcMetaRead) => op == Get,
-        (Proto::Sdc, SdcOwnerTailRead) => op == Fetch,
-        (Proto::Sdc, SdcTailPut) => op == Put,
-        (Proto::Sdc, SdcSplitPublish) => op == Set,
-        (Proto::Sdc, SdcComplete) => matches!(op, SetNbi | Set | CompareSwap),
-        (Proto::Sdc, SdcReclaimRead) => matches!(op, Fetch | CompareSwap),
-        (Proto::Sdc, SdcReclaimZero) => op == Set,
-        (Proto::Sdc, SdcPayloadRead) => op == Get,
-        _ => false,
-    }
-}
-
-/// Sites only the queue's owner issues (against its own PE).
-fn owner_only(site: AtomicSite) -> bool {
-    use AtomicSite::*;
-    matches!(
-        site,
-        SwsOwnerAdvertise
-            | SwsOwnerAcquireSwap
-            | SwsOwnerSvRead
-            | SwsOwnerSlotZero
-            | SwsOwnerReclaimRead
-            | SdcOwnerTailRead
-            | SdcReclaimRead
-            | SdcReclaimZero
-            | SdcSplitPublish
-    )
 }
 
 /// Replay `input.events` through the abstract machine, returning the
 /// first divergence or coverage stats for a conforming trace.
 pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
     let cfg = &input.queue;
-    let ring = Ring::new(cfg.capacity);
-    let spe = cfg.policy.slot_budget() as u64;
-    let tw = cfg.task_words as u64;
-
-    // Pre-scan: learn each victim's base offsets from anchor events.
-    let mut sws: BTreeMap<u32, SwsVictim> = BTreeMap::new();
-    let mut sdc: BTreeMap<u32, SdcVictim> = BTreeMap::new();
+    // Pre-scan: learn each victim's control-block base from anchor events.
+    let mut victims: BTreeMap<u32, Victim> = BTreeMap::new();
     for e in input.events {
-        match input.proto {
-            Proto::Sws => {
-                if e.site == AtomicSite::SwsOwnerAdvertise.id() {
-                    sws.entry(e.target)
-                        .or_insert_with(|| SwsVictim::new(e.offset as u64, cfg));
-                }
-            }
-            Proto::Sdc => {
-                let meta = match AtomicSite::from_id(e.site) {
-                    Some(AtomicSite::SdcLockCas | AtomicSite::SdcUnlock) => Some(e.offset as u64),
-                    Some(
-                        AtomicSite::SdcMetaRead
-                        | AtomicSite::SdcOwnerTailRead
-                        | AtomicSite::SdcTailPut,
-                    ) => (e.offset as u64).checked_sub(1),
-                    Some(AtomicSite::SdcSplitPublish) => (e.offset as u64).checked_sub(2),
-                    _ => None,
-                };
-                if let Some(m) = meta {
-                    sdc.entry(e.target).or_insert_with(|| SdcVictim::new(m, cfg));
-                }
+        let Some(site) = AtomicSite::from_id(e.site).filter(|s| s.protocol() == input.proto) else {
+            continue;
+        };
+        let anchors = input.proto == Proto::Sdc || site == AtomicSite::SwsOwnerAdvertise;
+        if let (Word::Ctl(k), true) = (site.row().word, anchors) {
+            if let Some(ctl) = (e.offset as u64).checked_sub(k as u64) {
+                victims.entry(e.target).or_insert_with(|| Victim {
+                    geo: input.proto.geometry(cfg, ctl),
+                    ctl: [0; 3],
+                    comp: BTreeMap::new(),
+                    holder: None,
+                    claims: BTreeMap::new(),
+                    pending_copy: BTreeMap::new(),
+                });
             }
         }
     }
 
     let mut stats = ReplayStats {
         events: input.events.len(),
+        victims: victims.len(),
         ..ReplayStats::default()
     };
     let mut last_t: BTreeMap<u32, u64> = BTreeMap::new();
 
-    for (i, e) in input.events.iter().enumerate() {
+    for (index, e) in input.events.iter().enumerate() {
+        let at = At { index, e };
         // Per-issuer timestamps are strictly increasing by construction
         // (each gated op advances the issuer's clock after capture).
-        if let Some(&t) = last_t.get(&e.issuer) {
+        if let Some(t) = last_t.insert(e.issuer, e.t_ns) {
             if e.t_ns <= t {
-                return Err(div(
-                    "time-regression",
-                    i,
-                    e,
-                    format!("issuer clock > {t} ns"),
-                ));
+                return Err(at.div("time-regression", format!("issuer clock > {t} ns")));
             }
         }
-        last_t.insert(e.issuer, e.t_ns);
-
         let Some(site) = AtomicSite::from_id(e.site) else {
-            return Err(div("unknown-site", i, e, "a cataloged AtomicSite id".into()));
+            return Err(at.div("unknown-site", "a cataloged AtomicSite id"));
         };
+        let row = site.row();
         stats.sites.insert(e.site);
-        if !site_admits(input.proto, site, e.op) {
-            return Err(div(
+        if row.protocol != input.proto || !row.ops.contains(&e.op) {
+            return Err(at.div(
                 "site-op-mismatch",
-                i,
-                e,
-                format!(
-                    "an op shape {} admits in a {:?} trace",
-                    site.name(),
-                    input.proto
-                ),
+                format!("an op shape {} admits in a {:?} trace", row.name, input.proto),
             ));
         }
-        if owner_only(site) && e.issuer != e.target {
-            return Err(div(
+        if row.owner_only && e.issuer != e.target {
+            return Err(at.div(
                 "remote-owner-op",
-                i,
-                e,
-                format!("{} issued by the owner (pe{})", site.name(), e.target),
+                format!("{} issued by the owner (pe{})", row.name, e.target),
             ));
         }
-
-        match input.proto {
-            Proto::Sws => {
-                let Some(v) = sws.get_mut(&e.target) else {
-                    return Err(div("no-anchor", i, e, "an advertise anchor for this victim".into()));
-                };
-                sws_step(v, site, i, e, cfg, ring, spe, tw, input.mutate_claim_decode, &mut stats)?;
-            }
-            Proto::Sdc => {
-                let Some(v) = sdc.get_mut(&e.target) else {
-                    return Err(div("no-anchor", i, e, "a metadata anchor for this victim".into()));
-                };
-                sdc_step(v, site, i, e, cfg, ring, tw, &mut stats)?;
-            }
+        let Some(v) = victims.get_mut(&e.target) else {
+            return Err(at.div("no-anchor", "an anchor op for this victim"));
+        };
+        let mut seen = *e;
+        if let (AtomicSite::SwsThiefClaim, Some(mutate)) = (site, input.mutate_claim_decode) {
+            seen.prev = mutate(seen.prev);
         }
+        step(v, cfg, site, &at, &seen, &mut stats)?;
     }
 
     // Quiescence: the trace runs to retire, which drains every claim —
     // each must have been completed, poisoned, or reclaimed.
-    let end = input.events.len();
-    let unresolved = |issuer: u32, off: u64, vol: u64| Divergence {
-        kind: "unresolved-claim",
-        index: end,
-        event: "(end of trace)".into(),
-        detail: format!("claim by pe{issuer} at comp offset {off} (vol {vol}) resolved"),
-    };
-    for v in sws.values() {
-        stats.victims += 1;
-        for (&off, c) in &v.claims {
-            if !c.resolved {
-                return Err(unresolved(c.issuer, off, c.vol));
-            }
-        }
-    }
-    for v in sdc.values() {
-        stats.victims += 1;
-        for (&off, c) in &v.claims {
-            if !c.resolved {
-                return Err(unresolved(c.issuer, off, c.vol));
-            }
+    for v in victims.values() {
+        if let Some((off, c)) = v.claims.iter().find(|(_, c)| !c.resolved) {
+            return Err(Divergence {
+                kind: "unresolved-claim",
+                index: input.events.len(),
+                event: "(end of trace)".into(),
+                detail: format!(
+                    "claim by pe{} at comp offset {off} (vol {}) resolved",
+                    c.issuer, c.vol
+                ),
+            });
         }
     }
     Ok(stats)
 }
 
-/// One SWS transition. Dispatch is by site; each arm checks the offset
-/// class, word exactness of the captured pre-op value against the
-/// model, and the protocol's operand arithmetic, then applies the op.
-#[allow(clippy::too_many_arguments)]
-fn sws_step(
-    v: &mut SwsVictim,
-    site: AtomicSite,
-    i: usize,
-    e: &ProtoEvent,
+/// One transition: the touched words must lie where the site's row says,
+/// the captured pre-op value must equal the model's (word exactness), the
+/// operands must decode to a protocol step, and that step must be legal
+/// from the model state — then it is applied. `seen` is the event as the
+/// decoder sees it (the claim-decode mutation applied).
+fn step(
+    v: &mut Victim,
     cfg: &QueueConfig,
-    ring: Ring,
-    spe: u64,
-    tw: u64,
-    mutate: Option<fn(u64) -> u64>,
+    site: AtomicSite,
+    at: &At,
+    seen: &ProtoEvent,
     stats: &mut ReplayStats,
 ) -> Result<(), Divergence> {
-    let off = e.offset as u64;
-    let layout = cfg.layout;
-    let in_comp = off >= v.comp_base && off < v.comp_base + v.comp_words;
-    let in_buf = off >= v.buf_base && off < v.buf_base + v.buf_words;
-    match site {
-        AtomicSite::SwsOwnerAdvertise
-        | AtomicSite::SwsOwnerAcquireSwap
-        | AtomicSite::SwsOwnerSvRead
-        | AtomicSite::SwsThiefProbe
-        | AtomicSite::SwsThiefClaim => {
-            if off != v.sv_off {
-                return Err(div("stray-offset", i, e, format!("sv word at {}", v.sv_off)));
-            }
-            if e.prev != v.sv {
-                return Err(div("word-mismatch", i, e, format!("sv = {:#x}", v.sv)));
-            }
-            match site {
-                AtomicSite::SwsOwnerAdvertise => {
-                    let sv = layout.decode(e.arg);
-                    let Gate::Open { epoch } = sv.gate else {
-                        return Err(div("advertise-arg", i, e, "an open gate".into()));
-                    };
-                    if sv.asteals != 0 {
-                        return Err(div("advertise-arg", i, e, "asteals = 0".into()));
-                    }
-                    // Every slot the new advertisement can complete into
-                    // must have been zeroed (construction relies on the
-                    // zeroed heap; re-advertisement on SwsOwnerSlotZero).
-                    let steals = cfg.policy.max_steals(sv.itasks as u64).min(spe);
-                    for s in 0..steals {
-                        let c = v.comp_base + epoch as u64 * spe + s;
-                        if v.comp_word(c) != 0 {
-                            return Err(div(
-                                "advertise-dirty-slot",
-                                i,
-                                e,
-                                format!("comp[{c}] = 0, found {:#x}", v.comp_word(c)),
-                            ));
-                        }
-                        // The slot set is being reused: earlier (resolved)
-                        // claim records for it are now stale.
-                        v.claims.remove(&c);
-                    }
-                    v.sv = e.arg;
-                }
-                AtomicSite::SwsOwnerAcquireSwap => {
-                    if layout.decode(e.arg).gate != Gate::Closed {
-                        return Err(div("swap-not-closed", i, e, "a closed-gate encoding".into()));
-                    }
-                    v.sv = e.arg;
-                }
-                AtomicSite::SwsOwnerSvRead | AtomicSite::SwsThiefProbe => {}
-                AtomicSite::SwsThiefClaim => {
-                    if e.arg != ASTEAL_UNIT {
-                        return Err(div(
-                            "claim-arg",
-                            i,
-                            e,
-                            format!("fetch-add of ASTEAL_UNIT ({ASTEAL_UNIT:#x})"),
-                        ));
-                    }
-                    if (v.sv >> ASTEALS_SHIFT) & ASTEALS_MASK == ASTEALS_MASK {
-                        return Err(div(
-                            "asteals-overflow",
-                            i,
-                            e,
-                            "an asteals counter below its 24-bit limit".into(),
-                        ));
-                    }
-                    let raw = mutate.map_or(v.sv, |f| f(v.sv));
-                    v.sv = v.sv.wrapping_add(ASTEAL_UNIT);
-                    let sv = layout.decode(raw);
-                    let Gate::Open { epoch } = sv.gate else {
-                        return Ok(()); // closed gate: counter bump only
-                    };
-                    let itasks = sv.itasks as u64;
-                    let a = sv.asteals as u64;
-                    if a >= cfg.policy.max_steals(itasks) {
-                        return Ok(()); // advertisement exhausted: no claim
-                    }
-                    if a >= spe {
-                        return Err(div(
-                            "claim-arg",
-                            i,
-                            e,
-                            format!("steal index {a} within the {spe}-slot budget"),
-                        ));
-                    }
-                    let vol = cfg.policy.volume(itasks, a);
-                    let start =
-                        ring.slot(sv.tail as u64 + cfg.policy.claimed_before(itasks, a)) as u64;
-                    let c = v.comp_base + epoch as u64 * spe + a;
-                    if v.claims.get(&c).is_some_and(|cl| !cl.resolved) {
-                        return Err(div("claim-collision", i, e, format!("comp[{c}] unclaimed")));
-                    }
-                    if v.comp_word(c) != 0 {
-                        return Err(div(
-                            "claim-collision",
-                            i,
-                            e,
-                            format!("comp[{c}] = 0 at claim time, found {:#x}", v.comp_word(c)),
-                        ));
-                    }
-                    stats.claims += 1;
-                    v.claims.insert(
-                        c,
-                        Claim {
-                            issuer: e.issuer,
-                            vol,
-                            start_slot: start,
-                            resolved: false,
-                        },
-                    );
-                    v.pending_copy.insert(e.issuer, c);
-                }
-                _ => unreachable!(),
-            }
-        }
-        AtomicSite::SwsOwnerSlotZero
-        | AtomicSite::SwsThiefComplete
-        | AtomicSite::SwsOwnerReclaimRead => {
-            if !in_comp {
-                return Err(div(
-                    "stray-offset",
-                    i,
-                    e,
-                    format!("completion array [{}, {})", v.comp_base, v.comp_base + v.comp_words),
-                ));
-            }
-            let model = v.comp_word(off);
-            if e.prev != model {
-                return Err(div("word-mismatch", i, e, format!("comp[{off}] = {model:#x}")));
-            }
-            match (site, e.op) {
-                (AtomicSite::SwsOwnerSlotZero, _) => {
-                    if e.arg != 0 {
-                        return Err(div("zero-arg", i, e, "a store of 0".into()));
-                    }
-                    if v.claims.get(&off).is_some_and(|c| !c.resolved) {
-                        return Err(div("zero-live-claim", i, e, "no unresolved claim".into()));
-                    }
-                    v.claims.remove(&off);
-                    v.comp.insert(off, 0);
-                }
-                (AtomicSite::SwsThiefComplete, ProtoOp::SetNbi) => {
-                    sws_resolve(v, off, i, e, e.arg, true)?;
-                    v.comp.insert(off, e.arg);
-                }
-                (AtomicSite::SwsThiefComplete, ProtoOp::CompareSwap) => {
-                    if e.arg2 != 0 {
-                        return Err(div("claim-arg", i, e, "a CAS expecting 0".into()));
-                    }
-                    if e.prev == 0 {
-                        sws_resolve(v, off, i, e, e.arg, true)?;
-                        v.comp.insert(off, e.arg);
-                    }
-                    // Failed CAS (owner reclaimed first): no effect.
-                }
-                (AtomicSite::SwsOwnerReclaimRead, ProtoOp::Fetch) => {}
-                (AtomicSite::SwsOwnerReclaimRead, ProtoOp::CompareSwap) => {
-                    if e.arg != COMP_RECLAIMED || e.arg2 != 0 {
-                        return Err(div("claim-arg", i, e, "a CAS of 0 → COMP_RECLAIMED".into()));
-                    }
-                    if e.prev == 0 {
-                        sws_resolve(v, off, i, e, e.arg, false)?;
-                        v.comp.insert(off, COMP_RECLAIMED);
-                    }
-                }
-                _ => unreachable!(),
-            }
-            if v.pending_copy.get(&e.issuer) == Some(&off) && site == AtomicSite::SwsThiefComplete
-            {
-                // Aborted steal: the poison CAS lands without a payload
-                // read ever happening.
-                v.pending_copy.remove(&e.issuer);
-            }
-        }
-        AtomicSite::SwsThiefPayloadRead => {
-            if !in_buf {
-                return Err(div(
-                    "stray-offset",
-                    i,
-                    e,
-                    format!("task buffer [{}, {})", v.buf_base, v.buf_base + v.buf_words),
-                ));
-            }
-            let Some(c) = v.pending_copy.remove(&e.issuer) else {
-                return Err(div("payload-without-claim", i, e, "a preceding claim".into()));
-            };
-            let cl = &v.claims[&c];
-            let want_off = v.buf_base + cl.start_slot * tw;
-            let want_len = cl.vol * tw;
-            if off != want_off || e.len as u64 != want_len {
-                return Err(div(
-                    "payload-geometry",
-                    i,
-                    e,
-                    format!("get@{want_off}+{want_len} (slot {}, vol {})", cl.start_slot, cl.vol),
-                ));
-            }
-        }
-        _ => unreachable!("non-SWS site passed site_admits"),
+    let e = at.e;
+    let (off, word) = (e.offset as u64, site.row().word);
+    let (lo, len) = v.geo.range(word);
+    if off < lo || off >= lo + len {
+        return Err(at.div("stray-offset", format!("{word:?} words [{lo}, {})", lo + len)));
     }
-    Ok(())
-}
-
-/// Resolve the SWS claim at `off` with completion value `val`.
-/// `thief_side` enforces that completions come from the claim's issuer
-/// (owner reclaims are exempt).
-fn sws_resolve(
-    v: &mut SwsVictim,
-    off: u64,
-    i: usize,
-    e: &ProtoEvent,
-    val: u64,
-    thief_side: bool,
-) -> Result<(), Divergence> {
-    let Some(c) = v.claims.get_mut(&off) else {
-        return Err(div("completion-without-claim", i, e, "a live claim".into()));
+    // Puts carry no captured pre-value and payload is not modeled; a get
+    // of control words captures its first two.
+    let captured = match (e.op, word) {
+        (ProtoOp::Put, _) | (_, Word::Payload) => None,
+        (ProtoOp::Get, _) if e.len != 2 => return Err(at.div("claim-arg", "a 2-word get")),
+        (ProtoOp::Get, _) => Some((e.prev, e.arg2) == (v.word(word, off), v.word(word, off + 1))),
+        _ => Some(e.prev == v.word(word, off)),
     };
-    if c.resolved {
-        return Err(div("completion-without-claim", i, e, "an unresolved claim".into()));
+    if captured == Some(false) {
+        return Err(at.div("word-mismatch", format!("word {off} = {:#x}", v.word(word, off))));
     }
-    if thief_side {
-        if c.issuer != e.issuer {
-            return Err(div(
-                "completion-without-claim",
-                i,
-                e,
-                format!("completion from the claimant pe{}", c.issuer),
-            ));
-        }
-        if val != COMP_POISON && val != c.vol {
-            return Err(div("completion-volume", i, e, format!("vol {}", c.vol)));
-        }
-    }
-    c.resolved = true;
-    Ok(())
-}
+    let decoded = decode(cfg, site, seen).map_err(|want| {
+        let kind = match site {
+            AtomicSite::SwsOwnerAdvertise => "advertise-arg",
+            AtomicSite::SwsOwnerAcquireSwap => "swap-not-closed",
+            AtomicSite::SwsOwnerSlotZero | AtomicSite::SdcReclaimZero | AtomicSite::SdcUnlock => {
+                "zero-arg"
+            }
+            _ => "claim-arg",
+        };
+        at.div(kind, want)
+    })?;
 
-/// One SDC transition (see [`sws_step`] for the checking scheme).
-#[allow(clippy::too_many_arguments)]
-fn sdc_step(
-    v: &mut SdcVictim,
-    site: AtomicSite,
-    i: usize,
-    e: &ProtoEvent,
-    cfg: &QueueConfig,
-    ring: Ring,
-    tw: u64,
-    stats: &mut ReplayStats,
-) -> Result<(), Divergence> {
-    let off = e.offset as u64;
-    let in_comp = off >= v.comp_base && off < v.comp_base + cfg.capacity as u64;
-    let in_buf = off >= v.buf_base && off < v.buf_base + v.buf_words;
-    match site {
-        AtomicSite::SdcLockCas | AtomicSite::SdcUnlock => {
-            if off != v.meta_off {
-                return Err(div("stray-offset", i, e, format!("lock word at {}", v.meta_off)));
+    let spe = cfg.policy.slot_budget() as u64;
+    let comp_base = v.geo.base[1];
+    let k = (off - v.geo.base[0]) as usize; // which control word, for sites on one
+    match decoded {
+        Step::OwnerRead | Step::Probe | Step::Meta { .. } => {}
+        Step::Advertise { epoch, steals } => {
+            // Every slot the new advertisement can complete into must
+            // have been zeroed (construction relies on the zeroed heap;
+            // re-advertisement on SwsOwnerSlotZero).
+            for c in (0..steals).map(|s| comp_base + epoch * spe + s) {
+                let found = v.word(Word::Comp, c);
+                if found != 0 {
+                    let want = format!("comp[{c}] = 0, found {found:#x}");
+                    return Err(at.div("advertise-dirty-slot", want));
+                }
+                // The slot set is being reused: earlier (resolved) claim
+                // records for it are now stale.
+                v.claims.remove(&c);
             }
-            if e.prev != v.lock {
-                return Err(div("word-mismatch", i, e, format!("lock = {}", v.lock)));
-            }
-            if site == AtomicSite::SdcLockCas {
-                if e.arg != 1 || e.arg2 != 0 {
-                    return Err(div("claim-arg", i, e, "a CAS of 0 → 1".into()));
+            v.ctl[k] = e.arg;
+        }
+        Step::Close => v.ctl[k] = e.arg,
+        Step::Claim(claim) => {
+            v.ctl[k] = e.prev.wrapping_add(e.arg);
+            match claim {
+                Claimed::Overflow => {
+                    let want = "an asteals counter below its 24-bit limit";
+                    return Err(at.div("asteals-overflow", want));
                 }
-                if e.prev == 0 {
-                    v.lock = 1;
-                    v.holder = Some(e.issuer);
+                // Closed gate or exhausted advertisement: counter bump only.
+                Claimed::Closed | Claimed::Exhausted => {}
+                Claimed::Live { index, .. } if index >= spe => {
+                    let want = format!("steal index {index} within the {spe}-slot budget");
+                    return Err(at.div("claim-arg", want));
                 }
-            } else {
-                if e.arg != 0 {
-                    return Err(div("zero-arg", i, e, "a store of 0".into()));
+                Claimed::Live { epoch, index, volume, start_slot } => {
+                    let comp_off = comp_base + epoch * spe + index;
+                    open_claim(v, at, comp_off, volume, start_slot, 0, stats)?;
                 }
-                if v.holder != Some(e.issuer) {
-                    return Err(div(
-                        "unlock-not-holder",
-                        i,
-                        e,
-                        format!("unlock by the holder ({:?})", v.holder),
-                    ));
-                }
-                v.lock = 0;
-                v.holder = None;
             }
         }
-        AtomicSite::SdcMetaRead | AtomicSite::SdcOwnerTailRead | AtomicSite::SdcTailPut => {
-            if off != v.meta_off + 1 {
-                return Err(div("stray-offset", i, e, format!("tail word at {}", v.meta_off + 1)));
-            }
-            match site {
-                AtomicSite::SdcMetaRead => {
-                    if e.len != 2 {
-                        return Err(div("claim-arg", i, e, "a 2-word metadata get".into()));
-                    }
-                    if e.prev != v.tail || e.arg2 != v.split {
-                        return Err(div(
-                            "word-mismatch",
-                            i,
-                            e,
-                            format!("(tail, split) = ({}, {})", v.tail, v.split),
-                        ));
-                    }
-                }
-                AtomicSite::SdcOwnerTailRead => {
-                    if e.prev != v.tail {
-                        return Err(div("word-mismatch", i, e, format!("tail = {}", v.tail)));
-                    }
-                }
-                AtomicSite::SdcTailPut => {
-                    // Puts carry no captured pre-value; the checks here
-                    // are purely semantic against the model state.
-                    if v.holder != Some(e.issuer) {
-                        return Err(div(
-                            "tail-put-without-lock",
-                            i,
-                            e,
-                            format!("the queue lock held by pe{}", e.issuer),
-                        ));
-                    }
-                    if e.arg <= v.tail {
-                        return Err(div(
-                            "tail-monotonic",
-                            i,
-                            e,
-                            format!("a tail advance past {}", v.tail),
-                        ));
-                    }
-                    let avail = v.split.saturating_sub(v.tail);
-                    let vol = cfg.policy.volume(avail, 0).max(1);
-                    if e.arg != v.tail + vol {
-                        return Err(div(
-                            "tail-volume",
-                            i,
-                            e,
-                            format!("tail + volume(split − tail, 0) = {}", v.tail + vol),
-                        ));
-                    }
-                    let start = ring.slot(v.tail) as u64;
-                    let c = v.comp_base + start;
-                    if v.claims.get(&c).is_some_and(|cl| !cl.resolved) {
-                        return Err(div("claim-collision", i, e, format!("comp[{c}] unclaimed")));
-                    }
-                    // In fault-injected runs a COMP_CLAIMED marker for
-                    // exactly this volume precedes the tail advance.
-                    let m = v.comp_word(c);
-                    if m != 0 && m != COMP_CLAIMED | vol {
-                        return Err(div(
-                            "claim-collision",
-                            i,
-                            e,
-                            format!("comp[{c}] = 0 or this claim's marker, found {m:#x}"),
-                        ));
-                    }
-                    stats.claims += 1;
-                    v.claims.insert(
-                        c,
-                        Claim {
-                            issuer: e.issuer,
-                            vol,
-                            start_slot: start,
-                            resolved: false,
-                        },
-                    );
-                    v.pending_copy.insert(e.issuer, c);
-                    v.tail = e.arg;
-                }
-                _ => unreachable!(),
+        Step::Lock { won } => {
+            if won {
+                v.ctl[k] = e.arg;
+                v.holder = Some(e.issuer);
             }
         }
-        AtomicSite::SdcSplitPublish => {
-            if off != v.meta_off + 2 {
-                return Err(div("stray-offset", i, e, format!("split word at {}", v.meta_off + 2)));
+        Step::Unlock => {
+            if v.holder != Some(e.issuer) {
+                let want = format!("unlock by the holder ({:?})", v.holder);
+                return Err(at.div("unlock-not-holder", want));
             }
-            if e.prev != v.split {
-                return Err(div("word-mismatch", i, e, format!("split = {}", v.split)));
-            }
+            v.ctl[k] = e.arg;
+            v.holder = None;
+        }
+        Step::Split => {
             // Growing the shared portion is lock-free (release); only
             // shrinking it (acquire/retire) requires the owner's lock.
-            if e.arg < v.split && v.holder != Some(e.issuer) {
-                return Err(div(
-                    "split-shrink-without-lock",
-                    i,
-                    e,
-                    "the owner holding its own lock".into(),
-                ));
+            if e.arg < v.ctl[k] && v.holder != Some(e.issuer) {
+                let want = "the owner holding its own lock";
+                return Err(at.div("split-shrink-without-lock", want));
             }
-            v.split = e.arg;
+            v.ctl[k] = e.arg;
         }
-        AtomicSite::SdcComplete | AtomicSite::SdcReclaimRead | AtomicSite::SdcReclaimZero => {
-            if !in_comp {
-                return Err(div(
-                    "stray-offset",
-                    i,
-                    e,
-                    format!(
-                        "completion ring [{}, {})",
-                        v.comp_base,
-                        v.comp_base + cfg.capacity as u64
-                    ),
-                ));
+        Step::TailPut => {
+            // Puts carry no captured pre-value; the checks here are
+            // purely semantic against the model state.
+            let (tail, split) = (v.ctl[k], v.ctl[k + 1]);
+            if v.holder != Some(e.issuer) {
+                let want = format!("the queue lock held by pe{}", e.issuer);
+                return Err(at.div("tail-put-without-lock", want));
             }
-            let model = v.comp_word(off);
-            if e.prev != model {
-                return Err(div("word-mismatch", i, e, format!("comp[{off}] = {model:#x}")));
+            if e.arg <= tail {
+                return Err(at.div("tail-monotonic", format!("a tail advance past {tail}")));
             }
-            match (site, e.op) {
-                (AtomicSite::SdcComplete, ProtoOp::SetNbi) => {
-                    sdc_resolve(v, off, i, e, e.arg)?;
-                    v.comp.insert(off, e.arg);
-                }
-                (AtomicSite::SdcComplete, ProtoOp::Set) => {
-                    // Fault-mode claim marker, stored before the tail
-                    // advance publishes the claim.
-                    if e.arg & COMP_CLAIMED == 0 || e.arg & COMP_VOL_MASK == 0 {
-                        return Err(div(
-                            "claim-arg",
-                            i,
-                            e,
-                            "a COMP_CLAIMED marker with a nonzero volume".into(),
-                        ));
-                    }
-                    if model != 0 {
-                        return Err(div(
-                            "claim-collision",
-                            i,
-                            e,
-                            format!("an empty slot for the marker, found {model:#x}"),
-                        ));
-                    }
-                    v.comp.insert(off, e.arg);
-                }
-                (AtomicSite::SdcComplete, ProtoOp::CompareSwap) => {
-                    if e.prev != e.arg2 {
-                        return Ok(()); // lost the race; no effect
-                    }
-                    if e.arg == 0 {
-                        // Marker rollback after a lost tail put.
-                        if e.arg2 & COMP_CLAIMED == 0 {
-                            return Err(div("claim-arg", i, e, "a marker rollback".into()));
-                        }
-                        if v.claims.get(&off).is_some_and(|c| !c.resolved) {
-                            return Err(div(
-                                "claim-collision",
-                                i,
-                                e,
-                                "no live claim under a rollback".into(),
-                            ));
-                        }
-                        v.comp.insert(off, 0);
-                    } else {
-                        // Poison (COMP_POISON | vol) or finalize (vol).
-                        sdc_resolve(v, off, i, e, e.arg)?;
-                        v.comp.insert(off, e.arg);
-                    }
-                }
-                (AtomicSite::SdcReclaimRead, ProtoOp::Fetch) => {}
-                (AtomicSite::SdcReclaimRead, ProtoOp::CompareSwap) => {
-                    if e.arg != 0 {
-                        return Err(div("claim-arg", i, e, "a reclaim CAS to 0".into()));
-                    }
-                    if e.prev == e.arg2 {
-                        if let Some(c) = v.claims.get_mut(&off) {
-                            c.resolved = true;
-                        }
-                        v.claims.remove(&off);
-                        v.comp.insert(off, 0);
-                    }
-                }
-                (AtomicSite::SdcReclaimZero, _) => {
-                    if e.arg != 0 {
-                        return Err(div("zero-arg", i, e, "a store of 0".into()));
-                    }
-                    if v.claims.get(&off).is_some_and(|c| !c.resolved) {
-                        return Err(div("zero-live-claim", i, e, "no unresolved claim".into()));
-                    }
-                    v.claims.remove(&off);
-                    v.comp.insert(off, 0);
-                }
-                _ => unreachable!(),
+            let vol = cfg.policy.volume(split.saturating_sub(tail), 0).max(1);
+            if e.arg != tail + vol {
+                let want = format!("tail + volume(split − tail, 0) = {}", tail + vol);
+                return Err(at.div("tail-volume", want));
             }
-            if v.pending_copy.get(&e.issuer) == Some(&off) && site == AtomicSite::SdcComplete {
-                v.pending_copy.remove(&e.issuer);
-            }
+            let start = Ring::new(cfg.capacity).slot(tail) as u64;
+            // In fault-injected runs a claim marker for exactly this
+            // volume precedes the tail advance.
+            open_claim(v, at, comp_base + start, vol, start, claim_marker(vol), stats)?;
+            v.ctl[k] = e.arg;
         }
-        AtomicSite::SdcPayloadRead => {
-            if !in_buf {
-                return Err(div(
-                    "stray-offset",
-                    i,
-                    e,
-                    format!("task buffer [{}, {})", v.buf_base, v.buf_base + v.buf_words),
-                ));
-            }
+        Step::Payload => {
             let Some(c) = v.pending_copy.remove(&e.issuer) else {
-                return Err(div("payload-without-claim", i, e, "a preceding claim".into()));
+                return Err(at.div("payload-without-claim", "a preceding claim"));
             };
-            let cl = &v.claims[&c];
-            let want_off = v.buf_base + cl.start_slot * tw;
-            let want_len = cl.vol * tw;
+            let (cl, tw) = (&v.claims[&c], cfg.task_words as u64);
+            let (want_off, want_len) = (v.geo.base[2] + cl.start_slot * tw, cl.vol * tw);
             if off != want_off || e.len as u64 != want_len {
-                return Err(div(
+                return Err(at.div(
                     "payload-geometry",
-                    i,
-                    e,
                     format!("get@{want_off}+{want_len} (slot {}, vol {})", cl.start_slot, cl.vol),
                 ));
             }
         }
-        _ => unreachable!("non-SDC site passed site_admits"),
+        Step::Zero => {
+            if v.live_claim(off) {
+                return Err(at.div("zero-live-claim", "no unresolved claim"));
+            }
+            v.claims.remove(&off);
+            v.comp.insert(off, e.arg);
+        }
+        Step::Marker => {
+            let found = v.word(word, off);
+            if found != 0 {
+                let want = format!("an empty slot for the marker, found {found:#x}");
+                return Err(at.div("claim-collision", want));
+            }
+            v.comp.insert(off, e.arg);
+        }
+        // A compare-swap that lost its race has no effect.
+        Step::LostRace
+        | Step::Poisoned { won: false }
+        | Step::Reclaim { won: false }
+        | Step::Rollback { won: false } => {}
+        Step::Rollback { won: true } => {
+            if v.live_claim(off) {
+                return Err(at.div("claim-collision", "no live claim under a rollback"));
+            }
+            v.comp.insert(off, e.arg);
+        }
+        // A reclaim to 0 frees the slot outright, claim or none.
+        Step::Reclaim { won: true } if e.arg == 0 => {
+            v.claims.remove(&off);
+            v.comp.insert(off, e.arg);
+        }
+        Step::Landed { .. } | Step::Poisoned { won: true } | Step::Reclaim { won: true } => {
+            let Some(c) = v.claims.get_mut(&off).filter(|c| !c.resolved) else {
+                return Err(at.div("completion-without-claim", "a live, unresolved claim"));
+            };
+            // Completions come from the claimant (owner reclaims are
+            // exempt); a poisoned one need not carry the volume.
+            if !matches!(decoded, Step::Reclaim { .. }) && c.issuer != e.issuer {
+                let want = format!("completion from the claimant pe{}", c.issuer);
+                return Err(at.div("completion-without-claim", want));
+            }
+            if matches!(decoded, Step::Landed { tasks } if tasks != c.vol) {
+                return Err(at.div("completion-volume", format!("vol {}", c.vol)));
+            }
+            c.resolved = true;
+            v.comp.insert(off, e.arg);
+        }
+    }
+    // An aborted steal's poison lands without a payload read ever
+    // happening: whatever a thief does to its claim's completion word
+    // ends the wait for its copy.
+    if !site.row().owner_only && word == Word::Comp && v.pending_copy.get(&e.issuer) == Some(&off) {
+        v.pending_copy.remove(&e.issuer);
     }
     Ok(())
 }
 
-/// Resolve the SDC claim at `off` with completion value `val`
-/// (`COMP_POISON | vol` or plain `vol`), thief-side.
-fn sdc_resolve(
-    v: &mut SdcVictim,
-    off: u64,
-    i: usize,
-    e: &ProtoEvent,
-    val: u64,
+/// Record a new claim by `at`'s issuer completing into `comp_off`, whose
+/// word must hold 0 or `marker`.
+fn open_claim(
+    v: &mut Victim,
+    at: &At,
+    comp_off: u64,
+    vol: u64,
+    start_slot: u64,
+    marker: u64,
+    stats: &mut ReplayStats,
 ) -> Result<(), Divergence> {
-    let Some(c) = v.claims.get_mut(&off) else {
-        return Err(div("completion-without-claim", i, e, "a live claim".into()));
-    };
-    if c.resolved {
-        return Err(div("completion-without-claim", i, e, "an unresolved claim".into()));
+    if v.live_claim(comp_off) {
+        return Err(at.div("claim-collision", format!("comp[{comp_off}] unclaimed")));
     }
-    if c.issuer != e.issuer {
-        return Err(div(
-            "completion-without-claim",
-            i,
-            e,
-            format!("completion from the claimant pe{}", c.issuer),
-        ));
+    let found = v.word(Word::Comp, comp_off);
+    if found != 0 && found != marker {
+        let want = format!("comp[{comp_off}] = 0 or this claim's marker, found {found:#x}");
+        return Err(at.div("claim-collision", want));
     }
-    let vol = if val & COMP_POISON != 0 {
-        val & COMP_VOL_MASK
-    } else {
-        val
-    };
-    // Poison after a failed copy may carry the volume (fault-mode CAS)
-    // — either way the claim is settled; a *finalizing* value must match.
-    if val & COMP_POISON == 0 && vol != c.vol {
-        return Err(div("completion-volume", i, e, format!("vol {}", c.vol)));
-    }
-    c.resolved = true;
+    stats.claims += 1;
+    let issuer = at.e.issuer;
+    v.claims.insert(comp_off, Claim { issuer, vol, start_slot, resolved: false });
+    v.pending_copy.insert(issuer, comp_off);
     Ok(())
 }
 
@@ -1038,19 +586,6 @@ pub fn matrix() -> Vec<ConformCase> {
     ]
 }
 
-/// What one conforming case covered.
-#[derive(Clone, Debug)]
-pub struct CaseResult {
-    /// Events in the merged trace.
-    pub events: usize,
-    /// Victim queues the replay tracked.
-    pub victims: usize,
-    /// Steal claims replayed.
-    pub claims: u64,
-    /// Site ids that appeared.
-    pub sites: BTreeSet<u16>,
-}
-
 /// Queue configuration the matrix runs use.
 pub fn case_queue(case: &ConformCase) -> QueueConfig {
     QueueConfig::new(64, 24).with_layout(case.layout)
@@ -1083,25 +618,12 @@ pub fn capture_case(case: &ConformCase) -> Vec<ProtoEvent> {
 pub fn run_case(
     case: &ConformCase,
     mutate: Option<fn(u64) -> u64>,
-) -> Result<CaseResult, Divergence> {
-    let queue = case_queue(case);
-    let events = capture_case(case);
-    let proto = match case.kind {
-        QueueKind::Sws => Proto::Sws,
-        QueueKind::Sdc => Proto::Sdc,
-    };
-    let input = ReplayInput {
-        proto,
-        queue,
-        events: &events,
+) -> Result<ReplayStats, Divergence> {
+    replay(&ReplayInput {
+        proto: case.kind,
+        queue: case_queue(case),
+        events: &capture_case(case),
         mutate_claim_decode: mutate,
-    };
-    let stats = replay(&input)?;
-    Ok(CaseResult {
-        events: stats.events,
-        victims: stats.victims,
-        claims: stats.claims,
-        sites: stats.sites,
     })
 }
 
@@ -1126,7 +648,7 @@ pub const REQUIRED_SITES: [AtomicSite; 11] = [
 /// Outcome of the full matrix.
 pub struct ConformReport {
     /// Per-case outcomes, matrix order.
-    pub cases: Vec<(String, Result<CaseResult, Divergence>)>,
+    pub cases: Vec<(String, Result<ReplayStats, Divergence>)>,
     /// Required sites that no case's trace exercised.
     pub missing_sites: Vec<&'static str>,
 }
@@ -1189,6 +711,17 @@ pub fn conform_all() -> ConformReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sws_core::queue::COMP_CLAIMED;
+    use sws_core::stealval::{Gate, ASTEALS_MASK, ASTEAL_UNIT};
+    use sws_shmem::CACHE_LINE_WORDS;
+
+    /// The constructors' placement rule, restated here so the hand-built
+    /// traces check `Protocol::geometry` instead of echoing it: each
+    /// block starts on the cache line after the previous one ends.
+    fn next_block(base: u64, words: u64) -> u64 {
+        let line = CACHE_LINE_WORDS as u64;
+        (base + words).div_ceil(line) * line
+    }
 
     #[allow(clippy::too_many_arguments)] // mirrors the ProtoEvent fields
     fn ev(
@@ -1411,6 +944,90 @@ mod tests {
         evs[4].t_ns = 5;
         let input = ReplayInput::new(Proto::Sdc, qc(), &evs);
         assert_eq!(replay(&input).unwrap_err().kind, "unlock-not-holder");
+    }
+
+    /// One minimal hand-built trace per divergence kind: each case edits
+    /// [`sws_trace`] or [`sdc_trace`] just enough to break one rule, and
+    /// the replay must name exactly that rule. This pins the precedence
+    /// of the per-event checks (`no-anchor` before `stray-offset` before
+    /// `word-mismatch` before the operand rules).
+    #[test]
+    fn every_divergence_kind_is_reachable() {
+        use AtomicSite::*;
+        use ProtoOp::*;
+        const SV: u64 = 10; // sws_trace's stealval offset
+        /// An owner op on the stealval after both claims of `sws_trace`.
+        fn owner_sv(site: AtomicSite, op: ProtoOp, arg: u64) -> ProtoEvent {
+            let sv_end = sws_trace()[7].prev.wrapping_add(ASTEAL_UNIT);
+            ev(11, 0, 0, SV, site, op, arg, 0, sv_end)
+        }
+        type Edit = fn(&mut Vec<ProtoEvent>);
+        let cases: [(&str, Proto, Edit); 25] = [
+            ("time-regression", Proto::Sws, |t| t[5].t_ns = 5),
+            ("unknown-site", Proto::Sws, |t| t[4].site = 999),
+            ("site-op-mismatch", Proto::Sws, |t| t[7].site = SwsThiefProbe.id()),
+            ("remote-owner-op", Proto::Sws, |t| t[3].issuer = 1),
+            ("no-anchor", Proto::Sws, |t| t[4].target = 3),
+            ("stray-offset", Proto::Sws, |t| t[4].offset += 1),
+            ("word-mismatch", Proto::Sws, |t| t[4].prev ^= 1),
+            ("advertise-arg", Proto::Sws, |t| t[3].arg += ASTEAL_UNIT),
+            // Re-advertising over the completed (nonzero) slots.
+            ("advertise-dirty-slot", Proto::Sws, |t| {
+                let advert = t[3].arg;
+                t.push(owner_sv(SwsOwnerAdvertise, Set, advert));
+            }),
+            ("swap-not-closed", Proto::Sws, |t| {
+                let advert = t[3].arg;
+                t.push(owner_sv(SwsOwnerAcquireSwap, Swap, advert));
+            }),
+            ("claim-arg", Proto::Sws, |t| t[4].arg = 2),
+            // A closed gate whose counter is one claim from carrying out.
+            ("asteals-overflow", Proto::Sws, |t| {
+                let full = qc().layout.encode(sws_core::stealval::StealVal {
+                    asteals: ASTEALS_MASK as u32,
+                    gate: Gate::Closed,
+                    itasks: 0,
+                    tail: 0,
+                });
+                t.push(owner_sv(SwsOwnerAcquireSwap, Swap, full));
+                t.push(ev(12, 1, 0, SV, SwsThiefClaim, FetchAdd, ASTEAL_UNIT, 0, full));
+            }),
+            // A claim marker stored over an unreclaimed completion.
+            ("claim-collision", Proto::Sdc, |t| {
+                t.truncate(7);
+                let comp = t[6].offset as u64;
+                t.push(ev(8, 1, 0, comp, SdcComplete, Set, COMP_CLAIMED | 1, 0, 1));
+            }),
+            ("zero-arg", Proto::Sws, |t| t[1].arg = 1),
+            ("zero-live-claim", Proto::Sws, |t| {
+                let comp = t[1].offset as u64;
+                t.insert(5, ev(5, 0, 0, comp, SwsOwnerSlotZero, Set, 0, 0, 0));
+            }),
+            ("payload-without-claim", Proto::Sws, |t| { t.remove(4); }),
+            ("payload-geometry", Proto::Sws, |t| t[5].offset += 3),
+            ("completion-without-claim", Proto::Sws, |t| t[6].offset += 1),
+            ("completion-volume", Proto::Sws, |t| t[6].arg = 2),
+            ("unlock-not-holder", Proto::Sdc, |t| (t[4].issuer, t[4].t_ns) = (2, 5)),
+            ("tail-put-without-lock", Proto::Sdc, |t| { t.remove(1); }),
+            ("tail-monotonic", Proto::Sdc, |t| t[3].arg = 0),
+            ("tail-volume", Proto::Sdc, |t| t[3].arg = 2),
+            ("split-shrink-without-lock", Proto::Sdc, |t| {
+                let mut shrink = t[0];
+                (shrink.t_ns, shrink.arg, shrink.prev) = (10, 1, 2);
+                t.push(shrink);
+            }),
+            ("unresolved-claim", Proto::Sws, |t| { t.remove(6); }),
+        ];
+        assert_eq!(cases.map(|c| c.0), KINDS, "one case per kind, in KINDS order");
+        for (kind, proto, edit) in cases {
+            let mut evs = match proto {
+                Proto::Sws => sws_trace(),
+                Proto::Sdc => sdc_trace(),
+            };
+            edit(&mut evs);
+            let got = replay(&ReplayInput::new(proto, qc(), &evs)).map(|s| s.events);
+            assert_eq!(got.map_err(|d| d.kind), Err(kind));
+        }
     }
 
     #[test]

@@ -631,7 +631,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
             if !(token.starts_with("Sws") || token.starts_with("Sdc")) {
                 continue;
             }
-            let consistent = match AtomicSite::ALL.iter().find(|s| s.name() == token) {
+            let consistent = match AtomicSite::from_name(&token) {
                 None => false,
                 Some(site) => {
                     let window =

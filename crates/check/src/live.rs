@@ -746,10 +746,6 @@ pub fn write_schedule(ce: &Counterexample) -> String {
     )
 }
 
-fn site_from_name(name: &str) -> Option<AtomicSite> {
-    AtomicSite::ALL.into_iter().find(|s| s.name() == name)
-}
-
 /// Parse a schedule file.
 pub fn parse_schedule(text: &str) -> Result<ScheduleFile, String> {
     let mut lines = text.lines();
@@ -771,7 +767,7 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, String> {
             let mut parts = rest.split_whitespace();
             let (site, label) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
             let site =
-                site_from_name(site).ok_or_else(|| format!("unknown site `{site}`"))?;
+                AtomicSite::from_name(site).ok_or_else(|| format!("unknown site `{site}`"))?;
             let w = Weakening::from_label(label)
                 .ok_or_else(|| format!("unknown weakening `{label}`"))?;
             weaken = Some((site, w));

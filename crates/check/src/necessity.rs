@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sws_core::{AtomicSite, MemOrder, Necessity, Oracle, Weakening};
+use sws_core::{AtomicSite, MemOrder, Necessity, Oracle, Protocol, Weakening};
 use sws_shmem::overrides::{TRACK_RACE, TRACK_STALE};
 
 use crate::audit::{run_table, RunOutcome};
@@ -118,7 +118,7 @@ pub fn mutants() -> Vec<(AtomicSite, Weakening)> {
 }
 
 fn proto_prefix(site: AtomicSite) -> &'static str {
-    if site.protocol() == "SWS" {
+    if site.protocol() == Protocol::Sws {
         "sws"
     } else {
         "sdc"
@@ -243,10 +243,6 @@ pub struct EvidenceRecord {
     pub live: Necessity,
 }
 
-fn site_by_name(name: &str) -> Option<AtomicSite> {
-    AtomicSite::ALL.into_iter().find(|s| s.name() == name)
-}
-
 /// Load and validate the committed live evidence: every mutant from
 /// [`mutants`] must be covered exactly once — by a parseable witness
 /// schedule (named `<Site>-<label>.sched`, whose embedded weakening
@@ -332,7 +328,7 @@ pub fn load_evidence(dir: &Path) -> Result<Vec<EvidenceRecord>, String> {
                 i + 1
             ));
         };
-        let Some(site) = site_by_name(name) else {
+        let Some(site) = AtomicSite::from_name(name) else {
             return Err(format!("{EXHAUSTED_FILE}:{}: unknown site {name}", i + 1));
         };
         let Some(w) = Weakening::from_label(label) else {

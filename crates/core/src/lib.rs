@@ -27,12 +27,14 @@
 #![warn(missing_docs)]
 
 pub mod ordering;
+pub mod protocol;
 pub mod queue;
 pub mod ring;
 pub mod steal_half;
 pub mod stealval;
 
-pub use ordering::{AtomicSite, DepClass, MemOrder, Necessity, Oracle, Weakening};
+pub use ordering::{AtomicSite, DepClass, MemOrder, Necessity, Oracle, SiteRow, Weakening};
+pub use protocol::{CommBudget, Protocol};
 pub use queue::sdc::SdcQueue;
 pub use queue::sws::SwsQueue;
 pub use queue::{Mutation, QueueConfig, QueueStats, StealOutcome, StealQueue};

@@ -17,6 +17,11 @@
 //! checker interprets [`MemOrder`] with its own operational semantics
 //! rather than handing it to real CPU atomics.
 
+use sws_shmem::ProtoOp;
+
+use crate::protocol::{Protocol, Word};
+use crate::queue::sdc;
+
 /// A C11-style memory ordering, restricted to the four the protocols use.
 /// (`SeqCst` is banned workspace-wide by `sws-lint`: every site must
 /// justify its ordering pairwise, not lean on a global total order.)
@@ -168,200 +173,206 @@ impl Necessity {
     }
 }
 
-/// One atomic site in a steal protocol. Variant order is the order rows
-/// appear in `ORDERINGS.md`.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
-#[allow(missing_docs)] // each variant is documented by `describe`
-pub enum AtomicSite {
+/// One row of the site catalog: everything the workspace knows about an
+/// [`AtomicSite`] apart from what its ops do to the queue (that is
+/// [`crate::protocol::decode`]). The audit table, the exploration
+/// scheduler's pruning, the conformance replay and the span stitcher all
+/// read this row instead of restating it.
+#[derive(Debug)]
+pub struct SiteRow {
+    /// Stable identifier used in audit rows and `// ordering:` comments.
+    pub name: &'static str,
+    /// Source location of the site (file: expression), for the audit table.
+    pub location: &'static str,
+    /// Which protocol the site belongs to.
+    pub protocol: Protocol,
+    /// The ordering the production code uses at this site (the orderings
+    /// `shmem::ctx` hardcodes for the op kind the site issues).
+    pub production: MemOrder,
+    /// The dependence class, used by the exploration scheduler's
+    /// DPOR-style pruning: two gated ops can only be reordered into a new
+    /// branch when their sites share a class (they touch the same protocol
+    /// word family) *and* their word spans overlap with at least one
+    /// writer. Classing by family (rather than exact word)
+    /// over-approximates conflicts — e.g. two different completion slots
+    /// share a class — which can only add branches, never hide one, so
+    /// pruning stays sound.
+    pub dep_class: DepClass,
+    /// Which word of the victim's queue the site touches.
+    pub word: Word,
+    /// Every op shape the protocol issues at this site — empty for the
+    /// owner-local payload stores, which the one-sided capture layer never
+    /// sees. This *is* the structural damping check: `SwsThiefProbe` admits
+    /// only `Fetch`, so a probe that bumped the asteals counter is illegal.
+    pub ops: &'static [ProtoOp],
+    /// Only the queue's owner issues this site (against its own PE).
+    pub owner_only: bool,
+    /// The steal-span phase an op at this site is (`""` for owner-only
+    /// sites, which no span contains).
+    pub phase: &'static str,
+}
+
+/// Declares [`AtomicSite`], [`AtomicSite::ALL`] and the row table from one
+/// list, so a site cannot exist without its row or sit at another index.
+/// The column before the location is `owner` for a site only the queue's
+/// owner issues, else the span phase a thief's op at the site is.
+macro_rules! site_catalog {
+    (@owner_only owner) => { true };
+    (@owner_only $phase:literal) => { false };
+    (@phase owner) => { "" };
+    (@phase $phase:literal) => { $phase };
+    ($($(#[$doc:meta])* $site:ident: $proto:ident, $order:ident, $class:ident, $word:expr,
+        [$($op:ident),*], $who:tt, $loc:literal;)+) => {
+        /// One atomic site in a steal protocol. Variant order is the order
+        /// rows appear in `ORDERINGS.md`; the discriminant is [`AtomicSite::id`].
+        #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
+        #[repr(u16)]
+        pub enum AtomicSite {
+            $($(#[$doc])* $site),+
+        }
+
+        impl AtomicSite {
+            /// Every site, in audit-table order.
+            pub const ALL: [AtomicSite; 21] = [$(AtomicSite::$site),+];
+        }
+
+        static ROWS: [SiteRow; AtomicSite::ALL.len()] = [$(SiteRow {
+            name: stringify!($site),
+            location: $loc,
+            protocol: Protocol::$proto,
+            production: MemOrder::$order,
+            dep_class: DepClass::$class,
+            word: $word,
+            ops: &[$(ProtoOp::$op),*],
+            owner_only: site_catalog!(@owner_only $who),
+            phase: site_catalog!(@phase $who),
+        }),+];
+    };
+}
+
+site_catalog! {
     // --- SWS (queue/sws.rs) ---
     /// Thief: the claim fetch-add on the stealval word.
-    SwsThiefClaim,
+    SwsThiefClaim: Sws, AcqRel, SwsStealval, Word::Ctl(0), [FetchAdd], "claim",
+        "queue/sws.rs: steal_from atomic_fetch_add(sv)";
     /// Owner: publishing a fresh advertisement (atomic_set of stealval).
-    SwsOwnerAdvertise,
+    SwsOwnerAdvertise: Sws, Release, SwsStealval, Word::Ctl(0), [Set], owner,
+        "queue/sws.rs: advertise atomic_set(sv)";
     /// Owner: closing the gate at acquire/retire (atomic_swap of stealval).
-    SwsOwnerAcquireSwap,
+    SwsOwnerAcquireSwap: Sws, AcqRel, SwsStealval, Word::Ctl(0), [Swap], owner,
+        "queue/sws.rs: acquire/retire atomic_swap(sv)";
     /// Owner: reading its own live stealval (read_sv in release/reclaim).
-    SwsOwnerSvRead,
+    // Staleness-tolerant by construction — the attempted-steals counter
+    // is monotonic per advertisement, so a stale read only under-reports
+    // and the release/reclaim logic retries. Both necessity oracles
+    // exhausted their bounds on the acquire→relaxed mutant (see
+    // ORDERINGS.md and crates/check/schedules/), so production runs it
+    // relaxed: on weakly-ordered hardware this drops a fence from every
+    // owner-side release/reclaim poll, the hot path the paper's
+    // single-word protocol is built around.
+    SwsOwnerSvRead: Sws, Relaxed, SwsStealval, Word::Ctl(0), [Fetch], owner,
+        "queue/sws.rs: read_sv atomic_fetch_ordered(sv)";
     /// Owner: zeroing a completion-slot set before an advertisement.
-    SwsOwnerSlotZero,
+    SwsOwnerSlotZero: Sws, Release, SwsCompletion, Word::Comp, [Set], owner,
+        "queue/sws.rs: advertise atomic_set(comp[s], 0)";
     /// Thief: the passive completion notification (atomic_set_nbi of vol).
-    SwsThiefComplete,
+    SwsThiefComplete: Sws, Release, SwsCompletion, Word::Comp, [SetNbi, CompareSwap], "complete",
+        "queue/sws.rs: steal_from atomic_set_nbi(comp, vol)";
     /// Owner: reading completion slots during reclaim.
-    SwsOwnerReclaimRead,
+    SwsOwnerReclaimRead: Sws, Acquire, SwsCompletion, Word::Comp, [Fetch, CompareSwap], owner,
+        "queue/sws.rs: reclaim atomic_fetch(comp)";
     /// Thief: the damped read-only probe of a victim's stealval (§4.3).
-    SwsThiefProbe,
+    SwsThiefProbe: Sws, Acquire, SwsStealval, Word::Ctl(0), [Fetch], "probe",
+        "queue/sws.rs: probe atomic_fetch(sv)";
     /// Owner: writing task records into the ring (local_write, Release).
-    SwsOwnerPayloadWrite,
+    SwsOwnerPayloadWrite: Sws, Release, SwsPayload, Word::Payload, [], owner,
+        "queue/buffer.rs: write_local (SWS ring)";
     /// Thief: the per-word loads of the block-copy get.
-    SwsThiefPayloadRead,
+    SwsThiefPayloadRead: Sws, Acquire, SwsPayload, Word::Payload, [Get], "payload",
+        "queue/buffer.rs: steal_copy get (SWS ring)";
     // --- SDC (queue/sdc.rs) ---
     /// Thief/owner: the lock compare-swap.
-    SdcLockCas,
+    SdcLockCas: Sdc, AcqRel, SdcLock, Word::Ctl(sdc::LOCK), [CompareSwap], "lock",
+        "queue/sdc.rs: atomic_compare_swap(lock, 0, 1)";
     /// Thief/owner: the lock-release store.
-    SdcUnlock,
+    SdcUnlock: Sdc, Release, SdcLock, Word::Ctl(sdc::LOCK), [Set], "unlock",
+        "queue/sdc.rs: atomic_set(lock, 0)";
     /// Thief: reading tail+split under the lock (one 16-byte get).
-    SdcMetaRead,
+    SdcMetaRead: Sdc, Acquire, SdcMeta, Word::Ctl(sdc::TAIL), [Get], "meta",
+        "queue/sdc.rs: get_words(tail, split)";
     /// Thief: publishing the advanced tail (put under the lock).
-    SdcTailPut,
+    SdcTailPut: Sdc, Release, SdcMeta, Word::Ctl(sdc::TAIL), [Put], "tail",
+        "queue/sdc.rs: put_words(tail + vol)";
     /// Owner: publishing a grown split in lock-free release.
-    SdcSplitPublish,
+    SdcSplitPublish: Sdc, Release, SdcMeta, Word::Ctl(sdc::SPLIT), [Set], owner,
+        "queue/sdc.rs: release atomic_set(split)";
     /// Owner: reading the published tail (release precondition/acquire).
-    SdcOwnerTailRead,
+    SdcOwnerTailRead: Sdc, Acquire, SdcMeta, Word::Ctl(sdc::TAIL), [Fetch], owner,
+        "queue/sdc.rs: read_tail atomic_fetch(tail)";
     /// Thief: the deferred completion signal (atomic_set_nbi of vol).
-    SdcComplete,
+    SdcComplete: Sdc, Release, SdcCompletion, Word::Comp, [SetNbi, Set, CompareSwap],
+        "complete", "queue/sdc.rs: atomic_set_nbi(comp, vol)";
     /// Owner: reading completion-ring slots during progress.
-    SdcReclaimRead,
+    SdcReclaimRead: Sdc, Acquire, SdcCompletion, Word::Comp, [Fetch, CompareSwap], owner,
+        "queue/sdc.rs: progress atomic_fetch(comp)";
     /// Owner: zeroing a consumed completion-ring slot during progress.
-    SdcReclaimZero,
+    SdcReclaimZero: Sdc, Release, SdcCompletion, Word::Comp, [Set], owner,
+        "queue/sdc.rs: progress atomic_set(comp, 0)";
     /// Owner: writing task records into the ring (local_write, Release).
-    SdcPayloadWrite,
+    SdcPayloadWrite: Sdc, Release, SdcPayload, Word::Payload, [], owner,
+        "queue/buffer.rs: write_local (SDC ring)";
     /// Thief: the per-word loads of the block-copy get.
-    SdcPayloadRead,
+    SdcPayloadRead: Sdc, Acquire, SdcPayload, Word::Payload, [Get], "payload",
+        "queue/buffer.rs: steal_copy get (SDC ring)";
 }
 
 impl AtomicSite {
-    /// Every site, in audit-table order.
-    pub const ALL: [AtomicSite; 21] = [
-        AtomicSite::SwsThiefClaim,
-        AtomicSite::SwsOwnerAdvertise,
-        AtomicSite::SwsOwnerAcquireSwap,
-        AtomicSite::SwsOwnerSvRead,
-        AtomicSite::SwsOwnerSlotZero,
-        AtomicSite::SwsThiefComplete,
-        AtomicSite::SwsOwnerReclaimRead,
-        AtomicSite::SwsThiefProbe,
-        AtomicSite::SwsOwnerPayloadWrite,
-        AtomicSite::SwsThiefPayloadRead,
-        AtomicSite::SdcLockCas,
-        AtomicSite::SdcUnlock,
-        AtomicSite::SdcMetaRead,
-        AtomicSite::SdcTailPut,
-        AtomicSite::SdcSplitPublish,
-        AtomicSite::SdcOwnerTailRead,
-        AtomicSite::SdcComplete,
-        AtomicSite::SdcReclaimRead,
-        AtomicSite::SdcReclaimZero,
-        AtomicSite::SdcPayloadWrite,
-        AtomicSite::SdcPayloadRead,
-    ];
+    /// This site's catalog row.
+    pub fn row(self) -> &'static SiteRow {
+        &ROWS[self as usize]
+    }
 
-    /// The ordering the production code uses at this site (the orderings
-    /// `shmem::ctx` hardcodes for the op kind the site issues).
+    /// [`SiteRow::production`].
     pub fn production(self) -> MemOrder {
-        use AtomicSite::*;
-        match self {
-            // RMWs.
-            SwsThiefClaim | SwsOwnerAcquireSwap | SdcLockCas => MemOrder::AcqRel,
-            // The owner's stealval read is staleness-tolerant by
-            // construction — the attempted-steals counter is monotonic
-            // per advertisement, so a stale read only under-reports and
-            // the release/reclaim logic retries. Both necessity oracles
-            // exhausted their bounds on the acquire→relaxed mutant
-            // (see ORDERINGS.md and crates/check/schedules/), so
-            // production runs it relaxed: on weakly-ordered hardware
-            // this drops a fence from every owner-side release/reclaim
-            // poll, the hot path the paper's single-word protocol is
-            // built around.
-            SwsOwnerSvRead => MemOrder::Relaxed,
-            // Atomic / per-word loads.
-            SwsOwnerReclaimRead | SwsThiefProbe | SwsThiefPayloadRead | SdcMetaRead
-            | SdcOwnerTailRead | SdcReclaimRead | SdcPayloadRead => MemOrder::Acquire,
-            // Atomic / per-word stores.
-            SwsOwnerAdvertise | SwsOwnerSlotZero | SwsThiefComplete | SwsOwnerPayloadWrite
-            | SdcUnlock | SdcTailPut | SdcSplitPublish | SdcComplete | SdcReclaimZero
-            | SdcPayloadWrite => MemOrder::Release,
-        }
+        self.row().production
     }
 
-    /// Source location of the site (file: expression), for the audit table.
+    /// [`SiteRow::location`].
     pub fn location(self) -> &'static str {
-        use AtomicSite::*;
-        match self {
-            SwsThiefClaim => "queue/sws.rs: steal_from atomic_fetch_add(sv)",
-            SwsOwnerAdvertise => "queue/sws.rs: advertise atomic_set(sv)",
-            SwsOwnerAcquireSwap => "queue/sws.rs: acquire/retire atomic_swap(sv)",
-            SwsOwnerSvRead => "queue/sws.rs: read_sv atomic_fetch_ordered(sv)",
-            SwsOwnerSlotZero => "queue/sws.rs: advertise atomic_set(comp[s], 0)",
-            SwsThiefComplete => "queue/sws.rs: steal_from atomic_set_nbi(comp, vol)",
-            SwsOwnerReclaimRead => "queue/sws.rs: reclaim atomic_fetch(comp)",
-            SwsThiefProbe => "queue/sws.rs: probe atomic_fetch(sv)",
-            SwsOwnerPayloadWrite => "queue/buffer.rs: write_local (SWS ring)",
-            SwsThiefPayloadRead => "queue/buffer.rs: steal_copy get (SWS ring)",
-            SdcLockCas => "queue/sdc.rs: atomic_compare_swap(lock, 0, 1)",
-            SdcUnlock => "queue/sdc.rs: atomic_set(lock, 0)",
-            SdcMetaRead => "queue/sdc.rs: get_words(tail, split)",
-            SdcTailPut => "queue/sdc.rs: put_words(tail + vol)",
-            SdcSplitPublish => "queue/sdc.rs: release atomic_set(split)",
-            SdcOwnerTailRead => "queue/sdc.rs: read_tail atomic_fetch(tail)",
-            SdcComplete => "queue/sdc.rs: atomic_set_nbi(comp, vol)",
-            SdcReclaimRead => "queue/sdc.rs: progress atomic_fetch(comp)",
-            SdcReclaimZero => "queue/sdc.rs: progress atomic_set(comp, 0)",
-            SdcPayloadWrite => "queue/buffer.rs: write_local (SDC ring)",
-            SdcPayloadRead => "queue/buffer.rs: steal_copy get (SDC ring)",
-        }
+        self.row().location
     }
 
-    /// Which protocol the site belongs to.
-    pub fn protocol(self) -> &'static str {
-        if matches!(
-            self,
-            AtomicSite::SwsThiefClaim
-                | AtomicSite::SwsOwnerAdvertise
-                | AtomicSite::SwsOwnerAcquireSwap
-                | AtomicSite::SwsOwnerSvRead
-                | AtomicSite::SwsOwnerSlotZero
-                | AtomicSite::SwsThiefComplete
-                | AtomicSite::SwsOwnerReclaimRead
-                | AtomicSite::SwsThiefProbe
-                | AtomicSite::SwsOwnerPayloadWrite
-                | AtomicSite::SwsThiefPayloadRead
-        ) {
-            "SWS"
-        } else {
-            "SDC"
-        }
+    /// [`SiteRow::protocol`].
+    pub fn protocol(self) -> Protocol {
+        self.row().protocol
+    }
+
+    /// [`SiteRow::dep_class`].
+    pub fn dep_class(self) -> DepClass {
+        self.row().dep_class
+    }
+
+    /// [`SiteRow::name`].
+    pub fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// Inverse of [`AtomicSite::name`].
+    pub fn from_name(name: &str) -> Option<AtomicSite> {
+        AtomicSite::ALL.into_iter().find(|s| s.name() == name)
     }
 
     /// Dense numeric id of this site: its index in [`AtomicSite::ALL`].
     /// The trace-capture layer in `sws-shmem` records sites as raw `u16`s
     /// (it cannot depend on this crate); this is the round-trip anchor.
     pub fn id(self) -> u16 {
-        AtomicSite::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("every site is in ALL") as u16
+        self as u16
     }
 
     /// Inverse of [`AtomicSite::id`]; `None` for ids outside the catalog
     /// (e.g. the capture layer's "unannotated op" sentinel).
     pub fn from_id(id: u16) -> Option<AtomicSite> {
         AtomicSite::ALL.get(id as usize).copied()
-    }
-
-    /// The dependence class of this site, used by the exploration
-    /// scheduler's DPOR-style pruning: two gated ops can only be
-    /// reordered into a new branch when their sites share a class (they
-    /// touch the same protocol word family) *and* their word spans
-    /// overlap with at least one writer. Sites in different classes are
-    /// independent by construction — the SWS stealval word, completion
-    /// slots, and ring payload live at disjoint symmetric addresses, as
-    /// do the SDC lock, tail/split metadata, completion ring, and
-    /// payload (see `queue/layout.rs`). Classing by family (rather than
-    /// exact word) over-approximates conflicts — e.g. two different
-    /// completion slots share a class — which can only add branches,
-    /// never hide one, so pruning stays sound.
-    pub fn dep_class(self) -> DepClass {
-        use AtomicSite::*;
-        match self {
-            SwsThiefClaim | SwsOwnerAdvertise | SwsOwnerAcquireSwap | SwsOwnerSvRead
-            | SwsThiefProbe => DepClass::SwsStealval,
-            SwsOwnerSlotZero | SwsThiefComplete | SwsOwnerReclaimRead => DepClass::SwsCompletion,
-            SwsOwnerPayloadWrite | SwsThiefPayloadRead => DepClass::SwsPayload,
-            SdcLockCas | SdcUnlock => DepClass::SdcLock,
-            SdcMetaRead | SdcTailPut | SdcSplitPublish | SdcOwnerTailRead => DepClass::SdcMeta,
-            SdcComplete | SdcReclaimRead | SdcReclaimZero => DepClass::SdcCompletion,
-            SdcPayloadWrite | SdcPayloadRead => DepClass::SdcPayload,
-        }
     }
 
     /// Does this site issue a compare-swap, giving it a distinct
@@ -388,40 +399,13 @@ impl AtomicSite {
         }
         v
     }
-
-    /// Stable identifier used in audit rows and `// ordering:` comments.
-    pub fn name(self) -> &'static str {
-        use AtomicSite::*;
-        match self {
-            SwsThiefClaim => "SwsThiefClaim",
-            SwsOwnerAdvertise => "SwsOwnerAdvertise",
-            SwsOwnerAcquireSwap => "SwsOwnerAcquireSwap",
-            SwsOwnerSvRead => "SwsOwnerSvRead",
-            SwsOwnerSlotZero => "SwsOwnerSlotZero",
-            SwsThiefComplete => "SwsThiefComplete",
-            SwsOwnerReclaimRead => "SwsOwnerReclaimRead",
-            SwsThiefProbe => "SwsThiefProbe",
-            SwsOwnerPayloadWrite => "SwsOwnerPayloadWrite",
-            SwsThiefPayloadRead => "SwsThiefPayloadRead",
-            SdcLockCas => "SdcLockCas",
-            SdcUnlock => "SdcUnlock",
-            SdcMetaRead => "SdcMetaRead",
-            SdcTailPut => "SdcTailPut",
-            SdcSplitPublish => "SdcSplitPublish",
-            SdcOwnerTailRead => "SdcOwnerTailRead",
-            SdcComplete => "SdcComplete",
-            SdcReclaimRead => "SdcReclaimRead",
-            SdcReclaimZero => "SdcReclaimZero",
-            SdcPayloadWrite => "SdcPayloadWrite",
-            SdcPayloadRead => "SdcPayloadRead",
-        }
-    }
 }
 
 /// A family of protocol words whose sites may conflict with each other.
 /// Sites in distinct classes never race: their words occupy disjoint
-/// symmetric-heap ranges, so the exploration scheduler treats any pair
-/// of ops from different classes as commuting (no schedule branch).
+/// symmetric-heap ranges (see [`Protocol::geometry`]), so the exploration
+/// scheduler treats any pair of ops from different classes as commuting
+/// (no schedule branch).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
 pub enum DepClass {
     /// The SWS stealval word (claim, advertise, swap, reads, probes).
@@ -468,6 +452,20 @@ mod tests {
     }
 
     #[test]
+    fn rows_sit_at_their_sites_index() {
+        for (i, &s) in AtomicSite::ALL.iter().enumerate() {
+            assert_eq!(s as usize, i);
+            assert_eq!(s.name(), format!("{s:?}"));
+            assert_eq!(AtomicSite::from_name(s.name()), Some(s));
+            let row = s.row();
+            assert!(s.name().starts_with(if row.protocol == Protocol::Sws { "Sws" } else { "Sdc" }));
+            // A span phase exactly where a thief can be the issuer.
+            assert_eq!(row.phase.is_empty(), row.owner_only, "{}", s.name());
+        }
+        assert_eq!(AtomicSite::from_name("SwsNoSuchSite"), None);
+    }
+
+    #[test]
     fn ids_round_trip() {
         for (i, &s) in AtomicSite::ALL.iter().enumerate() {
             assert_eq!(s.id() as usize, i);
@@ -482,10 +480,10 @@ mod tests {
         for &s in AtomicSite::ALL.iter() {
             let class = s.dep_class().name();
             assert!(
-                class.starts_with(&s.protocol().to_ascii_lowercase()),
+                class.starts_with(&s.protocol().label().to_ascii_lowercase()),
                 "{} is classed {class} but belongs to {}",
                 s.name(),
-                s.protocol()
+                s.protocol().label()
             );
         }
     }

@@ -55,15 +55,16 @@ use sws_shmem::{OpError, OpResult, ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::ordering::AtomicSite;
+use crate::protocol::claim_marker;
 use crate::queue::buffer::TaskBuffer;
 use crate::queue::{
     QueueConfig, QueueStats, StealOutcome, StealQueue, COMP_CLAIMED, COMP_POISON, COMP_VOL_MASK,
 };
 
 /// Word offsets of the SDC metadata block.
-const LOCK: usize = 0;
-const TAIL: usize = 1;
-const SPLIT: usize = 2;
+pub(crate) const LOCK: usize = 0;
+pub(crate) const TAIL: usize = 1;
+pub(crate) const SPLIT: usize = 2;
 const META_WORDS: usize = 3;
 
 fn is_down(e: &OpError) -> bool {
@@ -122,9 +123,8 @@ impl<'a> SdcQueue<'a> {
         // CASed by every thief) must not share a cache line with the
         // completion ring (written by thieves, chain-followed by the
         // owner) or the task buffer.
-        let meta = ctx.alloc_words_aligned(META_WORDS);
-        let comp = ctx.alloc_words_aligned(cfg.capacity);
-        let buf_addr = ctx.alloc_words_aligned(cfg.buffer_words());
+        let [meta, comp, buf_addr] =
+            Self::blocks(&cfg).map(|words| ctx.alloc_words_aligned(words));
         // lock = 0, tail = 0, split = 0 — the heap is zeroed, but publish
         // explicitly for clarity.
         ctx.local_write_words(meta, &[0, 0, 0]);
@@ -145,6 +145,13 @@ impl<'a> SdcQueue<'a> {
             stats: QueueStats::default(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Words in each of the three collective allocations [`SdcQueue::new`]
+    /// makes, in order: lock/tail/split, the completion ring (one word per
+    /// task slot), the task buffer.
+    pub(crate) fn blocks(cfg: &QueueConfig) -> [usize; 3] {
+        [META_WORDS, cfg.capacity, cfg.buffer_words()]
     }
 
     /// The queue's configuration.
@@ -425,7 +432,7 @@ impl<'a> SdcQueue<'a> {
         }
         let vol = self.cfg.policy.volume(avail, 0).max(1);
         let comp = self.comp_slot(tail);
-        let marker = COMP_CLAIMED | vol;
+        let marker = claim_marker(vol);
 
         // 2b. Write the claim marker *before* publishing the new tail, so
         // the owner can recover the claim if we die past this point. The

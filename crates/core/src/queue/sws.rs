@@ -152,9 +152,8 @@ impl<'a> SwsQueue<'a> {
         // thieves, polled by the owner) or the ring buffer (overwritten
         // by the owner's enqueues). Aligned allocation puts each on its
         // own 128-byte line.
-        let sv_addr = ctx.alloc_words_aligned(1);
-        let comp_addr = ctx.alloc_words_aligned(n_slots * slots_per_epoch);
-        let buf_addr = ctx.alloc_words_aligned(cfg.buffer_words());
+        let [sv_addr, comp_addr, buf_addr] =
+            Self::blocks(&cfg).map(|words| ctx.alloc_words_aligned(words));
         // Advertise an open, empty epoch 0.
         ctx.proto_site(AtomicSite::SwsOwnerAdvertise.id());
         ctx.atomic_set(ctx.my_pe(), sv_addr, cfg.layout.encode(StealVal::empty()));
@@ -191,6 +190,13 @@ impl<'a> SwsQueue<'a> {
             stats: QueueStats::default(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Words in each of the three collective allocations [`SwsQueue::new`]
+    /// makes, in order: the stealval, one completion array per epoch, the
+    /// task buffer.
+    pub(crate) fn blocks(cfg: &QueueConfig) -> [usize; 3] {
+        [1, cfg.layout.n_epochs() * cfg.policy.slot_budget(), cfg.buffer_words()]
     }
 
     /// The queue's configuration.

@@ -141,6 +141,12 @@ impl StealVal {
             tail: 0,
         }
     }
+
+    /// Is the attempted-steals counter at its limit, so that one more
+    /// claim would carry out of the word?
+    pub fn asteals_full(&self) -> bool {
+        self.asteals as u64 == ASTEALS_MASK
+    }
 }
 
 impl Layout {

@@ -57,6 +57,6 @@ pub use snap::{
     SNAP_SCHEMA,
 };
 pub use span::{
-    check_comms, comm_budget, stitch_pe, stitch_report, CommBudget, CommReport, PhaseSlice,
+    check_comms, stitch_pe, stitch_report, CommBudget, CommReport, PhaseSlice,
     SpanOutcome, StealSpan, System,
 };

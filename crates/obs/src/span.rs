@@ -5,8 +5,10 @@
 //! invariant.
 //!
 //! A span covers one steal attempt by one thief against one victim. The
-//! stitcher is a per-thief state machine keyed on the `AtomicSite`
-//! annotation each captured op carries:
+//! stitcher is a per-thief state machine over the protocol steps
+//! [`sws_core::protocol::decode`] reads out of each captured op (an op
+//! whose operands the protocol never issues is skipped — reporting it is
+//! the conformance replay's job), with phase names from the site catalog:
 //!
 //! * **SWS** — `SwsThiefClaim` (the fetch-add) always opens a new
 //!   attempt; the fetched stealval classifies it immediately (gate
@@ -29,30 +31,14 @@
 //! than folding its ops into a neighbouring steal: any later claim
 //! against the same victim starts a fresh span by construction.
 
-use sws_core::stealval::Gate;
+use sws_core::protocol::{decode, Claim, Step};
 use sws_core::{AtomicSite, QueueConfig};
-use sws_core::queue::{COMP_CLAIMED, COMP_POISON, COMP_VOL_MASK};
 use sws_sched::report::RunReport;
 use sws_shmem::{ProtoEvent, ProtoOp};
 
+pub use sws_core::CommBudget;
 /// Which steal protocol a span belongs to.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum System {
-    /// Structured-atomic work stealing (single fetch-add claim).
-    Sws,
-    /// Split queue, deferred copy (spinlock baseline).
-    Sdc,
-}
-
-impl System {
-    /// Short label, matching `RunReport::system`.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Sws => "SWS",
-            System::Sdc => "SDC",
-        }
-    }
-}
+pub use sws_core::Protocol as System;
 
 /// How a steal attempt ended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -178,20 +164,19 @@ struct Attempt {
     system: System,
     victim: u32,
     phases: Vec<PhaseSlice>,
-    /// SWS: the claim decoded to a live (claiming) steal.
-    live_claim: bool,
+    /// A claim exists remotely: the SWS fetch-add claimed a block, or the
+    /// SDC tail was published (and not rolled back).
+    claimed: bool,
     /// SDC: the thief holds the victim's lock.
     locked: bool,
     /// SDC: the lock was won at some point (post-unlock ops like the
     /// payload copy and completion still belong to this attempt, but a
     /// fresh lock CAS or meta read no longer does).
     ever_locked: bool,
-    /// SDC: the new tail was published (claim exists remotely).
-    claimed: bool,
-    /// SDC: locked meta fetch saw an empty shared section.
-    empty_pending: bool,
-    /// SDC fault path: the claim marker was rolled back.
-    rolled_back: bool,
+    /// SDC: how the attempt ends at its unlock, if it ends there — the
+    /// locked meta fetch saw an empty shared section, or the fault path
+    /// rolled the claim marker back.
+    at_unlock: Option<SpanOutcome>,
 }
 
 impl Attempt {
@@ -200,12 +185,10 @@ impl Attempt {
             system,
             victim,
             phases: Vec::new(),
-            live_claim: false,
+            claimed: false,
             locked: false,
             ever_locked: false,
-            claimed: false,
-            empty_pending: false,
-            rolled_back: false,
+            at_unlock: None,
         }
     }
 
@@ -237,259 +220,157 @@ impl Attempt {
             phases: self.phases,
         }
     }
+}
 
-    /// Classification when the stream moves on (next claim/probe or end
-    /// of trace) without a terminal op: a published claim is `Open` —
-    /// the mis-attribution guard the chaos suite pins — everything
-    /// else gave up before claiming.
-    fn abandoned_outcome(&self) -> SpanOutcome {
-        match self.system {
-            System::Sws => {
-                if self.live_claim {
-                    SpanOutcome::Open
-                } else {
-                    SpanOutcome::Failed
-                }
-            }
-            System::Sdc => {
-                if self.rolled_back {
-                    SpanOutcome::Failed
-                } else if self.claimed {
-                    SpanOutcome::Open
-                } else {
-                    SpanOutcome::Failed
-                }
-            }
+/// One thief's stitching state: finished spans plus the attempt in flight.
+struct Stitcher {
+    spans: Vec<StealSpan>,
+    open: Option<Attempt>,
+    thief: u32,
+}
+
+impl Stitcher {
+    /// End the open attempt, if any, with `outcome`.
+    fn close(&mut self, outcome: SpanOutcome) {
+        if let Some(a) = self.open.take() {
+            self.spans.push(a.into_span(self.thief, outcome));
         }
+    }
+
+    /// The stream moved on (next claim/probe or end of trace) without a
+    /// terminal op: a published claim is `Open` — the mis-attribution
+    /// guard the chaos suite pins — everything else gave up before
+    /// claiming.
+    fn abandon(&mut self) {
+        let claimed = self.open.as_ref().is_some_and(|a| a.claimed);
+        self.close(if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
+    }
+
+    /// Abandon whatever is open and start a fresh attempt on `e`'s victim.
+    fn begin(&mut self, system: System, e: &ProtoEvent) -> &mut Attempt {
+        self.abandon();
+        self.open.insert(Attempt::new(system, e.target))
     }
 }
 
 /// Stitch one PE's captured stream into spans. Owner-side ops
 /// (`target == issuer`) are ignored; the remainder replays the thief
-/// state machine described in the module docs. Events must be in
+/// state machine described in the module docs over the steps
+/// [`sws_core::protocol::decode`] reads out of each op. Events must be in
 /// issuer-local order (as captured).
 pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> Vec<StealSpan> {
-    let mut spans = Vec::new();
-    let mut open: Option<Attempt> = None;
-    let mut thief = 0u32;
-
-    let finalize_open = |open: &mut Option<Attempt>, spans: &mut Vec<StealSpan>, thief: u32| {
-        if let Some(a) = open.take() {
-            let outcome = a.abandoned_outcome();
-            spans.push(a.into_span(thief, outcome));
-        }
-    };
-
+    let mut st = Stitcher { spans: Vec::new(), open: None, thief: 0 };
     for e in events {
         if e.target == e.issuer {
             continue;
         }
-        thief = e.issuer;
+        st.thief = e.issuer;
         let Some(site) = AtomicSite::from_id(e.site) else {
             continue;
         };
-        match site {
-            // ---- SWS thief ----
-            AtomicSite::SwsThiefProbe => {
-                finalize_open(&mut open, &mut spans, thief);
-                let mut a = Attempt::new(System::Sws, e.target);
-                a.push("probe", site, e, false);
-                spans.push(a.into_span(thief, SpanOutcome::Probe));
+        let Ok(step) = decode(cfg, site, e) else {
+            continue;
+        };
+        let (system, phase) = (site.protocol(), site.row().phase);
+        // The open attempt, if this op can belong to it.
+        let mine = st.open.as_mut().filter(|a| a.system == system && a.victim == e.target);
+        // An op that ends a steal but has no attempt to end — its claim
+        // was never captured — stands alone as an open SWS span; SDC ops
+        // outside an attempt carry nothing a span could be built from.
+        let orphan = mine.is_none() && system == System::Sws;
+        match step {
+            Step::Probe => {
+                st.begin(system, e).push(phase, site, e, false);
+                st.close(SpanOutcome::Probe);
             }
-            AtomicSite::SwsThiefClaim => {
-                finalize_open(&mut open, &mut spans, thief);
-                let mut a = Attempt::new(System::Sws, e.target);
-                a.push("claim", site, e, false);
-                // The fetch-add returned the pre-claim stealval; decode
-                // it exactly as the thief did.
-                let sv = cfg.layout.decode(e.prev);
-                if sv.gate == Gate::Closed {
-                    spans.push(a.into_span(thief, SpanOutcome::Closed));
-                } else if (sv.asteals as u64) >= cfg.policy.max_steals(sv.itasks as u64) {
-                    spans.push(a.into_span(thief, SpanOutcome::Empty));
-                } else {
-                    a.live_claim = true;
-                    open = Some(a);
+            Step::Claim(claim) => {
+                let a = st.begin(system, e);
+                a.push(phase, site, e, false);
+                match claim {
+                    Claim::Closed => st.close(SpanOutcome::Closed),
+                    Claim::Exhausted | Claim::Overflow => st.close(SpanOutcome::Empty),
+                    Claim::Live { .. } => a.claimed = true,
                 }
             }
-            AtomicSite::SwsThiefPayloadRead => match open.as_mut() {
-                Some(a) if a.system == System::Sws && a.victim == e.target => {
-                    a.push("payload", site, e, false);
+            Step::Payload | Step::TailPut | Step::Marker => {
+                if orphan {
+                    st.begin(system, e).push(phase, site, e, false);
+                    st.close(SpanOutcome::Open);
+                } else if let Some(a) = mine {
+                    a.claimed |= step == Step::TailPut;
+                    a.push(if step == Step::Marker { "marker" } else { phase }, site, e, false);
                 }
-                _ => {
-                    finalize_open(&mut open, &mut spans, thief);
-                    let mut a = Attempt::new(System::Sws, e.target);
-                    a.push("payload", site, e, false);
-                    spans.push(a.into_span(thief, SpanOutcome::Open));
-                }
-            },
-            AtomicSite::SwsThiefComplete => match open.take() {
-                Some(mut a) if a.system == System::Sws && a.victim == e.target => {
-                    a.push("complete", site, e, false);
-                    let outcome = match e.op {
-                        ProtoOp::SetNbi => SpanOutcome::Completed { tasks: e.arg },
-                        ProtoOp::CompareSwap => {
-                            if e.arg & COMP_POISON != 0 {
-                                SpanOutcome::Aborted
-                            } else if e.prev == e.arg2 {
-                                SpanOutcome::Completed {
-                                    tasks: e.arg & COMP_VOL_MASK,
-                                }
-                            } else {
-                                SpanOutcome::Aborted
-                            }
-                        }
+            }
+            Step::Landed { .. } | Step::Poisoned { .. } | Step::LostRace => {
+                let poison = matches!(step, Step::Poisoned { .. }) && system == System::Sdc;
+                if orphan {
+                    st.begin(system, e).push(phase, site, e, false);
+                    st.close(SpanOutcome::Open);
+                } else if let Some(a) = mine {
+                    a.push(if poison { "poison" } else { phase }, site, e, false);
+                    st.close(match step {
+                        Step::Landed { tasks } => SpanOutcome::Completed { tasks },
                         _ => SpanOutcome::Aborted,
-                    };
-                    spans.push(a.into_span(thief, outcome));
+                    });
                 }
-                other => {
-                    open = other;
-                    finalize_open(&mut open, &mut spans, thief);
-                    let mut a = Attempt::new(System::Sws, e.target);
-                    a.push("complete", site, e, false);
-                    spans.push(a.into_span(thief, SpanOutcome::Open));
-                }
-            },
-
-            // ---- SDC thief ----
-            AtomicSite::SdcLockCas => {
+            }
+            Step::Lock { won } => {
                 // Attach only while the open attempt is still in its
                 // lock loop; a lock CAS after a won-and-released lock
                 // is the next steal attempt.
-                let attach = matches!(
-                    open.as_ref(),
-                    Some(a) if a.system == System::Sdc && a.victim == e.target && !a.ever_locked
-                );
-                if !attach {
-                    finalize_open(&mut open, &mut spans, thief);
-                    open = Some(Attempt::new(System::Sdc, e.target));
-                }
-                let a = open.as_mut().expect("attempt just ensured");
-                if e.prev == e.arg2 {
-                    a.locked = true;
-                    a.ever_locked = true;
-                    a.push("lock", site, e, false);
-                } else {
-                    a.push("contend", site, e, true);
-                }
+                let a = match mine {
+                    Some(a) if !a.ever_locked => a,
+                    _ => st.begin(system, e),
+                };
+                (a.locked, a.ever_locked) = (won, won);
+                a.push(if won { phase } else { "contend" }, site, e, !won);
             }
-            AtomicSite::SdcMetaRead => match open.as_mut() {
-                Some(a)
-                    if a.system == System::Sdc
-                        && a.victim == e.target
-                        && (a.locked || !a.ever_locked) =>
-                {
-                    if a.locked {
-                        a.push("meta", site, e, false);
-                        // prev/arg2 are the fetched tail/split words.
-                        if e.arg2 <= e.prev {
-                            a.empty_pending = true;
-                        }
-                    } else {
-                        // Lock-free abort peek between contended CASes.
-                        a.push("peek", site, e, true);
-                        if e.prev >= e.arg2 {
-                            let a = open.take().expect("peeked attempt is open");
-                            spans.push(a.into_span(thief, SpanOutcome::Closed));
-                        }
+            Step::Meta { empty } => match mine {
+                Some(a) if a.locked => {
+                    a.push(phase, site, e, false);
+                    if empty {
+                        a.at_unlock = Some(SpanOutcome::Empty);
+                    }
+                }
+                Some(a) if !a.ever_locked => {
+                    // Lock-free abort peek between contended CASes.
+                    a.push("peek", site, e, true);
+                    if empty {
+                        st.close(SpanOutcome::Closed);
                     }
                 }
                 _ => {
                     // A damped probe: SDC probes with a bare meta read.
-                    finalize_open(&mut open, &mut spans, thief);
-                    let mut a = Attempt::new(System::Sdc, e.target);
-                    a.push("probe", site, e, false);
-                    spans.push(a.into_span(thief, SpanOutcome::Probe));
+                    st.begin(system, e).push("probe", site, e, false);
+                    st.close(SpanOutcome::Probe);
                 }
             },
-            AtomicSite::SdcTailPut => {
-                if let Some(a) = open
-                    .as_mut()
-                    .filter(|a| a.system == System::Sdc && a.victim == e.target)
-                {
-                    a.claimed = true;
-                    a.push("tail", site, e, false);
+            Step::Rollback { .. } => {
+                if let Some(a) = mine {
+                    // The tail put never landed.
+                    a.claimed = false;
+                    a.at_unlock = Some(SpanOutcome::Failed);
+                    a.push("rollback", site, e, false);
                 }
             }
-            AtomicSite::SdcUnlock => {
-                if let Some(a) = open
-                    .as_mut()
-                    .filter(|a| a.system == System::Sdc && a.victim == e.target)
-                {
+            Step::Unlock => {
+                if let Some(a) = mine {
                     a.locked = false;
-                    a.push("unlock", site, e, false);
-                    if a.rolled_back {
-                        let a = open.take().expect("unlocked attempt is open");
-                        spans.push(a.into_span(thief, SpanOutcome::Failed));
-                    } else if a.empty_pending {
-                        let a = open.take().expect("unlocked attempt is open");
-                        spans.push(a.into_span(thief, SpanOutcome::Empty));
-                    } else if !a.claimed {
-                        // Unlock without a published tail: the thief
-                        // bailed out (meta fetch or marker put failed).
-                        let a = open.take().expect("unlocked attempt is open");
-                        spans.push(a.into_span(thief, SpanOutcome::Failed));
+                    a.push(phase, site, e, false);
+                    // Unlock without a published tail: the thief bailed
+                    // out (meta fetch or marker put failed).
+                    let bailed = (!a.claimed).then_some(SpanOutcome::Failed);
+                    if let Some(outcome) = a.at_unlock.or(bailed) {
+                        st.close(outcome);
                     }
                 }
             }
-            AtomicSite::SdcPayloadRead => {
-                if let Some(a) = open
-                    .as_mut()
-                    .filter(|a| a.system == System::Sdc && a.victim == e.target)
-                {
-                    a.push("payload", site, e, false);
-                }
-            }
-            AtomicSite::SdcComplete => {
-                if let Some(a) = open
-                    .as_mut()
-                    .filter(|a| a.system == System::Sdc && a.victim == e.target)
-                {
-                    match e.op {
-                        ProtoOp::Set if e.arg & COMP_CLAIMED != 0 => {
-                            // Fault-path claim marker, placed pre-tail.
-                            a.push("marker", site, e, false);
-                        }
-                        ProtoOp::CompareSwap if e.arg == 0 => {
-                            // Marker rollback: the tail put never landed.
-                            a.claimed = false;
-                            a.rolled_back = true;
-                            a.push("rollback", site, e, false);
-                        }
-                        ProtoOp::CompareSwap if e.arg & COMP_POISON != 0 => {
-                            a.push("poison", site, e, false);
-                            let a = open.take().expect("poisoned attempt is open");
-                            spans.push(a.into_span(thief, SpanOutcome::Aborted));
-                        }
-                        ProtoOp::CompareSwap => {
-                            a.push("complete", site, e, false);
-                            let outcome = if e.prev == e.arg2 {
-                                SpanOutcome::Completed {
-                                    tasks: e.arg & COMP_VOL_MASK,
-                                }
-                            } else {
-                                SpanOutcome::Aborted
-                            };
-                            let a = open.take().expect("finalized attempt is open");
-                            spans.push(a.into_span(thief, outcome));
-                        }
-                        _ => {
-                            // Clean-path passive completion.
-                            a.push("complete", site, e, false);
-                            let a = open.take().expect("completed attempt is open");
-                            spans.push(a.into_span(thief, SpanOutcome::Completed { tasks: e.arg }));
-                        }
-                    }
-                }
-            }
-
-            // Owner-side sites never appear with target != issuer.
+            // Owner-side steps never appear with target != issuer.
             _ => {}
         }
     }
-    finalize_open(&mut open, &mut spans, thief);
-    spans
+    st.abandon();
+    st.spans
 }
 
 /// Stitch every worker's stream in a report and sort the result by
@@ -502,31 +383,6 @@ pub fn stitch_report(report: &RunReport, cfg: &QueueConfig) -> Vec<StealSpan> {
         .collect();
     spans.sort_by_key(|s| (s.start_ns, s.thief));
     spans
-}
-
-/// The per-completed-steal op budget being asserted.
-#[derive(Copy, Clone, Debug)]
-pub struct CommBudget {
-    /// Core (non-contention) ops allowed per completed steal.
-    pub max_core_ops: u64,
-    /// Core blocking ops allowed.
-    pub max_core_blocking: u64,
-    /// Whether the budget must be met exactly (SDC's fixed op sequence)
-    /// or is an upper bound (SWS's "at most" claim).
-    pub exact: bool,
-}
-
-/// The paper's Table 1 budget for a protocol, adjusted for fault mode:
-/// the SWS fault path completes with a CAS instead of a passive set
-/// (3 ops, all blocking) and the SDC fault path adds the claim-marker
-/// write and a finalize CAS (7 ops, all blocking).
-pub fn comm_budget(system: System, faults: bool) -> CommBudget {
-    match (system, faults) {
-        (System::Sws, false) => CommBudget { max_core_ops: 3, max_core_blocking: 2, exact: false },
-        (System::Sws, true) => CommBudget { max_core_ops: 3, max_core_blocking: 3, exact: false },
-        (System::Sdc, false) => CommBudget { max_core_ops: 6, max_core_blocking: 5, exact: true },
-        (System::Sdc, true) => CommBudget { max_core_ops: 7, max_core_blocking: 7, exact: true },
-    }
 }
 
 /// Aggregate comm accounting over a run's spans, with budget checking.
@@ -631,7 +487,7 @@ impl CommReport {
 /// and tally outcomes. `faults` selects the fault-mode budgets.
 pub fn check_comms(spans: &[StealSpan], faults: bool) -> CommReport {
     let system = spans.first().map_or(System::Sws, |s| s.system);
-    let budget = comm_budget(system, faults);
+    let budget = system.comm_budget(faults);
     let mut r = CommReport {
         system: system.label().to_string(),
         faults,
@@ -696,7 +552,8 @@ pub fn check_comms(spans: &[StealSpan], faults: bool) -> CommReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sws_core::stealval::StealVal;
+    use sws_core::queue::{COMP_CLAIMED, COMP_POISON};
+    use sws_core::stealval::{Gate, StealVal, ASTEAL_UNIT};
 
     fn cfg() -> QueueConfig {
         QueueConfig::new(1024, 24)
@@ -730,7 +587,7 @@ mod tests {
     fn sws_clean_steal_is_three_ops_two_blocking() {
         let events = [
             ev(10, AtomicSite::SwsThiefProbe, ProtoOp::Fetch, 0, 0, sv_raw(0, 8)),
-            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, sv_raw(0, 8)),
+            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
             ev(30, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
             ev(45, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 4, 0, 0),
         ];
@@ -760,10 +617,10 @@ mod tests {
             tail: 0,
         });
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, closed_raw),
+            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, closed_raw),
             // Eight initial tasks under Half policy allow 3 steals; the
             // 9th asteal sees an exhausted advertisement.
-            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, sv_raw(9, 8)),
+            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(9, 8)),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -777,10 +634,10 @@ mod tests {
         // First steal's completion never applied (dropped); the second
         // claim against the same victim must open a fresh span.
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, sv_raw(0, 8)),
+            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
             ev(20, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
             // no completion
-            ev(50, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, sv_raw(1, 8)),
+            ev(50, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(1, 8)),
             ev(60, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
             ev(70, AtomicSite::SwsThiefComplete, ProtoOp::CompareSwap, 2, 0, 0),
         ];
@@ -796,7 +653,7 @@ mod tests {
     #[test]
     fn sws_fault_poison_is_aborted() {
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 1, 0, sv_raw(0, 8)),
+            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
             ev(
                 20,
                 AtomicSite::SwsThiefComplete,

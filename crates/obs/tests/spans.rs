@@ -8,6 +8,7 @@ use sws_core::QueueConfig;
 use sws_obs::{check_comms, chrome_trace, stitch_report, validate_chrome_trace};
 use sws_obs::{Registry, SpanOutcome, TraceRun};
 use sws_sched::{run_workload, QueueKind, RunConfig, RunReport, SchedConfig};
+use sws_shmem::{FaultPlan, OpClass, TargetSel};
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 fn queue() -> QueueConfig {
@@ -110,4 +111,70 @@ fn metrics_registry_reflects_the_run() {
         .and_then(|v| v.as_f64())
         .expect("metric present");
     assert_eq!(got as u64, total_tasks);
+}
+
+/// FNV-1a over every stitched span: system, thief, victim, start/end,
+/// outcome (with its task count) and each phase's name, site, op,
+/// blocking and contention flags.
+fn span_digest(report: &RunReport) -> u64 {
+    let mut text = String::new();
+    for s in stitch_report(report, &queue()) {
+        text.push_str(&format!(
+            "|{} {} {} {} {} {:?}",
+            s.system.label(),
+            s.thief,
+            s.victim,
+            s.start_ns,
+            s.end_ns,
+            s.outcome
+        ));
+        for p in &s.phases {
+            text.push_str(&format!(
+                ";{} {} {} {} {} {} {}",
+                p.name,
+                p.site.name(),
+                p.op.name(),
+                p.t_ns,
+                p.dur_ns,
+                p.blocking,
+                p.contention
+            ));
+        }
+    }
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Span *content* is the stitcher's behaviour: these digests were taken
+/// at commit 07c9058 (the hand-written per-site stitcher) over clean
+/// runs, runs with 2 % of ops dropped, and a 1-in-8 sampled run. A
+/// stitcher change that moves one is a behaviour change and re-pins it
+/// in its own commit.
+#[test]
+fn span_results_are_pinned() {
+    let run = |kind, drop: bool, period| {
+        let sched = SchedConfig::new(kind, queue()).with_seed(0xBA5E).with_sample_period(period);
+        let mut cfg = RunConfig::new(8, sched).with_capture_proto();
+        if drop {
+            cfg = cfg.with_faults(
+                FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, 0.02),
+            );
+        }
+        span_digest(&run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8))))
+    };
+    let got = [
+        run(QueueKind::Sws, false, 0),
+        run(QueueKind::Sdc, false, 0),
+        run(QueueKind::Sws, true, 0),
+        run(QueueKind::Sdc, true, 0),
+        run(QueueKind::Sws, false, 8),
+    ];
+    let pinned: [u64; 5] = [
+        0x1eee_573e_a59f_0f6e,
+        0x80b8_2374_8388_11ae,
+        0xfaf3_635d_2824_98f8,
+        0xcd6f_e9af_0bdd_0881,
+        0xcc93_8d62_b03d_c86d,
+    ];
+    assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));
 }

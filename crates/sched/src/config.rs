@@ -1,28 +1,11 @@
 //! Scheduler configuration.
 
 use sws_core::QueueConfig;
-use sws_shmem::RetryPolicy;
 
 use crate::victim::VictimPolicy;
 
 /// Which queue implementation a run uses.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// The paper's structured-atomic queue.
-    Sws,
-    /// The Scioto SDC baseline.
-    Sdc,
-}
-
-impl QueueKind {
-    /// Display label used by the experiment harnesses.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::Sws => "SWS",
-            QueueKind::Sdc => "SDC",
-        }
-    }
-}
+pub use sws_core::Protocol as QueueKind;
 
 /// Which termination detector a run uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -31,30 +14,6 @@ pub enum TdKind {
     Counter,
     /// Dijkstra-style counting token ring.
     TokenRing,
-}
-
-/// Fault-tolerance knobs applied when a run carries an active
-/// [`sws_shmem::FaultPlan`]. All of them are inert in fault-free worlds.
-#[derive(Copy, Clone, Debug)]
-pub struct FaultToleranceConfig {
-    /// Retry/backoff policy for fallible thief-side queue operations.
-    pub retry: RetryPolicy,
-    /// How long the owner lets a claimed block sit without a completion
-    /// before reclaiming it, virtual ns.
-    pub reclaim_grace_ns: u64,
-    /// Quarantine a victim after this many *consecutive* failed or
-    /// aborted steals against it (0 = only quarantine down targets).
-    pub quarantine_after: u32,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> FaultToleranceConfig {
-        FaultToleranceConfig {
-            retry: RetryPolicy::default_thief(),
-            reclaim_grace_ns: 200_000,
-            quarantine_after: 8,
-        }
-    }
 }
 
 /// Scheduler parameters.
@@ -86,8 +45,6 @@ pub struct SchedConfig {
     /// Fixed per-task scheduler overhead charged to the virtual clock, ns
     /// (dequeue + dispatch; measured Scioto overheads are sub-µs).
     pub task_overhead_ns: u64,
-    /// Fault-tolerance knobs (retry budget, reclaim grace, quarantine).
-    pub ft: FaultToleranceConfig,
     /// Steal-span sampling period: with proto capture armed and
     /// `sample_period > 1`, only a seeded, deterministic 1-in-N subset
     /// of steal *attempts* opens the capture window (see
@@ -115,7 +72,6 @@ impl SchedConfig {
             progress_interval: 64,
             release_min_local: 2,
             task_overhead_ns: 120,
-            ft: FaultToleranceConfig::default(),
             sample_period: 0,
         }
     }
@@ -152,13 +108,6 @@ impl SchedConfig {
     #[must_use]
     pub fn with_victim(mut self, victim: VictimPolicy) -> SchedConfig {
         self.victim = victim;
-        self
-    }
-
-    /// Override the fault-tolerance knobs.
-    #[must_use]
-    pub fn with_ft(mut self, ft: FaultToleranceConfig) -> SchedConfig {
-        self.ft = ft;
         self
     }
 

@@ -21,6 +21,10 @@
 //! (service mode) calls [`DampingState::readmit`] when a parked PE
 //! rejoins, so deliberate departures don't poison the victim pool.
 
+/// Consecutive failed or aborted steals against one victim after which
+/// a worker quarantines it (see [`DampingState::with_quarantine_after`]).
+pub const QUARANTINE_AFTER: u32 = 8;
+
 /// Per-target full/empty mode tracking for one thief.
 pub struct DampingState {
     enabled: bool,

@@ -34,7 +34,7 @@ pub mod trace;
 pub mod victim;
 pub mod worker;
 
-pub use config::{FaultToleranceConfig, QueueKind, SchedConfig, TdKind};
+pub use config::{QueueKind, SchedConfig, TdKind};
 pub use report::{RunReport, WorkerStats};
 pub use runner::{
     run_workload, run_workload_mode, try_run_workload_mode, RunConfig, Workload,

@@ -137,7 +137,7 @@ impl RunConfig {
 }
 
 /// What [`launch`] hands each PE's driver: the PE's context plus the
-/// registry, detector and (fault-adjusted) scheduler config the shared
+/// registry, detector and scheduler config the shared
 /// prologue built for it.
 pub(crate) struct PeSetup<'r, 'a> {
     pub(crate) ctx: &'a ShmemCtx,
@@ -177,7 +177,7 @@ pub(crate) fn launch(
     protected_pes: usize,
     drive: impl for<'r, 'a> Fn(PeSetup<'r, 'a>) -> WorkerStats + Sync,
 ) -> Result<RunReport, ShmemError> {
-    let mut sched = cfg.sched;
+    let sched = cfg.sched;
     if let Some(plan) = &cfg.faults {
         if plan.is_active() {
             plan.validate(cfg.n_pes).expect("invalid fault plan");
@@ -197,12 +197,6 @@ pub(crate) fn launch(
                 "crash-stop faults require the counter termination detector"
             );
         }
-        // Thread the fault-tolerance knobs into the queue config so both
-        // queue implementations retry and reclaim consistently.
-        sched.queue = sched
-            .queue
-            .with_retry(sched.ft.retry)
-            .with_reclaim_grace_ns(sched.ft.reclaim_grace_ns);
     }
     let out = run_world(cfg.world(mode), |ctx| {
         let mut reg = TaskRegistry::new();
@@ -268,4 +262,39 @@ pub fn try_run_workload_mode(
         QueueKind::Sws => pe.worker(SwsQueue::new).run().0,
         QueueKind::Sdc => pe.worker(SdcQueue::new).run().0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sws_shmem::{OpClass, RetryPolicy, TargetSel};
+
+    /// No handlers, no seeds: the pool terminates at once.
+    struct Idle;
+
+    impl Workload for Idle {
+        fn register<'a>(&self, _reg: &mut TaskRegistry<TaskCtx<'a>>) {}
+        fn seeds(&self, _pe: usize, _n_pes: usize) -> Vec<TaskDescriptor> {
+            Vec::new()
+        }
+    }
+
+    /// The fault-path knobs have one home, `SchedConfig.queue`, and a
+    /// fault plan must not replace what the caller set there.
+    #[test]
+    fn queue_fault_knobs_reach_the_queue_under_faults() {
+        let queue = QueueConfig::new(64, 24)
+            .with_reclaim_grace_ns(77)
+            .with_retry(RetryPolicy::none());
+        let drops = FaultPlan::seeded(7).with_drop(OpClass::All, TargetSel::Any, 0.01);
+        let cfg = RunConfig::new(2, SchedConfig::new(QueueKind::Sws, queue)).with_faults(drops);
+        launch(&cfg, ExecMode::Virtual, &Idle, 1, |pe| {
+            let worker = pe.worker(SwsQueue::new);
+            let built = *worker.queue.config();
+            assert_eq!(built.reclaim_grace_ns, 77);
+            assert_eq!(built.retry.max_attempts, 1);
+            worker.run().0
+        })
+        .expect("idle run terminates");
+    }
 }

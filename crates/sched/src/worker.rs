@@ -22,7 +22,7 @@
 //!
 //! * steals that come back `Failed`/`Aborted` count as search time and
 //!   feed the quarantine tracker — a victim that is down, or fails
-//!   `quarantine_after` consecutive times, is excluded from the victim
+//!   [`QUARANTINE_AFTER`] consecutive times, is excluded from the victim
 //!   pool for the rest of the run (graceful degradation);
 //! * at its scheduled crash deadline a PE performs an orderly
 //!   [crash-stop](Worker::crash_stop): retire the queue (draining every
@@ -39,7 +39,7 @@ use sws_shmem::ShmemCtx;
 use sws_task::{TaskDescriptor, TaskRegistry};
 
 use crate::config::SchedConfig;
-use crate::damping::DampingState;
+use crate::damping::{DampingState, QUARANTINE_AFTER};
 use crate::report::WorkerStats;
 use crate::taskctx::TaskCtx;
 use crate::termination::Termination;
@@ -109,7 +109,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             td,
             victims,
             damping: DampingState::new(ctx.n_pes(), cfg.damping)
-                .with_quarantine_after(cfg.ft.quarantine_after),
+                .with_quarantine_after(QUARANTINE_AFTER),
             cfg,
             stats: WorkerStats::default(),
             overflow: Vec::new(),

@@ -44,10 +44,6 @@
 //!                    spans as slices, and idle-PE / ring-occupancy /
 //!                    in-flight counter tracks
 //!
-//! standalone modes:
-//!   --conform        replay the deterministic conformance matrix
-//!                    through the abstract protocol machines and exit
-//!
 //! service mode (flat and uts workloads; open-world arrivals):
 //!   --serve          run as a persistent service: work arrives over
 //!                    time on ingress PEs, the pool quiesces between
@@ -170,7 +166,6 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!("usage: sws-run <uts|bpc|flat> [--pes N] [--system sws|sdc|both] [--seed N]");
-    eprintln!("       sws-run --conform");
     eprintln!("               [--depth N] [--consumers N] [--tasks N] [--task-ns N]");
     eprintln!("               [--nodes N] [--engine] [--timeline] [--json]");
     eprintln!("               [--assert-comms] [--assert-steal-bound] [--metrics] [--trace-out FILE]");
@@ -564,14 +559,6 @@ fn snap_path(base: &str, system: &str, multi: bool) -> String {
 }
 
 fn main() {
-    // `--conform` is a standalone mode: replay the conformance matrix
-    // (captured production traces → abstract protocol machines) and
-    // exit with the refinement verdict.
-    if std::env::args().nth(1).as_deref() == Some("--conform") {
-        let report = sws::check::conform::conform_all();
-        print!("{}", report.render());
-        std::process::exit(if report.ok() { 0 } else { 1 });
-    }
     let args = parse_args();
     let kinds: Vec<QueueKind> = match args.system.as_str() {
         "sws" => vec![QueueKind::Sws],

@@ -54,9 +54,8 @@ pub use sws_workloads as workloads;
 pub mod prelude {
     pub use sws_core::{QueueConfig, SdcQueue, StealOutcome, StealQueue, SwsQueue};
     pub use sws_sched::{
-        run_service, run_workload, AdmissionPolicy, FaultToleranceConfig,
-        MembershipPlan, QueueKind, RunConfig, RunReport, SchedConfig,
-        ServiceConfig, TaskCtx, TdKind, Workload,
+        run_service, run_workload, AdmissionPolicy, MembershipPlan, QueueKind, RunConfig,
+        RunReport, SchedConfig, ServiceConfig, TaskCtx, TdKind, Workload,
     };
     pub use sws_shmem::{
         run_world, EngineStats, ExecMode, FaultPlan, NetModel,

@@ -21,7 +21,7 @@ use sws_sched::{
     run_service, run_workload, ArrivalSource, MembershipPlan, QueueKind, RunConfig, RunReport,
     SchedConfig, ServiceConfig, ServiceWorkload, TaskCtx, Workload,
 };
-use sws_shmem::{ExecMode, FaultPlan, OpClass, OrderingCtl, TargetSel};
+use sws_shmem::{ExecMode, FaultPlan, OpClass, OrderingCtl, RetryPolicy, TargetSel};
 use sws_task::{TaskDescriptor, TaskRegistry};
 use sws_workloads::arrivals::{ArrivalPlan, FlatServe};
 use sws_workloads::bpc::{BpcParams, BpcWorkload};
@@ -82,9 +82,33 @@ fn digest(r: &RunReport) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// UTS on 64 PEs, BPC on 32, UTS on 16 with 2 % drops, and an elastic
-/// service run with 4 % drops — traced, so the event logs count.
-fn pinned_runs(kind: QueueKind) -> [RunReport; 4] {
+/// A run hostile enough to reach the recovery branches drops alone never
+/// do: UTS on 16 PEs with a short reclaim grace, a stall window on PE 3
+/// and a crash-stop of PE 5, plus the drop rate and retry budget that
+/// make each queue fail, abort and reclaim steals (SWS with no retries
+/// also poisons).
+fn hostile_run(kind: QueueKind) -> RunReport {
+    let (retry, drop_prob) = match kind {
+        QueueKind::Sws => (RetryPolicy::none(), 0.05),
+        QueueKind::Sdc => (RetryPolicy::default_thief(), 0.10),
+    };
+    let queue = QueueConfig::new(1024, 48)
+        .with_reclaim_grace_ns(20_000)
+        .with_retry(retry);
+    let mut sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
+    sched.trace = true;
+    let plan = FaultPlan::seeded(0x5E41_0003)
+        .with_drop(OpClass::All, TargetSel::Any, drop_prob)
+        .with_stall(3, 40_000, 120_000)
+        .with_crash(5, 300_000);
+    let cfg = RunConfig::new(16, sched).with_faults(plan);
+    run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8)))
+}
+
+/// UTS on 64 PEs, BPC on 32, UTS on 16 with 2 % drops, an elastic
+/// service run with 4 % drops, and the hostile run — traced, so the
+/// event logs count.
+fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
     let mut sched = SchedConfig::new(kind, QueueConfig::new(1024, 48)).with_seed(0xBA5E);
     sched.trace = true;
     let drops = |p| FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, p);
@@ -97,6 +121,7 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 4] {
         run_workload(&RunConfig::new(32, sched), &BpcWorkload::new(BpcParams::scaled(32, 6))),
         run_workload(&RunConfig::new(16, sched).with_faults(drops(0.02)), &uts(8)),
         run_service(&RunConfig::new(4, sched).with_faults(drops(0.04)), &elastic, &serve),
+        hostile_run(kind),
     ]
 }
 
@@ -104,17 +129,18 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 4] {
 /// commit 616a308, where PEs were OS threads and the safe-window gate was
 /// differentially tested against a hand-off-per-op gate (both agreed);
 /// any engine since must reproduce them bit for bit. A legitimate
-/// protocol or cost-model change re-pins them — in its own commit.
+/// protocol or cost-model change re-pins them — in its own commit. The
+/// fifth digest of each row (the hostile run) was taken at 3fceb67.
 #[test]
 fn virtual_results_are_pinned() {
     let pinned = [
         (
             QueueKind::Sws,
-            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x76ed14f5f68298f8, 0x64979437fb200589],
+            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x76ed14f5f68298f8, 0x64979437fb200589, 0x0b742dbdeb8ed9d8],
         ),
         (
             QueueKind::Sdc,
-            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0xfd2a654ceb3b83fd, 0x3198cdb8c345e684],
+            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0xfd2a654ceb3b83fd, 0x3198cdb8c345e684, 0x56865469af669866],
         ),
     ];
     for (kind, want) in pinned {
@@ -122,7 +148,25 @@ fn virtual_results_are_pinned() {
         for r in &runs {
             assert!(r.total_steals() > 0, "{kind:?}: a pinned run stole nothing");
         }
-        assert_eq!(runs.map(|r| digest(&r)), want, "{kind:?}: reports diverged from the pin");
+        // The hostile pin must keep reaching the branches it was added
+        // for, or it pins nothing.
+        let h = &runs[4];
+        assert_eq!(h.total_tasks(), 6_217, "{kind:?}: hostile run lost or duplicated tasks");
+        let reached = [
+            ("failed", h.total_steals_failed()),
+            ("aborted", h.total_steals_aborted()),
+            ("reclaimed", h.total_claims_reclaimed()),
+            ("crashed", h.crashed_pes() as u64),
+            match kind {
+                QueueKind::Sws => ("poisoned", h.total_completions_poisoned()),
+                QueueKind::Sdc => ("retries", h.total_steal_retries()),
+            },
+        ];
+        for (branch, n) in reached {
+            assert!(n > 0, "{kind:?}: the hostile pin no longer reaches `{branch}`");
+        }
+        let got = runs.map(|r| digest(&r));
+        assert_eq!(got, want, "{kind:?}: reports diverged from the pin");
     }
 }
 

@@ -6,7 +6,7 @@
 //! charged one-sided `get`s, using a single gather operation when the
 //! block wraps the ring.
 
-use sws_shmem::{ShmemCtx, SymAddr};
+use sws_shmem::{OpResult, ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::ring::Ring;
@@ -77,7 +77,8 @@ impl TaskBuffer {
 
     /// Thief: copy `n` records starting at ring slot `start` from
     /// `target`'s buffer into `out` — one charged `get`, gathering across
-    /// the wrap point if needed.
+    /// the wrap point if needed. Fallible: under fault injection the get
+    /// can be dropped or time out.
     pub(crate) fn steal_copy(
         &self,
         ctx: &ShmemCtx,
@@ -85,30 +86,7 @@ impl TaskBuffer {
         start: usize,
         n: usize,
         out: &mut Vec<u64>,
-    ) {
-        out.clear();
-        out.resize(n * self.task_words, 0);
-        let rr = self.ring.range(start, n);
-        match rr.second {
-            None => ctx.get_words(target, self.slot_addr(rr.first.0), out),
-            Some((s, l)) => {
-                let a = (self.slot_addr(rr.first.0), rr.first.1 * self.task_words);
-                let b = (self.slot_addr(s), l * self.task_words);
-                ctx.get_words_gather(target, a, b, out);
-            }
-        }
-    }
-
-    /// Fallible form of [`TaskBuffer::steal_copy`] for fault-injected
-    /// worlds: the single get (or gather) can be dropped or time out.
-    pub(crate) fn try_steal_copy(
-        &self,
-        ctx: &ShmemCtx,
-        target: usize,
-        start: usize,
-        n: usize,
-        out: &mut Vec<u64>,
-    ) -> sws_shmem::OpResult<()> {
+    ) -> OpResult<()> {
         out.clear();
         out.resize(n * self.task_words, 0);
         let rr = self.ring.range(start, n);

@@ -1,6 +1,7 @@
 //! Queue abstractions shared by the SDC baseline and SWS.
 
 pub(crate) mod buffer;
+pub(crate) mod owner;
 pub mod sdc;
 pub mod sws;
 
@@ -304,22 +305,16 @@ pub trait StealQueue {
     /// lock, drain every in-flight steal exactly as [`StealQueue::retire`]
     /// does, and leave the queue locked against thieves until
     /// [`StealQueue::unpark`]. Elastic PEs use this to leave the pool
-    /// mid-run through the protocol's own locked-stealval path. The
-    /// default implementation falls back to the one-way `retire`.
-    fn park(&mut self) {
-        self.retire();
-    }
+    /// mid-run through the protocol's own locked-stealval path.
+    fn park(&mut self);
 
-    /// Re-open a parked queue for stealing. Queues that only support the
-    /// one-way `retire` ignore this (the default).
-    fn unpark(&mut self) {}
+    /// Re-open a parked queue for stealing.
+    fn unpark(&mut self);
 
     /// Total tasks currently resident in the ring — local *and* shared
     /// (claimed-but-unreclaimed space included). Admission control
     /// compares this against the ring capacity's high-water mark.
-    fn occupancy(&self) -> u64 {
-        self.local_count()
-    }
+    fn occupancy(&self) -> u64;
 }
 
 impl StealQueue for Box<dyn StealQueue + '_> {

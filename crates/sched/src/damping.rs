@@ -11,67 +11,40 @@
 //! The paper found damping costs nothing measurable when overflow is far
 //! away; the `ablation_damping` bench reproduces that claim.
 //!
-//! Under fault injection this module also owns *quarantine*: a target
-//! whose steals keep failing (past the retry budget) accumulates a
-//! failure streak, and once the streak crosses the configured threshold
-//! the thief stops attempting it altogether — the graceful-degradation
-//! half of the fault model. A target reported down is quarantined
-//! immediately. Quarantine is sticky for a batch run — a PE that failed
-//! that persistently is treated as lost — but elastic membership
+//! Under fault injection this module also tracks the *failure streak*
+//! that feeds quarantine: a target whose steals keep failing (past the
+//! retry budget) accumulates a streak, and once it reaches
+//! [`QUARANTINE_AFTER`] the worker excludes the target from its victim
+//! pool — the graceful-degradation half of the fault model. Which
+//! targets *are* quarantined is recorded in one place, the
+//! [`crate::victim::VictimSelector`] exclusion set. Elastic membership
 //! (service mode) calls [`DampingState::readmit`] when a parked PE
 //! rejoins, so deliberate departures don't poison the victim pool.
 
 /// Consecutive failed or aborted steals against one victim after which
-/// a worker quarantines it (see [`DampingState::with_quarantine_after`]).
+/// a worker quarantines it.
 pub const QUARANTINE_AFTER: u32 = 8;
 
-/// Per-target full/empty mode tracking for one thief.
+/// Per-target full/empty mode and failure-streak tracking for one thief.
 pub struct DampingState {
     enabled: bool,
     /// `true` = empty-mode (probe before claiming).
     empty_mode: Vec<bool>,
-    /// Consecutive empty observations needed to enter empty-mode.
-    threshold: u32,
-    /// Consecutive empty observations per target.
-    empty_streak: Vec<u32>,
-    /// Consecutive failed/aborted steals needed to quarantine a target;
-    /// 0 disables streak-based quarantine (down targets still quarantine).
-    quarantine_after: u32,
-    /// Consecutive failed/aborted steals per target.
+    /// Consecutive failed/aborted steals per target. Tracked whether or
+    /// not damping is enabled — damping is a perf feature, quarantine a
+    /// fault one.
     failure_streak: Vec<u32>,
-    /// Sticky per-target quarantine flags.
-    quarantined: Vec<bool>,
 }
 
 impl DampingState {
-    /// Damping for `n_pes` targets; `enabled = false` makes every check a
-    /// no-op (the ablation configuration).
+    /// Damping for `n_pes` targets; `enabled = false` makes every
+    /// empty-mode check a no-op (the ablation configuration).
     pub fn new(n_pes: usize, enabled: bool) -> DampingState {
         DampingState {
             enabled,
             empty_mode: vec![false; n_pes],
-            threshold: 1,
-            empty_streak: vec![0; n_pes],
-            quarantine_after: 0,
             failure_streak: vec![0; n_pes],
-            quarantined: vec![false; n_pes],
         }
-    }
-
-    /// Require `k` consecutive empty observations before damping a target.
-    #[must_use]
-    pub fn with_threshold(mut self, k: u32) -> DampingState {
-        self.threshold = k.max(1);
-        self
-    }
-
-    /// Quarantine a target after `k` consecutive failed steals (0 keeps
-    /// streak-based quarantine off). Quarantine tracking is independent
-    /// of `enabled` — damping is a perf feature, quarantine a fault one.
-    #[must_use]
-    pub fn with_quarantine_after(mut self, k: u32) -> DampingState {
-        self.quarantine_after = k;
-        self
     }
 
     /// Should a steal against `target` start with a read-only probe?
@@ -79,13 +52,10 @@ impl DampingState {
         self.enabled && self.empty_mode[target]
     }
 
-    /// Record that `target` was observed with no stealable work.
+    /// Record that `target` was observed with no stealable work: it
+    /// enters empty-mode.
     pub fn observed_empty(&mut self, target: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.empty_streak[target] = self.empty_streak[target].saturating_add(1);
-        if self.empty_streak[target] >= self.threshold {
+        if self.enabled {
             self.empty_mode[target] = true;
         }
     }
@@ -94,77 +64,37 @@ impl DampingState {
     /// and clear its failure streak (the PE is demonstrably alive).
     pub fn observed_work(&mut self, target: usize) {
         self.failure_streak[target] = 0;
-        if !self.enabled {
-            return;
-        }
-        self.empty_streak[target] = 0;
         self.empty_mode[target] = false;
     }
 
     /// Record a failed or aborted steal against `target`. Returns `true`
-    /// when this failure pushes the target into quarantine (first time
-    /// only — callers use it to update their victim pool exactly once).
+    /// once its streak has reached [`QUARANTINE_AFTER`] — the caller
+    /// quarantines it.
     pub fn observed_failure(&mut self, target: usize) -> bool {
         self.failure_streak[target] = self.failure_streak[target].saturating_add(1);
-        if self.quarantine_after > 0
-            && self.failure_streak[target] >= self.quarantine_after
-        {
-            return self.quarantine(target);
-        }
-        false
+        self.failure_streak[target] >= QUARANTINE_AFTER
     }
 
-    /// Quarantine `target` unconditionally (a down PE). Returns `true`
-    /// if it was not already quarantined.
-    pub fn quarantine(&mut self, target: usize) -> bool {
-        let newly = !self.quarantined[target];
-        self.quarantined[target] = true;
-        newly
-    }
-
-    /// Readmit `target` with a clean slate: quarantine flag, failure
-    /// streak, and empty-mode state all cleared. Elastic membership uses
-    /// this when a parked PE's away window ends — stale quarantine from
-    /// its locked-queue period must not outlive the rejoin. Returns
-    /// `true` if the target had been quarantined.
-    pub fn readmit(&mut self, target: usize) -> bool {
-        let was = self.quarantined[target];
-        self.quarantined[target] = false;
-        self.failure_streak[target] = 0;
-        self.empty_streak[target] = 0;
-        self.empty_mode[target] = false;
-        was
-    }
-
-    /// Is `target` quarantined?
-    pub fn is_quarantined(&self, target: usize) -> bool {
-        self.quarantined[target]
-    }
-
-    /// Number of quarantined targets (for reporting).
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of targets currently in empty-mode (for reporting).
-    pub fn empty_mode_count(&self) -> usize {
-        self.empty_mode.iter().filter(|&&b| b).count()
+    /// Readmit `target` with a clean slate: failure streak and empty-mode
+    /// state cleared. Elastic membership uses this when a parked PE's
+    /// away window ends — stale state from its locked-queue period must
+    /// not outlive the rejoin.
+    pub fn readmit(&mut self, target: usize) {
+        self.observed_work(target);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::victim::{VictimPolicy, VictimSelector};
 
     #[test]
     fn enters_empty_mode_after_threshold() {
-        let mut d = DampingState::new(4, true).with_threshold(2);
+        let mut d = DampingState::new(4, true);
         assert!(!d.should_probe(1));
         d.observed_empty(1);
-        assert!(!d.should_probe(1), "below threshold");
-        d.observed_empty(1);
-        assert!(d.should_probe(1), "at threshold");
-        assert_eq!(d.empty_mode_count(), 1);
+        assert!(d.should_probe(1), "one empty observation is the threshold");
     }
 
     #[test]
@@ -174,7 +104,6 @@ mod tests {
         assert!(d.should_probe(0));
         d.observed_work(0);
         assert!(!d.should_probe(0));
-        assert_eq!(d.empty_mode_count(), 0);
     }
 
     #[test]
@@ -184,7 +113,6 @@ mod tests {
             d.observed_empty(2);
         }
         assert!(!d.should_probe(2));
-        assert_eq!(d.empty_mode_count(), 0);
     }
 
     #[test]
@@ -196,50 +124,46 @@ mod tests {
         assert!(!d.should_probe(2));
     }
 
+    /// The streak and the selector's exclusion set together, as the
+    /// worker composes them: the target is quarantined exactly once.
     #[test]
     fn failure_streak_quarantines_once() {
-        let mut d = DampingState::new(4, false).with_quarantine_after(3);
-        assert!(!d.observed_failure(1));
-        assert!(!d.observed_failure(1));
-        assert!(d.observed_failure(1), "third consecutive failure");
-        assert!(d.is_quarantined(1));
-        assert!(!d.observed_failure(1), "already quarantined");
-        assert_eq!(d.quarantined_count(), 1);
+        let mut d = DampingState::new(4, false);
+        let mut pool = VictimSelector::with_policy(7, 0, 4, VictimPolicy::Uniform);
+        let mut quarantines = 0;
+        for n in 1..=QUARANTINE_AFTER + 2 {
+            let crossed = d.observed_failure(1);
+            assert_eq!(crossed, n >= QUARANTINE_AFTER, "failure {n}");
+            if crossed && pool.exclude(1) {
+                quarantines += 1;
+            }
+        }
+        assert_eq!(quarantines, 1);
+        assert_eq!(pool.live_victims(), 2);
     }
 
     #[test]
     fn success_resets_failure_streak() {
-        let mut d = DampingState::new(2, true).with_quarantine_after(2);
-        assert!(!d.observed_failure(0));
+        let mut d = DampingState::new(2, true);
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!d.observed_failure(0));
+        }
         d.observed_work(0);
         assert!(!d.observed_failure(0), "streak was reset");
-        assert!(d.observed_failure(0));
     }
 
     #[test]
     fn readmit_clears_quarantine_and_streaks() {
-        let mut d = DampingState::new(3, true).with_quarantine_after(2);
-        d.observed_empty(1);
-        assert!(!d.observed_failure(1));
-        assert!(d.observed_failure(1));
-        assert!(d.is_quarantined(1) && d.should_probe(1));
-        assert!(d.readmit(1), "was quarantined");
-        assert!(!d.is_quarantined(1));
-        assert!(!d.should_probe(1), "empty-mode cleared");
-        // Streak restarts from zero: two fresh failures to re-quarantine.
-        assert!(!d.observed_failure(1));
-        assert!(d.observed_failure(1));
-        assert!(!d.readmit(2), "never quarantined");
-    }
-
-    #[test]
-    fn down_target_quarantines_immediately() {
         let mut d = DampingState::new(3, true);
-        assert!(d.quarantine(2));
-        assert!(!d.quarantine(2), "second call is not new");
-        assert!(d.is_quarantined(2));
-        // Streak-based quarantine stays off (quarantine_after = 0) …
+        d.observed_empty(1);
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!d.observed_failure(1));
+        }
+        assert!(d.observed_failure(1));
+        assert!(d.should_probe(1));
+        d.readmit(1);
+        assert!(!d.should_probe(1), "empty-mode cleared");
+        // Streak restarts from zero: a fresh failure is the first again.
         assert!(!d.observed_failure(1));
-        assert!(!d.is_quarantined(1));
     }
 }

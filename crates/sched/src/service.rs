@@ -34,14 +34,13 @@
 //!   `completed_arrivals == admitted` at shutdown
 //!   ([`RunReport::arrival_conservation_ok`]).
 //!
-//! The worker's batch loop ([`crate::worker::Worker::run`]) is pinned by
-//! differential suites and stays untouched; service mode drives the same
-//! `Worker` building blocks (execute, upkeep, steal, crash-stop) from
-//! its own loop.
+//! Service mode drives the same [`Worker`] building blocks as the batch
+//! loop ([`crate::worker::Worker::run`]) — execute, upkeep, acquire, the
+//! idle search step, drain, crash-stop, shutdown — from its own loop.
 
 use std::collections::VecDeque;
 
-use sws_core::{SdcQueue, StealOutcome, StealQueue, SwsQueue};
+use sws_core::{SdcQueue, StealQueue, SwsQueue};
 use sws_shmem::{ExecMode, SymAddr};
 use sws_task::TaskDescriptor;
 
@@ -50,7 +49,6 @@ use crate::report::{RunReport, WorkerStats};
 use crate::runner::{launch, RunConfig, Workload};
 use crate::snapshot::SnapRow;
 use crate::termination::insist;
-use crate::trace::EventKind;
 use crate::worker::Worker;
 
 /// Service control block layout (allocated on every PE, used on PE 0):
@@ -268,7 +266,8 @@ struct ServiceLoop<'r, 'a, Q: StealQueue> {
     peer_rejoins: VecDeque<(u64, usize)>,
     /// PEs that appear in the membership plan: steal failures against
     /// them never quarantine (a parked queue looks exactly like a faulty
-    /// one to a thief; down PEs still quarantine via `target_down`).
+    /// one to a thief; down PEs still quarantine via `target_down`) —
+    /// the `spared` set of [`Worker::search_step`].
     elastic: Vec<bool>,
     /// Service control block on PE 0.
     ctrl: SymAddr,
@@ -459,11 +458,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
         self.done_reported = true;
         let ctx = self.w.ctx;
         let addr = self.ctrl.offset(SVC_DONE_INGRESS);
-        if ctx.faults_active() {
-            insist(ctx, || ctx.try_atomic_fetch_add(0, addr, 1));
-        } else {
-            ctx.atomic_fetch_add(0, addr, 1);
-        }
+        insist(ctx, || ctx.try_atomic_fetch_add(0, addr, 1));
     }
 
     /// Should an idle ingress PE leave the idle set to inject?
@@ -501,12 +496,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             }
             return false;
         }
-        if ctx.faults_active() {
-            insist(ctx, || ctx.try_atomic_fetch(0, self.ctrl.offset(SVC_SHUTDOWN)))
-                .is_some_and(|v| v == 1)
-        } else {
-            ctx.atomic_fetch(0, self.ctrl.offset(SVC_SHUTDOWN)) == 1
-        }
+        insist(ctx, || ctx.try_atomic_fetch(0, self.ctrl.offset(SVC_SHUTDOWN))) == Some(1)
     }
 
     /// Clear quarantine state for peers whose away windows have ended.
@@ -517,14 +507,11 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 break;
             }
             self.peer_rejoins.pop_front();
-            if self.w.ctx.faults_active() && self.w.ctx.pe_known_down(pe) {
+            if self.w.ctx.pe_known_down(pe) {
                 continue; // crashed while parked: stays quarantined
             }
-            let was_quarantined = self.w.damping.readmit(pe);
-            if let Some(v) = self.w.victims.as_mut() {
-                v.include(pe);
-            }
-            if was_quarantined {
+            self.w.damping.readmit(pe);
+            if self.w.victims.as_mut().is_some_and(|v| v.include(pe)) {
                 self.w.stats.service.readmitted += 1;
             }
         }
@@ -536,31 +523,16 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
     /// unpark and rejoin.
     fn go_away(&mut self, rejoin_at: u64, already_idle: bool) -> AwayEnd {
         let ctx = self.w.ctx;
-        let faulty = ctx.faults_active();
         self.w.stats.service.parks += 1;
         self.w.queue.park();
-        // Execute everything this PE still owns; children spawned during
-        // the drain land in the parked queue (never released) and are
-        // drained too, so no work leaves with us.
-        loop {
-            if let Some(t) = self.w.overflow.pop() {
-                self.w.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.w.queue.pop_local() {
-                self.w.execute(&t);
-                continue;
-            }
-            break;
-        }
+        self.w.drain_owned();
         self.w.queue.flush_completions();
         self.w.td.flush(ctx);
         if !already_idle {
-            self.w.td.enter_idle(ctx);
-            self.w.log.record(ctx.now_ns(), EventKind::EnterIdle);
+            self.w.enter_idle();
         }
         while ctx.now_ns() < rejoin_at {
-            if faulty && ctx.crash_due() {
+            if ctx.crash_due() {
                 self.w.crash_stop(true);
                 return AwayEnd::Crashed;
             }
@@ -575,9 +547,17 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
         }
         self.w.queue.unpark();
         self.w.stats.service.rejoins += 1;
-        self.w.td.exit_idle(ctx);
-        self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
+        self.w.leave_idle();
         AwayEnd::Rejoined
+    }
+
+    /// Leave the idle set with work in hand (or due), re-arming the
+    /// detector first if this PE had seen the pool quiesce.
+    fn wake(&mut self) {
+        if self.quiesced {
+            self.w.td.on_reactivate(self.w.ctx);
+        }
+        self.w.leave_idle();
     }
 
     /// If this PE's next away window is due, take it. Returns `None` to
@@ -599,9 +579,8 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
     /// Drive this PE until global shutdown (or its crash deadline).
     fn run(mut self) -> WorkerStats {
         let ctx = self.w.ctx;
-        let faulty = ctx.faults_active();
         'outer: loop {
-            if faulty && ctx.crash_due() {
+            if ctx.crash_due() {
                 self.w.crash_stop(false);
                 return self.w.stats;
             }
@@ -623,27 +602,17 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 self.w.upkeep();
                 continue;
             }
-            {
-                let t0 = ctx.now_ns();
-                let got = self.w.queue.acquire();
-                self.w.stats.upkeep_ns += ctx.now_ns() - t0;
-                if got {
-                    self.w.log.record(ctx.now_ns(), EventKind::AcquireHit {
-                        recovered: self.w.queue.local_count() as u32,
-                    });
-                    continue;
-                }
-                self.w.log.record(ctx.now_ns(), EventKind::AcquireMiss);
+            if self.w.acquire_shared() {
+                continue;
             }
             // Queue drained: idle. Unlike the batch loop this is not the
             // beginning of the end — an ingress wake or a successful
             // steal resumes the outer loop.
-            self.w.td.enter_idle(ctx);
-            self.w.log.record(ctx.now_ns(), EventKind::EnterIdle);
+            self.w.enter_idle();
             self.quiesced = false;
             let mut search_iters = 0u32;
             loop {
-                if faulty && ctx.crash_due() {
+                if ctx.crash_due() {
                     self.w.crash_stop(true);
                     return self.w.stats;
                 }
@@ -656,11 +625,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 self.pump_snapshots();
                 self.readmit_due_peers();
                 if self.ingress_wake_due() {
-                    if self.quiesced {
-                        self.w.td.on_reactivate(ctx);
-                    }
-                    self.w.td.exit_idle(ctx);
-                    self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
+                    self.wake();
                     continue 'outer;
                 }
                 if search_iters.is_multiple_of(4) {
@@ -689,84 +654,16 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                         continue;
                     }
                 }
-                let Some(victims) = self.w.victims.as_mut() else {
-                    ctx.compute(200);
-                    continue;
-                };
-                let Some(target) = victims.next_live_victim() else {
-                    ctx.compute(200);
-                    continue;
-                };
-                let t0 = ctx.now_ns();
-                match self.w.attempt_steal(target) {
-                    StealOutcome::Got { tasks } => {
-                        self.w.stats.steal_ns += ctx.now_ns() - t0;
-                        if !self.w.had_work {
-                            self.w.had_work = true;
-                            self.w.stats.first_work_ns = ctx.now_ns();
-                        }
-                        self.w.log.record(ctx.now_ns(), EventKind::StealWon {
-                            victim: target as u32,
-                            tasks: tasks as u32,
-                        });
-                        if self.quiesced {
-                            self.w.td.on_reactivate(ctx);
-                        }
-                        self.w.td.exit_idle(ctx);
-                        self.w.log.record(ctx.now_ns(), EventKind::ExitIdle);
-                        continue 'outer;
-                    }
-                    out @ (StealOutcome::Empty | StealOutcome::Closed) => {
-                        self.w.stats.search_ns += ctx.now_ns() - t0;
-                        let kind = if matches!(out, StealOutcome::Empty) {
-                            EventKind::StealEmpty {
-                                victim: target as u32,
-                            }
-                        } else {
-                            EventKind::StealClosed {
-                                victim: target as u32,
-                            }
-                        };
-                        self.w.log.record(ctx.now_ns(), kind);
-                    }
-                    out @ (StealOutcome::Failed { .. }
-                    | StealOutcome::Aborted { .. }) => {
-                        self.w.stats.search_ns += ctx.now_ns() - t0;
-                        let (kind, down) = match out {
-                            StealOutcome::Failed { target_down } => (
-                                EventKind::StealFailed {
-                                    victim: target as u32,
-                                },
-                                target_down,
-                            ),
-                            StealOutcome::Aborted { target_down } => (
-                                EventKind::StealAborted {
-                                    victim: target as u32,
-                                },
-                                target_down,
-                            ),
-                            _ => unreachable!(),
-                        };
-                        self.w.log.record(ctx.now_ns(), kind);
-                        // A parked elastic queue is indistinguishable
-                        // from a faulty one to a thief; only down PEs
-                        // (and non-elastic streaks) quarantine.
-                        if down || !self.elastic[target] {
-                            self.w.note_steal_failure(target, down);
-                        }
-                    }
+                if self.w.search_step(&self.elastic) {
+                    self.wake();
+                    continue 'outer;
                 }
             }
         }
-        // Global shutdown: mirror the batch epilogue. One last pump
-        // records any ticks that came due during the final search.
+        // Global shutdown: one last pump records any ticks that came due
+        // during the final search.
         self.pump_snapshots();
-        self.w.queue.flush_completions();
-        self.w.td.flush(ctx);
-        self.w.stats.runtime_ns = ctx.now_ns();
-        self.w.stats.queue = self.w.queue.stats().clone();
-        self.w.stats.events = std::mem::take(&mut self.w.log).into_events();
-        ctx.barrier_all();
+        self.w.shutdown();
         self.w.stats
     }
 }

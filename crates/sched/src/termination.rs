@@ -18,8 +18,10 @@
 //!   sums (strictly stronger than the proven `C_r == S_{r-1}` condition,
 //!   hence safe), then raises a global flag.
 //!
-//! **Fault mode.** Detector traffic must survive injected faults:
-//! counter updates use *blocking* fetch-adds retried until they land
+//! **Fault mode.** Detector traffic must survive injected faults: every
+//! blocking detector op is issued through its fallible form and insisted
+//! on (without an injector it cannot fail, so that is one plain op);
+//! counter flushes, passive adds otherwise, become *blocking* fetch-adds
 //! (non-blocking adds are silently droppable, which would leave
 //! `spawned != completed` forever and wedge detection), and token sends
 //! skip PEs that are marked down. The counter detector re-arms
@@ -125,14 +127,10 @@ impl CounterTd {
     /// and every spawned task has completed.
     fn read_globally_idle(&self, ctx: &ShmemCtx) -> bool {
         let mut words = [0u64; 3];
-        if ctx.faults_active() {
-            if insist(ctx, || ctx.try_get_words(0, self.base, &mut words)).is_none() {
-                // The counter host is down; termination is undetectable
-                // through it (the runner forbids crashing PE 0).
-                return false;
-            }
-        } else {
-            ctx.get_words(0, self.base, &mut words);
+        if insist(ctx, || ctx.try_get_words(0, self.base, &mut words)).is_none() {
+            // The counter host is down; termination is undetectable
+            // through it (the runner forbids crashing PE 0).
+            return false;
         }
         let (spawned, completed, idle) = (words[TD_SPAWNED], words[TD_COMPLETED], words[TD_IDLE]);
         idle == ctx.n_pes() as u64 && spawned == completed
@@ -185,26 +183,18 @@ impl Termination for CounterTd {
     fn enter_idle(&mut self, ctx: &ShmemCtx) {
         debug_assert!(!self.idle);
         self.flush(ctx);
-        if ctx.faults_active() {
-            insist(ctx, || {
-                ctx.try_atomic_fetch_add(0, self.base.offset(TD_IDLE), 1)
-            });
-        } else {
-            ctx.atomic_fetch_add(0, self.base.offset(TD_IDLE), 1);
-        }
+        insist(ctx, || {
+            ctx.try_atomic_fetch_add(0, self.base.offset(TD_IDLE), 1)
+        });
         self.idle = true;
     }
 
     fn exit_idle(&mut self, ctx: &ShmemCtx) {
         debug_assert!(self.idle);
         // Wrapping add of -1: a one-sided atomic decrement.
-        if ctx.faults_active() {
-            insist(ctx, || {
-                ctx.try_atomic_fetch_add(0, self.base.offset(TD_IDLE), u64::MAX)
-            });
-        } else {
-            ctx.atomic_fetch_add(0, self.base.offset(TD_IDLE), u64::MAX);
-        }
+        insist(ctx, || {
+            ctx.try_atomic_fetch_add(0, self.base.offset(TD_IDLE), u64::MAX)
+        });
         self.idle = false;
     }
 
@@ -284,27 +274,28 @@ impl TokenRingTd {
     }
 
     /// Pass the token to our successor carrying running sums that now
-    /// include our own counts. In fault mode, down successors are skipped
-    /// (the ring contracts around them) and the send is insisted — a lost
-    /// token would halt detection for everyone.
+    /// include our own counts. Down successors are skipped (the ring
+    /// contracts around them; none is ever down without a fault plan)
+    /// and the send is insisted on — a lost token would halt detection
+    /// for everyone.
     fn send_next(&self, ctx: &ShmemCtx, s: u64, c: u64) {
-        let n = ctx.n_pes();
-        let mut next = (ctx.my_pe() + 1) % n;
-        if ctx.faults_active() {
-            let mut hops = 0;
-            while hops < n && ctx.pe_known_down(next) {
-                next = (next + 1) % n;
-                hops += 1;
-            }
-            if next == ctx.my_pe() {
-                return; // sole survivor: nothing to circulate through
-            }
-            insist(ctx, || ctx.try_put_words(next, self.token, &[s, c, 1]));
-            return;
+        let (me, n) = (ctx.my_pe(), ctx.n_pes());
+        let mut next = (me + 1) % n;
+        while next != me && ctx.pe_known_down(next) {
+            next = (next + 1) % n;
         }
         // Flag word written last: per-word ordering publishes the sums
         // before the token becomes visible.
-        ctx.put_words(next, self.token, &[s, c, 1]);
+        insist(ctx, || ctx.try_put_words(next, self.token, &[s, c, 1]));
+    }
+
+    /// Has PE 0 raised the global flag? PE 0 knows; everyone else reads
+    /// it remotely.
+    fn flag_raised(&self, ctx: &ShmemCtx) -> bool {
+        if ctx.my_pe() == 0 {
+            return self.done;
+        }
+        insist(ctx, || ctx.try_atomic_fetch(0, self.term_flag)) == Some(1)
     }
 
     /// Receive the token from our slot if present; forward or (PE 0)
@@ -368,14 +359,7 @@ impl Termination for TokenRingTd {
             return true;
         }
         self.pump_token(ctx);
-        if ctx.my_pe() == 0 {
-            self.seen_done = self.done;
-        } else if ctx.faults_active() {
-            self.seen_done = insist(ctx, || ctx.try_atomic_fetch(0, self.term_flag))
-                .is_some_and(|v| v == 1);
-        } else {
-            self.seen_done = ctx.atomic_fetch(0, self.term_flag) == 1;
-        }
+        self.seen_done = self.flag_raised(ctx);
         self.seen_done
     }
 
@@ -388,14 +372,7 @@ impl Termination for TokenRingTd {
         // window ends when the ingress PE re-arms the ring, and a PE that
         // stopped pumping on a cached `true` would stall the next round.
         self.pump_token(ctx);
-        if ctx.my_pe() == 0 {
-            return self.done;
-        }
-        if ctx.faults_active() {
-            insist(ctx, || ctx.try_atomic_fetch(0, self.term_flag)).is_some_and(|v| v == 1)
-        } else {
-            ctx.atomic_fetch(0, self.term_flag) == 1
-        }
+        self.flag_raised(ctx)
     }
 
     fn on_reactivate(&mut self, ctx: &ShmemCtx) {

@@ -5,10 +5,11 @@
 //! PE derives a private RNG stream from the run seed so virtual-time runs
 //! are reproducible bit-for-bit while different PEs stay uncorrelated.
 //!
-//! Under fault injection the selector also tracks an *exclusion set*:
-//! victims the scheduler has quarantined (crash-stopped or persistently
-//! failing PEs) are skipped by [`VictimSelector::next_live_victim`], so a
-//! degraded world keeps stealing from the PEs that remain.
+//! Under fault injection the selector also holds the *exclusion set* —
+//! the one record of which victims the scheduler has quarantined
+//! (crash-stopped or persistently failing PEs). They are skipped by
+//! [`VictimSelector::next_live_victim`], so a degraded world keeps
+//! stealing from the PEs that remain.
 
 use sws_shmem::rng::SplitMix64;
 
@@ -46,12 +47,7 @@ pub struct VictimSelector {
 }
 
 impl VictimSelector {
-    /// Uniform selector for PE `me` of `n_pes`, seeded from the run seed.
-    pub fn new(seed: u64, me: usize, n_pes: usize) -> VictimSelector {
-        Self::with_policy(seed, me, n_pes, VictimPolicy::Uniform)
-    }
-
-    /// Selector with an explicit policy.
+    /// Selector for PE `me` of `n_pes`, seeded from the run seed.
     pub fn with_policy(
         seed: u64,
         me: usize,
@@ -110,28 +106,28 @@ impl VictimSelector {
         }
     }
 
-    /// Remove `pe` from the victim pool (idempotent). Panics on `me`.
-    pub fn exclude(&mut self, pe: usize) {
+    /// Remove `pe` from the victim pool (idempotent); `true` when it was
+    /// in the pool until now. Panics on `me`.
+    pub fn exclude(&mut self, pe: usize) -> bool {
         assert_ne!(pe, self.me, "cannot exclude the local PE");
-        if !self.excluded[pe] {
+        let newly = !self.excluded[pe];
+        if newly {
             self.excluded[pe] = true;
             self.n_excluded += 1;
         }
+        newly
     }
 
     /// Return `pe` to the victim pool (idempotent) — an elastic PE that
     /// parked (and was quarantined by frustrated thieves) rejoins with a
-    /// clean slate.
-    pub fn include(&mut self, pe: usize) {
-        if self.excluded[pe] {
+    /// clean slate. `true` when it had been excluded.
+    pub fn include(&mut self, pe: usize) -> bool {
+        let was = self.excluded[pe];
+        if was {
             self.excluded[pe] = false;
             self.n_excluded -= 1;
         }
-    }
-
-    /// Is `pe` currently excluded?
-    pub fn is_excluded(&self, pe: usize) -> bool {
-        self.excluded[pe]
+        was
     }
 
     /// Number of victims still in the pool.
@@ -179,10 +175,14 @@ impl VictimSelector {
 mod tests {
     use super::*;
 
+    fn uniform(seed: u64, me: usize, n_pes: usize) -> VictimSelector {
+        VictimSelector::with_policy(seed, me, n_pes, VictimPolicy::Uniform)
+    }
+
     #[test]
     fn never_selects_self() {
         for me in 0..5 {
-            let mut sel = VictimSelector::new(42, me, 5);
+            let mut sel = uniform(42, me, 5);
             for _ in 0..1000 {
                 assert_ne!(sel.next_victim(), me);
             }
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn covers_all_other_pes_roughly_uniformly() {
-        let mut sel = VictimSelector::new(1, 2, 8);
+        let mut sel = uniform(1, 2, 8);
         let mut counts = [0u32; 8];
         for _ in 0..7000 {
             counts[sel.next_victim()] += 1;
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed_and_pe() {
         let seq = |seed, me| {
-            let mut s = VictimSelector::new(seed, me, 6);
+            let mut s = uniform(seed, me, 6);
             (0..50).map(|_| s.next_victim()).collect::<Vec<_>>()
         };
         assert_eq!(seq(7, 3), seq(7, 3));
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn two_pe_world_always_picks_the_peer() {
-        let mut sel = VictimSelector::new(0, 0, 2);
+        let mut sel = uniform(0, 0, 2);
         for _ in 0..10 {
             assert_eq!(sel.next_victim(), 1);
         }
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two")]
     fn single_pe_rejected() {
-        let _ = VictimSelector::new(0, 0, 1);
+        let _ = uniform(0, 0, 1);
     }
 
     #[test]
@@ -282,16 +282,15 @@ mod tests {
 
     #[test]
     fn exclusion_removes_victims_until_none_remain() {
-        let mut sel = VictimSelector::new(11, 0, 4);
+        let mut sel = uniform(11, 0, 4);
         assert_eq!(sel.live_victims(), 3);
         for _ in 0..100 {
             let v = sel.next_live_victim().unwrap();
             assert!((1..4).contains(&v));
         }
-        sel.exclude(2);
-        sel.exclude(2); // idempotent
+        assert!(sel.exclude(2), "newly excluded");
+        assert!(!sel.exclude(2), "idempotent");
         assert_eq!(sel.live_victims(), 2);
-        assert!(sel.is_excluded(2));
         for _ in 0..100 {
             let v = sel.next_live_victim().unwrap();
             assert!(v == 1 || v == 3, "excluded victim drawn");
@@ -304,26 +303,25 @@ mod tests {
 
     #[test]
     fn include_reverses_exclusion() {
-        let mut sel = VictimSelector::new(13, 0, 4);
+        let mut sel = uniform(13, 0, 4);
         sel.exclude(1);
         sel.exclude(2);
         sel.exclude(3);
         assert_eq!(sel.next_live_victim(), None);
-        sel.include(2);
-        sel.include(2); // idempotent
+        assert!(sel.include(2), "was excluded");
+        assert!(!sel.include(2), "idempotent");
         assert_eq!(sel.live_victims(), 1);
-        assert!(!sel.is_excluded(2));
         for _ in 0..50 {
             assert_eq!(sel.next_live_victim(), Some(2));
         }
-        sel.include(0); // never-excluded self: no-op, no underflow
+        assert!(!sel.include(0)); // never-excluded self: no-op, no underflow
         assert_eq!(sel.live_victims(), 1);
     }
 
     #[test]
     #[should_panic(expected = "cannot exclude the local PE")]
     fn excluding_self_rejected() {
-        VictimSelector::new(0, 1, 3).exclude(1);
+        uniform(0, 1, 3).exclude(1);
     }
 
     /// Under heavy exclusion the policy draws almost always miss, so
@@ -337,7 +335,7 @@ mod tests {
     fn fallback_is_uniform_over_live_set_under_heavy_exclusion() {
         let n = 32;
         let survivors = [1usize, 30, 31];
-        let mut sel = VictimSelector::new(0xD157, 0, n);
+        let mut sel = uniform(0xD157, 0, n);
         for pe in 1..n {
             if !survivors.contains(&pe) {
                 sel.exclude(pe);

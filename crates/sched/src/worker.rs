@@ -22,8 +22,8 @@
 //!
 //! * steals that come back `Failed`/`Aborted` count as search time and
 //!   feed the quarantine tracker — a victim that is down, or fails
-//!   [`QUARANTINE_AFTER`] consecutive times, is excluded from the victim
-//!   pool for the rest of the run (graceful degradation);
+//!   [`crate::damping::QUARANTINE_AFTER`] consecutive times, is excluded
+//!   from the victim pool for the rest of the run (graceful degradation);
 //! * at its scheduled crash deadline a PE performs an orderly
 //!   [crash-stop](Worker::crash_stop): retire the queue (draining every
 //!   outstanding claim), execute everything it still owns, flush and
@@ -39,7 +39,7 @@ use sws_shmem::ShmemCtx;
 use sws_task::{TaskDescriptor, TaskRegistry};
 
 use crate::config::SchedConfig;
-use crate::damping::{DampingState, QUARANTINE_AFTER};
+use crate::damping::DampingState;
 use crate::report::WorkerStats;
 use crate::taskctx::TaskCtx;
 use crate::termination::Termination;
@@ -108,8 +108,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             registry,
             td,
             victims,
-            damping: DampingState::new(ctx.n_pes(), cfg.damping)
-                .with_quarantine_after(QUARANTINE_AFTER),
+            damping: DampingState::new(ctx.n_pes(), cfg.damping),
             cfg,
             stats: WorkerStats::default(),
             overflow: Vec::new(),
@@ -254,31 +253,135 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         match out {
             StealOutcome::Got { .. } => self.damping.observed_work(target),
             StealOutcome::Empty => self.damping.observed_empty(target),
-            StealOutcome::Closed => {} // owner mid-update; no mode change
-            // Failure accounting happens in the search loop, which also
-            // owns the victim pool the quarantine decision updates.
-            StealOutcome::Failed { .. } | StealOutcome::Aborted { .. } => {}
+            // Closed: owner mid-update, no mode change. Failures are
+            // accounted by the search step, which also owns the victim
+            // pool the quarantine decision updates.
+            _ => {}
         }
         out
     }
 
     /// Record a failed/aborted steal against `target`; quarantine it when
     /// it is known down or its failure streak crosses the threshold.
-    pub(crate) fn note_steal_failure(&mut self, target: usize, target_down: bool) {
-        let newly = if target_down {
-            self.damping.quarantine(target)
-        } else {
-            self.damping.observed_failure(target)
-        };
-        if newly {
-            if let Some(v) = self.victims.as_mut() {
-                v.exclude(target);
-            }
+    fn note_steal_failure(&mut self, target: usize, target_down: bool) {
+        let quarantine = target_down || self.damping.observed_failure(target);
+        if quarantine && self.victims.as_mut().is_some_and(|v| v.exclude(target)) {
             self.stats.pes_quarantined += 1;
             self.log.record(self.ctx.now_ns(), EventKind::Quarantined {
                 victim: target as u32,
             });
         }
+    }
+
+    /// One turn of the idle search: pick a live victim, attempt a steal,
+    /// attribute its time (a won steal is steal time, anything else is
+    /// search time) and log it. Returns `true` when this PE has work
+    /// again; it is still in the idle set then.
+    ///
+    /// `spared[v]` marks victims whose failed steals never feed the
+    /// quarantine streak — service mode's elastic PEs: to a thief a
+    /// parked queue is indistinguishable from a faulty one. A victim
+    /// reported down is quarantined regardless.
+    pub(crate) fn search_step(&mut self, spared: &[bool]) -> bool {
+        // Oversubscribed threaded runs: searching PEs must not starve the
+        // victims they are waiting on for a core.
+        self.ctx.idle_hint();
+        let Some(target) = self.victims.as_mut().and_then(|v| v.next_live_victim()) else {
+            // No peer at all (single-PE world) or every peer quarantined:
+            // nothing left to steal from, only termination (or our own
+            // crash) remains.
+            self.ctx.compute(200);
+            return false;
+        };
+        let t0 = self.ctx.now_ns();
+        let out = self.attempt_steal(target);
+        let now = self.ctx.now_ns();
+        let victim = target as u32;
+        let (kind, failed_down) = match out {
+            StealOutcome::Got { tasks } => {
+                self.stats.steal_ns += now - t0;
+                if !self.had_work {
+                    self.had_work = true;
+                    self.stats.first_work_ns = now;
+                }
+                self.log.record(now, EventKind::StealWon {
+                    victim,
+                    tasks: tasks as u32,
+                });
+                return true;
+            }
+            StealOutcome::Empty => (EventKind::StealEmpty { victim }, None),
+            StealOutcome::Closed => (EventKind::StealClosed { victim }, None),
+            StealOutcome::Failed { target_down } => {
+                (EventKind::StealFailed { victim }, Some(target_down))
+            }
+            StealOutcome::Aborted { target_down } => {
+                (EventKind::StealAborted { victim }, Some(target_down))
+            }
+        };
+        self.stats.search_ns += now - t0;
+        self.log.record(now, kind);
+        if let Some(down) = failed_down {
+            if down || !spared.get(target).is_some_and(|&s| s) {
+                self.note_steal_failure(target, down);
+            }
+        }
+        false
+    }
+
+    /// Local portion empty: recover shared work if any.
+    pub(crate) fn acquire_shared(&mut self) -> bool {
+        let t0 = self.ctx.now_ns();
+        let got = self.queue.acquire();
+        self.stats.upkeep_ns += self.ctx.now_ns() - t0;
+        let kind = if got {
+            EventKind::AcquireHit {
+                recovered: self.queue.local_count() as u32,
+            }
+        } else {
+            EventKind::AcquireMiss
+        };
+        self.log.record(self.ctx.now_ns(), kind);
+        got
+    }
+
+    /// Whole queue empty: enter the idle set.
+    pub(crate) fn enter_idle(&mut self) {
+        self.td.enter_idle(self.ctx);
+        self.log.record(self.ctx.now_ns(), EventKind::EnterIdle);
+    }
+
+    /// Work in hand: leave the idle set (must precede executing it).
+    pub(crate) fn leave_idle(&mut self) {
+        self.td.exit_idle(self.ctx);
+        self.log.record(self.ctx.now_ns(), EventKind::ExitIdle);
+    }
+
+    /// Execute everything this PE still owns after its queue retired or
+    /// parked; children spawned during the drain land in the closed
+    /// queue's local portion (never released) and are drained too, so no
+    /// work leaves with us.
+    pub(crate) fn drain_owned(&mut self) {
+        while let Some(t) = self.overflow.pop().or_else(|| self.queue.pop_local()) {
+            self.execute(&t);
+        }
+    }
+
+    /// Freeze this PE's report: runtime, queue counters, event log.
+    fn close_stats(&mut self) {
+        self.stats.runtime_ns = self.ctx.now_ns();
+        self.stats.queue = self.queue.stats().clone();
+        self.stats.events = std::mem::take(&mut self.log).into_events();
+    }
+
+    /// Global termination (or shutdown): flush passive completions and
+    /// counters so post-run assertions see a consistent world, freeze the
+    /// report and meet the closing barrier.
+    pub(crate) fn shutdown(&mut self) {
+        self.queue.flush_completions();
+        self.td.flush(self.ctx);
+        self.close_stats();
+        self.ctx.barrier_all();
     }
 
     /// Orderly crash-stop at this PE's scheduled failure time. The dying
@@ -315,17 +418,14 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             // nothing new once its drain loop is empty.
             self.td.enter_idle(self.ctx);
         }
-        self.stats.runtime_ns = self.ctx.now_ns();
-        self.stats.queue = self.queue.stats().clone();
-        self.stats.events = std::mem::take(&mut self.log).into_events();
+        self.close_stats();
         self.ctx.mark_self_down();
     }
 
     /// Run to global termination; returns this PE's stats.
     pub fn run(mut self) -> (WorkerStats, Q) {
-        let faulty = self.ctx.faults_active();
         'outer: loop {
-            if faulty && self.ctx.crash_due() {
+            if self.ctx.crash_due() {
                 self.crash_stop(false);
                 return (self.stats, self.queue);
             }
@@ -339,27 +439,16 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 self.upkeep();
                 continue;
             }
-            // Local portion empty: recover shared work if any.
-            {
-                let t0 = self.ctx.now_ns();
-                let got = self.queue.acquire();
-                self.stats.upkeep_ns += self.ctx.now_ns() - t0;
-                if got {
-                    self.log.record(self.ctx.now_ns(), EventKind::AcquireHit {
-                        recovered: self.queue.local_count() as u32,
-                    });
-                    continue;
-                }
-                self.log.record(self.ctx.now_ns(), EventKind::AcquireMiss);
+            if self.acquire_shared() {
+                continue;
             }
             // Whole queue empty: search. Termination is polled every few
             // attempts rather than every attempt — polling is a remote
             // read of PE 0 and would otherwise dominate search cost.
-            self.td.enter_idle(self.ctx);
-            self.log.record(self.ctx.now_ns(), EventKind::EnterIdle);
+            self.enter_idle();
             let mut search_iters = 0u32;
             loop {
-                if faulty && self.ctx.crash_due() {
+                if self.ctx.crash_due() {
                     self.crash_stop(true);
                     return (self.stats, self.queue);
                 }
@@ -367,83 +456,13 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                     break 'outer;
                 }
                 search_iters += 1;
-                // Oversubscribed threaded runs: searching PEs must not
-                // starve the victims they are waiting on for a core.
-                self.ctx.idle_hint();
-                let Some(victims) = self.victims.as_mut() else {
-                    // Single-PE world: no victims can exist; poll until
-                    // the detector confirms termination.
-                    self.ctx.compute(200);
-                    continue;
-                };
-                let Some(target) = victims.next_live_victim() else {
-                    // Every peer quarantined: nothing left to steal from,
-                    // only termination (or our own crash) remains.
-                    self.ctx.compute(200);
-                    continue;
-                };
-                let t0 = self.ctx.now_ns();
-                match self.attempt_steal(target) {
-                    StealOutcome::Got { tasks } => {
-                        let dt = self.ctx.now_ns() - t0;
-                        self.stats.steal_ns += dt;
-                        if !self.had_work {
-                            self.had_work = true;
-                            self.stats.first_work_ns = self.ctx.now_ns();
-                        }
-                        self.log.record(self.ctx.now_ns(), EventKind::StealWon {
-                            victim: target as u32,
-                            tasks: tasks as u32,
-                        });
-                        self.td.exit_idle(self.ctx);
-                        self.log.record(self.ctx.now_ns(), EventKind::ExitIdle);
-                        continue 'outer;
-                    }
-                    out @ (StealOutcome::Empty | StealOutcome::Closed) => {
-                        self.stats.search_ns += self.ctx.now_ns() - t0;
-                        let kind = if matches!(out, StealOutcome::Empty) {
-                            EventKind::StealEmpty {
-                                victim: target as u32,
-                            }
-                        } else {
-                            EventKind::StealClosed {
-                                victim: target as u32,
-                            }
-                        };
-                        self.log.record(self.ctx.now_ns(), kind);
-                    }
-                    out @ (StealOutcome::Failed { .. }
-                    | StealOutcome::Aborted { .. }) => {
-                        self.stats.search_ns += self.ctx.now_ns() - t0;
-                        let (kind, down) = match out {
-                            StealOutcome::Failed { target_down } => (
-                                EventKind::StealFailed {
-                                    victim: target as u32,
-                                },
-                                target_down,
-                            ),
-                            StealOutcome::Aborted { target_down } => (
-                                EventKind::StealAborted {
-                                    victim: target as u32,
-                                },
-                                target_down,
-                            ),
-                            _ => unreachable!(),
-                        };
-                        self.log.record(self.ctx.now_ns(), kind);
-                        self.note_steal_failure(target, down);
-                    }
+                if self.search_step(&[]) {
+                    self.leave_idle();
+                    continue 'outer;
                 }
             }
         }
-        // Global termination: flush passive completions and counters so
-        // post-run assertions see a consistent world.
-        self.queue.flush_completions();
-        self.td.flush(self.ctx);
-        self.stats.runtime_ns = self.ctx.now_ns();
-        self.stats.queue = self.queue.stats().clone();
-        self.stats.events = std::mem::take(&mut self.log).into_events();
-        self.ctx.barrier_all();
+        self.shutdown();
         (self.stats, self.queue)
     }
 }

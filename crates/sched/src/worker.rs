@@ -397,19 +397,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         self.log.record(self.ctx.now_ns(), EventKind::CrashStop);
         self.stats.crashed = true;
         self.queue.retire();
-        loop {
-            if let Some(t) = self.overflow.pop() {
-                self.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.queue.pop_local() {
-                self.execute(&t);
-                continue;
-            }
-            if self.queue.local_count() == 0 && !self.queue.acquire() {
-                break;
-            }
-        }
+        self.drain_owned();
         self.queue.flush_completions();
         self.td.flush(self.ctx);
         if !already_idle {

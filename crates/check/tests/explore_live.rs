@@ -130,7 +130,7 @@ fn explore_results_are_pinned() {
         ("sws-validbit-half", 1_361, 4_416, 482, 190, 0x9b17799a36afff1f),
         ("sws-epochs-one-damped", 674, 2_881, 559, 169, 0xe3aedcd6a0e36cfe),
         ("sws-epochs-3pe", 2_602, 25_481, 7_702, 469, 0x55350201b928fdff),
-        ("sws-epochs-drops", 1_267, 3_686, 441, 150, 0x8d437d04709c69f0),
+        ("sws-epochs-drops", 1_315, 3_701, 441, 166, 0x8d437d04709c69f0),
         ("sdc-half", 307, 2_036, 1_790, 150, 0x11300700cf5404aa),
         ("sdc-quarter-3pe", 1_557, 8_677, 1_546, 224, 0x51508503d3aa936c),
         ("sdc-drops", 331, 2_209, 2_103, 153, 0xffceec48d81719c4),

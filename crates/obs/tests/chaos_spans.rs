@@ -82,7 +82,7 @@ fn sws_chaos_spans_reconcile() {
 #[test]
 fn dropped_completions_leave_open_spans() {
     let mut total_open = 0;
-    for seed in [0xBA5E_u64, 7] {
+    for seed in [2_u64, 3] {
         let report = completion_killer(QueueKind::Sws, seed);
         let (open, _won) = assert_chaos_invariants(&report);
         total_open += open;
@@ -106,7 +106,7 @@ fn sdc_chaos_spans_reconcile() {
 #[test]
 fn open_spans_do_not_leak_ops_into_neighbours() {
     let mut saw_open = false;
-    for seed in [0xBA5E_u64, 7] {
+    for seed in [2_u64, 3] {
         let report = completion_killer(QueueKind::Sws, seed);
         let spans = stitch_report(&report, &queue());
         for s in &spans {

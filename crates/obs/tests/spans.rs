@@ -172,8 +172,8 @@ fn span_results_are_pinned() {
     let pinned: [u64; 5] = [
         0x1eee_573e_a59f_0f6e,
         0x80b8_2374_8388_11ae,
-        0xfaf3_635d_2824_98f8,
-        0xcd6f_e9af_0bdd_0881,
+        0xd3b7_db50_aaa1_cadb,
+        0xc707_c823_29f3_d04f,
         0xcc93_8d62_b03d_c86d,
     ];
     assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));

@@ -18,7 +18,7 @@
 //! *search time* (§5.3).
 //!
 //! **Fault mode.** When the world carries an active fault plan the loop
-//! grows three behaviours:
+//! grows four behaviours:
 //!
 //! * steals that come back `Failed`/`Aborted` count as search time and
 //!   feed the quarantine tracker — a victim that is down, or fails
@@ -31,7 +31,10 @@
 //!   exit without the closing barrier — peers fail fast against it and
 //!   no task is lost or duplicated;
 //! * an idle PE whose entire victim pool is quarantined stops searching
-//!   and polls only the termination detector.
+//!   and polls only the termination detector;
+//! * an idle PE that still has ring space outstanding — claims whose
+//!   thieves have not completed — keeps running the queue's reclaim, and
+//!   leaves the idle set when an abandoned block comes back to it.
 
 use sws_core::{StealOutcome, StealQueue};
 use sws_shmem::rng::SplitMix64;
@@ -283,6 +286,17 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
     /// parked queue is indistinguishable from a faulty one. A victim
     /// reported down is quarantined regardless.
     pub(crate) fn search_step(&mut self, spared: &[bool]) -> bool {
+        // A claim its thief could neither confirm nor poison comes back
+        // only through the owner's reclaim, and nothing else runs that
+        // while this PE is idle: with ring space still outstanding, look.
+        if self.ctx.faults_active() && self.queue.occupancy() > 0 {
+            let t0 = self.ctx.now_ns();
+            self.queue.progress();
+            self.stats.upkeep_ns += self.ctx.now_ns() - t0;
+            if self.queue.local_count() > 0 {
+                return true;
+            }
+        }
         // Oversubscribed threaded runs: searching PEs must not starve the
         // victims they are waiting on for a core.
         self.ctx.idle_hint();

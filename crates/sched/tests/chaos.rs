@@ -9,14 +9,16 @@
 //! to no plan at all.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use sws_core::QueueConfig;
 use sws_sched::{
     run_workload, QueueKind, RunConfig, SchedConfig, TaskCtx, TdKind, Workload,
 };
-use sws_shmem::{FaultPlan, OpClass, TargetSel};
+use sws_shmem::{FaultPlan, OpClass, RetryPolicy, TargetSel};
 use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};
+use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 /// Binary-tree workload (as in the scheduler tests): a task at depth d
 /// spawns two children until depth 0. Total tasks = 2^(depth+1) - 1.
@@ -262,5 +264,85 @@ fn parked_elastic_pe_is_never_streak_quarantined() {
             r.workers[2].tasks_executed > 0,
             "{label}: rejoined PE never re-entered the pool's victim set"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile runs end, and end exactly once
+// ---------------------------------------------------------------------
+
+/// Run `f` on its own thread and turn a hang into a named failure: a
+/// run still going after 30 s (a clean one takes well under a second)
+/// is a livelock. The stuck thread is abandoned to process exit — a
+/// virtual-time world has no outside handle to stop it by.
+fn under_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(v) => v,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{label}: still running after 30 s — the run never terminates")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{label}: the run panicked"),
+    }
+}
+
+/// One hostile configuration: UTS `geo_small(8)` (6,217 nodes) on 16 PEs
+/// under seeded drops, optionally with a stall window on PE 3 and a
+/// crash-stop of PE 5.
+#[derive(Copy, Clone, Debug)]
+struct Hostile {
+    kind: QueueKind,
+    retry: RetryPolicy,
+    grace_ns: u64,
+    drop_prob: f64,
+    stall_and_crash: bool,
+}
+
+/// Run `h` under the watchdog and assert it executed every node of the
+/// tree exactly once.
+fn assert_hostile_run_ends_exactly_once(h: Hostile) -> sws_sched::RunReport {
+    let label = format!("{h:?}");
+    let report = under_watchdog(&label, move || {
+        let queue = QueueConfig::new(1024, 48)
+            .with_retry(h.retry)
+            .with_reclaim_grace_ns(h.grace_ns);
+        let sched = SchedConfig::new(h.kind, queue).with_seed(0xBA5E);
+        let mut plan = FaultPlan::seeded(0x5E41_0003).with_drop(
+            OpClass::All,
+            TargetSel::Any,
+            h.drop_prob,
+        );
+        if h.stall_and_crash {
+            plan = plan.with_stall(3, 40_000, 120_000).with_crash(5, 300_000);
+        }
+        let cfg = RunConfig::new(16, sched).with_faults(plan);
+        run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8)))
+    });
+    assert_eq!(
+        report.total_tasks(),
+        6_217,
+        "{label}: lost or duplicated work ({:?})",
+        report.fault_summary_line()
+    );
+    report
+}
+
+/// Regression: a claim its thief could neither confirm nor poison is
+/// recovered only by the owner's reclaim, and an owner that had gone
+/// idle never ran it again — the block's tasks never executed,
+/// `spawned != completed` forever, every PE polled forever. An idle
+/// owner with claims outstanding must keep polling them.
+#[test]
+fn idle_owner_reclaims_abandoned_claims() {
+    let default_grace = QueueConfig::new(1024, 48).reclaim_grace_ns;
+    let none = RetryPolicy::none();
+    for h in [
+        Hostile { kind: QueueKind::Sdc, retry: none, grace_ns: default_grace, drop_prob: 0.02, stall_and_crash: false },
+        Hostile { kind: QueueKind::Sdc, retry: none, grace_ns: 20_000, drop_prob: 0.05, stall_and_crash: true },
+        Hostile { kind: QueueKind::Sws, retry: none, grace_ns: default_grace, drop_prob: 0.10, stall_and_crash: true },
+    ] {
+        let r = assert_hostile_run_ends_exactly_once(h);
+        assert!(r.total_claims_reclaimed() > 0, "{h:?}: no claim was ever abandoned");
     }
 }

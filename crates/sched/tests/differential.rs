@@ -83,22 +83,19 @@ fn digest(r: &RunReport) -> u64 {
 }
 
 /// A run hostile enough to reach the recovery branches drops alone never
-/// do: UTS on 16 PEs with a short reclaim grace, a stall window on PE 3
-/// and a crash-stop of PE 5, plus the drop rate and retry budget that
-/// make each queue fail, abort and reclaim steals (SWS with no retries
-/// also poisons).
+/// do: UTS on 16 PEs with 5 % drops and no retries, a short reclaim
+/// grace, a stall window on PE 3 and a crash-stop of PE 5 — steals fail,
+/// abort, poison and get reclaimed on both queues. (The grace is three
+/// detection timeouts: a thief writes no completion word later than half
+/// the grace after its claim, and a failed copy is one timeout old.)
 fn hostile_run(kind: QueueKind) -> RunReport {
-    let (retry, drop_prob) = match kind {
-        QueueKind::Sws => (RetryPolicy::none(), 0.05),
-        QueueKind::Sdc => (RetryPolicy::default_thief(), 0.10),
-    };
     let queue = QueueConfig::new(1024, 48)
-        .with_reclaim_grace_ns(20_000)
-        .with_retry(retry);
+        .with_reclaim_grace_ns(60_000)
+        .with_retry(RetryPolicy::none());
     let mut sched = SchedConfig::new(kind, queue).with_seed(0xBA5E);
     sched.trace = true;
     let plan = FaultPlan::seeded(0x5E41_0003)
-        .with_drop(OpClass::All, TargetSel::Any, drop_prob)
+        .with_drop(OpClass::All, TargetSel::Any, 0.05)
         .with_stall(3, 40_000, 120_000)
         .with_crash(5, 300_000);
     let cfg = RunConfig::new(16, sched).with_faults(plan);
@@ -129,21 +126,23 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
 /// commit 616a308, where PEs were OS threads and the safe-window gate was
 /// differentially tested against a hand-off-per-op gate (both agreed);
 /// any engine since must reproduce them bit for bit. A legitimate
-/// protocol or cost-model change re-pins them — in its own commit. The
-/// fifth digest of each row (the hostile run) was taken at 3fceb67 and
-/// re-pinned once since: a crash-stopping PE no longer issues one
-/// always-missing `acquire` against its retired queue (its
-/// `acquire_misses` is one lower; nothing else moved).
+/// protocol or cost-model change re-pins them — in its own commit.
+///
+/// The fault-plan runs (#3, #4 and the hostile #5, added at 3fceb67)
+/// were re-pinned when idle owners started polling their outstanding
+/// claims: the extra charged local reads shift those PEs' clocks, and
+/// with them victim choices and fault draws. The fault-free #1 and #2
+/// have never moved.
 #[test]
 fn virtual_results_are_pinned() {
     let pinned = [
         (
             QueueKind::Sws,
-            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x76ed14f5f68298f8, 0x64979437fb200589, 0x4e498e7762de7df1],
+            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x1229b68ae37a5087, 0x64979437fb200589, 0x816f185bc18f05b7],
         ),
         (
             QueueKind::Sdc,
-            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0xfd2a654ceb3b83fd, 0x3198cdb8c345e684, 0xc22534b666c29261],
+            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0x0819c581785ef82e, 0xd982471ad766a208, 0xf74ee019cfa71aa4],
         ),
     ];
     for (kind, want) in pinned {
@@ -158,12 +157,9 @@ fn virtual_results_are_pinned() {
         let reached = [
             ("failed", h.total_steals_failed()),
             ("aborted", h.total_steals_aborted()),
+            ("poisoned", h.total_completions_poisoned()),
             ("reclaimed", h.total_claims_reclaimed()),
             ("crashed", h.crashed_pes() as u64),
-            match kind {
-                QueueKind::Sws => ("poisoned", h.total_completions_poisoned()),
-                QueueKind::Sdc => ("retries", h.total_steal_retries()),
-            },
         ];
         for (branch, n) in reached {
             assert!(n > 0, "{kind:?}: the hostile pin no longer reaches `{branch}`");

@@ -146,6 +146,30 @@ impl<'a> OwnerRing<'a> {
         )
     }
 
+    /// Thief, fault mode: write a completion word (confirm, poison,
+    /// finalize) for the claim made at `claimed_at`, under the retry
+    /// policy — but issue no attempt later than half the reclaim grace
+    /// after the claim. Past that the thief walks away silently
+    /// (`Ok(None)`) and the owner's grace reclaim is the only writer: the
+    /// owner's mark does not outlive its advertisement, so a write that
+    /// arrived after the reclaim could land on the slot's *next* use.
+    /// Sound because the owner's grace clock starts when it first sees
+    /// the claim, never before the claim.
+    pub(crate) fn complete<T>(
+        &mut self,
+        claimed_at: u64,
+        mut op: impl FnMut() -> OpResult<T>,
+    ) -> OpResult<Option<T>> {
+        let ctx = self.ctx;
+        let deadline = claimed_at + self.cfg.reclaim_grace_ns / 2;
+        self.retry(|| {
+            if ctx.now_ns() > deadline {
+                return Ok(None);
+            }
+            op().map(Some)
+        })
+    }
+
     /// Thief: copy `vol` records starting at ring slot `start` of
     /// `target`'s buffer into the scratch block — one get under the retry
     /// policy, annotated with `site`.

@@ -459,7 +459,8 @@ impl StealQueue for SdcQueue<'_> {
             }
         }
 
-        // 3. Publish the new tail.
+        // 3. Publish the new tail — the claim.
+        let claimed_at = ctx.now_ns();
         let put = self.ring.retry(|| {
             // ordering: SdcTailPut
             ctx.proto_site(AtomicSite::SdcTailPut.id());
@@ -496,7 +497,7 @@ impl StealQueue for SdcQueue<'_> {
             // Claimed but uncopyable: poison so the owner re-enqueues
             // promptly. If the poison is lost too, the grace-period
             // reclaim recovers the block.
-            let _ = self.ring.retry(|| {
+            let _ = self.ring.complete(claimed_at, || {
                 // ordering: SdcComplete (poison CAS)
                 ctx.proto_site(AtomicSite::SdcComplete.id());
                 ctx.try_atomic_compare_swap(target, comp, marker, COMP_POISON | vol)
@@ -514,15 +515,15 @@ impl StealQueue for SdcQueue<'_> {
         // Fault mode: replace the marker with the plain volume — the
         // same signal, made conditional so a reclaimed claim is detected
         // instead of double-counted.
-        let fin = self.ring.retry(|| {
+        let fin = self.ring.complete(claimed_at, || {
             // ordering: SdcComplete (finalize CAS)
             ctx.proto_site(AtomicSite::SdcComplete.id());
             ctx.try_atomic_compare_swap(target, comp, marker, vol)
         });
         match fin {
-            Ok(prev) if prev == marker => self.ring.land(vol),
-            // The owner reclaimed the claim during the copy; the block
-            // already returned to its ring. Discard our copy.
+            Ok(Some(prev)) if prev == marker => self.ring.land(vol),
+            // Too late to write, or the owner reclaimed the claim first:
+            // the block is the owner's. Discard our copy.
             Ok(_) => self.ring.aborted(false),
             Err(e) => self.ring.aborted(is_down(&e)),
         }

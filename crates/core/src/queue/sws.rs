@@ -504,6 +504,7 @@ impl StealQueue for SwsQueue<'_> {
         // 1. One atomic fetch-add: discover AND claim. A dropped fetch-add
         // has no memory effect, so retrying it cannot double-claim; past
         // the budget no claim was made and there is nothing to recover.
+        let claimed_at = ctx.now_ns();
         let claim = self.ring.retry(|| {
             // ordering: SwsThiefClaim
             ctx.proto_site(AtomicSite::SwsThiefClaim.id());
@@ -560,7 +561,7 @@ impl StealQueue for SwsQueue<'_> {
             // so the owner re-enqueues the block promptly. If even the
             // poison is lost, the owner's grace-period reclaim recovers
             // the block — either way it runs exactly once, at the owner.
-            let _ = self.ring.retry(|| {
+            let _ = self.ring.complete(claimed_at, || {
                 // ordering: SwsThiefComplete (poison CAS)
                 ctx.proto_site(AtomicSite::SwsThiefComplete.id());
                 ctx.try_atomic_compare_swap(target, comp, 0, COMP_POISON)
@@ -578,19 +579,17 @@ impl StealQueue for SwsQueue<'_> {
         }
         // A CAS instead of the passive put, *before* the block lands
         // locally: only a confirmed claim may execute.
-        let confirm = self.ring.retry(|| {
+        let confirm = self.ring.complete(claimed_at, || {
             // ordering: SwsThiefComplete (confirmed-claim CAS)
             ctx.proto_site(AtomicSite::SwsThiefComplete.id());
             ctx.try_atomic_compare_swap(target, comp, 0, vol)
         });
         match confirm {
-            Ok(0) => self.ring.land(vol),
-            Ok(prev) => {
-                // The owner reclaimed the claim during the copy; the block
-                // already returned to its ring. Discard our copy.
-                debug_assert_eq!(prev, COMP_RECLAIMED, "unexpected completion-slot value");
-                self.ring.aborted(false)
-            }
+            Ok(Some(0)) => self.ring.land(vol),
+            // Too late to write, or (threaded worlds only: a preemption
+            // between the deadline check and the CAS) the owner reclaimed
+            // first. Either way the block is the owner's; discard the copy.
+            Ok(_) => self.ring.aborted(false),
             // Could not confirm: leave the slot for the owner's grace
             // reclaim and discard the copy — never run unconfirmed tasks.
             Err(e) => self.ring.aborted(is_down(&e)),

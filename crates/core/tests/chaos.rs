@@ -182,10 +182,12 @@ fn stall_window_conserves_tasks() {
 fn sws_poisoned_completion_returns_block_to_owner() {
     // Drop every Get aimed at the victim until 8 have failed: the first
     // two steals claim a block, exhaust their copy retries, and poison
-    // the completion slot; the owner re-enqueues both blocks.
+    // the completion slot; the owner re-enqueues both blocks. A thief
+    // writes no completion word later than half the grace after its
+    // claim, so the grace must outlast two copy budgets (≈ 100 µs each).
     let plan =
         FaultPlan::seeded(0xC4A0_1001).with_drop_limited(OpClass::Gets, TargetSel::Pe(0), 1.0, 8);
-    let out = run_chaos(true, 2, 64, Some(plan), 20_000);
+    let out = run_chaos(true, 2, 64, Some(plan), 300_000);
     assert_conserved(&out, 64, "sws poison");
     let (_, owner) = &out.results[0];
     let (_, thief) = &out.results[1];

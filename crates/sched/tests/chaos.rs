@@ -346,3 +346,21 @@ fn idle_owner_reclaims_abandoned_claims() {
         assert!(r.total_claims_reclaimed() > 0, "{h:?}: no claim was ever abandoned");
     }
 }
+/// Regression: the owner's `COMP_RECLAIMED` mark does not outlive the
+/// advertisement — the slot set is re-zeroed for the next one — so a
+/// thief whose confirm arrived after that found 0, won, and landed a
+/// block the owner had already re-run (6,414 tasks on the 6,217-node
+/// tree), or marked a block of the *new* advertisement finished that
+/// nobody copied (the run never ends). A thief must stop writing
+/// completion words half a grace period after its claim.
+#[test]
+fn late_completion_never_lands_a_reclaimed_block() {
+    let default = RetryPolicy::default_thief();
+    for h in [
+        Hostile { kind: QueueKind::Sws, retry: default, grace_ns: 20_000, drop_prob: 0.02, stall_and_crash: false },
+        Hostile { kind: QueueKind::Sws, retry: default, grace_ns: 20_000, drop_prob: 0.05, stall_and_crash: true },
+    ] {
+        let r = assert_hostile_run_ends_exactly_once(h);
+        assert!(r.total_claims_reclaimed() > 0, "{h:?}: no claim was ever reclaimed");
+    }
+}

@@ -130,9 +130,11 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
 ///
 /// The fault-plan runs (#3, #4 and the hostile #5, added at 3fceb67)
 /// were re-pinned when idle owners started polling their outstanding
-/// claims: the extra charged local reads shift those PEs' clocks, and
-/// with them victim choices and fault draws. The fault-free #1 and #2
-/// have never moved.
+/// claims (the extra charged local reads shift those PEs' clocks, and
+/// with them victim choices and fault draws), and SDC's #5 again when
+/// thieves stopped writing completion words later than half the grace
+/// after their claim (one late poison became a grace reclaim). The
+/// fault-free #1 and #2 have never moved.
 #[test]
 fn virtual_results_are_pinned() {
     let pinned = [
@@ -142,7 +144,7 @@ fn virtual_results_are_pinned() {
         ),
         (
             QueueKind::Sdc,
-            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0x0819c581785ef82e, 0xd982471ad766a208, 0xf74ee019cfa71aa4],
+            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0x0819c581785ef82e, 0xd982471ad766a208, 0x301c799eb8a86d9b],
         ),
     ];
     for (kind, want) in pinned {

@@ -18,8 +18,10 @@ use crate::stealval::Layout;
 pub const COMP_POISON: u64 = 1 << 63;
 
 /// Completion-slot sentinel: the owner reclaimed an abandoned claim after
-/// the grace period. A thief that later tries to complete the steal sees
-/// this value and discards its copy — the block already ran at the owner.
+/// the grace period — the block runs at the owner. The mark lasts only
+/// until the slot's next use, so it cannot fend off a late thief by
+/// itself: thieves stop writing completion words half a grace period
+/// after their claim, before the owner may reclaim.
 pub const COMP_RECLAIMED: u64 = 1 << 62;
 
 /// Completion-slot sentinel (SDC only): a thief has claimed the block and

@@ -161,7 +161,7 @@ impl<'a> OwnerRing<'a> {
         mut op: impl FnMut() -> OpResult<T>,
     ) -> OpResult<Option<T>> {
         let ctx = self.ctx;
-        let deadline = claimed_at + self.cfg.reclaim_grace_ns / 2;
+        let deadline = claimed_at.saturating_add(self.cfg.reclaim_grace_ns / 2);
         self.retry(|| {
             if ctx.now_ns() > deadline {
                 return Ok(None);

@@ -41,8 +41,10 @@
 //! * copy failed → the thief flips the marker to [`COMP_POISON`]`|vol`;
 //!   the owner re-enqueues the block;
 //! * thief stalls or dies mid-copy → the marker outlives the grace period
-//!   and the owner compare-swaps it to zero, reclaiming the block; the
-//!   thief's eventual finalize CAS fails and it discards its copy;
+//!   and the owner compare-swaps it to zero, reclaiming the block. Zero
+//!   is also the slot's fresh state, so a thief writes no completion word
+//!   (poison, finalize) later than half the grace after publishing its
+//!   claim — past that it discards its copy without writing;
 //! * normal completion → finalize CAS replaces the marker with the plain
 //!   volume, exactly the baseline's deferred signal.
 //!

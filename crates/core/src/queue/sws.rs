@@ -38,12 +38,15 @@
 //!   slot ([`COMP_POISON`]) and returns [`StealOutcome::Aborted`]; the
 //!   owner re-enqueues the block from its own ring;
 //! * completion CAS lost or never confirmed → the slot stays zero and the
-//!   owner reclaims the claim ([`COMP_RECLAIMED`]) after a grace period;
-//!   a thief arriving later sees the sentinel and discards its copy.
+//!   owner reclaims the claim ([`COMP_RECLAIMED`]) after a grace period
+//!   that starts when it first sees the claim unfinished.
 //!
 //! Every recovery keeps exactly-once execution: a block either lands at
 //! exactly one thief (CAS wrote its volume) or returns to the owner (slot
-//! poisoned or reclaimed) — never both.
+//! poisoned or reclaimed) — never both. The owner's mark is re-zeroed with
+//! the slot set's next advertisement, so the thief keeps its side of the
+//! bargain by the clock: it writes no completion word (confirm or poison)
+//! later than half the grace after its claim, and walks away instead.
 
 use std::collections::VecDeque;
 

@@ -454,18 +454,8 @@ impl ShmemCtx {
     /// (`a` first, then `b`). Counts as a single `Get` — RDMA gather/iovec
     /// semantics — which is how a steal copies a block that wraps around a
     /// circular task buffer in one operation.
-    pub fn get_words_gather(
-        &self,
-        pe: usize,
-        a: (SymAddr, usize),
-        b: (SymAddr, usize),
-        dst: &mut [u64],
-    ) {
-        self.try_get_words_gather(pe, a, b, dst)
-            .unwrap_or_else(op_panic);
-    }
-
-    /// Fallible [`Self::get_words_gather`].
+    /// Fallible like every `try_*` op; it has no infallible twin because
+    /// its one caller, the steal copy, runs under a retry policy.
     pub fn try_get_words_gather(
         &self,
         pe: usize,

@@ -103,11 +103,14 @@ fn hostile_run(kind: QueueKind) -> RunReport {
 }
 
 /// UTS on 64 PEs, BPC on 32, UTS on 16 with 2 % drops, an elastic
-/// service run with 4 % drops, and the hostile run — traced, so the
-/// event logs count.
-fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
+/// service run with 4 % drops, the hostile run, and UTS on 4 PEs with
+/// 8-slot rings (most spawns find the ring full and run from the
+/// worker's overflow list) — traced, so the event logs count.
+fn pinned_runs(kind: QueueKind) -> [RunReport; 6] {
     let mut sched = SchedConfig::new(kind, QueueConfig::new(1024, 48)).with_seed(0xBA5E);
     sched.trace = true;
+    let mut tight = sched;
+    tight.queue = QueueConfig::new(8, 48);
     let drops = |p| FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, p);
     let uts = |depth| UtsWorkload::new(UtsParams::geo_small(depth));
     let serve = FlatServe::new(ArrivalPlan::poisson(0x5E41_0002, 5_000, 400_000), 3_000, 1);
@@ -119,6 +122,7 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
         run_workload(&RunConfig::new(16, sched).with_faults(drops(0.02)), &uts(8)),
         run_service(&RunConfig::new(4, sched).with_faults(drops(0.04)), &elastic, &serve),
         hostile_run(kind),
+        run_workload(&RunConfig::new(4, tight), &uts(8)),
     ]
 }
 
@@ -134,17 +138,18 @@ fn pinned_runs(kind: QueueKind) -> [RunReport; 5] {
 /// with them victim choices and fault draws), and SDC's #5 again when
 /// thieves stopped writing completion words later than half the grace
 /// after their claim (one late poison became a grace reclaim). The
-/// fault-free #1 and #2 have never moved.
+/// fault-free #1 and #2 have never moved. The tight-ring #6 was taken at
+/// abddaf3, before spawns reached the ring as encoded records.
 #[test]
 fn virtual_results_are_pinned() {
     let pinned = [
         (
             QueueKind::Sws,
-            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x1229b68ae37a5087, 0x64979437fb200589, 0x816f185bc18f05b7],
+            [0x735dea3c2f110e2d, 0xa010398229ba5014, 0x1229b68ae37a5087, 0x64979437fb200589, 0x816f185bc18f05b7, 0x4aa7ebf976c996db],
         ),
         (
             QueueKind::Sdc,
-            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0x0819c581785ef82e, 0xd982471ad766a208, 0x301c799eb8a86d9b],
+            [0xc45583f5d6518a92, 0x2033270c5f28009c, 0x0819c581785ef82e, 0xd982471ad766a208, 0x301c799eb8a86d9b, 0xd5a1432791604cad],
         ),
     ];
     for (kind, want) in pinned {
@@ -166,6 +171,12 @@ fn virtual_results_are_pinned() {
         for (branch, n) in reached {
             assert!(n > 0, "{kind:?}: the hostile pin no longer reaches `{branch}`");
         }
+        // Likewise the tight-ring pin: tasks that never came out of a
+        // ring ran from the overflow list.
+        let t = &runs[5];
+        let popped: u64 = t.workers.iter().map(|w| w.queue.popped).sum();
+        assert_eq!(t.total_tasks(), 6_217, "{kind:?}: tight-ring run lost or duplicated tasks");
+        assert!(t.total_tasks() > popped, "{kind:?}: the tight-ring pin no longer overflows");
         let got = runs.map(|r| digest(&r));
         assert_eq!(got, want, "{kind:?}: reports diverged from the pin");
     }

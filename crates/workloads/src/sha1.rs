@@ -12,71 +12,127 @@
 /// Digest size in bytes.
 pub const DIGEST_BYTES: usize = 20;
 
-/// Compute the SHA-1 digest of `data`.
-pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+/// The initial chaining state.
+const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+/// Schedule word `i`. Words past the sixteenth are computed in place over
+/// the word sixteen rounds back (the rolling schedule — the block's
+/// 80-word expansion never exists).
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
+    if i >= 16 {
+        w[i % 16] = (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16])
+            .rotate_left(1);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    w[i % 16]
+}
 
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
+/// One round of a group (mixing function `f`, constant `k`, schedule
+/// word `w`) on working variables `(a, b, c, d, e)`: the new `a` is left
+/// in `e` and `b` is rotated in place, so the next round is this one with
+/// its variables shifted by one — nothing moves.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the five working variables, by name
+fn round(
+    (f, k, w): (&impl Fn(u32, u32, u32) -> u32, u32, u32),
+    a: u32,
+    b: &mut u32,
+    c: u32,
+    d: u32,
+    e: &mut u32,
+) {
+    *e = e
+        .wrapping_add(a.rotate_left(5))
+        .wrapping_add(f(*b, c, d))
+        .wrapping_add(k)
+        .wrapping_add(w);
+    *b = b.rotate_left(30);
+}
 
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+/// The twenty rounds `from..from + 20` of one round group, five per turn
+/// of the loop: after five renamings the working variables are back in
+/// their own names.
+#[inline(always)]
+fn rounds(
+    s: &mut [u32; 5],
+    w: &mut [u32; 16],
+    from: usize,
+    f: impl Fn(u32, u32, u32) -> u32,
+    k: u32,
+) {
+    let [mut a, mut b, mut c, mut d, mut e] = *s;
+    for i in (from..from + 20).step_by(5) {
+        round((&f, k, schedule(w, i)), a, &mut b, c, d, &mut e);
+        round((&f, k, schedule(w, i + 1)), e, &mut a, b, c, &mut d);
+        round((&f, k, schedule(w, i + 2)), d, &mut e, a, b, &mut c);
+        round((&f, k, schedule(w, i + 3)), c, &mut d, e, a, &mut b);
+        round((&f, k, schedule(w, i + 4)), b, &mut c, d, e, &mut a);
     }
+    *s = [a, b, c, d, e];
+}
 
+/// The SHA-1 compression function: fold one 64-byte `block` into the
+/// chaining state `h`.
+#[inline(always)]
+fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (wi, &bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *wi = u32::from_be_bytes(bytes);
+    }
+    let mut s = *h;
+    rounds(&mut s, &mut w, 0, |b, c, d| (b & c) | (!b & d), 0x5A827999);
+    rounds(&mut s, &mut w, 20, |b, c, d| b ^ c ^ d, 0x6ED9EBA1);
+    rounds(&mut s, &mut w, 40, |b, c, d| (b & c) | (b & d) | (c & d), 0x8F1BBCDC);
+    rounds(&mut s, &mut w, 60, |b, c, d| b ^ c ^ d, 0xCA62C1D6);
+    for (hi, si) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(si);
+    }
+}
+
+/// The chaining state as the big-endian digest.
+fn digest(h: [u32; 5]) -> [u8; DIGEST_BYTES] {
     let mut out = [0u8; DIGEST_BYTES];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(h) {
+        *bytes = word.to_be_bytes();
     }
     out
 }
 
+/// Compute the SHA-1 digest of `data`.
+pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
+    let mut h = H0;
+    let (blocks, rest) = data.as_chunks::<64>();
+    for block in blocks {
+        compress(&mut h, block);
+    }
+    // Message padding: 0x80, zeros, 64-bit big-endian bit length — one
+    // more block when the remainder leaves room for the nine bytes, else
+    // two.
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let end = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..end].as_chunks::<64>().0 {
+        compress(&mut h, block);
+    }
+    digest(h)
+}
+
 /// UTS child derivation: digest of `parent || child_index` (index as
 /// 4-byte big-endian), matching the original benchmark's brg_sha1 rng
-/// spawn operation.
+/// spawn operation. The 24-byte message and its padding are one block.
 pub fn spawn_child(parent: &[u8; DIGEST_BYTES], child_index: u32) -> [u8; DIGEST_BYTES] {
-    let mut buf = [0u8; DIGEST_BYTES + 4];
-    buf[..DIGEST_BYTES].copy_from_slice(parent);
-    buf[DIGEST_BYTES..].copy_from_slice(&child_index.to_be_bytes());
-    sha1(&buf)
+    const MSG_BYTES: usize = DIGEST_BYTES + 4;
+    let mut block = [0u8; 64];
+    block[..DIGEST_BYTES].copy_from_slice(parent);
+    block[DIGEST_BYTES..MSG_BYTES].copy_from_slice(&child_index.to_be_bytes());
+    block[MSG_BYTES] = 0x80;
+    block[56..].copy_from_slice(&(MSG_BYTES as u64 * 8).to_be_bytes());
+    let mut h = H0;
+    compress(&mut h, &block);
+    digest(h)
 }
 
 /// UTS root derivation from a scalar seed.
@@ -87,7 +143,8 @@ pub fn root_state(seed: u32) -> [u8; DIGEST_BYTES] {
 /// Map a digest to a uniform value in [0, 1): the leading 31 bits as a
 /// positive integer over 2³¹, matching UTS's `rng_toProb(rng_rand(state))`.
 pub fn to_prob(state: &[u8; DIGEST_BYTES]) -> f64 {
-    let v = u32::from_be_bytes(state[0..4].try_into().unwrap()) & 0x7FFF_FFFF;
+    let [a, b, c, d, ..] = *state;
+    let v = u32::from_be_bytes([a, b, c, d]) & 0x7FFF_FFFF;
     v as f64 / (1u64 << 31) as f64
 }
 
@@ -97,6 +154,74 @@ mod tests {
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The straightforward FIPS-180 transcription (padded copy of the
+    /// message, full 80-word schedule) the block-wise code replaced —
+    /// its reference.
+    fn reference_sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
+        let mut h = H0;
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
+        let mut w = [0u32; 80];
+        for block in msg.chunks_exact(64) {
+            for (i, word) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes(word.try_into().unwrap());
+            }
+            for i in 16..80 {
+                w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+            }
+            let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+            for (i, &wi) in w.iter().enumerate() {
+                let (f, k) = match i {
+                    0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+                    20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                    40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                    _ => (b ^ c ^ d, 0xCA62C1D6),
+                };
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add(f)
+                    .wrapping_add(e)
+                    .wrapping_add(k)
+                    .wrapping_add(wi);
+                (a, b, c, d, e) = (tmp, a, b.rotate_left(30), c, d);
+            }
+            for (hi, v) in h.iter_mut().zip([a, b, c, d, e]) {
+                *hi = hi.wrapping_add(v);
+            }
+        }
+        digest(h)
+    }
+
+    #[test]
+    fn matches_reference_across_every_padding_shape() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 89 + 3) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(sha1(&data[..len]), reference_sha1(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn spawn_child_matches_reference_over_a_chain() {
+        let mut state = root_state(5);
+        for i in 0..10_000u32 {
+            let mut msg = [0u8; DIGEST_BYTES + 4];
+            msg[..DIGEST_BYTES].copy_from_slice(&state);
+            msg[DIGEST_BYTES..].copy_from_slice(&(i % 7).to_be_bytes());
+            let child = spawn_child(&state, i % 7);
+            assert_eq!(child, reference_sha1(&msg), "link {i}");
+            state = child;
+        }
+    }
+
+    #[test]
+    fn spawn_child_is_pinned() {
+        assert_eq!(hex(&spawn_child(&root_state(5), 3)), "97df2befffb3e8a9e35d038e84b16f66e2499205");
     }
 
     #[test]

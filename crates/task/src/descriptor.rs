@@ -68,58 +68,92 @@ impl TaskDescriptor {
         HEADER_BYTES + self.len as usize
     }
 
-    /// Encode into a fixed-size record of `words.len()` heap words.
+    /// Encode into a fixed-size record of `words.len()` heap words
+    /// ([`encode_record`] on this task's parts).
     ///
     /// # Panics
     /// Panics if the record is too small for this task's payload.
     pub fn encode(&self, words: &mut [u64]) {
-        let need = Self::words_for(self.bytes_needed());
-        assert!(
-            words.len() >= need,
-            "task needs {need} words, record holds {}",
-            words.len()
-        );
-        words[0] = (self.fn_id as u64) | ((self.len as u64) << 16);
-        let payload = &self.payload[..self.len as usize];
-        for (w, chunk) in words[1..].iter_mut().zip(payload.chunks(8)) {
-            let mut b = [0u8; 8];
-            b[..chunk.len()].copy_from_slice(chunk);
-            *w = u64::from_le_bytes(b);
-        }
+        encode_record(self.fn_id, self.payload(), words);
     }
 
-    /// Decode from a record previously produced by [`Self::encode`].
+    /// Decode from a record previously produced by [`Self::encode`]
+    /// ([`decode_record`] into a fresh descriptor).
     ///
     /// # Panics
     /// Panics if the record's stated length exceeds the record or the
-    /// payload limit (a corrupt record — surfacing early beats silently
-    /// executing garbage).
+    /// payload limit.
     pub fn decode(words: &[u64]) -> TaskDescriptor {
-        assert!(!words.is_empty(), "empty task record");
-        let header = words[0];
-        let fn_id = (header & 0xFFFF) as u16;
-        let len = ((header >> 16) & 0xFFFF) as usize;
-        assert!(
-            len <= MAX_PAYLOAD && Self::words_for(HEADER_BYTES + len) <= words.len(),
-            "corrupt task record: payload length {len} exceeds record"
-        );
         let mut payload = [0u8; MAX_PAYLOAD];
-        let mut off = 0;
-        for &w in &words[1..] {
-            if off >= len {
-                break;
-            }
-            let b = w.to_le_bytes();
-            let take = (len - off).min(8);
-            payload[off..off + take].copy_from_slice(&b[..take]);
-            off += take;
-        }
+        let (fn_id, len) = decode_record(words, &mut payload);
         TaskDescriptor {
             fn_id,
             len: len as u16,
             payload,
         }
     }
+}
+
+/// Encode a task — handler `fn_id` plus `payload` — into the fixed-size
+/// record `words`, a word at a time; words past the payload are zeroed,
+/// so a record is a function of the task alone.
+///
+/// # Panics
+/// Panics if the payload exceeds [`MAX_PAYLOAD`] or the record is too
+/// small for it.
+pub fn encode_record(fn_id: u16, payload: &[u8], words: &mut [u64]) {
+    let len = payload.len();
+    assert!(
+        len <= MAX_PAYLOAD,
+        "task payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte limit"
+    );
+    let need = TaskDescriptor::words_for(HEADER_BYTES + len);
+    assert!(
+        need <= words.len(),
+        "task fn_id {fn_id} with a {len}-byte payload needs {need} words, record holds {} ({} bytes)",
+        words.len(),
+        words.len() * 8
+    );
+    words[0] = (fn_id as u64) | ((len as u64) << 16);
+    let (whole, tail) = payload.as_chunks::<8>();
+    let (body, slack) = words[1..].split_at_mut(whole.len());
+    for (w, chunk) in body.iter_mut().zip(whole) {
+        *w = u64::from_le_bytes(*chunk);
+    }
+    slack.fill(0);
+    if !tail.is_empty() {
+        let mut b = [0u8; 8];
+        b[..tail.len()].copy_from_slice(tail);
+        slack[0] = u64::from_le_bytes(b);
+    }
+}
+
+/// Decode the record `words` into the caller's `payload` buffer and
+/// return `(fn_id, len)`: the task's payload is `payload[..len]`, bytes
+/// past `len` are left as they were.
+///
+/// # Panics
+/// Panics if the record's stated length exceeds the record or the
+/// payload limit (a corrupt record — surfacing early beats silently
+/// executing garbage).
+pub fn decode_record(words: &[u64], payload: &mut [u8; MAX_PAYLOAD]) -> (u16, usize) {
+    assert!(!words.is_empty(), "empty task record");
+    let header = words[0];
+    let fn_id = (header & 0xFFFF) as u16;
+    let len = ((header >> 16) & 0xFFFF) as usize;
+    assert!(
+        len <= MAX_PAYLOAD && TaskDescriptor::words_for(HEADER_BYTES + len) <= words.len(),
+        "corrupt task record: payload length {len} exceeds record"
+    );
+    let (whole, tail) = payload[..len].as_chunks_mut::<8>();
+    for (chunk, w) in whole.iter_mut().zip(&words[1..]) {
+        *chunk = w.to_le_bytes();
+    }
+    if !tail.is_empty() {
+        let last = words[1 + whole.len()].to_le_bytes();
+        tail.copy_from_slice(&last[..tail.len()]);
+    }
+    (fn_id, len)
 }
 
 impl std::fmt::Debug for TaskDescriptor {
@@ -193,6 +227,51 @@ mod tests {
         assert_eq!(TaskDescriptor::words_for(32), 4);
         assert_eq!(TaskDescriptor::words_for(48), 6);
         assert_eq!(TaskDescriptor::words_for(192), 24);
+    }
+
+    /// The byte-at-a-time encoder the word-level codec replaced, kept as
+    /// its reference.
+    fn reference_encode(fn_id: u16, payload: &[u8], words: &mut [u64]) {
+        words.fill(0);
+        words[0] = (fn_id as u64) | ((payload.len() as u64) << 16);
+        for (i, &b) in payload.iter().enumerate() {
+            words[1 + i / 8] |= (b as u64) << (8 * (i % 8));
+        }
+    }
+
+    #[test]
+    fn codec_matches_reference_for_every_length_and_record_size() {
+        for len in 0..=MAX_PAYLOAD {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8 | 1).collect();
+            let task = TaskDescriptor::new(0xBEEF, &payload);
+            let need = TaskDescriptor::words_for(task.bytes_needed());
+            for record_words in need..=MAX_TASK_BYTES / 8 {
+                let mut want = vec![0u64; record_words];
+                reference_encode(0xBEEF, &payload, &mut want);
+                // Stale record contents must not survive an encode.
+                let mut parts = vec![u64::MAX; record_words];
+                encode_record(0xBEEF, &payload, &mut parts);
+                assert_eq!(parts, want, "len {len}, {record_words} words");
+                let mut whole = vec![u64::MAX; record_words];
+                task.encode(&mut whole);
+                assert_eq!(whole, want, "len {len}, {record_words} words");
+
+                let mut buf = [0xFFu8; MAX_PAYLOAD];
+                assert_eq!(decode_record(&want, &mut buf), (0xBEEF, len));
+                assert_eq!(&buf[..len], &payload[..]);
+                assert!(buf[len..].iter().all(|&b| b == 0xFF), "decode wrote past len {len}");
+
+                // Junk above the payload's last byte stays out of the
+                // descriptor.
+                let mut junk = want.clone();
+                if len % 8 != 0 {
+                    junk[need - 1] |= u64::MAX << (8 * (len % 8));
+                }
+                let back = TaskDescriptor::decode(&junk);
+                assert_eq!(back, task);
+                assert!(back.payload[len..].iter().all(|&b| b == 0), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -93,41 +93,41 @@ impl<'a> PayloadReader<'a> {
         PayloadReader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            self.pos + n <= self.buf.len(),
-            "payload underflow: reading {n} bytes at {} of {}",
-            self.pos,
-            self.buf.len()
-        );
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let Some(&bytes) = self.buf[self.pos..].first_chunk::<N>() else {
+            panic!(
+                "payload underflow: reading {N} bytes at {} of {}",
+                self.pos,
+                self.buf.len()
+            );
+        };
+        self.pos += N;
+        bytes
     }
 
     /// Read a `u8`.
     pub fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+        u8::from_le_bytes(self.take())
     }
 
     /// Read a `u16` (LE).
     pub fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().unwrap())
+        u16::from_le_bytes(self.take())
     }
 
     /// Read a `u32` (LE).
     pub fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+        u32::from_le_bytes(self.take())
     }
 
     /// Read a `u64` (LE).
     pub fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+        u64::from_le_bytes(self.take())
     }
 
     /// Read `N` raw bytes into an array.
     pub fn bytes<const N: usize>(&mut self) -> [u8; N] {
-        self.take(N).try_into().unwrap()
+        self.take()
     }
 
     /// Bytes not yet consumed.

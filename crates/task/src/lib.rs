@@ -8,6 +8,9 @@
 //!
 //! * [`TaskDescriptor`] — one task: a function id plus up to
 //!   [`MAX_PAYLOAD`] payload bytes, encodable to/from heap words.
+//! * [`encode_record`] / [`decode_record`] — the record codec itself,
+//!   over a task's parts: what the scheduler's per-task path uses, so a
+//!   32-byte record never travels as a 252-byte descriptor.
 //! * [`TaskRegistry`] — maps function ids to handlers; generic over the
 //!   execution context `C` so the scheduler can hand handlers its worker
 //!   state (spawning, time charging) without this crate depending on it.
@@ -20,6 +23,6 @@ mod descriptor;
 mod encode;
 mod registry;
 
-pub use descriptor::{TaskDescriptor, MAX_PAYLOAD, MAX_TASK_BYTES};
+pub use descriptor::{decode_record, encode_record, TaskDescriptor, MAX_PAYLOAD, MAX_TASK_BYTES};
 pub use encode::{PayloadReader, PayloadWriter};
 pub use registry::TaskRegistry;

@@ -59,12 +59,21 @@ impl<C> TaskRegistry<C> {
     /// Panics if the task names an unregistered function id (a corrupt or
     /// foreign record).
     pub fn execute(&self, ctx: &mut C, task: &TaskDescriptor) {
+        self.dispatch(ctx, task.fn_id(), task.payload());
+    }
+
+    /// Run the handler registered under `fn_id` on `payload` — the form
+    /// the scheduler uses on a decoded record.
+    ///
+    /// # Panics
+    /// As [`TaskRegistry::execute`].
+    pub fn dispatch(&self, ctx: &mut C, fn_id: u16, payload: &[u8]) {
         let h = self
             .handlers
-            .get(task.fn_id() as usize)
+            .get(fn_id as usize)
             .and_then(|h| h.as_ref())
-            .unwrap_or_else(|| panic!("no handler registered for task fn_id {}", task.fn_id()));
-        h(ctx, task.payload());
+            .unwrap_or_else(|| panic!("no handler registered for task fn_id {fn_id}"));
+        h(ctx, payload);
     }
 }
 

@@ -1,13 +1,14 @@
 //! The circular task buffer both queues store records in.
 //!
-//! Owner-side access (enqueue/pop of the local portion) is plain local
-//! memory traffic — uncharged, exactly as in the paper where local queue
-//! operations are lock-free memcpys. Thief-side block copies go through
-//! charged one-sided `get`s, using a single gather operation when the
-//! block wraps the ring.
+//! The buffer speaks words: records are encoded before they get here and
+//! decoded after they leave. Owner-side access (enqueue/pop of the local
+//! portion) is plain local memory traffic — uncharged, exactly as in the
+//! paper where local queue operations are lock-free memcpys of fixed-size
+//! records — through one write and one read primitive over whole records.
+//! Thief-side block copies go through charged one-sided `get`s, using a
+//! single gather operation when the block wraps the ring.
 
 use sws_shmem::{OpResult, ShmemCtx, SymAddr};
-use sws_task::TaskDescriptor;
 
 use crate::ring::Ring;
 
@@ -46,32 +47,29 @@ impl TaskBuffer {
         self.base.offset(slot * self.task_words)
     }
 
-    /// Owner: write a task record at absolute index `abs` (local, free).
-    /// Allocation-free: records fit a stack buffer by construction.
-    pub(crate) fn write_local(&self, ctx: &ShmemCtx, abs: u64, task: &TaskDescriptor) {
-        let mut rec = [0u64; MAX_RECORD_WORDS];
-        let rec = &mut rec[..self.task_words];
-        task.encode(rec);
-        ctx.local_write_words(self.slot_addr(self.ring.slot(abs)), rec);
-    }
-
-    /// Owner: read the task record at absolute index `abs` (local, free).
-    pub(crate) fn read_local(&self, ctx: &ShmemCtx, abs: u64) -> TaskDescriptor {
-        let mut rec = [0u64; MAX_RECORD_WORDS];
-        let rec = &mut rec[..self.task_words];
-        ctx.local_read_words(self.slot_addr(self.ring.slot(abs)), rec);
-        TaskDescriptor::decode(rec)
-    }
-
-    /// Owner: bulk-write `n` records (raw words) starting at absolute
-    /// index `abs` — used to land stolen blocks in the local portion.
-    pub(crate) fn write_local_block(&self, ctx: &ShmemCtx, abs: u64, n: usize, words: &[u64]) {
+    /// Owner: write the `n` records in `words` at absolute indices `abs..`
+    /// (local, free, wrap-aware) — a spawned record, or a stolen or
+    /// returning block landing in the local portion.
+    pub(crate) fn write_local(&self, ctx: &ShmemCtx, abs: u64, n: usize, words: &[u64]) {
         assert_eq!(words.len(), n * self.task_words);
         let rr = self.ring.range(self.ring.slot(abs), n);
-        let first_words = rr.first.1 * self.task_words;
-        ctx.local_write_words(self.slot_addr(rr.first.0), &words[..first_words]);
+        let (first, second) = words.split_at(rr.first.1 * self.task_words);
+        ctx.local_write_words(self.slot_addr(rr.first.0), first);
         if let Some((s, _)) = rr.second {
-            ctx.local_write_words(self.slot_addr(s), &words[first_words..]);
+            ctx.local_write_words(self.slot_addr(s), second);
+        }
+    }
+
+    /// Owner: read the `n` records at absolute indices `abs..` into `out`
+    /// (local, free, wrap-aware) — the record being popped, or a block
+    /// whose steal was poisoned or reclaimed.
+    pub(crate) fn read_local(&self, ctx: &ShmemCtx, abs: u64, n: usize, out: &mut [u64]) {
+        assert_eq!(out.len(), n * self.task_words);
+        let rr = self.ring.range(self.ring.slot(abs), n);
+        let (first, second) = out.split_at_mut(rr.first.1 * self.task_words);
+        ctx.local_read_words(self.slot_addr(rr.first.0), first);
+        if let Some((s, _)) = rr.second {
+            ctx.local_read_words(self.slot_addr(s), second);
         }
     }
 
@@ -97,20 +95,6 @@ impl TaskBuffer {
                 let b = (self.slot_addr(s), l * self.task_words);
                 ctx.try_get_words_gather(target, a, b, out)
             }
-        }
-    }
-
-    /// Owner: read `n` records starting at absolute index `abs` from the
-    /// local ring into `out` (free local reads, wrap-aware). Used to
-    /// re-enqueue a block whose steal was poisoned or reclaimed.
-    pub(crate) fn read_block_local(&self, ctx: &ShmemCtx, abs: u64, n: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(n * self.task_words, 0);
-        let rr = self.ring.range(self.ring.slot(abs), n);
-        let first_words = rr.first.1 * self.task_words;
-        ctx.local_read_words(self.slot_addr(rr.first.0), &mut out[..first_words]);
-        if let Some((s, _)) = rr.second {
-            ctx.local_read_words(self.slot_addr(s), &mut out[first_words..]);
         }
     }
 }

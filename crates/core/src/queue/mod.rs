@@ -256,10 +256,25 @@ pub trait StealQueue {
     /// the task inline — the standard Scioto fallback).
     fn enqueue(&mut self, task: &TaskDescriptor) -> bool;
 
+    /// Enqueue already-encoded tasks: `records` holds whole records of
+    /// the queue's `task_words`, written from the front for as long as
+    /// the ring has room, reclaiming completed steals whenever it runs
+    /// out. Returns how many were written; when that is not all of them
+    /// the ring is full even after reclaiming and the next record is the
+    /// caller's to run inline (it may offer the rest again). This is the
+    /// scheduler's per-task path; [`StealQueue::enqueue`] is the same
+    /// thing for one descriptor.
+    fn enqueue_records(&mut self, records: &[u64]) -> usize;
+
     /// Pop the newest local task (LIFO — depth-first execution order).
     /// Returns `None` when the local portion is empty; the caller should
     /// then try [`StealQueue::acquire`] and, failing that, steal.
     fn pop_local(&mut self) -> Option<TaskDescriptor>;
+
+    /// [`StealQueue::pop_local`] without the descriptor: copy the newest
+    /// local record into `rec` (`task_words` long); `false` when the
+    /// local portion is empty.
+    fn pop_record(&mut self, rec: &mut [u64]) -> bool;
 
     /// Tasks currently in the local portion.
     fn local_count(&self) -> u64;
@@ -323,8 +338,14 @@ impl StealQueue for Box<dyn StealQueue + '_> {
     fn enqueue(&mut self, task: &TaskDescriptor) -> bool {
         (**self).enqueue(task)
     }
+    fn enqueue_records(&mut self, records: &[u64]) -> usize {
+        (**self).enqueue_records(records)
+    }
     fn pop_local(&mut self) -> Option<TaskDescriptor> {
         (**self).pop_local()
+    }
+    fn pop_record(&mut self, rec: &mut [u64]) -> bool {
+        (**self).pop_record(rec)
     }
     fn local_count(&self) -> u64 {
         (**self).local_count()

@@ -46,6 +46,8 @@ pub(crate) struct OwnerRing<'a> {
     /// The block being stolen or re-enqueued, between its copy-out and
     /// its write at `head`.
     scratch: Vec<u64>,
+    /// One record, for the descriptor forms of enqueue and pop.
+    pub(crate) rec: Vec<u64>,
 }
 
 impl<'a> OwnerRing<'a> {
@@ -69,6 +71,7 @@ impl<'a> OwnerRing<'a> {
             rng: SplitMix64::stream(rng_stream, ctx.my_pe() as u64),
             stats: QueueStats::default(),
             scratch: Vec::new(),
+            rec: vec![0; cfg.task_words],
         }
     }
 
@@ -84,33 +87,47 @@ impl<'a> OwnerRing<'a> {
         self.head - self.split
     }
 
-    #[inline]
-    pub(crate) fn is_full(&self) -> bool {
-        self.live_span() >= self.cfg.capacity as u64
-    }
-
-    /// Write `task` at `head`; `false` when the ring is full (the caller
-    /// reclaims first if it can).
-    pub(crate) fn push(&mut self, task: &TaskDescriptor) -> bool {
-        if self.is_full() {
-            return false;
+    /// Write whole records from the front of `records` at `head` while
+    /// the ring has room — one annotated local write per record, so every
+    /// task is its own choice point under exploration — and return how
+    /// many were written (the caller reclaims, if it can, when some are
+    /// left).
+    pub(crate) fn push_records(&mut self, mut records: &[u64]) -> usize {
+        let room = (self.cfg.capacity as u64).saturating_sub(self.live_span());
+        let mut written = 0;
+        while written < room {
+            let Some((rec, rest)) = records.split_at_checked(self.cfg.task_words) else {
+                break;
+            };
+            // ordering: the queue's payload-write site
+            self.ctx.proto_site(self.payload_write.id());
+            self.buf.write_local(self.ctx, self.head, 1, rec);
+            self.head += 1;
+            written += 1;
+            records = rest;
         }
-        // ordering: the queue's payload-write site
-        self.ctx.proto_site(self.payload_write.id());
-        self.buf.write_local(self.ctx, self.head, task);
-        self.head += 1;
-        self.stats.enqueued += 1;
-        true
+        self.stats.enqueued += written;
+        written as usize
     }
 
-    /// Pop the newest local task.
-    pub(crate) fn pop(&mut self) -> Option<TaskDescriptor> {
+    /// Pop the newest local record into `rec`; `false` when the local
+    /// portion is empty.
+    pub(crate) fn pop_record(&mut self, rec: &mut [u64]) -> bool {
         if self.split == self.head {
-            return None;
+            return false;
         }
         self.head -= 1;
         self.stats.popped += 1;
-        Some(self.buf.read_local(self.ctx, self.head))
+        self.buf.read_local(self.ctx, self.head, 1, rec);
+        true
+    }
+
+    /// Descriptor form of [`OwnerRing::pop_record`].
+    pub(crate) fn pop(&mut self) -> Option<TaskDescriptor> {
+        let mut rec = std::mem::take(&mut self.rec);
+        let task = self.pop_record(&mut rec).then(|| TaskDescriptor::decode(&rec));
+        self.rec = rec;
+        task
     }
 
     /// Must a block of `vol` tasks wait for reclaimed space before it can
@@ -195,7 +212,7 @@ impl<'a> OwnerRing<'a> {
         // ordering: the queue's payload-write site
         self.ctx.proto_site(self.payload_write.id());
         self.buf
-            .write_local_block(self.ctx, self.head, vol as usize, &self.scratch);
+            .write_local(self.ctx, self.head, vol as usize, &self.scratch);
         self.head += vol;
         self.stats.enqueued += vol;
     }
@@ -218,8 +235,9 @@ impl<'a> OwnerRing<'a> {
     /// overwrite them. Never runs between a `copy_block` and its `land`.
     pub(crate) fn requeue_block(&mut self, abs: u64, vol: u64) {
         debug_assert_eq!(abs, self.reclaimed, "requeue off the reclaim frontier");
+        self.scratch.resize(vol as usize * self.cfg.task_words, 0);
         self.buf
-            .read_block_local(self.ctx, abs, vol as usize, &mut self.scratch);
+            .read_local(self.ctx, abs, vol as usize, &mut self.scratch);
         self.append_scratch(vol);
         self.reclaim_space(vol);
     }

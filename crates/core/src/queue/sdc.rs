@@ -220,10 +220,30 @@ impl<'a> SdcQueue<'a> {
 
 impl StealQueue for SdcQueue<'_> {
     fn enqueue(&mut self, task: &TaskDescriptor) -> bool {
-        if self.ring.is_full() {
+        let mut rec = std::mem::take(&mut self.ring.rec);
+        task.encode(&mut rec);
+        let written = self.enqueue_records(&rec);
+        self.ring.rec = rec;
+        written == 1
+    }
+
+    fn enqueue_records(&mut self, records: &[u64]) -> usize {
+        let mut written = self.ring.push_records(records);
+        // Full with records left: reclaim once per record that finds it
+        // so, exactly as enqueueing them one by one would.
+        while written * self.ring.cfg.task_words < records.len() {
             self.progress();
+            let more = self.ring.push_records(&records[written * self.ring.cfg.task_words..]);
+            if more == 0 {
+                break;
+            }
+            written += more;
         }
-        self.ring.push(task)
+        written
+    }
+
+    fn pop_record(&mut self, rec: &mut [u64]) -> bool {
+        self.ring.pop_record(rec)
     }
 
     fn pop_local(&mut self) -> Option<TaskDescriptor> {

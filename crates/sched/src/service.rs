@@ -377,7 +377,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
     /// termination before it can become stealable (the worker flushes
     /// spawn deltas before every release).
     fn admit(&mut self, t: TaskDescriptor) {
-        self.w.enqueue_or_overflow(t);
+        self.w.enqueue_or_overflow(&t);
         self.w.td.on_spawn(1);
         self.w.stats.service.admitted += 1;
         if !self.w.had_work {
@@ -593,16 +593,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             }
             self.pump_arrivals();
             self.maybe_report_ingress_done();
-            if let Some(t) = self.w.overflow.pop() {
-                self.w.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.w.queue.pop_local() {
-                self.w.execute(&t);
-                self.w.upkeep();
-                continue;
-            }
-            if self.w.acquire_shared() {
+            if self.w.run_owned(true) || self.w.acquire_shared() {
                 continue;
             }
             // Queue drained: idle. Unlike the batch loop this is not the

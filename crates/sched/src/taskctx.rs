@@ -2,14 +2,16 @@
 //!
 //! Handlers express *what* a task does — spawning subtasks and consuming
 //! (simulated) compute time — while the worker owns the queue and the
-//! clock. Spawns are buffered here and flushed by the worker after the
-//! handler returns, which keeps handlers free of queue borrows and makes
-//! a task's spawns atomic with respect to steals (children only become
-//! stealable after the parent finished, matching LIFO task-pool
-//! semantics).
+//! clock. A spawn is encoded on the spot into a record of the queue's
+//! size, so a task that cannot travel through the ring is rejected where
+//! it was made; the records are buffered here and handed to the queue as
+//! one block after the handler returns, which keeps handlers free of
+//! queue borrows and makes a task's spawns atomic with respect to steals
+//! (children only become stealable after the parent finished, matching
+//! LIFO task-pool semantics).
 
 use sws_shmem::ShmemCtx;
-use sws_task::TaskDescriptor;
+use sws_task::{encode_record, TaskDescriptor};
 
 /// Per-task execution context.
 ///
@@ -21,16 +23,24 @@ use sws_task::TaskDescriptor;
 /// concurrently executing tasks (no blocking dependencies).
 pub struct TaskCtx<'a> {
     shmem: &'a ShmemCtx,
-    spawned: Vec<TaskDescriptor>,
+    /// The running task's spawns: `n_spawned` whole records of
+    /// `task_words`, in spawn order.
+    spawned: Vec<u64>,
+    n_spawned: usize,
+    task_words: usize,
     compute_ns: u64,
     arrival_mark: Option<u64>,
 }
 
 impl<'a> TaskCtx<'a> {
-    pub(crate) fn new(shmem: &'a ShmemCtx) -> TaskCtx<'a> {
+    /// A context whose spawns are encoded into `task_words`-word records
+    /// (the pool's queue record size).
+    pub(crate) fn new(shmem: &'a ShmemCtx, task_words: usize) -> TaskCtx<'a> {
         TaskCtx {
             shmem,
             spawned: Vec::new(),
+            n_spawned: 0,
+            task_words,
             compute_ns: 0,
             arrival_mark: None,
         }
@@ -53,8 +63,23 @@ impl<'a> TaskCtx<'a> {
 
     /// Spawn a subtask into the local queue (enqueued when the handler
     /// returns).
+    ///
+    /// # Panics
+    /// Panics if the task does not fit the pool's queue record.
     pub fn spawn(&mut self, task: TaskDescriptor) {
-        self.spawned.push(task);
+        self.spawn_parts(task.fn_id(), task.payload());
+    }
+
+    /// [`TaskCtx::spawn`] from a task's parts: handler `fn_id` and its
+    /// `payload` bytes, without building a descriptor first.
+    ///
+    /// # Panics
+    /// Panics if the task does not fit the pool's queue record.
+    pub fn spawn_parts(&mut self, fn_id: u16, payload: &[u8]) {
+        let at = self.spawned.len();
+        self.spawned.resize(at + self.task_words, 0);
+        encode_record(fn_id, payload, &mut self.spawned[at..]);
+        self.n_spawned += 1;
     }
 
     /// Charge `ns` of task compute time to the executing PE's clock.
@@ -64,7 +89,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Subtasks spawned so far.
     pub fn spawn_count(&self) -> usize {
-        self.spawned.len()
+        self.n_spawned
     }
 
     /// Mark the running task as a service-mode arrival injected at
@@ -85,17 +110,19 @@ impl<'a> TaskCtx<'a> {
     /// avoid per-task allocation).
     pub(crate) fn reset(&mut self) {
         self.spawned.clear();
+        self.n_spawned = 0;
         self.compute_ns = 0;
         self.arrival_mark = None;
     }
 
-    /// Move spawns into `buf` (reused across tasks — no per-task
-    /// allocation) and return the accumulated compute time.
-    pub(crate) fn drain_into(&mut self, buf: &mut Vec<TaskDescriptor>) -> u64 {
-        buf.append(&mut self.spawned);
-        let ns = self.compute_ns;
-        self.compute_ns = 0;
-        ns
+    /// The compute time the handler charged.
+    pub(crate) fn compute_ns(&self) -> u64 {
+        self.compute_ns
+    }
+
+    /// The handler's spawns as encoded records, in spawn order.
+    pub(crate) fn spawned(&self) -> &[u64] {
+        &self.spawned
     }
 }
 
@@ -107,18 +134,19 @@ mod tests {
     #[test]
     fn buffers_spawns_compute_and_exposes_shmem() {
         run_world(WorldConfig::virtual_time(1, 256), |ctx| {
-            let mut c = TaskCtx::new(ctx);
+            let mut c = TaskCtx::new(ctx, 3);
             assert_eq!(c.my_pe(), 0);
             assert_eq!(c.n_pes(), 1);
             c.spawn(TaskDescriptor::new(1, &[1]));
-            c.spawn(TaskDescriptor::new(1, &[2]));
+            c.spawn_parts(1, &[2]);
             c.compute(500);
             c.compute(250);
             assert_eq!(c.spawn_count(), 2);
-            let mut buf = Vec::new();
-            let ns = c.drain_into(&mut buf);
-            assert_eq!(buf.len(), 2);
-            assert_eq!(ns, 750);
+            assert_eq!(c.compute_ns(), 750);
+            // Both forms leave the same thing: one whole record each, in
+            // spawn order.
+            let records: Vec<_> = c.spawned().chunks(3).map(TaskDescriptor::decode).collect();
+            assert_eq!(records, [TaskDescriptor::new(1, &[1]), TaskDescriptor::new(1, &[2])]);
             // The PGAS surface is reachable from handlers.
             let a = c.shmem().alloc_words(1);
             c.shmem().atomic_set(0, a, 9);
@@ -130,22 +158,34 @@ mod tests {
     #[test]
     fn reset_and_drain_lifecycle() {
         run_world(WorldConfig::virtual_time(1, 256), |ctx| {
-            let mut c = TaskCtx::new(ctx);
+            let mut c = TaskCtx::new(ctx, 2);
             c.spawn(TaskDescriptor::new(0, &[]));
             c.compute(10);
+            c.mark_arrival(5);
             c.reset();
             assert_eq!(c.spawn_count(), 0);
-            let mut buf = Vec::new();
-            assert_eq!(c.drain_into(&mut buf), 0);
-            assert!(buf.is_empty());
+            assert!(c.spawned().is_empty());
+            assert_eq!(c.compute_ns(), 0);
+            assert_eq!(c.take_arrival_mark(), None);
 
             c.spawn(TaskDescriptor::new(0, &[7]));
             c.compute(99);
-            let mut buf = vec![TaskDescriptor::new(9, &[])];
-            let ns = c.drain_into(&mut buf);
-            assert_eq!(buf.len(), 2, "appends after existing content");
-            assert_eq!(ns, 99);
+            assert_eq!(c.spawned().len(), 2, "one two-word record");
+            assert_eq!(c.compute_ns(), 99);
         })
         .unwrap();
+    }
+
+    #[test]
+    fn a_spawn_that_does_not_fit_the_record_is_rejected_where_it_is_made() {
+        let err = run_world(WorldConfig::virtual_time(1, 256), |ctx| {
+            TaskCtx::new(ctx, 6).spawn_parts(7, &[0u8; 64]);
+        })
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("fn_id 7") && msg.contains("64-byte payload") && msg.contains("48 bytes"),
+            "{msg}"
+        );
     }
 }

@@ -39,7 +39,7 @@
 use sws_core::{StealOutcome, StealQueue};
 use sws_shmem::rng::SplitMix64;
 use sws_shmem::ShmemCtx;
-use sws_task::{TaskDescriptor, TaskRegistry};
+use sws_task::{decode_record, TaskDescriptor, TaskRegistry, MAX_PAYLOAD};
 
 use crate::config::SchedConfig;
 use crate::damping::DampingState;
@@ -61,11 +61,15 @@ pub struct Worker<'r, 'a, Q: StealQueue> {
     pub(crate) damping: DampingState,
     pub(crate) cfg: SchedConfig,
     pub(crate) stats: WorkerStats,
-    /// Tasks that could not be enqueued because the ring was full; they
-    /// run before anything else (inline-execution fallback).
-    pub(crate) overflow: Vec<TaskDescriptor>,
+    /// Records that could not be enqueued because the ring was full,
+    /// newest last; they run before anything else (inline-execution
+    /// fallback).
+    overflow: Vec<u64>,
     tctx: TaskCtx<'a>,
-    spawn_buf: Vec<TaskDescriptor>,
+    /// The record being enqueued or executed (`task_words` long).
+    rec: Vec<u64>,
+    /// The executing task's payload bytes.
+    payload: [u8; MAX_PAYLOAD],
     tasks_since_release_check: u64,
     tasks_since_progress: u64,
     /// Steal attempts until the sampler next opens the capture window;
@@ -115,8 +119,9 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             cfg,
             stats: WorkerStats::default(),
             overflow: Vec::new(),
-            tctx: TaskCtx::new(ctx),
-            spawn_buf: Vec::new(),
+            tctx: TaskCtx::new(ctx, cfg.queue.task_words),
+            rec: vec![0; cfg.queue.task_words],
+            payload: [0; MAX_PAYLOAD],
             tasks_since_release_check: 0,
             tasks_since_progress: 0,
             sample_countdown,
@@ -135,7 +140,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
     /// the seeding itself is counted as spawned work).
     pub fn seed(&mut self, tasks: &[TaskDescriptor]) {
         for t in tasks {
-            self.enqueue_or_overflow(*t);
+            self.enqueue_or_overflow(t);
         }
         self.td.on_spawn(tasks.len() as u64);
         if !tasks.is_empty() {
@@ -143,21 +148,45 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
     }
 
-    pub(crate) fn enqueue_or_overflow(&mut self, t: TaskDescriptor) {
-        if !self.queue.enqueue(&t) {
-            self.overflow.push(t);
-        }
+    /// Enqueue one task from outside the pool (a seed, a service arrival).
+    pub(crate) fn enqueue_or_overflow(&mut self, t: &TaskDescriptor) {
+        t.encode(&mut self.rec);
+        offer_records(&mut self.queue, &mut self.overflow, self.rec.len(), &self.rec);
     }
 
-    /// Execute one task: run the handler, charge its compute time, then
-    /// flush its spawns into the queue.
-    pub(crate) fn execute(&mut self, task: &TaskDescriptor) {
+    /// Run the next task this PE owns — overflow first (records that
+    /// bypassed the full ring), else the newest local record, followed by
+    /// [`Worker::upkeep`] when `upkeep` is set (a retired or parked queue
+    /// gets none). `false` when nothing owned is left to run.
+    pub(crate) fn run_owned(&mut self, upkeep: bool) -> bool {
+        // Overflow holds whole records, so it is either empty or at least
+        // one record long.
+        let from_ring = match self.overflow.len().checked_sub(self.rec.len()) {
+            Some(at) => {
+                self.rec.copy_from_slice(&self.overflow[at..]);
+                self.overflow.truncate(at);
+                false
+            }
+            None if self.queue.pop_record(&mut self.rec) => true,
+            None => return false,
+        };
+        self.execute();
+        if from_ring && upkeep {
+            self.upkeep();
+        }
+        true
+    }
+
+    /// Execute the task in `rec`: run the handler, charge its compute
+    /// time, then hand its spawns to the queue.
+    fn execute(&mut self) {
+        let (fn_id, len) = decode_record(&self.rec, &mut self.payload);
         self.tctx.reset();
-        self.registry.execute(&mut self.tctx, task);
-        let mut spawn_buf = std::mem::take(&mut self.spawn_buf);
-        let compute_ns = self.tctx.drain_into(&mut spawn_buf);
-        self.ctx.compute(compute_ns + self.cfg.task_overhead_ns);
-        self.stats.task_ns += compute_ns + self.cfg.task_overhead_ns;
+        self.registry
+            .dispatch(&mut self.tctx, fn_id, &self.payload[..len]);
+        let task_ns = self.tctx.compute_ns() + self.cfg.task_overhead_ns;
+        self.ctx.compute(task_ns);
+        self.stats.task_ns += task_ns;
         if let Some(inject_ns) = self.tctx.take_arrival_mark() {
             // Service-mode arrival: record enqueue→completion latency
             // after the compute charge, so the sample covers the task's
@@ -165,12 +194,13 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             let lat = self.ctx.now_ns().saturating_sub(inject_ns);
             self.stats.service.latency.record(lat);
         }
-        let spawned = spawn_buf.len() as u64;
-        for t in spawn_buf.drain(..) {
-            self.enqueue_or_overflow(t);
-        }
-        self.spawn_buf = spawn_buf;
-        self.td.on_spawn(spawned);
+        offer_records(
+            &mut self.queue,
+            &mut self.overflow,
+            self.rec.len(),
+            self.tctx.spawned(),
+        );
+        self.td.on_spawn(self.tctx.spawn_count() as u64);
         self.td.on_complete(1);
         self.stats.tasks_executed += 1;
         self.tasks_since_release_check += 1;
@@ -376,9 +406,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
     /// queue's local portion (never released) and are drained too, so no
     /// work leaves with us.
     pub(crate) fn drain_owned(&mut self) {
-        while let Some(t) = self.overflow.pop().or_else(|| self.queue.pop_local()) {
-            self.execute(&t);
-        }
+        while self.run_owned(false) {}
     }
 
     /// Freeze this PE's report: runtime, queue counters, event log.
@@ -431,17 +459,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
                 self.crash_stop(false);
                 return (self.stats, self.queue);
             }
-            // Drain overflow first (tasks that bypassed the full ring).
-            if let Some(t) = self.overflow.pop() {
-                self.execute(&t);
-                continue;
-            }
-            if let Some(t) = self.queue.pop_local() {
-                self.execute(&t);
-                self.upkeep();
-                continue;
-            }
-            if self.acquire_shared() {
+            if self.run_owned(true) || self.acquire_shared() {
                 continue;
             }
             // Whole queue empty: search. Termination is polled every few
@@ -466,5 +484,25 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
         self.shutdown();
         (self.stats, self.queue)
+    }
+}
+
+/// Offer `records` (whole records of `task_words`) to the ring; each one
+/// that finds it full even after the queue's reclaim goes to `overflow`
+/// instead, and the rest are offered again.
+fn offer_records<Q: StealQueue>(
+    queue: &mut Q,
+    overflow: &mut Vec<u64>,
+    task_words: usize,
+    mut records: &[u64],
+) {
+    loop {
+        let written = queue.enqueue_records(records);
+        records = &records[written * task_words..];
+        let Some((rec, rest)) = records.split_at_checked(task_words) else {
+            return;
+        };
+        overflow.extend_from_slice(rec);
+        records = rest;
     }
 }

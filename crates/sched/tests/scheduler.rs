@@ -207,3 +207,45 @@ fn larger_seed_fanout_all_pes_seeded() {
     // 4 seeds × (2^7 - 1) tasks each.
     assert_eq!(report.total_tasks(), 4 * 127);
 }
+
+/// A seed that spawns `fillers` one-byte tasks and then one with a
+/// 64-byte payload, into a pool of 48-byte records.
+fn oversized_spawn(capacity: usize, fillers: usize) {
+    struct Oversized(usize);
+    impl Workload for Oversized {
+        fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
+            let fillers = self.0;
+            reg.register(21, move |tctx, payload| {
+                if payload.is_empty() {
+                    for _ in 0..fillers {
+                        tctx.spawn(TaskDescriptor::new(21, &[1]));
+                    }
+                    tctx.spawn(TaskDescriptor::new(21, &[0u8; 64]));
+                }
+            });
+        }
+        fn seeds(&self, pe: usize, _n: usize) -> Vec<TaskDescriptor> {
+            if pe == 0 {
+                vec![TaskDescriptor::new(21, &[])]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+    let sched = SchedConfig::new(QueueKind::Sws, QueueConfig::new(capacity, 48));
+    run_workload(&RunConfig::new(1, sched), &Oversized(fillers));
+}
+
+#[test]
+#[should_panic(expected = "fn_id 21 with a 64-byte payload needs 9 words, record holds 6 (48 bytes)")]
+fn oversized_spawn_is_rejected_on_an_empty_ring() {
+    oversized_spawn(1024, 0);
+}
+
+/// With the ring full the task used to bypass the record — and the check
+/// — through the overflow list, and run.
+#[test]
+#[should_panic(expected = "fn_id 21 with a 64-byte payload needs 9 words, record holds 6 (48 bytes)")]
+fn oversized_spawn_is_rejected_on_a_full_ring() {
+    oversized_spawn(2, 3);
+}

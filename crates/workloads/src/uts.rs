@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sws_sched::{TaskCtx, Workload};
-use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};
+use sws_task::{PayloadReader, TaskDescriptor, TaskRegistry};
 
 use crate::sha1::{root_state, spawn_child, to_prob, DIGEST_BYTES};
 
@@ -161,12 +161,18 @@ impl UtsParams {
         stats
     }
 
-    /// Encode a node as a task descriptor (state ‖ depth — with the
-    /// record header this lands in the 48-byte records of Table 2).
+    /// A node's task payload: state ‖ depth (LE) — with the record
+    /// header this lands in the 48-byte records of Table 2.
+    fn node_payload(state: &[u8; DIGEST_BYTES], depth: u32) -> [u8; DIGEST_BYTES + 4] {
+        let mut p = [0u8; DIGEST_BYTES + 4];
+        p[..DIGEST_BYTES].copy_from_slice(state);
+        p[DIGEST_BYTES..].copy_from_slice(&depth.to_le_bytes());
+        p
+    }
+
+    /// Encode a node as a task descriptor.
     pub fn node_task(state: &[u8; DIGEST_BYTES], depth: u32) -> TaskDescriptor {
-        let mut w = PayloadWriter::new();
-        w.bytes(state).u32(depth);
-        TaskDescriptor::new(UTS_FN, w.as_slice())
+        TaskDescriptor::new(UTS_FN, &Self::node_payload(state, depth))
     }
 }
 
@@ -281,7 +287,8 @@ impl Workload for UtsWorkload {
             // per spawned child (that is the real work UTS does).
             tctx.compute(params.node_ns + n as u64 * params.node_ns / 2);
             for i in 0..n {
-                tctx.spawn(UtsParams::node_task(&spawn_child(&state, i), depth + 1));
+                let child = UtsParams::node_payload(&spawn_child(&state, i), depth + 1);
+                tctx.spawn_parts(UTS_FN, &child);
             }
         });
     }

@@ -387,16 +387,16 @@ impl StealQueue for SwsQueue<'_> {
     }
 
     fn enqueue_records(&mut self, records: &[u64]) -> usize {
+        let tw = self.ring.cfg.task_words;
         let mut written = self.ring.push_records(records);
         // Full with records left: reclaim once per record that finds it
         // so, exactly as enqueueing them one by one would.
-        while written * self.ring.cfg.task_words < records.len() {
+        while written * tw < records.len() {
             self.reclaim();
-            let more = self.ring.push_records(&records[written * self.ring.cfg.task_words..]);
-            if more == 0 {
-                break;
+            match self.ring.push_records(&records[written * tw..]) {
+                0 => break,
+                more => written += more,
             }
-            written += more;
         }
         written
     }

@@ -35,8 +35,9 @@
 //!   ([`RunReport::arrival_conservation_ok`]).
 //!
 //! Service mode drives the same [`Worker`] building blocks as the batch
-//! loop ([`crate::worker::Worker::run`]) — execute, upkeep, acquire, the
-//! idle search step, drain, crash-stop, shutdown — from its own loop.
+//! loop ([`crate::worker::Worker::run`]) — run the next owned task,
+//! acquire, the idle search step, drain, crash-stop, shutdown — from its
+//! own loop.
 
 use std::collections::VecDeque;
 

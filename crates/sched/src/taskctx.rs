@@ -23,10 +23,9 @@ use sws_task::{encode_record, TaskDescriptor};
 /// concurrently executing tasks (no blocking dependencies).
 pub struct TaskCtx<'a> {
     shmem: &'a ShmemCtx,
-    /// The running task's spawns: `n_spawned` whole records of
-    /// `task_words`, in spawn order.
+    /// The running task's spawns: whole records of `task_words`, in
+    /// spawn order.
     spawned: Vec<u64>,
-    n_spawned: usize,
     task_words: usize,
     compute_ns: u64,
     arrival_mark: Option<u64>,
@@ -39,7 +38,6 @@ impl<'a> TaskCtx<'a> {
         TaskCtx {
             shmem,
             spawned: Vec::new(),
-            n_spawned: 0,
             task_words,
             compute_ns: 0,
             arrival_mark: None,
@@ -79,7 +77,6 @@ impl<'a> TaskCtx<'a> {
         let at = self.spawned.len();
         self.spawned.resize(at + self.task_words, 0);
         encode_record(fn_id, payload, &mut self.spawned[at..]);
-        self.n_spawned += 1;
     }
 
     /// Charge `ns` of task compute time to the executing PE's clock.
@@ -89,7 +86,7 @@ impl<'a> TaskCtx<'a> {
 
     /// Subtasks spawned so far.
     pub fn spawn_count(&self) -> usize {
-        self.n_spawned
+        self.spawned.len() / self.task_words
     }
 
     /// Mark the running task as a service-mode arrival injected at
@@ -110,7 +107,6 @@ impl<'a> TaskCtx<'a> {
     /// avoid per-task allocation).
     pub(crate) fn reset(&mut self) {
         self.spawned.clear();
-        self.n_spawned = 0;
         self.compute_ns = 0;
         self.arrival_mark = None;
     }

@@ -194,13 +194,13 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             let lat = self.ctx.now_ns().saturating_sub(inject_ns);
             self.stats.service.latency.record(lat);
         }
-        offer_records(
+        let spawned = offer_records(
             &mut self.queue,
             &mut self.overflow,
             self.rec.len(),
             self.tctx.spawned(),
         );
-        self.td.on_spawn(self.tctx.spawn_count() as u64);
+        self.td.on_spawn(spawned);
         self.td.on_complete(1);
         self.stats.tasks_executed += 1;
         self.tasks_since_release_check += 1;
@@ -489,20 +489,23 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
 
 /// Offer `records` (whole records of `task_words`) to the ring; each one
 /// that finds it full even after the queue's reclaim goes to `overflow`
-/// instead, and the rest are offered again.
+/// instead, and the rest are offered again. Returns how many there were.
 fn offer_records<Q: StealQueue>(
     queue: &mut Q,
     overflow: &mut Vec<u64>,
     task_words: usize,
     mut records: &[u64],
-) {
+) -> u64 {
+    let mut offered = 0;
     loop {
         let written = queue.enqueue_records(records);
+        offered += written;
         records = &records[written * task_words..];
         let Some((rec, rest)) = records.split_at_checked(task_words) else {
-            return;
+            return offered as u64;
         };
         overflow.extend_from_slice(rec);
+        offered += 1;
         records = rest;
     }
 }

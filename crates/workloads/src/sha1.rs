@@ -32,7 +32,6 @@ fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
 /// in `e` and `b` is rotated in place, so the next round is this one with
 /// its variables shifted by one — nothing moves.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // the five working variables, by name
 fn round(
     (f, k, w): (&impl Fn(u32, u32, u32) -> u32, u32, u32),
     a: u32,

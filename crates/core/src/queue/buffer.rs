@@ -12,9 +12,6 @@ use sws_shmem::{OpResult, ShmemCtx, SymAddr};
 
 use crate::ring::Ring;
 
-/// Words in the largest possible task record (`MAX_TASK_BYTES / 8`).
-pub(crate) const MAX_RECORD_WORDS: usize = sws_task::MAX_TASK_BYTES / 8;
-
 /// Word-level view of a ring of fixed-size task records.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TaskBuffer {
@@ -25,10 +22,6 @@ pub(crate) struct TaskBuffer {
 
 impl TaskBuffer {
     pub(crate) fn new(base: SymAddr, capacity: usize, task_words: usize) -> TaskBuffer {
-        assert!(
-            task_words <= MAX_RECORD_WORDS,
-            "task records of {task_words} words exceed the {MAX_RECORD_WORDS}-word limit"
-        );
         TaskBuffer {
             base,
             ring: Ring::new(capacity),

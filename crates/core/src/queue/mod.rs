@@ -256,14 +256,13 @@ pub trait StealQueue {
     /// the task inline — the standard Scioto fallback).
     fn enqueue(&mut self, task: &TaskDescriptor) -> bool;
 
-    /// Enqueue already-encoded tasks: `records` holds whole records of
-    /// the queue's `task_words`, written from the front for as long as
-    /// the ring has room, reclaiming completed steals whenever it runs
-    /// out. Returns how many were written; when that is not all of them
-    /// the ring is full even after reclaiming and the next record is the
-    /// caller's to run inline (it may offer the rest again). This is the
-    /// scheduler's per-task path; [`StealQueue::enqueue`] is the same
-    /// thing for one descriptor.
+    /// [`StealQueue::enqueue`] for already-encoded tasks — the
+    /// scheduler's per-task path. `records` holds whole records of the
+    /// queue's `task_words`; they are written from the front while the
+    /// ring has room, reclaiming completed steals whenever it runs out.
+    /// Returns how many were written: fewer than offered means the ring
+    /// is full even after reclaiming, and the next record is the caller's
+    /// to run inline (it may offer the rest again).
     fn enqueue_records(&mut self, records: &[u64]) -> usize;
 
     /// Pop the newest local task (LIFO — depth-first execution order).

@@ -88,10 +88,9 @@ impl<'a> OwnerRing<'a> {
     }
 
     /// Write whole records from the front of `records` at `head` while
-    /// the ring has room — one annotated local write per record, so every
-    /// task is its own choice point under exploration — and return how
-    /// many were written (the caller reclaims, if it can, when some are
-    /// left).
+    /// the ring has room and return how many were written (the caller
+    /// reclaims when some are left). One annotated local write per
+    /// record: every task is its own choice point under exploration.
     pub(crate) fn push_records(&mut self, mut records: &[u64]) -> usize {
         let room = (self.cfg.capacity as u64).saturating_sub(self.live_span());
         let mut written = 0;

@@ -32,8 +32,7 @@ pub struct TaskCtx<'a> {
 }
 
 impl<'a> TaskCtx<'a> {
-    /// A context whose spawns are encoded into `task_words`-word records
-    /// (the pool's queue record size).
+    /// A context for a pool whose queue records are `task_words` long.
     pub(crate) fn new(shmem: &'a ShmemCtx, task_words: usize) -> TaskCtx<'a> {
         TaskCtx {
             shmem,
@@ -60,19 +59,13 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Spawn a subtask into the local queue (enqueued when the handler
-    /// returns).
-    ///
-    /// # Panics
-    /// Panics if the task does not fit the pool's queue record.
+    /// returns). Panics if the task does not fit the pool's queue record.
     pub fn spawn(&mut self, task: TaskDescriptor) {
         self.spawn_parts(task.fn_id(), task.payload());
     }
 
-    /// [`TaskCtx::spawn`] from a task's parts: handler `fn_id` and its
-    /// `payload` bytes, without building a descriptor first.
-    ///
-    /// # Panics
-    /// Panics if the task does not fit the pool's queue record.
+    /// [`TaskCtx::spawn`] from a task's parts — handler `fn_id` and its
+    /// `payload` bytes — without building a descriptor first.
     pub fn spawn_parts(&mut self, fn_id: u16, payload: &[u8]) {
         let at = self.spawned.len();
         self.spawned.resize(at + self.task_words, 0);

@@ -148,10 +148,13 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
     }
 
-    /// Enqueue one task from outside the pool (a seed, a service arrival).
+    /// Enqueue one task from outside the pool (a seed, a service arrival);
+    /// it runs from `overflow` if the ring is full even after reclaiming.
     pub(crate) fn enqueue_or_overflow(&mut self, t: &TaskDescriptor) {
         t.encode(&mut self.rec);
-        offer_records(&mut self.queue, &mut self.overflow, self.rec.len(), &self.rec);
+        if self.queue.enqueue_records(&self.rec) == 0 {
+            self.overflow.extend_from_slice(&self.rec);
+        }
     }
 
     /// Run the next task this PE owns — overflow first (records that
@@ -194,13 +197,21 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             let lat = self.ctx.now_ns().saturating_sub(inject_ns);
             self.stats.service.latency.record(lat);
         }
-        let spawned = offer_records(
-            &mut self.queue,
-            &mut self.overflow,
-            self.rec.len(),
-            self.tctx.spawned(),
-        );
-        self.td.on_spawn(spawned);
+        // Hand the spawns to the queue; each record that finds the ring
+        // full even after its reclaim goes to `overflow` instead, and the
+        // rest are offered again.
+        let (mut records, mut spawned) = (self.tctx.spawned(), 0);
+        while !records.is_empty() {
+            let written = self.queue.enqueue_records(records);
+            records = &records[written * self.rec.len()..];
+            spawned += written;
+            if let Some((rec, rest)) = records.split_at_checked(self.rec.len()) {
+                self.overflow.extend_from_slice(rec);
+                records = rest;
+                spawned += 1;
+            }
+        }
+        self.td.on_spawn(spawned as u64);
         self.td.on_complete(1);
         self.stats.tasks_executed += 1;
         self.tasks_since_release_check += 1;
@@ -484,28 +495,5 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
         self.shutdown();
         (self.stats, self.queue)
-    }
-}
-
-/// Offer `records` (whole records of `task_words`) to the ring; each one
-/// that finds it full even after the queue's reclaim goes to `overflow`
-/// instead, and the rest are offered again. Returns how many there were.
-fn offer_records<Q: StealQueue>(
-    queue: &mut Q,
-    overflow: &mut Vec<u64>,
-    task_words: usize,
-    mut records: &[u64],
-) -> u64 {
-    let mut offered = 0;
-    loop {
-        let written = queue.enqueue_records(records);
-        offered += written;
-        records = &records[written * task_words..];
-        let Some((rec, rest)) = records.split_at_checked(task_words) else {
-            return offered as u64;
-        };
-        overflow.extend_from_slice(rec);
-        offered += 1;
-        records = rest;
     }
 }

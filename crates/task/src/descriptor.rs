@@ -69,20 +69,13 @@ impl TaskDescriptor {
     }
 
     /// Encode into a fixed-size record of `words.len()` heap words
-    /// ([`encode_record`] on this task's parts).
-    ///
-    /// # Panics
-    /// Panics if the record is too small for this task's payload.
+    /// ([`encode_record`] on this task's parts; panics as it does).
     pub fn encode(&self, words: &mut [u64]) {
         encode_record(self.fn_id, self.payload(), words);
     }
 
     /// Decode from a record previously produced by [`Self::encode`]
-    /// ([`decode_record`] into a fresh descriptor).
-    ///
-    /// # Panics
-    /// Panics if the record's stated length exceeds the record or the
-    /// payload limit.
+    /// ([`decode_record`] into a fresh descriptor; panics as it does).
     pub fn decode(words: &[u64]) -> TaskDescriptor {
         let mut payload = [0u8; MAX_PAYLOAD];
         let (fn_id, len) = decode_record(words, &mut payload);

@@ -62,11 +62,8 @@ impl<C> TaskRegistry<C> {
         self.dispatch(ctx, task.fn_id(), task.payload());
     }
 
-    /// Run the handler registered under `fn_id` on `payload` — the form
-    /// the scheduler uses on a decoded record.
-    ///
-    /// # Panics
-    /// As [`TaskRegistry::execute`].
+    /// [`TaskRegistry::execute`] on a task's parts — the form the
+    /// scheduler uses on a decoded record.
     pub fn dispatch(&self, ctx: &mut C, fn_id: u16, payload: &[u8]) {
         let h = self
             .handlers

@@ -15,42 +15,12 @@ pub const DIGEST_BYTES: usize = 20;
 /// The initial chaining state.
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
-/// Schedule word `i`. Words past the sixteenth are computed in place over
-/// the word sixteen rounds back (the rolling schedule — the block's
-/// 80-word expansion never exists).
-#[inline(always)]
-fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
-    if i >= 16 {
-        w[i % 16] = (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16])
-            .rotate_left(1);
-    }
-    w[i % 16]
-}
-
-/// One round of a group (mixing function `f`, constant `k`, schedule
-/// word `w`) on working variables `(a, b, c, d, e)`: the new `a` is left
-/// in `e` and `b` is rotated in place, so the next round is this one with
-/// its variables shifted by one — nothing moves.
-#[inline(always)]
-fn round(
-    (f, k, w): (&impl Fn(u32, u32, u32) -> u32, u32, u32),
-    a: u32,
-    b: &mut u32,
-    c: u32,
-    d: u32,
-    e: &mut u32,
-) {
-    *e = e
-        .wrapping_add(a.rotate_left(5))
-        .wrapping_add(f(*b, c, d))
-        .wrapping_add(k)
-        .wrapping_add(w);
-    *b = b.rotate_left(30);
-}
-
-/// The twenty rounds `from..from + 20` of one round group, five per turn
-/// of the loop: after five renamings the working variables are back in
-/// their own names.
+/// The twenty rounds `from..from + 20` of one round group (mixing
+/// function `f`, constant `k`). Schedule words past the sixteenth are
+/// computed in place over the word sixteen rounds back — the block's
+/// 80-word expansion never exists. The working variables rotate by index,
+/// not by moves: after `j` rounds `(a, b, c, d, e)` are `s[(0..5) - j]`,
+/// and with five rounds per turn the inner loop unrolls to constants.
 #[inline(always)]
 fn rounds(
     s: &mut [u32; 5],
@@ -59,15 +29,22 @@ fn rounds(
     f: impl Fn(u32, u32, u32) -> u32,
     k: u32,
 ) {
-    let [mut a, mut b, mut c, mut d, mut e] = *s;
-    for i in (from..from + 20).step_by(5) {
-        round((&f, k, schedule(w, i)), a, &mut b, c, d, &mut e);
-        round((&f, k, schedule(w, i + 1)), e, &mut a, b, c, &mut d);
-        round((&f, k, schedule(w, i + 2)), d, &mut e, a, b, &mut c);
-        round((&f, k, schedule(w, i + 3)), c, &mut d, e, a, &mut b);
-        round((&f, k, schedule(w, i + 4)), b, &mut c, d, e, &mut a);
+    for turn in (from..from + 20).step_by(5) {
+        for j in 0..5 {
+            let i = turn + j;
+            if i >= 16 {
+                w[i % 16] = (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16])
+                    .rotate_left(1);
+            }
+            let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|v| (v + 5 - j) % 5);
+            s[e] = s[e]
+                .wrapping_add(s[a].rotate_left(5))
+                .wrapping_add(f(s[b], s[c], s[d]))
+                .wrapping_add(k)
+                .wrapping_add(w[i % 16]);
+            s[b] = s[b].rotate_left(30);
+        }
     }
-    *s = [a, b, c, d, e];
 }
 
 /// The SHA-1 compression function: fold one 64-byte `block` into the
@@ -99,11 +76,7 @@ fn digest(h: [u32; 5]) -> [u8; DIGEST_BYTES] {
 
 /// Compute the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
-    let mut h = H0;
     let (blocks, rest) = data.as_chunks::<64>();
-    for block in blocks {
-        compress(&mut h, block);
-    }
     // Message padding: 0x80, zeros, 64-bit big-endian bit length — one
     // more block when the remainder leaves room for the nine bytes, else
     // two.
@@ -113,7 +86,8 @@ pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
     let end = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
     tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..end].as_chunks::<64>().0 {
+    let mut h = H0;
+    for block in blocks.iter().chain(tail[..end].as_chunks::<64>().0) {
         compress(&mut h, block);
     }
     digest(h)

@@ -15,7 +15,15 @@
 //! * `switched` (x86-64 Linux): a user-space stack switch — six
 //!   callee-saved registers and the stack pointer, ≈10 ns — onto a 2 MiB
 //!   anonymous mapping with a `PROT_NONE` guard page below it, so an
-//!   overflow faults instead of scribbling over a neighbour.
+//!   overflow faults instead of scribbling over a neighbour. Stacks are
+//!   recycled: a dropped context — reaped, never started, or abandoned —
+//!   hands its mapping, guard page intact, to a bounded free list of its
+//!   OS thread, and `spawn` takes from that list before it maps, so a
+//!   world costs the kernel nothing once its thread has run one as wide.
+//!   A tenant cannot see what the last one left (`spawn` writes the first
+//!   frame, and safe code reads no stack slot it has not written); the
+//!   pages it touched stay resident until the mapping goes — when the
+//!   list is full (`POOLED_STACKS`) or its thread exits.
 //! * `parked` (every other target, and Miri): one OS thread per context,
 //!   woken and answered over a pair of channels. Slow, but the same
 //!   semantics, so the scheduler above cannot tell which one it runs on.
@@ -38,7 +46,7 @@ pub(crate) use parked::{suspend, Context};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 mod switched {
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::ffi::c_void;
     use std::io;
     use std::ptr;
@@ -47,6 +55,8 @@ mod switched {
 
     /// The inaccessible page below each stack (x86-64 Linux base page).
     const GUARD_BYTES: usize = 4096;
+    /// One mapping: the guard page, then the stack.
+    const LEN: usize = GUARD_BYTES + STACK_BYTES;
 
     const PROT_NONE: i32 = 0;
     const PROT_READ_WRITE: i32 = 1 | 2;
@@ -120,18 +130,63 @@ mod switched {
         done: Cell<bool>,
     }
 
+    /// One stack mapping, guard page first, unmapped when dropped.
+    struct Stack(*mut c_void);
+
+    /// Free stacks a thread keeps. 4,096 holds a world of the paper's
+    /// 2,112 PEs, or of the launch test's 4,096, whole — the next one maps
+    /// nothing — and caps what a thread pins of `vm.max_map_count` at 8,192
+    /// mappings (a 65,536-PE world makes 131,072). A kept stack keeps
+    /// resident what its deepest tenant touched: two pages after a
+    /// scheduler run (32 MiB at the bound); 2 MiB, so 8 GiB in all, only
+    /// if every PE of a world ran its stack to the bottom.
+    const POOLED_STACKS: usize = 4096;
+
     thread_local! {
         /// The innermost context running on this thread (null outside
         /// any). `resume` sets it for the duration of the switch, so it
         /// always points into a `Context` that is mutably borrowed.
         static CURRENT: Cell<*const Switch<'static>> = const { Cell::new(ptr::null()) };
+        /// This thread's free stacks, last freed on top; dropped (and so
+        /// unmapped) with the thread.
+        static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+    }
+
+    impl Stack {
+        /// The stack freed last on this thread, else a fresh mapping.
+        fn acquire() -> io::Result<Stack> {
+            if let Ok(Some(stack)) = FREE.try_with(|free| free.borrow_mut().pop()) {
+                return Ok(stack);
+            }
+            // SAFETY: a fresh anonymous private mapping at an address of
+            // the kernel's choosing aliases nothing.
+            let map = unsafe { mmap(ptr::null_mut(), LEN, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
+            if map as isize == -1 {
+                return Err(io::Error::last_os_error());
+            }
+            // From here on `Drop` unmaps.
+            let stack = Stack(map);
+            // SAFETY: the first page of the mapping made just above.
+            if unsafe { mprotect(map, GUARD_BYTES, PROT_NONE) } != 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(stack)
+        }
+    }
+
+    impl Drop for Stack {
+        fn drop(&mut self) {
+            // SAFETY: the mapping `acquire` made, whole; no context owns it
+            // any more, so nothing executes on it.
+            unsafe { munmap(self.0, LEN) };
+        }
     }
 
     /// A closure with its own stack, run by [`Context::resume`].
     pub(crate) struct Context<'a> {
         switch: Switch<'a>,
-        /// Base of the mapping (guard page first).
-        map: *mut c_void,
+        /// `Some` until `Drop` passes it on.
+        stack: Option<Stack>,
     }
 
     /// What a fresh context's first switch returns into (via
@@ -155,29 +210,11 @@ mod switched {
 
     impl<'a> Context<'a> {
         /// A suspended context that runs `entry` once resumed. Fails when
-        /// the kernel refuses the stack mapping (address space, or two
-        /// mappings per context against `vm.max_map_count`).
+        /// this thread has no free stack and the kernel refuses to map one
+        /// (address space, or two mappings per context against
+        /// `vm.max_map_count`).
         pub(crate) fn spawn(entry: impl FnOnce() + Send + 'a) -> io::Result<Context<'a>> {
-            let len = GUARD_BYTES + STACK_BYTES;
-            // SAFETY: a fresh anonymous private mapping at an address of
-            // the kernel's choosing aliases nothing.
-            let map = unsafe { mmap(ptr::null_mut(), len, PROT_READ_WRITE, MAP_FLAGS, -1, 0) };
-            if map as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            // From here on `Drop` unmaps.
-            let mut ctx = Context {
-                switch: Switch {
-                    sp: Cell::new(0),
-                    entry: Cell::new(Some(Box::new(entry))),
-                    done: Cell::new(false),
-                },
-                map,
-            };
-            // SAFETY: the first page of the mapping made just above.
-            if unsafe { mprotect(map, GUARD_BYTES, PROT_NONE) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
+            let stack = Stack::acquire()?;
             // The frame `sws_context_switch` pops on the first resume:
             // r15, r14, r13 (what the entry stub calls), r12, rbx, rbp,
             // the return address, then a zero where a caller's return
@@ -185,12 +222,19 @@ mod switched {
             // `ret` rsp is 16-byte aligned, as at any call site.
             let stub = sws_context_entry as *const () as usize;
             let frame = [0, 0, trampoline as *const () as usize, 0, 0, 0, stub, 0, 0];
-            let sp = map as usize + len - std::mem::size_of_val(&frame);
+            let sp = stack.0 as usize + LEN - std::mem::size_of_val(&frame);
             // SAFETY: `sp..top` lies inside the read-write part of the
-            // mapping, is 8-byte aligned, and nothing else refers to it.
+            // mapping, is 8-byte aligned, and nothing else refers to it:
+            // whoever had this stack before has been dropped.
             unsafe { ptr::write(sp as *mut [usize; 9], frame) };
-            *ctx.switch.sp.get_mut() = sp;
-            Ok(ctx)
+            Ok(Context {
+                switch: Switch {
+                    sp: Cell::new(sp),
+                    entry: Cell::new(Some(Box::new(entry))),
+                    done: Cell::new(false),
+                },
+                stack: Some(stack),
+            })
         }
 
         /// Run the context on this thread until it suspends or its entry
@@ -215,10 +259,17 @@ mod switched {
     }
 
     impl Drop for Context<'_> {
+        /// The context is not running (`&mut self`), so its stack is free:
+        /// to this thread's list while that exists and has room, else
+        /// (`stack` drops with the closure, or here) back to the kernel.
         fn drop(&mut self) {
-            // SAFETY: the mapping `spawn` made, whole; the context is
-            // not running (`&mut self`), so nothing executes on it.
-            unsafe { munmap(self.map, GUARD_BYTES + STACK_BYTES) };
+            let stack = self.stack.take();
+            let _ = FREE.try_with(move |free| {
+                let mut free = free.borrow_mut();
+                if free.len() < POOLED_STACKS {
+                    free.extend(stack);
+                }
+            });
         }
     }
 
@@ -237,6 +288,172 @@ mod switched {
         // SAFETY: `sp` holds the stack pointer that `resume` saved when
         // it switched here; its frame is live until we switch back.
         unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
+    }
+
+    /// What recycling promises, read back from `/proc/self/maps`.
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::runtime::{run_world, WorldConfig};
+
+        /// Bounds and permissions of the mapping of this process that
+        /// holds `addr`, if any does.
+        fn mapping_of(addr: usize) -> Option<(usize, usize, String)> {
+            let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+            maps.lines().find_map(|line| {
+                let mut cols = line.split_whitespace();
+                let (lo, hi) = cols.next()?.split_once('-')?;
+                let lo = usize::from_str_radix(lo, 16).ok()?;
+                let hi = usize::from_str_radix(hi, 16).ok()?;
+                (lo..hi).contains(&addr).then(|| (lo, hi, cols.next().unwrap().to_string()))
+            })
+        }
+
+        fn mapping_count() -> usize {
+            std::fs::read_to_string("/proc/self/maps").unwrap().lines().count()
+        }
+
+        /// Bases of the calling thread's free stacks, in address order.
+        fn free_bases() -> Vec<usize> {
+            let mut bases: Vec<_> = FREE.with_borrow(|f| f.iter().map(|s| s.0 as usize).collect());
+            bases.sort_unstable();
+            bases
+        }
+
+        fn base_of(ctx: &Context<'_>) -> usize {
+            ctx.stack.as_ref().unwrap().0 as usize
+        }
+
+        /// A 2 MiB read-write mapping with an inaccessible page below it.
+        fn assert_guarded_stack_at(base: usize) {
+            let (lo, hi, perms) = mapping_of(base + GUARD_BYTES).expect("stack is mapped");
+            assert_eq!((lo, hi, perms.as_str()), (base + GUARD_BYTES, base + LEN, "rw-p"));
+            let (_, hi, perms) = mapping_of(base).expect("guard page is mapped");
+            assert_eq!((hi, perms.as_str()), (base + GUARD_BYTES, "---p"));
+        }
+
+        fn barrier_world(n_pes: usize) {
+            let out = run_world(WorldConfig::virtual_time(n_pes, 64), |ctx| {
+                ctx.barrier_all();
+                ctx.my_pe()
+            });
+            assert_eq!(out.unwrap().results.len(), n_pes);
+        }
+
+        /// Run `body` as the only test of a process of its own — this test
+        /// binary, re-executed for `test` alone — because what it reads is
+        /// process-wide and sibling tests map stacks on their own threads.
+        fn alone(test: &str, body: impl FnOnce()) {
+            const KEY: &str = "SWS_CONTEXT_TEST_ALONE";
+            if std::env::var_os(KEY).is_some() {
+                return body();
+            }
+            let module = module_path!().split_once("::").unwrap().1;
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([&format!("{module}::{test}"), "--exact", "--test-threads=1"])
+                .env(KEY, "1")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+
+        #[test]
+        fn a_reaped_stack_is_the_next_spawns_stack_guard_page_and_all() {
+            let mut first = Context::spawn(|| ()).unwrap();
+            let base = base_of(&first);
+            assert_guarded_stack_at(base);
+            assert!(first.resume());
+            first.reap();
+            let mut local_at = 0;
+            let mut second = Context::spawn(|| {
+                let local = std::hint::black_box(7u8);
+                local_at = ptr::from_ref(&local) as usize;
+            })
+            .unwrap();
+            assert_eq!(base_of(&second), base, "the stack freed last is taken first");
+            assert!(second.resume());
+            second.reap();
+            assert!((base + GUARD_BYTES..base + LEN).contains(&local_at));
+            assert_guarded_stack_at(base);
+        }
+
+        #[test]
+        fn an_abandoned_context_returns_its_stack_and_the_next_tenant_runs_on_it() {
+            let mut left = Context::spawn(|| {
+                let junk = std::hint::black_box([0xAAu8; 8192]);
+                suspend();
+                std::hint::black_box(&junk);
+            })
+            .unwrap();
+            let base = base_of(&left);
+            assert!(!left.resume());
+            drop(left); // mid-run: its frames stay where they are
+            assert!(free_bases().contains(&base));
+            let mut sums = Vec::new();
+            let mut next = Context::spawn(|| {
+                for round in 1..=3u64 {
+                    // Its own locals are what it wrote, whatever lay there.
+                    let mine = std::hint::black_box([round; 1024]);
+                    suspend();
+                    sums.push(mine.iter().sum::<u64>());
+                }
+            })
+            .unwrap();
+            assert_eq!(base_of(&next), base);
+            while !next.resume() {}
+            next.reap();
+            assert_eq!(sums, [1024, 2048, 3072]);
+            assert_guarded_stack_at(base);
+        }
+
+        #[test]
+        fn ten_thousand_worlds_leave_the_mapping_count_where_ten_did() {
+            alone("ten_thousand_worlds_leave_the_mapping_count_where_ten_did", || {
+                (0..10).for_each(|_| barrier_world(2));
+                let (stacks, mapped) = (free_bases(), mapping_count());
+                assert_eq!(stacks.len(), 2);
+                (10..10_000).for_each(|_| barrier_world(2));
+                assert_eq!(free_bases(), stacks, "the same two stacks all along");
+                // The allocator may have grown its arena by a mapping or two.
+                let now = mapping_count();
+                assert!(now <= mapped + 4, "{mapped} mappings after 10 worlds, {now} now");
+            });
+        }
+
+        #[test]
+        fn a_world_wider_than_the_bound_leaves_exactly_the_bound() {
+            // On a thread of its own: an empty list before, none after.
+            let held = std::thread::spawn(|| {
+                barrier_world(POOLED_STACKS + 3);
+                free_bases().len()
+            });
+            assert_eq!(held.join().unwrap(), POOLED_STACKS);
+        }
+
+        #[test]
+        fn a_thread_that_ran_a_world_and_exited_leaves_no_stack_mapped() {
+            alone("a_thread_that_ran_a_world_and_exited_leaves_no_stack_mapped", || {
+                let before = mapping_count();
+                let ran = std::thread::spawn(|| {
+                    barrier_world(64);
+                    free_bases()
+                });
+                let stacks = ran.join().unwrap();
+                assert_eq!(stacks.len(), 64);
+                for base in stacks {
+                    let still = [base, base + GUARD_BYTES].map(mapping_of);
+                    assert_eq!(still, [None, None], "stack at {base:#x} outlived its thread");
+                }
+                // What may stay is the thread's own stack and malloc arena.
+                let now = mapping_count();
+                assert!(now <= before + 6, "{before} mappings before the thread, {now} after");
+            });
+        }
     }
 }
 

@@ -20,8 +20,7 @@
 //! file holds only what the rule itself knows — the descriptors, the
 //! prefix, the default policy and the step budget.
 
-use std::sync::OnceLock;
-
+use crate::lock::Mutex;
 use crate::net::OpKind;
 use crate::proto::NO_SITE;
 
@@ -168,12 +167,13 @@ pub(crate) struct Schedule {
 
 /// One schedule execution's handle: the configuration going in, the
 /// decision log coming out. Build one per world, pass it to
-/// `WorldConfig::exploration`, and read the log back with
+/// `WorldConfig::exploration`, and take the log with
 /// [`ExploreGate::take_trace`] after `run_world` returns.
 #[derive(Debug)]
 pub struct ExploreGate {
     cfg: ExploreConfig,
-    trace: OnceLock<ExploreTrace>,
+    /// `Some` once the world has run; emptied by `take_trace`.
+    trace: Mutex<Option<ExploreTrace>>,
 }
 
 impl ExploreGate {
@@ -181,14 +181,14 @@ impl ExploreGate {
     pub fn new(cfg: ExploreConfig) -> ExploreGate {
         ExploreGate {
             cfg,
-            trace: OnceLock::new(),
+            trace: Mutex::new(None),
         }
     }
 
-    /// The decision log of the finished run (empty before `run_world`
-    /// returns).
+    /// The decision log of the finished run, handed over once: before
+    /// `run_world` returns, and on any later call, the trace is empty.
     pub fn take_trace(&self) -> ExploreTrace {
-        self.trace.get().cloned().unwrap_or_default()
+        self.trace.lock().as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// A fresh schedule for this gate's world of `n_pes` PEs.
@@ -205,8 +205,8 @@ impl ExploreGate {
 
     /// The root loop is done with `schedule`: keep its log.
     pub(crate) fn publish(&self, schedule: Schedule) {
-        let fresh = self.trace.set(schedule.trace).is_ok();
-        assert!(fresh, "an ExploreGate runs one world");
+        let ran = self.trace.lock().replace(schedule.trace);
+        assert!(ran.is_none(), "an ExploreGate runs one world");
     }
 }
 

@@ -58,22 +58,17 @@ impl AlignedWords {
     /// `posix_memalign` and then `memset` the block, first-touching every
     /// page (as would writing `AtomicU64::new(0)` per element). So this
     /// asks for word alignment plus one `align` of slack and places the
-    /// base at the first aligned address inside.
-    fn new_zeroed(len: usize, align: usize) -> AlignedWords {
-        use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+    /// base at the first aligned address inside. `None` when the size is
+    /// not one an allocation can have or the allocator refuses it.
+    fn new_zeroed(len: usize, align: usize) -> Option<AlignedWords> {
+        use std::alloc::{alloc_zeroed, Layout};
         const WORD: usize = std::mem::size_of::<AtomicU64>();
         assert!(len > 0, "empty heap backing");
         assert!(align.is_power_of_two() && align >= WORD);
-        let bytes = len
-            .checked_mul(WORD)
-            .and_then(|b| b.checked_add(align - WORD))
-            .expect("heap size overflows usize");
-        let layout = Layout::from_size_align(bytes, WORD).expect("bad heap layout");
+        let bytes = len.checked_mul(WORD)?.checked_add(align - WORD)?;
+        let layout = Layout::from_size_align(bytes, WORD).ok()?;
         // SAFETY: `layout` has nonzero size (len > 0 asserted above).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(raw) = std::ptr::NonNull::new(raw) else {
-            handle_alloc_error(layout)
-        };
+        let raw = std::ptr::NonNull::new(unsafe { alloc_zeroed(layout) })?;
         // `raw` is word-aligned, so the gap to the next `align` boundary
         // is a whole number of words and at most the slack added above.
         let pad = raw.as_ptr().addr().wrapping_neg() & (align - 1);
@@ -81,7 +76,7 @@ impl AlignedWords {
         // lie inside the allocation; it is zeroed, and all-zero is a
         // valid `AtomicU64` (same layout as u64).
         let base = unsafe { raw.add(pad).cast::<AtomicU64>() };
-        AlignedWords { base, len, raw, layout }
+        Some(AlignedWords { base, len, raw, layout })
     }
 }
 
@@ -130,8 +125,9 @@ impl SymmetricHeap {
     /// Create a heap with `words_per_pe` words for each of `n_pes` regions.
     /// The per-PE size is rounded up to a [`CACHE_LINE_WORDS`] multiple so
     /// every region starts on a 128-byte boundary of the
-    /// (128-byte-aligned) backing store.
-    pub(crate) fn new(n_pes: usize, words_per_pe: usize) -> SymmetricHeap {
+    /// (128-byte-aligned) backing store. `None` when the host cannot give
+    /// that much memory (or no host could: the size overflows).
+    pub(crate) fn new(n_pes: usize, words_per_pe: usize) -> Option<SymmetricHeap> {
         assert!(n_pes > 0, "need at least one PE");
         assert!(
             words_per_pe > CTRL_WORDS,
@@ -139,18 +135,14 @@ impl SymmetricHeap {
         );
         let words_per_pe = words_per_pe
             .div_ceil(CACHE_LINE_WORDS)
-            .checked_mul(CACHE_LINE_WORDS)
-            .expect("heap size overflows usize");
-        let total = n_pes
-            .checked_mul(words_per_pe)
-            .expect("heap size overflows usize");
-        let words = AlignedWords::new_zeroed(total, CACHE_LINE_BYTES);
-        SymmetricHeap {
+            .checked_mul(CACHE_LINE_WORDS)?;
+        let words = AlignedWords::new_zeroed(n_pes.checked_mul(words_per_pe)?, CACHE_LINE_BYTES)?;
+        Some(SymmetricHeap {
             words_per_pe,
             n_pes,
             words,
             cursor: AtomicUsize::new(CTRL_WORDS),
-        }
+        })
     }
 
     /// Number of PE regions.
@@ -230,7 +222,7 @@ mod tests {
 
     #[test]
     fn regions_are_independent() {
-        let h = SymmetricHeap::new(3, 64);
+        let h = SymmetricHeap::new(3, 64).unwrap();
         let a = SymAddr::new(CTRL_WORDS);
         h.word(0, a).store(7, Relaxed);
         h.word(1, a).store(8, Relaxed);
@@ -241,7 +233,7 @@ mod tests {
 
     #[test]
     fn bump_allocates_disjoint_ranges() {
-        let h = SymmetricHeap::new(1, 64);
+        let h = SymmetricHeap::new(1, 64).unwrap();
         let a = h.bump(10, 1).unwrap();
         let b = h.bump(10, 1).unwrap();
         assert_eq!(b, a + 10);
@@ -250,7 +242,7 @@ mod tests {
 
     #[test]
     fn bump_fails_cleanly_when_exhausted() {
-        let h = SymmetricHeap::new(1, 64);
+        let h = SymmetricHeap::new(1, 64).unwrap();
         assert!(h.bump(1000, 1).is_none());
         // A failed bump must not consume space.
         let before = h.words_free();
@@ -268,7 +260,7 @@ mod tests {
 
     #[test]
     fn zeroed_at_start() {
-        let h = SymmetricHeap::new(2, 32);
+        let h = SymmetricHeap::new(2, 32).unwrap();
         for pe in 0..2 {
             for w in 0..h.words_per_pe() {
                 assert_eq!(h.word(pe, SymAddr::new(w)).load(Relaxed), 0);
@@ -283,7 +275,7 @@ mod tests {
     fn aligned_regions_start_on_line_boundaries() {
         // 100 words is deliberately not a line multiple — it must round
         // up to 112 (7 × 16).
-        let h = SymmetricHeap::new(5, 100);
+        let h = SymmetricHeap::new(5, 100).unwrap();
         assert_eq!(h.words_per_pe() % CACHE_LINE_WORDS, 0);
         assert_eq!(h.words_per_pe(), 112);
         for pe in 0..5 {
@@ -315,7 +307,7 @@ mod tests {
         let grew = (0..5)
             .map(|_| {
                 let before = resident_pages();
-                let h = SymmetricHeap::new(1024, 1 << 17);
+                let h = SymmetricHeap::new(1024, 1 << 17).unwrap();
                 assert_eq!(h.word(1023, SymAddr::new((1 << 17) - 1)).load(Relaxed), 0);
                 resident_pages().saturating_sub(before)
             })
@@ -326,7 +318,7 @@ mod tests {
 
     #[test]
     fn bump_aligned_isolates_lines() {
-        let h = SymmetricHeap::new(1, 256);
+        let h = SymmetricHeap::new(1, 256).unwrap();
         // Cursor starts at CTRL_WORDS = 8: the first aligned alloc skips
         // to the next line boundary.
         let a = h.bump(1, CACHE_LINE_WORDS).unwrap();
@@ -342,7 +334,7 @@ mod tests {
 
     #[test]
     fn bump_aligned_fails_cleanly_when_exhausted() {
-        let h = SymmetricHeap::new(1, 64);
+        let h = SymmetricHeap::new(1, 64).unwrap();
         assert!(h.bump(1000, CACHE_LINE_WORDS).is_none());
         let before = h.words_free();
         assert!(h.bump(usize::MAX, CACHE_LINE_WORDS).is_none());

@@ -11,6 +11,7 @@
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
 /// A mutex whose `lock` ignores `std` poisoning.
+#[derive(Debug)]
 pub(crate) struct Mutex<T>(StdMutex<T>);
 
 impl<T> Mutex<T> {

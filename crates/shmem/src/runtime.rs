@@ -232,8 +232,18 @@ where
         _ => None,
     };
 
+    // Before any PE gets a stack: a world the host has no memory for
+    // leaves nothing behind.
+    let heap = SymmetricHeap::new(cfg.n_pes, cfg.heap_words).ok_or_else(|| {
+        ShmemError::BadConfig(format!(
+            "the host cannot give a symmetric heap of {} PEs × {} words = {} bytes",
+            cfg.n_pes,
+            cfg.heap_words,
+            cfg.n_pes as u128 * cfg.heap_words as u128 * 8
+        ))
+    })?;
     let world = Arc::new(WorldShared {
-        heap: SymmetricHeap::new(cfg.n_pes, cfg.heap_words),
+        heap,
         net: cfg.net,
         exec: Exec::new(cfg.mode, cfg.n_pes),
         faults,
@@ -496,6 +506,22 @@ mod tests {
             run_world(cfg, |_| ()),
             Err(ShmemError::BadConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_heap_the_host_cannot_give_is_a_named_error() {
+        // A size no allocation can have, one that overflows `usize`, and
+        // one (512 TiB) no address space holds.
+        for (n_pes, heap_words) in [(1, usize::MAX / 16), (32, usize::MAX / 16), (2, 1 << 45)] {
+            match run_world(WorldConfig::virtual_time(n_pes, heap_words), |_| ()) {
+                Err(ShmemError::BadConfig(msg)) => {
+                    let bytes = n_pes as u128 * heap_words as u128 * 8;
+                    let named = format!("{n_pes} PEs × {heap_words} words = {bytes} bytes");
+                    assert!(msg.contains(&named), "{msg}");
+                }
+                other => panic!("unexpected {:?}", other.map(|out| out.results)),
+            }
+        }
     }
 
     #[test]

@@ -477,14 +477,25 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
         };
     }
     match args.workload.as_str() {
-        "uts" => run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(args.depth))),
-        "bpc" => run_workload(
+        "uts" => run_batch(&cfg, &UtsWorkload::new(UtsParams::geo_small(args.depth))),
+        "bpc" => run_batch(
             &cfg,
             &BpcWorkload::new(BpcParams::scaled(args.consumers, args.depth)),
         ),
-        "flat" => run_workload(&cfg, &FlatBag::new(args.tasks, args.task_ns, 24)),
+        "flat" => run_batch(&cfg, &FlatBag::new(args.tasks, args.task_ns, 24)),
         _ => usage(),
     }
+}
+
+/// A batch run's report. A `ShmemError` — a world the host cannot launch
+/// (no memory for its heap, no mapping for a PE's stack), a PE that
+/// panicked — is one line on stderr and exit 1.
+fn run_batch(cfg: &RunConfig, workload: &impl Workload) -> RunReport {
+    let run = sws::sched::try_run_workload_mode(cfg, workload, ExecMode::Virtual);
+    run.unwrap_or_else(|e| {
+        eprintln!("sws-run: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The seeded arrival plan from the `--arrivals` family of flags.

@@ -259,11 +259,12 @@ mod switched {
     }
 
     impl Drop for Context<'_> {
-        /// The context is not running (`&mut self`), so its stack is free:
-        /// to this thread's list while that exists and has room, else
-        /// (`stack` drops with the closure, or here) back to the kernel.
+        /// The context is not running (`&mut self`), so its stack is free.
         fn drop(&mut self) {
             let stack = self.stack.take();
+            // `stack` moves into the closure and is unmapped with it unless
+            // the list takes it: the closure never runs once the list is
+            // gone with its thread, and keeps nothing once the list is full.
             let _ = FREE.try_with(move |free| {
                 let mut free = free.borrow_mut();
                 if free.len() < POOLED_STACKS {

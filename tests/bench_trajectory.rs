@@ -18,17 +18,14 @@ fn every_trajectory_point_claims_a_workload_and_metric_of_the_benchmark() {
         let items = spec.get(list).and_then(Json::as_arr).expect(list);
         items.iter().filter_map(|i| i.get("name")?.as_str()).collect()
     };
-    let mut points: Vec<String> = std::fs::read_dir(ROOT)
+    let points: Vec<String> = std::fs::read_dir(ROOT)
         .expect(ROOT)
         .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
         .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
         .collect();
-    points.sort();
     assert!(!points.is_empty(), "no BENCH_*.json in {ROOT}");
     for point in &points {
         let bench = load(point);
-        let pr = bench.get("pr").and_then(Json::as_f64).expect("pr");
-        assert_eq!(*point, format!("BENCH_{pr}.json"), "file name and `pr` disagree");
         let claim = bench.get("claim").expect("claim");
         let workload = claim.get("workload").and_then(Json::as_str).expect("claim.workload");
         let metric = claim.get("metric").and_then(Json::as_str).expect("claim.metric");

@@ -6,9 +6,11 @@
 
 use sws_core::QueueConfig;
 use sws_obs::{check_comms, chrome_trace, stitch_report, validate_chrome_trace};
-use sws_obs::{Registry, SpanOutcome, TraceRun};
-use sws_sched::{run_workload, QueueKind, RunConfig, RunReport, SchedConfig};
+use sws_obs::{Registry, SpanOutcome, TraceRun, TraceStats};
+use sws_sched::{run_service, run_workload, ServiceConfig};
+use sws_sched::{QueueKind, RunConfig, RunReport, SchedConfig};
 use sws_shmem::{FaultPlan, OpClass, TargetSel};
+use sws_workloads::arrivals::{ArrivalPlan, FlatServe};
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 fn queue() -> QueueConfig {
@@ -113,6 +115,12 @@ fn metrics_registry_reflects_the_run() {
     assert_eq!(got as u64, total_tasks);
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// FNV-1a over every stitched span: system, thief, victim, start/end,
 /// outcome (with its task count) and each phase's name, site, op,
 /// blocking and contention flags.
@@ -141,8 +149,22 @@ fn span_digest(report: &RunReport) -> u64 {
             ));
         }
     }
-    text.bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    fnv1a(text.as_bytes())
+}
+
+/// The five pinned runs: UTS on 8 PEs at seed 0xBA5E with proto capture
+/// armed — optionally 2 % of ops dropped, 1-in-`period` steal sampling,
+/// and the scheduler event log (which never moves a span).
+fn pinned_run(kind: QueueKind, drop: bool, period: u32, trace: bool) -> RunReport {
+    let mut sched = SchedConfig::new(kind, queue()).with_seed(0xBA5E).with_sample_period(period);
+    sched.trace = trace;
+    let mut cfg = RunConfig::new(8, sched).with_capture_proto();
+    if drop {
+        cfg = cfg.with_faults(
+            FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, 0.02),
+        );
+    }
+    run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8)))
 }
 
 /// Span *content* is the stitcher's behaviour: these digests were taken
@@ -152,16 +174,7 @@ fn span_digest(report: &RunReport) -> u64 {
 /// in its own commit.
 #[test]
 fn span_results_are_pinned() {
-    let run = |kind, drop: bool, period| {
-        let sched = SchedConfig::new(kind, queue()).with_seed(0xBA5E).with_sample_period(period);
-        let mut cfg = RunConfig::new(8, sched).with_capture_proto();
-        if drop {
-            cfg = cfg.with_faults(
-                FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, 0.02),
-            );
-        }
-        span_digest(&run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8))))
-    };
+    let run = |kind, drop, period| span_digest(&pinned_run(kind, drop, period, false));
     let got = [
         run(QueueKind::Sws, false, 0),
         run(QueueKind::Sdc, false, 0),
@@ -177,4 +190,68 @@ fn span_results_are_pinned() {
         0xcc93_8d62_b03d_c86d,
     ];
     assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));
+}
+
+/// One export, validated, as the line the pin compares: the FNV-1a of
+/// its bytes and the validator's counts beside it, so a mismatch says
+/// what moved.
+fn export_line(runs: &[&RunReport], stitch: bool) -> String {
+    let spans: Vec<_> = runs
+        .iter()
+        .map(|r| if stitch { stitch_report(r, &queue()) } else { Vec::new() })
+        .collect();
+    let runs: Vec<TraceRun> =
+        runs.iter().zip(&spans).map(|(&report, spans)| TraceRun { report, spans }).collect();
+    let text = chrome_trace(&runs);
+    let TraceStats { events, complete, instants, counters, metadata, tracks } =
+        validate_chrome_trace(&text).expect("emitted trace must validate");
+    format!(
+        "{:#018x} events {events} complete {complete} instants {instants} \
+         counters {counters} metadata {metadata} tracks {tracks}",
+        fnv1a(text.as_bytes())
+    )
+}
+
+/// The exporter's *bytes* are its behaviour: these digests were taken at
+/// commit c12f2c5 (the `String`-per-event exporter) over the five runs of
+/// `span_results_are_pinned` with the event log armed, both clean runs
+/// in one document (so `pid` 2 is covered), a service run with snapshots
+/// armed (counter tracks, instants, the idle counter) and the same run
+/// exported without spans. An exporter change that moves one is a
+/// behaviour change and re-pins it in its own commit.
+#[test]
+fn export_results_are_pinned() {
+    let sws = pinned_run(QueueKind::Sws, false, 0, true);
+    let sdc = pinned_run(QueueKind::Sdc, false, 0, true);
+    let served = {
+        let plan = ArrivalPlan::poisson(0x0B5_0001, 2_000, 400_000);
+        let mut sched = SchedConfig::new(QueueKind::Sws, queue()).with_seed(0xBA5E);
+        sched.trace = true;
+        run_service(
+            &RunConfig::new(4, sched).with_capture_proto(),
+            &ServiceConfig::default().with_snapshot_interval(50_000),
+            &FlatServe::new(plan, 3_000, 1),
+        )
+    };
+    let got = [
+        export_line(&[&sws], true),
+        export_line(&[&sdc], true),
+        export_line(&[&pinned_run(QueueKind::Sws, true, 0, true)], true),
+        export_line(&[&pinned_run(QueueKind::Sdc, true, 0, true)], true),
+        export_line(&[&pinned_run(QueueKind::Sws, false, 8, true)], true),
+        export_line(&[&sws, &sdc], true),
+        export_line(&[&served], true),
+        export_line(&[&served], false),
+    ];
+    let pinned = [
+        "0x6d9f4ba5a4b7c158 events 690 complete 335 instants 250 counters 96 metadata 9 tracks 8",
+        "0x8d76000a706ac6cd events 1208 complete 857 instants 244 counters 98 metadata 9 tracks 8",
+        "0xb31c1ce4a8972a83 events 635 complete 317 instants 223 counters 86 metadata 9 tracks 8",
+        "0x5e4a30100f764f4c events 1318 complete 979 instants 230 counters 100 metadata 9 tracks 8",
+        "0x92928f5347e58a9b events 399 complete 44 instants 250 counters 96 metadata 9 tracks 8",
+        "0xe5b8c2a37ef8fe8c events 1898 complete 1192 instants 494 counters 194 metadata 18 tracks 16",
+        "0xcd5caf9d81a47d56 events 444 complete 253 instants 82 counters 104 metadata 5 tracks 4",
+        "0x606b78d07f269c78 events 191 complete 0 instants 82 counters 104 metadata 5 tracks 4",
+    ];
+    assert_eq!(got.each_ref().map(String::as_str), pinned, "{got:#?}");
 }

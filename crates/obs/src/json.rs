@@ -3,7 +3,8 @@
 //! validator and the schema tests. The workspace is std-only, so this
 //! replaces what serde_json would otherwise provide; it handles exactly
 //! the JSON this crate emits (no surrogate-pair escapes, numbers as
-//! f64).
+//! f64), in time linear in the input: a string is copied a run at a
+//! time, each run validated once.
 
 use std::collections::BTreeMap;
 
@@ -121,7 +122,7 @@ impl<'a> Parser<'a> {
         self.b.get(self.pos).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn eat(&mut self, c: u8) -> Result<(), String> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -176,7 +177,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -212,19 +213,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.b[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape
+                    // (both ASCII, so the run ends on a scalar boundary)
+                    // with one validation: linear in the input.
+                    let run = &self.b[self.pos..];
+                    let len = run.iter().position(|&c| matches!(c, b'"' | b'\\')).unwrap_or(run.len());
+                    out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                    self.pos += len;
                 }
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -248,7 +250,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         let mut seen = BTreeMap::new();
         self.skip_ws();
@@ -263,7 +265,7 @@ impl<'a> Parser<'a> {
                 return Err(format!("duplicate key {key:?}"));
             }
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let v = self.value()?;
             members.push((key, v));
             self.skip_ws();

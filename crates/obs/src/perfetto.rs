@@ -15,15 +15,28 @@
 //!
 //! All timestamps are the run's *virtual* nanoseconds, emitted in
 //! microseconds with three decimals (exact — no rounding loss).
+//!
+//! The export is three linear passes per run over plain data. *Collect*
+//! one `Copy` record per event — two timestamps, a `&'static str` name
+//! and a typed `Kind` where the text would be — filed under its `tid`.
+//! *Order* each track by `(ts, longer duration first)`: a parent slice
+//! precedes the children that start with it, counters interleave by
+//! timestamp, and equal keys stay as collected (spans with their phases,
+//! then instants, then counters). *Write* each record straight into one
+//! `String`, integers and the `µs.nnn` stamps digit by digit. The bytes
+//! are pinned by `export_results_are_pinned` (`tests/spans.rs`).
+//!
 //! [`validate_chrome_trace`] re-parses an emitted trace and checks the
 //! schema invariants CI relies on: well-formed JSON, required keys per
 //! phase type, non-negative durations, and per-track monotone
 //! timestamps.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
+use sws_core::AtomicSite;
 use sws_sched::report::RunReport;
-use sws_sched::trace::EventKind;
+use sws_sched::trace::{EventKind, ProtoOp};
 
 use crate::json::{escape, Json};
 use crate::span::StealSpan;
@@ -36,106 +49,96 @@ pub struct TraceRun<'a> {
     pub spans: &'a [StealSpan],
 }
 
-/// A single trace event being assembled.
-struct Ev {
-    pid: u32,
-    tid: u32,
+/// What a trace event is beyond its name and its place on a track: the
+/// phase type, the category and the `args` object follow from it, and
+/// none of it is text until the event is written.
+#[derive(Copy, Clone)]
+enum Kind {
+    /// `ph:"X"`, `cat:"steal"`: a stitched span and its totals.
+    Steal { victim: u32, ops: u64, blocking: u64, tasks: u64 },
+    /// `ph:"X"`, `cat:"phase"`: one protocol op nested in its span.
+    Phase { site: AtomicSite, op: ProtoOp, blocking: bool },
+    /// `ph:"i"`, `cat:"sched"`: a scheduler event and its one operand.
+    Instant(Option<(&'static str, u32)>),
+    /// `ph:"C"`: a counter sample, as sign and magnitude (the idle count
+    /// is signed, the snapshot sums are `u64`).
+    Counter { key: &'static str, negative: bool, value: u64 },
+}
+
+/// One trace event as plain data, filed under its track.
+#[derive(Copy, Clone)]
+struct Rec {
     ts_ns: u64,
-    dur_ns: Option<u64>,
-    ph: char,
-    name: String,
-    cat: &'static str,
-    /// Pre-rendered JSON for the `args` object (without braces).
-    args: String,
+    /// 0 for instants and counters, which have no `dur`.
+    dur_ns: u64,
+    /// A literal of the site catalog or of this file: written unescaped.
+    name: &'static str,
+    kind: Kind,
 }
 
-fn us(ns: u64) -> String {
-    // Exact: 1 ns = 0.001 µs, three decimals.
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-impl Ev {
-    fn render(&self) -> String {
-        let mut s = format!(
-            "{{\"name\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-            escape(&self.name),
-            self.ph,
-            self.pid,
-            self.tid,
-            us(self.ts_ns)
-        );
-        if let Some(d) = self.dur_ns {
-            s.push_str(&format!(",\"dur\":{}", us(d)));
+/// Append `label`, then `v` in decimal.
+fn push_int(out: &mut String, label: &str, mut v: u64) {
+    out.push_str(label);
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        if !self.cat.is_empty() {
-            s.push_str(&format!(",\"cat\":\"{}\"", self.cat));
-        }
-        if self.ph == 'i' {
-            s.push_str(",\"s\":\"t\"");
-        }
-        if !self.args.is_empty() {
-            s.push_str(&format!(",\"args\":{{{}}}", self.args));
-        }
-        s.push('}');
-        s
     }
+    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
-/// Export `runs` as a Chrome-trace JSON document.
+/// Append `label`, then `ns` as microseconds with three decimals:
+/// exact, 1 ns = 0.001 µs.
+fn push_us(out: &mut String, label: &str, ns: u64) {
+    push_int(out, label, ns / 1000);
+    let frac = ns % 1000;
+    push_int(out, if frac < 10 { ".00" } else if frac < 100 { ".0" } else { "." }, frac);
+}
+
+/// Export `runs` as a Chrome-trace JSON document. Per run, three linear
+/// passes over plain data: collect one `Rec` per event, order each
+/// track, write each record straight into the document.
 pub fn chrome_trace(runs: &[TraceRun]) -> String {
-    let mut meta: Vec<String> = Vec::new();
-    let mut events: Vec<Ev> = Vec::new();
-
-    for (idx, run) in runs.iter().enumerate() {
-        let pid = idx as u32 + 1;
-        meta.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(&run.report.system)
-        ));
-        for pe in 0..run.report.n_pes {
-            meta.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{pe},\
-                 \"args\":{{\"name\":\"PE {pe}\"}}}}"
-            ));
+    let mut out = String::from("{\"traceEvents\":[\n");
+    let mut sep = "";
+    for (pid, run) in (1u64..).zip(runs) {
+        out.push_str(sep);
+        sep = ",\n";
+        push_int(&mut out, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid);
+        out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
+        out.push_str(&escape(&run.report.system));
+        out.push_str("\"}}");
+        for pe in 0..run.report.n_pes as u64 {
+            push_int(&mut out, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid);
+            push_int(&mut out, ",\"tid\":", pe);
+            push_int(&mut out, ",\"args\":{\"name\":\"PE ", pe);
+            out.push_str("\"}}");
         }
+    }
 
+    for (pid, run) in (1u64..).zip(runs) {
+        // Pass 1: collect, every event filed under its track (`tid`) in
+        // the order that breaks ties: spans with their phases, then
+        // instants, then counters.
+        let mut tracks: BTreeMap<u32, Vec<Rec>> = BTreeMap::new();
+        let mut put = |tid, ts_ns, dur_ns, name, kind| {
+            tracks.entry(tid).or_default().push(Rec { ts_ns, dur_ns, name, kind });
+        };
         for s in run.spans {
-            events.push(Ev {
-                pid,
-                tid: s.thief,
-                ts_ns: s.start_ns,
-                dur_ns: Some(s.latency_ns()),
-                ph: 'X',
-                name: s.outcome.label().to_string(),
-                cat: "steal",
-                args: format!(
-                    "\"victim\":{},\"ops\":{},\"blocking\":{},\"tasks\":{}",
-                    s.victim,
-                    s.ops(),
-                    s.blocking_ops(),
-                    s.tasks()
-                ),
-            });
+            let (ops, blocking) = (s.ops(), s.blocking_ops());
+            let totals = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
+            put(s.thief, s.start_ns, s.latency_ns(), s.outcome.label(), totals);
             // Nested phase slices — skip for single-op spans, where the
             // parent slice already tells the whole story.
             if s.phases.len() > 1 {
                 for p in &s.phases {
-                    events.push(Ev {
-                        pid,
-                        tid: s.thief,
-                        ts_ns: p.t_ns,
-                        dur_ns: Some(p.dur_ns),
-                        ph: 'X',
-                        name: p.name.to_string(),
-                        cat: "phase",
-                        args: format!(
-                            "\"site\":\"{}\",\"op\":\"{}\",\"blocking\":{}",
-                            p.site.name(),
-                            p.op.name(),
-                            p.blocking
-                        ),
-                    });
+                    let kind = Kind::Phase { site: p.site, op: p.op, blocking: p.blocking };
+                    put(s.thief, p.t_ns, p.dur_ns, p.name, kind);
                 }
             }
         }
@@ -144,16 +147,14 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
         let mut idle_deltas: Vec<(u64, i64)> = Vec::new();
         for (pe, w) in run.report.workers.iter().enumerate() {
             for e in &w.events {
-                let (name, args) = match e.kind {
-                    EventKind::Release { exposed } => ("release", format!("\"exposed\":{exposed}")),
+                let (name, operand) = match e.kind {
+                    EventKind::Release { exposed } => ("release", Some(("exposed", exposed))),
                     EventKind::AcquireHit { recovered } => {
-                        ("acquire-hit", format!("\"recovered\":{recovered}"))
+                        ("acquire-hit", Some(("recovered", recovered)))
                     }
-                    EventKind::AcquireMiss => ("acquire-miss", String::new()),
-                    EventKind::Quarantined { victim } => {
-                        ("quarantine", format!("\"victim\":{victim}"))
-                    }
-                    EventKind::CrashStop => ("crash-stop", String::new()),
+                    EventKind::AcquireMiss => ("acquire-miss", None),
+                    EventKind::Quarantined { victim } => ("quarantine", Some(("victim", victim))),
+                    EventKind::CrashStop => ("crash-stop", None),
                     EventKind::EnterIdle => {
                         idle_deltas.push((e.t_ns, 1));
                         continue;
@@ -165,32 +166,17 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
                     // Steal outcomes are covered by the span slices.
                     _ => continue,
                 };
-                events.push(Ev {
-                    pid,
-                    tid: pe as u32,
-                    ts_ns: e.t_ns,
-                    dur_ns: None,
-                    ph: 'i',
-                    name: name.to_string(),
-                    cat: "sched",
-                    args,
-                });
+                put(pe as u32, e.t_ns, 0, name, Kind::Instant(operand));
             }
         }
+        let mut count = |t, name, key, negative, value| {
+            put(0, t, 0, name, Kind::Counter { key, negative, value });
+        };
         idle_deltas.sort_unstable();
         let mut idle = 0i64;
         for (t, d) in idle_deltas {
             idle += d;
-            events.push(Ev {
-                pid,
-                tid: 0,
-                ts_ns: t,
-                dur_ns: None,
-                ph: 'C',
-                name: "idle PEs".to_string(),
-                cat: "",
-                args: format!("\"idle\":{idle}"),
-            });
+            count(t, "idle PEs", "idle", idle < 0, idle.unsigned_abs());
         }
 
         // Service telemetry counter tracks from the snapshot stream
@@ -214,53 +200,70 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
                 admitted += r.admitted;
                 completed += r.completed;
             }
-            events.push(Ev {
-                pid,
-                tid: 0,
-                ts_ns: t,
-                dur_ns: None,
-                ph: 'C',
-                name: "ring occupancy".to_string(),
-                cat: "",
-                args: format!("\"tasks\":{occupancy}"),
-            });
-            events.push(Ev {
-                pid,
-                tid: 0,
-                ts_ns: t,
-                dur_ns: None,
-                ph: 'C',
-                name: "in-flight arrivals".to_string(),
-                cat: "",
-                args: format!("\"tasks\":{}", admitted.saturating_sub(completed)),
-            });
+            count(t, "ring occupancy", "tasks", false, occupancy);
+            count(t, "in-flight arrivals", "tasks", false, admitted.saturating_sub(completed));
         }
-    }
 
-    // Stable track order: within a (pid, tid) track sort by timestamp,
-    // parents before their children at equal ts (longer duration
-    // first), counters interleaved by timestamp.
-    events.sort_by(|a, b| {
-        (a.pid, a.tid, a.ts_ns)
-            .cmp(&(b.pid, b.tid, b.ts_ns))
-            .then(b.dur_ns.unwrap_or(0).cmp(&a.dur_ns.unwrap_or(0)))
-    });
+        // 128 bytes is the typical event; a document that outgrows the
+        // estimate regrows.
+        out.reserve(128 * tracks.values().map(Vec::len).sum::<usize>());
+        for (tid, track) in &mut tracks {
+            // Pass 2: within a track by timestamp, parents before their
+            // children at equal ts (longer duration first), counters
+            // interleaved by timestamp, ties as collected. A track is a
+            // few ordered runs laid end to end (its spans, its instants,
+            // the counters), which the stable sort finds and merges.
+            track.sort_by_key(|r| (r.ts_ns, Reverse(r.dur_ns)));
+            let mut place = String::new();
+            push_int(&mut place, "\",\"pid\":", pid);
+            push_int(&mut place, ",\"tid\":", u64::from(*tid));
 
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    for m in &meta {
-        if !first {
-            out.push_str(",\n");
+            // Pass 3: write.
+            for r in track.iter() {
+                debug_assert_eq!(escape(r.name), r.name);
+                out.push_str(",\n{\"name\":\"");
+                out.push_str(r.name);
+                out.push_str(match r.kind {
+                    Kind::Steal { .. } | Kind::Phase { .. } => "\",\"ph\":\"X",
+                    Kind::Instant(_) => "\",\"ph\":\"i",
+                    Kind::Counter { .. } => "\",\"ph\":\"C",
+                });
+                out.push_str(&place);
+                push_us(&mut out, ",\"ts\":", r.ts_ns);
+                match r.kind {
+                    Kind::Steal { victim, ops, blocking, tasks } => {
+                        push_us(&mut out, ",\"dur\":", r.dur_ns);
+                        push_int(&mut out, ",\"cat\":\"steal\",\"args\":{\"victim\":", victim.into());
+                        push_int(&mut out, ",\"ops\":", ops);
+                        push_int(&mut out, ",\"blocking\":", blocking);
+                        push_int(&mut out, ",\"tasks\":", tasks);
+                        out.push_str("}}");
+                    }
+                    Kind::Phase { site, op, blocking } => {
+                        push_us(&mut out, ",\"dur\":", r.dur_ns);
+                        out.push_str(",\"cat\":\"phase\",\"args\":{\"site\":\"");
+                        out.push_str(site.name());
+                        out.push_str("\",\"op\":\"");
+                        out.push_str(op.name());
+                        out.push_str("\",\"blocking\":");
+                        out.push_str(if blocking { "true}}" } else { "false}}" });
+                    }
+                    Kind::Instant(None) => out.push_str(",\"cat\":\"sched\",\"s\":\"t\"}"),
+                    Kind::Instant(Some((key, value))) => {
+                        out.push_str(",\"cat\":\"sched\",\"s\":\"t\",\"args\":{\"");
+                        out.push_str(key);
+                        push_int(&mut out, "\":", value.into());
+                        out.push_str("}}");
+                    }
+                    Kind::Counter { key, negative, value } => {
+                        out.push_str(",\"args\":{\"");
+                        out.push_str(key);
+                        push_int(&mut out, if negative { "\":-" } else { "\":" }, value);
+                        out.push_str("}}");
+                    }
+                }
+            }
         }
-        first = false;
-        out.push_str(m);
-    }
-    for e in &events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&e.render());
     }
     out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
     out
@@ -408,10 +411,116 @@ mod tests {
         assert!(validate_chrome_trace(nots).unwrap_err().contains("ts"));
     }
 
+    /// Everything the writer can emit, on one hand-built run whose events
+    /// collide at 1 µs: the parent slice before the phase that starts
+    /// with it, a zero-length probe after both, then the instants and the
+    /// counters in collection order; a negative idle count; every
+    /// scheduler event with and without an operand; a thief beyond
+    /// `n_pes`; a process name that needs escaping.
+    #[test]
+    fn equal_timestamps_keep_collection_order_and_every_kind_is_written() {
+        use crate::span::{PhaseSlice, SpanOutcome, System};
+        use sws_sched::report::WorkerStats;
+        use sws_sched::snapshot::SnapRow;
+        use sws_sched::trace::Event;
+
+        let phase = |name, t_ns, dur_ns, site, op: ProtoOp| PhaseSlice {
+            name,
+            t_ns,
+            dur_ns,
+            site,
+            op,
+            blocking: op.is_blocking(),
+            contention: false,
+        };
+        let span = |thief, start_ns, end_ns, outcome, phases| StealSpan {
+            system: System::Sws,
+            thief,
+            victim: 1,
+            start_ns,
+            end_ns,
+            outcome,
+            phases,
+        };
+        let probe = || vec![phase("probe", 1000, 0, AtomicSite::SwsThiefProbe, ProtoOp::Fetch)];
+        let spans = [
+            span(0, 1000, 1000, SpanOutcome::Probe, probe()),
+            span(
+                0,
+                1000,
+                3500,
+                SpanOutcome::Completed { tasks: 12 },
+                vec![
+                    phase("claim", 1000, 2500, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd),
+                    phase("complete", 3500, 0, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi),
+                ],
+            ),
+            span(7, 999, 999, SpanOutcome::Probe, probe()),
+        ];
+        let at = |t_ns, kind| Event { t_ns, kind };
+        let pe0 = WorkerStats {
+            events: vec![
+                at(1000, EventKind::Release { exposed: 4 }),
+                at(1000, EventKind::ExitIdle),
+                at(1000, EventKind::StealWon { victim: 1, tasks: 12 }),
+                at(2000, EventKind::AcquireMiss),
+            ],
+            snapshots: vec![SnapRow { t_ns: 1000, occupancy: 3, local: 2, admitted: 9, completed: 4, ..SnapRow::default() }],
+            ..WorkerStats::default()
+        };
+        let pe1 = WorkerStats {
+            events: vec![
+                at(500, EventKind::AcquireHit { recovered: 2 }),
+                at(1000, EventKind::EnterIdle),
+                at(1500, EventKind::Quarantined { victim: 0 }),
+                at(1500, EventKind::CrashStop),
+            ],
+            ..WorkerStats::default()
+        };
+        let report = RunReport {
+            system: "S\"WS".into(),
+            n_pes: 2,
+            makespan_ns: 3500,
+            workers: vec![pe0, pe1],
+            comm: Default::default(),
+            wall_ms: 0,
+        };
+        let text = chrome_trace(&[TraceRun { report: &report, spans: &spans }]);
+        let want = r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"S\"WS"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"PE 0"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"PE 1"}},
+{"name":"steal","ph":"X","pid":1,"tid":0,"ts":1.000,"dur":2.500,"cat":"steal","args":{"victim":1,"ops":2,"blocking":1,"tasks":12}},
+{"name":"claim","ph":"X","pid":1,"tid":0,"ts":1.000,"dur":2.500,"cat":"phase","args":{"site":"SwsThiefClaim","op":"fetch_add","blocking":true}},
+{"name":"probe","ph":"X","pid":1,"tid":0,"ts":1.000,"dur":0.000,"cat":"steal","args":{"victim":1,"ops":1,"blocking":1,"tasks":0}},
+{"name":"release","ph":"i","pid":1,"tid":0,"ts":1.000,"cat":"sched","s":"t","args":{"exposed":4}},
+{"name":"idle PEs","ph":"C","pid":1,"tid":0,"ts":1.000,"args":{"idle":-1}},
+{"name":"idle PEs","ph":"C","pid":1,"tid":0,"ts":1.000,"args":{"idle":0}},
+{"name":"ring occupancy","ph":"C","pid":1,"tid":0,"ts":1.000,"args":{"tasks":5}},
+{"name":"in-flight arrivals","ph":"C","pid":1,"tid":0,"ts":1.000,"args":{"tasks":5}},
+{"name":"acquire-miss","ph":"i","pid":1,"tid":0,"ts":2.000,"cat":"sched","s":"t"},
+{"name":"complete","ph":"X","pid":1,"tid":0,"ts":3.500,"dur":0.000,"cat":"phase","args":{"site":"SwsThiefComplete","op":"set_nbi","blocking":false}},
+{"name":"acquire-hit","ph":"i","pid":1,"tid":1,"ts":0.500,"cat":"sched","s":"t","args":{"recovered":2}},
+{"name":"quarantine","ph":"i","pid":1,"tid":1,"ts":1.500,"cat":"sched","s":"t","args":{"victim":0}},
+{"name":"crash-stop","ph":"i","pid":1,"tid":1,"ts":1.500,"cat":"sched","s":"t"},
+{"name":"probe","ph":"X","pid":1,"tid":7,"ts":0.999,"dur":0.000,"cat":"steal","args":{"victim":1,"ops":1,"blocking":1,"tasks":0}}
+],"displayTimeUnit":"ns"}
+"#;
+        assert_eq!(text, want);
+        validate_chrome_trace(&text).expect("valid");
+        assert_eq!(chrome_trace(&[]), "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n");
+    }
+
     #[test]
     fn microsecond_format_is_exact() {
+        let us = |ns| {
+            let mut s = String::new();
+            push_us(&mut s, "", ns);
+            s
+        };
         assert_eq!(us(0), "0.000");
         assert_eq!(us(1), "0.001");
         assert_eq!(us(1234567), "1234.567");
+        assert_eq!(us(u64::MAX), "18446744073709551.615");
     }
 }

@@ -190,3 +190,62 @@ fn comm_report_json_parses_and_carries_budget() {
         comm.completed
     );
 }
+
+/// `Json::parse` once validated the whole remaining input for every
+/// ordinary character of a string: 15 s for a 1.3 MB trace, and this
+/// document would not finish. The watchdog (the `under_watchdog` pattern
+/// of `crates/sched/tests/chaos.rs`) turns that into a named failure
+/// instead of a wall-clock assertion.
+#[test]
+fn a_four_megabyte_string_heavy_document_parses_to_what_was_written() {
+    // (JSON text, the value it denotes): every escape the parser knows,
+    // plain runs, and 2-, 3- and 4-byte scalars.
+    const PIECES: [(&str, &str); 16] = [
+        ("steal-empty", "steal-empty"),
+        (r#"\""#, "\""),
+        ("é", "é"),
+        (r"\\", "\\"),
+        (r"\/", "/"),
+        ("→ PE 15", "→ PE 15"),
+        (r"\n", "\n"),
+        (r"\r", "\r"),
+        ("𝄞", "𝄞"),
+        (r"\t", "\t"),
+        (r"\b", "\u{8}"),
+        ("SwsStealvalFetchAdd", "SwsStealvalFetchAdd"),
+        (r"\f", "\u{c}"),
+        (r"\u00e9", "é"),
+        (r"\u0001", "\u{1}"),
+        ("/", "/"),
+    ];
+    let mut doc = String::from("[");
+    let mut want = Vec::new();
+    while doc.len() < 4 << 20 {
+        let i = want.len();
+        let (mut text, mut value) = (String::new(), String::new());
+        for k in 0..9 {
+            let (t, v) = PIECES[(i + k * 7) % PIECES.len()];
+            text.push_str(t);
+            value.push_str(v);
+        }
+        let comma = if i > 0 { "," } else { "" };
+        doc.push_str(&format!("{comma}{{\"{text}\": \"{text}\", \"n\": {i}}}"));
+        want.push(value);
+    }
+    doc.push(']');
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(Json::parse(&doc)));
+    let parsed = match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(parsed) => parsed.expect("the document is valid JSON"),
+        Err(e) => panic!("a 4 MB document did not parse within 30 s ({e}): quadratic again?"),
+    };
+    let items = parsed.as_arr().expect("an array");
+    assert_eq!(items.len(), want.len());
+    for (i, (item, value)) in items.iter().zip(&want).enumerate() {
+        let members = item.as_obj().expect("an object");
+        assert_eq!(members[0].0, *value, "key of item {i}");
+        assert_eq!(members[0].1.as_str(), Some(value.as_str()), "string of item {i}");
+        assert_eq!(members[1].1.as_f64(), Some(i as f64));
+    }
+}

@@ -192,6 +192,21 @@ fn span_results_are_pinned() {
     assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));
 }
 
+/// `RunReport::proto_trace` is a k-way merge of the per-PE streams; on
+/// real captures (SWS, SDC, and a run with 2 % of ops dropped) it is
+/// the stable sort of their concatenation by the gate's key, which it
+/// used to be computed as.
+#[test]
+fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
+    for (kind, drop) in [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)] {
+        let report = pinned_run(kind, drop, 0, false);
+        let mut sorted: Vec<_> = report.workers.iter().flat_map(|w| &w.proto).copied().collect();
+        sorted.sort_by_key(|e| (e.t_ns, e.issuer));
+        assert!(sorted.len() > 1000, "{kind:?}: {} events captured", sorted.len());
+        assert!(report.proto_trace() == sorted, "{kind:?} drop {drop}: merge differs from the sort");
+    }
+}
+
 /// One export, validated, as the line the pin compares: the FNV-1a of
 /// its bytes and the validator's counts beside it, so a mismatch says
 /// what moved.

@@ -7,7 +7,8 @@
 //! in nondecreasing `(clock, rank)` order, sorting the merged per-PE
 //! streams by `(t_ns, issuer)` reconstructs the exact global order in
 //! which the memory effects were applied — which is what a refinement
-//! check needs to replay.
+//! check needs to replay. Each stream is already in that order, so
+//! [`merge_events`] is a k-way merge, not a sort.
 //!
 //! Annotation happens in the protocol code (`sws-core`'s queues): a call
 //! to [`crate::ShmemCtx::proto_site`] arms the *next* one-sided op on the
@@ -18,6 +19,10 @@
 //! applied (a dropped/faulted op reaches no memory, so a trace replay
 //! must not see it). With capture off, the annotation call is a no-op and
 //! the op surface is untouched apart from one predictable branch.
+
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// "No site" sentinel for [`ProtoEvent::site`] annotations. Ops armed
 /// with this value (or never armed) are not captured.
@@ -130,15 +135,53 @@ impl std::fmt::Display for ProtoEvent {
 /// after capture), and (b) the engine admits effects in nondecreasing
 /// `(clock, rank)` order, so `(t_ns, issuer)` is exactly the key the
 /// gate serialized on.
+///
+/// The result is what a stable sort of the concatenated streams by
+/// `(t_ns, issuer)` gives — equal keys in stream order, then in
+/// position order — for *every* input: a k-way merge over a heap of
+/// stream heads keyed `(t_ns, issuer, stream index)` yields exactly that
+/// order when each stream is itself ordered, and a stream the sizing
+/// pass finds unordered (no capture produces one) is merged from a
+/// stably sorted copy, which puts its equal keys in position order too.
 pub fn merge_events<S: AsRef<[ProtoEvent]>>(per_pe: &[S]) -> Vec<ProtoEvent> {
-    let mut all: Vec<ProtoEvent> = per_pe.iter().flat_map(|s| s.as_ref()).copied().collect();
-    all.sort_by_key(|e| (e.t_ns, e.issuer));
-    all
+    let key = |e: &ProtoEvent| (e.t_ns, e.issuer);
+    let mut total = 0;
+    let streams: Vec<Cow<[ProtoEvent]>> = per_pe
+        .iter()
+        .map(|s| {
+            let s = s.as_ref();
+            total += s.len();
+            if s.is_sorted_by_key(key) {
+                return Cow::Borrowed(s);
+            }
+            let mut sorted = s.to_vec();
+            sorted.sort_by_key(key);
+            Cow::Owned(sorted)
+        })
+        .collect();
+
+    // One head per non-empty stream; `taken[i]` events of stream `i` are out.
+    let head = |i: usize, e: &ProtoEvent| Reverse((e.t_ns, e.issuer, i));
+    let mut heads: BinaryHeap<_> =
+        streams.iter().enumerate().filter_map(|(i, s)| s.first().map(|e| head(i, e))).collect();
+    let mut taken = vec![0usize; streams.len()];
+    let mut merged = Vec::with_capacity(total);
+    while let Some(mut least) = heads.peek_mut() {
+        let i = least.0 .2;
+        merged.push(streams[i][taken[i]]);
+        taken[i] += 1;
+        match streams[i].get(taken[i]) {
+            Some(e) => *least = head(i, e),
+            None => drop(PeekMut::pop(least)),
+        }
+    }
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     fn ev(t: u64, issuer: u32) -> ProtoEvent {
         ProtoEvent {
@@ -163,6 +206,51 @@ mod tests {
         ]);
         let key: Vec<(u64, u32)> = merged.iter().map(|e| (e.t_ns, e.issuer)).collect();
         assert_eq!(key, vec![(2, 1), (5, 0), (5, 1), (9, 0)]);
+    }
+
+    /// The oracle: concatenate the streams and sort stably by the gate's
+    /// key — what `merge_events` was before it became a k-way merge.
+    fn merge_by_sorting(per_pe: &[Vec<ProtoEvent>]) -> Vec<ProtoEvent> {
+        let mut all: Vec<ProtoEvent> = per_pe.iter().flatten().copied().collect();
+        all.sort_by_key(|e| (e.t_ns, e.issuer));
+        all
+    }
+
+    /// 0–40 seeded streams, a quarter of them empty, timestamps drawn
+    /// from so small a range that they collide across issuers, and the
+    /// shapes no capture produces: equal timestamps within a stream, an
+    /// unordered stream, one stream carrying two issuers. `arg` numbers
+    /// every event, so `==` compares the order of equal keys too.
+    #[test]
+    fn merge_equals_the_stable_sort_on_every_shape() {
+        let mut shapes_seen = [0u32; 4];
+        for seed in 0..300 {
+            let mut rng = SplitMix64::new(seed);
+            let mut serial = 0;
+            let streams: Vec<Vec<ProtoEvent>> = (0..rng.below(41) as u32)
+                .map(|pe| {
+                    let len = if rng.chance(0.25) { 0 } else { rng.below(50) };
+                    let shape = rng.below(4) as usize;
+                    shapes_seen[shape] += u32::from(len > 1);
+                    let mut t = rng.below(8);
+                    (0..len)
+                        .map(|_| {
+                            t = match shape {
+                                0 => t + 1 + rng.below(3), // as captured
+                                1 | 3 => t + rng.below(2), // repeats
+                                _ => rng.below(40),        // unordered
+                            };
+                            let issuer = if shape == 3 { pe / 2 + rng.below(2) as u32 } else { pe };
+                            serial += 1;
+                            ProtoEvent { arg: serial, ..ev(t, issuer) }
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(merge_events(&streams), merge_by_sorting(&streams), "seed {seed}");
+        }
+        assert!(shapes_seen.iter().all(|&n| n > 100), "{shapes_seen:?}");
+        assert!(merge_events::<Vec<ProtoEvent>>(&[]).is_empty());
     }
 
     #[test]

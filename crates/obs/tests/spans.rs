@@ -193,9 +193,8 @@ fn span_results_are_pinned() {
 }
 
 /// `RunReport::proto_trace` is a k-way merge of the per-PE streams; on
-/// real captures (SWS, SDC, and a run with 2 % of ops dropped) it is
-/// the stable sort of their concatenation by the gate's key, which it
-/// used to be computed as.
+/// real captures (SWS, SDC, and a run with 2 % of ops dropped) it equals
+/// the stable sort of their concatenation by the gate's key.
 #[test]
 fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
     for (kind, drop) in [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)] {

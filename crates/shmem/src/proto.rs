@@ -209,7 +209,7 @@ mod tests {
     }
 
     /// The oracle: concatenate the streams and sort stably by the gate's
-    /// key — what `merge_events` was before it became a k-way merge.
+    /// key.
     fn merge_by_sorting(per_pe: &[Vec<ProtoEvent>]) -> Vec<ProtoEvent> {
         let mut all: Vec<ProtoEvent> = per_pe.iter().flatten().copied().collect();
         all.sort_by_key(|e| (e.t_ns, e.issuer));

@@ -182,6 +182,21 @@ fn virtual_results_are_pinned() {
     }
 }
 
+/// The engine's own counters on pinned run #1 (UTS, 64 PEs), taken at
+/// d629d41: how many gated ops passed below the horizon, how many gave up
+/// the CPU, how many times the scheduler picked a PE. Whoever does the
+/// picking, these are a function of the clocks alone.
+#[test]
+fn engine_counters_are_pinned() {
+    for (kind, (fast_ops, slow_ops, windows)) in [(QueueKind::Sws, (433, 23961, 24985)), (QueueKind::Sdc, (384, 29264, 30288))] {
+        let mut sched = SchedConfig::new(kind, QueueConfig::new(1024, 48)).with_seed(0xBA5E);
+        sched.trace = true;
+        let wl = UtsWorkload::new(UtsParams::geo_small(9));
+        let e = run_workload(&RunConfig::new(64, sched), &wl).total_engine();
+        assert_eq!((e.fast_ops, e.slow_ops, e.windows), (fast_ops, slow_ops, windows), "{kind:?}");
+    }
+}
+
 /// Same configuration, same seed, same report — and the engine reports
 /// its own activity through `EngineStats` without perturbing the run.
 #[test]

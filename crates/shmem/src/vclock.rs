@@ -582,6 +582,71 @@ mod tests {
         assert_eq!([vc.now(0), vc.now(1)], [1_200, 1_001]);
     }
 
+    /// Who runs when, pinned: five PEs with seeded op costs (cheap ones
+    /// pass below the horizon, dear ones suspend), local work between
+    /// them, a barrier in the middle and PE 3 finishing before it. Every
+    /// constant was computed at d629d41, where the root loop resumed each
+    /// PE itself; a scheduler that picks differently, counts a resume
+    /// differently or applies one effect out of turn moves one of them.
+    #[test]
+    fn a_mixed_cost_world_with_a_barrier_keeps_its_schedule() {
+        // Per rule: `(fast_ops, slow_ops, windows)` and final clock per
+        // PE, then length and FNV-1a of the applied `(t, pe)` sequence.
+        type Pinned = ([(u64, u64, u64); 5], [u64; 5], usize, u64);
+        const WANT: [Pinned; 2] = [
+            (
+                [(6, 9, 11), (7, 8, 10), (6, 9, 11), (4, 5, 6), (10, 5, 7)],
+                [2272, 2232, 1837, 1013, 2183],
+                69,
+                13984623882015222403,
+            ),
+            (
+                [(0, 15, 17), (0, 15, 17), (0, 15, 17), (0, 9, 10), (0, 15, 17)],
+                [2272, 2232, 1837, 1013, 2183],
+                69,
+                11638437007156153279,
+            ),
+        ];
+        let mut rng = SplitMix64::stream(0x5C4E_D01E, 5);
+        let mut costs = |len: u64| -> Vec<(u64, u64)> {
+            // (local work before the op, the op's cost)
+            (0..len)
+                .map(|_| (rng.below(3) * rng.range(1, 40), [1, 2, 7, 90, 400][rng.below(5) as usize]))
+                .collect()
+        };
+        let phases: Vec<[Vec<(u64, u64)>; 2]> = (0..5).map(|pe| [costs(6 + pe), costs(9 - pe)]).collect();
+        for (explore, want) in BOTH_RULES.into_iter().zip(WANT) {
+            let log = Mutex::new(Vec::new());
+            let vc = drive(explore, 5, |vc, pe| {
+                let run = |phase: &[(u64, u64)]| {
+                    for &(local, cost) in phase {
+                        vc.advance(pe, local);
+                        let t = vc.now(pe);
+                        gated(vc, pe, cost, || log.lock().push((t, pe)));
+                    }
+                };
+                run(&phases[pe][0]);
+                if pe != 3 {
+                    vc.barrier(pe, 25);
+                    run(&phases[pe][1]);
+                }
+            });
+            let stats = [0, 1, 2, 3, 4].map(|pe| {
+                let e = vc.engine_stats(pe);
+                (e.fast_ops, e.slow_ops, e.windows)
+            });
+            let clocks = [0, 1, 2, 3, 4].map(|pe| vc.now(pe));
+            let log = log.lock();
+            let order = log.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &(t, pe)| {
+                [t, pe as u64].iter().fold(h, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01b3))
+            });
+            if !explore {
+                assert!(log.windows(2).all(|w| w[0] <= w[1]), "virtual time applies in (t, pe) order");
+            }
+            assert_eq!((stats, clocks, log.len(), order), want, "explore = {explore}");
+        }
+    }
+
     /// Bumps a counter when dropped: proves a PE's frames were unwound.
     struct Bump<'a>(&'a std::sync::atomic::AtomicUsize);
 

@@ -38,11 +38,35 @@
 /// Stack bytes per context: what `std::thread` gave each PE before.
 const STACK_BYTES: usize = 2 << 20;
 
+/// State a family of contexts and its root share, for whichever of them
+/// is running — the scheduler's, which must be reachable from every PE's
+/// stack. `with` panics if entered twice.
+pub(crate) struct Turn<T>(std::cell::RefCell<T>);
+
+// SAFETY: the contexts of a family and their root run strictly one at a
+// time, and every switch between them is a synchronization point (the same
+// OS thread, or a channel hand-off between parked threads). `Turn` is only
+// ever touched by the running one, so no two threads are inside the
+// `RefCell` at once; `T: Send` because parked contexts are other threads.
+unsafe impl<T: Send> Sync for Turn<T> {}
+
+impl<T> Turn<T> {
+    pub(crate) fn new(value: T) -> Turn<T> {
+        Turn(std::cell::RefCell::new(value))
+    }
+
+    /// Run `f` on the state. Only the running context of the one family
+    /// that shares this value (or its root, while none runs) may call.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut self.0.borrow_mut())
+    }
+}
+
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-pub(crate) use switched::{suspend, Context};
+pub(crate) use switched::{hand_off, resume_in, suspend, Context};
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
-pub(crate) use parked::{suspend, Context};
+pub(crate) use parked::{hand_off, resume_in, suspend, Context};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 mod switched {
@@ -142,11 +166,19 @@ mod switched {
     /// if every PE of a world ran its stack to the bottom.
     const POOLED_STACKS: usize = 4096;
 
+    /// A family being run: what `resume_in` keeps on its own frame while
+    /// it is blocked in the switch.
+    struct Running<'f, 'a> {
+        family: &'f [Context<'a>],
+        /// The member running now; `hand_off` moves it.
+        member: Cell<usize>,
+    }
+
     thread_local! {
-        /// The innermost context running on this thread (null outside
-        /// any). `resume` sets it for the duration of the switch, so it
-        /// always points into a `Context` that is mutably borrowed.
-        static CURRENT: Cell<*const Switch<'static>> = const { Cell::new(ptr::null()) };
+        /// The innermost family running on this thread (null outside
+        /// any). `resume_in` sets it for the duration of the switch, so it
+        /// always points at a live frame and a mutably borrowed family.
+        static CURRENT: Cell<*const Running<'static, 'static>> = const { Cell::new(ptr::null()) };
         /// This thread's free stacks, last freed on top; dropped (and so
         /// unmapped) with the thread.
         static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
@@ -193,19 +225,35 @@ mod switched {
     /// `sws_context_entry`): run the closure, mark the context done,
     /// leave for good. `extern "C"`, so a panic escaping `entry` aborts.
     extern "C" fn trampoline() -> ! {
-        // SAFETY: this code only ever runs inside `Context::resume`,
-        // which points CURRENT at its own live, borrowed `Switch`; the
-        // `'static` is a lie that ends before that borrow does.
-        let switch = unsafe { &*CURRENT.get() };
-        if let Some(entry) = switch.entry.take() {
+        if let Some(entry) = me().entry.take() {
             entry();
         }
+        // Looked up again: the root may have borrowed the family anew.
+        let switch = me();
         switch.done.set(true);
-        // SAFETY: `sp` holds the resumer's stack pointer, saved by the
-        // switch that brought us here; the resumer is blocked in that
-        // call and this stack is never switched to again.
+        // SAFETY: `sp` holds the root's stack pointer, saved by the
+        // switch that left `resume_in` and handed on since; the root is
+        // blocked in that call and this stack is never switched to again.
         unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
         unreachable!("a finished context was resumed");
+    }
+
+    /// The innermost running family and the index of its running member.
+    fn running() -> (&'static [Context<'static>], &'static Cell<usize>) {
+        let current = CURRENT.get();
+        assert!(!current.is_null(), "called outside any context");
+        // SAFETY: non-null CURRENT points at the `Running` on the frame of
+        // the `resume_in` blocked below us on this thread, which borrows
+        // the family until it returns; the `'static`s are a lie that no
+        // caller lets outlive its own turn.
+        let current = unsafe { &*current };
+        (current.family, &current.member)
+    }
+
+    /// The running member's half of the switch.
+    fn me() -> &'static Switch<'static> {
+        let (family, me) = running();
+        &family[me.get()].switch
     }
 
     impl<'a> Context<'a> {
@@ -240,16 +288,7 @@ mod switched {
         /// Run the context on this thread until it suspends or its entry
         /// returns; `true` once it has returned.
         pub(crate) fn resume(&mut self) -> bool {
-            assert!(!self.switch.done.get(), "resumed a finished context");
-            let outer = CURRENT.replace(ptr::from_ref(&self.switch).cast());
-            // SAFETY: `sp` is the initial frame built by `spawn` or the
-            // stack pointer the context's last `suspend` saved; either
-            // way a live frame `sws_context_switch` can pop, on a stack
-            // this `Context` owns and that is running nowhere else (it
-            // is not `Send`, and `&mut self` excludes a second resume).
-            unsafe { sws_context_switch(self.switch.sp.as_ptr(), self.switch.sp.get()) };
-            CURRENT.set(outer);
-            self.switch.done.get()
+            resume_in(std::slice::from_mut(self), 0).1
         }
 
         /// Free a finished context.
@@ -274,20 +313,54 @@ mod switched {
         }
     }
 
-    /// Hand control back to the resumer of the innermost running
-    /// context; returns when that context is next resumed.
+    /// Run `family[first]` on this thread, and whichever siblings the
+    /// running member hands off to, until one suspends or returns: which
+    /// one, and `true` if its entry has returned.
+    pub(crate) fn resume_in(family: &mut [Context<'_>], first: usize) -> (usize, bool) {
+        let switch = &family[first].switch;
+        assert!(!switch.done.get(), "resumed a finished context");
+        let running = Running {
+            family,
+            member: Cell::new(first),
+        };
+        let outer = CURRENT.replace(ptr::from_ref(&running).cast());
+        // SAFETY: `sp` is the initial frame built by `spawn` or the stack
+        // pointer the context saved when it last switched away; either
+        // way a live frame `sws_context_switch` can pop, on a stack this
+        // `Context` owns and that is running nowhere else (it is not
+        // `Send`, and `&mut` excludes a second resume of any member).
+        unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
+        CURRENT.set(outer);
+        let back = running.member.get();
+        (back, family[back].switch.done.get())
+    }
+
+    /// Leave the running context the way [`suspend`] does, but for its
+    /// suspended (or never started) sibling `to` of the same family rather
+    /// than for the root: `to` inherits the root's stack pointer, so
+    /// whoever suspends or returns next lands in `resume_in`.
+    pub(crate) fn hand_off(to: usize) {
+        assert!(!std::thread::panicking(), "a context must not switch away while unwinding");
+        let (family, me) = running();
+        let (from, next) = (&family[me.get()].switch, &family[to].switch);
+        assert!(!ptr::eq(from, next) && !next.done.get(), "handed off to a context that cannot run");
+        me.set(to);
+        let sp = next.sp.replace(from.sp.get());
+        // SAFETY: `sp` is a live frame of `to` as in `resume_in`: the
+        // family's only running member is this one, so `to` is suspended
+        // or fresh. Our own frame is saved where the next switch to us
+        // looks for it.
+        unsafe { sws_context_switch(from.sp.as_ptr(), sp) };
+    }
+
+    /// Hand control back to the root of the innermost running family;
+    /// returns when this context is next resumed or handed to.
     pub(crate) fn suspend() {
-        assert!(
-            !std::thread::panicking(),
-            "a context must not suspend while unwinding"
-        );
-        let switch = CURRENT.get();
-        assert!(!switch.is_null(), "suspend called outside any context");
-        // SAFETY: non-null CURRENT points at the `Switch` of the
-        // `Context` whose `resume` is blocked below us on this thread.
-        let switch = unsafe { &*switch };
-        // SAFETY: `sp` holds the stack pointer that `resume` saved when
-        // it switched here; its frame is live until we switch back.
+        assert!(!std::thread::panicking(), "a context must not suspend while unwinding");
+        let switch = me();
+        // SAFETY: `sp` holds the stack pointer `resume_in` saved when it
+        // switched into this family; its frame is live until we switch
+        // back.
         unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
     }
 
@@ -470,11 +543,19 @@ mod parked {
     use super::STACK_BYTES;
 
     /// The context thread's ends of the two channels: `go` yields once
-    /// per resume and fails once the `Context` is dropped; `back` hands
-    /// control back — `true` when the entry has returned.
+    /// per resume and fails once the `Context` is dropped; `back` says why
+    /// the context stopped running.
     struct Inside {
         go: Receiver<()>,
-        back: Sender<bool>,
+        back: Sender<Back>,
+    }
+
+    /// What a context thread tells the root thread it waits for.
+    enum Back {
+        Suspended,
+        Returned,
+        /// Wake this sibling in my place ([`hand_off`]).
+        HandOff(usize),
     }
 
     /// Payload that unwinds a thread whose `Context` was dropped while
@@ -489,7 +570,7 @@ mod parked {
     /// A closure on a parked OS thread, run by [`Context::resume`].
     pub(crate) struct Context<'a> {
         go: Sender<()>,
-        back: Receiver<bool>,
+        back: Receiver<Back>,
         thread: Option<JoinHandle<()>>,
         done: bool,
         _entry: PhantomData<Box<dyn FnOnce() + Send + 'a>>,
@@ -513,7 +594,7 @@ mod parked {
                     // Same contract as the switched primitive: an entry
                     // that unwinds would leave its resumer waiting.
                     Err(payload) if !payload.is::<Abandoned>() => std::process::abort(),
-                    _ => drop(back_tx.send(true)),
+                    _ => drop(back_tx.send(Back::Returned)),
                 }
             };
             // SAFETY: the thread borrows for `'a` at most, and `Drop`
@@ -532,11 +613,7 @@ mod parked {
         /// Run the context until it suspends or its entry returns;
         /// `true` once it has returned.
         pub(crate) fn resume(&mut self) -> bool {
-            assert!(!self.done, "resumed a finished context");
-            // Neither end can be gone: the thread outlives its entry.
-            let _ = self.go.send(());
-            self.done = self.back.recv().unwrap_or(true);
-            self.done
+            resume_in(std::slice::from_mut(self), 0).1
         }
 
         /// Free a finished context.
@@ -555,22 +632,52 @@ mod parked {
         }
     }
 
-    /// Hand control back to the resumer of the context this thread is;
-    /// returns when it is next resumed.
-    pub(crate) fn suspend() {
-        assert!(
-            !std::thread::panicking(),
-            "a context must not suspend while unwinding"
-        );
+    /// Run `family[first]`, and whichever siblings the running member
+    /// hands off to, until one suspends or returns: which one, and `true`
+    /// if its entry has returned. A hand-off is relayed here, between the
+    /// two threads it concerns, without returning to the caller.
+    pub(crate) fn resume_in(family: &mut [Context<'_>], first: usize) -> (usize, bool) {
+        let mut member = first;
+        loop {
+            let ctx = &mut family[member];
+            assert!(!ctx.done, "resumed a finished context");
+            // Neither end can be gone: the thread outlives its entry.
+            let _ = ctx.go.send(());
+            match ctx.back.recv().unwrap_or(Back::Returned) {
+                Back::HandOff(to) => member = to,
+                Back::Suspended => return (member, false),
+                Back::Returned => {
+                    ctx.done = true;
+                    return (member, true);
+                }
+            }
+        }
+    }
+
+    /// Stop running and say `why`; returns when next resumed or handed to.
+    fn switch_away(why: Back) {
+        assert!(!std::thread::panicking(), "a context must not switch away while unwinding");
         CURRENT.with_borrow(|inside| {
             let Some(inside) = inside else {
-                panic!("suspend called outside any context");
+                panic!("called outside any context");
             };
-            let _ = inside.back.send(false);
+            let _ = inside.back.send(why);
             if inside.go.recv().is_err() {
                 resume_unwind(Box::new(Abandoned));
             }
         });
+    }
+
+    /// Hand control back to the root of the family this thread's context
+    /// is running in.
+    pub(crate) fn suspend() {
+        switch_away(Back::Suspended);
+    }
+
+    /// Stop as [`suspend`] does, but have sibling `to` of the same family
+    /// run next; whoever suspends or returns next answers `resume_in`.
+    pub(crate) fn hand_off(to: usize) {
+        switch_away(Back::HandOff(to));
     }
 }
 

@@ -64,25 +64,6 @@ impl OpDesc {
         let b = other.offset as u64..other.offset as u64 + other.len as u64;
         a.start < b.end && b.start < a.end
     }
-
-    /// The descriptor as two words, for the executor's per-PE slot.
-    pub(crate) fn to_words(self) -> [u64; 2] {
-        [
-            u64::from(self.site) | u64::from(self.target) << 16 | u64::from(self.writes) << 48,
-            u64::from(self.offset) | u64::from(self.len) << 32,
-        ]
-    }
-
-    /// Inverse of [`OpDesc::to_words`].
-    pub(crate) fn from_words([a, b]: [u64; 2]) -> OpDesc {
-        OpDesc {
-            site: a as u16,
-            target: (a >> 16) as u32,
-            writes: a >> 48 != 0,
-            offset: b as u32,
-            len: (b >> 32) as u32,
-        }
-    }
 }
 
 /// Does this op kind write target memory? (Used to build [`OpDesc`].)

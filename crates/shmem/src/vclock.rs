@@ -13,18 +13,24 @@
 //!
 //! This is the classic conservative (null-message-free, centralized)
 //! parallel-discrete-event-simulation rule: the minimum-timestamp entity
-//! runs next. Every PE is a stackful [`Context`] on the one OS thread
-//! that called `run_world`, and [`VClock::run`] — a plain loop on that
-//! thread's own stack — resumes the PE with the minimal `(clock, rank)`.
-//! A PE runs until it reaches a gated op it may not apply yet, enters a
-//! barrier, or finishes; then it suspends back to the loop. No lock, no
-//! wake-up, no kernel: exactly one context runs at any instant.
+//! runs next. Every PE is a stackful [`Context`] on the one OS thread that
+//! called `run_world`, and runs until it reaches a gated op it may not
+//! apply yet, enters a barrier, or finishes. **Whoever gives up the CPU
+//! picks its successor**: a waiting PE files itself, runs the one
+//! scheduling step ([`VClock::step`]) and switches *directly* to the PE it
+//! names — one stack switch per gated op, none when it names the caller.
+//! The root ([`VClock::run`]) runs the same step and keeps three jobs:
+//! start the world and take over whenever a PE's body returns (a finished
+//! stack cannot switch away), report a world where nobody is runnable,
+//! and unwind a poisoned one. No lock, no wake-up, no kernel: exactly one
+//! context runs at any instant, which is also all the synchronization the
+//! scheduler's own state ([`Sched`]) needs.
 //!
-//! # Two pick rules, one loop
+//! # Two pick rules, one step
 //!
-//! Which suspended PE the loop resumes next is its only mode-dependent
-//! step. Virtual time picks the minimal `(clock, rank)`. Exploration
-//! (`ExecMode::Explore`, see [`crate::explore`]) suspends a PE at *every*
+//! Which suspended PE runs next is the step's only mode-dependent part.
+//! Virtual time picks the minimal `(clock, rank)`. Exploration
+//! (`ExecMode::Explore`, see [`crate::explore`]) stops a PE at *every*
 //! gated op, runs whoever needs no decision until all live PEs are
 //! suspended, then asks the gate's schedule which pending op goes next.
 //! Everything else — the clocks, `advance`, the barrier and its one
@@ -33,15 +39,15 @@
 //!
 //! # The cached horizon
 //!
-//! When the loop resumes a PE in virtual time it also hands it a
-//! *horizon*: the second-smallest eligible `(clock, rank)` key. While a PE
-//! runs nobody else's clock can change, so until its own key reaches the
-//! horizon every effect it issues is still globally minimal *by
-//! construction* and [`VClock::gate`] admits it with one compare. A 1-PE
-//! world has no rival and never leaves that path. (Why the order is the
-//! one a suspend-at-every-op engine would produce: DESIGN.md §5a.) Under
-//! a schedule no horizon is ever handed out, so the same compare sends
-//! every op to the loop.
+//! The step also hands the PE it picks in virtual time a *horizon*: the
+//! second-smallest eligible `(clock, rank)` key. While a PE runs nobody
+//! else's clock can change, so until its own key reaches the horizon every
+//! effect it issues is still globally minimal *by construction* and
+//! [`VClock::gate`] admits it with one compare. A 1-PE world has no rival
+//! and never leaves that path. (Why the order is the one a
+//! suspend-at-every-op engine would produce: DESIGN.md §5a.) Under a
+//! schedule no horizon is ever handed out, so the same compare sends every
+//! op to the step.
 //!
 //! Liveness requires every loop that waits on remote state to advance its
 //! clock between probes; [`crate::ShmemCtx`] enforces a ≥1 ns cost on every
@@ -54,18 +60,18 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::context::{self, Context};
-use crate::explore::{ExploreGate, OpDesc, TRUNCATED_MSG};
+use crate::context::{self, Context, Turn};
+use crate::explore::{ExploreGate, OpDesc, Schedule, TRUNCATED_MSG};
 
 /// Per-PE engine counters: how often the gate was crossed with and
-/// without a context switch.
+/// without giving up the CPU.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Gated ops admitted below the cached horizon, without a switch.
+    /// Gated ops admitted below the cached horizon, on the spot.
     pub fast_ops: u64,
-    /// Gated ops that first suspended to the scheduler loop.
+    /// Gated ops that first went through the scheduling step.
     pub slow_ops: u64,
-    /// Times the scheduler resumed this PE with a fresh horizon.
+    /// Times the scheduling step picked this PE (with a fresh horizon).
     pub windows: u64,
     /// Always 0: the PEs share one OS thread, so none ever waits for the
     /// gate in wall-clock time. Kept so the struct keeps its shape.
@@ -99,7 +105,7 @@ impl EngineStats {
 
 /// A `u64` touched only by whichever context is running. The contexts of
 /// a world run strictly one at a time and every switch between them is a
-/// synchronization point (the same OS thread, or a mutex hand-off where
+/// synchronization point (the same OS thread, or a channel hand-off where
 /// contexts are parked threads), so plain loads and stores suffice; the
 /// atomic type only keeps `VClock` `Sync` without `unsafe`.
 #[derive(Default)]
@@ -128,36 +134,57 @@ impl Word {
 struct Pe {
     /// Virtual clock, ns.
     clock: Word,
-    /// Horizon `(h_t, h_rank)` cached when the scheduler last resumed
+    /// Horizon `(h_t, h_rank)` cached when the scheduling step last picked
     /// this PE: effects strictly below it are still globally minimal.
     /// `(u64::MAX, u64::MAX)` = no rival.
     h_t: Word,
     h_rank: Word,
-    /// Nonzero while suspended in [`VClock::barrier`] — how the scheduler
-    /// tells a barrier arrival from a gate.
-    in_barrier: Word,
     fast_ops: Word,
     slow_ops: Word,
     windows: Word,
 }
 
+/// Why a PE gives up the CPU.
+enum Yield {
+    /// A gated op it may not apply yet — under a schedule, which one.
+    Gate(Option<OpDesc>),
+    /// A barrier arrival, and the cost it passes (the releasing arrival's
+    /// is what the barrier charges).
+    Barrier(u64),
+    /// Its body returned.
+    Finished,
+}
+
+/// Where the PEs that are not running are. Every live PE is in exactly
+/// one place: running (at most one); suspended and free to run — not yet
+/// started, admitted by a decision, released from the barrier — in
+/// `ready`, keyed by a clock that cannot change while it sits there;
+/// suspended at the gate awaiting a decision (`pending`, exploration only:
+/// in virtual time the clock is the decision, so a gate goes straight to
+/// `ready`); or suspended in the barrier (`arrived`).
+struct Sched {
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// In ascending PE rank.
+    pending: Vec<(u32, OpDesc)>,
+    arrived: Vec<usize>,
+    live: usize,
+    bar_max_clock: u64,
+    barrier_cost: u64,
+    /// Set when it, not virtual time, picks who runs next.
+    schedule: Option<Schedule>,
+}
+
 /// The serial executor shared by all PEs of a world: their clocks, and
-/// the root loop that runs them one at a time.
+/// the scheduling step that runs them one at a time.
 pub(crate) struct VClock {
     pes: Vec<Pe>,
-    /// Cost passed by the latest barrier arrival (the releasing one's is
-    /// what the barrier charges).
-    barrier_cost: Word,
+    sched: Turn<Sched>,
     /// Nonzero once the world is poisoned — [`PANICKED`] or [`TRUNCATED`],
     /// whichever came first — so suspended peers unwind instead of
     /// resuming a computation whose partner is gone.
     poison: Word,
-    /// Set when its schedule, not virtual time, picks who runs next.
+    /// Where the schedule's decision log goes when the world is over.
     explore: Option<Arc<ExploreGate>>,
-    /// Under a schedule, the op the PE that last suspended at the gate
-    /// waits on, packed by [`OpDesc::to_words`]: the root loop collects it
-    /// before it resumes anyone else.
-    gate_op: [Word; 2],
 }
 
 /// The one poison message of a serialized world.
@@ -169,18 +196,25 @@ const PANICKED: u64 = 1;
 const TRUNCATED: u64 = 2;
 
 impl VClock {
-    /// Executor for `n_pes` PEs, all clocks at 0, picking by virtual time
-    /// or — given a gate — by its schedule. Under a schedule every horizon
-    /// stays at its initial `(0, 0)`: no op is ever below it, so each one
-    /// suspends at the gate and waits to be chosen.
+    /// Executor for `n_pes` PEs, all clocks at 0 and all free to run,
+    /// picking by virtual time or — given a gate — by its schedule. Under
+    /// a schedule every horizon stays at its initial `(0, 0)`: no op is
+    /// ever below it, so each one stops at the gate and waits to be chosen.
     pub(crate) fn new(n_pes: usize, explore: Option<Arc<ExploreGate>>) -> VClock {
         assert!(n_pes > 0);
         VClock {
             pes: (0..n_pes).map(|_| Pe::default()).collect(),
-            barrier_cost: Word::default(),
+            sched: Turn::new(Sched {
+                ready: (0..n_pes).map(|pe| Reverse((0, pe))).collect(),
+                pending: Vec::new(),
+                arrived: Vec::new(),
+                live: n_pes,
+                bar_max_clock: 0,
+                barrier_cost: 0,
+                schedule: explore.as_ref().map(|gate| gate.schedule(n_pes)),
+            }),
             poison: Word::default(),
             explore,
-            gate_op: Default::default(),
         }
     }
 
@@ -246,7 +280,7 @@ impl VClock {
     /// the op `desc` describes (only evaluated under the exploration
     /// rule). The caller must then [`VClock::advance`] by the effect's
     /// nonzero cost. Below the cached horizon this is one compare;
-    /// otherwise the PE suspends until the root loop resumes it.
+    /// otherwise the PE gives up the CPU until the step picks it again.
     #[inline]
     pub(crate) fn gate(&self, pe: usize, desc: impl FnOnce() -> OpDesc) {
         self.check_poison();
@@ -264,13 +298,7 @@ impl VClock {
     #[cold]
     fn gate_slow(&self, pe: usize, desc: Option<OpDesc>) {
         self.pes[pe].slow_ops.bump();
-        if let Some(desc) = desc {
-            let [a, b] = desc.to_words();
-            self.gate_op[0].set(a);
-            self.gate_op[1].set(b);
-        }
-        context::suspend();
-        self.check_poison();
+        self.give_up(pe, Yield::Gate(desc));
     }
 
     /// Synchronize all live PEs: every clock jumps to
@@ -278,72 +306,71 @@ impl VClock {
     /// from the pick (they apply no effects until release).
     pub(crate) fn barrier(&self, pe: usize, cost: u64) {
         self.check_poison();
-        self.barrier_cost.set(cost);
-        self.pes[pe].in_barrier.set(1);
-        context::suspend();
+        self.give_up(pe, Yield::Barrier(cost));
+    }
+
+    /// `pe` stops running for `why` and returns once it is picked again:
+    /// it runs the scheduling step itself and switches straight to the PE
+    /// the step names — no switch at all when that is `pe`. Only a PE
+    /// that finds nobody to hand to goes back to the root.
+    fn give_up(&self, pe: usize, why: Yield) {
+        match self.step(Some((pe, why))) {
+            Some(next) if next == pe => {}
+            Some(next) => context::hand_off(next),
+            None => context::suspend(),
+        }
         self.check_poison();
     }
 
-    /// Run the world: `ctxs[pe]` is PE `pe`'s body, and every call that
-    /// body makes into this executor happens inside `ctxs[pe].resume()`.
-    /// Returns when all have finished (and the gate, if any, holds the
-    /// decision log). A finished PE blocks neither the gate nor a barrier
-    /// (a barrier whose last missing PE finishes is released at no cost).
-    /// `Err` names the PEs left suspended if the loop ever finds none
-    /// runnable — after unwinding them.
-    pub(crate) fn run(&self, ctxs: &mut [Context<'_>]) -> Result<(), String> {
-        let n = self.pes.len();
-        assert_eq!(ctxs.len(), n, "one context per PE");
-        let mut schedule = self.explore.as_ref().map(|gate| gate.schedule(n));
-        // Every live PE is in exactly one place: running (at most one);
-        // suspended and free to run — not yet started, admitted by a
-        // decision, released from the barrier — in `ready`, keyed by a
-        // clock that cannot change while it sits there; suspended at the
-        // gate awaiting a decision (`pending`, exploration only: in
-        // virtual time the clock is the decision, so a gate goes straight
-        // to `ready`); or suspended in the barrier (`arrived`).
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..n).map(|pe| Reverse((0, pe))).collect();
-        let mut pending: Vec<(u32, OpDesc)> = Vec::new();
-        let mut arrived: Vec<usize> = Vec::new();
-        let mut done = vec![false; n];
-        let mut live = n;
-        let mut bar_max_clock = 0;
-        let mut stuck = Ok(());
-
-        while live > 0 && !self.is_poisoned() {
-            // The two pick rules. Virtual time: the minimal `(clock,
-            // rank)` in `ready`, handed the runner-up's key as its
-            // horizon. Exploration: whoever is free, in rank order, each
-            // to its next gate, barrier or end; once all are suspended
-            // the schedule picks which pending op goes next.
-            if let Some(schedule) = &mut schedule {
-                if ready.is_empty() && !pending.is_empty() {
-                    let Some(chosen) = schedule.decide(&pending) else {
+    /// The one scheduling step, run by whoever gives up the CPU: file
+    /// `from` where its reason says, release the barrier if that completed
+    /// it (everyone at `max + cost`; free when a departure did), and pick
+    /// who runs next. Virtual time: the minimal `(clock, rank)` in
+    /// `ready`, handed the runner-up's key as its horizon. Exploration:
+    /// whoever is free, in that same order, each to its next gate, barrier
+    /// or end; once all are suspended the schedule picks which pending op
+    /// goes next. `None` when nobody is runnable — the world is over,
+    /// stuck, or (poisoning it) out of schedule steps.
+    fn step(&self, from: Option<(usize, Yield)>) -> Option<usize> {
+        self.sched.with(|s| {
+            let departed = matches!(from, Some((_, Yield::Finished)));
+            match from {
+                None => {}
+                Some((_, Yield::Finished)) => s.live -= 1,
+                Some((pe, Yield::Barrier(cost))) => {
+                    s.arrived.push(pe);
+                    s.barrier_cost = cost;
+                    s.bar_max_clock = s.bar_max_clock.max(self.now(pe));
+                }
+                Some((pe, Yield::Gate(Some(desc)))) => {
+                    let at = s.pending.partition_point(|&(q, _)| (q as usize) < pe);
+                    s.pending.insert(at, (pe as u32, desc));
+                }
+                Some((pe, Yield::Gate(None))) => s.ready.push(Reverse((self.now(pe), pe))),
+            }
+            if !s.arrived.is_empty() && s.arrived.len() == s.live {
+                let cost = if departed { 0 } else { s.barrier_cost };
+                let t = s.bar_max_clock.saturating_add(cost);
+                for q in s.arrived.drain(..) {
+                    self.pes[q].clock.set(t);
+                    s.ready.push(Reverse((t, q)));
+                }
+                s.bar_max_clock = 0;
+            }
+            if let Some(schedule) = &mut s.schedule {
+                if s.ready.is_empty() && !s.pending.is_empty() {
+                    let Some(chosen) = schedule.decide(&s.pending) else {
                         self.poison.set(TRUNCATED);
-                        break;
+                        return None;
                     };
-                    let (pe, _) = pending.remove(chosen);
-                    ready.push(Reverse((self.now(pe as usize), pe as usize)));
+                    let (pe, _) = s.pending.remove(chosen);
+                    s.ready.push(Reverse((self.now(pe as usize), pe as usize)));
                 }
             }
-            let Some(Reverse((_, pe))) = ready.pop() else {
-                let names = (0..n).filter(|&pe| !done[pe]).map(|pe| {
-                    let p = &self.pes[pe];
-                    let at = if p.in_barrier.get() != 0 {
-                        "in the barrier"
-                    } else {
-                        "at a gate"
-                    };
-                    format!("PE {pe} {at} at {} ns", p.clock.get())
-                });
-                stuck = Err(names.collect::<Vec<_>>().join(", "));
-                self.poison();
-                break;
-            };
+            let Reverse((_, pe)) = s.ready.pop()?;
             let p = &self.pes[pe];
-            if schedule.is_none() {
-                let (h_t, h_rank) = match ready.peek() {
+            if s.schedule.is_none() {
+                let (h_t, h_rank) = match s.ready.peek() {
                     Some(&Reverse((t, rank))) => (t, rank as u64),
                     None => (u64::MAX, u64::MAX),
                 };
@@ -351,33 +378,40 @@ impl VClock {
                 p.h_rank.set(h_rank);
             }
             p.windows.bump();
+            Some(pe)
+        })
+    }
 
-            let finished = ctxs[pe].resume();
-            if finished {
-                done[pe] = true;
-                live -= 1;
-            } else if p.in_barrier.get() != 0 {
-                arrived.push(pe);
-                bar_max_clock = bar_max_clock.max(p.clock.get());
-            } else if schedule.is_some() {
-                let at = pending.partition_point(|&(q, _)| (q as usize) < pe);
-                let desc = OpDesc::from_words([self.gate_op[0].get(), self.gate_op[1].get()]);
-                pending.insert(at, (pe as u32, desc));
-            } else {
-                ready.push(Reverse((p.clock.get(), pe)));
-            }
-
-            if !arrived.is_empty() && arrived.len() == live {
-                // Completed by a departure, not an arrival: no charge.
-                let cost = if finished { 0 } else { self.barrier_cost.get() };
-                let t = bar_max_clock.saturating_add(cost);
-                for q in arrived.drain(..) {
-                    self.pes[q].clock.set(t);
-                    self.pes[q].in_barrier.set(0);
-                    ready.push(Reverse((t, q)));
-                }
-                bar_max_clock = 0;
-            }
+    /// Run the world: `ctxs[pe]` is PE `pe`'s body, and every call that
+    /// body makes into this executor happens while `ctxs` is being run.
+    /// Returns when all have finished (and the gate, if any, holds the
+    /// decision log). A finished PE blocks neither the gate nor a barrier.
+    /// `Err` names the PEs left suspended if ever none is runnable — after
+    /// unwinding them.
+    pub(crate) fn run(&self, ctxs: &mut [Context<'_>]) -> Result<(), String> {
+        let n = self.pes.len();
+        assert_eq!(ctxs.len(), n, "one context per PE");
+        let mut done = vec![false; n];
+        let mut next = self.step(None);
+        while let Some(pe) = next {
+            // Whoever comes back is rarely `pe`: the PEs hand the CPU to
+            // one another. One that is not finished found nobody to hand to.
+            let (back, finished) = context::resume_in(ctxs, pe);
+            done[back] = finished;
+            next = match finished && !self.is_poisoned() {
+                true => self.step(Some((back, Yield::Finished))),
+                false => None,
+            };
+        }
+        let mut stuck = Ok(());
+        if !self.is_poisoned() && done.contains(&false) {
+            let names = (0..n).filter(|&pe| !done[pe]).map(|pe| {
+                let arrived = self.sched.with(|s| s.arrived.contains(&pe));
+                let at = if arrived { "in the barrier" } else { "at a gate" };
+                format!("PE {pe} {at} at {} ns", self.now(pe))
+            });
+            stuck = Err(names.collect::<Vec<_>>().join(", "));
+            self.poison();
         }
         // Resume every unfinished PE, in rank order, until it finishes.
         // There are only any if the world is poisoned, so each one panics
@@ -388,7 +422,7 @@ impl VClock {
                 finished = ctx.resume();
             }
         }
-        if let (Some(gate), Some(schedule)) = (&self.explore, schedule) {
+        if let (Some(gate), Some(schedule)) = (&self.explore, self.sched.with(|s| s.schedule.take())) {
             gate.publish(schedule);
         }
         stuck

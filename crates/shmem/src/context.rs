@@ -687,7 +687,7 @@ mod tests {
     macro_rules! context_suite {
         ($name:ident, $imp:ident) => {
             mod $name {
-                use super::super::$imp::{suspend, Context};
+                use super::super::$imp::{hand_off, resume_in, suspend, Context};
                 use crate::lock::Mutex;
                 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -754,6 +754,104 @@ mod tests {
                         })
                         .collect();
                     assert_eq!(*order.lock(), want);
+                }
+
+                #[test]
+                fn three_siblings_pass_control_round_robin_without_the_root() {
+                    let root_turns = AtomicUsize::new(0);
+                    let log = Mutex::new(Vec::new());
+                    let body = |id: usize| {
+                        let (root_turns, log) = (&root_turns, &log);
+                        move || {
+                            for round in 0..3 {
+                                log.lock().push((id, round, root_turns.load(Ordering::Acquire)));
+                                hand_off((id + 1) % 3);
+                            }
+                        }
+                    };
+                    let mut family = [0, 1, 2].map(|id| Context::spawn(body(id)).unwrap());
+                    // Nine hand-offs later member 0 falls off its loop; the
+                    // other two still sit in their last hand-off.
+                    for (turn, want) in [(0, true), (1, true), (2, true)].into_iter().enumerate() {
+                        assert_eq!(resume_in(&mut family, turn), want);
+                        root_turns.fetch_add(1, Ordering::AcqRel);
+                    }
+                    family.into_iter().for_each(Context::reap);
+                    let want: Vec<_> = (0..3).flat_map(|round| (0..3).map(move |id| (id, round, 0))).collect();
+                    assert_eq!(*log.lock(), want, "the root ran between two hand-offs");
+                }
+
+                #[test]
+                fn hand_off_starts_a_context_that_never_ran() {
+                    let log = Mutex::new(Vec::new());
+                    let mut family = [
+                        Context::spawn(|| {
+                            log.lock().push("a hands off");
+                            hand_off(1);
+                            log.lock().push("a again");
+                        })
+                        .unwrap(),
+                        Context::spawn(|| {
+                            log.lock().push("b starts");
+                            suspend();
+                            log.lock().push("b ends");
+                        })
+                        .unwrap(),
+                    ];
+                    assert_eq!(resume_in(&mut family, 0), (1, false), "b suspended to a's resumer");
+                    assert_eq!(resume_in(&mut family, 0), (0, true));
+                    assert_eq!(resume_in(&mut family, 1), (1, true));
+                    family.into_iter().for_each(Context::reap);
+                    assert_eq!(*log.lock(), ["a hands off", "b starts", "a again", "b ends"]);
+                }
+
+                #[test]
+                fn a_context_that_returns_after_a_hand_off_lands_in_the_root_which_learns_who() {
+                    let mut family = [
+                        Context::spawn(|| hand_off(2)).unwrap(),
+                        Context::spawn(|| unreachable!("nobody names member 1")).unwrap(),
+                        Context::spawn(|| ()).unwrap(),
+                    ];
+                    assert_eq!(resume_in(&mut family, 0), (2, true), "2 came back, not 0");
+                    assert_eq!(resume_in(&mut family, 0), (0, true));
+                    let [a, never_ran, c] = family;
+                    a.reap();
+                    c.reap();
+                    drop(never_ran);
+                }
+
+                #[test]
+                fn a_family_launched_from_inside_a_handed_to_context_is_its_own() {
+                    let log = Mutex::new(Vec::new());
+                    let inner = |id: usize| {
+                        let log = &log;
+                        move || {
+                            log.lock().push(("inner", id));
+                            if id == 0 {
+                                hand_off(1); // the inner family's member 1
+                            }
+                        }
+                    };
+                    let mut family = [
+                        Context::spawn(|| {
+                            hand_off(1);
+                            log.lock().push(("outer", 0));
+                        })
+                        .unwrap(),
+                        Context::spawn(|| {
+                            let mut nested = [0, 1].map(|id| Context::spawn(inner(id)).unwrap());
+                            assert_eq!(resume_in(&mut nested, 0), (1, true));
+                            assert_eq!(resume_in(&mut nested, 0), (0, true));
+                            nested.into_iter().for_each(Context::reap);
+                            log.lock().push(("outer", 1));
+                            hand_off(0); // the outer family's again
+                        })
+                        .unwrap(),
+                    ];
+                    assert_eq!(resume_in(&mut family, 0), (0, true));
+                    assert_eq!(resume_in(&mut family, 1), (1, true));
+                    family.into_iter().for_each(Context::reap);
+                    assert_eq!(*log.lock(), [("inner", 0), ("inner", 1), ("outer", 1), ("outer", 0)]);
                 }
 
                 #[test]

@@ -458,6 +458,13 @@ mod tests {
     /// rule, the way `run_world` does, without a heap or an op layer in
     /// between.
     fn drive(explore: bool, n: usize, body: impl Fn(&VClock, usize) + Sync) -> VClock {
+        let (vc, stuck) = try_drive(explore, n, body);
+        stuck.unwrap();
+        vc
+    }
+
+    /// [`drive`], with what [`VClock::run`] returned.
+    fn try_drive(explore: bool, n: usize, body: impl Fn(&VClock, usize) + Sync) -> (VClock, Result<(), String>) {
         let vc = VClock::new(n, explore.then(|| new_gate(ExploreConfig::default())));
         let mut ctxs: Vec<Context<'_>> = (0..n)
             .map(|pe| {
@@ -471,9 +478,9 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        vc.run(&mut ctxs).unwrap();
+        let stuck = vc.run(&mut ctxs);
         ctxs.into_iter().for_each(Context::reap);
-        vc
+        (vc, stuck)
     }
 
     fn gated(vc: &VClock, pe: usize, cost: u64, f: impl FnOnce()) {
@@ -748,6 +755,48 @@ mod tests {
                 4,
                 "every PE's frames unwound"
             );
+        }
+    }
+
+    #[test]
+    fn poison_unwinds_pes_suspended_inside_a_hand_off() {
+        for explore in BOTH_RULES {
+            // Equal costs: every op hands the CPU to the next rank, so when
+            // PE 3 panics the other three sit inside a hand-off, mid-loop.
+            let (drops, ops) = (std::sync::atomic::AtomicUsize::new(0), Mutex::new([0; 4]));
+            let (vc, stuck) = try_drive(explore, 4, |vc, pe| {
+                let _unwound = Bump(&drops);
+                for i in 0..10 {
+                    assert!(pe != 3 || i != 5, "deliberate test panic");
+                    gated(vc, pe, 10, || ops.lock()[pe] += 1);
+                }
+            });
+            assert_eq!(stuck, Ok(()), "a poisoned world is not a stuck one");
+            assert!(vc.is_poisoned());
+            assert_eq!(drops.load(Ordering::Acquire), 4, "every PE's frames unwound");
+            // (The default schedule lets one PE run on instead.)
+            assert!(explore || ops.lock().iter().all(|&n| (5..=6).contains(&n)), "{:?}", ops.lock());
+        }
+    }
+
+    #[test]
+    fn a_world_with_nobody_runnable_is_reported_and_unwound() {
+        for explore in BOTH_RULES {
+            let drops = std::sync::atomic::AtomicUsize::new(0);
+            let (_, stuck) = try_drive(explore, 3, |vc, pe| {
+                let _unwound = Bump(&drops);
+                vc.advance(pe, 7 * pe as u64);
+                match pe {
+                    0 => return,
+                    1 => vc.barrier(pe, 5),
+                    // What no PE body can do — stop without telling the
+                    // scheduler why — stands in for an engine bug.
+                    _ => context::suspend(),
+                }
+                gated(vc, pe, 1, || ());
+            });
+            assert_eq!(stuck.unwrap_err(), "PE 1 in the barrier at 7 ns, PE 2 at a gate at 14 ns");
+            assert_eq!(drops.load(Ordering::Acquire), 3, "every PE's frames unwound");
         }
     }
 

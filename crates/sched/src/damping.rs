@@ -21,6 +21,8 @@
 //! (service mode) calls [`DampingState::readmit`] when a parked PE
 //! rejoins, so deliberate departures don't poison the victim pool.
 
+use crate::victim::Bits;
+
 /// Consecutive failed or aborted steals against one victim after which
 /// a worker quarantines it.
 pub const QUARANTINE_AFTER: u32 = 8;
@@ -28,11 +30,13 @@ pub const QUARANTINE_AFTER: u32 = 8;
 /// Per-target full/empty mode and failure-streak tracking for one thief.
 pub struct DampingState {
     enabled: bool,
-    /// `true` = empty-mode (probe before claiming).
-    empty_mode: Vec<bool>,
+    n_pes: usize,
+    /// Set = empty-mode (probe before claiming).
+    empty_mode: Bits,
     /// Consecutive failed/aborted steals per target. Tracked whether or
     /// not damping is enabled — damping is a perf feature, quarantine a
-    /// fault one.
+    /// fault one — and empty until the first failure: only fault plans
+    /// ever produce one.
     failure_streak: Vec<u32>,
 }
 
@@ -42,37 +46,42 @@ impl DampingState {
     pub fn new(n_pes: usize, enabled: bool) -> DampingState {
         DampingState {
             enabled,
-            empty_mode: vec![false; n_pes],
-            failure_streak: vec![0; n_pes],
+            n_pes,
+            empty_mode: Bits::new(n_pes),
+            failure_streak: Vec::new(),
         }
     }
 
     /// Should a steal against `target` start with a read-only probe?
     pub fn should_probe(&self, target: usize) -> bool {
-        self.enabled && self.empty_mode[target]
+        self.enabled && self.empty_mode.get(target)
     }
 
     /// Record that `target` was observed with no stealable work: it
     /// enters empty-mode.
     pub fn observed_empty(&mut self, target: usize) {
         if self.enabled {
-            self.empty_mode[target] = true;
+            self.empty_mode.set(target, true);
         }
     }
 
     /// Record that `target` had (or yielded) work — return to full-mode
     /// and clear its failure streak (the PE is demonstrably alive).
     pub fn observed_work(&mut self, target: usize) {
-        self.failure_streak[target] = 0;
-        self.empty_mode[target] = false;
+        if let Some(streak) = self.failure_streak.get_mut(target) {
+            *streak = 0;
+        }
+        self.empty_mode.set(target, false);
     }
 
     /// Record a failed or aborted steal against `target`. Returns `true`
     /// once its streak has reached [`QUARANTINE_AFTER`] — the caller
     /// quarantines it.
     pub fn observed_failure(&mut self, target: usize) -> bool {
-        self.failure_streak[target] = self.failure_streak[target].saturating_add(1);
-        self.failure_streak[target] >= QUARANTINE_AFTER
+        self.failure_streak.resize(self.n_pes, 0);
+        let streak = &mut self.failure_streak[target];
+        *streak = streak.saturating_add(1);
+        *streak >= QUARANTINE_AFTER
     }
 
     /// Readmit `target` with a clean slate: failure streak and empty-mode

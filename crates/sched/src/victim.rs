@@ -35,6 +35,26 @@ pub enum VictimPolicy {
     },
 }
 
+/// One bit per PE. Every PE keeps per-target state about every other, P²
+/// entries across a world and almost all of them at their default, so
+/// each costs a bit of untouched zero page rather than a byte.
+pub(crate) struct Bits(Vec<u64>);
+
+impl Bits {
+    pub(crate) fn new(n: usize) -> Bits {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    pub(crate) fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    pub(crate) fn set(&mut self, i: usize, on: bool) {
+        let (word, bit) = (&mut self.0[i / 64], 1 << (i % 64));
+        *word = if on { *word | bit } else { *word & !bit };
+    }
+}
+
 /// Seeded victim selector excluding the local PE.
 pub struct VictimSelector {
     rng: SplitMix64,
@@ -42,7 +62,7 @@ pub struct VictimSelector {
     n_pes: usize,
     policy: VictimPolicy,
     /// Quarantined PEs, never returned by `next_live_victim`.
-    excluded: Vec<bool>,
+    excluded: Bits,
     n_excluded: usize,
 }
 
@@ -61,7 +81,7 @@ impl VictimSelector {
             me,
             n_pes,
             policy,
-            excluded: vec![false; n_pes],
+            excluded: Bits::new(n_pes),
             n_excluded: 0,
         }
     }
@@ -110,9 +130,9 @@ impl VictimSelector {
     /// in the pool until now. Panics on `me`.
     pub fn exclude(&mut self, pe: usize) -> bool {
         assert_ne!(pe, self.me, "cannot exclude the local PE");
-        let newly = !self.excluded[pe];
+        let newly = !self.excluded.get(pe);
         if newly {
-            self.excluded[pe] = true;
+            self.excluded.set(pe, true);
             self.n_excluded += 1;
         }
         newly
@@ -122,9 +142,9 @@ impl VictimSelector {
     /// parked (and was quarantined by frustrated thieves) rejoins with a
     /// clean slate. `true` when it had been excluded.
     pub fn include(&mut self, pe: usize) -> bool {
-        let was = self.excluded[pe];
+        let was = self.excluded.get(pe);
         if was {
-            self.excluded[pe] = false;
+            self.excluded.set(pe, false);
             self.n_excluded -= 1;
         }
         was
@@ -153,13 +173,13 @@ impl VictimSelector {
         }
         for _ in 0..8 {
             let v = self.next_victim();
-            if !self.excluded[v] {
+            if !self.excluded.get(v) {
                 return Some(v);
             }
         }
         let mut rank = self.rng.below(live as u64) as usize;
-        for (v, &out) in self.excluded.iter().enumerate() {
-            if v == self.me || out {
+        for v in 0..self.n_pes {
+            if v == self.me || self.excluded.get(v) {
                 continue;
             }
             if rank == 0 {
@@ -360,6 +380,37 @@ mod tests {
                 assert_eq!(c, 0, "excluded PE {pe} drawn");
             }
         }
+    }
+
+    /// The exclusion set is a bitset of 64-PE words: a quarantined run that
+    /// starts in one word and ends in the next (PEs 60..=70 of 130, with
+    /// everything outside 58..=72 gone too) must leave its two neighbours
+    /// on either side equally likely, and draw nobody from inside it.
+    #[test]
+    fn fallback_is_uniform_across_a_word_boundary() {
+        let n = 130;
+        let survivors = [58usize, 59, 71, 72];
+        let mut sel = uniform(0xB175, 129, n);
+        for pe in (0..n - 1).filter(|pe| !survivors.contains(pe)) {
+            sel.exclude(pe);
+        }
+        assert_eq!(sel.live_victims(), survivors.len());
+        let trials = 8000;
+        let mut counts = vec![0u32; n];
+        for _ in 0..trials {
+            counts[sel.next_live_victim().unwrap()] += 1;
+        }
+        for (pe, &c) in counts.iter().enumerate() {
+            if survivors.contains(&pe) {
+                assert!((1400..=2600).contains(&c), "survivor {pe} drawn {c} of {trials}: {counts:?}");
+            } else {
+                assert_eq!(c, 0, "excluded PE {pe} drawn");
+            }
+        }
+        // Readmitting one PE on each side of the boundary is seen at once.
+        assert!(sel.include(63) && sel.include(64));
+        let drawn: std::collections::HashSet<_> = (0..400).map(|_| sel.next_live_victim().unwrap()).collect();
+        assert!(drawn.contains(&63) && drawn.contains(&64), "{drawn:?}");
     }
 
     /// Same check through the hierarchical policy: its fallback draws go

@@ -40,7 +40,7 @@ pub use runner::{
     run_workload, run_workload_mode, try_run_workload_mode, RunConfig, Workload,
 };
 pub use service::{
-    run_service, AdmissionPolicy, ArrivalSource, AwayWindow, MembershipPlan,
+    run_service, try_run_service, AdmissionPolicy, ArrivalSource, AwayWindow, MembershipPlan,
     ServiceConfig, ServiceWorkload,
 };
 pub use pool::TaskPool;

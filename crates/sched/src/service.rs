@@ -42,7 +42,7 @@
 use std::collections::VecDeque;
 
 use sws_core::{SdcQueue, StealQueue, SwsQueue};
-use sws_shmem::{ExecMode, SymAddr};
+use sws_shmem::{ExecMode, ShmemError, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::config::QueueKind;
@@ -668,6 +668,17 @@ pub fn run_service<W: ServiceWorkload>(
     svc: &ServiceConfig,
     workload: &W,
 ) -> RunReport {
+    try_run_service(cfg, svc, workload).expect("service run failed")
+}
+
+/// As [`run_service`], but a world that cannot be launched or a PE that
+/// panicked is an error, not a panic (the shape of
+/// [`crate::try_run_workload_mode`]). A malformed `svc` still panics.
+pub fn try_run_service<W: ServiceWorkload>(
+    cfg: &RunConfig,
+    svc: &ServiceConfig,
+    workload: &W,
+) -> Result<RunReport, ShmemError> {
     let n_ingress = workload.n_ingress(cfg.n_pes);
     assert!(
         (1..=cfg.n_pes).contains(&n_ingress),
@@ -701,5 +712,4 @@ pub fn run_service<W: ServiceWorkload>(
             }
         }
     })
-    .expect("service run failed")
 }

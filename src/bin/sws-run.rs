@@ -455,13 +455,13 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
     if args.serve {
         let svc = service_config(args);
         let plan = arrival_plan(args);
-        return match args.workload.as_str() {
-            "flat" => run_service(
+        return or_exit(match args.workload.as_str() {
+            "flat" => sws::sched::try_run_service(
                 &cfg,
                 &svc,
                 &FlatServe::new(plan, args.task_ns, args.ingress),
             ),
-            "uts" => run_service(
+            "uts" => sws::sched::try_run_service(
                 &cfg,
                 &svc,
                 &UtsServe::new(
@@ -474,7 +474,7 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
                 ),
             ),
             _ => usage(),
-        };
+        });
     }
     match args.workload.as_str() {
         "uts" => run_batch(&cfg, &UtsWorkload::new(UtsParams::geo_small(args.depth))),
@@ -487,11 +487,14 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
     }
 }
 
-/// A batch run's report. A `ShmemError` — a world the host cannot launch
-/// (no memory for its heap, no mapping for a PE's stack), a PE that
-/// panicked — is one line on stderr and exit 1.
 fn run_batch(cfg: &RunConfig, workload: &impl Workload) -> RunReport {
-    let run = sws::sched::try_run_workload_mode(cfg, workload, ExecMode::Virtual);
+    or_exit(sws::sched::try_run_workload_mode(cfg, workload, ExecMode::Virtual))
+}
+
+/// A run's report, batch or service. A `ShmemError` — a world the host
+/// cannot launch (no memory for its heap, no mapping for a PE's stack), a
+/// PE that panicked — is one line on stderr and exit 1.
+fn or_exit(run: Result<RunReport, sws::shmem::ShmemError>) -> RunReport {
     run.unwrap_or_else(|e| {
         eprintln!("sws-run: {e}");
         std::process::exit(1)

@@ -334,6 +334,8 @@ impl VClock {
     fn step(&self, from: Option<(usize, Yield)>) -> Option<usize> {
         self.sched.with(|s| {
             let departed = matches!(from, Some((_, Yield::Finished)));
+            // A gating PE's key in virtual time: filed by the pick itself.
+            let mut mine = None;
             match from {
                 None => {}
                 Some((_, Yield::Finished)) => s.live -= 1,
@@ -346,7 +348,7 @@ impl VClock {
                     let at = s.pending.partition_point(|&(q, _)| (q as usize) < pe);
                     s.pending.insert(at, (pe as u32, desc));
                 }
-                Some((pe, Yield::Gate(None))) => s.ready.push(Reverse((self.now(pe), pe))),
+                Some((pe, Yield::Gate(None))) => mine = Some(Reverse((self.now(pe), pe))),
             }
             if !s.arrived.is_empty() && s.arrived.len() == s.live {
                 let cost = if departed { 0 } else { s.barrier_cost };
@@ -367,7 +369,15 @@ impl VClock {
                     s.ready.push(Reverse((self.now(pe as usize), pe as usize)));
                 }
             }
-            let Reverse((_, pe)) = s.ready.pop()?;
+            // Filing a key and popping the minimum are one sift, not two,
+            // when both happen — every gated op that crosses its horizon.
+            let Reverse((_, pe)) = match mine {
+                Some(mine) => match s.ready.peek_mut() {
+                    Some(mut top) if *top > mine => std::mem::replace(&mut *top, mine),
+                    _ => mine,
+                },
+                None => s.ready.pop()?,
+            };
             let p = &self.pes[pe];
             if s.schedule.is_none() {
                 let (h_t, h_rank) = match s.ready.peek() {

@@ -30,7 +30,6 @@ pub const QUARANTINE_AFTER: u32 = 8;
 /// Per-target full/empty mode and failure-streak tracking for one thief.
 pub struct DampingState {
     enabled: bool,
-    n_pes: usize,
     /// Set = empty-mode (probe before claiming).
     empty_mode: Bits,
     /// Consecutive failed/aborted steals per target. Tracked whether or
@@ -46,7 +45,6 @@ impl DampingState {
     pub fn new(n_pes: usize, enabled: bool) -> DampingState {
         DampingState {
             enabled,
-            n_pes,
             empty_mode: Bits::new(n_pes),
             failure_streak: Vec::new(),
         }
@@ -78,7 +76,9 @@ impl DampingState {
     /// once its streak has reached [`QUARANTINE_AFTER`] — the caller
     /// quarantines it.
     pub fn observed_failure(&mut self, target: usize) -> bool {
-        self.failure_streak.resize(self.n_pes, 0);
+        if self.failure_streak.len() <= target {
+            self.failure_streak.resize(target + 1, 0);
+        }
         let streak = &mut self.failure_streak[target];
         *streak = streak.saturating_add(1);
         *streak >= QUARANTINE_AFTER

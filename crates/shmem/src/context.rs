@@ -1,16 +1,19 @@
 //! Stackful contexts: the switch primitive under the serial executor.
 //!
-//! A [`Context`] is a closure with a stack of its own. [`Context::resume`]
-//! runs it *on the calling thread* until it calls [`suspend`] or returns;
-//! `suspend` hands control back to whoever resumed it. That is all the
-//! root loop needs to run every PE of a world on one OS thread, in virtual
-//! time or under an explored schedule (see [`crate::vclock`]), and it nests: a context may itself
-//! resume others, so a world launched from inside a PE of another world
-//! just works. There is no global state beyond a thread-local "innermost
-//! running context", so worlds on different OS threads never meet.
+//! A [`Context`] is a closure with a stack of its own, and a slice of them
+//! is a *family*. [`resume_in`] runs one member *on the calling thread*;
+//! the running member may [`hand_off`] to a sibling, suspended or never
+//! started; whichever member then calls [`suspend`] or returns lands back
+//! in `resume_in`, which says who it was. That is all the serial executor
+//! needs to run every PE of a world on one OS thread, one switch per
+//! scheduling decision (see [`crate::vclock`]), and it nests: a context may
+//! itself run a family, so a world launched from inside a PE of another
+//! world just works. There is no global state beyond a thread-local
+//! "innermost running family", so worlds on different OS threads never
+//! meet.
 //!
-//! Two primitives sit behind the one four-function API
-//! (`spawn`/`resume`/`suspend`/`reap`), selected by target:
+//! Two primitives sit behind the one API
+//! (`spawn`/`resume_in`/`hand_off`/`suspend`/`reap`), selected by target:
 //!
 //! * `switched` (x86-64 Linux): a user-space stack switch — six
 //!   callee-saved registers and the stack pointer, ≈10 ns — onto a 2 MiB
@@ -25,8 +28,9 @@
 //!   pages it touched stay resident until the mapping goes — when the
 //!   list is full (`POOLED_STACKS`) or its thread exits.
 //! * `parked` (every other target, and Miri): one OS thread per context,
-//!   woken and answered over a pair of channels. Slow, but the same
-//!   semantics, so the scheduler above cannot tell which one it runs on.
+//!   woken and answered over a pair of channels (a hand-off is relayed by
+//!   the thread blocked in `resume_in`). Slow, but the same semantics, so
+//!   the scheduler above cannot tell which one it runs on.
 //!
 //! Contract, both primitives: the entry closure must not unwind (a leak
 //! aborts the process); a context must not suspend while its thread is
@@ -38,9 +42,8 @@
 /// Stack bytes per context: what `std::thread` gave each PE before.
 const STACK_BYTES: usize = 2 << 20;
 
-/// State a family of contexts and its root share, for whichever of them
-/// is running — the scheduler's, which must be reachable from every PE's
-/// stack. `with` panics if entered twice.
+/// State a family and its root share, for whichever of them is running
+/// (the scheduler's: every PE's stack must reach it).
 pub(crate) struct Turn<T>(std::cell::RefCell<T>);
 
 // SAFETY: the contexts of a family and their root run strictly one at a
@@ -55,8 +58,8 @@ impl<T> Turn<T> {
         Turn(std::cell::RefCell::new(value))
     }
 
-    /// Run `f` on the state. Only the running context of the one family
-    /// that shares this value (or its root, while none runs) may call.
+    /// Run `f` on the state; panics if entered twice. Only the running
+    /// member of the one family that shares it (or its root) may call.
     pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         f(&mut self.0.borrow_mut())
     }
@@ -166,8 +169,7 @@ mod switched {
     /// if every PE of a world ran its stack to the bottom.
     const POOLED_STACKS: usize = 4096;
 
-    /// A family being run: what `resume_in` keeps on its own frame while
-    /// it is blocked in the switch.
+    /// A family being run, on the frame of the `resume_in` running it.
     struct Running<'f, 'a> {
         family: &'f [Context<'a>],
         /// The member running now; `hand_off` moves it.
@@ -231,9 +233,9 @@ mod switched {
         // Looked up again: the root may have borrowed the family anew.
         let switch = me();
         switch.done.set(true);
-        // SAFETY: `sp` holds the root's stack pointer, saved by the
-        // switch that left `resume_in` and handed on since; the root is
-        // blocked in that call and this stack is never switched to again.
+        // SAFETY: `sp` holds the root's stack pointer, saved by the switch
+        // out of `resume_in` and handed on since; the root is blocked in
+        // that call and this stack is never switched to again.
         unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
         unreachable!("a finished context was resumed");
     }
@@ -285,12 +287,6 @@ mod switched {
             })
         }
 
-        /// Run the context on this thread until it suspends or its entry
-        /// returns; `true` once it has returned.
-        pub(crate) fn resume(&mut self) -> bool {
-            resume_in(std::slice::from_mut(self), 0).1
-        }
-
         /// Free a finished context.
         pub(crate) fn reap(self) {
             assert!(self.switch.done.get(), "reaped an unfinished context");
@@ -335,10 +331,9 @@ mod switched {
         (back, family[back].switch.done.get())
     }
 
-    /// Leave the running context the way [`suspend`] does, but for its
-    /// suspended (or never started) sibling `to` of the same family rather
-    /// than for the root: `to` inherits the root's stack pointer, so
-    /// whoever suspends or returns next lands in `resume_in`.
+    /// Leave the running context as [`suspend`] does, but for its sibling
+    /// `to` (suspended or never started), which inherits the root's stack
+    /// pointer: whoever suspends or returns next lands in `resume_in`.
     pub(crate) fn hand_off(to: usize) {
         assert!(!std::thread::panicking(), "a context must not switch away while unwinding");
         let (family, me) = running();
@@ -346,10 +341,9 @@ mod switched {
         assert!(!ptr::eq(from, next) && !next.done.get(), "handed off to a context that cannot run");
         me.set(to);
         let sp = next.sp.replace(from.sp.get());
-        // SAFETY: `sp` is a live frame of `to` as in `resume_in`: the
-        // family's only running member is this one, so `to` is suspended
-        // or fresh. Our own frame is saved where the next switch to us
-        // looks for it.
+        // SAFETY: `sp` is a live frame of `to` as in `resume_in`: this is
+        // the family's only running member, so `to` is suspended or fresh.
+        // Our own frame is saved where the next switch to us looks for it.
         unsafe { sws_context_switch(from.sp.as_ptr(), sp) };
     }
 
@@ -359,8 +353,7 @@ mod switched {
         assert!(!std::thread::panicking(), "a context must not suspend while unwinding");
         let switch = me();
         // SAFETY: `sp` holds the stack pointer `resume_in` saved when it
-        // switched into this family; its frame is live until we switch
-        // back.
+        // switched into this family; its frame is live until we switch back.
         unsafe { sws_context_switch(switch.sp.as_ptr(), switch.sp.get()) };
     }
 
@@ -369,6 +362,11 @@ mod switched {
     mod tests {
         use super::*;
         use crate::runtime::{run_world, WorldConfig};
+
+        /// Run `ctx` as a family of one; `true` once its entry has returned.
+        fn resume(ctx: &mut Context<'_>) -> bool {
+            resume_in(std::slice::from_mut(ctx), 0).1
+        }
 
         /// Bounds and permissions of the mapping of this process that
         /// holds `addr`, if any does.
@@ -441,7 +439,7 @@ mod switched {
             let mut first = Context::spawn(|| ()).unwrap();
             let base = base_of(&first);
             assert_guarded_stack_at(base);
-            assert!(first.resume());
+            assert!(resume(&mut first));
             first.reap();
             let mut local_at = 0;
             let mut second = Context::spawn(|| {
@@ -450,7 +448,7 @@ mod switched {
             })
             .unwrap();
             assert_eq!(base_of(&second), base, "the stack freed last is taken first");
-            assert!(second.resume());
+            assert!(resume(&mut second));
             second.reap();
             assert!((base + GUARD_BYTES..base + LEN).contains(&local_at));
             assert_guarded_stack_at(base);
@@ -465,7 +463,7 @@ mod switched {
             })
             .unwrap();
             let base = base_of(&left);
-            assert!(!left.resume());
+            assert!(!resume(&mut left));
             drop(left); // mid-run: its frames stay where they are
             assert!(free_bases().contains(&base));
             let mut sums = Vec::new();
@@ -479,7 +477,7 @@ mod switched {
             })
             .unwrap();
             assert_eq!(base_of(&next), base);
-            while !next.resume() {}
+            while !resume(&mut next) {}
             next.reap();
             assert_eq!(sums, [1024, 2048, 3072]);
             assert_guarded_stack_at(base);
@@ -610,12 +608,6 @@ mod parked {
             })
         }
 
-        /// Run the context until it suspends or its entry returns;
-        /// `true` once it has returned.
-        pub(crate) fn resume(&mut self) -> bool {
-            resume_in(std::slice::from_mut(self), 0).1
-        }
-
         /// Free a finished context.
         pub(crate) fn reap(self) {
             assert!(self.done, "reaped an unfinished context");
@@ -633,9 +625,8 @@ mod parked {
     }
 
     /// Run `family[first]`, and whichever siblings the running member
-    /// hands off to, until one suspends or returns: which one, and `true`
-    /// if its entry has returned. A hand-off is relayed here, between the
-    /// two threads it concerns, without returning to the caller.
+    /// hands off to (relayed here), until one suspends or returns: which
+    /// one, and `true` if its entry has returned.
     pub(crate) fn resume_in(family: &mut [Context<'_>], first: usize) -> (usize, bool) {
         let mut member = first;
         loop {
@@ -668,14 +659,12 @@ mod parked {
         });
     }
 
-    /// Hand control back to the root of the family this thread's context
-    /// is running in.
+    /// Hand control back to the root of this thread's context's family.
     pub(crate) fn suspend() {
         switch_away(Back::Suspended);
     }
 
-    /// Stop as [`suspend`] does, but have sibling `to` of the same family
-    /// run next; whoever suspends or returns next answers `resume_in`.
+    /// As [`suspend`], but sibling `to` runs next and the root stays put.
     pub(crate) fn hand_off(to: usize) {
         switch_away(Back::HandOff(to));
     }
@@ -690,6 +679,17 @@ mod tests {
                 use super::super::$imp::{hand_off, resume_in, suspend, Context};
                 use crate::lock::Mutex;
                 use std::sync::atomic::{AtomicUsize, Ordering};
+
+                /// A family of one: `true` once the entry has returned.
+                trait Alone {
+                    fn resume(&mut self) -> bool;
+                }
+
+                impl Alone for Context<'_> {
+                    fn resume(&mut self) -> bool {
+                        resume_in(std::slice::from_mut(self), 0).1
+                    }
+                }
 
                 #[test]
                 fn ping_pong_alternates_in_order() {

@@ -16,38 +16,28 @@
 //! runs next. Every PE is a stackful [`Context`] on the one OS thread that
 //! called `run_world`, and runs until it reaches a gated op it may not
 //! apply yet, enters a barrier, or finishes. **Whoever gives up the CPU
-//! picks its successor**: a waiting PE files itself, runs the one
-//! scheduling step ([`VClock::step`]) and switches *directly* to the PE it
-//! names — one stack switch per gated op, none when it names the caller.
-//! The root ([`VClock::run`]) runs the same step and keeps three jobs:
-//! start the world and take over whenever a PE's body returns (a finished
-//! stack cannot switch away), report a world where nobody is runnable,
-//! and unwind a poisoned one. No lock, no wake-up, no kernel: exactly one
-//! context runs at any instant, which is also all the synchronization the
-//! scheduler's own state ([`Sched`]) needs.
+//! picks its successor**: it files itself, runs the one scheduling step
+//! ([`VClock::step`]) and switches *directly* to the PE the step names —
+//! one stack switch per gated op, none when it names the caller. The root
+//! ([`VClock::run`]) runs the same step and keeps three jobs: take over
+//! when a PE's body returns (a finished stack cannot switch away), report
+//! a world where nobody is runnable, unwind a poisoned one. No lock, no
+//! wake-up, no kernel: exactly one context runs at any instant, which is
+//! all the synchronization the scheduler's own state needs.
 //!
-//! # Two pick rules, one step
-//!
-//! Which suspended PE runs next is the step's only mode-dependent part.
-//! Virtual time picks the minimal `(clock, rank)`. Exploration
-//! (`ExecMode::Explore`, see [`crate::explore`]) stops a PE at *every*
-//! gated op, runs whoever needs no decision until all live PEs are
-//! suspended, then asks the gate's schedule which pending op goes next.
-//! Everything else — the clocks, `advance`, the barrier and its one
-//! release rule, poison, the rank-order unwind, the deadlock report — is
-//! written once, below, for both.
-//!
-//! # The cached horizon
-//!
-//! The step also hands the PE it picks in virtual time a *horizon*: the
-//! second-smallest eligible `(clock, rank)` key. While a PE runs nobody
-//! else's clock can change, so until its own key reaches the horizon every
-//! effect it issues is still globally minimal *by construction* and
-//! [`VClock::gate`] admits it with one compare. A 1-PE world has no rival
-//! and never leaves that path. (Why the order is the one a
-//! suspend-at-every-op engine would produce: DESIGN.md §5a.) Under a
-//! schedule no horizon is ever handed out, so the same compare sends every
-//! op to the step.
+//! Which PE runs next is the step's only mode-dependent part. Virtual time
+//! picks the minimal `(clock, rank)` and hands it a *horizon*, the
+//! runner-up's key: while a PE runs nobody else's clock can change, so
+//! until its own key reaches the horizon every effect it issues is still
+//! globally minimal and [`VClock::gate`] admits it with one compare (a
+//! 1-PE world never leaves that path; why the order is the one a
+//! suspend-at-every-op engine would produce: DESIGN.md §5a). Exploration
+//! (`ExecMode::Explore`, see [`crate::explore`]) hands out no horizon, so
+//! every gated op stops its PE; the step runs whoever needs no decision
+//! until all live PEs are suspended, then asks the gate's schedule which
+//! pending op goes next. The clocks, the barrier and its one release rule,
+//! poison, the rank-order unwind and the deadlock report are written once
+//! for both.
 //!
 //! Liveness requires every loop that waits on remote state to advance its
 //! clock between probes; [`crate::ShmemCtx`] enforces a ≥1 ns cost on every
@@ -148,30 +138,29 @@ struct Pe {
 enum Yield {
     /// A gated op it may not apply yet — under a schedule, which one.
     Gate(Option<OpDesc>),
-    /// A barrier arrival, and the cost it passes (the releasing arrival's
-    /// is what the barrier charges).
+    /// A barrier arrival and the cost it passes (the last one's is charged).
     Barrier(u64),
     /// Its body returned.
     Finished,
 }
 
-/// Where the PEs that are not running are. Every live PE is in exactly
-/// one place: running (at most one); suspended and free to run — not yet
-/// started, admitted by a decision, released from the barrier — in
-/// `ready`, keyed by a clock that cannot change while it sits there;
-/// suspended at the gate awaiting a decision (`pending`, exploration only:
-/// in virtual time the clock is the decision, so a gate goes straight to
-/// `ready`); or suspended in the barrier (`arrived`).
+/// Where the PEs that are not running are. Every live PE is running (at
+/// most one); free to run — not yet started, admitted by a decision,
+/// released from the barrier — in `ready`, keyed by a clock that cannot
+/// change while it sits there; at the gate awaiting a decision (`pending`,
+/// ascending rank, exploration only: in virtual time the clock is the
+/// decision, so a gate goes straight to `ready`); or in the barrier
+/// (`arrived`).
 struct Sched {
     ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// In ascending PE rank.
     pending: Vec<(u32, OpDesc)>,
     arrived: Vec<usize>,
     live: usize,
     bar_max_clock: u64,
+    /// What the barrier charges if whoever filed last completed it.
     barrier_cost: u64,
     /// Set when it, not virtual time, picks who runs next.
-    schedule: Option<Schedule>,
+    schedule: Option<Box<Schedule>>,
 }
 
 /// The serial executor shared by all PEs of a world: their clocks, and
@@ -197,9 +186,8 @@ const TRUNCATED: u64 = 2;
 
 impl VClock {
     /// Executor for `n_pes` PEs, all clocks at 0 and all free to run,
-    /// picking by virtual time or — given a gate — by its schedule. Under
-    /// a schedule every horizon stays at its initial `(0, 0)`: no op is
-    /// ever below it, so each one stops at the gate and waits to be chosen.
+    /// picking by virtual time or — given a gate — by its schedule, under
+    /// which every horizon stays at its initial `(0, 0)`: no op is below it.
     pub(crate) fn new(n_pes: usize, explore: Option<Arc<ExploreGate>>) -> VClock {
         assert!(n_pes > 0);
         VClock {
@@ -211,7 +199,7 @@ impl VClock {
                 live: n_pes,
                 bar_max_clock: 0,
                 barrier_cost: 0,
-                schedule: explore.as_ref().map(|gate| gate.schedule(n_pes)),
+                schedule: explore.as_ref().map(|gate| Box::new(gate.schedule(n_pes))),
             }),
             poison: Word::default(),
             explore,
@@ -310,9 +298,8 @@ impl VClock {
     }
 
     /// `pe` stops running for `why` and returns once it is picked again:
-    /// it runs the scheduling step itself and switches straight to the PE
-    /// the step names — no switch at all when that is `pe`. Only a PE
-    /// that finds nobody to hand to goes back to the root.
+    /// it switches straight to the PE the step names (not at all when
+    /// that is `pe`), to the root only if the step names nobody.
     fn give_up(&self, pe: usize, why: Yield) {
         match self.step(Some((pe, why))) {
             Some(next) if next == pe => {}
@@ -325,20 +312,21 @@ impl VClock {
     /// The one scheduling step, run by whoever gives up the CPU: file
     /// `from` where its reason says, release the barrier if that completed
     /// it (everyone at `max + cost`; free when a departure did), and pick
-    /// who runs next. Virtual time: the minimal `(clock, rank)` in
-    /// `ready`, handed the runner-up's key as its horizon. Exploration:
-    /// whoever is free, in that same order, each to its next gate, barrier
-    /// or end; once all are suspended the schedule picks which pending op
-    /// goes next. `None` when nobody is runnable — the world is over,
-    /// stuck, or (poisoning it) out of schedule steps.
+    /// the minimal `(clock, rank)` in `ready` — under a schedule, after
+    /// admitting the pending op it chooses once nobody else is free.
+    /// `None` when nobody is runnable: the world is over, stuck, or
+    /// (poisoning it) out of schedule steps.
     fn step(&self, from: Option<(usize, Yield)>) -> Option<usize> {
         self.sched.with(|s| {
-            let departed = matches!(from, Some((_, Yield::Finished)));
             // A gating PE's key in virtual time: filed by the pick itself.
             let mut mine = None;
             match from {
                 None => {}
-                Some((_, Yield::Finished)) => s.live -= 1,
+                Some((_, Yield::Finished)) => {
+                    s.live -= 1;
+                    // A barrier completed by a departure charges nothing.
+                    s.barrier_cost = 0;
+                }
                 Some((pe, Yield::Barrier(cost))) => {
                     s.arrived.push(pe);
                     s.barrier_cost = cost;
@@ -351,8 +339,7 @@ impl VClock {
                 Some((pe, Yield::Gate(None))) => mine = Some(Reverse((self.now(pe), pe))),
             }
             if !s.arrived.is_empty() && s.arrived.len() == s.live {
-                let cost = if departed { 0 } else { s.barrier_cost };
-                let t = s.bar_max_clock.saturating_add(cost);
+                let t = s.bar_max_clock.saturating_add(s.barrier_cost);
                 for q in s.arrived.drain(..) {
                     self.pes[q].clock.set(t);
                     s.ready.push(Reverse((t, q)));
@@ -395,9 +382,8 @@ impl VClock {
     /// Run the world: `ctxs[pe]` is PE `pe`'s body, and every call that
     /// body makes into this executor happens while `ctxs` is being run.
     /// Returns when all have finished (and the gate, if any, holds the
-    /// decision log). A finished PE blocks neither the gate nor a barrier.
-    /// `Err` names the PEs left suspended if ever none is runnable — after
-    /// unwinding them.
+    /// decision log). `Err` names the PEs left suspended if ever none is
+    /// runnable — after unwinding them.
     pub(crate) fn run(&self, ctxs: &mut [Context<'_>]) -> Result<(), String> {
         let n = self.pes.len();
         assert_eq!(ctxs.len(), n, "one context per PE");
@@ -408,10 +394,8 @@ impl VClock {
             // one another. One that is not finished found nobody to hand to.
             let (back, finished) = context::resume_in(ctxs, pe);
             done[back] = finished;
-            next = match finished && !self.is_poisoned() {
-                true => self.step(Some((back, Yield::Finished))),
-                false => None,
-            };
+            let go_on = finished && !self.is_poisoned();
+            next = go_on.then(|| self.step(Some((back, Yield::Finished)))).flatten();
         }
         let mut stuck = Ok(());
         if !self.is_poisoned() && done.contains(&false) {
@@ -427,13 +411,14 @@ impl VClock {
         // There are only any if the world is poisoned, so each one panics
         // out of the `gate`/`barrier` it is suspended in — or at its
         // first, if it never started — and unwinds through its own frames.
-        for (ctx, mut finished) in ctxs.iter_mut().zip(done) {
-            while !finished {
-                finished = ctx.resume();
+        for pe in 0..n {
+            while !done[pe] {
+                let (back, finished) = context::resume_in(ctxs, pe);
+                done[back] = finished;
             }
         }
         if let (Some(gate), Some(schedule)) = (&self.explore, self.sched.with(|s| s.schedule.take())) {
-            gate.publish(schedule);
+            gate.publish(*schedule);
         }
         stuck
     }

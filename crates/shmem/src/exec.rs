@@ -145,7 +145,7 @@ impl Exec {
     /// — 0 on plain threads, which keep none.
     pub(crate) fn finish(&self, pe: usize) -> u64 {
         match self {
-            // The root loop sees the PE's context return.
+            // The executor's root sees the PE's context return.
             Exec::Serial(clock) => clock.now(pe),
             Exec::Threads { barrier, .. } => {
                 // A crash-stopped PE exits with fewer barrier entries

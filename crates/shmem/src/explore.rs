@@ -3,7 +3,7 @@
 //!
 //! An `ExecMode::Explore` world runs on the same serial executor as a
 //! virtual-time one (`crate::vclock`): every PE is a stackful context on
-//! the thread that called `run_world`, and one root loop decides which
+//! the thread that called `run_world`, and one scheduling step decides which
 //! suspended PE runs next. Virtual time picks the minimal `(clock, rank)`;
 //! exploration picks by an explicit **schedule**. Every shared-visible
 //! effect suspends its PE at the gate with an [`OpDesc`]; once every live
@@ -126,7 +126,7 @@ const STARVE_AGE: u64 = 64;
 /// steals the progressing PE's turn exactly when it is mid-protocol.
 const SPIN_RUN: u32 = 2;
 
-/// The state of one schedule execution, owned by the root loop.
+/// The state of one schedule execution, owned by the executor.
 pub(crate) struct Schedule {
     /// The forced prefix (its cursor is `trace.decisions.len()`) and the
     /// step budget.
@@ -184,7 +184,7 @@ impl ExploreGate {
         }
     }
 
-    /// The root loop is done with `schedule`: keep its log.
+    /// The world is over: keep `schedule`'s log.
     pub(crate) fn publish(&self, schedule: Schedule) {
         let ran = self.trace.lock().replace(schedule.trace);
         assert!(ran.is_none(), "an ExploreGate runs one world");

@@ -28,7 +28,7 @@
 //!     thousands of PEs on a single core with no kernel on the path, from
 //!     which runtime / steal time / search time are read off the clocks;
 //!   - `Explore`: the same contexts on the same one thread, under the
-//!     same root loop, but the next PE to run is picked by an explicit
+//!     same scheduling step, but the next PE to run is picked by an explicit
 //!     **schedule** ([`explore::ExploreGate`]) instead of by the clocks:
 //!     every gated effect is a scheduling choice point — used to search
 //!     interleavings of the production queues.

@@ -23,8 +23,9 @@ use sws_sched::{
 };
 use sws_shmem::{ExecMode, FaultPlan, OpClass, OrderingCtl, RetryPolicy, TargetSel};
 use sws_task::{TaskDescriptor, TaskRegistry};
-use sws_workloads::arrivals::{ArrivalPlan, FlatServe};
+use sws_workloads::arrivals::{ArrivalPlan, FlatServe, UtsServe};
 use sws_workloads::bpc::{BpcParams, BpcWorkload};
+use sws_workloads::synth::FlatBag;
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
 fn report_for(kind: QueueKind, seed: u64) -> RunReport {
@@ -178,6 +179,52 @@ fn virtual_results_are_pinned() {
         assert_eq!(t.total_tasks(), 6_217, "{kind:?}: tight-ring run lost or duplicated tasks");
         assert!(t.total_tasks() > popped, "{kind:?}: the tight-ring pin no longer overflows");
         let got = runs.map(|r| digest(&r));
+        assert_eq!(got, want, "{kind:?}: reports diverged from the pin");
+    }
+}
+
+/// The four shapes `sws-run` launches — UTS, BPC and a flat bag to
+/// termination, and a UTS service with an away window and 3 % drops —
+/// untraced, at the CLI's ring size.
+fn cli_shaped_runs(kind: QueueKind) -> [RunReport; 4] {
+    let sched = |task_bytes| SchedConfig::new(kind, QueueConfig::new(16_384, task_bytes)).with_seed(0xBA5E);
+    let drops = FaultPlan::seeded(0xBA5E ^ 0xFA17).with_drop(OpClass::All, TargetSel::Any, 0.03);
+    let elastic = ServiceConfig::default()
+        .with_membership(MembershipPlan::fixed().away(3, 100_000, 150_000));
+    let serve = UtsServe::new(UtsParams::geo_small(8), ArrivalPlan::poisson(0xBA5E ^ 0xA881, 10_000, 500_000), 4, 1);
+    [
+        run_workload(&RunConfig::new(8, sched(48)), &UtsWorkload::new(UtsParams::geo_small(8))),
+        run_workload(&RunConfig::new(8, sched(32)), &BpcWorkload::new(BpcParams::scaled(16, 8))),
+        run_workload(&RunConfig::new(4, sched(24)), &FlatBag::new(2_000, 50_000, 24)),
+        run_service(&RunConfig::new(8, sched(48)).with_faults(drops), &elastic, &serve),
+    ]
+}
+
+/// Makespan, total ops issued, and the full digest (per-PE `OpStats`,
+/// timing, queue and service counters) of [`cli_shaped_runs`], taken at
+/// cb37789 under the counter termination detector — the commit before
+/// the token ring, the `Termination` trait and the one-valued scheduler
+/// knobs were deleted. The detector's ops are part of every number here:
+/// a flush, an idle-set update or a poll that moves, moves them.
+#[test]
+fn counter_detector_runs_are_pinned() {
+    let pinned: [(QueueKind, [(u64, u64, u64); 4]); 2] = [
+        (
+            QueueKind::Sws,
+            [(484_484, 7_732, 0xc08a06e7849f81d2), (8_999_128, 5_102, 0xebec04ea7671dd48), (25_527_462, 3_809, 0xdf61a755f4cd0ab8), (512_911, 2_349, 0x4cfc152234d0ea1f)],
+        ),
+        (
+            QueueKind::Sdc,
+            [(571_207, 8_644, 0x52dd390640dbcea4), (9_192_294, 6_101, 0x83ee719c59bd575b), (25_636_347, 4_061, 0xa90d70c4baccdbde), (538_403, 4_225, 0xfa038e322ae4dc32)],
+        ),
+    ];
+    for (kind, want) in pinned {
+        let runs = cli_shaped_runs(kind);
+        let served = &runs[3];
+        assert!(served.arrival_conservation_ok(), "{kind:?}: service run lost an arrival");
+        assert_eq!(served.workers[3].service.rejoins, 1, "{kind:?}: PE 3 never rejoined");
+        assert!(served.comm.total.total_failed() > 0, "{kind:?}: the drop plan dropped nothing");
+        let got = runs.map(|r| (r.makespan_ns, r.comm.total.total_ops(), digest(&r)));
         assert_eq!(got, want, "{kind:?}: reports diverged from the pin");
     }
 }

@@ -431,16 +431,6 @@ pub struct ExplorerConfig {
     pub max_schedules: u64,
     /// Per-schedule decision budget (spin-heavy schedules truncate).
     pub max_steps: u64,
-    /// Branch at *every* decision instead of only at dependent pairs.
-    /// Class-based independence is sound for the value/invariant oracles
-    /// (commuting ops reach the same state) but **not** for the ordering
-    /// tracker: whether a later write covers a read mark depends on the
-    /// global order of ops on *different* words (a thief's claim on the
-    /// stealval word republishes its clock, masking a race on a payload
-    /// word). Forced on automatically whenever a scenario carries a
-    /// weakening; costs more schedules per depth, which is why plain
-    /// exploration keeps the pruning.
-    pub branch_all: bool,
 }
 
 impl Default for ExplorerConfig {
@@ -449,7 +439,6 @@ impl Default for ExplorerConfig {
             preemptions: 2,
             max_schedules: 160,
             max_steps: 40_000,
-            branch_all: false,
         }
     }
 }
@@ -462,7 +451,6 @@ impl ExplorerConfig {
             preemptions: 3,
             max_schedules: 2_000,
             max_steps: 80_000,
-            branch_all: false,
         }
     }
 }
@@ -523,10 +511,15 @@ pub fn explore_scenario(
     cfg: &ExplorerConfig,
 ) -> (ScenarioStats, Option<Counterexample>) {
     let mut stats = ScenarioStats::default();
-    // Independence pruning is unsound under the ordering tracker (see
-    // `ExplorerConfig::branch_all`): a weakened scenario always branches
-    // everywhere.
-    let branch_all = cfg.branch_all || sc.weaken.is_some();
+    // Branch at every decision, not only at dependent pairs, when the
+    // scenario carries a weakening. Class-based independence is sound for
+    // the value/invariant oracles (commuting ops reach the same state) but
+    // not for the ordering tracker: whether a later write covers a read
+    // mark depends on the global order of ops on *different* words (a
+    // thief's claim on the stealval word republishes its clock, masking a
+    // race on a payload word). It costs more schedules per depth, which
+    // is why plain exploration keeps the pruning.
+    let branch_everywhere = sc.weaken.is_some();
     // Each entry: (forced-choice prefix, injected preemptions so far).
     // The bound counts only *injected* divergences from the default
     // policy that preempt a still-pending PE — the default policy's own
@@ -595,7 +588,7 @@ pub fn explore_scenario(
                 if j as u32 == d.chosen {
                     continue;
                 }
-                if !branch_all && !dependent(&alt_op, &chosen_op) {
+                if !branch_everywhere && !dependent(&alt_op, &chosen_op) {
                     stats.pruned_independent += 1;
                     continue;
                 }
@@ -649,63 +642,6 @@ fn minimize(sc: &Scenario, failing: &RunResult, cfg: &ExplorerConfig) -> Counter
             .unwrap_or_else(|| "unconfirmed".to_string()),
         weaken: sc.weaken,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Corpus driver + report.
-// ---------------------------------------------------------------------------
-
-/// The whole-corpus exploration report.
-#[derive(Clone, Debug, Default)]
-pub struct ExploreReport {
-    /// Per-scenario stats, corpus order.
-    pub scenarios: Vec<(String, ScenarioStats)>,
-    /// First counterexample found, if any (exploration stops there).
-    pub counterexample: Option<Counterexample>,
-}
-
-impl ExploreReport {
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("scenario                    schedules truncated  branches  indep-pruned  preempt-pruned  max-depth\n");
-        for (name, s) in &self.scenarios {
-            out.push_str(&format!(
-                "{name:<28}{:>9}{:>10}{:>10}{:>14}{:>16}{:>11}\n",
-                s.schedules,
-                s.truncated,
-                s.branches,
-                s.pruned_independent,
-                s.pruned_preempt,
-                s.max_depth
-            ));
-        }
-        match &self.counterexample {
-            Some(ce) => out.push_str(&format!(
-                "COUNTEREXAMPLE in {}: {} (schedule of {} forced choices)\n",
-                ce.scenario,
-                ce.failure,
-                ce.schedule.len()
-            )),
-            None => out.push_str("no violations found\n"),
-        }
-        out
-    }
-}
-
-/// Explore every corpus scenario under `cfg`, stopping at the first
-/// counterexample.
-pub fn explore_all(cfg: &ExplorerConfig) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    for sc in corpus() {
-        let (stats, ce) = explore_scenario(&sc, cfg);
-        report.scenarios.push((sc.name.to_string(), stats));
-        if ce.is_some() {
-            report.counterexample = ce;
-            break;
-        }
-    }
-    report
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ fn test_cfg() -> ExplorerConfig {
         preemptions: 2,
         max_schedules: 24,
         max_steps: 40_000,
-        branch_all: false,
     }
 }
 
@@ -73,7 +72,6 @@ fn mutation_is_found_shrunk_and_replayable() {
         preemptions: 2,
         max_schedules: 400,
         max_steps: 40_000,
-        branch_all: false,
     };
     let (stats, ce) = explore_scenario(&sc, &cfg);
     let ce: Counterexample = ce.unwrap_or_else(|| {

@@ -10,3 +10,47 @@ fn workspace_lints_clean() {
     let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(msgs.is_empty(), "lint findings:\n{}", msgs.join("\n"));
 }
+
+/// DESIGN.md §5's "What is configurable and who sets it" table is the
+/// audit: every `pub` field of the five configuration structs and every
+/// flag `sws-run` matches on has a row, and the file a row names — not
+/// the defining file, not a test tree — contains the spelling it is set
+/// through. The two fault-recovery knobs only hostile chaos runs turn
+/// are the exception the table states.
+#[test]
+fn every_option_has_a_row_and_a_caller() {
+    const CHAOS_ONLY: [&str; 2] = ["QueueConfig::retry", "QueueConfig::reclaim_grace_ns"];
+    let root = workspace_root();
+    let read = |p: &str| std::fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
+    let design = read("DESIGN.md");
+    let rows: Vec<Vec<&str>> = design
+        .lines()
+        .skip_while(|l| !l.contains("What is configurable and who sets it"))
+        .skip_while(|l| !l.starts_with("|---"))
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.split('|').map(|c| c.trim().trim_matches('`')).collect())
+        .collect();
+    let mut options: Vec<(String, &str)> = Vec::new();
+    for (owner, file) in [("SchedConfig", "crates/sched/src/config.rs"), ("QueueConfig", "crates/core/src/queue/mod.rs"), ("RunConfig", "crates/sched/src/runner.rs"), ("ServiceConfig", "crates/sched/src/service.rs"), ("ExplorerConfig", "crates/check/src/live.rs")] {
+        let src = read(file);
+        let body = src.split(&format!("pub struct {owner} {{")).nth(1).expect(owner);
+        let fields = body.lines().take_while(|l| *l != "}").filter_map(|l| l.strip_prefix("    pub "));
+        options.extend(fields.map(|f| (format!("{owner}::{}", f.split(':').next().unwrap_or(f)), file)));
+    }
+    let run = read("src/bin/sws-run.rs");
+    options.extend(run.lines().filter_map(|l| Some((l.split("name: \"").nth(1)?.split('"').next()?.to_string(), "src/bin/sws-run.rs"))));
+    assert!(options.len() > 60, "the scan found too few options: {options:?}");
+    for (option, defined_in) in options {
+        let row = rows.iter().find(|r| r.get(1) == Some(&option.as_str())).unwrap_or_else(|| panic!("{option} has no row"));
+        let (spelling, caller) = (row[2], row[3]);
+        let in_tests = caller.contains("tests/") && !CHAOS_ONLY.contains(&option.as_str());
+        assert!(caller != defined_in && !in_tests, "{option}: {caller} is its defining file or a test");
+        let text = read(caller);
+        let live = text.split("#[cfg(test)]").next().unwrap_or(&text);
+        // `spelling` as a whole word, or as the method of a call chain.
+        let word = |c: char| c.is_alphanumeric() || "-_:.".contains(c);
+        let spells = |w: &str| w == spelling || w.ends_with(&format!(".{spelling}"));
+        let found = live.split(|c| !word(c)).any(|w| spells(w.trim_end_matches([':', '.'])));
+        assert!(found, "{option}: {caller} never spells {spelling}");
+    }
+}

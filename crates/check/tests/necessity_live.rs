@@ -14,7 +14,6 @@ fn test_cfg() -> ExplorerConfig {
         preemptions: 2,
         max_schedules: 120,
         max_steps: 40_000,
-        branch_all: false,
     }
 }
 

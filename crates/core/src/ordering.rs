@@ -166,13 +166,6 @@ pub enum Necessity {
     },
 }
 
-impl Necessity {
-    /// Did any oracle break the mutant?
-    pub fn is_broken(&self) -> bool {
-        matches!(self, Necessity::Broken { .. })
-    }
-}
-
 /// One row of the site catalog: everything the workspace knows about an
 /// [`AtomicSite`] apart from what its ops do to the queue (that is
 /// [`crate::protocol::decode`]). The audit table, the exploration

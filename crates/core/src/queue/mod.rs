@@ -41,6 +41,10 @@ pub(crate) fn invariant_violation(msg: &str) -> ! {
     panic!("queue protocol invariant violated: {msg}");
 }
 
+/// Virtual ns charged per release/acquire for the owner's local
+/// bookkeeping (split update, completion-array reset).
+pub(crate) const SPLIT_UPDATE_NS: u64 = 150;
+
 /// Configuration common to both queue implementations.
 #[derive(Copy, Clone, Debug)]
 pub struct QueueConfig {
@@ -55,9 +59,6 @@ pub struct QueueConfig {
     pub layout: Layout,
     /// Steal-volume schedule (the paper's steal-half by default).
     pub policy: StealPolicy,
-    /// Virtual ns charged per release/acquire for the owner's local
-    /// bookkeeping (split update, completion-array reset).
-    pub split_update_ns: u64,
     /// Retry policy for fallible thief-side operations when fault
     /// injection is active. Ignored in fault-free worlds.
     pub retry: RetryPolicy,
@@ -93,7 +94,6 @@ impl QueueConfig {
             task_words: TaskDescriptor::words_for(task_bytes),
             layout: Layout::Epochs,
             policy: StealPolicy::Half,
-            split_update_ns: 150,
             retry: RetryPolicy::default_thief(),
             reclaim_grace_ns: 200_000,
             mutation: None,

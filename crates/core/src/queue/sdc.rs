@@ -64,6 +64,7 @@ use crate::protocol::claim_marker;
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
     QueueConfig, QueueStats, StealOutcome, StealQueue, COMP_CLAIMED, COMP_POISON, COMP_VOL_MASK,
+    SPLIT_UPDATE_NS,
 };
 
 /// Word offsets of the SDC metadata block.
@@ -275,7 +276,7 @@ impl StealQueue for SdcQueue<'_> {
         let k = nlocal - nlocal / 2;
         self.ring.split += k;
         self.publish_split();
-        self.ring.ctx.compute(self.ring.cfg.split_update_ns);
+        self.ring.ctx.compute(SPLIT_UPDATE_NS);
         self.ring.stats.releases += 1;
         // Rooted-tree steal bound: this exposure of `k` unclaimed tasks
         // admits at most `max_steals(k)` successful steals before the
@@ -311,7 +312,7 @@ impl StealQueue for SdcQueue<'_> {
         self.ring.split -= avail - avail / 2;
         self.publish_split();
         self.unlock(self.ring.ctx.my_pe());
-        self.ring.ctx.compute(self.ring.cfg.split_update_ns);
+        self.ring.ctx.compute(SPLIT_UPDATE_NS);
         self.ring.stats.acquires += 1;
         true
     }

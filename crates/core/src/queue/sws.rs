@@ -57,7 +57,7 @@ use crate::ordering::AtomicSite;
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
     invariant_violation, Mutation, QueueConfig, QueueStats, StealOutcome, StealQueue,
-    COMP_POISON, COMP_RECLAIMED,
+    COMP_POISON, COMP_RECLAIMED, SPLIT_UPDATE_NS,
 };
 use crate::steal_half::StealPolicy;
 use crate::stealval::{Gate, StealVal, ASTEAL_UNIT};
@@ -449,7 +449,7 @@ impl StealQueue for SwsQueue<'_> {
         let tail = self.ring.split;
         self.ring.split += k;
         self.advertise(slot, tail, k);
-        self.ring.ctx.compute(self.ring.cfg.split_update_ns);
+        self.ring.ctx.compute(SPLIT_UPDATE_NS);
         self.ring.stats.releases += 1;
         true
     }
@@ -509,7 +509,7 @@ impl StealQueue for SwsQueue<'_> {
             self.wait_for_free_slot()
         };
         self.advertise(slot, new_tail, keep);
-        ctx.compute(self.ring.cfg.split_update_ns);
+        ctx.compute(SPLIT_UPDATE_NS);
         self.ring.stats.acquires += 1;
         true
     }

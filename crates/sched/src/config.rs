@@ -7,15 +7,6 @@ use crate::victim::VictimPolicy;
 /// Which queue implementation a run uses.
 pub use sws_core::Protocol as QueueKind;
 
-/// Which termination detector a run uses.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum TdKind {
-    /// Global spawned/completed/idle counters on PE 0.
-    Counter,
-    /// Dijkstra-style counting token ring.
-    TokenRing,
-}
-
 /// Scheduler parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct SchedConfig {
@@ -23,8 +14,6 @@ pub struct SchedConfig {
     pub queue: QueueConfig,
     /// Queue implementation.
     pub kind: QueueKind,
-    /// Termination detector.
-    pub td: TdKind,
     /// Base RNG seed; each PE derives its own stream from it.
     pub seed: u64,
     /// Steal damping (§4.3): probe empty-mode targets read-only before
@@ -35,16 +24,8 @@ pub struct SchedConfig {
     /// Record per-PE scheduler event traces (see [`crate::trace`]).
     /// Off by default: fine-grained runs produce millions of events.
     pub trace: bool,
-    /// Tasks executed between release-opportunity checks (1 = check after
-    /// every task, as Scioto effectively does).
-    pub release_interval: u64,
     /// Tasks executed between progress (completion-reclaim) calls.
     pub progress_interval: u64,
-    /// Minimum local tasks before a release is worthwhile.
-    pub release_min_local: u64,
-    /// Fixed per-task scheduler overhead charged to the virtual clock, ns
-    /// (dequeue + dispatch; measured Scioto overheads are sub-µs).
-    pub task_overhead_ns: u64,
     /// Steal-span sampling period: with proto capture armed and
     /// `sample_period > 1`, only a seeded, deterministic 1-in-N subset
     /// of steal *attempts* opens the capture window (see
@@ -55,23 +36,19 @@ pub struct SchedConfig {
 }
 
 impl SchedConfig {
-    /// Defaults matching the paper's final configuration: counter-based
-    /// termination detection, completion epochs, and — for SWS only —
-    /// steal damping (§4.3 exists to protect SWS's asteals counter; the
-    /// paper's SDC baseline has no damped probe mode).
+    /// Defaults matching the paper's final configuration: completion
+    /// epochs and — for SWS only — steal damping (§4.3 exists to protect
+    /// SWS's asteals counter; the paper's SDC baseline has no damped
+    /// probe mode).
     pub fn new(kind: QueueKind, queue: QueueConfig) -> SchedConfig {
         SchedConfig {
             queue,
             kind,
-            td: TdKind::Counter,
             seed: 0x5EED_0F57_5753_5300,
             damping: kind == QueueKind::Sws,
             victim: VictimPolicy::Uniform,
             trace: false,
-            release_interval: 1,
             progress_interval: 64,
-            release_min_local: 2,
-            task_overhead_ns: 120,
             sample_period: 0,
         }
     }
@@ -94,13 +71,6 @@ impl SchedConfig {
     #[must_use]
     pub fn with_damping(mut self, on: bool) -> SchedConfig {
         self.damping = on;
-        self
-    }
-
-    /// Select the termination detector.
-    #[must_use]
-    pub fn with_td(mut self, td: TdKind) -> SchedConfig {
-        self.td = td;
         self
     }
 
@@ -129,11 +99,9 @@ mod tests {
     fn builders_compose() {
         let c = SchedConfig::new(QueueKind::Sws, QueueConfig::new(128, 24))
             .with_seed(7)
-            .with_damping(false)
-            .with_td(TdKind::TokenRing);
+            .with_damping(false);
         assert_eq!(c.seed, 7);
         assert!(!c.damping);
-        assert_eq!(c.td, TdKind::TokenRing);
         assert_eq!(c.kind.label(), "SWS");
         assert_eq!(QueueKind::Sdc.label(), "SDC");
     }

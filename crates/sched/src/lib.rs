@@ -11,9 +11,8 @@
 //! * **steal damping** ([`damping`], paper §4.3): per-target full/empty
 //!   modes; empty-mode targets are probed read-only before a claiming
 //!   fetch-add is risked;
-//! * **distributed termination detection** ([`termination`]): a
-//!   counter-based detector (global spawned/completed/idle counters) and
-//!   a Dijkstra-style counting token ring, both usable with either queue;
+//! * **distributed termination detection** ([`termination`]): global
+//!   spawned/completed/idle counters on PE 0;
 //! * **experiment runner** ([`runner`]): builds a world, seeds a
 //!   [`Workload`], runs every PE to global termination,
 //!   and reports the timing decomposition the paper's figures use (task
@@ -34,7 +33,7 @@ pub mod trace;
 pub mod victim;
 pub mod worker;
 
-pub use config::{QueueKind, SchedConfig, TdKind};
+pub use config::{QueueKind, SchedConfig};
 pub use report::{RunReport, WorkerStats};
 pub use runner::{
     run_workload, run_workload_mode, try_run_workload_mode, RunConfig, Workload,

@@ -46,7 +46,7 @@ use sws_task::{TaskDescriptor, TaskRegistry};
 use crate::config::{QueueKind, SchedConfig};
 use crate::report::WorkerStats;
 use crate::taskctx::TaskCtx;
-use crate::termination::make_td;
+use crate::termination::CounterTd;
 use crate::worker::Worker;
 
 /// An embeddable task pool: seed tasks, then process to termination.
@@ -65,7 +65,7 @@ impl<'r, 'a> TaskPool<'r, 'a> {
             QueueKind::Sws => Box::new(SwsQueue::new(ctx, sched.queue)),
             QueueKind::Sdc => Box::new(SdcQueue::new(ctx, sched.queue)),
         };
-        let td = make_td(ctx, sched.td);
+        let td = CounterTd::new(ctx);
         TaskPool {
             worker: Worker::new(ctx, queue, registry, td, sched),
         }

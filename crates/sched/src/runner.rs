@@ -4,14 +4,14 @@
 use sws_core::{QueueConfig, SdcQueue, StealQueue, SwsQueue};
 use sws_shmem::{
     run_world, ExecMode, FaultPlan, NetModel, ShmemCtx, ShmemError, WorldConfig,
-    CACHE_LINE_WORDS,
+    CACHE_LINE_WORDS, HEAP_CTRL_WORDS,
 };
 use sws_task::{TaskDescriptor, TaskRegistry};
 
-use crate::config::{QueueKind, SchedConfig, TdKind};
+use crate::config::{QueueKind, SchedConfig};
 use crate::report::{RunReport, WorkerStats};
 use crate::taskctx::TaskCtx;
-use crate::termination::{make_td, Termination};
+use crate::termination::CounterTd;
 use crate::worker::Worker;
 
 /// A benchmark workload: handler registration plus initial seeding.
@@ -29,6 +29,13 @@ pub trait Workload: Sync {
     /// any symmetric state the workload's handlers use (default: none).
     /// Called on every PE in SPMD order, before queue construction.
     fn setup(&self, _ctx: &sws_shmem::ShmemCtx) {}
+
+    /// Symmetric-heap words [`Workload::setup`] allocates on each PE of
+    /// an `n_pes` world, counting any padding between its own blocks; the
+    /// runner sizes the heap from it.
+    fn heap_words(&self, _n_pes: usize) -> usize {
+        0
+    }
 }
 
 /// Full experiment configuration.
@@ -40,8 +47,6 @@ pub struct RunConfig {
     pub sched: SchedConfig,
     /// Network model.
     pub net: NetModel,
-    /// Extra symmetric-heap words beyond what the queue needs.
-    pub extra_heap_words: usize,
     /// Optional deterministic fault plan (chaos runs). Inactive plans
     /// are dropped before the world is built, keeping clean runs
     /// bit-identical to a `None` plan.
@@ -70,7 +75,6 @@ impl RunConfig {
             n_pes,
             sched,
             net: NetModel::edr_infiniband(),
-            extra_heap_words: 4096,
             faults: None,
             capture_proto: false,
             profile_sites: false,
@@ -107,25 +111,25 @@ impl RunConfig {
         self
     }
 
-    fn heap_words(&self) -> usize {
-        // Queue buffer + metadata + completion structures + TD + slack.
-        // Each line-aligned allocation rounds up to a line start, so
-        // budget one extra line per distinct allocation (the queues make
-        // at most a handful; 16 lines of slack is comfortably enough).
-        self.sched.queue.buffer_words()
-            + self.sched.queue.capacity
-            + 1024
-            + 16 * CACHE_LINE_WORDS
-            + self.extra_heap_words
-    }
-
     /// The world this run executes in under `mode`: the one place a
     /// `RunConfig` field becomes a `WorldConfig` field, so no entry point
-    /// can honour a field another drops.
-    fn world(&self, mode: ExecMode) -> WorldConfig {
+    /// can honour a field another drops. The heap is what one PE
+    /// allocates: the workload's [`Workload::heap_words`], the detector's
+    /// counters, the driver's own block, the queue's three, in that order.
+    fn world(&self, mode: ExecMode, workload_words: usize, driver_words: usize) -> WorldConfig {
+        // The bump allocator's cursor, replayed: the workload's words
+        // follow the world's control words unaligned, every later block
+        // (detector, driver, the queue's three) starts on a line.
+        let blocks = self.sched.kind.blocks(&self.sched.queue);
+        let heap_words = [CounterTd::HEAP_WORDS, driver_words]
+            .into_iter()
+            .chain(blocks)
+            .fold(HEAP_CTRL_WORDS + workload_words, |cursor, words| {
+                cursor.next_multiple_of(CACHE_LINE_WORDS) + words
+            });
         WorldConfig {
             n_pes: self.n_pes,
-            heap_words: self.heap_words(),
+            heap_words,
             net: self.net,
             mode,
             faults: self.faults.clone(),
@@ -143,7 +147,7 @@ pub(crate) struct PeSetup<'r, 'a> {
     pub(crate) ctx: &'a ShmemCtx,
     sched: SchedConfig,
     reg: &'r TaskRegistry<TaskCtx<'a>>,
-    td: Box<dyn Termination>,
+    td: CounterTd,
     seeds: Vec<TaskDescriptor>,
 }
 
@@ -168,22 +172,24 @@ impl<'r, 'a> PeSetup<'r, 'a> {
 /// The launch shared by batch and service runs: validate the fault plan
 /// (no crash may hit a PE below `protected_pes` — PE 0 hosts the
 /// termination counters, service mode adds its ingress PEs), build the
-/// world, run `drive` on every PE between the common prologue and
+/// world — its heap sized for the workload, the detector, the
+/// `driver_words` `drive` allocates before it builds its worker, and the
+/// queue — run `drive` on every PE between the common prologue and
 /// epilogue, and assemble the report.
 pub(crate) fn launch(
     cfg: &RunConfig,
     mode: ExecMode,
     workload: &impl Workload,
     protected_pes: usize,
+    driver_words: usize,
     drive: impl for<'r, 'a> Fn(PeSetup<'r, 'a>) -> WorkerStats + Sync,
 ) -> Result<RunReport, ShmemError> {
     let sched = cfg.sched;
     if let Some(plan) = &cfg.faults {
         if plan.is_active() {
             plan.validate(cfg.n_pes).expect("invalid fault plan");
-            // A run that kills a protected PE (or relies on a
-            // crash-intolerant detector) cannot terminate, so reject the
-            // plan up front.
+            // A run that kills a protected PE cannot terminate, so reject
+            // the plan up front.
             for pe in 0..protected_pes {
                 assert!(
                     plan.crash_at(pe).is_none(),
@@ -191,18 +197,14 @@ pub(crate) fn launch(
                      counters or feeds the service (ingress PE)"
                 );
             }
-            assert!(
-                sched.td == TdKind::Counter
-                    || (0..cfg.n_pes).all(|pe| plan.crash_at(pe).is_none()),
-                "crash-stop faults require the counter termination detector"
-            );
         }
     }
-    let out = run_world(cfg.world(mode), |ctx| {
+    let world = cfg.world(mode, workload.heap_words(cfg.n_pes), driver_words);
+    let out = run_world(world, |ctx| {
         let mut reg = TaskRegistry::new();
         workload.register(&mut reg);
         workload.setup(ctx);
-        let td = make_td(ctx, sched.td);
+        let td = CounterTd::new(ctx);
         let seeds = workload.seeds(ctx.my_pe(), ctx.n_pes());
         let mut ws = drive(PeSetup { ctx, sched, reg: &reg, td, seeds });
         ws.engine = ctx.engine_stats();
@@ -258,7 +260,7 @@ pub fn try_run_workload_mode(
     workload: &impl Workload,
     mode: ExecMode,
 ) -> Result<RunReport, ShmemError> {
-    launch(cfg, mode, workload, 1, |pe| match pe.kind() {
+    launch(cfg, mode, workload, 1, 0, |pe| match pe.kind() {
         QueueKind::Sws => pe.worker(SwsQueue::new).run().0,
         QueueKind::Sdc => pe.worker(SdcQueue::new).run().0,
     })
@@ -288,7 +290,7 @@ mod tests {
             .with_retry(RetryPolicy::none());
         let drops = FaultPlan::seeded(7).with_drop(OpClass::All, TargetSel::Any, 0.01);
         let cfg = RunConfig::new(2, SchedConfig::new(QueueKind::Sws, queue)).with_faults(drops);
-        launch(&cfg, ExecMode::Virtual, &Idle, 1, |pe| {
+        launch(&cfg, ExecMode::Virtual, &Idle, 1, 0, |pe| {
             let worker = pe.worker(SwsQueue::new);
             let built = *worker.queue.config();
             assert_eq!(built.reclaim_grace_ns, 77);

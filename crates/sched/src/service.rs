@@ -20,14 +20,12 @@
 //!   rejoins — peers readmit it into victim selection with a clean
 //!   quarantine slate;
 //! * **quiescence, not termination** — between arrival waves the pool
-//!   parks on [`crate::termination::Termination::poll_quiescent`]
-//!   windows and re-arms with
-//!   [`crate::termination::Termination::on_reactivate`] when new work
-//!   lands. Final shutdown
-//!   is driven by a small control block on PE 0: every ingress PE
-//!   reports its plan exhausted, then PE 0 re-arms the detector once and
-//!   waits for a *fresh* quiescence before raising the shutdown flag —
-//!   so a stale latched token-ring round can never end the run early;
+//!   parks on [`crate::termination::CounterTd::poll_quiescent`] windows;
+//!   the counters never latch, so a PE that finds work ends the window
+//!   for everyone. Final shutdown is driven by a small control block on
+//!   PE 0: every ingress PE reports its plan exhausted, PE 0 sees the
+//!   full count on one poll and from the next poll on waits for
+//!   quiescence before raising the shutdown flag;
 //! * **conservation** — every arrival is accounted exactly once:
 //!   `offered == admitted + shed`, and each admitted task records one
 //!   arrival-to-completion latency sample, so
@@ -51,6 +49,9 @@ use crate::runner::{launch, RunConfig, Workload};
 use crate::snapshot::SnapRow;
 use crate::termination::insist;
 use crate::worker::Worker;
+
+/// Virtual ns charged per idle poll while quiescent or parked.
+const IDLE_TICK_NS: u64 = 2_000;
 
 /// Service control block layout (allocated on every PE, used on PE 0):
 /// count of ingress PEs whose arrival plan is exhausted and drained.
@@ -189,8 +190,6 @@ pub struct ServiceConfig {
     pub hwm_pct: u32,
     /// Planned PE absences.
     pub membership: MembershipPlan,
-    /// Virtual ns charged per idle poll while quiescent or parked.
-    pub idle_tick_ns: u64,
     /// Telemetry snapshot interval, virtual ns (`0` = snapshots off).
     /// Each PE records a [`crate::snapshot::SnapRow`] stamped with the
     /// scheduled tick time `k * interval`, so the stream is byte-identical
@@ -204,7 +203,6 @@ impl Default for ServiceConfig {
             admission: AdmissionPolicy::Block,
             hwm_pct: 100,
             membership: MembershipPlan::fixed(),
-            idle_tick_ns: 2_000,
             snapshot_interval_ns: 0,
         }
     }
@@ -256,7 +254,6 @@ struct ServiceLoop<'r, 'a, Q: StealQueue> {
     src: Option<Box<dyn ArrivalSource>>,
     admission: AdmissionPolicy,
     hwm_tasks: u64,
-    idle_tick_ns: u64,
     /// Deferred arrivals awaiting capacity, FIFO of (due_ns, task).
     defer: VecDeque<(u64, TaskDescriptor)>,
     /// Head-of-line blocked arrival under [`AdmissionPolicy::Block`].
@@ -274,9 +271,9 @@ struct ServiceLoop<'r, 'a, Q: StealQueue> {
     ctrl: SymAddr,
     n_ingress: usize,
     done_reported: bool,
-    /// PE 0 only: the one fresh detector re-arm after all ingress
-    /// reported done (guards against a stale latched quiescence).
-    final_rearm_done: bool,
+    /// PE 0 only: a poll has seen every ingress PE report done; the
+    /// polls after it may end the run.
+    all_ingress_done: bool,
     /// Currently sitting in a quiescent window.
     quiesced: bool,
     /// Telemetry snapshot interval, virtual ns (0 = off).
@@ -322,7 +319,6 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             src,
             admission: svc.admission,
             hwm_tasks,
-            idle_tick_ns: svc.idle_tick_ns.max(1),
             defer: VecDeque::new(),
             blocked: None,
             my_away: my_away.into(),
@@ -331,7 +327,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             ctrl,
             n_ingress,
             done_reported: false,
-            final_rearm_done: false,
+            all_ingress_done: false,
             quiesced: false,
             snap_interval: svc.snapshot_interval_ns,
             next_snap_at: svc.snapshot_interval_ns,
@@ -476,9 +472,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
     }
 
     /// Poll (and on PE 0, drive) global shutdown. PE 0 requires every
-    /// ingress plan exhausted, then performs one detector re-arm and
-    /// waits for a *fresh* quiescence — a latched token-ring round from
-    /// an earlier wave can never satisfy it.
+    /// ingress plan exhausted on one poll, and quiescence on a later one.
     fn poll_shutdown(&mut self) -> bool {
         let ctx = self.w.ctx;
         if ctx.my_pe() == 0 {
@@ -487,9 +481,8 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
             }
             let done = ctx.atomic_fetch(0, self.ctrl.offset(SVC_DONE_INGRESS));
             if done >= self.n_ingress as u64 {
-                if !self.final_rearm_done {
-                    self.final_rearm_done = true;
-                    self.w.td.on_reactivate(ctx);
+                if !self.all_ingress_done {
+                    self.all_ingress_done = true;
                 } else if self.w.td.poll_quiescent(ctx) {
                     ctx.atomic_set(0, self.ctrl.offset(SVC_SHUTDOWN), 1);
                     return true;
@@ -520,8 +513,8 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
 
     /// Park for an away window ending at `rejoin_at`: epoch-lock the
     /// queue, drain in-flight claims and owned work, sit in the idle set
-    /// (pumping the detector so a token ring keeps circulating), then
-    /// unpark and rejoin.
+    /// (one detector read and one shutdown poll a tick, as a quiescent PE
+    /// pays), then unpark and rejoin.
     fn go_away(&mut self, rejoin_at: u64, already_idle: bool) -> AwayEnd {
         let ctx = self.w.ctx;
         self.w.stats.service.parks += 1;
@@ -538,27 +531,18 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 return AwayEnd::Crashed;
             }
             self.pump_snapshots();
-            // Keep the detector serviced (a token ring must keep moving
-            // through parked PEs).
+            // The verdict is unused; the read is in every pinned `--away`
+            // run's op sequence (ROADMAP item 7).
             let _ = self.w.td.poll_quiescent(ctx);
             if self.poll_shutdown() {
                 return AwayEnd::Shutdown;
             }
-            ctx.compute(self.idle_tick_ns);
+            ctx.compute(IDLE_TICK_NS);
         }
         self.w.queue.unpark();
         self.w.stats.service.rejoins += 1;
         self.w.leave_idle();
         AwayEnd::Rejoined
-    }
-
-    /// Leave the idle set with work in hand (or due), re-arming the
-    /// detector first if this PE had seen the pool quiesce.
-    fn wake(&mut self) {
-        if self.quiesced {
-            self.w.td.on_reactivate(self.w.ctx);
-        }
-        self.w.leave_idle();
     }
 
     /// If this PE's next away window is due, take it. Returns `None` to
@@ -617,7 +601,7 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 self.pump_snapshots();
                 self.readmit_due_peers();
                 if self.ingress_wake_due() {
-                    self.wake();
+                    self.w.leave_idle();
                     continue 'outer;
                 }
                 if search_iters.is_multiple_of(4) {
@@ -631,23 +615,22 @@ impl<'r, 'a, Q: StealQueue> ServiceLoop<'r, 'a, Q> {
                 }
                 search_iters += 1;
                 if self.quiesced {
-                    ctx.compute(self.idle_tick_ns);
+                    ctx.compute(IDLE_TICK_NS);
                     if !self.w.td.poll_quiescent(ctx) {
                         // New wave observed through the detector.
                         self.quiesced = false;
-                        self.w.td.on_reactivate(ctx);
                         continue;
                     }
-                    // A token ring latches until PE 0 re-arms it, so a
-                    // quiescent verdict can be stale; probe for a new
-                    // wave with an occasional steal attempt instead of
-                    // trusting it forever.
+                    // Quiescent at the read means nothing was there to
+                    // steal; the one attempt every eighth tick is in the
+                    // op sequence every pinned service run charges for and
+                    // goes only with a re-pin (ROADMAP item 7).
                     if !search_iters.is_multiple_of(8) {
                         continue;
                     }
                 }
                 if self.w.search_step(&self.elastic) {
-                    self.wake();
+                    self.w.leave_idle();
                     continue 'outer;
                 }
             }
@@ -691,7 +674,7 @@ pub fn try_run_service<W: ServiceWorkload>(
     svc.membership
         .validate(cfg.n_pes, n_ingress)
         .expect("invalid membership plan");
-    launch(cfg, ExecMode::Virtual, workload, n_ingress, |pe| {
+    launch(cfg, ExecMode::Virtual, workload, n_ingress, SVC_WORDS, |pe| {
         let ctx = pe.ctx;
         // Service control block (collective symmetric allocation; the
         // live words are PE 0's copy).

@@ -112,12 +112,6 @@ impl EventLog {
 
 pub use sws_shmem::proto::{merge_events as merge_proto_events, ProtoEvent, ProtoOp};
 
-/// Distinct `AtomicSite` ids appearing in a captured protocol trace
-/// (for coverage checks against the ordering audit's bearing set).
-pub fn proto_sites(events: &[ProtoEvent]) -> std::collections::BTreeSet<u16> {
-    events.iter().map(|e| e.site).collect()
-}
-
 /// Histogram of successful steal volumes (volume → count). The
 /// steal-half cascade shows up as counts at T/2, T/4, …
 pub fn steal_volume_histogram(events: &[Event]) -> std::collections::BTreeMap<u64, u64> {

@@ -45,9 +45,16 @@ use crate::config::SchedConfig;
 use crate::damping::DampingState;
 use crate::report::WorkerStats;
 use crate::taskctx::TaskCtx;
-use crate::termination::Termination;
+use crate::termination::CounterTd;
 use crate::trace::{EventKind, EventLog};
 use crate::victim::VictimSelector;
+
+/// Fixed per-task scheduler overhead charged to the virtual clock, ns
+/// (dequeue + dispatch; measured Scioto overheads are sub-µs).
+const TASK_OVERHEAD_NS: u64 = 120;
+
+/// Minimum local tasks before a release is worthwhile.
+const RELEASE_MIN_LOCAL: u64 = 2;
 
 /// One PE's scheduler, generic over the queue implementation.
 /// `'a` is the PE context lifetime (task contexts hold it); `'r` is the
@@ -56,7 +63,7 @@ pub struct Worker<'r, 'a, Q: StealQueue> {
     pub(crate) ctx: &'a ShmemCtx,
     pub(crate) queue: Q,
     registry: &'r TaskRegistry<TaskCtx<'a>>,
-    pub(crate) td: Box<dyn Termination>,
+    pub(crate) td: CounterTd,
     pub(crate) victims: Option<VictimSelector>,
     pub(crate) damping: DampingState,
     pub(crate) cfg: SchedConfig,
@@ -70,7 +77,6 @@ pub struct Worker<'r, 'a, Q: StealQueue> {
     rec: Vec<u64>,
     /// The executing task's payload bytes.
     payload: [u8; MAX_PAYLOAD],
-    tasks_since_release_check: u64,
     tasks_since_progress: u64,
     /// Steal attempts until the sampler next opens the capture window;
     /// `None` when sampling is off (window stays open — full capture).
@@ -85,7 +91,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         ctx: &'a ShmemCtx,
         queue: Q,
         registry: &'r TaskRegistry<TaskCtx<'a>>,
-        td: Box<dyn Termination>,
+        td: CounterTd,
         cfg: SchedConfig,
     ) -> Worker<'r, 'a, Q> {
         let victims = if ctx.n_pes() >= 2 {
@@ -122,7 +128,6 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
             tctx: TaskCtx::new(ctx, cfg.queue.task_words),
             rec: vec![0; cfg.queue.task_words],
             payload: [0; MAX_PAYLOAD],
-            tasks_since_release_check: 0,
             tasks_since_progress: 0,
             sample_countdown,
             had_work: false,
@@ -187,7 +192,7 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         self.tctx.reset();
         self.registry
             .dispatch(&mut self.tctx, fn_id, &self.payload[..len]);
-        let task_ns = self.tctx.compute_ns() + self.cfg.task_overhead_ns;
+        let task_ns = self.tctx.compute_ns() + TASK_OVERHEAD_NS;
         self.ctx.compute(task_ns);
         self.stats.task_ns += task_ns;
         if let Some(inject_ns) = self.tctx.take_arrival_mark() {
@@ -214,41 +219,38 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         self.td.on_spawn(spawned as u64);
         self.td.on_complete(1);
         self.stats.tasks_executed += 1;
-        self.tasks_since_release_check += 1;
         self.tasks_since_progress += 1;
     }
 
-    /// Periodic queue upkeep between tasks: progress reclamation, release
-    /// opportunities, token forwarding.
+    /// Queue upkeep after a task: progress reclamation every
+    /// `progress_interval` tasks, and a release whenever the shared
+    /// portion has drained and enough local work exists (checked after
+    /// every task, as Scioto effectively does).
     pub(crate) fn upkeep(&mut self) {
         if self.tasks_since_progress >= self.cfg.progress_interval {
             self.tasks_since_progress = 0;
             let t0 = self.ctx.now_ns();
             self.queue.progress();
-            self.td.busy_tick(self.ctx);
             self.stats.upkeep_ns += self.ctx.now_ns() - t0;
         }
-        if self.tasks_since_release_check >= self.cfg.release_interval {
-            self.tasks_since_release_check = 0;
-            if self.queue.local_count() >= self.cfg.release_min_local {
-                let t0 = self.ctx.now_ns();
-                if self.queue.shared_estimate() == 0 {
-                    // Make the tasks globally accounted before they become
-                    // stealable (counter-TD safety invariant).
-                    self.td.flush(self.ctx);
-                    let before = self.queue.local_count();
-                    if self.queue.release() {
-                        // Release can reclaim aborted claims back into the
-                        // local section, so the count may have *grown*.
-                        let exposed = before.saturating_sub(self.queue.local_count());
-                        self.log
-                            .record(self.ctx.now_ns(), EventKind::Release {
-                                exposed: exposed as u32,
-                            });
-                    }
+        if self.queue.local_count() >= RELEASE_MIN_LOCAL {
+            let t0 = self.ctx.now_ns();
+            if self.queue.shared_estimate() == 0 {
+                // Make the tasks globally accounted before they become
+                // stealable (counter-TD safety invariant).
+                self.td.flush(self.ctx);
+                let before = self.queue.local_count();
+                if self.queue.release() {
+                    // Release can reclaim aborted claims back into the
+                    // local section, so the count may have *grown*.
+                    let exposed = before.saturating_sub(self.queue.local_count());
+                    self.log
+                        .record(self.ctx.now_ns(), EventKind::Release {
+                            exposed: exposed as u32,
+                        });
                 }
-                self.stats.upkeep_ns += self.ctx.now_ns() - t0;
             }
+            self.stats.upkeep_ns += self.ctx.now_ns() - t0;
         }
     }
 

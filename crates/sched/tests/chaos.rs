@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use sws_core::QueueConfig;
 use sws_sched::{
-    run_workload, QueueKind, RunConfig, SchedConfig, TaskCtx, TdKind, Workload,
+    run_workload, QueueKind, RunConfig, SchedConfig, TaskCtx, Workload,
 };
 use sws_shmem::{FaultPlan, OpClass, RetryPolicy, TargetSel};
 use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};
@@ -203,16 +203,6 @@ fn crashing_pe0_is_rejected() {
     let w = TreeWorkload::new(4, 500);
     let cfg = config(QueueKind::Sws, 2)
         .with_faults(FaultPlan::seeded(1).with_crash(0, 10_000));
-    let _ = run_workload(&cfg, &w);
-}
-
-#[test]
-#[should_panic(expected = "counter termination detector")]
-fn crash_with_token_ring_is_rejected() {
-    let w = TreeWorkload::new(4, 500);
-    let mut cfg = config(QueueKind::Sws, 3)
-        .with_faults(FaultPlan::seeded(1).with_crash(1, 10_000));
-    cfg.sched = cfg.sched.with_td(TdKind::TokenRing);
     let _ = run_workload(&cfg, &w);
 }
 

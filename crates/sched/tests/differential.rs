@@ -266,13 +266,7 @@ fn threaded_mode_has_no_engine() {
     let sched = SchedConfig::new(QueueKind::Sws, queue).with_seed(3);
     let cfg = RunConfig::new(4, sched);
     let wl = UtsWorkload::new(UtsParams::geo_small(6));
-    let report = run_workload_mode(
-        &cfg,
-        &wl,
-        ExecMode::Threaded {
-            inject_latency: false,
-        },
-    );
+    let report = run_workload_mode(&cfg, &wl, ExecMode::Threaded);
     assert!(report.total_tasks() > 0, "threaded run must complete");
     assert_eq!(report.total_engine(), Default::default());
 }

@@ -8,7 +8,7 @@
 use sws_core::QueueConfig;
 use sws_sched::{
     run_service, AdmissionPolicy, MembershipPlan, QueueKind, RunConfig,
-    RunReport, SchedConfig, ServiceConfig, TdKind,
+    RunReport, SchedConfig, ServiceConfig,
 };
 use sws_shmem::{FaultPlan, OpClass, TargetSel};
 use sws_workloads::arrivals::{ArrivalPattern, ArrivalPlan, FlatServe, UtsServe};
@@ -282,9 +282,9 @@ fn elastic_and_faults_compose() {
 }
 
 #[test]
-fn token_ring_quiesces_between_waves() {
+fn pool_quiesces_between_waves() {
     // Widely separated bursts force full quiescence between waves; the
-    // token ring must detect each one and re-arm for the next.
+    // detector must report each one and see the next wave end it.
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
         let plan = ArrivalPlan {
             pattern: ArrivalPattern::Bursty {
@@ -297,13 +297,8 @@ fn token_ring_quiesces_between_waves() {
             horizon_ns: 900_000,
         };
         let w = FlatServe::new(plan, 2_000, 1);
-        let cfg = RunConfig::new(
-            4,
-            SchedConfig::new(kind, QueueConfig::new(1024, 24))
-                .with_td(TdKind::TokenRing),
-        );
-        let label = format!("{kind:?} token-ring waves");
-        let r = run_service(&cfg, &ServiceConfig::default(), &w);
+        let label = format!("{kind:?} waves");
+        let r = run_service(&config(kind, 4), &ServiceConfig::default(), &w);
         assert_conserved(&r, &label);
         let windows: u64 =
             r.workers.iter().map(|w| w.service.quiescent_windows).sum();

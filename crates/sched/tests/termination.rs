@@ -1,8 +1,7 @@
-//! Focused tests for the two distributed termination detectors, driven
-//! directly (without the full scheduler) so their protocols are visible.
+//! Focused tests for the counter termination detector, driven directly
+//! (without the full scheduler) so its protocol is visible.
 
-use sws_sched::termination::make_td;
-use sws_sched::TdKind;
+use sws_sched::termination::CounterTd;
 use sws_shmem::{run_world, WorldConfig};
 
 fn world(n: usize) -> WorldConfig {
@@ -12,7 +11,7 @@ fn world(n: usize) -> WorldConfig {
 #[test]
 fn counter_td_fires_only_when_all_idle_and_balanced() {
     let out = run_world(world(3), |ctx| {
-        let mut td = make_td(ctx, TdKind::Counter);
+        let mut td = CounterTd::new(ctx);
         // PE 0 "spawns" 5 tasks; everyone goes idle; no one completed
         // them yet — termination must NOT fire.
         if ctx.my_pe() == 0 {
@@ -49,60 +48,11 @@ fn counter_td_fires_only_when_all_idle_and_balanced() {
 }
 
 #[test]
-fn token_ring_td_fires_after_quiescence() {
-    let out = run_world(world(4), |ctx| {
-        let mut td = make_td(ctx, TdKind::TokenRing);
-        // A balanced workload: every PE spawns 3 and completes 3.
-        td.on_spawn(3);
-        td.on_complete(3);
-        td.enter_idle(ctx);
-        ctx.barrier_all();
-        let mut fired = false;
-        // The token needs several circulations (two identical clean
-        // rounds); every poll pumps it one hop.
-        for _ in 0..10_000 {
-            if td.poll_terminated(ctx) {
-                fired = true;
-                break;
-            }
-        }
-        fired
-    })
-    .unwrap();
-    assert!(out.results.iter().all(|&f| f), "{:?}", out.results);
-}
-
-#[test]
-fn token_ring_td_does_not_fire_with_outstanding_work() {
-    let out = run_world(world(3), |ctx| {
-        let mut td = make_td(ctx, TdKind::TokenRing);
-        if ctx.my_pe() == 2 {
-            td.on_spawn(7); // 7 tasks never completed
-        }
-        td.enter_idle(ctx);
-        ctx.barrier_all();
-        let mut fired = false;
-        for _ in 0..500 {
-            if td.poll_terminated(ctx) {
-                fired = true;
-                break;
-            }
-        }
-        fired
-    })
-    .unwrap();
-    assert!(
-        out.results.iter().all(|&f| !f),
-        "token ring fired with work outstanding"
-    );
-}
-
-#[test]
 fn counter_td_flush_batches_deltas() {
     // Deltas accumulate locally and publish on flush; the global view
     // must match after a flush + barrier.
     let out = run_world(world(2), |ctx| {
-        let mut td = make_td(ctx, TdKind::Counter);
+        let mut td = CounterTd::new(ctx);
         td.on_spawn(10);
         td.on_complete(4);
         td.flush(ctx);
@@ -130,24 +80,4 @@ fn counter_td_flush_batches_deltas() {
         assert!(!premature);
         assert!(done);
     }
-}
-
-#[test]
-fn single_pe_token_ring_terminates() {
-    let out = run_world(world(1), |ctx| {
-        let mut td = make_td(ctx, TdKind::TokenRing);
-        td.on_spawn(2);
-        td.on_complete(2);
-        td.enter_idle(ctx);
-        let mut fired = false;
-        for _ in 0..100 {
-            if td.poll_terminated(ctx) {
-                fired = true;
-                break;
-            }
-        }
-        fired
-    })
-    .unwrap();
-    assert!(out.results[0]);
 }

@@ -26,7 +26,7 @@ use std::sync::atomic::Ordering;
 use crate::addr::SymAddr;
 use crate::error::{OpError, OpResult};
 use crate::explore::{kind_writes, plain_desc, OpDesc};
-use crate::fault::{FaultInjector, PreDecision};
+use crate::fault::{FaultInjector, PreDecision, FAILED_OP_TIMEOUT_NS};
 use crate::net::OpKind;
 use crate::overrides::{ord_acquires, ord_releases, OrdTracker};
 use crate::prof::SiteCounters;
@@ -200,12 +200,6 @@ impl ShmemCtx {
     #[inline]
     fn capturing(&self) -> bool {
         self.capture.is_some() && self.capture_window.get()
-    }
-
-    /// Whether this world records per-site contention counters.
-    #[inline]
-    pub fn profile_sites_active(&self) -> bool {
-        self.site_prof.is_some()
     }
 
     /// Drain this PE's per-site contention counters (indexed by raw
@@ -406,7 +400,7 @@ impl ShmemCtx {
             Some(inj) => match self.fault_verdict(inj, kind, target) {
                 Ok(extra_ns) if blocking => (Ok(f()), cost.saturating_add(extra_ns)),
                 Ok(_) => (Ok(f()), cost),
-                Err(e) if blocking => (Err(e), inj.plan().timeout_ns()),
+                Err(e) if blocking => (Err(e), FAILED_OP_TIMEOUT_NS),
                 Err(e) => (Err(e), cost),
             },
         };
@@ -620,8 +614,12 @@ impl ShmemCtx {
         self.try_atomic_fetch(pe, addr).unwrap_or_else(op_panic)
     }
 
-    /// [`Self::atomic_fetch`] with a catalog-selected acquire half (see
-    /// [`Self::try_atomic_fetch_ordered`]).
+    /// [`Self::atomic_fetch`] whose acquire half is selected by the caller
+    /// from the site catalog (`acquire = site.production().acquires()`).
+    /// The necessity prover demonstrated some annotated reads need no
+    /// synchronization; their protocol call sites pass `acquire = false`
+    /// and the load relaxes. An attached override table wins either way,
+    /// so campaign worlds still resolve the site through the catalog.
     pub fn atomic_fetch_ordered(&self, pe: usize, addr: SymAddr, acquire: bool) -> u64 {
         self.try_atomic_fetch_ordered(pe, addr, acquire)
             .unwrap_or_else(op_panic)
@@ -632,13 +630,7 @@ impl ShmemCtx {
         self.try_atomic_fetch_ordered(pe, addr, true)
     }
 
-    /// Fallible atomic read whose acquire half is selected by the caller
-    /// from the site catalog (`acquire = site.production().acquires()`).
-    /// The necessity prover demonstrated some annotated reads need no
-    /// synchronization; their protocol call sites pass `acquire = false`
-    /// and the load relaxes. An attached override table wins either way,
-    /// so campaign worlds still resolve the site through the catalog.
-    pub fn try_atomic_fetch_ordered(
+    fn try_atomic_fetch_ordered(
         &self,
         pe: usize,
         addr: SymAddr,
@@ -777,19 +769,6 @@ impl ShmemCtx {
                 .word(self.pe, addr.offset(i))
                 .store(s, ord);
         }
-    }
-
-    /// Read one word from this PE's own region (uncharged).
-    pub fn local_read(&self, addr: SymAddr) -> u64 {
-        self.world.heap.word(self.pe, addr).load(Ordering::Acquire)
-    }
-
-    /// Write one word into this PE's own region (uncharged).
-    pub fn local_write(&self, addr: SymAddr, val: u64) {
-        self.world
-            .heap
-            .word(self.pe, addr)
-            .store(val, Ordering::Release)
     }
 
     // ------------------------------------------------------------------

@@ -32,8 +32,6 @@ pub(crate) enum Exec {
         barrier: ThreadBarrier,
         /// World start: the shared wall-clock time base.
         start: Instant,
-        /// Busy-wait each modeled charge.
-        inject_latency: bool,
         /// More PEs than hardware threads: spin loops should yield.
         oversubscribed: bool,
     },
@@ -44,10 +42,9 @@ impl Exec {
         match mode {
             ExecMode::Virtual => Exec::Serial(VClock::new(n_pes, None)),
             ExecMode::Explore(gate) => Exec::Serial(VClock::new(n_pes, Some(gate))),
-            ExecMode::Threaded { inject_latency } => Exec::Threads {
+            ExecMode::Threaded => Exec::Threads {
                 barrier: ThreadBarrier::new(n_pes),
                 start: Instant::now(),
-                inject_latency,
                 oversubscribed: n_pes
                     > std::thread::available_parallelism().map_or(1, |n| n.get()),
             },
@@ -76,11 +73,8 @@ impl Exec {
     pub(crate) fn advance(&self, pe: usize, ns: u64) {
         match self {
             Exec::Serial(clock) => clock.advance(pe, ns),
-            Exec::Threads { inject_latency, .. } => {
-                if *inject_latency {
-                    spin_ns(ns);
-                }
-            }
+            // Wall time passes by itself.
+            Exec::Threads { .. } => {}
         }
     }
 
@@ -101,11 +95,7 @@ impl Exec {
     pub(crate) fn leave(&self, pe: usize, charge: u64) {
         match self {
             Exec::Serial(clock) => clock.advance(pe, charge.max(1)),
-            Exec::Threads { inject_latency, .. } => {
-                if *inject_latency {
-                    spin_ns(charge);
-                }
-            }
+            Exec::Threads { .. } => {}
         }
     }
 
@@ -193,17 +183,6 @@ impl Exec {
             Exec::Serial(clock) => clock.engine_stats(pe),
             Exec::Threads { .. } => EngineStats::default(),
         }
-    }
-}
-
-/// Busy-wait approximately `ns` nanoseconds (threaded latency injection).
-fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
     }
 }
 
@@ -331,7 +310,7 @@ mod tests {
         let net = NetModel::edr_infiniband();
         let virt = run(ExecMode::Virtual, net);
         let expl = run(explore(), net);
-        let thr = run(ExecMode::Threaded { inject_latency: false }, net);
+        let thr = run(ExecMode::Threaded, net);
         // Identical op streams, faults and charges in every mode:
         // `OpStats` equality covers counts, bytes, failed counts and the
         // summed modeled charge, per PE.

@@ -129,9 +129,6 @@ pub struct CrashRule {
 pub struct FaultPlan {
     /// Seed for all probabilistic rules (per-PE streams are derived).
     pub seed: u64,
-    /// Time charged to an op that fails (models a detection timeout).
-    /// Zero selects a default of 20µs.
-    pub timeout_ns: u64,
     /// Transient-failure rules.
     pub drops: Vec<DropRule>,
     /// Added-latency rules.
@@ -142,7 +139,9 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashRule>,
 }
 
-const DEFAULT_TIMEOUT_NS: u64 = 20_000;
+/// Time charged to a blocking op that fails (models a detection
+/// timeout), ns.
+pub(crate) const FAILED_OP_TIMEOUT_NS: u64 = 20_000;
 
 impl FaultPlan {
     /// An empty plan: injects nothing, and [`FaultPlan::is_active`] is
@@ -216,12 +215,6 @@ impl FaultPlan {
         self
     }
 
-    /// Override the failure-detection timeout charge.
-    pub fn with_timeout_ns(mut self, timeout_ns: u64) -> FaultPlan {
-        self.timeout_ns = timeout_ns;
-        self
-    }
-
     /// Does this plan inject anything at all? Inactive plans leave every
     /// op count and protocol decision bit-identical to a world with no
     /// plan attached.
@@ -230,15 +223,6 @@ impl FaultPlan {
             && self.delays.is_empty()
             && self.stalls.is_empty()
             && self.crashes.is_empty())
-    }
-
-    /// Time charged to failed ops.
-    pub fn timeout_ns(&self) -> u64 {
-        if self.timeout_ns == 0 {
-            DEFAULT_TIMEOUT_NS
-        } else {
-            self.timeout_ns
-        }
     }
 
     /// Earliest crash point scheduled for `pe`, if any.

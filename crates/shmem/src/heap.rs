@@ -111,7 +111,7 @@ pub struct SymmetricHeap {
 /// Words at the front of every region reserved for runtime control
 /// (collective allocation broadcast, reductions, barriers). User
 /// allocations start past this block.
-pub(crate) const CTRL_WORDS: usize = 8;
+pub const CTRL_WORDS: usize = 8;
 
 /// Control-block slots (word offsets within the reserved prefix).
 pub(crate) mod ctrl {

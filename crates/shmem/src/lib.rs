@@ -64,7 +64,6 @@ pub mod fault;
 mod heap;
 mod lock;
 mod net;
-mod onesided;
 pub mod overrides;
 pub mod prof;
 pub mod proto;
@@ -78,9 +77,8 @@ pub use explore::{Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc};
 pub use ctx::ShmemCtx;
 pub use error::{OpError, OpResult, ShmemError, ShmemResult};
 pub use fault::{FaultPlan, OpClass, RetryPolicy, TargetSel};
-pub use heap::{SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS};
+pub use heap::{SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS, CTRL_WORDS as HEAP_CTRL_WORDS};
 pub use net::{Locality, NetModel, OpKind, ALL_OP_KINDS, OP_KIND_COUNT};
-pub use onesided::OneSided;
 pub use overrides::{OrdTracker, OrderingCtl, OrderingOverrides};
 pub use prof::{merge_site_profiles, SiteCounters};
 pub use proto::{ProtoEvent, ProtoOp, NO_SITE};

@@ -168,9 +168,12 @@ impl Workload for BfsWorkload {
         });
     }
 
+    fn heap_words(&self, n_pes: usize) -> usize {
+        (self.params.n_vertices as usize).div_ceil(n_pes).max(1)
+    }
+
     fn setup(&self, ctx: &ShmemCtx) {
-        let per_pe = (self.params.n_vertices as usize).div_ceil(ctx.n_pes());
-        let table = ctx.alloc_words(per_pe.max(1));
+        let table = ctx.alloc_words(self.heap_words(ctx.n_pes()));
         self.visited_word.store(table.word(), Ordering::Relaxed);
         ctx.barrier_all();
     }

@@ -203,20 +203,6 @@ impl UtsParams {
         }
     }
 
-    /// The standard T3 binomial tree (b0 = 2000, q = 0.124875, m = 8,
-    /// seed 42): ~4.1 M nodes, extreme imbalance.
-    pub fn t3() -> UtsParams {
-        UtsParams {
-            kind: TreeKind::Binomial {
-                b0: 2000,
-                q: 0.124875,
-                m: 8,
-            },
-            seed: 42,
-            node_ns: 110,
-        }
-    }
-
     /// Scaled-down geometric tree for experiments: same family as T1
     /// with a reduced depth limit. Seed 5 is calibrated to give healthy
     /// trees (≈6 k nodes at depth 8, ≈25 k at 10, ≈104 k at 12, ≈395 k

@@ -7,78 +7,15 @@
 //!   uts        unbalanced tree search (geometric, scaled T1 family)
 //!   bpc        bouncing producer-consumer
 //!   flat       flat bag of independent tasks
-//!
-//! options:
-//!   --pes N          number of PEs                     (default 8)
-//!   --system S       sws | sdc | both                  (default both)
-//!   --seed N         run seed                          (default 0xBA5E)
-//!   --depth N        uts: tree depth | bpc: producers  (default 10 | 32)
-//!   --consumers N    bpc: consumers per producer       (default 64)
-//!   --tasks N        flat: task count                  (default 4096)
-//!   --task-ns N      flat: task duration, ns           (default 50000)
-//!   --nodes N        PEs per node for the topology     (default 1=flat)
-//!   --capacity N     task-queue ring capacity, tasks   (default 16384)
-//!   --engine         print engine wall-time/gate-traffic line
-//!   --timeline       print per-PE activity strips (enables tracing)
-//!   --histogram      print steal-volume and victim histograms (tracing)
-//!   --json           machine-readable report to stdout
-//!
-//! telemetry (arms protocol capture; observation only):
-//!   --assert-comms   stitch steal spans and assert the paper's
-//!                    per-steal budget (SWS 3 ops / 2 blocking,
-//!                    SDC 6 / 5); exit 1 on any violation
-//!   --assert-steal-bound  assert the rooted-tree steal bound
-//!                    (Σ steals won ≤ Σ budget accrued by the
-//!                    advertisements/releases); exit 1 on violation.
-//!                    Needs no capture: it reads the queue counters
-//!   --metrics        print the merged metrics registry (text
-//!                    exposition, or a JSON snapshot with --json)
-//!   --sample N       capture only a seeded, deterministic 1-in-N
-//!                    sample of steal attempts (arms capture); span
-//!                    counts scale by N for full-capture estimates
-//!   --contention     count per-site CAS wins/losses, RMWs, loads and
-//!                    stores; print the site heat table aligned with
-//!                    the ORDERINGS.md catalog
-//!   --trace-out F    write a Chrome-trace / Perfetto JSON file with
-//!                    one process per system, one track per PE, steal
-//!                    spans as slices, and idle-PE / ring-occupancy /
-//!                    in-flight counter tracks
-//!
-//! service mode (flat and uts workloads; open-world arrivals):
-//!   --serve          run as a persistent service: work arrives over
-//!                    time on ingress PEs, the pool quiesces between
-//!                    waves, and the report adds admission counters,
-//!                    arrival-latency percentiles, and conservation
-//!   --arrivals P     poisson | bursty | diurnal       (default poisson)
-//!   --mean-gap N     mean (or intra-burst) arrival gap, ns (default 10000)
-//!   --burst N        bursty: arrivals per burst        (default 64)
-//!   --period N       bursty/diurnal: cycle period, ns  (default 200000)
-//!   --amplitude P    diurnal: swing around base, pct   (default 50)
-//!   --horizon N      arrival cutoff, virtual ns        (default 500000)
-//!   --ingress N      ingress PE count (ranks 0..N)     (default 1)
-//!   --admission A    block | defer | shed              (default block)
-//!   --hwm P          admission high-water mark, pct of
-//!                    ring capacity                     (default 100)
-//!   --slo-p99 NS     fail (exit 1) if arrival-latency p99 exceeds NS
-//!   --away PE:FROM:DUR   elastic membership: PE parks its queue at
-//!                    FROM ns and rejoins after DUR ns (repeatable;
-//!                    ingress PEs and PE 0 must stay)
-//!
-//! live telemetry (service mode; deterministic per seed):
-//!   --snapshots F    write the sws-obs-snap/v1 JSONL snapshot stream
-//!                    to F (tail it with `sws-top F --follow`); with
-//!                    --system both, per-system files F.SDC / F.SWS
-//!   --snap-interval N   virtual ns between snapshots (default 50000)
-//!   --slo-alerts M   off | warn | fatal: rolling-window p99 burn-rate
-//!                    alerting against --slo-p99 with fire/clear
-//!                    hysteresis; fatal exits 1 if any alert fired
-//!
-//! fault injection (chaos runs; deterministic per seed):
-//!   --drop-prob P    drop each remote op with probability P (0.0–1.0)
-//!   --stall PE:FROM:DUR   stall PE for DUR ns starting at FROM ns
-//!   --crash PE:AT    crash-stop PE at virtual time AT ns (PE 0 hosts
-//!                    the termination counters and cannot crash)
 //! ```
+//!
+//! Every flag — name, value, help text, what it sets — is one row of
+//! [`FLAGS`], the table the parser matches on and `usage()` prints; run
+//! `sws-run` with no arguments to read it. Batch runs go to global
+//! termination; `--serve` (flat and uts) runs the pool as a persistent
+//! service with open-world arrivals. Telemetry flags arm protocol
+//! capture and only observe; fault flags inject a deterministic,
+//! seeded plan.
 
 use sws::obs::{
     build_stream, check_comms, check_steal_bound, chrome_trace, contention_table,
@@ -101,10 +38,8 @@ struct Args {
     system: String,
     seed: u64,
     depth: u32,
-    consumers: u32,
     tasks: u64,
     task_ns: u64,
-    nodes: usize,
     capacity: usize,
     engine: bool,
     timeline: bool,
@@ -124,7 +59,6 @@ struct Args {
     mean_gap: u64,
     burst: u32,
     period: u64,
-    amplitude: u32,
     horizon: u64,
     ingress: usize,
     admission: String,
@@ -164,18 +98,198 @@ impl Args {
     }
 }
 
+/// One command-line flag: the parser matches `name`, `usage()` prints
+/// the row, `set` stores the value (`arg` is empty for a switch, which
+/// takes none).
+struct Flag {
+    name: &'static str,
+    arg: &'static str,
+    help: &'static str,
+    set: fn(&mut Args, &str),
+}
+
+/// A flag's numeric value, or usage.
+fn num<T: std::str::FromStr>(v: &str) -> T {
+    v.parse().unwrap_or_else(|_| usage())
+}
+
+const FLAGS: &[(&str, &[Flag])] = &[
+    ("options", &[
+        Flag { name: "--pes", arg: "N", help: "number of PEs (default 8)", set: |a, v| a.pes = num(v) },
+        Flag { name: "--system", arg: "S", help: "sws | sdc | both (default both)", set: |a, v| a.system = v.into() },
+        Flag { name: "--seed", arg: "N", help: "run seed (default 0xBA5E)", set: |a, v| a.seed = num(v) },
+        Flag { name: "--depth", arg: "N", help: "uts: tree depth | bpc: producers, 64 consumers each (default 10 | 32)", set: |a, v| a.depth = num(v) },
+        Flag { name: "--tasks", arg: "N", help: "flat: task count (default 4096)", set: |a, v| a.tasks = num(v) },
+        Flag { name: "--task-ns", arg: "N", help: "flat: task duration, ns (default 50000)", set: |a, v| a.task_ns = num(v) },
+        Flag { name: "--capacity", arg: "N", help: "task-queue ring capacity, tasks (default 16384)", set: |a, v| a.capacity = num(v) },
+        Flag { name: "--engine", arg: "", help: "print engine wall-time/gate-traffic line", set: |a, _| a.engine = true },
+        Flag { name: "--timeline", arg: "", help: "print per-PE activity strips (enables tracing)", set: |a, _| a.timeline = true },
+        Flag { name: "--histogram", arg: "", help: "print steal-volume and victim histograms (tracing)", set: |a, _| a.histogram = true },
+        Flag { name: "--json", arg: "", help: "machine-readable report to stdout", set: |a, _| a.json = true },
+    ]),
+    ("telemetry (arms protocol capture; observation only)", &[
+        Flag {
+            name: "--assert-comms",
+            arg: "",
+            help: "stitch steal spans and assert the paper's per-steal budget\n\
+                   (SWS 3 ops / 2 blocking, SDC 6 / 5); exit 1 on any violation",
+            set: |a, _| a.assert_comms = true,
+        },
+        Flag {
+            name: "--assert-steal-bound",
+            arg: "",
+            help: "assert the rooted-tree steal bound (Σ steals won ≤ Σ budget\n\
+                   accrued by the advertisements/releases); exit 1 on violation.\n\
+                   Needs no capture: it reads the queue counters",
+            set: |a, _| a.assert_steal_bound = true,
+        },
+        Flag {
+            name: "--metrics",
+            arg: "",
+            help: "print the merged metrics registry (text exposition, or a\n\
+                   JSON snapshot with --json)",
+            set: |a, _| a.metrics = true,
+        },
+        Flag {
+            name: "--sample",
+            arg: "N",
+            help: "capture only a seeded, deterministic 1-in-N sample of steal\n\
+                   attempts (arms capture); span counts scale by N",
+            set: |a, v| {
+                a.sample = num(v);
+                if a.sample < 2 {
+                    eprintln!("--sample needs N >= 2 (1-in-N attempts captured)");
+                    usage()
+                }
+            },
+        },
+        Flag {
+            name: "--contention",
+            arg: "",
+            help: "count per-site CAS wins/losses, RMWs, loads and stores; print\n\
+                   the site heat table aligned with the ORDERINGS.md catalog",
+            set: |a, _| a.contention = true,
+        },
+        Flag {
+            name: "--trace-out",
+            arg: "F",
+            help: "write a Chrome-trace / Perfetto JSON file: one process per\n\
+                   system, one track per PE, steal spans as slices, idle-PE /\n\
+                   ring-occupancy / in-flight counter tracks",
+            set: |a, v| a.trace_out = Some(v.into()),
+        },
+    ]),
+    ("service mode (flat and uts workloads; open-world arrivals)", &[
+        Flag {
+            name: "--serve",
+            arg: "",
+            help: "run as a persistent service: work arrives over time on ingress\n\
+                   PEs, the pool quiesces between waves, and the report adds\n\
+                   admission counters, arrival-latency percentiles, conservation",
+            set: |a, _| a.serve = true,
+        },
+        Flag { name: "--arrivals", arg: "P", help: "poisson | bursty | diurnal (default poisson)", set: |a, v| a.arrivals = v.into() },
+        Flag { name: "--mean-gap", arg: "N", help: "mean (or intra-burst) arrival gap, ns (default 10000)", set: |a, v| a.mean_gap = num(v) },
+        Flag { name: "--burst", arg: "N", help: "bursty: arrivals per burst (default 64)", set: |a, v| a.burst = num(v) },
+        Flag { name: "--period", arg: "N", help: "bursty/diurnal: cycle period, ns (default 200000)", set: |a, v| a.period = num(v) },
+        Flag { name: "--horizon", arg: "N", help: "arrival cutoff, virtual ns (default 500000)", set: |a, v| a.horizon = num(v) },
+        Flag { name: "--ingress", arg: "N", help: "ingress PE count, ranks 0..N (default 1)", set: |a, v| a.ingress = num(v) },
+        Flag { name: "--admission", arg: "A", help: "block | defer | shed (default block)", set: |a, v| a.admission = v.into() },
+        Flag { name: "--hwm", arg: "P", help: "admission high-water mark, pct of ring capacity (default 100)", set: |a, v| a.hwm = num(v) },
+        Flag { name: "--slo-p99", arg: "NS", help: "fail (exit 1) if arrival-latency p99 exceeds NS", set: |a, v| a.slo_p99 = Some(num(v)) },
+        Flag {
+            name: "--away",
+            arg: "PE:FROM:DUR",
+            help: "elastic membership: PE parks its queue at FROM ns and rejoins\n\
+                   after DUR ns (repeatable; ingress PEs and PE 0 must stay)",
+            set: |a, v| {
+                let p = split_nums(v, 3, "--away");
+                a.away.push((p[0] as usize, p[1], p[2]));
+            },
+        },
+    ]),
+    ("live telemetry (service mode; deterministic per seed)", &[
+        Flag {
+            name: "--snapshots",
+            arg: "F",
+            help: "write the sws-obs-snap/v1 JSONL snapshot stream to F (tail it\n\
+                   with `sws-top F --follow`); with --system both, F.SDC / F.SWS",
+            set: |a, v| a.snapshots = Some(v.into()),
+        },
+        Flag {
+            name: "--snap-interval",
+            arg: "N",
+            help: "virtual ns between snapshots (default 50000)",
+            set: |a, v| {
+                a.snap_interval = num(v);
+                if a.snap_interval == 0 {
+                    eprintln!("--snap-interval must be > 0 ns");
+                    usage()
+                }
+            },
+        },
+        Flag {
+            name: "--slo-alerts",
+            arg: "M",
+            help: "off | warn | fatal: rolling-window p99 burn-rate alerting\n\
+                   against --slo-p99 with fire/clear hysteresis; fatal exits 1\n\
+                   if any alert fired",
+            set: |a, v| {
+                a.slo_alerts = v.into();
+                if !matches!(v, "off" | "warn" | "fatal") {
+                    eprintln!("unknown --slo-alerts mode {v} (expected off|warn|fatal)");
+                    usage()
+                }
+            },
+        },
+    ]),
+    ("fault injection (chaos runs; deterministic per seed)", &[
+        Flag {
+            name: "--drop-prob",
+            arg: "P",
+            help: "drop each remote op with probability P (0.0–1.0)",
+            set: |a, v| {
+                a.drop_prob = num(v);
+                if !(0.0..=1.0).contains(&a.drop_prob) {
+                    eprintln!("--drop-prob must be in 0.0–1.0");
+                    usage()
+                }
+            },
+        },
+        Flag {
+            name: "--stall",
+            arg: "PE:FROM:DUR",
+            help: "stall PE for DUR ns starting at FROM ns",
+            set: |a, v| {
+                let p = split_nums(v, 3, "--stall");
+                a.stall = Some((p[0] as usize, p[1], p[2]));
+            },
+        },
+        Flag {
+            name: "--crash",
+            arg: "PE:AT",
+            help: "crash-stop PE at virtual time AT ns (PE 0 hosts the\n\
+                   termination counters and cannot crash)",
+            set: |a, v| {
+                let p = split_nums(v, 2, "--crash");
+                a.crash = Some((p[0] as usize, p[1]));
+            },
+        },
+    ]),
+];
+
 fn usage() -> ! {
-    eprintln!("usage: sws-run <uts|bpc|flat> [--pes N] [--system sws|sdc|both] [--seed N]");
-    eprintln!("               [--depth N] [--consumers N] [--tasks N] [--task-ns N]");
-    eprintln!("               [--nodes N] [--engine] [--timeline] [--json]");
-    eprintln!("               [--assert-comms] [--assert-steal-bound] [--metrics] [--trace-out FILE]");
-    eprintln!("               [--sample N] [--contention]");
-    eprintln!("               [--drop-prob P] [--stall PE:FROM:DUR] [--crash PE:AT]");
-    eprintln!("               [--serve] [--arrivals poisson|bursty|diurnal] [--mean-gap N]");
-    eprintln!("               [--burst N] [--period N] [--amplitude P] [--horizon N]");
-    eprintln!("               [--ingress N] [--admission block|defer|shed] [--hwm P]");
-    eprintln!("               [--slo-p99 NS] [--away PE:FROM:DUR]");
-    eprintln!("               [--snapshots FILE] [--snap-interval NS] [--slo-alerts off|warn|fatal]");
+    eprintln!("usage: sws-run <uts|bpc|flat> [options]");
+    for (section, flags) in FLAGS {
+        eprintln!("\n{section}:");
+        for f in *flags {
+            let mut help = f.help.lines();
+            eprintln!("  {:<22} {}", format!("{} {}", f.name, f.arg), help.next().unwrap_or(""));
+            for more in help {
+                eprintln!("  {:<22} {more}", "");
+            }
+        }
+    }
     std::process::exit(2);
 }
 
@@ -205,10 +319,8 @@ fn parse_args() -> Args {
         system: "both".into(),
         seed: 0xBA5E,
         depth: 0,
-        consumers: 64,
         tasks: 4096,
         task_ns: 50_000,
-        nodes: 1,
         capacity: 16384,
         engine: false,
         timeline: false,
@@ -228,7 +340,6 @@ fn parse_args() -> Args {
         mean_gap: 10_000,
         burst: 64,
         period: 200_000,
-        amplitude: 50,
         horizon: 500_000,
         ingress: 1,
         admission: "block".into(),
@@ -248,108 +359,20 @@ fn parse_args() -> Args {
         "flat" => 0,
         _ => usage(),
     };
-    while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
+    while let Some(name) = it.next() {
+        let Some(flag) = FLAGS.iter().flat_map(|(_, flags)| *flags).find(|f| f.name == name) else {
+            eprintln!("unknown flag {name}");
+            usage()
+        };
+        let val = if flag.arg.is_empty() {
+            String::new()
+        } else {
             it.next().unwrap_or_else(|| {
                 eprintln!("missing value for {name}");
                 usage()
             })
         };
-        match flag.as_str() {
-            "--pes" => args.pes = val("--pes").parse().unwrap_or_else(|_| usage()),
-            "--system" => args.system = val("--system"),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--depth" => args.depth = val("--depth").parse().unwrap_or_else(|_| usage()),
-            "--consumers" => {
-                args.consumers = val("--consumers").parse().unwrap_or_else(|_| usage())
-            }
-            "--tasks" => args.tasks = val("--tasks").parse().unwrap_or_else(|_| usage()),
-            "--task-ns" => args.task_ns = val("--task-ns").parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--capacity" => {
-                args.capacity = val("--capacity").parse().unwrap_or_else(|_| usage())
-            }
-            "--engine" => args.engine = true,
-            "--timeline" => args.timeline = true,
-            "--histogram" => args.histogram = true,
-            "--json" => args.json = true,
-            "--assert-comms" => args.assert_comms = true,
-            "--assert-steal-bound" => args.assert_steal_bound = true,
-            "--metrics" => args.metrics = true,
-            "--sample" => {
-                args.sample = val("--sample").parse().unwrap_or_else(|_| usage());
-                if args.sample < 2 {
-                    eprintln!("--sample needs N >= 2 (1-in-N attempts captured)");
-                    usage()
-                }
-            }
-            "--contention" => args.contention = true,
-            "--trace-out" => args.trace_out = Some(val("--trace-out")),
-            "--drop-prob" => {
-                args.drop_prob = val("--drop-prob").parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&args.drop_prob) {
-                    eprintln!("--drop-prob must be in 0.0–1.0");
-                    usage()
-                }
-            }
-            "--stall" => {
-                let p = split_nums(&val("--stall"), 3, "--stall");
-                args.stall = Some((p[0] as usize, p[1], p[2]));
-            }
-            "--crash" => {
-                let p = split_nums(&val("--crash"), 2, "--crash");
-                args.crash = Some((p[0] as usize, p[1]));
-            }
-            "--serve" => args.serve = true,
-            "--arrivals" => args.arrivals = val("--arrivals"),
-            "--mean-gap" => {
-                args.mean_gap = val("--mean-gap").parse().unwrap_or_else(|_| usage())
-            }
-            "--burst" => args.burst = val("--burst").parse().unwrap_or_else(|_| usage()),
-            "--period" => args.period = val("--period").parse().unwrap_or_else(|_| usage()),
-            "--amplitude" => {
-                args.amplitude = val("--amplitude").parse().unwrap_or_else(|_| usage())
-            }
-            "--horizon" => {
-                args.horizon = val("--horizon").parse().unwrap_or_else(|_| usage())
-            }
-            "--ingress" => {
-                args.ingress = val("--ingress").parse().unwrap_or_else(|_| usage())
-            }
-            "--admission" => args.admission = val("--admission"),
-            "--hwm" => args.hwm = val("--hwm").parse().unwrap_or_else(|_| usage()),
-            "--slo-p99" => {
-                args.slo_p99 =
-                    Some(val("--slo-p99").parse().unwrap_or_else(|_| usage()))
-            }
-            "--away" => {
-                let p = split_nums(&val("--away"), 3, "--away");
-                args.away.push((p[0] as usize, p[1], p[2]));
-            }
-            "--snapshots" => args.snapshots = Some(val("--snapshots")),
-            "--snap-interval" => {
-                args.snap_interval =
-                    val("--snap-interval").parse().unwrap_or_else(|_| usage());
-                if args.snap_interval == 0 {
-                    eprintln!("--snap-interval must be > 0 ns");
-                    usage()
-                }
-            }
-            "--slo-alerts" => {
-                args.slo_alerts = val("--slo-alerts");
-                if !matches!(args.slo_alerts.as_str(), "off" | "warn" | "fatal") {
-                    eprintln!(
-                        "unknown --slo-alerts mode {} (expected off|warn|fatal)",
-                        args.slo_alerts
-                    );
-                    usage()
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
-        }
+        (flag.set)(&mut args, &val);
     }
     // Surface fault-plan mistakes as CLI errors, not runner panics.
     if let Some((pe, _)) = args.crash {
@@ -436,9 +459,6 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
     if args.contention {
         cfg = cfg.with_profile_sites();
     }
-    if args.nodes > 1 {
-        cfg.net = NetModel::edr_infiniband_nodes(args.nodes);
-    }
     if args.drop_prob > 0.0 || args.stall.is_some() || args.crash.is_some() {
         let mut plan = FaultPlan::seeded(args.seed ^ 0xFA17);
         if args.drop_prob > 0.0 {
@@ -480,7 +500,7 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
         "uts" => run_batch(&cfg, &UtsWorkload::new(UtsParams::geo_small(args.depth))),
         "bpc" => run_batch(
             &cfg,
-            &BpcWorkload::new(BpcParams::scaled(args.consumers, args.depth)),
+            &BpcWorkload::new(BpcParams::scaled(64, args.depth)),
         ),
         "flat" => run_batch(&cfg, &FlatBag::new(args.tasks, args.task_ns, 24)),
         _ => usage(),
@@ -515,7 +535,7 @@ fn arrival_plan(args: &Args) -> ArrivalPlan {
         "diurnal" => ArrivalPattern::Diurnal {
             base_gap_ns: args.mean_gap,
             period_ns: args.period,
-            amplitude_pct: args.amplitude,
+            amplitude_pct: 50,
         },
         other => {
             eprintln!("unknown arrival pattern {other} (expected poisson|bursty|diurnal)");

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use sws_core::{QueueConfig, SdcQueue, StealOutcome, StealQueue, SwsQueue};
     pub use sws_sched::{
         run_service, run_workload, AdmissionPolicy, MembershipPlan, QueueKind, RunConfig,
-        RunReport, SchedConfig, ServiceConfig, TaskCtx, TdKind, Workload,
+        RunReport, SchedConfig, ServiceConfig, TaskCtx, Workload,
     };
     pub use sws_shmem::{
         run_world, EngineStats, ExecMode, FaultPlan, NetModel,

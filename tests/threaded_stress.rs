@@ -19,13 +19,7 @@ fn threaded_uts_conserves_nodes_on_both_queues() {
             let sched = SchedConfig::new(kind, QueueConfig::new(2048, 48))
                 .with_seed(round * 31 + 1);
             let cfg = RunConfig::new(4, sched);
-            let report = sws::sched::runner::run_workload_mode(
-                &cfg,
-                &w,
-                ExecMode::Threaded {
-                    inject_latency: false,
-                },
-            );
+            let report = sws::sched::runner::run_workload_mode(&cfg, &w, ExecMode::Threaded);
             assert_eq!(
                 report.total_tasks(),
                 expected,

@@ -3,7 +3,11 @@
 //! their sequential oracles on both queue implementations.
 
 use sws::prelude::*;
+use sws::sched::{try_run_service, try_run_workload_mode, ArrivalSource, ServiceWorkload};
+use sws::shmem::ShmemError;
+use sws::workloads::arrivals::{ArrivalPlan, FlatServe};
 use sws::workloads::bpc::{BpcParams, BpcWorkload};
+use sws::workloads::graph::{BfsWorkload, GraphParams};
 use sws::workloads::synth::FlatBag;
 use sws::workloads::uts::{UtsParams, UtsWorkload};
 
@@ -118,20 +122,67 @@ fn virtual_runs_are_reproducible_across_invocations() {
     assert_eq!(run(), run());
 }
 
+/// `W`, with a `setup` that takes one cache line more than `W` declares:
+/// to the runner, `W`'s world with a heap one line too small.
+struct OneLineOver<W>(W);
+
+impl<W: Workload> Workload for OneLineOver<W> {
+    fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
+        self.0.register(reg)
+    }
+    fn seeds(&self, pe: usize, n_pes: usize) -> Vec<TaskDescriptor> {
+        self.0.seeds(pe, n_pes)
+    }
+    fn heap_words(&self, n_pes: usize) -> usize {
+        self.0.heap_words(n_pes)
+    }
+    fn setup(&self, ctx: &ShmemCtx) {
+        self.0.setup(ctx);
+        ctx.alloc_words_aligned(1);
+    }
+}
+
+impl<W: ServiceWorkload> ServiceWorkload for OneLineOver<W> {
+    fn n_ingress(&self, n_pes: usize) -> usize {
+        self.0.n_ingress(n_pes)
+    }
+    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
+        self.0.arrival_source(pe, n_pes)
+    }
+}
+
+/// The run must end in the allocator's one-line exhaustion error.
+fn assert_exhausted(run: Result<RunReport, ShmemError>, label: &str) {
+    let line = run.err().unwrap_or_else(|| panic!("{label}: ran in a heap one line short")).to_string();
+    assert!(line.contains("symmetric heap exhausted"), "{label}: {line}");
+    assert_eq!(line.lines().count(), 1, "{label}: {line}");
+}
+
+/// The heap a run asks for is derived from what it allocates — workload
+/// state, detector counters, the service control block, the queue's three
+/// blocks — so every workload of this suite fits it, and none fits it
+/// with one line taken away: that run ends in an error, not a hang.
 #[test]
-fn token_ring_td_works_through_the_full_stack() {
-    let params = UtsParams::geo_small(6);
-    let expected = params.sequential_count().nodes;
-    let mut c = cfg(QueueKind::Sws, 4, 48);
-    c.sched = c.sched.with_td(TdKind::TokenRing);
-    let w = UtsWorkload::new(params);
-    let report = run_workload(&c, &w);
-    assert_eq!(report.total_tasks(), expected);
+fn every_workload_runs_in_exactly_the_derived_heap() {
+    fn batch<W: Workload>(c: &RunConfig, w: impl Fn() -> W, label: &str) {
+        try_run_workload_mode(c, &w(), ExecMode::Virtual).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_exhausted(try_run_workload_mode(c, &OneLineOver(w()), ExecMode::Virtual), label);
+    }
+    for kind in [QueueKind::Sws, QueueKind::Sdc] {
+        batch(&cfg(kind, 4, 48), || UtsWorkload::new(UtsParams::geo_small(5)), "uts");
+        batch(&cfg(kind, 4, 32), || BpcWorkload::new(BpcParams::scaled(8, 4)), "bpc");
+        batch(&cfg(kind, 3, 24), || FlatBag::new(200, 1_000, 24), "flat");
+        // 4,001 vertices on 3 PEs: a table that ends mid-line.
+        batch(&cfg(kind, 3, 24), || BfsWorkload::new(GraphParams::small(4_001, 11), 0), "bfs");
+        let serve = || FlatServe::new(ArrivalPlan::poisson(7, 4_000, 100_000), 2_500, 1);
+        let (c, svc) = (cfg(kind, 4, 24), ServiceConfig::default());
+        try_run_service(&c, &svc, &serve()).unwrap_or_else(|e| panic!("serve: {e}"));
+        assert_exhausted(try_run_service(&c, &svc, &OneLineOver(serve())), "serve");
+    }
 }
 
 #[test]
 fn bfs_parallel_reachable_matches_oracle() {
-    use sws::workloads::graph::{BfsWorkload, GraphParams};
     let g = GraphParams::small(4000, 11);
     let expected = g.sequential_reachable(0);
     assert!(expected > 100, "reachable set is nontrivial: {expected}");
@@ -152,18 +203,10 @@ fn bfs_parallel_reachable_matches_oracle() {
 
 #[test]
 fn bfs_claims_are_exclusive_under_threaded_concurrency() {
-    use sws::shmem::ExecMode;
-    use sws::workloads::graph::{BfsWorkload, GraphParams};
     let g = GraphParams::small(2000, 23);
     let expected = g.sequential_reachable(5);
     let w = BfsWorkload::new(g, 5);
     let run_cfg = cfg(QueueKind::Sws, 4, 24);
-    let _ = sws::sched::runner::run_workload_mode(
-        &run_cfg,
-        &w,
-        ExecMode::Threaded {
-            inject_latency: false,
-        },
-    );
+    let _ = sws::sched::runner::run_workload_mode(&run_cfg, &w, ExecMode::Threaded);
     assert_eq!(w.vertices_visited(), expected, "exactly-once claims");
 }

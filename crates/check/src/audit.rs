@@ -17,12 +17,12 @@
 //! tells reviewers which edges the protocol's correctness actually rests
 //! on.
 
-use sws_core::{AtomicSite, MemOrder, Necessity, Protocol};
+use sws_core::{AtomicSite, MemOrder, Necessity, Protocol, Weakening};
 
 use crate::explore::{explore, Config, Failure};
 use crate::mem::OrdTable;
-use crate::necessity::EvidenceRecord;
-use crate::{all_scenarios, World};
+use crate::necessity::{mutants, EvidenceRecord};
+use crate::{all_scenarios, Machine};
 
 /// Result of exploring the audit scenarios under one weakened table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,72 +71,75 @@ impl AuditRow {
     }
 }
 
-pub(crate) fn run_table(
-    ords: &OrdTable,
-    protocol: &str,
+/// Explore `protocol`'s scenarios among `worlds` until one fails. A
+/// protocol with no scenario at all is a failure too: nothing ran, so
+/// nothing was shown.
+pub(crate) fn run_scenarios(
+    worlds: &[Machine],
+    protocol: Protocol,
     cfg: &Config,
 ) -> Result<RunOutcome, Failure> {
-    for w in all_scenarios(ords, true) {
-        if !w.name().starts_with(protocol) {
-            continue;
-        }
-        match explore(&w, cfg) {
-            Ok(_) => {}
-            Err(f) => {
-                let kind = f.violation.kind();
-                // Search-budget failures are checker bugs, not verdicts.
-                if kind == "state-space" || kind == "no-end-state" {
-                    return Err(f);
-                }
-                return Ok(RunOutcome::Fail {
-                    kind,
-                    scenario: f.scenario,
-                });
+    let mut selected = worlds.iter().filter(|w| w.protocol() == protocol).peekable();
+    if selected.peek().is_none() {
+        return Err(Failure {
+            scenario: protocol.label(),
+            violation: crate::Violation::NoEndState,
+            trace: Vec::new(),
+        });
+    }
+    for w in selected {
+        if let Err(f) = explore(w, cfg) {
+            let kind = f.violation.kind();
+            // Search-budget failures are checker bugs, not verdicts.
+            if kind == "state-space" || kind == "no-end-state" {
+                return Err(f);
             }
+            return Ok(RunOutcome::Fail {
+                kind,
+                scenario: f.scenario,
+            });
         }
     }
     Ok(RunOutcome::Pass)
+}
+
+/// The model's outcome for one mutant: `site`'s protocol's audit
+/// scenarios under the production table with `w` applied. The audit
+/// columns and the necessity campaign's model oracle are both this.
+pub(crate) fn weakened(
+    site: AtomicSite,
+    w: Weakening,
+    cfg: &Config,
+) -> Result<RunOutcome, Failure> {
+    let mut t = OrdTable::production();
+    match w {
+        Weakening::Order(o) => t.set(site, o),
+        Weakening::CasFailure => t.set_cas_fail(site, MemOrder::Relaxed),
+    }
+    run_scenarios(&all_scenarios(&t, true), site.protocol(), cfg)
 }
 
 /// Run the full audit. Errs if the *production* table itself fails (a
 /// checker or protocol bug — the weakenings are only meaningful against
 /// a clean baseline) or if a run exhausts its search budget.
 pub fn run_audit(cfg: &Config) -> Result<Vec<AuditRow>, Failure> {
-    let prod = OrdTable::production();
-    for proto in ["sws", "sdc"] {
-        if let RunOutcome::Fail { kind, scenario } = run_table(&prod, proto, cfg)? {
-            return Err(Failure {
-                scenario,
-                violation: crate::Violation::Protocol {
-                    rule: kind,
-                    what: "production orderings failed the audit scenarios".into(),
-                },
-                trace: Vec::new(),
-            });
-        }
+    for w in all_scenarios(&OrdTable::production(), true) {
+        explore(&w, cfg)?;
     }
+    // The half columns are the campaign's one-step mutants of the RMW
+    // sites; the relaxed column goes all the way down for every site.
+    let space = mutants();
     let mut rows = Vec::new();
     for site in AtomicSite::ALL {
-        let proto = if site.protocol() == Protocol::Sws { "sws" } else { "sdc" };
-        let weakened = |ord: MemOrder, cfg: &Config| -> Result<RunOutcome, Failure> {
-            let mut t = OrdTable::production();
-            t.set(site, ord);
-            run_table(&t, proto, cfg)
-        };
-        let relaxed = weakened(MemOrder::Relaxed, cfg)?;
-        let (acquire, release) = if site.production() == MemOrder::AcqRel {
-            (
-                Some(weakened(MemOrder::Acquire, cfg)?),
-                Some(weakened(MemOrder::Release, cfg)?),
-            )
-        } else {
-            (None, None)
+        let half = |o: MemOrder| {
+            let w = Weakening::Order(o);
+            space.contains(&(site, w)).then(|| weakened(site, w, cfg)).transpose()
         };
         rows.push(AuditRow {
             site,
-            relaxed,
-            acquire,
-            release,
+            relaxed: weakened(site, Weakening::Order(MemOrder::Relaxed), cfg)?,
+            acquire: half(MemOrder::Acquire)?,
+            release: half(MemOrder::Release)?,
         });
     }
     Ok(rows)
@@ -277,4 +280,25 @@ pub fn orderings_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("ORDERINGS.md")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A mutant's verdict is only as good as the scenarios behind it: a
+    /// selection that matches nothing (a scenario renamed, a protocol
+    /// whose scenarios were dropped) must not read as `ok`/`exhausted`.
+    #[test]
+    fn a_protocol_with_no_scenarios_does_not_pass() {
+        let all = all_scenarios(&OrdTable::production(), true);
+        let (sws, sdc): (Vec<Machine>, Vec<Machine>) =
+            all.into_iter().partition(|w| w.protocol() == Protocol::Sws);
+        assert!(!sws.is_empty() && !sdc.is_empty());
+        let cfg = Config::default();
+        assert_eq!(run_scenarios(&sws, Protocol::Sws, &cfg).unwrap(), RunOutcome::Pass);
+        let f = run_scenarios(&sws, Protocol::Sdc, &cfg).expect_err("nothing ran");
+        assert_eq!((f.scenario, f.violation.kind()), ("SDC", "no-end-state"));
+        assert!(run_scenarios(&[], Protocol::Sws, &cfg).is_err());
+    }
 }

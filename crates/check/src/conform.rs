@@ -1,7 +1,7 @@
 //! Trace-conformance (refinement) checking: replay captured production
 //! op traces through abstract protocol machines.
 //!
-//! The bounded model checker in [`crate::sws`]/[`crate::sdc`] explores
+//! The bounded model checker ([`crate::machine`]) explores
 //! *abstract* steal-protocol state machines; the production queues in
 //! `sws-core` are separate hand-written code. This module closes the gap
 //! between them with a refinement check:

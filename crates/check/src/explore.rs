@@ -93,6 +93,11 @@ pub trait World: Clone + Hash {
     fn describe(&self, t: usize) -> String;
     /// End-state invariants, checked when every thread is done.
     fn check_end(&self) -> Result<(), Violation>;
+    /// The catalog sites the schedule so far issued ops at, as a bit set
+    /// over `AtomicSite::id` (a world without a site-keyed memory: none).
+    fn issued(&self) -> u32 {
+        0
+    }
 }
 
 /// Exploration bounds.
@@ -122,6 +127,9 @@ pub struct Stats {
     pub end_states: u64,
     /// Branches cut by the visited-state table.
     pub pruned: u64,
+    /// Every catalog site some explored schedule issued an op at, as a
+    /// bit set over `AtomicSite::id`.
+    pub sites: u32,
 }
 
 /// A violation plus the schedule that reached it.
@@ -169,6 +177,7 @@ impl Search<'_> {
     }
 
     fn rec<W: World>(&mut self, w: &W, last: Option<usize>, preempts: u32) -> Result<(), Failure> {
+        self.stats.sites |= w.issued();
         let h = state_hash(w, last);
         match self.seen.get(&h) {
             Some(&p) if p <= preempts => {

@@ -6,20 +6,24 @@
 //! 1. **A loom-style bounded model checker.** [`mem::Memory`] gives the
 //!    one-sided op surface an operational release/acquire semantics
 //!    (per-word modification orders, vector clocks, legal-stale-read
-//!    branching); [`sws`] and [`sdc`] re-state the two steal protocols as
-//!    explicit per-atomic-op state machines over it, reusing the
-//!    production `Layout`/`StealPolicy`/`Ring` arithmetic from
-//!    `sws-core`; [`explore`] enumerates every schedule of small
-//!    scenarios under a preemption bound with state-hash pruning. Runtime
-//!    monitors and end-state checks assert the protocol invariant
+//!    branching). It is keyed by catalog site: an op names its
+//!    [`sws_core::AtomicSite`], and the ordering, the word and the op
+//!    shapes the site admits are read from the site's row. [`machine`] is
+//!    the one scenario machine — a scripted owner and `n` thieves over a
+//!    ring, one atomic op per step, with the steps, the `World` impl and
+//!    the end checks every protocol shares; the `sws` and `sdc` modules
+//!    add each protocol's own owner and thief steps, reusing the
+//!    production `Layout`/`StealPolicy`/`Ring` arithmetic and claim
+//!    decode from `sws-core`; [`explore`] enumerates every schedule of
+//!    small scenarios under a preemption bound with state-hash pruning.
+//!    Runtime monitors and end-state checks assert the protocol invariant
 //!    catalog (task conservation, field disjointness/decode exactness,
 //!    epoch-lock semantics, asteals monotonicity and overflow freedom,
 //!    completion reconciliation — see `DESIGN.md` §7).
 //!
-//!    [`audit`] then re-runs the scenarios with each
-//!    [`sws_core::AtomicSite`]'s ordering weakened one site at a time and
-//!    renders the load-bearing verdicts into the checked-in
-//!    `ORDERINGS.md`.
+//!    [`audit`] then re-runs the scenarios with each site's ordering
+//!    weakened one site at a time and renders the load-bearing verdicts
+//!    into the checked-in `ORDERINGS.md`.
 //!
 //! 2. **A source-level protocol linter** ([`lint`], shipped as the
 //!    `sws-lint` binary), enforcing the structural rules that keep the
@@ -59,13 +63,15 @@ pub mod conform;
 pub mod explore;
 pub mod lint;
 pub mod live;
+pub mod machine;
 pub mod mem;
 pub mod necessity;
-pub mod sdc;
+mod sdc;
 pub mod shrink;
-pub mod sws;
+mod sws;
 
 pub use explore::{explore, Chooser, Config, Failure, Stats, World};
+pub use machine::{all_scenarios, Machine};
 pub use mem::{Memory, OrdTable, Violation};
 pub use shrink::ddmin;
 
@@ -88,78 +94,4 @@ pub enum OwnerOp {
     Retire,
     /// Pop and execute the whole local portion.
     PopAll,
-}
-
-/// A scenario of either protocol, so audit loops can run mixed lists.
-#[derive(Clone)]
-pub enum AnyWorld {
-    /// An SWS scenario.
-    Sws(sws::SwsWorld),
-    /// An SDC scenario.
-    Sdc(sdc::SdcWorld),
-}
-
-impl std::hash::Hash for AnyWorld {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            AnyWorld::Sws(w) => {
-                0u8.hash(state);
-                w.hash(state)
-            }
-            AnyWorld::Sdc(w) => {
-                1u8.hash(state);
-                w.hash(state)
-            }
-        }
-    }
-}
-
-impl World for AnyWorld {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyWorld::Sws(w) => w.name(),
-            AnyWorld::Sdc(w) => w.name(),
-        }
-    }
-    fn n_threads(&self) -> usize {
-        match self {
-            AnyWorld::Sws(w) => w.n_threads(),
-            AnyWorld::Sdc(w) => w.n_threads(),
-        }
-    }
-    fn done(&self, t: usize) -> bool {
-        match self {
-            AnyWorld::Sws(w) => w.done(t),
-            AnyWorld::Sdc(w) => w.done(t),
-        }
-    }
-    fn step(&mut self, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
-        match self {
-            AnyWorld::Sws(w) => w.step(t, ch),
-            AnyWorld::Sdc(w) => w.step(t, ch),
-        }
-    }
-    fn describe(&self, t: usize) -> String {
-        match self {
-            AnyWorld::Sws(w) => w.describe(t),
-            AnyWorld::Sdc(w) => w.describe(t),
-        }
-    }
-    fn check_end(&self) -> Result<(), Violation> {
-        match self {
-            AnyWorld::Sws(w) => w.check_end(),
-            AnyWorld::Sdc(w) => w.check_end(),
-        }
-    }
-}
-
-/// Every scenario of both protocols under the given ordering table.
-/// `audit_only` selects the smaller per-site audit subset.
-pub fn all_scenarios(ords: &OrdTable, audit_only: bool) -> Vec<AnyWorld> {
-    let mut v: Vec<AnyWorld> = sws::scenarios(ords, audit_only)
-        .into_iter()
-        .map(AnyWorld::Sws)
-        .collect();
-    v.extend(sdc::scenarios(ords, audit_only).into_iter().map(AnyWorld::Sdc));
-    v
 }

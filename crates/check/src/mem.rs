@@ -26,7 +26,9 @@
 //!   does not happen-after the mark is a [`Violation::Race`] (the owner
 //!   overwrote a ring slot a thief might still be copying).
 
+use sws_core::protocol::Word as Place;
 use sws_core::{AtomicSite, MemOrder};
+use sws_shmem::ProtoOp;
 
 /// A vector clock over the model's threads.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -172,7 +174,7 @@ impl std::fmt::Display for Violation {
 
 /// The per-site ordering assignment a run explores under. The audit
 /// weakens one site at a time from [`OrdTable::production`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct OrdTable {
     ords: [MemOrder; AtomicSite::ALL.len()],
     /// Per-site CAS failure-path ordering (production: `Acquire`). Only
@@ -215,9 +217,21 @@ impl OrdTable {
     }
 }
 
-/// Word-granular model-checked memory. See the module docs.
-#[derive(Clone, Debug, Hash)]
+/// Word-granular model-checked memory, keyed by catalog site: every op
+/// names the [`AtomicSite`] it is issued at and an index `i`, and the
+/// memory reads the rest from the site's row — the ordering from its
+/// [`OrdTable`], the word from the row's [`Place`] (`Ctl(k)` is control
+/// word `k + i`; `Comp` and `Payload` are word `i` of the completion and
+/// payload block) and whether the row admits the op's shape at all. See
+/// the module docs for the semantics.
+#[derive(Clone, Debug)]
 pub struct Memory {
+    ords: OrdTable,
+    /// First word of the control, completion and payload block, then the
+    /// total word count.
+    base: [usize; 4],
+    /// Bit [`AtomicSite::id`] is set once an op was issued at that site.
+    issued: u32,
     words: Vec<Word>,
     clocks: Vec<VClock>,
     seqs: Vec<u32>,
@@ -226,11 +240,31 @@ pub struct Memory {
     floors: Vec<Vec<u32>>,
 }
 
+/// The ordering table and the block map are fixed and the issued-site
+/// set only records the path: none of them is explored state.
+impl std::hash::Hash for Memory {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.words.hash(state);
+        self.clocks.hash(state);
+        self.seqs.hash(state);
+        self.floors.hash(state);
+    }
+}
+
 impl Memory {
-    /// Memory of `n_words` zeroed words shared by `n_threads` threads.
-    /// The initial value of every word happens-before everything.
-    pub fn new(n_threads: usize, n_words: usize) -> Memory {
+    /// Zeroed memory shared by `n_threads` threads under `ords`, with a
+    /// control, a completion and a payload block of `blocks` words. The
+    /// initial value of every word happens-before everything.
+    pub fn new(n_threads: usize, ords: OrdTable, blocks: [usize; 3]) -> Memory {
+        let mut base = [0; 4];
+        for (b, len) in blocks.iter().enumerate() {
+            base[b + 1] = base[b] + len;
+        }
+        let n_words = base[3];
         Memory {
+            ords,
+            base,
+            issued: 0,
             words: (0..n_words)
                 .map(|_| Word {
                     stores: vec![Store {
@@ -248,9 +282,43 @@ impl Memory {
         }
     }
 
+    /// The sites ops were issued at so far, as a bit set over
+    /// [`AtomicSite::id`].
+    pub fn issued(&self) -> u32 {
+        self.issued
+    }
+
+    /// Address of word `i` of `place`. An index outside the block the
+    /// scenario sized is a bug in the machine, not a protocol outcome.
+    fn word(&self, place: Place, i: usize) -> usize {
+        let (block, i) = match place {
+            Place::Ctl(k) => (0, k + i),
+            Place::Comp => (1, i),
+            Place::Payload => (2, i),
+        };
+        let w = self.base[block] + i;
+        assert!(w < self.base[block + 1], "{place:?} word {i} is outside its block");
+        w
+    }
+
+    /// Resolve an op of one of `shapes` at `site` to its word and
+    /// ordering. The row must admit the shape; no shapes stands for the
+    /// owner-local payload store, whose rows admit none.
+    fn at(&mut self, site: AtomicSite, i: usize, shapes: &[ProtoOp]) -> (usize, MemOrder) {
+        let row = site.row();
+        let admitted = match shapes {
+            [] => row.ops.is_empty(),
+            _ => row.ops.iter().any(|op| shapes.contains(op)),
+        };
+        assert!(admitted, "{} admits {:?}, not {shapes:?}", row.name, row.ops);
+        self.issued |= 1 << site.id();
+        (self.word(row.word, i), self.ords.get(site))
+    }
+
     /// Overwrite a word's initial value (setup phase, before any thread
     /// runs; the value happens-before everything, like `new`'s zeros).
-    pub fn set_init(&mut self, w: usize, val: u64) {
+    pub fn set_init(&mut self, place: Place, i: usize, val: u64) {
+        let w = self.word(place, i);
         let word = &mut self.words[w];
         assert_eq!(word.stores.len(), 1, "set_init after execution started");
         word.stores[0].val = val;
@@ -277,10 +345,30 @@ impl Memory {
         floor.max(self.floors[t][w] as usize)
     }
 
-    /// Plain (metadata) store.
-    pub fn store(&mut self, t: usize, w: usize, val: u64, ord: MemOrder) {
+    /// Thread `t` reads store `idx` of word `w` at `ord`: reads may not
+    /// go backwards from here, and an acquiring read joins the store's
+    /// release-sequence message.
+    fn observe(&mut self, t: usize, w: usize, idx: usize, ord: MemOrder) -> u64 {
+        self.floors[t][w] = idx as u32;
+        let s = &self.words[w].stores[idx];
+        if let (true, Some(m)) = (ord.acquires(), &s.msg) {
+            self.clocks[t].join(m);
+        }
+        s.val
+    }
+
+    /// Append thread `t`'s store of `val`. A releasing store's message is
+    /// the author's clock, joined into the message the store continues
+    /// (C++20 release sequence: an RMW carries on the message of the store
+    /// it read); a relaxed plain store carries none.
+    fn push_store(&mut self, t: usize, w: usize, val: u64, ord: MemOrder, mut msg: Option<VClock>) {
         let seq = self.tick(t);
-        let msg = ord.releases().then(|| self.clocks[t].clone());
+        if ord.releases() {
+            match &mut msg {
+                Some(m) => m.join(&self.clocks[t]),
+                None => msg = Some(self.clocks[t].clone()),
+            }
+        }
         self.words[w].stores.push(Store {
             val,
             author: t,
@@ -289,16 +377,23 @@ impl Memory {
         });
     }
 
-    /// Payload store: additionally checks the word's fresh-read marks —
-    /// overwriting a slot some thread may still be reading is a race.
+    /// Plain (metadata) store.
+    pub fn store(&mut self, t: usize, site: AtomicSite, i: usize, val: u64) {
+        let (w, ord) = self.at(site, i, &[ProtoOp::Set, ProtoOp::SetNbi, ProtoOp::Put]);
+        self.push_store(t, w, val, ord, None);
+    }
+
+    /// The owner-local payload store: additionally checks the word's
+    /// fresh-read marks — overwriting a slot some thread may still be
+    /// reading is a race.
     pub fn store_payload(
         &mut self,
         t: usize,
-        w: usize,
-        val: u64,
         site: AtomicSite,
-        ord: MemOrder,
+        i: usize,
+        val: u64,
     ) -> Result<(), Violation> {
+        let (w, ord) = self.at(site, i, &[]);
         for m in &self.words[w].marks {
             if m.reader != t && !self.clocks[t].covers(m.reader, m.seq) {
                 return Err(Violation::Race {
@@ -309,7 +404,7 @@ impl Memory {
                 });
             }
         }
-        self.store(t, w, val, ord);
+        self.push_store(t, w, val, ord, None);
         Ok(())
     }
 
@@ -319,36 +414,21 @@ impl Memory {
     pub fn load(
         &mut self,
         t: usize,
-        w: usize,
-        ord: MemOrder,
+        site: AtomicSite,
+        i: usize,
         mut choose: impl FnMut(usize) -> usize,
     ) -> u64 {
+        let (w, ord) = self.at(site, i, &[ProtoOp::Fetch, ProtoOp::Get]);
         let lo = self.hb_floor(t, w);
         let n = self.words[w].stores.len() - lo;
-        let idx = lo + choose(n);
-        self.floors[t][w] = idx as u32;
-        let (val, msg) = {
-            let s = &self.words[w].stores[idx];
-            (s.val, s.msg.clone())
-        };
-        if ord.acquires() {
-            if let Some(m) = &msg {
-                self.clocks[t].join(m);
-            }
-        }
-        val
+        self.observe(t, w, lo + choose(n), ord)
     }
 
     /// A read the protocol requires to be fresh (payload copy). If a
     /// differing stale value is legally readable this is a violation, not
     /// a branch. Leaves a read mark for the race check.
-    pub fn read_fresh(
-        &mut self,
-        t: usize,
-        w: usize,
-        site: AtomicSite,
-        ord: MemOrder,
-    ) -> Result<u64, Violation> {
+    pub fn read_fresh(&mut self, t: usize, site: AtomicSite, i: usize) -> Result<u64, Violation> {
+        let (w, ord) = self.at(site, i, &[ProtoOp::Get]);
         let lo = self.hb_floor(t, w);
         let latest = self.words[w].stores.len() - 1;
         let latest_val = self.words[w].stores[latest].val;
@@ -364,20 +444,15 @@ impl Memory {
         }
         let seq = self.tick(t);
         self.words[w].marks.push(Mark { reader: t, seq });
-        self.floors[t][w] = latest as u32;
-        if ord.acquires() {
-            if let Some(m) = self.words[w].stores[latest].msg.clone() {
-                self.clocks[t].join(&m);
-            }
-        }
-        Ok(latest_val)
+        Ok(self.observe(t, w, latest, ord))
     }
 
-    /// A local read of a word the calling thread believes it exclusively
-    /// owns (owner popping its local portion). The latest store must
-    /// happen-before the reader — anything else is a protocol bug, not a
-    /// legal weak-memory outcome.
-    pub fn read_local(&mut self, t: usize, w: usize) -> Result<u64, Violation> {
+    /// A local read of payload word `i`, which the calling thread
+    /// believes it exclusively owns (owner popping its local portion).
+    /// The latest store must happen-before the reader — anything else is
+    /// a protocol bug, not a legal weak-memory outcome.
+    pub fn read_local(&mut self, t: usize, i: usize) -> Result<u64, Violation> {
+        let w = self.word(Place::Payload, i);
         let latest = self.words[w].stores.len() - 1;
         let s = &self.words[w].stores[latest];
         if !self.clocks[t].covers(s.author, s.seq) {
@@ -389,203 +464,179 @@ impl Memory {
                 ),
             });
         }
-        self.floors[t][w] = latest as u32;
-        Ok(s.val)
+        Ok(self.observe(t, w, latest, MemOrder::Relaxed))
     }
 
-    fn rmw_store(&mut self, t: usize, w: usize, val: u64, ord: MemOrder, read_idx: usize) {
-        let seq = self.tick(t);
-        // C++20 release sequence: the RMW's store carries the message of
-        // the store it read, joined with its own clock if it releases.
-        let mut msg = self.words[w].stores[read_idx].msg.clone();
-        if ord.releases() {
-            match &mut msg {
-                Some(m) => m.join(&self.clocks[t]),
-                None => msg = Some(self.clocks[t].clone()),
-            }
-        }
-        self.words[w].stores.push(Store {
-            val,
-            author: t,
-            seq,
-            msg,
-        });
-    }
-
-    fn rmw_read(&mut self, t: usize, w: usize, ord: MemOrder) -> (usize, u64) {
+    /// An RMW of shape `shape` at `site`: reads the latest store of the
+    /// word (atomicity) and stores what `new` makes of its value. `None`
+    /// is a compare-swap that fails: it still performs the read, but at
+    /// the site's failure ordering (C++: specified separately, and it may
+    /// be weaker) and leaves no store. Returns the value read.
+    fn rmw(
+        &mut self,
+        t: usize,
+        site: AtomicSite,
+        i: usize,
+        shape: ProtoOp,
+        new: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
+        let (w, ord) = self.at(site, i, &[shape]);
         let idx = self.words[w].stores.len() - 1;
-        self.floors[t][w] = idx as u32;
-        if ord.acquires() {
-            if let Some(m) = self.words[w].stores[idx].msg.clone() {
-                self.clocks[t].join(&m);
-            }
-        }
-        (idx, self.words[w].stores[idx].val)
+        let Some(val) = new(self.words[w].stores[idx].val) else {
+            return self.observe(t, w, idx, self.ords.cas_fail(site));
+        };
+        let old = self.observe(t, w, idx, ord);
+        let msg = self.words[w].stores[idx].msg.clone();
+        self.push_store(t, w, val, ord, msg);
+        old
     }
 
-    /// Atomic fetch-add; reads the latest store (atomicity), returns the
-    /// previous value.
-    pub fn fetch_add(&mut self, t: usize, w: usize, delta: u64, ord: MemOrder) -> u64 {
-        let (idx, old) = self.rmw_read(t, w, ord);
-        self.rmw_store(t, w, old.wrapping_add(delta), ord, idx);
-        old
+    /// Atomic fetch-add; returns the previous value.
+    pub fn fetch_add(&mut self, t: usize, site: AtomicSite, i: usize, delta: u64) -> u64 {
+        self.rmw(t, site, i, ProtoOp::FetchAdd, |old| Some(old.wrapping_add(delta)))
     }
 
     /// Atomic swap; returns the previous value.
-    pub fn swap(&mut self, t: usize, w: usize, val: u64, ord: MemOrder) -> u64 {
-        let (idx, old) = self.rmw_read(t, w, ord);
-        self.rmw_store(t, w, val, ord, idx);
-        old
+    pub fn swap(&mut self, t: usize, site: AtomicSite, i: usize, val: u64) -> u64 {
+        self.rmw(t, site, i, ProtoOp::Swap, |_| Some(val))
     }
 
-    /// Atomic compare-and-swap; returns the previous value. A failed CAS
-    /// still performs a read, but at `fail_ord` (C++: the failure
-    /// ordering is specified separately and may be weaker).
-    pub fn cas(
-        &mut self,
-        t: usize,
-        w: usize,
-        expected: u64,
-        new: u64,
-        ord: MemOrder,
-        fail_ord: MemOrder,
-    ) -> u64 {
-        let idx = self.words[w].stores.len() - 1;
-        let old = self.words[w].stores[idx].val;
-        let eff = if old == expected { ord } else { fail_ord };
-        self.floors[t][w] = idx as u32;
-        if eff.acquires() {
-            if let Some(m) = self.words[w].stores[idx].msg.clone() {
-                self.clocks[t].join(&m);
-            }
-        }
-        if old == expected {
-            self.rmw_store(t, w, new, ord, idx);
-        }
-        old
+    /// Atomic compare-and-swap; returns the previous value.
+    pub fn cas(&mut self, t: usize, site: AtomicSite, i: usize, expected: u64, new: u64) -> u64 {
+        self.rmw(t, site, i, ProtoOp::CompareSwap, |old| (old == expected).then_some(new))
     }
 
     /// The latest value in a word's modification order (end-state checks
     /// only — not a thread-visible read).
-    pub fn latest(&self, w: usize) -> u64 {
-        self.words[w].stores.last().expect("word has init store").val
+    pub fn latest(&self, place: Place, i: usize) -> u64 {
+        let stores = &self.words[self.word(place, i)].stores;
+        stores.last().expect("word has init store").val
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sws_core::AtomicSite::{SwsOwnerPayloadWrite, SwsThiefPayloadRead};
+    use sws_core::AtomicSite::*;
 
     /// A chooser that always picks the given branch index (clamped).
     fn pick(which: usize) -> impl FnMut(usize) -> usize {
         move |n| which.min(n - 1)
     }
 
+    /// One control word (the flag: `SwsOwnerAdvertise` release-stores it,
+    /// `SwsThiefProbe` acquire-loads it, `SwsOwnerSvRead` loads it
+    /// relaxed), one completion word and one payload word, with the
+    /// payload store and the claim fetch-add relaxed so that only the
+    /// flag's edge synchronizes.
+    fn mem(n_threads: usize) -> Memory {
+        let mut ords = OrdTable::production();
+        ords.set(SwsOwnerPayloadWrite, MemOrder::Relaxed);
+        ords.set(SwsThiefClaim, MemOrder::Relaxed);
+        Memory::new(n_threads, ords, [1, 1, 1])
+    }
+
     #[test]
     fn relaxed_load_may_read_stale_release_acquire_may_not() {
         // t0: store 1 (payload), release-store 2 (flag).
         // t1: acquire-load flag == 2 ⇒ fresh-read payload must be 1.
-        let mut m = Memory::new(2, 2);
-        m.store(0, 0, 1, MemOrder::Relaxed);
-        m.store(0, 1, 2, MemOrder::Release);
+        let mut m = mem(2);
+        m.store_payload(0, SwsOwnerPayloadWrite, 0, 1).unwrap();
+        m.store(0, SwsOwnerAdvertise, 0, 2);
         // Without acquiring the flag, the payload read is allowed stale.
         let mut m2 = m.clone();
-        let v = m2.load(1, 1, MemOrder::Relaxed, pick(1));
-        assert_eq!(v, 2);
+        assert_eq!(m2.load(1, SwsOwnerSvRead, 0, pick(1)), 2);
         assert!(matches!(
-            m2.read_fresh(1, 0, SwsThiefPayloadRead, MemOrder::Acquire),
+            m2.read_fresh(1, SwsThiefPayloadRead, 0),
             Err(Violation::StaleRead { .. })
         ));
         // Acquiring the flag's release message makes the payload fresh.
-        let v = m.load(1, 1, MemOrder::Acquire, pick(1));
-        assert_eq!(v, 2);
-        assert_eq!(
-            m.read_fresh(1, 0, SwsThiefPayloadRead, MemOrder::Acquire).unwrap(),
-            1
-        );
+        assert_eq!(m.load(1, SwsThiefProbe, 0, pick(1)), 2);
+        assert_eq!(m.read_fresh(1, SwsThiefPayloadRead, 0).unwrap(), 1);
     }
 
     #[test]
     fn loads_branch_over_all_unsuperseded_stores() {
-        let mut m = Memory::new(2, 1);
-        m.store(0, 0, 7, MemOrder::Release);
-        m.store(0, 0, 9, MemOrder::Release);
+        let mut m = mem(2);
+        m.store(0, SwsOwnerAdvertise, 0, 7);
+        m.store(0, SwsOwnerAdvertise, 0, 9);
         // Thread 1 has synchronized with nothing: 0, 7 and 9 all legal.
         let mut seen = Vec::new();
         for which in 0..3 {
             let mut m2 = m.clone();
-            seen.push(m2.load(1, 0, MemOrder::Acquire, pick(which)));
+            seen.push(m2.load(1, SwsThiefProbe, 0, pick(which)));
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 7, 9]);
         // The author itself must read its own latest store.
-        assert_eq!(m.load(0, 0, MemOrder::Relaxed, pick(0)), 9);
+        assert_eq!(m.load(0, SwsOwnerSvRead, 0, pick(0)), 9);
     }
 
     #[test]
     fn coherence_forbids_reading_backwards() {
-        let mut m = Memory::new(2, 1);
-        m.store(0, 0, 7, MemOrder::Release);
-        m.store(0, 0, 9, MemOrder::Release);
+        let mut m = mem(2);
+        m.store(0, SwsOwnerAdvertise, 0, 7);
+        m.store(0, SwsOwnerAdvertise, 0, 9);
         // Once t1 observed 9, re-reads may not return 7 or 0.
-        assert_eq!(m.load(1, 0, MemOrder::Relaxed, pick(2)), 9);
-        assert_eq!(m.load(1, 0, MemOrder::Relaxed, pick(0)), 9);
+        assert_eq!(m.load(1, SwsOwnerSvRead, 0, pick(2)), 9);
+        assert_eq!(m.load(1, SwsOwnerSvRead, 0, pick(0)), 9);
     }
 
     #[test]
     fn rmw_reads_latest_and_continues_release_sequence() {
-        let mut m = Memory::new(3, 2);
-        m.store(0, 0, 5, MemOrder::Relaxed); // payload
-        m.store(0, 1, 1, MemOrder::Release); // flag, heads the sequence
+        let mut m = mem(3);
+        m.store_payload(0, SwsOwnerPayloadWrite, 0, 5).unwrap();
+        m.store(0, SwsOwnerAdvertise, 0, 1); // flag, heads the sequence
         // t1 bumps the flag with a *relaxed* RMW: atomicity still sees 1,
         // and the sequence headed by t0's release continues.
-        assert_eq!(m.fetch_add(1, 1, 10, MemOrder::Relaxed), 1);
+        assert_eq!(m.fetch_add(1, SwsThiefClaim, 0, 10), 1);
         // t2 acquire-loads the RMW's store: synchronizes with t0.
-        assert_eq!(m.load(2, 1, MemOrder::Acquire, pick(2)), 11);
-        assert_eq!(
-            m.read_fresh(2, 0, SwsThiefPayloadRead, MemOrder::Acquire).unwrap(),
-            5
-        );
+        assert_eq!(m.load(2, SwsThiefProbe, 0, pick(2)), 11);
+        assert_eq!(m.read_fresh(2, SwsThiefPayloadRead, 0).unwrap(), 5);
     }
 
     #[test]
     fn unsynchronized_overwrite_of_marked_word_is_a_race() {
-        let mut m = Memory::new(2, 2);
-        m.store(0, 0, 3, MemOrder::Relaxed); // payload
-        m.store(0, 1, 1, MemOrder::Release); // publication flag
+        let mut m = mem(2);
+        m.store_payload(0, SwsOwnerPayloadWrite, 0, 3).unwrap();
+        m.store(0, SwsOwnerAdvertise, 0, 1); // publication flag
         // t1 acquires the flag (so the fresh-read is legal), reads the
         // payload (leaves a mark) — but t0 never hears back.
-        assert_eq!(m.load(1, 1, MemOrder::Acquire, pick(1)), 1);
-        m.read_fresh(1, 0, SwsThiefPayloadRead, MemOrder::Acquire).unwrap();
-        let err = m
-            .store_payload(0, 0, 4, SwsOwnerPayloadWrite, MemOrder::Release)
-            .unwrap_err();
+        assert_eq!(m.load(1, SwsThiefProbe, 0, pick(1)), 1);
+        m.read_fresh(1, SwsThiefPayloadRead, 0).unwrap();
+        let err = m.store_payload(0, SwsOwnerPayloadWrite, 0, 4).unwrap_err();
         assert!(matches!(err, Violation::Race { reader: 1, writer: 0, .. }));
     }
 
     #[test]
     fn synchronized_overwrite_after_readback_is_clean() {
-        let mut m = Memory::new(2, 3);
-        m.store(0, 0, 3, MemOrder::Relaxed); // payload
-        m.store(0, 1, 1, MemOrder::Release); // publication flag
-        assert_eq!(m.load(1, 1, MemOrder::Acquire, pick(1)), 1);
-        m.read_fresh(1, 0, SwsThiefPayloadRead, MemOrder::Acquire).unwrap();
+        let mut m = mem(2);
+        m.store_payload(0, SwsOwnerPayloadWrite, 0, 3).unwrap();
+        m.store(0, SwsOwnerAdvertise, 0, 1); // publication flag
+        assert_eq!(m.load(1, SwsThiefProbe, 0, pick(1)), 1);
+        m.read_fresh(1, SwsThiefPayloadRead, 0).unwrap();
         // t1 release-stores a completion; t0 acquire-loads it, covering
         // the read mark; the overwrite is now ordered.
-        m.store(1, 2, 1, MemOrder::Release);
-        assert_eq!(m.load(0, 2, MemOrder::Acquire, pick(1)), 1);
-        m.store_payload(0, 0, 4, SwsOwnerPayloadWrite, MemOrder::Release)
-            .unwrap();
+        m.store(1, SwsThiefComplete, 0, 1);
+        assert_eq!(m.load(0, SwsOwnerReclaimRead, 0, pick(1)), 1);
+        m.store_payload(0, SwsOwnerPayloadWrite, 0, 4).unwrap();
     }
 
     #[test]
     fn failed_cas_leaves_no_store() {
-        let mut m = Memory::new(2, 1);
-        m.store(0, 0, 1, MemOrder::Release);
-        assert_eq!(m.cas(1, 0, 0, 9, MemOrder::AcqRel, MemOrder::Acquire), 1);
-        assert_eq!(m.latest(0), 1);
-        assert_eq!(m.cas(1, 0, 1, 9, MemOrder::AcqRel, MemOrder::Acquire), 1);
-        assert_eq!(m.latest(0), 9);
+        let mut m = mem(2);
+        m.store(0, SdcUnlock, 0, 1);
+        assert_eq!(m.cas(1, SdcLockCas, 0, 0, 9), 1);
+        assert_eq!(m.latest(Place::Ctl(0), 0), 1);
+        assert_eq!(m.cas(1, SdcLockCas, 0, 1, 9), 1);
+        assert_eq!(m.latest(Place::Ctl(0), 0), 9);
+    }
+
+    /// The catalog row is the structural damping check: `SwsThiefProbe`
+    /// admits only a fetch, so a probe that bumps the counter is refused.
+    #[test]
+    #[should_panic(expected = "SwsThiefProbe admits [Fetch]")]
+    fn an_op_shape_the_row_does_not_admit_is_refused() {
+        mem(2).fetch_add(1, SwsThiefProbe, 0, 1);
     }
 }

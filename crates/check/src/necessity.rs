@@ -8,8 +8,8 @@
 //! per mutant:
 //!
 //! * the **model oracle** re-explores the bounded abstract protocol
-//!   machines (`crate::sws` / `crate::sdc`) under the weakened
-//!   [`OrdTable`] — exhaustive within its bounds;
+//!   machines ([`crate::machine`]) under the weakened
+//!   [`crate::OrdTable`] — exhaustive within its bounds;
 //! * the **live oracle** drives the production queues under the
 //!   exploration gate with the weakening installed in the world's
 //!   [`sws_shmem::OrderingCtl`] and the vector-clock tracker checking
@@ -28,16 +28,15 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sws_core::{AtomicSite, MemOrder, Necessity, Oracle, Protocol, Weakening};
+use sws_core::{AtomicSite, Necessity, Oracle, Protocol, Weakening};
 use sws_shmem::overrides::{TRACK_RACE, TRACK_STALE};
 
-use crate::audit::{run_table, RunOutcome};
+use crate::audit::{weakened, RunOutcome};
 use crate::explore::{Config, Failure};
 use crate::live::{
     corpus, explore_scenario, replay_schedule, ring_reuse_scenario, write_schedule,
     Counterexample, ExplorerConfig, Scenario,
 };
-use crate::mem::OrdTable;
 
 /// Campaign budgets for both oracles.
 #[derive(Clone, Debug)]
@@ -117,20 +116,12 @@ pub fn mutants() -> Vec<(AtomicSite, Weakening)> {
     out
 }
 
-fn proto_prefix(site: AtomicSite) -> &'static str {
-    if site.protocol() == Protocol::Sws {
-        "sws"
-    } else {
-        "sdc"
-    }
-}
-
 /// Live scenarios driven for `site`'s mutants: the protocol's non-fault
 /// corpus scenarios (fault injection would conflate dropped-op recovery
 /// with ordering evidence) plus, for SWS, the capacity-2 ring-reuse
 /// scenario that makes the completion chain observable.
 pub fn live_scenarios(site: AtomicSite, full_corpus: bool) -> Vec<Scenario> {
-    let prefix = proto_prefix(site);
+    let prefix = if site.protocol() == Protocol::Sws { "sws" } else { "sdc" };
     let quick: &[&str] = if prefix == "sws" {
         &["sws-epochs-half", "sws-validbit-half"]
     } else {
@@ -162,19 +153,14 @@ pub fn classify(failure: &str) -> &'static str {
     }
 }
 
-/// Model-oracle verdict for one mutant: weaken the table, re-explore the
-/// protocol's audit scenarios.
+/// Model-oracle verdict for one mutant: the protocol's audit scenarios
+/// re-explored under the weakened table.
 pub fn model_verdict(
     site: AtomicSite,
     w: Weakening,
     cfg: &Config,
 ) -> Result<Necessity, Failure> {
-    let mut t = OrdTable::production();
-    match w {
-        Weakening::Order(o) => t.set(site, o),
-        Weakening::CasFailure => t.set_cas_fail(site, MemOrder::Relaxed),
-    }
-    Ok(match run_table(&t, proto_prefix(site), cfg)? {
+    Ok(match weakened(site, w, cfg)? {
         RunOutcome::Pass => Necessity::ExhaustedAtBound {
             bounds: format!(
                 "model: {} preemptions, {} states",
@@ -560,6 +546,7 @@ pub fn render_report(report: &CampaignReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sws_core::MemOrder;
 
     #[test]
     fn mutant_space_covers_every_non_relaxed_site() {

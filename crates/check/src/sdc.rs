@@ -1,5 +1,4 @@
-//! The SDC (split deferred-copy) baseline protocol as an explicit state
-//! machine over the model-checked memory.
+//! The SDC (split deferred-copy) half of the scenario machine.
 //!
 //! SDC is the spinlock-plus-metadata design SWS is measured against: a
 //! thief takes the queue lock, reads `tail`/`split`, publishes an
@@ -11,587 +10,275 @@
 //! the split publish carry the synchronization; several others turn out
 //! to be covered by them).
 //!
-//! Thread 0 is the owner, threads 1.. are thieves, as in
-//! [`crate::sws`]. Monitors: lock mutual exclusion is implied by the CAS
-//! semantics; the tail oracle asserts claim serialization (two thieves
-//! claiming overlapping blocks is task duplication); conservation and
-//! reconciliation are checked at end states.
+//! [`crate::machine`] owns the script, the ring, the block copy, the
+//! completion store and conservation; this module adds the lock, the
+//! tail/split words and the completion ring's reclaim. Monitors: lock
+//! mutual exclusion is implied by the CAS semantics; the tail oracle
+//! asserts claim serialization (two thieves claiming overlapping blocks
+//! is task duplication); the lock must be free at an end state.
 
-use std::hash::{Hash, Hasher};
+use std::fmt::Debug;
 
-use sws_core::ring::Ring;
-use sws_core::steal_half::StealPolicy;
-use sws_core::AtomicSite as Site;
+use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
 
-use crate::explore::{Chooser, World};
+use crate::explore::Chooser;
+use crate::machine::{proto, Core, Half, Machine, Sites, Steps};
 use crate::mem::{Memory, OrdTable, Violation};
 use crate::OwnerOp;
 
-const LOCK: usize = 0;
-const TAIL: usize = 1;
-const SPLIT: usize = 2;
+/// The SDC state of a scenario.
+#[derive(Clone, Hash, Debug)]
+pub(crate) struct Sdc {
+    pc: OPc,
+    thieves: Vec<TPc>,
+    /// Ground truth for the lock-protected tail: every claim must start
+    /// exactly here.
+    tail: u64,
+}
 
-/// The SDC world.
-#[derive(Clone)]
-pub struct SdcWorld {
-    name: &'static str,
-    policy: StealPolicy,
-    ring: Ring,
-    cap: usize,
-    script: Vec<OwnerOp>,
-    ords: OrdTable,
-    mem: Memory,
-    owner: Owner,
-    thieves: Vec<Thief>,
-    oracle: Oracle,
-    n_tags: u64,
+/// What the owner takes back under the lock.
+#[derive(Clone, Copy, Hash, Debug, PartialEq)]
+enum Take {
+    /// Acquire: the upper half of the shared region.
+    UpperHalf,
+    /// Retire: everything still unclaimed, then drain the claimed.
+    All,
 }
 
 #[derive(Clone, Hash, Debug, PartialEq)]
 enum OPc {
     Next,
-    AcqLock,
-    AcqRead,
-    AcqPut { new_split: u64 },
-    AcqUnlock,
+    Lock { take: Take },
+    Read { take: Take },
+    Put { new_split: u64, take: Take },
+    Unlock { take: Take },
     Reclaim { retire_to: Option<u64> },
     ReclaimZero { vol: u64, retire_to: Option<u64> },
-    RetLock,
-    RetRead,
-    RetPut { new_split: u64 },
-    RetUnlock { retire_to: u64 },
-    Done,
 }
 
-#[derive(Clone, Hash, Debug)]
-struct Owner {
-    pc: OPc,
-    ip: usize,
-    head: u64,
-    split: u64,
-    reclaimed: u64,
-    drained: Vec<u64>,
-}
-
+/// Where a thief without a block stands.
 #[derive(Clone, Hash, Debug)]
 enum TPc {
     Claim,
     Lock,
     Meta,
     TailPut { tail: u64, vol: u64 },
-    Unlock { tail: u64, vol: u64 },
-    UnlockAbort,
-    Copy { start: u64, vol: u64, i: u64, tags: Vec<u64> },
-    Complete { start: u64, vol: u64, tags: Vec<u64> },
-    Done,
+    /// Releasing the lock, with the block the tail put claimed (none:
+    /// the shared region was empty).
+    Unlock { block: Option<(u64, u64)> },
 }
 
-#[derive(Clone, Hash, Debug)]
-struct Thief {
-    pc: TPc,
-    attempts: u32,
-    stolen: Vec<u64>,
-}
+const SITES: Sites = Sites {
+    write: Site::SdcPayloadWrite,
+    read: Site::SdcPayloadRead,
+    complete: Site::SdcComplete,
+};
 
-/// Ground truth for the serialized (lock-protected) metadata.
-#[derive(Clone, Hash, Debug)]
-struct Oracle {
-    /// True tail: every claim must start exactly here.
-    tail: u64,
-    /// Total volume claimed by thieves.
-    claim_vol: u64,
-}
-
-impl SdcWorld {
-    /// Build a scenario (see [`crate::sws::SwsWorld::new`]).
-    pub fn new(
-        name: &'static str,
-        policy: StealPolicy,
-        cap: usize,
-        script: Vec<OwnerOp>,
-        thief_attempts: &[u32],
-        ords: OrdTable,
-    ) -> SdcWorld {
-        let n_threads = 1 + thief_attempts.len();
-        let n_words = 3 + 2 * cap;
-        SdcWorld {
-            name,
-            policy,
-            ring: Ring::new(cap),
-            cap,
-            script,
-            ords,
-            mem: Memory::new(n_threads, n_words),
-            owner: Owner {
-                pc: OPc::Next,
-                ip: 0,
-                head: 0,
-                split: 0,
-                reclaimed: 0,
-                drained: Vec::new(),
-            },
-            thieves: thief_attempts
-                .iter()
-                .map(|&attempts| Thief {
-                    pc: TPc::Claim,
-                    attempts,
-                    stolen: Vec::new(),
-                })
-                .collect(),
-            oracle: Oracle {
-                tail: 0,
-                claim_vol: 0,
-            },
-            n_tags: 0,
-        }
-    }
-
-    fn comp(&self, ring_idx: usize) -> usize {
-        3 + ring_idx
-    }
-
-    fn payload(&self, ring_idx: usize) -> usize {
-        3 + self.cap + ring_idx
-    }
-
-    fn proto(rule: &'static str, what: String) -> Violation {
-        Violation::Protocol { rule, what }
-    }
-
-    fn step_owner(&mut self, ch: &mut Chooser) -> Result<(), Violation> {
-        match self.owner.pc.clone() {
-            OPc::Next => self.owner_dispatch(),
-            OPc::AcqLock => {
-                let ord = self.ords.get(Site::SdcLockCas);
-                let fail = self.ords.cas_fail(Site::SdcLockCas);
-                if self.mem.cas(0, LOCK, 0, 1, ord, fail) == 0 {
-                    self.owner.pc = OPc::AcqRead;
+impl Steps for Sdc {
+    fn step_owner(&mut self, c: &mut Core, ch: &mut Chooser) -> Result<(), Violation> {
+        match self.pc.clone() {
+            OPc::Next => match c.next_op()? {
+                Some(OwnerOp::Release) => {
+                    let nlocal = c.owner.head - c.owner.split;
+                    if nlocal > 0 {
+                        // Lock-free release: grow split and publish it.
+                        c.owner.split += nlocal - nlocal / 2;
+                        c.mem.store(0, Site::SdcSplitPublish, 0, c.owner.split);
+                    }
                 }
-                Ok(())
+                // Acquire only runs with an empty local deque.
+                Some(OwnerOp::Acquire) if c.owner.head == c.owner.split => {
+                    self.pc = OPc::Lock { take: Take::UpperHalf }
+                }
+                Some(OwnerOp::Progress) => self.pc = OPc::Reclaim { retire_to: None },
+                Some(OwnerOp::Retire) => self.pc = OPc::Lock { take: Take::All },
+                _ => {}
+            },
+            OPc::Lock { take } => {
+                if c.mem.cas(0, Site::SdcLockCas, 0, 0, 1) == 0 {
+                    self.pc = OPc::Read { take };
+                }
             }
-            OPc::AcqRead => {
-                let ord = self.ords.get(Site::SdcOwnerTailRead);
-                let tail = self.mem.load(0, TAIL, ord, |n| ch.pick(n));
-                if tail > self.owner.split {
-                    return Err(Self::proto(
+            OPc::Read { take } => {
+                let tail = c.mem.load(0, Site::SdcOwnerTailRead, 0, |n| ch.pick(n));
+                if tail > c.owner.split {
+                    return Err(proto(
                         "decode",
-                        format!("tail {tail} ran past split {}", self.owner.split),
+                        format!("tail {tail} ran past split {}", c.owner.split),
                     ));
                 }
-                let avail = self.owner.split - tail;
-                if avail == 0 {
-                    self.owner.pc = OPc::AcqUnlock; // miss
-                } else {
-                    // Take back the upper half of the shared region.
-                    let keep = avail / 2;
-                    self.owner.pc = OPc::AcqPut {
-                        new_split: tail + keep,
-                    };
-                }
-                Ok(())
+                let avail = c.owner.split - tail;
+                self.pc = match take {
+                    Take::UpperHalf if avail == 0 => OPc::Unlock { take }, // miss
+                    Take::UpperHalf => OPc::Put { new_split: tail + avail / 2, take },
+                    Take::All => OPc::Put { new_split: tail, take },
+                };
             }
-            OPc::AcqPut { new_split } => {
-                let ord = self.ords.get(Site::SdcSplitPublish);
-                self.mem.store(0, SPLIT, new_split, ord);
-                self.owner.split = new_split;
-                self.owner.pc = OPc::AcqUnlock;
-                Ok(())
+            OPc::Put { new_split, take } => {
+                c.mem.store(0, Site::SdcSplitPublish, 0, new_split);
+                c.owner.split = new_split;
+                self.pc = OPc::Unlock { take };
             }
-            OPc::AcqUnlock => {
-                let ord = self.ords.get(Site::SdcUnlock);
-                self.mem.store(0, LOCK, 0, ord);
-                self.owner.pc = OPc::Next;
-                Ok(())
+            OPc::Unlock { take } => {
+                c.mem.store(0, Site::SdcUnlock, 0, 0);
+                self.pc = match take {
+                    Take::UpperHalf => OPc::Next,
+                    Take::All => OPc::Reclaim { retire_to: Some(c.owner.split) },
+                };
             }
             OPc::Reclaim { retire_to } => {
-                if let Some(to) = retire_to {
-                    if self.owner.reclaimed >= to {
-                        self.owner.pc = OPc::Next;
-                        return Ok(());
-                    }
-                } else if self.owner.reclaimed >= self.owner.split {
-                    // Progress: nothing below split left to reclaim.
-                    self.owner.pc = OPc::Next;
+                // Progress stops at split: nothing below it is left to
+                // reclaim. Retire drains to the final tail.
+                if c.owner.reclaimed >= retire_to.unwrap_or(c.owner.split) {
+                    self.pc = OPc::Next;
                     return Ok(());
                 }
-                let w = self.comp(self.ring.slot(self.owner.reclaimed));
-                let ord = self.ords.get(Site::SdcReclaimRead);
-                let v = self.mem.load(0, w, ord, |n| ch.pick(n));
-                if v == 0 {
-                    match retire_to {
-                        // Retire drains to the final tail: keep polling
-                        // (the revisit is pruned; thief schedules run).
-                        Some(_) => {}
-                        None => self.owner.pc = OPc::Next,
-                    }
-                    return Ok(());
+                let w = c.ring.slot(c.owner.reclaimed);
+                let v = c.mem.load(0, Site::SdcReclaimRead, w, |n| ch.pick(n));
+                if v != 0 {
+                    self.pc = OPc::ReclaimZero { vol: v, retire_to };
+                } else if retire_to.is_none() {
+                    self.pc = OPc::Next;
                 }
-                self.owner.pc = OPc::ReclaimZero { vol: v, retire_to };
-                Ok(())
+                // A retiring owner keeps polling (the revisit is pruned;
+                // thief schedules run).
             }
             OPc::ReclaimZero { vol, retire_to } => {
-                let w = self.comp(self.ring.slot(self.owner.reclaimed));
-                let ord = self.ords.get(Site::SdcReclaimZero);
-                self.mem.store(0, w, 0, ord);
-                self.owner.reclaimed += vol;
-                if self.owner.reclaimed > self.oracle.tail {
-                    return Err(Self::proto(
+                let w = c.ring.slot(c.owner.reclaimed);
+                c.mem.store(0, Site::SdcReclaimZero, w, 0);
+                c.owner.reclaimed += vol;
+                if c.owner.reclaimed > self.tail {
+                    return Err(proto(
                         "reconciliation",
                         format!(
                             "owner reclaimed {} past the true tail {}",
-                            self.owner.reclaimed, self.oracle.tail
+                            c.owner.reclaimed, self.tail
                         ),
                     ));
                 }
-                self.owner.pc = OPc::Reclaim { retire_to };
-                Ok(())
+                self.pc = OPc::Reclaim { retire_to };
             }
-            OPc::RetLock => {
-                let ord = self.ords.get(Site::SdcLockCas);
-                let fail = self.ords.cas_fail(Site::SdcLockCas);
-                if self.mem.cas(0, LOCK, 0, 1, ord, fail) == 0 {
-                    self.owner.pc = OPc::RetRead;
-                }
-                Ok(())
-            }
-            OPc::RetRead => {
-                let ord = self.ords.get(Site::SdcOwnerTailRead);
-                let tail = self.mem.load(0, TAIL, ord, |n| ch.pick(n));
-                if tail > self.owner.split {
-                    return Err(Self::proto(
-                        "decode",
-                        format!("tail {tail} ran past split {}", self.owner.split),
-                    ));
-                }
-                // Take back everything still unclaimed.
-                self.owner.pc = OPc::RetPut { new_split: tail };
-                Ok(())
-            }
-            OPc::RetPut { new_split } => {
-                let ord = self.ords.get(Site::SdcSplitPublish);
-                self.mem.store(0, SPLIT, new_split, ord);
-                self.owner.split = new_split;
-                self.owner.pc = OPc::RetUnlock {
-                    retire_to: new_split,
-                };
-                Ok(())
-            }
-            OPc::RetUnlock { retire_to } => {
-                let ord = self.ords.get(Site::SdcUnlock);
-                self.mem.store(0, LOCK, 0, ord);
-                self.owner.pc = OPc::Reclaim {
-                    retire_to: Some(retire_to),
-                };
-                Ok(())
-            }
-            OPc::Done => unreachable!("stepping a finished owner"),
         }
+        Ok(())
     }
 
-    fn owner_dispatch(&mut self) -> Result<(), Violation> {
-        if self.owner.ip == self.script.len() {
-            self.owner.pc = OPc::Done;
-            return Ok(());
-        }
-        let op = self.script[self.owner.ip];
-        self.owner.ip += 1;
-        match op {
-            OwnerOp::Enqueue => {
-                let tag = self.n_tags;
-                self.n_tags += 1;
-                if self.owner.head - self.owner.reclaimed >= self.cap as u64 {
-                    self.owner.drained.push(tag);
-                    return Ok(());
-                }
-                let w = self.payload(self.ring.slot(self.owner.head));
-                let ord = self.ords.get(Site::SdcPayloadWrite);
-                self.mem
-                    .store_payload(0, w, tag + 1, Site::SdcPayloadWrite, ord)?;
-                self.owner.head += 1;
-                Ok(())
-            }
-            OwnerOp::PopAll => {
-                for abs in self.owner.split..self.owner.head {
-                    let w = self.payload(self.ring.slot(abs));
-                    let v = self.mem.read_local(0, w)?;
-                    if v == 0 {
-                        return Err(Self::proto(
-                            "conservation",
-                            format!("owner pops uninitialized ring slot (abs {abs})"),
-                        ));
-                    }
-                    self.owner.drained.push(v - 1);
-                }
-                self.owner.head = self.owner.split;
-                Ok(())
-            }
-            OwnerOp::Release => {
-                let nlocal = self.owner.head - self.owner.split;
-                if nlocal == 0 {
-                    return Ok(());
-                }
-                // Lock-free release: grow split and publish it.
-                let k = nlocal - nlocal / 2;
-                self.owner.split += k;
-                let ord = self.ords.get(Site::SdcSplitPublish);
-                self.mem.store(0, SPLIT, self.owner.split, ord);
-                Ok(())
-            }
-            OwnerOp::Acquire => {
-                if self.owner.head != self.owner.split {
-                    return Ok(());
-                }
-                self.owner.pc = OPc::AcqLock;
-                Ok(())
-            }
-            OwnerOp::Progress => {
-                self.owner.pc = OPc::Reclaim { retire_to: None };
-                Ok(())
-            }
-            OwnerOp::Retire => {
-                self.owner.pc = OPc::RetLock;
-                Ok(())
-            }
-        }
-    }
-
-    fn step_thief(&mut self, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
-        let ti = t - 1;
-        match self.thieves[ti].pc.clone() {
+    fn step_thief(&mut self, c: &mut Core, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
+        let pc = &mut self.thieves[t - 1];
+        match pc.clone() {
             TPc::Claim => {
-                if self.thieves[ti].attempts == 0 {
-                    self.thieves[ti].pc = TPc::Done;
-                    return Ok(());
+                if !c.out_of_attempts(t) {
+                    c.thieves[t - 1].attempts -= 1;
+                    *pc = TPc::Lock;
                 }
-                self.thieves[ti].attempts -= 1;
-                self.thieves[ti].pc = TPc::Lock;
-                Ok(())
             }
             TPc::Lock => {
-                let ord = self.ords.get(Site::SdcLockCas);
-                let fail = self.ords.cas_fail(Site::SdcLockCas);
-                if self.mem.cas(t, LOCK, 0, 1, ord, fail) == 0 {
-                    self.thieves[ti].pc = TPc::Meta;
-                }
                 // Contended: retry (the unchanged-state revisit prunes;
                 // progress comes from the lock holder's schedules).
-                Ok(())
+                if c.mem.cas(t, Site::SdcLockCas, 0, 0, 1) == 0 {
+                    *pc = TPc::Meta;
+                }
             }
             TPc::Meta => {
                 // The real protocol reads tail and split with one 2-word
                 // get under the lock; model both loads in this step.
-                let ord = self.ords.get(Site::SdcMetaRead);
-                let tail = self.mem.load(t, TAIL, ord, |n| ch.pick(n));
-                let split = self.mem.load(t, SPLIT, ord, |n| ch.pick(n));
+                let tail = c.mem.load(t, Site::SdcMetaRead, 0, |n| ch.pick(n));
+                let split = c.mem.load(t, Site::SdcMetaRead, 1, |n| ch.pick(n));
                 let avail = split.saturating_sub(tail);
-                self.thieves[ti].pc = if avail == 0 {
-                    TPc::UnlockAbort
+                *pc = if avail == 0 {
+                    TPc::Unlock { block: None }
                 } else {
-                    let vol = self.policy.volume(avail, 0).max(1);
+                    let vol = c.cfg.policy.volume(avail, 0).max(1);
                     TPc::TailPut { tail, vol }
                 };
-                Ok(())
             }
             TPc::TailPut { tail, vol } => {
                 // Claim serialization: under the lock, the tail this
                 // thief read must be the true tail — a stale read here
                 // means two thieves will copy overlapping blocks.
-                if tail != self.oracle.tail {
-                    return Err(Self::proto(
+                if tail != self.tail {
+                    return Err(proto(
                         "conservation",
                         format!(
                             "thief {t} claims from tail {tail} but the true tail is {} \
                              (overlapping steal)",
-                            self.oracle.tail
+                            self.tail
                         ),
                     ));
                 }
-                let ord = self.ords.get(Site::SdcTailPut);
-                self.mem.store(t, TAIL, tail + vol, ord);
-                self.oracle.tail = tail + vol;
-                self.oracle.claim_vol += vol;
-                self.thieves[ti].pc = TPc::Unlock { tail, vol };
-                Ok(())
+                c.mem.store(t, Site::SdcTailPut, 0, tail + vol);
+                self.tail = tail + vol;
+                *pc = TPc::Unlock { block: Some((tail, vol)) };
             }
-            TPc::Unlock { tail, vol } => {
-                let ord = self.ords.get(Site::SdcUnlock);
-                self.mem.store(t, LOCK, 0, ord);
-                self.thieves[ti].pc = TPc::Copy {
-                    start: tail,
-                    vol,
-                    i: 0,
-                    tags: Vec::new(),
-                };
-                Ok(())
-            }
-            TPc::UnlockAbort => {
-                let ord = self.ords.get(Site::SdcUnlock);
-                self.mem.store(t, LOCK, 0, ord);
-                self.thieves[ti].pc = TPc::Claim;
-                Ok(())
-            }
-            TPc::Copy {
-                start,
-                vol,
-                i,
-                mut tags,
-            } => {
-                let w = self.payload(self.ring.slot(start + i));
-                let ord = self.ords.get(Site::SdcPayloadRead);
-                let v = self.mem.read_fresh(t, w, Site::SdcPayloadRead, ord)?;
-                if v == 0 {
-                    return Err(Self::proto(
-                        "uninit-steal",
-                        format!("thief {t} copied an unwritten ring slot (abs {})", start + i),
-                    ));
+            TPc::Unlock { block } => {
+                c.mem.store(t, Site::SdcUnlock, 0, 0);
+                *pc = TPc::Claim;
+                if let Some((tail, vol)) = block {
+                    c.begin_copy(t, tail, vol, c.ring.slot(tail));
                 }
-                tags.push(v - 1);
-                let i = i + 1;
-                self.thieves[ti].pc = if i == vol {
-                    TPc::Complete { start, vol, tags }
-                } else {
-                    TPc::Copy {
-                        start,
-                        vol,
-                        i,
-                        tags,
-                    }
-                };
-                Ok(())
             }
-            TPc::Complete { start, vol, tags } => {
-                let w = self.comp(self.ring.slot(start));
-                let ord = self.ords.get(Site::SdcComplete);
-                self.mem.store(t, w, vol, ord);
-                self.thieves[ti].stolen.extend(tags);
-                self.thieves[ti].pc = TPc::Claim;
-                Ok(())
-            }
-            TPc::Done => unreachable!("stepping a finished thief"),
-        }
-    }
-}
-
-impl Hash for SdcWorld {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.mem.hash(state);
-        self.owner.hash(state);
-        self.thieves.hash(state);
-        self.oracle.hash(state);
-        self.n_tags.hash(state);
-    }
-}
-
-impl World for SdcWorld {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn n_threads(&self) -> usize {
-        1 + self.thieves.len()
-    }
-
-    fn done(&self, t: usize) -> bool {
-        if t == 0 {
-            self.owner.pc == OPc::Done
-        } else {
-            matches!(self.thieves[t - 1].pc, TPc::Done)
-        }
-    }
-
-    fn step(&mut self, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
-        if t == 0 {
-            self.step_owner(ch)
-        } else {
-            self.step_thief(t, ch)
-        }
-    }
-
-    fn describe(&self, t: usize) -> String {
-        if t == 0 {
-            format!("owner {:?} (ip {})", self.owner.pc, self.owner.ip)
-        } else {
-            format!("thief {:?}", self.thieves[t - 1].pc)
-        }
-    }
-
-    fn check_end(&self) -> Result<(), Violation> {
-        let mut tags: Vec<u64> = self.owner.drained.clone();
-        for th in &self.thieves {
-            tags.extend(&th.stolen);
-        }
-        tags.sort_unstable();
-        let expect: Vec<u64> = (0..self.n_tags).collect();
-        if tags != expect {
-            return Err(Self::proto(
-                "conservation",
-                format!(
-                    "{} tasks enqueued but tags {:?} were executed (duplicate or lost)",
-                    self.n_tags, tags
-                ),
-            ));
-        }
-        if self.mem.latest(LOCK) != 0 {
-            return Err(Self::proto(
-                "lock",
-                "queue lock left held at quiescence".into(),
-            ));
-        }
-        if self.script.contains(&OwnerOp::Retire)
-            && self.owner.reclaimed != self.oracle.claim_vol
-        {
-            return Err(Self::proto(
-                "reconciliation",
-                format!(
-                    "owner reclaimed {} task slots but thieves claimed {}",
-                    self.owner.reclaimed, self.oracle.claim_vol
-                ),
-            ));
         }
         Ok(())
     }
+
+    fn check_end(&self, c: &Core) -> Result<(), Violation> {
+        if c.mem.latest(Site::SdcLockCas.row().word, 0) != 0 {
+            return Err(proto("lock", "queue lock left held at quiescence".into()));
+        }
+        Ok(())
+    }
+
+    fn pc(&self, t: usize) -> &dyn Debug {
+        match t {
+            0 => &self.pc,
+            _ => &self.thieves[t - 1],
+        }
+    }
 }
 
-/// The SDC scenario catalog (see [`crate::sws::scenarios`]).
-pub fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<SdcWorld> {
+/// An SDC scenario on a `cap`-task ring (see [`crate::sws`]'s).
+fn scenario(
+    name: &'static str,
+    cap: usize,
+    script: &[OwnerOp],
+    thief_attempts: &[u32],
+    ords: &OrdTable,
+) -> Machine {
+    let half = Sdc {
+        pc: OPc::Next,
+        thieves: vec![TPc::Claim; thief_attempts.len()],
+        tail: 0,
+    };
+    // One-word tasks under the default (steal-half) policy.
+    let cfg = QueueConfig::new(cap, 8);
+    let mem = Memory::new(1 + thief_attempts.len(), ords.clone(), Protocol::Sdc.blocks(&cfg));
+    Machine::new(name, Half::Sdc(half), SITES, cfg, script.to_vec(), thief_attempts, mem)
+}
+
+/// The SDC scenario catalog (see [`crate::all_scenarios`]): the shapes
+/// of `sws_basic`, `sws_ring_reuse`, `sws_epoch_flip` and
+/// `sws_two_thieves`.
+pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
     use OwnerOp::*;
     let mut v = vec![
-        SdcWorld::new(
-            "sdc_basic",
-            StealPolicy::Half,
-            8,
-            vec![Enqueue, Enqueue, Enqueue, Release, Retire, PopAll],
-            &[2],
-            ords.clone(),
-        ),
-        SdcWorld::new(
+        scenario("sdc_basic", 8, &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll], &[2], ords),
+        scenario(
             "sdc_ring_reuse",
-            StealPolicy::Half,
             2,
-            vec![Enqueue, Enqueue, Release, Progress, Enqueue, Retire, PopAll],
+            &[Enqueue, Enqueue, Release, Progress, Enqueue, Retire, PopAll],
             &[1],
-            ords.clone(),
+            ords,
         ),
-        SdcWorld::new(
+        scenario(
             "sdc_acquire",
-            StealPolicy::Half,
             8,
-            vec![
-                Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
-            ],
+            &[Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
             &[2],
-            ords.clone(),
+            ords,
         ),
     ];
     if !audit_only {
-        v.push(SdcWorld::new(
-            "sdc_two_thieves",
-            StealPolicy::Half,
-            8,
-            vec![Enqueue, Enqueue, Release, Retire, PopAll],
-            &[1, 1],
-            ords.clone(),
-        ));
+        let steal_all = [Enqueue, Enqueue, Release, Retire, PopAll];
+        v.push(scenario("sdc_two_thieves", 8, &steal_all, &[1, 1], ords));
     }
     v
 }

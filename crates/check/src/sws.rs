@@ -1,13 +1,17 @@
-//! The SWS (structured-atomic) steal protocol as an explicit state
-//! machine over the model-checked memory.
+//! The SWS (structured-atomic) half of the scenario machine.
 //!
-//! This mirrors `sws-core`'s `SwsQueue` step for step, decomposed so that
-//! every scheduling quantum performs **at most one atomic operation** —
-//! the granularity at which real PEs interleave over the network. The
-//! packed-word arithmetic is *not* re-modeled: the machine calls the real
-//! [`Layout`] encode/decode and the real [`StealPolicy`] steal-half
-//! functions, so the checker exercises the production bit-packing and
-//! volume schedule against every interleaving.
+//! [`crate::machine`] owns what every protocol's scenario does — the
+//! script, the ring, `Enqueue`/`PopAll`, a thief's block copy and
+//! completion store, conservation. This module adds what is SWS: the
+//! owner's advertisement records and epoch slots, advertise, the gate
+//! swap, the reclaim pass, and a thief's probe and claim on the stealval
+//! word. It mirrors `sws-core`'s `SwsQueue` step for step, one atomic op
+//! per step. The packed-word arithmetic is *not* re-modeled: the machine
+//! calls the real [`Layout`] encode/decode and `StealPolicy` steal-half
+//! functions, and reads a claim with [`sws_core::protocol::decode`] —
+//! the function the conformance replay and the span stitcher read
+//! captured claims with — so the checker exercises the production
+//! bit-packing and volume schedule against every interleaving.
 //!
 //! Runtime monitors (checked at the serialization points, i.e. the RMWs
 //! on the stealval word) assert the protocol invariant catalog:
@@ -23,50 +27,33 @@
 //! * **completion reconciliation** — each completion slot must carry
 //!   exactly the volume the steal-half schedule assigns to that steal;
 //! * **task conservation** — at an end state, every enqueued task was
-//!   executed exactly once (owner pops + thief steals partition the tag
-//!   space); checked in [`explore::World::check_end`].
+//!   executed exactly once (the shared machine's end check).
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
+use std::fmt::Debug;
 
-use sws_core::ring::Ring;
-use sws_core::steal_half::StealPolicy;
+use sws_core::protocol::{decode, Claim, Step};
 use sws_core::stealval::{Gate, Layout, StealVal, ASTEALS_MASK, ASTEAL_UNIT};
-use sws_core::AtomicSite as Site;
+use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
+use sws_shmem::{ProtoEvent, ProtoOp};
 
-use crate::explore::{Chooser, World};
+use crate::explore::Chooser;
+use crate::machine::{proto, Core, Half, Machine, Sites, Steps};
 use crate::mem::{Memory, OrdTable, Violation};
 use crate::OwnerOp;
 
-/// Completion-array stride per epoch slot in the model's word map (the
-/// production stride is `StealPolicy::slot_budget()`; scenarios are small
-/// enough that 8 slots suffice, asserted at advertise time).
-const COMP_STRIDE: usize = 8;
-
-/// Stealval word index.
-const SV: usize = 0;
-
-/// The SWS world: one owner (thread 0) driving a scripted op sequence
-/// and `n` thieves (threads 1..) each attempting a fixed number of
-/// steals against it.
-#[derive(Clone)]
-pub struct SwsWorld {
-    name: &'static str,
-    layout: Layout,
-    policy: StealPolicy,
-    ring: Ring,
-    cap: usize,
-    n_slots: usize,
-    script: Vec<OwnerOp>,
-    ords: OrdTable,
-    mem: Memory,
-    owner: Owner,
+/// The SWS state of a scenario.
+#[derive(Clone, Hash, Debug)]
+pub(crate) struct Sws {
+    pc: OPc,
+    epochs: VecDeque<Rec>,
+    slot_busy: Vec<bool>,
+    pending: Option<Pending>,
     thieves: Vec<Thief>,
     oracle: Oracle,
-    n_tags: u64,
 }
 
-#[derive(Clone, Hash, Debug)]
+#[derive(Clone, Hash, Debug, Default)]
 struct Rec {
     slot: u8,
     tail: u64,
@@ -82,24 +69,19 @@ struct Pending {
     k: u32,
 }
 
-#[derive(Clone, Copy, Hash, Debug)]
-struct AcqCtx {
+/// What closing an advertisement left: its epoch slot, the tail past
+/// the claimed blocks, and the unclaimed volume.
+#[derive(Clone, Copy, Hash, Debug, PartialEq, Eq)]
+struct Closed {
     slot: u8,
     new_tail: u64,
     unclaimed: u64,
 }
 
 #[derive(Clone, Copy, Hash, Debug, PartialEq, Eq)]
-enum RStep {
-    Start,
-    Sv,
-    Comp { n: u32 },
-}
-
-#[derive(Clone, Copy, Hash, Debug, PartialEq, Eq)]
 enum Cont {
     Slot,
-    Acquire,
+    Acquire(Closed),
     Progress,
     Retire,
 }
@@ -108,537 +90,207 @@ enum Cont {
 enum OPc {
     Next,
     RelReadSv,
-    Reclaim { r: RStep, cont: Cont },
+    /// A reclaim pass that goes on with `cont`: at the front record.
+    Reclaim { cont: Cont },
+    /// … reading the live advertisement's claim count from the word.
+    ReclaimSv { cont: Cont },
+    /// … reading the front record's completion slots below `n`.
+    ReclaimComp { n: u32, cont: Cont },
     SlotWait,
     AdvZero { slot: u8 },
     AdvPublish { slot: u8 },
     AcqSwap,
     RetireSwap,
-    Done,
 }
 
-#[derive(Clone, Hash, Debug)]
-struct Owner {
-    pc: OPc,
-    ip: usize,
-    head: u64,
-    split: u64,
-    reclaimed: u64,
-    epochs: VecDeque<Rec>,
-    slot_busy: Vec<bool>,
-    pending: Option<Pending>,
-    acq: Option<AcqCtx>,
-    drained: Vec<u64>,
-}
-
-#[derive(Clone, Hash, Debug)]
+/// Where a thief without a block stands.
+#[derive(Clone, Copy, Hash, Debug)]
 enum TPc {
     /// §4.3 damped mode: read-only probe of the stealval word; the thief
     /// may only move to [`TPc::Claim`] after observing available work.
     Probe,
     Claim,
-    Copy {
-        slot: u8,
-        start: u32,
-        vol: u32,
-        i: u32,
-        a: u32,
-        tags: Vec<u64>,
-    },
-    Complete {
-        slot: u8,
-        a: u32,
-        vol: u32,
-        tags: Vec<u64>,
-    },
-    Done,
 }
 
 #[derive(Clone, Hash, Debug)]
 struct Thief {
     pc: TPc,
-    attempts: u32,
-    stolen: Vec<u64>,
     /// §4.3 steal damping: this thief must probe before every claim.
     damped: bool,
     /// A probe observed available work since the last claim.
     cleared: bool,
 }
 
+impl Thief {
+    /// Where every attempt starts: a damped thief at the read-only
+    /// probe, an undamped one claims directly.
+    fn restart(&mut self) {
+        self.pc = if self.damped { TPc::Probe } else { TPc::Claim };
+    }
+}
+
 /// Ground-truth mirror of the stealval word, updated at the owner's
-/// publishes and consulted at every RMW serialization point.
-#[derive(Clone, Hash, Debug)]
+/// publishes and consulted at every RMW serialization point. The default
+/// is the word the gate swap writes: closed, no bumps yet.
+#[derive(Clone, Hash, Debug, Default)]
 struct Oracle {
-    gate: OGate,
+    /// The epoch the owner last published under; `None`: it closed the
+    /// gate (`itasks` and `tail` zero).
+    epoch: Option<u8>,
+    itasks: u32,
+    tail: u32,
     /// Fetch-add bumps since the owner last wrote the word.
     bumps: u64,
-    /// Total volume of all successful (vol > 0) claims.
-    claim_vol: u64,
 }
 
-#[derive(Clone, Hash, Debug, PartialEq)]
-enum OGate {
-    Open { epoch: u8, itasks: u32, tail: u32 },
-    Closed,
+/// Completion words per epoch slot. Production reserves `slot_budget()`,
+/// enough for an advertisement of 2¹⁹ tasks; no advertisement outgrows
+/// the ring, and every word of the model is state the explorer hashes
+/// and clones.
+fn stride(cfg: &QueueConfig) -> usize {
+    cfg.policy.max_steals(cfg.capacity as u64) as usize
 }
 
-impl SwsWorld {
-    /// Build a scenario: `thief_attempts[i]` is thief `i`'s number of
-    /// claim attempts.
-    pub fn new(
-        name: &'static str,
-        layout: Layout,
-        policy: StealPolicy,
-        cap: usize,
-        script: Vec<OwnerOp>,
-        thief_attempts: &[u32],
-        ords: OrdTable,
-    ) -> SwsWorld {
-        let n_slots = layout.n_epochs();
-        let n_threads = 1 + thief_attempts.len();
-        let n_words = 1 + n_slots * COMP_STRIDE + cap;
-        let mut mem = Memory::new(n_threads, n_words);
-        // The queue constructor publishes an empty open advertisement and
-        // the world barriers before work starts: model as initial state.
-        mem.set_init(SV, layout.encode(StealVal::empty()));
-        let mut slot_busy = vec![false; n_slots];
-        slot_busy[0] = true;
-        SwsWorld {
-            name,
-            layout,
-            policy,
-            ring: Ring::new(cap),
-            cap,
-            n_slots,
-            script,
-            ords,
-            mem,
-            owner: Owner {
-                pc: OPc::Next,
-                ip: 0,
-                head: 0,
-                split: 0,
-                reclaimed: 0,
-                epochs: VecDeque::from([Rec {
-                    slot: 0,
-                    tail: 0,
-                    itasks: 0,
-                    claimed: 0,
-                    finished: 0,
-                    open: true,
-                }]),
-                slot_busy,
-                pending: None,
-                acq: None,
-                drained: Vec::new(),
-            },
-            thieves: thief_attempts
-                .iter()
-                .map(|&attempts| Thief {
-                    pc: TPc::Claim,
-                    attempts,
-                    stolen: Vec::new(),
-                    damped: false,
-                    cleared: false,
-                })
-                .collect(),
-            oracle: Oracle {
-                gate: OGate::Open {
-                    epoch: 0,
-                    itasks: 0,
-                    tail: 0,
-                },
-                bumps: 0,
-                claim_vol: 0,
-            },
-            n_tags: 0,
-        }
-    }
+/// Completion word `s` of epoch slot `slot`.
+fn comp(c: &Core, slot: u64, s: u64) -> usize {
+    slot as usize * stride(&c.cfg) + s as usize
+}
 
-    /// Put every thief in §4.3 damped mode: it starts at [`TPc::Probe`]
-    /// and a runtime monitor rejects any claiming fetch-add that was not
-    /// preceded by a work-observing read-only probe.
-    #[must_use]
-    pub fn with_damped_thieves(mut self) -> SwsWorld {
-        for th in &mut self.thieves {
-            th.damped = true;
-            th.pc = TPc::Probe;
-        }
-        self
-    }
-
-    fn comp(&self, slot: u8, s: u32) -> usize {
-        1 + slot as usize * COMP_STRIDE + s as usize
-    }
-
-    fn payload(&self, ring_idx: usize) -> usize {
-        1 + self.n_slots * COMP_STRIDE + ring_idx
-    }
-
-    fn proto(rule: &'static str, what: String) -> Violation {
-        Violation::Protocol { rule, what }
-    }
-
+impl Sws {
     /// Decode-exactness monitor at an RMW serialization point: `old` is
     /// the word value the RMW observed; it must equal the oracle's last
     /// published state plus the recorded claim bumps.
-    fn check_rmw_view(&self, old: u64) -> Result<StealVal, Violation> {
-        let sv = self.layout.decode(old);
+    fn check_rmw_view(&self, layout: Layout, old: u64) -> Result<StealVal, Violation> {
+        let sv = layout.decode(old);
         if self.oracle.bumps > ASTEALS_MASK {
-            return Err(Self::proto(
+            return Err(proto(
                 "overflow",
                 format!("{} claim bumps exceed the 24-bit asteals field", self.oracle.bumps),
             ));
         }
-        if sv.asteals as u64 != self.oracle.bumps {
-            return Err(Self::proto(
+        let o = &self.oracle;
+        let want = StealVal {
+            asteals: o.bumps as u32,
+            gate: o.epoch.map_or(Gate::Closed, |epoch| Gate::Open { epoch }),
+            itasks: o.itasks,
+            tail: o.tail,
+        };
+        if sv != want {
+            return Err(proto(
                 "decode",
                 format!(
-                    "asteals decodes to {} but {} bumps were issued — counter not monotonic \
-                     or bled across fields",
-                    sv.asteals, self.oracle.bumps
+                    "word decodes to {sv:?} but the owner published {want:?} (asteals: its \
+                     bumps since) — counter not monotonic, fields bled into each other, or \
+                     a gate the owner holds closed decodes open"
                 ),
             ));
-        }
-        match (&self.oracle.gate, sv.gate) {
-            (OGate::Closed, Gate::Closed) => {}
-            (OGate::Closed, Gate::Open { .. }) => {
-                return Err(Self::proto(
-                    "decode",
-                    "gate decodes open while the owner holds it closed \
-                     (epoch-lock semantics broken)"
-                        .into(),
-                ))
-            }
-            (OGate::Open { epoch, itasks, tail }, g) => {
-                let ok = g == Gate::Open { epoch: *epoch }
-                    && sv.itasks == *itasks
-                    && sv.tail == *tail;
-                if !ok {
-                    return Err(Self::proto(
-                        "decode",
-                        format!(
-                            "word decodes to {sv:?} but owner published \
-                             epoch {epoch} itasks {itasks} tail {tail}"
-                        ),
-                    ));
-                }
-            }
         }
         Ok(sv)
     }
 
-    fn exit_reclaim(&mut self, cont: Cont) {
-        self.owner.pc = match cont {
+    fn exit_reclaim(&mut self, c: &mut Core, cont: Cont) {
+        self.pc = match cont {
             Cont::Slot => OPc::SlotWait,
             Cont::Progress => OPc::Next,
-            Cont::Retire => {
-                if self.owner.epochs.is_empty() {
-                    OPc::Next
-                } else {
-                    OPc::Reclaim {
-                        r: RStep::Start,
-                        cont: Cont::Retire,
-                    }
-                }
-            }
-            Cont::Acquire => {
-                let a = self.owner.acq.take().expect("acquire context");
-                if a.unclaimed == 0 {
-                    // Miss: re-advertise empty under the same epoch slot.
-                    self.owner.pending = Some(Pending {
-                        tail: a.new_tail,
-                        k: 0,
-                    });
+            Cont::Retire if self.epochs.is_empty() => OPc::Next,
+            Cont::Retire => OPc::Reclaim { cont },
+            Cont::Acquire(a) => {
+                // Take back the upper half of what is unclaimed and
+                // re-advertise the rest — nothing, on a miss, under the
+                // same epoch slot.
+                let keep = a.unclaimed / 2;
+                c.owner.split -= a.unclaimed - keep;
+                self.pending = Some(Pending {
+                    tail: a.new_tail,
+                    k: keep as u32,
+                });
+                if keep == 0 {
                     OPc::AdvZero { slot: a.slot }
                 } else {
-                    let keep = a.unclaimed / 2;
-                    let take = a.unclaimed - keep;
-                    self.owner.split -= take;
-                    self.owner.pending = Some(Pending {
-                        tail: a.new_tail,
-                        k: keep as u32,
-                    });
-                    if keep == 0 {
-                        OPc::AdvZero { slot: a.slot }
-                    } else {
-                        OPc::SlotWait
-                    }
+                    OPc::SlotWait
                 }
             }
         };
     }
 
     /// Close the back (open) advertisement record given an observed
-    /// asteals count; returns (claimed volume, unclaimed volume).
-    fn close_back(&mut self, asteals: u32) -> (u64, u64) {
-        let rec = self.owner.epochs.back_mut().expect("open back record");
+    /// asteals count, and say what that left.
+    fn close_back(&mut self, c: &Core, asteals: u32) -> Closed {
+        let policy = c.cfg.policy;
+        let rec = self.epochs.back_mut().expect("open back record");
         let itasks = rec.itasks as u64;
-        let claimed = (asteals as u64).min(self.policy.max_steals(itasks));
+        let claimed = (asteals as u64).min(policy.max_steals(itasks));
         rec.claimed = claimed as u32;
         rec.open = false;
-        let claimed_vol = self.policy.claimed_before(itasks, claimed);
-        (claimed_vol, itasks - claimed_vol)
-    }
-
-    fn step_owner(&mut self, ch: &mut Chooser) -> Result<(), Violation> {
-        match self.owner.pc.clone() {
-            OPc::Next => self.owner_dispatch(),
-            OPc::RelReadSv => {
-                let ord = self.ords.get(Site::SwsOwnerSvRead);
-                let v = self.mem.load(0, SV, ord, |n| ch.pick(n));
-                let sv = self.layout.decode(v);
-                let rec = self.owner.epochs.back().expect("open back record");
-                let itasks = rec.itasks as u64;
-                let claimed = (sv.asteals as u64).min(self.policy.max_steals(itasks));
-                if self.policy.claimed_before(itasks, claimed) < itasks {
-                    // Advertised work not fully claimed yet: release fails.
-                    self.owner.pc = OPc::Next;
-                    return Ok(());
-                }
-                self.close_back(sv.asteals);
-                let nlocal = self.owner.head - self.owner.split;
-                let k = (nlocal - nlocal / 2)
-                    .min(self.policy.max_advert(self.layout.max_itasks() as u64));
-                self.owner.pending = Some(Pending {
-                    tail: self.owner.split,
-                    k: k as u32,
-                });
-                self.owner.split += k;
-                self.owner.pc = OPc::SlotWait;
-                Ok(())
-            }
-            OPc::SlotWait => {
-                match self.owner.slot_busy.iter().position(|&b| !b) {
-                    Some(free) => self.owner.pc = OPc::AdvZero { slot: free as u8 },
-                    // §4.1 polling: no free completion slot set — reclaim
-                    // until an epoch drains (the ValidBit acquire stall).
-                    None => {
-                        self.owner.pc = OPc::Reclaim {
-                            r: RStep::Start,
-                            cont: Cont::Slot,
-                        }
-                    }
-                }
-                Ok(())
-            }
-            OPc::AdvZero { slot } => {
-                let k = self.owner.pending.as_ref().expect("pending advert").k;
-                let n = self.policy.max_steals(k as u64) as usize;
-                assert!(n <= COMP_STRIDE, "scenario exceeds model comp stride");
-                let ord = self.ords.get(Site::SwsOwnerSlotZero);
-                for s in 0..n {
-                    let w = self.comp(slot, s as u32);
-                    self.mem.store(0, w, 0, ord);
-                }
-                self.owner.pc = OPc::AdvPublish { slot };
-                Ok(())
-            }
-            OPc::AdvPublish { slot } => {
-                let p = self.owner.pending.take().expect("pending advert");
-                let tail_ring = self.ring.slot(p.tail) as u32;
-                let enc = self
-                    .layout
-                    .try_encode(StealVal {
-                        asteals: 0,
-                        gate: Gate::Open { epoch: slot },
-                        itasks: p.k,
-                        tail: tail_ring,
-                    })
-                    .map_err(|e| Self::proto("decode", format!("advertise encode: {e}")))?;
-                let ord = self.ords.get(Site::SwsOwnerAdvertise);
-                self.mem.store(0, SV, enc, ord);
-                self.owner.epochs.push_back(Rec {
-                    slot,
-                    tail: p.tail,
-                    itasks: p.k,
-                    claimed: 0,
-                    finished: 0,
-                    open: true,
-                });
-                self.owner.slot_busy[slot as usize] = true;
-                self.oracle.gate = OGate::Open {
-                    epoch: slot,
-                    itasks: p.k,
-                    tail: tail_ring,
-                };
-                self.oracle.bumps = 0;
-                self.owner.pc = OPc::Next;
-                Ok(())
-            }
-            OPc::AcqSwap | OPc::RetireSwap => {
-                let retire = self.owner.pc == OPc::RetireSwap;
-                let closed = self.layout.encode(StealVal {
-                    asteals: 0,
-                    gate: Gate::Closed,
-                    itasks: 0,
-                    tail: 0,
-                });
-                let ord = self.ords.get(Site::SwsOwnerAcquireSwap);
-                let old = self.mem.swap(0, SV, closed, ord);
-                let sv = self.check_rmw_view(old)?;
-                self.oracle.gate = OGate::Closed;
-                self.oracle.bumps = 0;
-                let back_open = self.owner.epochs.back().is_some_and(|r| r.open);
-                if retire {
-                    if sv.gate != Gate::Closed && back_open {
-                        let (_, unclaimed) = self.close_back(sv.asteals);
-                        // Unclaimed shared tasks come back to the owner.
-                        self.owner.split -= unclaimed;
-                    }
-                    self.owner.pc = OPc::Reclaim {
-                        r: RStep::Start,
-                        cont: Cont::Retire,
-                    };
-                } else {
-                    let rec_slot = self.owner.epochs.back().expect("record").slot;
-                    let rec_tail = self.owner.epochs.back().expect("record").tail;
-                    let (claimed_vol, unclaimed) = self.close_back(sv.asteals);
-                    self.owner.acq = Some(AcqCtx {
-                        slot: rec_slot,
-                        new_tail: rec_tail + claimed_vol,
-                        unclaimed,
-                    });
-                    self.owner.pc = OPc::Reclaim {
-                        r: RStep::Start,
-                        cont: Cont::Acquire,
-                    };
-                }
-                Ok(())
-            }
-            OPc::Reclaim { r, cont } => self.step_reclaim(r, cont, ch),
-            OPc::Done => unreachable!("stepping a finished owner"),
+        let claimed_vol = policy.claimed_before(itasks, claimed);
+        Closed {
+            slot: rec.slot,
+            new_tail: rec.tail + claimed_vol,
+            unclaimed: itasks - claimed_vol,
         }
     }
 
-    fn owner_dispatch(&mut self) -> Result<(), Violation> {
-        if self.owner.ip == self.script.len() {
-            self.owner.pc = OPc::Done;
-            return Ok(());
-        }
-        let op = self.script[self.owner.ip];
-        self.owner.ip += 1;
+    /// Make the older half of the local portion, at most `limit` tasks,
+    /// the next advertisement.
+    fn expose(&mut self, c: &mut Core, limit: u64) {
+        let nlocal = c.owner.head - c.owner.split;
+        let k = (nlocal - nlocal / 2).min(limit);
+        self.pending = Some(Pending {
+            tail: c.owner.split,
+            k: k as u32,
+        });
+        c.owner.split += k;
+        self.pc = OPc::SlotWait;
+    }
+
+    /// Start script op `op`.
+    fn begin(&mut self, c: &mut Core, op: OwnerOp) {
+        let live = self.epochs.back().is_some_and(|r| r.open);
+        let local = c.owner.head - c.owner.split;
         match op {
-            OwnerOp::Enqueue => {
-                let tag = self.n_tags;
-                self.n_tags += 1;
-                if self.owner.head - self.owner.reclaimed >= self.cap as u64 {
-                    // Ring full: the scheduler executes the task inline.
-                    self.owner.drained.push(tag);
-                    return Ok(());
-                }
-                let w = self.payload(self.ring.slot(self.owner.head));
-                let ord = self.ords.get(Site::SwsOwnerPayloadWrite);
-                self.mem
-                    .store_payload(0, w, tag + 1, Site::SwsOwnerPayloadWrite, ord)?;
-                self.owner.head += 1;
-                Ok(())
-            }
-            OwnerOp::PopAll => {
-                for abs in self.owner.split..self.owner.head {
-                    let w = self.payload(self.ring.slot(abs));
-                    let v = self.mem.read_local(0, w)?;
-                    if v == 0 {
-                        return Err(Self::proto(
-                            "conservation",
-                            format!("owner pops uninitialized ring slot (abs {abs})"),
-                        ));
-                    }
-                    self.owner.drained.push(v - 1);
-                }
-                self.owner.head = self.owner.split;
-                Ok(())
-            }
-            OwnerOp::Release => {
-                if self.owner.head == self.owner.split {
-                    return Ok(()); // nothing local to expose
-                }
-                if self.owner.epochs.back().is_some_and(|r| r.open) {
-                    self.owner.pc = OPc::RelReadSv;
-                } else {
-                    // No live advertisement (post-retire): expose directly.
-                    let nlocal = self.owner.head - self.owner.split;
-                    let k = nlocal - nlocal / 2;
-                    self.owner.pending = Some(Pending {
-                        tail: self.owner.split,
-                        k: k as u32,
-                    });
-                    self.owner.split += k;
-                    self.owner.pc = OPc::SlotWait;
-                }
-                Ok(())
-            }
-            OwnerOp::Acquire => {
-                if self.owner.head != self.owner.split
-                    || !self.owner.epochs.back().is_some_and(|r| r.open)
-                {
-                    return Ok(()); // acquire only runs with an empty local deque
-                }
-                self.owner.pc = OPc::AcqSwap;
-                Ok(())
-            }
-            OwnerOp::Progress => {
-                self.owner.pc = OPc::Reclaim {
-                    r: RStep::Start,
-                    cont: Cont::Progress,
-                };
-                Ok(())
-            }
-            OwnerOp::Retire => {
-                self.owner.pc = OPc::RetireSwap;
-                Ok(())
-            }
+            OwnerOp::Release if local == 0 => {} // nothing local to expose
+            OwnerOp::Release if live => self.pc = OPc::RelReadSv,
+            // No live advertisement (post-retire): expose directly.
+            OwnerOp::Release => self.expose(c, u64::MAX),
+            // Acquire only runs with an empty local deque.
+            OwnerOp::Acquire if local == 0 && live => self.pc = OPc::AcqSwap,
+            OwnerOp::Acquire => {}
+            OwnerOp::Progress => self.pc = OPc::Reclaim { cont: Cont::Progress },
+            OwnerOp::Retire => self.pc = OPc::RetireSwap,
+            OwnerOp::Enqueue | OwnerOp::PopAll => unreachable!("the shared machine runs {op:?}"),
         }
     }
 
-    fn step_reclaim(&mut self, r: RStep, cont: Cont, ch: &mut Chooser) -> Result<(), Violation> {
-        match r {
-            RStep::Start => {
-                match self.owner.epochs.front() {
-                    None => self.exit_reclaim(cont),
-                    Some(front) => {
-                        self.owner.pc = if front.open {
-                            OPc::Reclaim { r: RStep::Sv, cont }
-                        } else {
-                            OPc::Reclaim {
-                                r: RStep::Comp { n: front.claimed },
-                                cont,
-                            }
-                        };
-                    }
-                }
-                Ok(())
-            }
-            RStep::Sv => {
+    fn step_reclaim(&mut self, c: &mut Core, ch: &mut Chooser) -> Result<(), Violation> {
+        let policy = c.cfg.policy;
+        match self.pc.clone() {
+            OPc::Reclaim { cont } => match self.epochs.front() {
+                None => self.exit_reclaim(c, cont),
+                Some(front) if front.open => self.pc = OPc::ReclaimSv { cont },
+                Some(front) => self.pc = OPc::ReclaimComp { n: front.claimed, cont },
+            },
+            OPc::ReclaimSv { cont } => {
                 // The open record is the live advertisement: clamp its
                 // claim count from the word.
-                let ord = self.ords.get(Site::SwsOwnerSvRead);
-                let v = self.mem.load(0, SV, ord, |n| ch.pick(n));
-                let sv = self.layout.decode(v);
-                let itasks = self.owner.epochs.front().expect("front record").itasks as u64;
-                let n = (sv.asteals as u64).min(self.policy.max_steals(itasks)) as u32;
-                self.owner.pc = OPc::Reclaim {
-                    r: RStep::Comp { n },
-                    cont,
-                };
-                Ok(())
+                let v = c.mem.load(0, Site::SwsOwnerSvRead, 0, |n| ch.pick(n));
+                let sv = c.cfg.layout.decode(v);
+                let itasks = self.epochs.front().expect("front record").itasks as u64;
+                let n = (sv.asteals as u64).min(policy.max_steals(itasks)) as u32;
+                self.pc = OPc::ReclaimComp { n, cont };
             }
-            RStep::Comp { n } => {
-                let front = self.owner.epochs.front().expect("front record").clone();
+            OPc::ReclaimComp { n, cont } => {
+                let front = self.epochs.front().expect("front record").clone();
                 if front.finished < n {
-                    let w = self.comp(front.slot, front.finished);
-                    let ord = self.ords.get(Site::SwsOwnerReclaimRead);
-                    let v = self.mem.load(0, w, ord, |m| ch.pick(m));
+                    let w = comp(c, front.slot as u64, front.finished as u64);
+                    let v = c.mem.load(0, Site::SwsOwnerReclaimRead, w, |m| ch.pick(m));
                     if v == 0 {
                         // Steal claimed but not yet completed: stop here.
-                        self.exit_reclaim(cont);
+                        self.exit_reclaim(c, cont);
                         return Ok(());
                     }
-                    let expect = self
-                        .policy
-                        .volume(front.itasks as u64, front.finished as u64);
+                    let expect = policy.volume(front.itasks as u64, front.finished as u64);
                     if v != expect {
-                        return Err(Self::proto(
+                        return Err(proto(
                             "reconciliation",
                             format!(
                                 "completion slot {} of epoch {} holds {v}, steal-half \
@@ -647,76 +299,161 @@ impl SwsWorld {
                             ),
                         ));
                     }
-                    let fr = self.owner.epochs.front_mut().expect("front record");
+                    let fr = self.epochs.front_mut().expect("front record");
                     fr.finished += 1;
-                    self.owner.reclaimed += v;
+                    c.owner.reclaimed += v;
                     // pc unchanged: re-enter Comp for the next slot.
                 } else if !front.open {
                     // Fully drained epoch: free its completion slot set.
-                    self.owner.slot_busy[front.slot as usize] = false;
-                    self.owner.epochs.pop_front();
-                    self.owner.pc = OPc::Reclaim {
-                        r: RStep::Start,
-                        cont,
-                    };
+                    self.slot_busy[front.slot as usize] = false;
+                    self.epochs.pop_front();
+                    self.pc = OPc::Reclaim { cont };
                 } else {
                     // Live advertisement reconciled as far as claims go.
-                    self.exit_reclaim(cont);
+                    self.exit_reclaim(c, cont);
                 }
-                Ok(())
             }
+            pc => unreachable!("{pc:?} is no reclaim step"),
         }
+        Ok(())
     }
+}
 
-    /// A damped thief's next program counter after settling a claim
-    /// attempt: back to the read-only probe; an undamped thief claims
-    /// directly.
-    fn thief_restart(&self, ti: usize) -> TPc {
-        if self.thieves[ti].damped {
-            TPc::Probe
-        } else {
-            TPc::Claim
-        }
-    }
+const SITES: Sites = Sites {
+    write: Site::SwsOwnerPayloadWrite,
+    read: Site::SwsThiefPayloadRead,
+    complete: Site::SwsThiefComplete,
+};
 
-    fn step_thief(&mut self, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
-        let ti = t - 1;
-        match self.thieves[ti].pc.clone() {
-            TPc::Probe => {
-                if self.thieves[ti].attempts == 0 {
-                    self.thieves[ti].pc = TPc::Done;
+impl Steps for Sws {
+    fn step_owner(&mut self, c: &mut Core, ch: &mut Chooser) -> Result<(), Violation> {
+        let (layout, policy) = (c.cfg.layout, c.cfg.policy);
+        match self.pc.clone() {
+            OPc::Next => {
+                if let Some(op) = c.next_op()? {
+                    self.begin(c, op);
+                }
+            }
+            OPc::RelReadSv => {
+                let v = c.mem.load(0, Site::SwsOwnerSvRead, 0, |n| ch.pick(n));
+                let sv = layout.decode(v);
+                let rec = self.epochs.back().expect("open back record");
+                let itasks = rec.itasks as u64;
+                let claimed = (sv.asteals as u64).min(policy.max_steals(itasks));
+                if policy.claimed_before(itasks, claimed) < itasks {
+                    // Advertised work not fully claimed yet: release fails.
+                    self.pc = OPc::Next;
                     return Ok(());
                 }
+                self.close_back(c, sv.asteals);
+                self.expose(c, policy.max_advert(layout.max_itasks() as u64));
+            }
+            OPc::SlotWait => {
+                self.pc = match self.slot_busy.iter().position(|&b| !b) {
+                    Some(free) => OPc::AdvZero { slot: free as u8 },
+                    // §4.1 polling: no free completion slot set — reclaim
+                    // until an epoch drains (the ValidBit acquire stall).
+                    None => OPc::Reclaim { cont: Cont::Slot },
+                };
+            }
+            OPc::AdvZero { slot } => {
+                let k = self.pending.as_ref().expect("pending advert").k;
+                for s in 0..policy.max_steals(k as u64) {
+                    let w = comp(c, slot as u64, s);
+                    c.mem.store(0, Site::SwsOwnerSlotZero, w, 0);
+                }
+                self.pc = OPc::AdvPublish { slot };
+            }
+            OPc::AdvPublish { slot } => {
+                let p = self.pending.take().expect("pending advert");
+                let tail_ring = c.ring.slot(p.tail) as u32;
+                let enc = layout
+                    .try_encode(StealVal {
+                        asteals: 0,
+                        gate: Gate::Open { epoch: slot },
+                        itasks: p.k,
+                        tail: tail_ring,
+                    })
+                    .map_err(|e| proto("decode", format!("advertise encode: {e}")))?;
+                c.mem.store(0, Site::SwsOwnerAdvertise, 0, enc);
+                self.epochs.push_back(Rec {
+                    slot,
+                    tail: p.tail,
+                    itasks: p.k,
+                    open: true,
+                    ..Rec::default()
+                });
+                self.slot_busy[slot as usize] = true;
+                self.oracle = Oracle {
+                    epoch: Some(slot),
+                    itasks: p.k,
+                    tail: tail_ring,
+                    bumps: 0,
+                };
+                self.pc = OPc::Next;
+            }
+            OPc::AcqSwap | OPc::RetireSwap => {
+                let retire = self.pc == OPc::RetireSwap;
+                let closed = layout.encode(StealVal {
+                    asteals: 0,
+                    gate: Gate::Closed,
+                    itasks: 0,
+                    tail: 0,
+                });
+                let old = c.mem.swap(0, Site::SwsOwnerAcquireSwap, 0, closed);
+                let sv = self.check_rmw_view(layout, old)?;
+                self.oracle = Oracle::default();
+                if !retire {
+                    let left = self.close_back(c, sv.asteals);
+                    self.pc = OPc::Reclaim { cont: Cont::Acquire(left) };
+                } else {
+                    let back_open = self.epochs.back().is_some_and(|r| r.open);
+                    if sv.gate != Gate::Closed && back_open {
+                        // Unclaimed shared tasks come back to the owner.
+                        c.owner.split -= self.close_back(c, sv.asteals).unclaimed;
+                    }
+                    self.pc = OPc::Reclaim { cont: Cont::Retire };
+                }
+            }
+            OPc::Reclaim { .. } | OPc::ReclaimSv { .. } | OPc::ReclaimComp { .. } => {
+                return self.step_reclaim(c, ch)
+            }
+        }
+        Ok(())
+    }
+
+    fn step_thief(&mut self, c: &mut Core, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
+        if c.out_of_attempts(t) {
+            return Ok(());
+        }
+        let th = &mut self.thieves[t - 1];
+        match th.pc {
+            TPc::Probe => {
                 // Read-only probe (§4.3): a plain load, never a fetch-add
-                // — the structural half of the damping contract. The load
+                // — the structural half of the damping contract, which
+                // the site's catalog row holds the memory to. The load
                 // may legally observe stale values, so its view is not
                 // held to RMW decode exactness.
-                let ord = self.ords.get(Site::SwsThiefProbe);
-                let v = self.mem.load(t, SV, ord, |n| ch.pick(n));
-                let sv = self.layout.decode(v);
+                let v = c.mem.load(t, Site::SwsThiefProbe, 0, |n| ch.pick(n));
+                let sv = c.cfg.layout.decode(v);
                 let has_work = match sv.gate {
                     Gate::Closed => true, // owner mid-update: work may appear
                     Gate::Open { .. } => {
-                        (sv.asteals as u64) < self.policy.max_steals(sv.itasks as u64)
+                        (sv.asteals as u64) < c.cfg.policy.max_steals(sv.itasks as u64)
                     }
                 };
                 if has_work {
-                    self.thieves[ti].cleared = true;
-                    self.thieves[ti].pc = TPc::Claim;
+                    th.cleared = true;
+                    th.pc = TPc::Claim;
                 } else {
                     // Empty-mode target: back off without touching the
                     // word. Burns an attempt so exploration terminates.
-                    self.thieves[ti].attempts -= 1;
+                    c.thieves[t - 1].attempts -= 1;
                 }
-                Ok(())
             }
             TPc::Claim => {
-                if self.thieves[ti].attempts == 0 {
-                    self.thieves[ti].pc = TPc::Done;
-                    return Ok(());
-                }
-                if self.thieves[ti].damped && !self.thieves[ti].cleared {
-                    return Err(Self::proto(
+                if th.damped && !th.cleared {
+                    return Err(proto(
                         "damping",
                         format!(
                             "damped thief {t} issued a claiming fetch-add without a \
@@ -724,269 +461,165 @@ impl SwsWorld {
                         ),
                     ));
                 }
-                self.thieves[ti].attempts -= 1;
-                self.thieves[ti].cleared = false;
-                let ord = self.ords.get(Site::SwsThiefClaim);
-                let old = self.mem.fetch_add(t, SV, ASTEAL_UNIT, ord);
-                let sv = self.check_rmw_view(old)?;
+                c.thieves[t - 1].attempts -= 1;
+                th.cleared = false;
+                // With a block or without (closed gate, exhausted
+                // advertisement), the next attempt starts over: a damped
+                // thief must re-probe first.
+                th.restart();
+                let old = c.mem.fetch_add(t, Site::SwsThiefClaim, 0, ASTEAL_UNIT);
+                self.check_rmw_view(c.cfg.layout, old)?;
                 self.oracle.bumps += 1;
-                if let Gate::Open { epoch } = sv.gate {
-                    let a = sv.asteals;
-                    let vol = self.policy.volume(sv.itasks as u64, a as u64);
-                    if vol > 0 {
-                        let start = self
-                            .ring
-                            .slot(sv.tail as u64 + self.policy.claimed_before(sv.itasks as u64, a as u64));
-                        self.thieves[ti].pc = TPc::Copy {
-                            slot: epoch,
-                            start: start as u32,
-                            vol: vol as u32,
-                            i: 0,
-                            a,
-                            tags: Vec::new(),
-                        };
-                        return Ok(());
-                    }
-                    // vol == 0: advertisement exhausted — next attempt.
-                }
-                // Closed gate or exhausted: next attempt (damped thieves
-                // must re-probe first).
-                self.thieves[ti].pc = self.thief_restart(ti);
-                Ok(())
-            }
-            TPc::Copy {
-                slot,
-                start,
-                vol,
-                i,
-                a,
-                mut tags,
-            } => {
-                let w = self.payload(self.ring.slot(start as u64 + i as u64));
-                let ord = self.ords.get(Site::SwsThiefPayloadRead);
-                let v = self.mem.read_fresh(t, w, Site::SwsThiefPayloadRead, ord)?;
-                if v == 0 {
-                    return Err(Self::proto(
-                        "uninit-steal",
-                        format!("thief {t} copied an unwritten ring slot (steal {a})"),
-                    ));
-                }
-                tags.push(v - 1);
-                let i = i + 1;
-                self.thieves[ti].pc = if i == vol {
-                    TPc::Complete { slot, a, vol, tags }
-                } else {
-                    TPc::Copy {
-                        slot,
-                        start,
-                        vol,
-                        i,
-                        a,
-                        tags,
-                    }
+                // What the fetched word gives the thief is production's
+                // own reading of a captured claim.
+                let claim = ProtoEvent {
+                    t_ns: 0,
+                    issuer: t as u32,
+                    target: 0,
+                    offset: 0,
+                    len: 1,
+                    site: Site::SwsThiefClaim.id(),
+                    op: ProtoOp::FetchAdd,
+                    arg: ASTEAL_UNIT,
+                    arg2: 0,
+                    prev: old,
                 };
-                Ok(())
-            }
-            TPc::Complete { slot, a, vol, tags } => {
-                let w = self.comp(slot, a);
-                let ord = self.ords.get(Site::SwsThiefComplete);
-                self.mem.store(t, w, vol as u64, ord);
-                self.oracle.claim_vol += vol as u64;
-                self.thieves[ti].stolen.extend(tags);
-                self.thieves[ti].pc = self.thief_restart(ti);
-                Ok(())
-            }
-            TPc::Done => unreachable!("stepping a finished thief"),
-        }
-    }
-}
-
-impl Hash for SwsWorld {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.mem.hash(state);
-        self.owner.hash(state);
-        self.thieves.hash(state);
-        self.oracle.hash(state);
-        self.n_tags.hash(state);
-    }
-}
-
-impl World for SwsWorld {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn n_threads(&self) -> usize {
-        1 + self.thieves.len()
-    }
-
-    fn done(&self, t: usize) -> bool {
-        if t == 0 {
-            self.owner.pc == OPc::Done
-        } else {
-            matches!(self.thieves[t - 1].pc, TPc::Done)
-        }
-    }
-
-    fn step(&mut self, t: usize, ch: &mut Chooser) -> Result<(), Violation> {
-        if t == 0 {
-            self.step_owner(ch)
-        } else {
-            self.step_thief(t, ch)
-        }
-    }
-
-    fn describe(&self, t: usize) -> String {
-        if t == 0 {
-            format!("owner {:?} (ip {})", self.owner.pc, self.owner.ip)
-        } else {
-            format!("thief {:?}", self.thieves[t - 1].pc)
-        }
-    }
-
-    fn check_end(&self) -> Result<(), Violation> {
-        // Task conservation: pops + steals partition the tag space.
-        let mut tags: Vec<u64> = self.owner.drained.clone();
-        for th in &self.thieves {
-            tags.extend(&th.stolen);
-        }
-        tags.sort_unstable();
-        let expect: Vec<u64> = (0..self.n_tags).collect();
-        if tags != expect {
-            return Err(Self::proto(
-                "conservation",
-                format!(
-                    "{} tasks enqueued but tags {:?} were executed (duplicate or lost)",
-                    self.n_tags, tags
-                ),
-            ));
-        }
-        // Completion reconciliation at quiescence: everything claimed was
-        // eventually observed back by the owner.
-        if self.script.contains(&OwnerOp::Retire) {
-            if !self.owner.epochs.is_empty() {
-                return Err(Self::proto(
-                    "reconciliation",
-                    format!(
-                        "{} epoch records left undrained after retire",
-                        self.owner.epochs.len()
-                    ),
-                ));
-            }
-            if self.owner.reclaimed != self.oracle.claim_vol {
-                return Err(Self::proto(
-                    "reconciliation",
-                    format!(
-                        "owner reclaimed {} task slots but thieves claimed {}",
-                        self.owner.reclaimed, self.oracle.claim_vol
-                    ),
-                ));
-            }
-            if self.owner.slot_busy.iter().any(|&b| b) {
-                return Err(Self::proto(
-                    "reconciliation",
-                    "a completion slot set is still busy after retire".into(),
-                ));
+                match decode(&c.cfg, Site::SwsThiefClaim, &claim) {
+                    Ok(Step::Claim(Claim::Live { epoch, index, volume, start_slot })) => {
+                        let w = comp(c, epoch, index);
+                        c.begin_copy(t, start_slot, volume, w);
+                    }
+                    Ok(Step::Claim(_)) => {}
+                    other => unreachable!("a claim fetch-add decodes as {other:?}"),
+                }
             }
         }
         Ok(())
     }
+
+    fn check_end(&self, c: &Core) -> Result<(), Violation> {
+        if !c.retires() {
+            return Ok(());
+        }
+        if !self.epochs.is_empty() {
+            return Err(proto(
+                "reconciliation",
+                format!("{} epoch records left undrained after retire", self.epochs.len()),
+            ));
+        }
+        if self.slot_busy.iter().any(|&b| b) {
+            return Err(proto(
+                "reconciliation",
+                "a completion slot set is still busy after retire".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    fn pc(&self, t: usize) -> &dyn Debug {
+        match t {
+            0 => &self.pc,
+            _ => &self.thieves[t - 1].pc,
+        }
+    }
 }
 
-/// The SWS scenario catalog. `audit_only` selects the smaller subset the
-/// per-site ordering audit re-runs (the full set runs in the model-check
-/// suite under production orderings).
-pub fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<SwsWorld> {
+/// An SWS scenario on a `cap`-task ring under `layout`; `thief_attempts[i]`
+/// is thief `i`'s number of claim attempts. `damped` puts every thief in
+/// §4.3 damped mode: each attempt starts at [`TPc::Probe`], and a runtime
+/// monitor rejects any claiming fetch-add that was not preceded by a
+/// work-observing read-only probe.
+fn scenario(
+    name: &'static str,
+    layout: Layout,
+    cap: usize,
+    script: &[OwnerOp],
+    thief_attempts: &[u32],
+    damped: bool,
+    ords: &OrdTable,
+) -> Machine {
+    let mut slot_busy = vec![false; layout.n_epochs()];
+    slot_busy[0] = true;
+    let mut thief = Thief {
+        pc: TPc::Claim,
+        damped,
+        cleared: false,
+    };
+    thief.restart();
+    let half = Sws {
+        pc: OPc::Next,
+        epochs: VecDeque::from([Rec {
+            open: true,
+            ..Rec::default()
+        }]),
+        slot_busy,
+        pending: None,
+        thieves: vec![thief; thief_attempts.len()],
+        oracle: Oracle {
+            epoch: Some(0),
+            ..Oracle::default()
+        },
+    };
+    // One-word tasks under the default (steal-half) policy.
+    let cfg = QueueConfig::new(cap, 8).with_layout(layout);
+    let mut blocks = Protocol::Sws.blocks(&cfg);
+    blocks[1] = layout.n_epochs() * stride(&cfg);
+    let mut mem = Memory::new(1 + thief_attempts.len(), ords.clone(), blocks);
+    // The queue constructor publishes an empty open advertisement and
+    // the world barriers before work starts: model as initial state.
+    let sv = Site::SwsOwnerAdvertise.row().word;
+    mem.set_init(sv, 0, layout.encode(StealVal::empty()));
+    Machine::new(name, Half::Sws(half), SITES, cfg, script.to_vec(), thief_attempts, mem)
+}
+
+/// The SWS scenario catalog (see [`crate::all_scenarios`]).
+pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
     use OwnerOp::*;
+    // Most scenarios run the paper's final design: epochs, undamped.
+    let epochs = |name, cap, script: &[OwnerOp], thief_attempts: &[u32]| {
+        scenario(name, Layout::Epochs, cap, script, thief_attempts, false, ords)
+    };
+    let steal_all = [Enqueue, Enqueue, Release, Retire, PopAll];
     let mut v = vec![
         // The headline 2-PE scenario: one advertisement, one thief.
-        SwsWorld::new(
-            "sws_basic",
-            Layout::Epochs,
-            StealPolicy::Half,
-            8,
-            vec![Enqueue, Enqueue, Enqueue, Release, Retire, PopAll],
-            &[2],
-            ords.clone(),
-        ),
+        epochs("sws_basic", 8, &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll], &[2]),
         // Epoch flip: acquire closes the gate mid-steal and re-advertises
         // the unclaimed remainder under the other epoch.
-        SwsWorld::new(
+        epochs(
             "sws_epoch_flip",
-            Layout::Epochs,
-            StealPolicy::Half,
             8,
-            vec![
-                Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
-            ],
+            &[Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
             &[2],
-            ords.clone(),
         ),
         // Ring reuse at capacity 2: an enqueue lands on a slot a thief
         // stole from — only legal once the completion has been reclaimed.
-        SwsWorld::new(
+        epochs(
             "sws_ring_reuse",
-            Layout::Epochs,
-            StealPolicy::Half,
             2,
-            vec![Enqueue, Enqueue, Release, Progress, Enqueue, Retire, PopAll],
+            &[Enqueue, Enqueue, Release, Progress, Enqueue, Retire, PopAll],
             &[1],
-            ords.clone(),
         ),
         // §4.3 steal damping: the thief probes read-only and only
         // fetch-adds after observing available work. Exercises the
         // SwsThiefProbe site and the probe-before-claim monitor.
-        SwsWorld::new(
-            "sws_damped_probe",
-            Layout::Epochs,
-            StealPolicy::Half,
-            8,
-            vec![Enqueue, Enqueue, Release, Retire, PopAll],
-            &[2],
-            ords.clone(),
-        )
-        .with_damped_thieves(),
+        scenario("sws_damped_probe", Layout::Epochs, 8, &steal_all, &[2], true, ords),
     ];
     if !audit_only {
-        v.push(
-            // 3 PEs: two thieves racing fetch-adds on one advertisement.
-            SwsWorld::new(
-                "sws_two_thieves",
-                Layout::Epochs,
-                StealPolicy::Half,
-                8,
-                vec![Enqueue, Enqueue, Release, Retire, PopAll],
-                &[1, 1],
-                ords.clone(),
-            ),
-        );
-        v.push(
-            // Fig. 3 layout: single epoch, advertise stalls on reclaim.
-            SwsWorld::new(
-                "sws_validbit",
-                Layout::ValidBit,
-                StealPolicy::Half,
-                8,
-                vec![
-                    Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
-                ],
-                &[2],
-                ords.clone(),
-            ),
-        );
-        v.push(
-            // Closed-gate hammering: more attempts than work, several of
-            // them bound to land on a closed or exhausted word.
-            SwsWorld::new(
-                "sws_closed_gate",
-                Layout::Epochs,
-                StealPolicy::Half,
-                8,
-                vec![Enqueue, Enqueue, Release, Retire, PopAll],
-                &[3],
-                ords.clone(),
-            ),
-        );
+        // 3 PEs: two thieves racing fetch-adds on one advertisement.
+        v.push(epochs("sws_two_thieves", 8, &steal_all, &[1, 1]));
+        // Fig. 3 layout: single epoch, advertise stalls on reclaim.
+        v.push(scenario(
+            "sws_validbit",
+            Layout::ValidBit,
+            8,
+            &[Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
+            &[2],
+            false,
+            ords,
+        ));
+        // Closed-gate hammering: more attempts than work, several of
+        // them bound to land on a closed or exhausted word.
+        v.push(epochs("sws_closed_gate", 8, &steal_all, &[3]));
     }
     v
 }

@@ -123,3 +123,24 @@ fn model_verdicts_are_pinned() {
         assert_eq!(got, want, "{} {}", site.name(), w.label());
     }
 }
+
+/// Every catalog site is issued by some explored schedule — of the full
+/// scenario set, and of the audit subset too, so an all-`ok` row of
+/// `ORDERINGS.md` is a weakening the search exercised and could not
+/// tell, never a site no scenario reaches.
+#[test]
+fn every_catalog_site_is_issued_by_the_model() {
+    use sws_core::AtomicSite;
+    for audit_only in [false, true] {
+        let issued = all_scenarios(&OrdTable::production(), audit_only)
+            .iter()
+            .map(|w| explore(w, &Config::default()).expect("production is clean").sites)
+            .fold(0, |all, sites| all | sites);
+        let missed: Vec<&str> = AtomicSite::ALL
+            .iter()
+            .filter(|s| issued & (1 << s.id()) == 0)
+            .map(|s| s.name())
+            .collect();
+        assert!(missed.is_empty(), "audit_only={audit_only}: no scenario issues {missed:?}");
+    }
+}

@@ -200,6 +200,10 @@ fn cli_shaped_runs(kind: QueueKind) -> [RunReport; 4] {
     ]
 }
 
+/// One system's [`cli_shaped_runs`]: makespan, total ops issued and
+/// digest of each.
+type CliShapedPins = (QueueKind, [(u64, u64, u64); 4]);
+
 /// Makespan, total ops issued, and the full digest (per-PE `OpStats`,
 /// timing, queue and service counters) of [`cli_shaped_runs`], taken at
 /// cb37789 under the counter termination detector — the commit before
@@ -208,7 +212,7 @@ fn cli_shaped_runs(kind: QueueKind) -> [RunReport; 4] {
 /// a flush, an idle-set update or a poll that moves, moves them.
 #[test]
 fn counter_detector_runs_are_pinned() {
-    let pinned: [(QueueKind, [(u64, u64, u64); 4]); 2] = [
+    let pinned: [CliShapedPins; 2] = [
         (
             QueueKind::Sws,
             [(484_484, 7_732, 0xc08a06e7849f81d2), (8_999_128, 5_102, 0xebec04ea7671dd48), (25_527_462, 3_809, 0xdf61a755f4cd0ab8), (512_911, 2_349, 0x4cfc152234d0ea1f)],

@@ -305,8 +305,6 @@ impl ServiceWorkload for FlatServe {
 /// amount of admitted work per arrival is wildly variable — the
 /// irregular-service stress test.
 pub struct UtsServe {
-    /// Tree family parameters (shared with the embedded node handler).
-    pub params: UtsParams,
     /// Arrival plan (per ingress PE).
     pub plan: ArrivalPlan,
     /// Depth injected subtree roots claim to be at; deeper roots mean
@@ -326,7 +324,6 @@ impl UtsServe {
         n_ingress: usize,
     ) -> UtsServe {
         UtsServe {
-            params,
             plan,
             root_depth,
             n_ingress,
@@ -366,7 +363,8 @@ impl Workload for UtsServe {
     fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
         // Ordinary UTS node tasks handle everything below the roots.
         self.inner.register(reg);
-        let params = self.params;
+        let table = Arc::clone(self.inner.child_table());
+        let node_ns = self.inner.params().node_ns;
         reg.register(UTS_SERVE_FN, move |tctx, payload| {
             let mut r = PayloadReader::new(payload);
             let inject_ns = r.u64();
@@ -376,8 +374,8 @@ impl Workload for UtsServe {
             // are tracked by the ordinary UTS machinery. One sample per
             // admitted arrival keeps conservation countable.
             tctx.mark_arrival(inject_ns);
-            let n = params.num_children(&state, depth);
-            tctx.compute(params.node_ns + n as u64 * params.node_ns / 2);
+            let n = table.num_children(&state, depth);
+            tctx.compute(node_ns + n as u64 * node_ns / 2);
             for i in 0..n {
                 tctx.spawn(UtsParams::node_task(&spawn_child(&state, i), depth + 1));
             }
@@ -398,7 +396,7 @@ impl ServiceWorkload for UtsServe {
         (pe < self.n_ingress(n_pes)).then(|| {
             Box::new(UtsSource {
                 clock: self.plan.clock(pe),
-                pe_base: spawn_child(&self.params.root(), pe as u32),
+                pe_base: spawn_child(&self.inner.params().root(), pe as u32),
                 root_depth: self.root_depth,
                 next_index: 0,
             }) as Box<dyn ArrivalSource>
@@ -554,5 +552,15 @@ mod tests {
             }
         }
         assert_eq!(states.len(), 10, "all subtree roots distinct");
+    }
+
+    #[test]
+    fn uts_serve_handlers_share_the_inner_workloads_table() {
+        let plan = ArrivalPlan::poisson(9, 1_000, 1_000_000);
+        let us = UtsServe::new(UtsParams::geo_small(6), plan, 2, 2);
+        let mut reg: TaskRegistry<TaskCtx> = TaskRegistry::new();
+        us.register(&mut reg);
+        // The node handler and the root handler, no table of their own.
+        assert_eq!(Arc::strong_count(us.inner.child_table()), 3);
     }
 }

@@ -113,12 +113,20 @@ pub fn root_state(seed: u32) -> [u8; DIGEST_BYTES] {
     sha1(&seed.to_be_bytes())
 }
 
-/// Map a digest to a uniform value in [0, 1): the leading 31 bits as a
-/// positive integer over 2³¹, matching UTS's `rng_toProb(rng_rand(state))`.
-pub fn to_prob(state: &[u8; DIGEST_BYTES]) -> f64 {
+/// Largest value of [`rand_bits`].
+pub const RAND_MAX: u32 = 0x7FFF_FFFF;
+
+/// A digest's random draw: its leading 31 bits as a non-negative integer
+/// (UTS's `rng_rand(state)`).
+pub fn rand_bits(state: &[u8; DIGEST_BYTES]) -> u32 {
     let [a, b, c, d, ..] = *state;
-    let v = u32::from_be_bytes([a, b, c, d]) & 0x7FFF_FFFF;
-    v as f64 / (1u64 << 31) as f64
+    u32::from_be_bytes([a, b, c, d]) & RAND_MAX
+}
+
+/// Map a digest to a uniform value in [0, 1): [`rand_bits`] over 2³¹,
+/// matching UTS's `rng_toProb(rng_rand(state))`.
+pub fn to_prob(state: &[u8; DIGEST_BYTES]) -> f64 {
+    rand_bits(state) as f64 / (1u64 << 31) as f64
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use sws_sched::{TaskCtx, Workload};
 use sws_task::{PayloadReader, TaskDescriptor, TaskRegistry};
 
-use crate::sha1::{root_state, spawn_child, to_prob, DIGEST_BYTES};
+use crate::sha1::{rand_bits, root_state, spawn_child, to_prob, DIGEST_BYTES, RAND_MAX};
 
 /// Task function id used by UTS node tasks.
 pub const UTS_FN: u16 = 10;
@@ -47,6 +47,22 @@ pub enum GeomShape {
     Cyclic,
     /// Exponential decay with depth (UTS shape a=1).
     ExpDec,
+}
+
+impl GeomShape {
+    /// Expected child count of a node at `depth < depth_limit`.
+    fn mean_children(self, b0: f64, depth: u32, depth_limit: u32) -> f64 {
+        match self {
+            GeomShape::Fixed => b0,
+            GeomShape::Linear => b0 * (1.0 - depth as f64 / depth_limit as f64),
+            GeomShape::Cyclic => {
+                // Oscillate between sparse and bushy generations.
+                let phase = (depth as f64 / depth_limit as f64) * std::f64::consts::TAU;
+                (b0 / 2.0) * (1.0 + phase.cos())
+            }
+            GeomShape::ExpDec => b0 * (-3.0 * depth as f64 / depth_limit as f64).exp(),
+        }
+    }
 }
 
 /// Tree family and parameters.
@@ -85,7 +101,8 @@ pub struct UtsParams {
 }
 
 impl UtsParams {
-    /// Number of children of the node with `state` at `depth`.
+    /// Number of children of the node with `state` at `depth`: the
+    /// definition. Traversals read it through a [`ChildTable`].
     pub fn num_children(&self, state: &[u8; DIGEST_BYTES], depth: u32) -> u32 {
         match self.kind {
             TreeKind::Geometric {
@@ -96,19 +113,7 @@ impl UtsParams {
                 if depth >= depth_limit {
                     return 0;
                 }
-                let b = match shape {
-                    GeomShape::Fixed => b0,
-                    GeomShape::Linear => b0 * (1.0 - depth as f64 / depth_limit as f64),
-                    GeomShape::Cyclic => {
-                        // Oscillate between sparse and bushy generations.
-                        let phase =
-                            (depth as f64 / depth_limit as f64) * std::f64::consts::TAU;
-                        (b0 / 2.0) * (1.0 + phase.cos())
-                    }
-                    GeomShape::ExpDec => {
-                        b0 * (-3.0 * depth as f64 / depth_limit as f64).exp()
-                    }
-                };
+                let b = shape.mean_children(b0, depth, depth_limit);
                 if b <= 0.0 {
                     return 0;
                 }
@@ -137,20 +142,71 @@ impl UtsParams {
         }
     }
 
+    /// [`UtsParams::num_children`] as a lookup, for code that calls it
+    /// once per node.
+    pub fn child_table(&self) -> ChildTable {
+        let rows = match self.kind {
+            TreeKind::Geometric {
+                b0,
+                depth_limit,
+                shape,
+            } => (0..depth_limit)
+                .map(|depth| self.thresholds(shape.mean_children(b0, depth, depth_limit), depth))
+                .collect(),
+            TreeKind::Binomial { .. } => Vec::new(),
+        };
+        ChildTable {
+            params: *self,
+            rows,
+        }
+    }
+
+    /// One [`ChildTable`] row: for `j = 1, 2, …` the largest draw that
+    /// still gives a node at `depth` (mean child count `b`) `j` children.
+    /// Every entry is found by evaluating [`UtsParams::num_children`];
+    /// the closed form `qʲ·2³¹`, `q = b/(1+b)`, only says where to look.
+    fn thresholds(&self, b: f64, depth: u32) -> Box<[u32]> {
+        let formula = |v: u32| self.num_children(&drawing(v), depth);
+        let mut row = Vec::new();
+        let mut ceiling = RAND_MAX;
+        let mut guess = (1u64 << 31) as f64;
+        // The smallest non-zero draw gives the most children.
+        for j in 1..=formula(1) {
+            guess *= b / (1.0 + b);
+            let mut t = (guess as u32).clamp(1, ceiling);
+            while formula(t) < j {
+                t -= 1;
+            }
+            while t < ceiling && formula(t + 1) >= j {
+                t += 1;
+            }
+            row.push(t);
+            ceiling = t;
+        }
+        row.into_boxed_slice()
+    }
+
     /// Root node state.
     pub fn root(&self) -> [u8; DIGEST_BYTES] {
         root_state(self.seed)
     }
 
     /// Sequential traversal oracle: (total nodes, max depth, leaves).
-    /// Used to verify parallel runs and calibrate presets.
+    /// Used to verify parallel runs and calibrate presets; it evaluates
+    /// the formula at every node, so a run checked against it has also
+    /// checked its [`ChildTable`].
     pub fn sequential_count(&self) -> TreeStats {
+        self.traverse(|state, depth| self.num_children(state, depth))
+    }
+
+    /// Depth-first count of the tree `num_children` describes.
+    fn traverse(&self, num_children: impl Fn(&[u8; DIGEST_BYTES], u32) -> u32) -> TreeStats {
         let mut stack = vec![(self.root(), 0u32)];
         let mut stats = TreeStats::default();
         while let Some((state, depth)) = stack.pop() {
             stats.nodes += 1;
             stats.max_depth = stats.max_depth.max(depth as u64);
-            let n = self.num_children(&state, depth);
+            let n = num_children(&state, depth);
             if n == 0 {
                 stats.leaves += 1;
             }
@@ -174,6 +230,47 @@ impl UtsParams {
     pub fn node_task(state: &[u8; DIGEST_BYTES], depth: u32) -> TaskDescriptor {
         TaskDescriptor::new(UTS_FN, &Self::node_payload(state, depth))
     }
+}
+
+/// [`UtsParams::num_children`] without floating point: a node's draw is
+/// a 31-bit integer ([`rand_bits`]) and a geometric tree's child count
+/// does not grow with it, so per depth the count is the number of
+/// thresholds `T₁ ≥ T₂ ≥ …` the draw does not exceed — `T_j` the largest
+/// draw the formula gives at least `j` children (at most 200 of them,
+/// its clamp). The formula's two logarithms were a quarter of a node
+/// task's host time; the tree is the same tree.
+pub struct ChildTable {
+    params: UtsParams,
+    /// Per depth below a geometric tree's limit, `T₁, T₂, …`; empty for
+    /// a binomial tree, whose formula is already one comparison.
+    rows: Vec<Box<[u32]>>,
+}
+
+impl ChildTable {
+    /// The tree this table counts children of.
+    pub fn params(&self) -> &UtsParams {
+        &self.params
+    }
+
+    /// [`UtsParams::num_children`] of the node with `state` at `depth`.
+    pub fn num_children(&self, state: &[u8; DIGEST_BYTES], depth: u32) -> u32 {
+        if let TreeKind::Binomial { .. } = self.params.kind {
+            return self.params.num_children(state, depth);
+        }
+        // A zero draw has no logarithm and the formula gives it no
+        // children: the one place the count is not monotone.
+        match (self.rows.get(depth as usize), rand_bits(state)) {
+            (None, _) | (_, 0) => 0,
+            (Some(row), v) => row.iter().take_while(|&&t| v <= t).count() as u32,
+        }
+    }
+}
+
+/// A node state whose draw ([`rand_bits`]) is `v`.
+fn drawing(v: u32) -> [u8; DIGEST_BYTES] {
+    let mut state = [0; DIGEST_BYTES];
+    state[..4].copy_from_slice(&v.to_be_bytes());
+    state
 }
 
 /// Results of a sequential traversal.
@@ -206,8 +303,9 @@ impl UtsParams {
     /// Scaled-down geometric tree for experiments: same family as T1
     /// with a reduced depth limit. Seed 5 is calibrated to give healthy
     /// trees (≈6 k nodes at depth 8, ≈25 k at 10, ≈104 k at 12, ≈395 k
-    /// at 14); the paper's seed 19 draws a degenerate 3-node tree under
-    /// our digest→uniform mapping.
+    /// at 14, 771,955 at 15 — the `sws-perf` `uts-local` tree); the
+    /// paper's seed 19 draws a degenerate 3-node tree under our
+    /// digest→uniform mapping.
     pub fn geo_small(depth_limit: u32) -> UtsParams {
         UtsParams {
             kind: TreeKind::Geometric {
@@ -238,8 +336,9 @@ impl UtsParams {
 /// UTS as a schedulable [`Workload`]: one task per tree node, seeded
 /// with the root on PE 0.
 pub struct UtsWorkload {
-    /// Tree parameters.
-    pub params: UtsParams,
+    /// Built once here, not per [`Workload::register`]: a world registers
+    /// on every PE.
+    table: Arc<ChildTable>,
     nodes_visited: Arc<AtomicU64>,
 }
 
@@ -247,31 +346,46 @@ impl UtsWorkload {
     /// Workload over `params`.
     pub fn new(params: UtsParams) -> UtsWorkload {
         UtsWorkload {
-            params,
+            table: Arc::new(params.child_table()),
             nodes_visited: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// Tree parameters.
+    pub fn params(&self) -> &UtsParams {
+        self.table.params()
+    }
+
+    /// The child-count table every handler over this tree shares.
+    pub(crate) fn child_table(&self) -> &Arc<ChildTable> {
+        &self.table
     }
 
     /// Nodes visited across all PEs (valid after a run; in-process
     /// instrumentation, not part of the simulated computation).
     pub fn nodes_visited(&self) -> u64 {
+        // relaxed: a statistics counter, read after the run's final
+        // barrier; it publishes no other data.
         self.nodes_visited.load(Ordering::Relaxed)
     }
 }
 
 impl Workload for UtsWorkload {
     fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
-        let params = self.params;
+        let table = Arc::clone(&self.table);
+        let node_ns = self.params().node_ns;
         let counter = Arc::clone(&self.nodes_visited);
         reg.register(UTS_FN, move |tctx, payload| {
             let mut r = PayloadReader::new(payload);
             let state: [u8; DIGEST_BYTES] = r.bytes();
             let depth = r.u32();
+            // relaxed: a statistics counter, read after the run's final
+            // barrier; it publishes no other data.
             counter.fetch_add(1, Ordering::Relaxed);
-            let n = params.num_children(&state, depth);
+            let n = table.num_children(&state, depth);
             // Visiting a node costs the base node time plus one SHA-1
             // per spawned child (that is the real work UTS does).
-            tctx.compute(params.node_ns + n as u64 * params.node_ns / 2);
+            tctx.compute(node_ns + n as u64 * node_ns / 2);
             for i in 0..n {
                 let child = UtsParams::node_payload(&spawn_child(&state, i), depth + 1);
                 tctx.spawn_parts(UTS_FN, &child);
@@ -281,7 +395,7 @@ impl Workload for UtsWorkload {
 
     fn seeds(&self, pe: usize, _n_pes: usize) -> Vec<TaskDescriptor> {
         if pe == 0 {
-            vec![UtsParams::node_task(&self.params.root(), 0)]
+            vec![UtsParams::node_task(&self.params().root(), 0)]
         } else {
             Vec::new()
         }
@@ -415,7 +529,7 @@ mod tests {
 mod shape_tests {
     use super::*;
 
-    fn geo(shape: GeomShape, b0: f64, depth_limit: u32, seed: u32) -> UtsParams {
+    pub(super) fn geo(shape: GeomShape, b0: f64, depth_limit: u32, seed: u32) -> UtsParams {
         UtsParams {
             kind: TreeKind::Geometric {
                 b0,
@@ -476,5 +590,117 @@ mod shape_tests {
             crest > trough * 3,
             "crest {crest} vs trough {trough}: no oscillation"
         );
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::shape_tests::geo;
+    use super::*;
+
+    #[test]
+    fn table_equals_formula_at_every_threshold() {
+        let trees = [
+            geo(GeomShape::Fixed, 3.0, 6, 1),
+            geo(GeomShape::Linear, 4.0, 15, 1),
+            geo(GeomShape::Cyclic, 4.0, 12, 1),
+            geo(GeomShape::ExpDec, 3.0, 9, 1),
+            // Mean 400: every draw below 0.6 asks for more than 200.
+            geo(GeomShape::Fixed, 400.0, 3, 1),
+        ];
+        for p in trees {
+            let TreeKind::Geometric { depth_limit, .. } = p.kind else {
+                unreachable!()
+            };
+            let table = p.child_table();
+            assert_eq!(table.rows.len(), depth_limit as usize, "{p:?}");
+            for (depth, row) in table.rows.iter().enumerate() {
+                let depth = depth as u32;
+                assert!(
+                    row.len() <= 200 && row.is_sorted_by(|a, b| a >= b),
+                    "{p:?} depth {depth}"
+                );
+                let edges = row.iter().flat_map(|&t| [t, t + 1]);
+                for v in edges.chain([0, 1, RAND_MAX]).filter(|&v| v <= RAND_MAX) {
+                    let state = drawing(v);
+                    let want = p.num_children(&state, depth);
+                    assert_eq!(
+                        table.num_children(&state, depth),
+                        want,
+                        "{p:?} depth {depth} draw {v}"
+                    );
+                }
+            }
+            for depth in [depth_limit, depth_limit + 1, u32::MAX] {
+                assert_eq!(
+                    table.num_children(&drawing(1), depth),
+                    0,
+                    "{p:?} depth {depth}"
+                );
+            }
+        }
+        let clamped = geo(GeomShape::Fixed, 400.0, 3, 1).child_table();
+        assert_eq!(clamped.rows[0].len(), 200);
+        assert_eq!(clamped.num_children(&drawing(clamped.rows[0][199]), 0), 200);
+        // The trough of a cyclic tree has mean 0: no draw has a child.
+        assert!(geo(GeomShape::Cyclic, 4.0, 12, 1).child_table().rows[6].is_empty());
+    }
+
+    #[test]
+    fn binomial_trees_pass_through() {
+        let p = UtsParams::bin_small(32, 1);
+        let table = p.child_table();
+        assert!(table.rows.is_empty());
+        let mut state = p.root();
+        assert_eq!(table.num_children(&state, 0), 32);
+        for i in 0..200 {
+            state = spawn_child(&state, i % 3);
+            assert_eq!(
+                table.num_children(&state, 1 + i),
+                p.num_children(&state, 1 + i)
+            );
+        }
+    }
+
+    #[test]
+    fn table_driven_traversal_counts_the_same_tree() {
+        let p = UtsParams::geo_small(12);
+        let table = p.child_table();
+        let stats = p.traverse(|state, depth| table.num_children(state, depth));
+        assert_eq!(stats.nodes, 104_259);
+        assert_eq!(stats, p.sequential_count());
+    }
+
+    /// Building the table per registration cost `uts-wide` (512 PEs)
+    /// 3.6× its wall time.
+    #[test]
+    fn every_registration_shares_the_workloads_one_table() {
+        let w = UtsWorkload::new(UtsParams::geo_small(15));
+        let registries: Vec<TaskRegistry<TaskCtx>> = (0..512)
+            .map(|_| {
+                let mut reg = TaskRegistry::new();
+                w.register(&mut reg);
+                reg
+            })
+            .collect();
+        assert_eq!(Arc::strong_count(&w.table), 1 + registries.len());
+    }
+
+    /// The thresholds assume the formula never gives a larger draw more
+    /// children; only trying every draw shows it. ≈ 80 s in release:
+    /// `cargo test -p sws-workloads --release -- --ignored` (CI, nightly).
+    #[test]
+    #[ignore = "2^31 formula evaluations"]
+    fn table_equals_formula_on_every_draw_at_one_depth() {
+        let p = UtsParams::geo_small(15);
+        let table = p.child_table();
+        for v in 0..=RAND_MAX {
+            let state = drawing(v);
+            assert_eq!(
+                table.num_children(&state, 7),
+                p.num_children(&state, 7),
+                "draw {v}"
+            );
+        }
     }
 }

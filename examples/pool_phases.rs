@@ -32,6 +32,9 @@ fn main() {
         oracle.nodes, oracle.leaves, oracle.max_depth
     );
 
+    // Built once and shared: every PE registers the handler below.
+    let table = Arc::new(params.child_table());
+
     let deep_leaves = Arc::new(AtomicU64::new(0));
     let deep_leaves2 = Arc::clone(&deep_leaves);
 
@@ -40,13 +43,13 @@ fn main() {
         let depth_hist = Arc::new(AtomicU64::new(0)); // packed: leaves at max depth
         let mut reg: TaskRegistry<TaskCtx> = TaskRegistry::new();
         {
-            let params = params;
+            let table = Arc::clone(&table);
             let hist = Arc::clone(&depth_hist);
             reg.register(UTS_FN, move |tctx, payload| {
                 let mut r = PayloadReader::new(payload);
                 let state: [u8; DIGEST_BYTES] = r.bytes();
                 let depth = r.u32();
-                let n = params.num_children(&state, depth);
+                let n = table.num_children(&state, depth);
                 tctx.compute(params.node_ns);
                 if n == 0 && depth >= 8 {
                     hist.fetch_add(1, Ordering::Relaxed); // a deep leaf

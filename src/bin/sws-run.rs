@@ -391,6 +391,12 @@ fn parse_args() -> Args {
             usage()
         }
     }
+    // The tree about doubles per level (771,955 nodes at 15) and the
+    // workload keeps one child-count row per level.
+    if args.workload == "uts" && args.depth > 64 {
+        eprintln!("--depth: a uts tree of {} levels cannot be traversed (at most 64)", args.depth);
+        usage()
+    }
     if args.serve {
         if !matches!(args.workload.as_str(), "flat" | "uts") {
             eprintln!("--serve supports the flat and uts workloads");

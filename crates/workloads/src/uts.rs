@@ -237,8 +237,8 @@ impl UtsParams {
 /// does not grow with it, so per depth the count is the number of
 /// thresholds `T₁ ≥ T₂ ≥ …` the draw does not exceed — `T_j` the largest
 /// draw the formula gives at least `j` children (at most 200 of them,
-/// its clamp). The formula's two logarithms were a quarter of a node
-/// task's host time; the tree is the same tree.
+/// its clamp). The formula's two logarithms were ≈ 30 ns of a ≈ 200 ns
+/// node task; the tree is the same tree.
 pub struct ChildTable {
     params: UtsParams,
     /// Per depth below a geometric tree's limit, `T₁, T₂, …`; empty for

@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sws_core::protocol::{claim_marker, decode, Claim as Claimed, Geometry, Step, Word};
+use sws_core::protocol::{decode, sdc_claim, Claim as Claimed, Completion, Geometry, Step, Word};
 use sws_core::ring::Ring;
 use sws_core::stealval::Layout;
 use sws_core::{AtomicSite, QueueConfig};
@@ -410,15 +410,15 @@ fn step(
             if e.arg <= tail {
                 return Err(at.div("tail-monotonic", format!("a tail advance past {tail}")));
             }
-            let vol = cfg.policy.volume(split.saturating_sub(tail), 0).max(1);
-            if e.arg != tail + vol {
-                let want = format!("tail + volume(split − tail, 0) = {}", tail + vol);
+            let Some(vol) = sdc_claim(cfg.policy, tail, split).filter(|vol| e.arg == tail + vol) else {
+                let want = format!("tail + the block sdc_claim reads from tail {tail}, split {split}");
                 return Err(at.div("tail-volume", want));
-            }
+            };
             let start = Ring::new(cfg.capacity).slot(tail) as u64;
             // In fault-injected runs a claim marker for exactly this
             // volume precedes the tail advance.
-            open_claim(v, at, comp_base + start, vol, start, claim_marker(vol), stats)?;
+            let marker = Completion::Claimed(vol).word();
+            open_claim(v, at, comp_base + start, vol, start, marker, stats)?;
             v.ctl[k] = e.arg;
         }
         Step::Payload => {
@@ -711,7 +711,6 @@ pub fn conform_all() -> ConformReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sws_core::queue::COMP_CLAIMED;
     use sws_core::stealval::{Gate, ASTEALS_MASK, ASTEAL_UNIT};
     use sws_shmem::CACHE_LINE_WORDS;
 
@@ -996,7 +995,7 @@ mod tests {
             ("claim-collision", Proto::Sdc, |t| {
                 t.truncate(7);
                 let comp = t[6].offset as u64;
-                t.push(ev(8, 1, 0, comp, SdcComplete, Set, COMP_CLAIMED | 1, 0, 1));
+                t.push(ev(8, 1, 0, comp, SdcComplete, Set, Completion::Claimed(1).word(), 0, 1));
             }),
             ("zero-arg", Proto::Sws, |t| t[1].arg = 1),
             ("zero-live-claim", Proto::Sws, |t| {

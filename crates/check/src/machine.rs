@@ -19,6 +19,7 @@
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
+use sws_core::protocol::Completion;
 use sws_core::ring::Ring;
 use sws_core::{AtomicSite, Protocol, QueueConfig};
 
@@ -224,7 +225,7 @@ impl Core {
                 };
             }
             TPc::Complete { comp, vol, tags } => {
-                self.mem.store(t, self.sites.complete, comp, vol);
+                self.mem.store(t, self.sites.complete, comp, Completion::Done(vol).word());
                 th.stolen.extend(tags);
             }
             TPc::Steal | TPc::Done => unreachable!("thief {t} owns no block"),

@@ -19,6 +19,7 @@
 
 use std::fmt::Debug;
 
+use sws_core::protocol::sdc_claim;
 use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
 
 use crate::explore::Chooser;
@@ -183,12 +184,9 @@ impl Steps for Sdc {
                 // get under the lock; model both loads in this step.
                 let tail = c.mem.load(t, Site::SdcMetaRead, 0, |n| ch.pick(n));
                 let split = c.mem.load(t, Site::SdcMetaRead, 1, |n| ch.pick(n));
-                let avail = split.saturating_sub(tail);
-                *pc = if avail == 0 {
-                    TPc::Unlock { block: None }
-                } else {
-                    let vol = c.cfg.policy.volume(avail, 0).max(1);
-                    TPc::TailPut { tail, vol }
+                *pc = match sdc_claim(c.cfg.policy, tail, split) {
+                    Some(vol) => TPc::TailPut { tail, vol },
+                    None => TPc::Unlock { block: None },
                 };
             }
             TPc::TailPut { tail, vol } => {

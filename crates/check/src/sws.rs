@@ -7,11 +7,11 @@
 //! swap, the reclaim pass, and a thief's probe and claim on the stealval
 //! word. It mirrors `sws-core`'s `SwsQueue` step for step, one atomic op
 //! per step. The packed-word arithmetic is *not* re-modeled: the machine
-//! calls the real [`Layout`] encode/decode and `StealPolicy` steal-half
-//! functions, and reads a claim with [`sws_core::protocol::decode`] —
-//! the function the conformance replay and the span stitcher read
-//! captured claims with — so the checker exercises the production
-//! bit-packing and volume schedule against every interleaving.
+//! calls the real [`Layout`] encode/decode and reads every word with the
+//! production queue's own [`sws_core::protocol`] functions — a claim with
+//! `sws_claim`, a probe with `sws_probe`, the owner's claim count with
+//! `claims_taken` — so the checker exercises the production bit-packing
+//! and volume schedule against every interleaving.
 //!
 //! Runtime monitors (checked at the serialization points, i.e. the RMWs
 //! on the stealval word) assert the protocol invariant catalog:
@@ -32,10 +32,9 @@
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
-use sws_core::protocol::{decode, Claim, Step};
+use sws_core::protocol::{claims_taken, sws_claim, sws_probe, tasks_unclaimed, Claim, Completion};
 use sws_core::stealval::{Gate, Layout, StealVal, ASTEALS_MASK, ASTEAL_UNIT};
 use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
-use sws_shmem::{ProtoEvent, ProtoOp};
 
 use crate::explore::Chooser;
 use crate::machine::{proto, Core, Half, Machine, Sites, Steps};
@@ -213,20 +212,19 @@ impl Sws {
         };
     }
 
-    /// Close the back (open) advertisement record given an observed
-    /// asteals count, and say what that left.
-    fn close_back(&mut self, c: &Core, asteals: u32) -> Closed {
+    /// Close the back (open) advertisement record given the stealval the
+    /// owner observed, and say what that left.
+    fn close_back(&mut self, c: &Core, sv: &StealVal) -> Closed {
         let policy = c.cfg.policy;
         let rec = self.epochs.back_mut().expect("open back record");
         let itasks = rec.itasks as u64;
-        let claimed = (asteals as u64).min(policy.max_steals(itasks));
-        rec.claimed = claimed as u32;
+        rec.claimed = claims_taken(policy, itasks, sv) as u32;
         rec.open = false;
-        let claimed_vol = policy.claimed_before(itasks, claimed);
+        let unclaimed = tasks_unclaimed(policy, itasks, sv);
         Closed {
             slot: rec.slot,
-            new_tail: rec.tail + claimed_vol,
-            unclaimed: itasks - claimed_vol,
+            new_tail: rec.tail + itasks - unclaimed,
+            unclaimed,
         }
     }
 
@@ -273,9 +271,8 @@ impl Sws {
                 // The open record is the live advertisement: clamp its
                 // claim count from the word.
                 let v = c.mem.load(0, Site::SwsOwnerSvRead, 0, |n| ch.pick(n));
-                let sv = c.cfg.layout.decode(v);
                 let itasks = self.epochs.front().expect("front record").itasks as u64;
-                let n = (sv.asteals as u64).min(policy.max_steals(itasks)) as u32;
+                let n = claims_taken(policy, itasks, &c.cfg.layout.decode(v)) as u32;
                 self.pc = OPc::ReclaimComp { n, cont };
             }
             OPc::ReclaimComp { n, cont } => {
@@ -283,13 +280,13 @@ impl Sws {
                 if front.finished < n {
                     let w = comp(c, front.slot as u64, front.finished as u64);
                     let v = c.mem.load(0, Site::SwsOwnerReclaimRead, w, |m| ch.pick(m));
-                    if v == 0 {
+                    if Completion::read(v) == Completion::Pending {
                         // Steal claimed but not yet completed: stop here.
                         self.exit_reclaim(c, cont);
                         return Ok(());
                     }
                     let expect = policy.volume(front.itasks as u64, front.finished as u64);
-                    if v != expect {
+                    if Completion::read(v) != Completion::Done(expect) {
                         return Err(proto(
                             "reconciliation",
                             format!(
@@ -337,15 +334,13 @@ impl Steps for Sws {
             OPc::RelReadSv => {
                 let v = c.mem.load(0, Site::SwsOwnerSvRead, 0, |n| ch.pick(n));
                 let sv = layout.decode(v);
-                let rec = self.epochs.back().expect("open back record");
-                let itasks = rec.itasks as u64;
-                let claimed = (sv.asteals as u64).min(policy.max_steals(itasks));
-                if policy.claimed_before(itasks, claimed) < itasks {
+                let itasks = self.epochs.back().expect("open back record").itasks as u64;
+                if tasks_unclaimed(policy, itasks, &sv) > 0 {
                     // Advertised work not fully claimed yet: release fails.
                     self.pc = OPc::Next;
                     return Ok(());
                 }
-                self.close_back(c, sv.asteals);
+                self.close_back(c, &sv);
                 self.expose(c, policy.max_advert(layout.max_itasks() as u64));
             }
             OPc::SlotWait => {
@@ -394,23 +389,18 @@ impl Steps for Sws {
             }
             OPc::AcqSwap | OPc::RetireSwap => {
                 let retire = self.pc == OPc::RetireSwap;
-                let closed = layout.encode(StealVal {
-                    asteals: 0,
-                    gate: Gate::Closed,
-                    itasks: 0,
-                    tail: 0,
-                });
+                let closed = layout.encode(StealVal { gate: Gate::Closed, ..StealVal::empty() });
                 let old = c.mem.swap(0, Site::SwsOwnerAcquireSwap, 0, closed);
                 let sv = self.check_rmw_view(layout, old)?;
                 self.oracle = Oracle::default();
                 if !retire {
-                    let left = self.close_back(c, sv.asteals);
+                    let left = self.close_back(c, &sv);
                     self.pc = OPc::Reclaim { cont: Cont::Acquire(left) };
                 } else {
                     let back_open = self.epochs.back().is_some_and(|r| r.open);
                     if sv.gate != Gate::Closed && back_open {
                         // Unclaimed shared tasks come back to the owner.
-                        c.owner.split -= self.close_back(c, sv.asteals).unclaimed;
+                        c.owner.split -= self.close_back(c, &sv).unclaimed;
                     }
                     self.pc = OPc::Reclaim { cont: Cont::Retire };
                 }
@@ -435,14 +425,7 @@ impl Steps for Sws {
                 // may legally observe stale values, so its view is not
                 // held to RMW decode exactness.
                 let v = c.mem.load(t, Site::SwsThiefProbe, 0, |n| ch.pick(n));
-                let sv = c.cfg.layout.decode(v);
-                let has_work = match sv.gate {
-                    Gate::Closed => true, // owner mid-update: work may appear
-                    Gate::Open { .. } => {
-                        (sv.asteals as u64) < c.cfg.policy.max_steals(sv.itasks as u64)
-                    }
-                };
-                if has_work {
+                if sws_probe(&c.cfg, v) {
                     th.cleared = true;
                     th.pc = TPc::Claim;
                 } else {
@@ -471,26 +454,10 @@ impl Steps for Sws {
                 self.check_rmw_view(c.cfg.layout, old)?;
                 self.oracle.bumps += 1;
                 // What the fetched word gives the thief is production's
-                // own reading of a captured claim.
-                let claim = ProtoEvent {
-                    t_ns: 0,
-                    issuer: t as u32,
-                    target: 0,
-                    offset: 0,
-                    len: 1,
-                    site: Site::SwsThiefClaim.id(),
-                    op: ProtoOp::FetchAdd,
-                    arg: ASTEAL_UNIT,
-                    arg2: 0,
-                    prev: old,
-                };
-                match decode(&c.cfg, Site::SwsThiefClaim, &claim) {
-                    Ok(Step::Claim(Claim::Live { epoch, index, volume, start_slot })) => {
-                        let w = comp(c, epoch, index);
-                        c.begin_copy(t, start_slot, volume, w);
-                    }
-                    Ok(Step::Claim(_)) => {}
-                    other => unreachable!("a claim fetch-add decodes as {other:?}"),
+                // own reading of it.
+                if let Claim::Live { epoch, index, volume, start_slot } = sws_claim(&c.cfg, old) {
+                    let w = comp(c, epoch, index);
+                    c.begin_copy(t, start_slot, volume, w);
                 }
             }
         }

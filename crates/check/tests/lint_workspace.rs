@@ -54,3 +54,19 @@ fn every_option_has_a_row_and_a_caller() {
         assert!(found, "{option}: {caller} never spells {spelling}");
     }
 }
+
+/// ROADMAP item 7's ceiling on `crates/core/src/queue/` (both production
+/// queues and the ring they share), set to what PR 25 left: the
+/// directory may shrink — lower this with it — but never grow past it.
+const QUEUE_LINES: usize = 1994;
+
+#[test]
+fn the_queue_directory_stays_under_its_ceiling() {
+    let dir = workspace_root().join("crates/core/src/queue");
+    let files = std::fs::read_dir(&dir).expect("queue directory").map(|e| e.expect("entry").path());
+    let lines: usize = files
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| std::fs::read_to_string(&p).expect("readable").lines().count())
+        .sum();
+    assert!(lines <= QUEUE_LINES, "crates/core/src/queue/ is {lines} lines, over its {QUEUE_LINES}-line ceiling");
+}

@@ -1,22 +1,29 @@
-//! What a captured protocol op *means*: the one place outside the
-//! production queues that knows the word formats of both steal
-//! protocols.
+//! What a protocol word *means*: the one place that reads the word
+//! formats of both steal protocols.
 //!
 //! The site catalog ([`crate::ordering::SiteRow`]) says which ops may
-//! appear where; this module says what one of them does. [`decode`] turns
-//! a captured [`ProtoEvent`] into the protocol [`Step`] it represents,
-//! and [`Protocol::geometry`] places the words a queue's ops touch. The
-//! conformance replay (`sws-check`) and the span stitcher (`sws-obs`)
-//! both consume the same event stream through these two functions, so a
-//! change to a word format or to a constructor's allocations is made
-//! here and in the queue, not in every recognizer.
+//! appear where; this module says what the words they move say. The
+//! readings are one function each — the stealval a claiming thief
+//! fetched ([`sws_claim`]) or a damped probe read ([`sws_probe`]), the
+//! owner's view of its own advertisement ([`claims_taken`],
+//! [`tasks_unclaimed`]), the block an SDC thief claims from `tail` and
+//! `split` ([`sdc_claim`]), and a completion word as written and as read
+//! ([`Completion`]) — and the production queues (`queue/{sws,sdc}.rs`),
+//! the model machines (`sws-check`) and [`decode`] all call them.
+//! [`decode`] turns a captured [`ProtoEvent`] into the protocol [`Step`]
+//! it represents and adds only the operand checks and the 24-bit
+//! [`Claim::Overflow`] class; [`Protocol::geometry`] places the words a
+//! queue's ops touch. The conformance replay and the span stitcher read
+//! the event stream through these two, so a change to a word format or
+//! to a constructor's allocations is made here, not in every reader.
 
 use sws_shmem::{ProtoEvent, ProtoOp, CACHE_LINE_WORDS};
 
 use crate::ordering::AtomicSite;
-use crate::queue::{QueueConfig, COMP_CLAIMED, COMP_POISON, COMP_RECLAIMED, COMP_VOL_MASK};
+use crate::queue::QueueConfig;
 use crate::ring::Ring;
-use crate::stealval::{Gate, ASTEAL_UNIT};
+use crate::steal_half::StealPolicy;
+use crate::stealval::{Gate, StealVal, ASTEAL_UNIT};
 use crate::{SdcQueue, SwsQueue};
 
 /// Which steal protocol a queue, a trace or a span belongs to.
@@ -126,7 +133,8 @@ pub enum Claim {
     Closed,
     /// The advertisement had no steals left.
     Exhausted,
-    /// The attempted-steals counter was already at its 24-bit limit.
+    /// The attempted-steals counter was already at its 24-bit limit
+    /// ([`decode`] only: the thief reads such a word by its gate).
     Overflow,
     /// The thief owns a block.
     Live {
@@ -208,9 +216,118 @@ pub enum Step {
     },
 }
 
-/// The value of the fault-mode SDC claim marker for a `vol`-task block.
-pub fn claim_marker(vol: u64) -> u64 {
-    COMP_CLAIMED | vol
+/// Read the stealval `raw` a claim's fetch-add returned, as the thief
+/// does (§4): a closed gate, an advertisement with no block left at the
+/// thief's index, or that block. A full counter reads by its gate.
+pub fn sws_claim(cfg: &QueueConfig, raw: u64) -> Claim {
+    let sv = cfg.layout.decode(raw);
+    let Gate::Open { epoch } = sv.gate else {
+        return Claim::Closed;
+    };
+    if exhausted(cfg.policy, &sv) {
+        return Claim::Exhausted;
+    }
+    let (policy, itasks, index) = (cfg.policy, sv.itasks as u64, sv.asteals as u64);
+    let start = sv.tail as u64 + policy.claimed_before(itasks, index);
+    Claim::Live {
+        epoch: epoch as u64,
+        index,
+        volume: policy.volume(itasks, index),
+        start_slot: Ring::new(cfg.capacity).slot(start) as u64,
+    }
+}
+
+/// The damped probe's verdict on the stealval `raw` it read (§4.3): may a
+/// claim find work? A closed gate may reopen with some.
+pub fn sws_probe(cfg: &QueueConfig, raw: u64) -> bool {
+    let sv = cfg.layout.decode(raw);
+    sv.gate == Gate::Closed || !exhausted(cfg.policy, &sv)
+}
+
+/// Has every block of the advertisement `sv` names been claimed?
+fn exhausted(policy: StealPolicy, sv: &StealVal) -> bool {
+    sv.asteals as u64 >= policy.max_steals(sv.itasks as u64)
+}
+
+/// The owner's reading of its own stealval `sv` against the live
+/// advertisement of `itasks` tasks it published: the claims taken (bumps
+/// past the last block found it exhausted and took nothing).
+pub fn claims_taken(policy: StealPolicy, itasks: u64, sv: &StealVal) -> u64 {
+    (sv.asteals as u64).min(policy.max_steals(itasks))
+}
+
+/// The owner's reading of the same word: tasks of the advertisement no
+/// claim has taken yet.
+pub fn tasks_unclaimed(policy: StealPolicy, itasks: u64, sv: &StealVal) -> u64 {
+    itasks - policy.claimed_before(itasks, claims_taken(policy, itasks, sv))
+}
+
+/// The block an SDC thief claims from the `tail` and `split` it read
+/// under the lock (§3): the policy's first steal of the shared section,
+/// or `None` when the section is empty.
+pub fn sdc_claim(policy: StealPolicy, tail: u64, split: u64) -> Option<u64> {
+    (split > tail).then(|| policy.volume(split - tail, 0))
+}
+
+/// Completion-word flags. Volumes are bounded by the 19-bit itasks field,
+/// so the top bits are free; the highest flag set decides the reading.
+const COMP_POISON: u64 = 1 << 63;
+const COMP_RECLAIMED: u64 = 1 << 62;
+const COMP_CLAIMED: u64 = 1 << 61;
+const COMP_VOL_MASK: u64 = COMP_CLAIMED - 1;
+
+/// What a completion word says: thieves and owners write
+/// [`Completion::word`], owners and [`decode`] call [`Completion::read`].
+/// The flagged forms exist in fault mode only (DESIGN.md §6).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Completion {
+    /// Zero: no completion yet — the slot's fresh state.
+    Pending,
+    /// The thief landed a block of this many tasks.
+    Done(u64),
+    /// The thief claimed a block it could not copy and gave it back to
+    /// the owner to re-enqueue at once; SDC carries the volume, SWS 0.
+    Poisoned(u64),
+    /// SDC: a thief claimed a block of this many tasks and is copying it
+    /// — the marker the owner reclaims if the thief never finishes.
+    Claimed(u64),
+    /// SWS: the owner reclaimed an abandoned claim after the grace
+    /// period; the block runs at the owner. The mark lasts only until
+    /// the slot's next use, so thieves stop writing completion words half
+    /// a grace period after their claim, before the owner may reclaim.
+    Reclaimed,
+}
+
+impl Completion {
+    /// The largest volume a completion word carries.
+    pub const MAX_VOLUME: u64 = COMP_VOL_MASK;
+
+    /// The word that says this.
+    pub fn word(self) -> u64 {
+        match self {
+            Completion::Pending => 0,
+            Completion::Done(vol) => vol,
+            Completion::Poisoned(vol) => COMP_POISON | vol,
+            Completion::Claimed(vol) => COMP_CLAIMED | vol,
+            Completion::Reclaimed => COMP_RECLAIMED,
+        }
+    }
+
+    /// What the word `w` says.
+    pub fn read(w: u64) -> Completion {
+        let vol = w & COMP_VOL_MASK;
+        if w == 0 {
+            Completion::Pending
+        } else if w & COMP_POISON != 0 {
+            Completion::Poisoned(vol)
+        } else if w & COMP_RECLAIMED != 0 {
+            Completion::Reclaimed
+        } else if w & COMP_CLAIMED != 0 {
+            Completion::Claimed(vol)
+        } else {
+            Completion::Done(vol)
+        }
+    }
 }
 
 /// Decode the op `e`, captured at `site` under queue shape `cfg`, into
@@ -219,6 +336,7 @@ pub fn claim_marker(vol: u64) -> u64 {
 /// that the site admits the op's shape ([`crate::ordering::SiteRow::ops`]).
 pub fn decode(cfg: &QueueConfig, site: AtomicSite, e: &ProtoEvent) -> Result<Step, &'static str> {
     use AtomicSite::*;
+    use Completion::{Claimed, Done, Pending, Poisoned, Reclaimed};
     let won = e.prev == e.arg2; // compare-swaps only
     let policy = cfg.policy;
     Ok(match (site, e.op) {
@@ -236,54 +354,38 @@ pub fn decode(cfg: &QueueConfig, site: AtomicSite, e: &ProtoEvent) -> Result<Ste
         (SwsOwnerAcquireSwap, _) => return Err("a closed-gate encoding"),
         (SwsThiefProbe, _) => Step::Probe,
         (SwsThiefClaim, _) if e.arg != ASTEAL_UNIT => return Err("a fetch-add of ASTEAL_UNIT"),
-        (SwsThiefClaim, _) => {
-            // The fetch-add returned the pre-claim stealval; read it
-            // exactly as the thief did.
-            let sv = cfg.layout.decode(e.prev);
-            let (itasks, index) = (sv.itasks as u64, sv.asteals as u64);
-            Step::Claim(match sv.gate {
-                _ if sv.asteals_full() => Claim::Overflow,
-                Gate::Closed => Claim::Closed,
-                Gate::Open { .. } if index >= policy.max_steals(itasks) => Claim::Exhausted,
-                Gate::Open { epoch } => Claim::Live {
-                    epoch: epoch as u64,
-                    index,
-                    volume: policy.volume(itasks, index),
-                    start_slot: Ring::new(cfg.capacity)
-                        .slot(sv.tail as u64 + policy.claimed_before(itasks, index))
-                        as u64,
-                },
-            })
-        }
+        // The fetch-add returned the pre-claim stealval.
+        (SwsThiefClaim, _) if cfg.layout.decode(e.prev).asteals_full() => Step::Claim(Claim::Overflow),
+        (SwsThiefClaim, _) => Step::Claim(sws_claim(cfg, e.prev)),
         (SwsThiefPayloadRead | SdcPayloadRead, _) => Step::Payload,
         (SwsOwnerSlotZero | SdcReclaimZero, _) if e.arg == 0 => Step::Zero,
         (SdcUnlock, _) if e.arg == 0 => Step::Unlock,
         (SwsOwnerSlotZero | SdcReclaimZero | SdcUnlock, _) => return Err("a store of 0"),
         (SwsOwnerSvRead | SdcOwnerTailRead, _)
         | (SwsOwnerReclaimRead | SdcReclaimRead, ProtoOp::Fetch) => Step::OwnerRead,
-        (SwsOwnerReclaimRead, _) if e.arg == COMP_RECLAIMED && e.arg2 == 0 => Step::Reclaim { won },
+        (SwsOwnerReclaimRead, _) if e.arg == Reclaimed.word() && e.arg2 == 0 => Step::Reclaim { won },
         (SwsOwnerReclaimRead, _) => return Err("a CAS of 0 → COMP_RECLAIMED"),
         (SdcReclaimRead, _) if e.arg == 0 => Step::Reclaim { won },
         (SdcReclaimRead, _) => return Err("a reclaim CAS to 0"),
         (SwsThiefComplete | SdcComplete, ProtoOp::SetNbi) => Step::Landed { tasks: e.arg },
-        (SdcComplete, ProtoOp::Set) if e.arg & COMP_CLAIMED != 0 && e.arg & COMP_VOL_MASK != 0 => {
-            Step::Marker
-        }
-        (SdcComplete, ProtoOp::Set) => return Err("a COMP_CLAIMED marker with a nonzero volume"),
+        (SdcComplete, ProtoOp::Set) => match Completion::read(e.arg) {
+            Claimed(vol) if vol != 0 => Step::Marker,
+            _ => return Err("a COMP_CLAIMED marker with a nonzero volume"),
+        },
         (SwsThiefComplete, _) if e.arg2 != 0 => return Err("a CAS expecting 0"),
-        (SdcComplete, _) if e.arg == 0 && won && e.arg2 & COMP_CLAIMED == 0 => {
+        (SdcComplete, _) if e.arg == 0 && won && !matches!(Completion::read(e.arg2), Claimed(_)) => {
             return Err("a marker rollback")
         }
         (SdcComplete, _) if e.arg == 0 => Step::Rollback { won },
-        (SwsThiefComplete | SdcComplete, _) if e.arg & COMP_POISON != 0 => Step::Poisoned { won },
-        (SwsThiefComplete | SdcComplete, _) if e.arg > COMP_VOL_MASK => {
-            return Err("a plain or poisoned volume")
-        }
-        (SwsThiefComplete | SdcComplete, _) if won => Step::Landed { tasks: e.arg },
-        (SwsThiefComplete | SdcComplete, _) => Step::LostRace,
+        (SwsThiefComplete | SdcComplete, _) => match Completion::read(e.arg) {
+            Poisoned(_) => Step::Poisoned { won },
+            Claimed(_) | Reclaimed => return Err("a plain or poisoned volume"),
+            Pending | Done(_) if won => Step::Landed { tasks: e.arg },
+            Pending | Done(_) => Step::LostRace,
+        },
         (SdcLockCas, _) if e.arg == 1 && e.arg2 == 0 => Step::Lock { won },
         (SdcLockCas, _) => return Err("a CAS of 0 → 1"),
-        (SdcMetaRead, _) => Step::Meta { empty: e.arg2 <= e.prev },
+        (SdcMetaRead, _) => Step::Meta { empty: sdc_claim(policy, e.prev, e.arg2).is_none() },
         (SdcTailPut, _) => Step::TailPut,
         (SdcSplitPublish, _) => Step::Split,
         // The owner-local payload stores are never captured.
@@ -294,7 +396,7 @@ pub fn decode(cfg: &QueueConfig, site: AtomicSite, e: &ProtoEvent) -> Result<Ste
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stealval::{StealVal, ASTEALS_BITS};
+    use crate::stealval::ASTEALS_BITS;
     use sws_shmem::{run_world, WorldConfig};
 
     fn cfg() -> QueueConfig {
@@ -354,18 +456,23 @@ mod tests {
         assert_eq!(claim(full), Ok(Step::Claim(Claim::Overflow)));
         let two_units = ev(AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 2 * ASTEAL_UNIT, 0, 0);
         assert!(decode(&cfg(), AtomicSite::SwsThiefClaim, &two_units).is_err());
+        // The probe says "work" unless the advertisement is exhausted.
+        let probe = |sv| sws_probe(&cfg(), cfg().layout.encode(sv));
+        assert!(probe(open(1, 8, 98)) && probe(closed) && !probe(open(4, 8, 98)));
+        assert_eq!((sdc_claim(cfg().policy, 5, 5), sdc_claim(cfg().policy, 5, 12)), (None, Some(3)));
     }
 
     #[test]
     fn completion_words_decode_by_flag_and_race() {
         use AtomicSite::{SdcComplete, SwsOwnerReclaimRead, SwsThiefComplete};
         use ProtoOp::{CompareSwap, Set, SetNbi};
-        let marker = claim_marker(3);
+        let marker = Completion::Claimed(3).word();
+        let (poison, reclaimed) = (Completion::Poisoned(0).word(), Completion::Reclaimed.word());
         let cases = [
             (SwsThiefComplete, SetNbi, 4, 0, 0, Ok(Step::Landed { tasks: 4 })),
             (SwsThiefComplete, CompareSwap, 4, 0, 0, Ok(Step::Landed { tasks: 4 })),
-            (SwsThiefComplete, CompareSwap, 4, 0, COMP_RECLAIMED, Ok(Step::LostRace)),
-            (SwsThiefComplete, CompareSwap, COMP_POISON, 0, 0, Ok(Step::Poisoned { won: true })),
+            (SwsThiefComplete, CompareSwap, 4, 0, reclaimed, Ok(Step::LostRace)),
+            (SwsThiefComplete, CompareSwap, poison, 0, 0, Ok(Step::Poisoned { won: true })),
             (SwsThiefComplete, CompareSwap, 4, 1, 1, Err("a CAS expecting 0")),
             (SdcComplete, Set, marker, 0, 0, Ok(Step::Marker)),
             (SdcComplete, Set, 3, 0, 0, Err("a COMP_CLAIMED marker with a nonzero volume")),
@@ -374,13 +481,17 @@ mod tests {
             (SdcComplete, CompareSwap, 0, 3, 3, Err("a marker rollback")),
             (SdcComplete, CompareSwap, 3, marker, marker, Ok(Step::Landed { tasks: 3 })),
             (SdcComplete, CompareSwap, 3, marker, 0, Ok(Step::LostRace)),
-            (SdcComplete, CompareSwap, COMP_POISON | 3, marker, 0, Ok(Step::Poisoned { won: false })),
-            (SdcComplete, CompareSwap, COMP_RECLAIMED | 3, marker, marker, Err("a plain or poisoned volume")),
-            (SwsOwnerReclaimRead, CompareSwap, COMP_RECLAIMED, 0, 0, Ok(Step::Reclaim { won: true })),
+            (SdcComplete, CompareSwap, poison | 3, marker, 0, Ok(Step::Poisoned { won: false })),
+            (SdcComplete, CompareSwap, reclaimed | 3, marker, marker, Err("a plain or poisoned volume")),
+            (SwsOwnerReclaimRead, CompareSwap, reclaimed, 0, 0, Ok(Step::Reclaim { won: true })),
             (SwsOwnerReclaimRead, CompareSwap, 7, 0, 0, Err("a CAS of 0 → COMP_RECLAIMED")),
         ];
         for (site, op, arg, arg2, prev, want) in cases {
             assert_eq!(decode(&cfg(), site, &ev(site, op, arg, arg2, prev)), want, "{site:?} {op:?} {arg:#x}");
+        }
+        use Completion::*;
+        for c in [Pending, Done(4), Poisoned(0), Poisoned(3), Claimed(3), Reclaimed] {
+            assert_eq!(Completion::read(c.word()), c);
         }
     }
 

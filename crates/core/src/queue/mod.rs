@@ -8,29 +8,9 @@ pub mod sws;
 use sws_shmem::RetryPolicy;
 use sws_task::TaskDescriptor;
 
+use crate::protocol::Completion;
 use crate::steal_half::StealPolicy;
 use crate::stealval::Layout;
-
-/// Completion-slot sentinel: a thief that claimed a block but could not
-/// copy it poisons the slot, telling the owner to re-enqueue the block
-/// immediately instead of waiting out the reclaim grace period. Volumes
-/// are bounded by the 19-bit itasks field, so the top bits are free.
-pub const COMP_POISON: u64 = 1 << 63;
-
-/// Completion-slot sentinel: the owner reclaimed an abandoned claim after
-/// the grace period — the block runs at the owner. The mark lasts only
-/// until the slot's next use, so it cannot fend off a late thief by
-/// itself: thieves stop writing completion words half a grace period
-/// after their claim, before the owner may reclaim.
-pub const COMP_RECLAIMED: u64 = 1 << 62;
-
-/// Completion-slot sentinel (SDC only): a thief has claimed the block and
-/// is copying it. Carries the block volume in the low bits so the owner
-/// can reclaim the block if the thief never finishes.
-pub const COMP_CLAIMED: u64 = 1 << 61;
-
-/// Mask extracting the block volume from a flagged completion word.
-pub const COMP_VOL_MASK: u64 = COMP_CLAIMED - 1;
 
 /// Panic with protocol context on a broken queue invariant. Centralising
 /// the message beats scattered `expect("checked")` calls: every violation
@@ -157,7 +137,7 @@ impl QueueConfig {
             self.capacity
         );
         assert!(
-            (self.capacity as u64) <= COMP_VOL_MASK,
+            (self.capacity as u64) <= Completion::MAX_VOLUME,
             "capacity {} exceeds the completion-word volume field",
             self.capacity
         );
@@ -331,58 +311,4 @@ pub trait StealQueue {
     /// (claimed-but-unreclaimed space included). Admission control
     /// compares this against the ring capacity's high-water mark.
     fn occupancy(&self) -> u64;
-}
-
-impl StealQueue for Box<dyn StealQueue + '_> {
-    fn enqueue(&mut self, task: &TaskDescriptor) -> bool {
-        (**self).enqueue(task)
-    }
-    fn enqueue_records(&mut self, records: &[u64]) -> usize {
-        (**self).enqueue_records(records)
-    }
-    fn pop_local(&mut self) -> Option<TaskDescriptor> {
-        (**self).pop_local()
-    }
-    fn pop_record(&mut self, rec: &mut [u64]) -> bool {
-        (**self).pop_record(rec)
-    }
-    fn local_count(&self) -> u64 {
-        (**self).local_count()
-    }
-    fn shared_estimate(&mut self) -> u64 {
-        (**self).shared_estimate()
-    }
-    fn release(&mut self) -> bool {
-        (**self).release()
-    }
-    fn acquire(&mut self) -> bool {
-        (**self).acquire()
-    }
-    fn progress(&mut self) {
-        (**self).progress()
-    }
-    fn steal_from(&mut self, target: usize) -> StealOutcome {
-        (**self).steal_from(target)
-    }
-    fn probe(&self, target: usize) -> bool {
-        (**self).probe(target)
-    }
-    fn stats(&self) -> &QueueStats {
-        (**self).stats()
-    }
-    fn flush_completions(&mut self) {
-        (**self).flush_completions()
-    }
-    fn retire(&mut self) {
-        (**self).retire()
-    }
-    fn park(&mut self) {
-        (**self).park()
-    }
-    fn unpark(&mut self) {
-        (**self).unpark()
-    }
-    fn occupancy(&self) -> u64 {
-        (**self).occupancy()
-    }
 }

@@ -34,11 +34,11 @@
 //! thief that claimed a block (published `tail`) and then vanishes leaves
 //! no trace in the baseline protocol — the owner would wait on the
 //! completion slot forever. Under an active fault plan the thief therefore
-//! writes a [`COMP_CLAIMED`]-tagged marker into the completion slot
+//! writes a [`Completion::Claimed`] marker into the completion slot
 //! *before* publishing the new tail, converting every claim into owner-
 //! visible state:
 //!
-//! * copy failed → the thief flips the marker to [`COMP_POISON`]`|vol`;
+//! * copy failed → the thief flips the marker to [`Completion::Poisoned`];
 //!   the owner re-enqueues the block;
 //! * thief stalls or dies mid-copy → the marker outlives the grace period
 //!   and the owner compare-swaps it to zero, reclaiming the block. Zero
@@ -60,11 +60,10 @@ use sws_shmem::{OpResult, ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::ordering::AtomicSite;
-use crate::protocol::claim_marker;
+use crate::protocol::{sdc_claim, Completion};
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
-    QueueConfig, QueueStats, StealOutcome, StealQueue, COMP_CLAIMED, COMP_POISON, COMP_VOL_MASK,
-    SPLIT_UPDATE_NS,
+    invariant_violation, QueueConfig, QueueStats, StealOutcome, StealQueue, SPLIT_UPDATE_NS,
 };
 
 /// Word offsets of the SDC metadata block.
@@ -337,32 +336,27 @@ impl StealQueue for SdcQueue<'_> {
             // ordering: SdcReclaimRead
             ctx.proto_site(AtomicSite::SdcReclaimRead.id());
             let v = ctx.atomic_fetch(me, slot);
-            if v == 0 {
+            match Completion::read(v) {
                 // Nothing finished here yet (in fault mode: claimed, but
                 // the marker is not visible — the thief is still inside
                 // its critical section). Check again next call.
-                return;
-            }
-            let vol = v & COMP_VOL_MASK;
-            if v & COMP_POISON != 0 {
-                // The thief could not copy the block; take it back.
-                // ordering: SdcReclaimRead (poisoned-slot CAS)
-                ctx.proto_site(AtomicSite::SdcReclaimRead.id());
-                if ctx.atomic_compare_swap(me, slot, v, 0) == v {
-                    self.ring.requeue_block(abs, vol);
-                    self.ring.stats.completions_poisoned += 1;
-                    self.stuck = None;
+                Completion::Pending => return,
+                Completion::Poisoned(vol) => {
+                    // The thief could not copy the block; take it back.
+                    // ordering: SdcReclaimRead (poisoned-slot CAS)
+                    ctx.proto_site(AtomicSite::SdcReclaimRead.id());
+                    if ctx.atomic_compare_swap(me, slot, v, 0) == v {
+                        self.ring.requeue_block(abs, vol);
+                        self.ring.stats.completions_poisoned += 1;
+                        self.stuck = None;
+                    }
                 }
-                continue;
-            }
-            if v & COMP_CLAIMED != 0 {
                 // In-flight claim: give the thief the grace period, then
                 // reclaim. The thief's finalize CAS expects the marker,
                 // so exactly one side wins the transition.
-                let now = ctx.now_ns();
-                match self.stuck {
+                Completion::Claimed(vol) => match self.stuck {
                     Some((f, t0)) if f == abs => {
-                        if now.saturating_sub(t0) < grace {
+                        if ctx.now_ns().saturating_sub(t0) < grace {
                             return;
                         }
                         // ordering: SdcReclaimRead (stuck-claim CAS)
@@ -372,20 +366,22 @@ impl StealQueue for SdcQueue<'_> {
                             self.ring.stats.claims_reclaimed += 1;
                             self.stuck = None;
                         }
-                        continue;
                     }
                     _ => {
-                        self.stuck = Some((abs, now));
+                        self.stuck = Some((abs, ctx.now_ns()));
                         return;
                     }
+                },
+                // Plain volume: the baseline completion signal.
+                Completion::Done(vol) => {
+                    // ordering: SdcReclaimZero
+                    ctx.proto_site(AtomicSite::SdcReclaimZero.id());
+                    ctx.atomic_set(me, slot, 0);
+                    self.ring.reclaim_space(vol);
+                    self.stuck = None;
                 }
+                Completion::Reclaimed => invariant_violation("an SDC completion word marked reclaimed"),
             }
-            // Plain volume: the baseline completion signal.
-            // ordering: SdcReclaimZero
-            ctx.proto_site(AtomicSite::SdcReclaimZero.id());
-            ctx.atomic_set(me, slot, 0);
-            self.ring.reclaim_space(vol);
-            self.stuck = None;
         }
     }
 
@@ -416,7 +412,7 @@ impl StealQueue for SdcQueue<'_> {
                     // ordering: SdcMetaRead (lock-free abort peek)
                     ctx.proto_site(AtomicSite::SdcMetaRead.id());
                     match ctx.try_get_words(target, tail_a, &mut meta) {
-                        Ok(()) if meta[0] >= meta[1] => {
+                        Ok(()) if sdc_claim(self.ring.cfg.policy, meta[0], meta[1]).is_none() => {
                             self.ring.stats.steals_closed += 1;
                             return StealOutcome::Closed;
                         }
@@ -455,16 +451,14 @@ impl StealQueue for SdcQueue<'_> {
             self.unlock(target);
             return self.ring.failed(&e);
         }
-        let (tail, split) = (meta[0], meta[1]);
-        let avail = split - tail;
-        if avail == 0 {
+        let tail = meta[0];
+        let Some(vol) = sdc_claim(self.ring.cfg.policy, tail, meta[1]) else {
             self.unlock(target);
             self.ring.stats.steals_empty += 1;
             return StealOutcome::Empty;
-        }
-        let vol = self.ring.cfg.policy.volume(avail, 0).max(1);
+        };
         let comp = self.comp_slot(tail);
-        let marker = claim_marker(vol);
+        let marker = Completion::Claimed(vol).word();
 
         // 2b. Fault mode: write the claim marker *before* publishing the
         // new tail, so the owner can recover the claim if we die past
@@ -523,7 +517,7 @@ impl StealQueue for SdcQueue<'_> {
             let _ = self.ring.complete(claimed_at, || {
                 // ordering: SdcComplete (poison CAS)
                 ctx.proto_site(AtomicSite::SdcComplete.id());
-                ctx.try_atomic_compare_swap(target, comp, marker, COMP_POISON | vol)
+                ctx.try_atomic_compare_swap(target, comp, marker, Completion::Poisoned(vol).word())
             });
             return self.ring.aborted(is_down(&e));
         }
@@ -532,7 +526,7 @@ impl StealQueue for SdcQueue<'_> {
         if !faults {
             // ordering: SdcComplete
             ctx.proto_site(AtomicSite::SdcComplete.id());
-            ctx.atomic_set_nbi(target, comp, vol);
+            ctx.atomic_set_nbi(target, comp, Completion::Done(vol).word());
             return self.ring.land(vol);
         }
         // Fault mode: replace the marker with the plain volume — the
@@ -541,7 +535,7 @@ impl StealQueue for SdcQueue<'_> {
         let fin = self.ring.complete(claimed_at, || {
             // ordering: SdcComplete (finalize CAS)
             ctx.proto_site(AtomicSite::SdcComplete.id());
-            ctx.try_atomic_compare_swap(target, comp, marker, vol)
+            ctx.try_atomic_compare_swap(target, comp, marker, Completion::Done(vol).word())
         });
         match fin {
             Ok(Some(prev)) if prev == marker => self.ring.land(vol),
@@ -558,7 +552,8 @@ impl StealQueue for SdcQueue<'_> {
         // ordering: SdcMetaRead (read-only probe)
         ctx.proto_site(AtomicSite::SdcMetaRead.id());
         // An unreachable target has nothing to steal.
-        ctx.try_get_words(target, self.tail_addr(), &mut meta).is_ok() && meta[0] < meta[1]
+        ctx.try_get_words(target, self.tail_addr(), &mut meta).is_ok()
+            && sdc_claim(self.ring.cfg.policy, meta[0], meta[1]).is_some()
     }
 
     fn stats(&self) -> &QueueStats {

@@ -3,7 +3,7 @@
 //! Every test runs a complete distribute-steal-drain workload under a
 //! deterministic [`FaultPlan`] and asserts *exactly-once task
 //! conservation*: each enqueued task is executed exactly once across all
-//! PEs, no matter which ops the injector drops, delays, stalls, or which
+//! PEs, no matter which ops the injector drops, stalls, or which
 //! PE crash-stops. Because injection draws from seeded SplitMix64 streams
 //! under virtual time, every schedule here is exactly reproducible.
 //!

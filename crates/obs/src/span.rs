@@ -552,7 +552,7 @@ pub fn check_comms(spans: &[StealSpan], faults: bool) -> CommReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sws_core::queue::{COMP_CLAIMED, COMP_POISON};
+    use sws_core::protocol::Completion;
     use sws_core::stealval::{Gate, StealVal, ASTEAL_UNIT};
 
     fn cfg() -> QueueConfig {
@@ -658,7 +658,7 @@ mod tests {
                 20,
                 AtomicSite::SwsThiefComplete,
                 ProtoOp::CompareSwap,
-                COMP_POISON,
+                Completion::Poisoned(0).word(),
                 0,
                 0,
             ),
@@ -712,6 +712,7 @@ mod tests {
 
     #[test]
     fn sdc_empty_and_fault_rollback() {
+        let m = Completion::Claimed(3).word();
         let events = [
             // Empty shared section: lock, meta (tail == split), unlock.
             ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
@@ -721,8 +722,8 @@ mod tests {
             // applied), unlock → Failed.
             ev(30, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
             ev(35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
-            ev(40, AtomicSite::SdcComplete, ProtoOp::Set, COMP_CLAIMED | 3, 0, 0),
-            ev(45, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 0, COMP_CLAIMED | 3, COMP_CLAIMED | 3),
+            ev(40, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
+            ev(45, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 0, m, m),
             ev(50, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
         ];
         let spans = stitch_pe(&events, &cfg());
@@ -733,7 +734,7 @@ mod tests {
 
     #[test]
     fn sdc_fault_completed_is_seven_ops() {
-        let m = COMP_CLAIMED | 3;
+        let m = Completion::Claimed(3).word();
         let events = [
             ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
             ev(15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),

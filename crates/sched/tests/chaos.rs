@@ -336,7 +336,7 @@ fn idle_owner_reclaims_abandoned_claims() {
         assert!(r.total_claims_reclaimed() > 0, "{h:?}: no claim was ever abandoned");
     }
 }
-/// Regression: the owner's `COMP_RECLAIMED` mark does not outlive the
+/// Regression: the owner's `Completion::Reclaimed` mark does not outlive the
 /// advertisement — the slot set is re-zeroed for the next one — so a
 /// thief whose confirm arrived after that found 0, won, and landed a
 /// block the owner had already re-run (6,414 tasks on the 6,217-node

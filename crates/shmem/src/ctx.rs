@@ -26,7 +26,7 @@ use std::sync::atomic::Ordering;
 use crate::addr::SymAddr;
 use crate::error::{OpError, OpResult};
 use crate::explore::{kind_writes, plain_desc, OpDesc};
-use crate::fault::{FaultInjector, PreDecision, FAILED_OP_TIMEOUT_NS};
+use crate::fault::{FaultInjector, FAILED_OP_TIMEOUT_NS};
 use crate::net::OpKind;
 use crate::overrides::{ord_acquires, ord_releases, OrdTracker};
 use crate::prof::SiteCounters;
@@ -333,22 +333,21 @@ impl ShmemCtx {
         }
     }
 
-    /// The injector's verdict on one op: `Ok(added latency)` or the fault
-    /// it suffers. Must run at the serialization point — the target's
-    /// down flag and the issuer's clock are only exact there.
-    fn fault_verdict(&self, inj: &FaultInjector, kind: OpKind, target: usize) -> OpResult<u64> {
+    /// The injector's verdict on one op: the fault it suffers, if any.
+    /// Must run at the serialization point — the target's down flag and
+    /// the issuer's clock are only exact there.
+    fn fault_verdict(&self, inj: &FaultInjector, kind: OpKind, target: usize) -> OpResult<()> {
         // Sampled first, unconditionally: a PE's decision stream depends
         // only on its own op sequence.
-        let pre = inj.predecide(kind, target);
+        let dropped = inj.drops(kind, target);
         if self.world.down[target].load(Ordering::Acquire) {
             Err(OpError::TargetDown { kind, target })
         } else if inj.plan().target_stalled(target, self.now_ns()) {
             Err(OpError::Timeout { kind, target })
+        } else if dropped {
+            Err(OpError::Retriable { kind, target })
         } else {
-            match pre {
-                PreDecision::Drop => Err(OpError::Retriable { kind, target }),
-                PreDecision::Proceed { extra_ns } => Ok(extra_ns),
-            }
+            Ok(())
         }
     }
 
@@ -398,8 +397,7 @@ impl ShmemCtx {
         let (res, charge) = match self.injectable(target) {
             None => (Ok(f()), cost),
             Some(inj) => match self.fault_verdict(inj, kind, target) {
-                Ok(extra_ns) if blocking => (Ok(f()), cost.saturating_add(extra_ns)),
-                Ok(_) => (Ok(f()), cost),
+                Ok(()) => (Ok(f()), cost),
                 Err(e) if blocking => (Err(e), FAILED_OP_TIMEOUT_NS),
                 Err(e) => (Err(e), cost),
             },

@@ -391,6 +391,10 @@ fn parse_args() -> Args {
             usage()
         }
     }
+    if let Some(Err(e)) = fault_plan(&args).map(|plan| plan.validate(args.pes)) {
+        eprintln!("sws-run: invalid fault plan: {e}");
+        std::process::exit(1)
+    }
     // The tree about doubles per level (771,955 nodes at 15) and the
     // workload keeps one child-count row per level.
     if args.workload == "uts" && args.depth > 64 {
@@ -431,6 +435,25 @@ fn parse_args() -> Args {
     args
 }
 
+/// The fault plan from `--drop-prob`, `--stall` and `--crash`; `None`
+/// when no fault flag is set.
+fn fault_plan(args: &Args) -> Option<FaultPlan> {
+    if !args.faults_active() {
+        return None;
+    }
+    let mut plan = FaultPlan::seeded(args.seed ^ 0xFA17);
+    if args.drop_prob > 0.0 {
+        plan = plan.with_drop(OpClass::All, TargetSel::Any, args.drop_prob);
+    }
+    if let Some((pe, from, dur)) = args.stall {
+        plan = plan.with_stall(pe, from, dur);
+    }
+    if let Some((pe, at)) = args.crash {
+        plan = plan.with_crash(pe, at);
+    }
+    Some(plan)
+}
+
 /// The elastic membership plan from the repeatable `--away` flags.
 fn membership_plan(args: &Args) -> MembershipPlan {
     let mut plan = MembershipPlan::fixed();
@@ -465,17 +488,7 @@ fn run_one(args: &Args, kind: QueueKind) -> RunReport {
     if args.contention {
         cfg = cfg.with_profile_sites();
     }
-    if args.drop_prob > 0.0 || args.stall.is_some() || args.crash.is_some() {
-        let mut plan = FaultPlan::seeded(args.seed ^ 0xFA17);
-        if args.drop_prob > 0.0 {
-            plan = plan.with_drop(OpClass::All, TargetSel::Any, args.drop_prob);
-        }
-        if let Some((pe, from, dur)) = args.stall {
-            plan = plan.with_stall(pe, from, dur);
-        }
-        if let Some((pe, at)) = args.crash {
-            plan = plan.with_crash(pe, at);
-        }
+    if let Some(plan) = fault_plan(args) {
         cfg = cfg.with_faults(plan);
     }
     if args.serve {

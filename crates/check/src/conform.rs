@@ -211,8 +211,10 @@ impl At<'_> {
 /// first divergence or coverage stats for a conforming trace.
 pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
     let cfg = &input.queue;
+    // Per-PE state lives in dense vectors indexed by rank.
+    let pes = input.events.iter().map(|e| e.issuer.max(e.target) as usize + 1).max().unwrap_or(0);
     // Pre-scan: learn each victim's control-block base from anchor events.
-    let mut victims: BTreeMap<u32, Victim> = BTreeMap::new();
+    let mut victims: Vec<Option<Victim>> = std::iter::repeat_with(|| None).take(pes).collect();
     for e in input.events {
         let Some(site) = AtomicSite::from_id(e.site).filter(|s| s.protocol() == input.proto) else {
             continue;
@@ -220,7 +222,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
         let anchors = input.proto == Proto::Sdc || site == AtomicSite::SwsOwnerAdvertise;
         if let (Word::Ctl(k), true) = (site.row().word, anchors) {
             if let Some(ctl) = (e.offset as u64).checked_sub(k as u64) {
-                victims.entry(e.target).or_insert_with(|| Victim {
+                victims[e.target as usize].get_or_insert_with(|| Victim {
                     geo: input.proto.geometry(cfg, ctl),
                     ctl: [0; 3],
                     comp: BTreeMap::new(),
@@ -234,16 +236,20 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
 
     let mut stats = ReplayStats {
         events: input.events.len(),
-        victims: victims.len(),
+        victims: victims.iter().flatten().count(),
         ..ReplayStats::default()
     };
-    let mut last_t: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut last_t: Vec<Option<u64>> = vec![None; pes];
+    // Sites seen, one bit per catalog id; folded into `stats.sites` at the
+    // end.
+    const _: () = assert!(AtomicSite::ALL.len() <= 64);
+    let mut sites = 0u64;
 
     for (index, e) in input.events.iter().enumerate() {
         let at = At { index, e };
         // Per-issuer timestamps are strictly increasing by construction
         // (each gated op advances the issuer's clock after capture).
-        if let Some(t) = last_t.insert(e.issuer, e.t_ns) {
+        if let Some(t) = last_t[e.issuer as usize].replace(e.t_ns) {
             if e.t_ns <= t {
                 return Err(at.div("time-regression", format!("issuer clock > {t} ns")));
             }
@@ -252,7 +258,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
             return Err(at.div("unknown-site", "a cataloged AtomicSite id"));
         };
         let row = site.row();
-        stats.sites.insert(e.site);
+        sites |= 1 << e.site;
         if row.protocol != input.proto || !row.ops.contains(&e.op) {
             return Err(at.div(
                 "site-op-mismatch",
@@ -265,7 +271,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
                 format!("{} issued by the owner (pe{})", row.name, e.target),
             ));
         }
-        let Some(v) = victims.get_mut(&e.target) else {
+        let Some(v) = victims[e.target as usize].as_mut() else {
             return Err(at.div("no-anchor", "an anchor op for this victim"));
         };
         let mut seen = *e;
@@ -277,7 +283,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
 
     // Quiescence: the trace runs to retire, which drains every claim —
     // each must have been completed, poisoned, or reclaimed.
-    for v in victims.values() {
+    for v in victims.iter().flatten() {
         if let Some((off, c)) = v.claims.iter().find(|(_, c)| !c.resolved) {
             return Err(Divergence {
                 kind: "unresolved-claim",
@@ -290,6 +296,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
             });
         }
     }
+    stats.sites = (0..64).filter(|id| sites >> id & 1 == 1).collect();
     Ok(stats)
 }
 
@@ -609,7 +616,7 @@ pub fn capture_case(case: &ConformCase) -> Vec<ProtoEvent> {
         );
     }
     let workload = FlatBag::new(160, 2_000, 24);
-    run_workload(&run, &workload).proto_trace()
+    run_workload(&run, &workload).proto
 }
 
 /// Run one matrix case: execute the production run with capture on,

@@ -3,8 +3,8 @@
 //! Observability layer for the SWS/SDC experiments, built on the proto
 //! capture in `sws-shmem` and the scheduler reports in `sws-sched`:
 //!
-//! * [`span`] — stitch captured [`ProtoEvent`](sws_shmem::ProtoEvent)
-//!   streams into per-steal spans with a phase-level virtual-time
+//! * [`span`] — stitch the captured [`ProtoEvent`](sws_shmem::ProtoEvent)
+//!   log into per-steal spans with a phase-level virtual-time
 //!   breakdown, and check the paper's per-steal op budget (SWS: ≤ 3
 //!   ops / ≤ 2 blocking; SDC: 6 / 5) as a runtime invariant
 //!   (`sws-run --assert-comms`).
@@ -57,6 +57,6 @@ pub use snap::{
     SNAP_SCHEMA,
 };
 pub use span::{
-    check_comms, stitch_pe, stitch_report, CommBudget, CommReport, PhaseSlice,
+    check_comms, stitch_pe, stitch_report, CommBudget, CommReport, PhaseSlice, SpanList,
     SpanOutcome, StealSpan, System,
 };

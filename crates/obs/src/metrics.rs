@@ -14,14 +14,14 @@
 //! Prometheus-style text exposition, `to_json()` a machine-readable
 //! snapshot (`sws-run --metrics` prints both ways).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sws_sched::report::RunReport;
 use sws_sched::trace::Pow2Histogram;
 use sws_shmem::ALL_OP_KINDS;
 
 use crate::json::escape;
-use crate::span::StealSpan;
+use crate::span::SpanList;
 
 /// What a scalar metric means (histograms are their own type).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -297,7 +297,7 @@ impl Registry {
     /// ad-hoc `WorkerStats`/`QueueStats`/`OpStats`/`EngineStats`
     /// carriers hold, one shard per PE, plus span-level latency
     /// histograms when stitched spans are available.
-    pub fn from_report(report: &RunReport, spans: Option<&[StealSpan]>) -> Registry {
+    pub fn from_report(report: &RunReport, spans: Option<&SpanList>) -> Registry {
         let n = report.workers.len();
         let mut reg = Registry::new(n);
 
@@ -386,10 +386,7 @@ impl Registry {
         let h_volume = reg.histogram("sws_span_tasks", "tasks landed per completed span");
         let mut h_phase: BTreeMap<&'static str, HistId> = BTreeMap::new();
         if let Some(spans) = spans {
-            let mut names: Vec<&'static str> =
-                spans.iter().flat_map(|s| s.phases.iter().map(|p| p.name)).collect();
-            names.sort_unstable();
-            names.dedup();
+            let names: BTreeSet<&'static str> = spans.all_phases().iter().map(|p| p.name).collect();
             for name in names {
                 let id = reg.histogram(
                     &format!("sws_phase_ns_{name}"),
@@ -436,7 +433,7 @@ impl Registry {
                 if s.tasks() > 0 {
                     shard.observe(h_volume, s.tasks());
                 }
-                for p in &s.phases {
+                for p in spans.phases(s) {
                     if p.dur_ns > 0 {
                         shard.observe(h_phase[p.name], p.dur_ns);
                     }

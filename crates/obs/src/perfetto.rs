@@ -16,15 +16,19 @@
 //! All timestamps are the run's *virtual* nanoseconds, emitted in
 //! microseconds with three decimals (exact — no rounding loss).
 //!
-//! The export is three linear passes per run over plain data. *Collect*
-//! one `Copy` record per event — two timestamps, a `&'static str` name
-//! and a typed `Kind` where the text would be — filed under its `tid`.
-//! *Order* each track by `(ts, longer duration first)`: a parent slice
-//! precedes the children that start with it, counters interleave by
-//! timestamp, and equal keys stay as collected (spans with their phases,
-//! then instants, then counters). *Write* each record straight into one
-//! `String`, integers and the `µs.nnn` stamps digit by digit. The bytes
-//! are pinned by `export_results_are_pinned` (`tests/spans.rs`).
+//! The export writes one track (`tid`) after another, each as a merge
+//! of sources that are already in track order, `(ts, longer duration
+//! first)`: the thief's spans in list order, each followed by its phases;
+//! the PE's scheduler instants; on `tid` 0, the idle counter and then the
+//! snapshot counters. Ties go to the earlier source, so the merge yields
+//! what a stable sort of the sources laid end to end yields; a source
+//! found out of order (only hand-built inputs are) is merged from a
+//! stably sorted copy. Each event is a `Copy` record — two timestamps, a
+//! `&'static str` name and a typed `Kind` where the text would be — made
+//! as the merge asks for it and written straight into one `String`,
+//! integers and the `µs.nnn` stamps digit by digit, so no buffer holds
+//! the events. The bytes are pinned by `export_results_are_pinned`
+//! (`tests/spans.rs`).
 //!
 //! [`validate_chrome_trace`] re-parses an emitted trace and checks the
 //! schema invariants CI relies on: well-formed JSON, required keys per
@@ -33,20 +37,22 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::iter;
 
 use sws_core::AtomicSite;
 use sws_sched::report::RunReport;
-use sws_sched::trace::{EventKind, ProtoOp};
+use sws_sched::trace::{Event, EventKind, ProtoOp};
+use sws_shmem::proto::{merge_ordered, ordered};
 
 use crate::json::{escape, Json};
-use crate::span::StealSpan;
+use crate::span::SpanList;
 
 /// One run to export: the report plus its stitched spans.
 pub struct TraceRun<'a> {
     /// The finished run.
     pub report: &'a RunReport,
     /// Spans stitched from the run's proto capture (may be empty).
-    pub spans: &'a [StealSpan],
+    pub spans: &'a SpanList,
 }
 
 /// What a trace event is beyond its name and its place on a track: the
@@ -65,7 +71,7 @@ enum Kind {
     Counter { key: &'static str, negative: bool, value: u64 },
 }
 
-/// One trace event as plain data, filed under its track.
+/// One trace event as plain data.
 #[derive(Copy, Clone)]
 struct Rec {
     ts_ns: u64,
@@ -74,6 +80,74 @@ struct Rec {
     /// A literal of the site catalog or of this file: written unescaped.
     name: &'static str,
     kind: Kind,
+}
+
+/// The order within a track: by timestamp, a parent slice before the
+/// children that start with it.
+fn track_key(r: &Rec) -> (u64, Reverse<u64>) {
+    (r.ts_ns, Reverse(r.dur_ns))
+}
+
+/// A counter sample on `tid` 0.
+fn counter(ts_ns: u64, name: &'static str, key: &'static str, negative: bool, value: u64) -> Rec {
+    Rec { ts_ns, dur_ns: 0, name, kind: Kind::Counter { key, negative, value } }
+}
+
+/// What a scheduler event shows on its PE's track: an instant with at
+/// most one operand, or nothing (idle changes feed the idle counter,
+/// steal outcomes are the span slices).
+fn instant(e: &Event) -> Option<Rec> {
+    let (name, operand) = match e.kind {
+        EventKind::Release { exposed } => ("release", Some(("exposed", exposed))),
+        EventKind::AcquireHit { recovered } => ("acquire-hit", Some(("recovered", recovered))),
+        EventKind::AcquireMiss => ("acquire-miss", None),
+        EventKind::Quarantined { victim } => ("quarantine", Some(("victim", victim))),
+        EventKind::CrashStop => ("crash-stop", None),
+        _ => return None,
+    };
+    Some(Rec { ts_ns: e.t_ns, dur_ns: 0, name, kind: Kind::Instant(operand) })
+}
+
+/// The `idle PEs` counter: every PE's idle enters (+1) and exits (−1)
+/// merged by `(time, delta)`, and the running count after each.
+fn idle_counter(report: &RunReport) -> impl Iterator<Item = Rec> + '_ {
+    let deltas = report.workers.iter().map(|w| {
+        let steps = w.events.iter().filter_map(|e| match e.kind {
+            EventKind::EnterIdle => Some((e.t_ns, 1)),
+            EventKind::ExitIdle => Some((e.t_ns, -1)),
+            _ => None,
+        });
+        ordered(steps, |&d: &(u64, i64)| d)
+    });
+    merge_ordered(deltas.collect(), |&d| d).scan(0, |idle, (t, d)| {
+        *idle += d;
+        Some(counter(t, "idle PEs", "idle", *idle < 0, idle.unsigned_abs()))
+    })
+}
+
+/// Service telemetry counter tracks from the snapshot stream (present
+/// when the run set `ServiceConfig::snapshot_interval_ns`): pool-wide
+/// ring occupancy and in-flight admitted arrivals, sampled at the
+/// deterministic tick times. Each PE contributes its latest row at or
+/// before the tick, so PEs that stopped early (crash-stop) hold their
+/// last value instead of dropping out of the aggregate.
+fn snapshot_counters<'a>(report: &'a RunReport, ticks: &'a [u64]) -> impl Iterator<Item = Rec> + 'a {
+    ticks.iter().flat_map(move |&t| {
+        let (mut occupancy, mut admitted, mut completed) = (0u64, 0u64, 0u64);
+        for w in &report.workers {
+            let i = w.snapshots.partition_point(|r| r.t_ns <= t);
+            if let Some(r) = i.checked_sub(1).map(|i| &w.snapshots[i]) {
+                occupancy += r.occupancy + r.local;
+                admitted += r.admitted;
+                completed += r.completed;
+            }
+        }
+        let in_flight = admitted.saturating_sub(completed);
+        [
+            counter(t, "ring occupancy", "tasks", false, occupancy),
+            counter(t, "in-flight arrivals", "tasks", false, in_flight),
+        ]
+    })
 }
 
 /// Append `label`, then `v` in decimal.
@@ -100,9 +174,55 @@ fn push_us(out: &mut String, label: &str, ns: u64) {
     push_int(out, if frac < 10 { ".00" } else if frac < 100 { ".0" } else { "." }, frac);
 }
 
-/// Export `runs` as a Chrome-trace JSON document. Per run, three linear
-/// passes over plain data: collect one `Rec` per event, order each
-/// track, write each record straight into the document.
+/// Write one event; `place` is its `"pid":…,"tid":…` fragment.
+fn write(out: &mut String, place: &str, r: Rec) {
+    debug_assert_eq!(escape(r.name), r.name);
+    out.push_str(",\n{\"name\":\"");
+    out.push_str(r.name);
+    out.push_str(match r.kind {
+        Kind::Steal { .. } | Kind::Phase { .. } => "\",\"ph\":\"X",
+        Kind::Instant(_) => "\",\"ph\":\"i",
+        Kind::Counter { .. } => "\",\"ph\":\"C",
+    });
+    out.push_str(place);
+    push_us(out, ",\"ts\":", r.ts_ns);
+    match r.kind {
+        Kind::Steal { victim, ops, blocking, tasks } => {
+            push_us(out, ",\"dur\":", r.dur_ns);
+            push_int(out, ",\"cat\":\"steal\",\"args\":{\"victim\":", victim.into());
+            push_int(out, ",\"ops\":", ops);
+            push_int(out, ",\"blocking\":", blocking);
+            push_int(out, ",\"tasks\":", tasks);
+            out.push_str("}}");
+        }
+        Kind::Phase { site, op, blocking } => {
+            push_us(out, ",\"dur\":", r.dur_ns);
+            out.push_str(",\"cat\":\"phase\",\"args\":{\"site\":\"");
+            out.push_str(site.name());
+            out.push_str("\",\"op\":\"");
+            out.push_str(op.name());
+            out.push_str("\",\"blocking\":");
+            out.push_str(if blocking { "true}}" } else { "false}}" });
+        }
+        Kind::Instant(None) => out.push_str(",\"cat\":\"sched\",\"s\":\"t\"}"),
+        Kind::Instant(Some((key, value))) => {
+            out.push_str(",\"cat\":\"sched\",\"s\":\"t\",\"args\":{\"");
+            out.push_str(key);
+            push_int(out, "\":", value.into());
+            out.push_str("}}");
+        }
+        Kind::Counter { key, negative, value } => {
+            out.push_str(",\"args\":{\"");
+            out.push_str(key);
+            push_int(out, if negative { "\":-" } else { "\":" }, value);
+            out.push_str("}}");
+        }
+    }
+}
+
+/// Export `runs` as a Chrome-trace JSON document: the metadata records,
+/// then run by run and track by track, each track the merge of its
+/// ordered sources written as it is made.
 pub fn chrome_trace(runs: &[TraceRun]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut sep = "";
@@ -122,146 +242,51 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
     }
 
     for (pid, run) in (1u64..).zip(runs) {
-        // Pass 1: collect, every event filed under its track (`tid`) in
-        // the order that breaks ties: spans with their phases, then
-        // instants, then counters.
-        let mut tracks: BTreeMap<u32, Vec<Rec>> = BTreeMap::new();
-        let mut put = |tid, ts_ns, dur_ns, name, kind| {
-            tracks.entry(tid).or_default().push(Rec { ts_ns, dur_ns, name, kind });
-        };
-        for s in run.spans {
-            let (ops, blocking) = (s.ops(), s.blocking_ops());
-            let totals = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
-            put(s.thief, s.start_ns, s.latency_ns(), s.outcome.label(), totals);
-            // Nested phase slices — skip for single-op spans, where the
-            // parent slice already tells the whole story.
-            if s.phases.len() > 1 {
-                for p in &s.phases {
+        let (report, spans) = (run.report, run.spans);
+        let ticks = report.snapshot_ticks();
+        // 128 bytes is the typical event, and the count is bounded by
+        // the spans, their phases, the scheduler events and two counters
+        // per tick; a document that outgrows the estimate regrows.
+        let events: usize = report.workers.iter().map(|w| w.events.len()).sum();
+        out.reserve(128 * (spans.len() + spans.all_phases().len() + events + 2 * ticks.len()));
+        // Each thief's spans in list order, thief after thief.
+        let mut by_thief: Vec<u32> = (0..spans.len() as u32).collect();
+        by_thief.sort_by_key(|&i| spans[i as usize].thief);
+        let mut by_thief = &by_thief[..];
+        let tids = spans.iter().map(|s| s.thief as usize + 1).fold(report.workers.len(), usize::max);
+        for tid in 0..tids {
+            let mine = by_thief.partition_point(|&i| spans[i as usize].thief as usize == tid);
+            let (ids, rest) = by_thief.split_at(mine);
+            by_thief = rest;
+            let slices = ids.iter().flat_map(|&i| {
+                let s = &spans[i as usize];
+                let (ops, blocking) = (s.ops(), s.blocking_ops());
+                let kind = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
+                let parent =
+                    Rec { ts_ns: s.start_ns, dur_ns: s.latency_ns(), name: s.outcome.label(), kind };
+                // Nested phase slices — none for single-op spans, where
+                // the parent slice already tells the whole story.
+                let phases = spans.phases(s);
+                let nested = if phases.len() > 1 { phases } else { &[] };
+                iter::once(parent).chain(nested.iter().map(|p| {
                     let kind = Kind::Phase { site: p.site, op: p.op, blocking: p.blocking };
-                    put(s.thief, p.t_ns, p.dur_ns, p.name, kind);
-                }
+                    Rec { ts_ns: p.t_ns, dur_ns: p.dur_ns, name: p.name, kind }
+                }))
+            });
+            let events = report.workers.get(tid).map_or(&[][..], |w| &w.events[..]);
+            let mut sources = vec![
+                ordered(slices, track_key),
+                ordered(events.iter().filter_map(instant), track_key),
+            ];
+            if tid == 0 {
+                sources.push(Box::new(idle_counter(report)));
+                sources.push(Box::new(snapshot_counters(report, &ticks)));
             }
-        }
-
-        // Scheduler lifecycle instants + the idle counter.
-        let mut idle_deltas: Vec<(u64, i64)> = Vec::new();
-        for (pe, w) in run.report.workers.iter().enumerate() {
-            for e in &w.events {
-                let (name, operand) = match e.kind {
-                    EventKind::Release { exposed } => ("release", Some(("exposed", exposed))),
-                    EventKind::AcquireHit { recovered } => {
-                        ("acquire-hit", Some(("recovered", recovered)))
-                    }
-                    EventKind::AcquireMiss => ("acquire-miss", None),
-                    EventKind::Quarantined { victim } => ("quarantine", Some(("victim", victim))),
-                    EventKind::CrashStop => ("crash-stop", None),
-                    EventKind::EnterIdle => {
-                        idle_deltas.push((e.t_ns, 1));
-                        continue;
-                    }
-                    EventKind::ExitIdle => {
-                        idle_deltas.push((e.t_ns, -1));
-                        continue;
-                    }
-                    // Steal outcomes are covered by the span slices.
-                    _ => continue,
-                };
-                put(pe as u32, e.t_ns, 0, name, Kind::Instant(operand));
-            }
-        }
-        let mut count = |t, name, key, negative, value| {
-            put(0, t, 0, name, Kind::Counter { key, negative, value });
-        };
-        idle_deltas.sort_unstable();
-        let mut idle = 0i64;
-        for (t, d) in idle_deltas {
-            idle += d;
-            count(t, "idle PEs", "idle", idle < 0, idle.unsigned_abs());
-        }
-
-        // Service telemetry counter tracks from the snapshot stream
-        // (present when the run set `ServiceConfig::snapshot_interval_ns`):
-        // pool-wide ring occupancy and in-flight admitted arrivals,
-        // sampled at the deterministic tick times. Each PE contributes
-        // its latest row at or before the tick, so PEs that stopped
-        // early (crash-stop) hold their last value instead of dropping
-        // out of the aggregate.
-        for &t in &run.report.snapshot_ticks() {
-            let mut occupancy = 0u64;
-            let mut admitted = 0u64;
-            let mut completed = 0u64;
-            for w in &run.report.workers {
-                let i = w.snapshots.partition_point(|r| r.t_ns <= t);
-                if i == 0 {
-                    continue;
-                }
-                let r = &w.snapshots[i - 1];
-                occupancy += r.occupancy + r.local;
-                admitted += r.admitted;
-                completed += r.completed;
-            }
-            count(t, "ring occupancy", "tasks", false, occupancy);
-            count(t, "in-flight arrivals", "tasks", false, admitted.saturating_sub(completed));
-        }
-
-        // 128 bytes is the typical event; a document that outgrows the
-        // estimate regrows.
-        out.reserve(128 * tracks.values().map(Vec::len).sum::<usize>());
-        for (tid, track) in &mut tracks {
-            // Pass 2: within a track by timestamp, parents before their
-            // children at equal ts (longer duration first), counters
-            // interleaved by timestamp, ties as collected. A track is a
-            // few ordered runs laid end to end (its spans, its instants,
-            // the counters), which the stable sort finds and merges.
-            track.sort_by_key(|r| (r.ts_ns, Reverse(r.dur_ns)));
             let mut place = String::new();
             push_int(&mut place, "\",\"pid\":", pid);
-            push_int(&mut place, ",\"tid\":", u64::from(*tid));
-
-            // Pass 3: write.
-            for r in track.iter() {
-                debug_assert_eq!(escape(r.name), r.name);
-                out.push_str(",\n{\"name\":\"");
-                out.push_str(r.name);
-                out.push_str(match r.kind {
-                    Kind::Steal { .. } | Kind::Phase { .. } => "\",\"ph\":\"X",
-                    Kind::Instant(_) => "\",\"ph\":\"i",
-                    Kind::Counter { .. } => "\",\"ph\":\"C",
-                });
-                out.push_str(&place);
-                push_us(&mut out, ",\"ts\":", r.ts_ns);
-                match r.kind {
-                    Kind::Steal { victim, ops, blocking, tasks } => {
-                        push_us(&mut out, ",\"dur\":", r.dur_ns);
-                        push_int(&mut out, ",\"cat\":\"steal\",\"args\":{\"victim\":", victim.into());
-                        push_int(&mut out, ",\"ops\":", ops);
-                        push_int(&mut out, ",\"blocking\":", blocking);
-                        push_int(&mut out, ",\"tasks\":", tasks);
-                        out.push_str("}}");
-                    }
-                    Kind::Phase { site, op, blocking } => {
-                        push_us(&mut out, ",\"dur\":", r.dur_ns);
-                        out.push_str(",\"cat\":\"phase\",\"args\":{\"site\":\"");
-                        out.push_str(site.name());
-                        out.push_str("\",\"op\":\"");
-                        out.push_str(op.name());
-                        out.push_str("\",\"blocking\":");
-                        out.push_str(if blocking { "true}}" } else { "false}}" });
-                    }
-                    Kind::Instant(None) => out.push_str(",\"cat\":\"sched\",\"s\":\"t\"}"),
-                    Kind::Instant(Some((key, value))) => {
-                        out.push_str(",\"cat\":\"sched\",\"s\":\"t\",\"args\":{\"");
-                        out.push_str(key);
-                        push_int(&mut out, "\":", value.into());
-                        out.push_str("}}");
-                    }
-                    Kind::Counter { key, negative, value } => {
-                        out.push_str(",\"args\":{\"");
-                        out.push_str(key);
-                        push_int(&mut out, if negative { "\":-" } else { "\":" }, value);
-                        out.push_str("}}");
-                    }
-                }
+            push_int(&mut place, ",\"tid\":", tid as u64);
+            for r in merge_ordered(sources, track_key) {
+                write(&mut out, &place, r);
             }
         }
     }
@@ -300,7 +325,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
         .ok_or("missing traceEvents array")?;
     let mut stats = TraceStats::default();
     let mut track_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    let mut counter_ts: BTreeMap<(u64, String), f64> = BTreeMap::new();
+    let mut counter_ts: BTreeMap<(u64, &str), f64> = BTreeMap::new();
 
     for (i, e) in events.iter().enumerate() {
         stats.events += 1;
@@ -349,7 +374,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
             _ => {}
         }
         if ph == "C" {
-            let key = (pid, name.to_string());
+            let key = (pid, name);
             if let Some(&last) = counter_ts.get(&key) {
                 if ts < last {
                     return Err(ctx(&format!(
@@ -377,6 +402,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sws_shmem::rng::SplitMix64;
 
     #[test]
     fn validator_accepts_minimal_trace() {
@@ -433,30 +459,23 @@ mod tests {
             blocking: op.is_blocking(),
             contention: false,
         };
-        let span = |thief, start_ns, end_ns, outcome, phases| StealSpan {
-            system: System::Sws,
-            thief,
-            victim: 1,
-            start_ns,
-            end_ns,
-            outcome,
-            phases,
+        let mut spans = SpanList::default();
+        let mut span = |thief, (start_ns, end_ns), outcome, phases: &[PhaseSlice]| {
+            let s = spans.push(System::Sws, thief, 1, outcome, phases);
+            (s.start_ns, s.end_ns) = (start_ns, end_ns);
         };
-        let probe = || vec![phase("probe", 1000, 0, AtomicSite::SwsThiefProbe, ProtoOp::Fetch)];
-        let spans = [
-            span(0, 1000, 1000, SpanOutcome::Probe, probe()),
-            span(
-                0,
-                1000,
-                3500,
-                SpanOutcome::Completed { tasks: 12 },
-                vec![
-                    phase("claim", 1000, 2500, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd),
-                    phase("complete", 3500, 0, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi),
-                ],
-            ),
-            span(7, 999, 999, SpanOutcome::Probe, probe()),
-        ];
+        let probe = [phase("probe", 1000, 0, AtomicSite::SwsThiefProbe, ProtoOp::Fetch)];
+        span(0, (1000, 1000), SpanOutcome::Probe, &probe);
+        span(
+            0,
+            (1000, 3500),
+            SpanOutcome::Completed { tasks: 12 },
+            &[
+                phase("claim", 1000, 2500, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd),
+                phase("complete", 3500, 0, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi),
+            ],
+        );
+        span(7, (999, 999), SpanOutcome::Probe, &probe);
         let at = |t_ns, kind| Event { t_ns, kind };
         let pe0 = WorkerStats {
             events: vec![
@@ -483,6 +502,7 @@ mod tests {
             makespan_ns: 3500,
             workers: vec![pe0, pe1],
             comm: Default::default(),
+            proto: Vec::new(),
             wall_ms: 0,
         };
         let text = chrome_trace(&[TraceRun { report: &report, spans: &spans }]);
@@ -509,6 +529,203 @@ mod tests {
         assert_eq!(text, want);
         validate_chrome_trace(&text).expect("valid");
         assert_eq!(chrome_trace(&[]), "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n");
+    }
+
+    /// The exporter `chrome_trace` replaced, kept as its oracle: every
+    /// event of a run filed under its track in source order (spans with
+    /// their phases, then instants PE by PE, then the idle counter, then
+    /// the snapshot counters), each track stably sorted, then written.
+    fn collect_and_sort(runs: &[TraceRun]) -> String {
+        let mut out = String::from("{\"traceEvents\":[\n");
+        let mut sep = "";
+        for (pid, run) in (1u64..).zip(runs) {
+            out.push_str(sep);
+            sep = ",\n";
+            push_int(&mut out, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid);
+            out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
+            out.push_str(&escape(&run.report.system));
+            out.push_str("\"}}");
+            for pe in 0..run.report.n_pes as u64 {
+                push_int(&mut out, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid);
+                push_int(&mut out, ",\"tid\":", pe);
+                push_int(&mut out, ",\"args\":{\"name\":\"PE ", pe);
+                out.push_str("\"}}");
+            }
+        }
+        for (pid, run) in (1u64..).zip(runs) {
+            let mut tracks: BTreeMap<u32, Vec<Rec>> = BTreeMap::new();
+            let mut put = |tid, ts_ns, dur_ns, name, kind| {
+                tracks.entry(tid).or_default().push(Rec { ts_ns, dur_ns, name, kind });
+            };
+            for s in run.spans.iter() {
+                let (ops, blocking) = (s.ops(), s.blocking_ops());
+                let totals = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
+                put(s.thief, s.start_ns, s.latency_ns(), s.outcome.label(), totals);
+                let phases = run.spans.phases(s);
+                if phases.len() > 1 {
+                    for p in phases {
+                        let kind = Kind::Phase { site: p.site, op: p.op, blocking: p.blocking };
+                        put(s.thief, p.t_ns, p.dur_ns, p.name, kind);
+                    }
+                }
+            }
+            let mut idle_deltas: Vec<(u64, i64)> = Vec::new();
+            for (pe, w) in run.report.workers.iter().enumerate() {
+                for e in &w.events {
+                    let (name, operand) = match e.kind {
+                        EventKind::Release { exposed } => ("release", Some(("exposed", exposed))),
+                        EventKind::AcquireHit { recovered } => {
+                            ("acquire-hit", Some(("recovered", recovered)))
+                        }
+                        EventKind::AcquireMiss => ("acquire-miss", None),
+                        EventKind::Quarantined { victim } => ("quarantine", Some(("victim", victim))),
+                        EventKind::CrashStop => ("crash-stop", None),
+                        EventKind::EnterIdle => {
+                            idle_deltas.push((e.t_ns, 1));
+                            continue;
+                        }
+                        EventKind::ExitIdle => {
+                            idle_deltas.push((e.t_ns, -1));
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    put(pe as u32, e.t_ns, 0, name, Kind::Instant(operand));
+                }
+            }
+            let mut count = |t, name, key, negative, value| {
+                put(0, t, 0, name, Kind::Counter { key, negative, value });
+            };
+            idle_deltas.sort_unstable();
+            let mut idle = 0i64;
+            for (t, d) in idle_deltas {
+                idle += d;
+                count(t, "idle PEs", "idle", idle < 0, idle.unsigned_abs());
+            }
+            for &t in &run.report.snapshot_ticks() {
+                let (mut occupancy, mut admitted, mut completed) = (0u64, 0u64, 0u64);
+                for w in &run.report.workers {
+                    let i = w.snapshots.partition_point(|r| r.t_ns <= t);
+                    if i == 0 {
+                        continue;
+                    }
+                    let r = &w.snapshots[i - 1];
+                    occupancy += r.occupancy + r.local;
+                    admitted += r.admitted;
+                    completed += r.completed;
+                }
+                count(t, "ring occupancy", "tasks", false, occupancy);
+                count(t, "in-flight arrivals", "tasks", false, admitted.saturating_sub(completed));
+            }
+            for (tid, track) in &mut tracks {
+                track.sort_by_key(track_key);
+                let mut place = String::new();
+                push_int(&mut place, "\",\"pid\":", pid);
+                push_int(&mut place, ",\"tid\":", u64::from(*tid));
+                for &r in track.iter() {
+                    write(&mut out, &place, r);
+                }
+            }
+        }
+        out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
+        out
+    }
+
+    /// A seeded synthetic run: timestamps from so small a range that they
+    /// collide within and across tracks, spans in no particular order with
+    /// zero-duration phases among theirs, thieves beyond `n_pes`, and
+    /// scheduler events of every kind, in order or not.
+    fn synthetic_run(rng: &mut SplitMix64) -> (RunReport, SpanList) {
+        use crate::span::{PhaseSlice, SpanOutcome, System};
+        use sws_sched::report::WorkerStats;
+        use sws_sched::snapshot::SnapRow;
+
+        let n_pes = 1 + rng.below(4) as usize;
+        let t = |rng: &mut SplitMix64| 1000 * rng.below(6) + rng.below(3);
+        let sites = [
+            (AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd),
+            (AtomicSite::SwsThiefPayloadRead, ProtoOp::Get),
+            (AtomicSite::SwsThiefComplete, ProtoOp::SetNbi),
+            (AtomicSite::SdcLockCas, ProtoOp::CompareSwap),
+        ];
+        let outcomes = [
+            SpanOutcome::Completed { tasks: 3 },
+            SpanOutcome::Probe,
+            SpanOutcome::Empty,
+            SpanOutcome::Open,
+        ];
+        let mut spans = SpanList::default();
+        for _ in 0..rng.below(30) {
+            let mut phases: Vec<PhaseSlice> = Vec::new();
+            for _ in 0..1 + rng.below(4) {
+                let (site, op) = sites[rng.below(4) as usize];
+                let (t_ns, dur_ns) = (t(rng), rng.below(3) * 500);
+                let contention = rng.chance(0.2);
+                let blocking = op.is_blocking();
+                phases.push(PhaseSlice { name: "claim", t_ns, dur_ns, site, op, blocking, contention });
+            }
+            let thief = rng.below(n_pes as u64 + 3) as u32;
+            let outcome = outcomes[rng.below(4) as usize];
+            let s = spans.push(System::Sws, thief, rng.below(4) as u32, outcome, &phases);
+            s.start_ns = t(rng);
+            s.end_ns = s.start_ns + rng.below(2) * 1500;
+        }
+        let kinds = [
+            EventKind::Release { exposed: 4 },
+            EventKind::AcquireHit { recovered: 2 },
+            EventKind::AcquireMiss,
+            EventKind::Quarantined { victim: 1 },
+            EventKind::CrashStop,
+            EventKind::EnterIdle,
+            EventKind::ExitIdle,
+            EventKind::StealWon { victim: 0, tasks: 1 },
+        ];
+        let workers = (0..n_pes)
+            .map(|_| {
+                let mut events: Vec<Event> = (0..rng.below(12))
+                    .map(|_| Event { t_ns: t(rng), kind: kinds[rng.below(8) as usize] })
+                    .collect();
+                if rng.chance(0.7) {
+                    events.sort_by_key(|e| e.t_ns);
+                }
+                let mut snapshots: Vec<SnapRow> = (0..rng.below(4))
+                    .map(|_| SnapRow {
+                        t_ns: t(rng),
+                        occupancy: rng.below(9),
+                        local: rng.below(9),
+                        admitted: rng.below(20),
+                        completed: rng.below(20),
+                        ..SnapRow::default()
+                    })
+                    .collect();
+                snapshots.sort_by_key(|r| r.t_ns);
+                WorkerStats { events, snapshots, ..WorkerStats::default() }
+            })
+            .collect();
+        let report = RunReport {
+            system: "SWS".into(),
+            n_pes,
+            makespan_ns: 0,
+            workers,
+            comm: Default::default(),
+            proto: Vec::new(),
+            wall_ms: 0,
+        };
+        (report, spans)
+    }
+
+    /// The merge of ordered sources writes what collecting and sorting
+    /// every track wrote, byte for byte, on one- and two-run documents.
+    #[test]
+    fn streaming_export_equals_collect_and_sort() {
+        let mut rng = SplitMix64::new(0xE4_9047);
+        for _ in 0..400 {
+            let runs: Vec<(RunReport, SpanList)> =
+                (0..1 + rng.below(2)).map(|_| synthetic_run(&mut rng)).collect();
+            let runs: Vec<TraceRun> =
+                runs.iter().map(|(report, spans)| TraceRun { report, spans }).collect();
+            assert_eq!(chrome_trace(&runs), collect_and_sort(&runs));
+        }
     }
 
     #[test]

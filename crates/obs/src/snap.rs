@@ -347,6 +347,7 @@ mod tests {
             makespan_ns: 0,
             workers,
             comm: Default::default(),
+            proto: Vec::new(),
             wall_ms: 0,
         }
     }

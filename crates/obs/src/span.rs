@@ -1,11 +1,11 @@
-//! Steal-span stitching: turn the flat per-PE [`ProtoEvent`] streams
-//! captured by `sws-shmem` into per-steal spans with a phase-level
-//! latency breakdown and an op/blocking-op budget — the paper's Table 1
-//! claim (SWS: 3 ops / 2 blocking; SDC: 6 / 5) as a checked runtime
-//! invariant.
+//! Steal-span stitching: turn the [`ProtoEvent`] log captured by
+//! `sws-shmem` into per-steal spans with a phase-level latency breakdown
+//! and an op/blocking-op budget — the paper's Table 1 claim (SWS: 3 ops /
+//! 2 blocking; SDC: 6 / 5) as a checked runtime invariant.
 //!
 //! A span covers one steal attempt by one thief against one victim. The
-//! stitcher is a per-thief state machine over the protocol steps
+//! stitcher walks the log once, keeping one state machine per issuer
+//! (thief) over the protocol steps
 //! [`sws_core::protocol::decode`] reads out of each captured op (an op
 //! whose operands the protocol never issues is skipped — reporting it is
 //! the conformance replay's job), with phase names from the site catalog:
@@ -30,6 +30,11 @@
 //! completion leaves a span **open** — `SpanOutcome::Open` — rather
 //! than folding its ops into a neighbouring steal: any later claim
 //! against the same victim starts a fresh span by construction.
+//!
+//! The result is a [`SpanList`]: the spans, and every span's phases in
+//! one array beside them, so no span owns heap memory.
+
+use std::ops::Deref;
 
 use sws_core::protocol::{decode, Claim, Step};
 use sws_core::{AtomicSite, QueueConfig};
@@ -99,7 +104,9 @@ pub struct PhaseSlice {
     pub contention: bool,
 }
 
-/// One stitched steal attempt (or probe).
+/// One stitched steal attempt (or probe). Its ops are in the
+/// [`SpanList`] that holds it ([`SpanList::phases`]); their counts are
+/// here.
 #[derive(Clone, Debug)]
 pub struct StealSpan {
     /// Protocol the span belongs to.
@@ -114,24 +121,27 @@ pub struct StealSpan {
     pub end_ns: u64,
     /// Terminal classification.
     pub outcome: SpanOutcome,
-    /// Ops in issue order.
-    pub phases: Vec<PhaseSlice>,
+    /// Index of the first op in the list's phase array.
+    first_phase: u32,
+    ops: u32,
+    blocking: u32,
+    contention: u32,
 }
 
 impl StealSpan {
     /// Total captured one-sided ops.
     pub fn ops(&self) -> u64 {
-        self.phases.len() as u64
+        self.ops.into()
     }
 
     /// Captured ops that block the issuer.
     pub fn blocking_ops(&self) -> u64 {
-        self.phases.iter().filter(|p| p.blocking).count() as u64
+        self.blocking.into()
     }
 
     /// Lock-contention ops (always blocking; SDC only).
     pub fn contention_ops(&self) -> u64 {
-        self.phases.iter().filter(|p| p.contention).count() as u64
+        self.contention.into()
     }
 
     /// Protocol ops excluding lock contention — the figure the paper's
@@ -159,11 +169,77 @@ impl StealSpan {
     }
 }
 
+/// Stitched spans, and every span's ops in one array beside them.
+/// Derefs to the spans; [`SpanList::phases`] gives a span's ops.
+#[derive(Clone, Debug, Default)]
+pub struct SpanList {
+    spans: Vec<StealSpan>,
+    phases: Vec<PhaseSlice>,
+}
+
+impl SpanList {
+    /// `span`'s ops in issue order, each with its phase name and the
+    /// virtual time until the span's next op.
+    pub fn phases(&self, span: &StealSpan) -> &[PhaseSlice] {
+        let first = span.first_phase as usize;
+        &self.phases[first..first + span.ops as usize]
+    }
+
+    /// Every span's ops, span after span in the order they closed.
+    pub fn all_phases(&self) -> &[PhaseSlice] {
+        &self.phases
+    }
+
+    /// Append a span over `ops` (issue order, durations already set): it
+    /// starts and ends at its first and last op, and counts them.
+    pub(crate) fn push(
+        &mut self,
+        system: System,
+        thief: u32,
+        victim: u32,
+        outcome: SpanOutcome,
+        ops: &[PhaseSlice],
+    ) -> &mut StealSpan {
+        let count = |f: fn(&PhaseSlice) -> bool| ops.iter().filter(|p| f(p)).count() as u32;
+        let at = self.spans.len();
+        self.spans.push(StealSpan {
+            system,
+            thief,
+            victim,
+            start_ns: ops.first().map_or(0, |p| p.t_ns),
+            end_ns: ops.last().map_or(0, |p| p.t_ns),
+            outcome,
+            first_phase: self.phases.len() as u32,
+            ops: ops.len() as u32,
+            blocking: count(|p| p.blocking),
+            contention: count(|p| p.contention),
+        });
+        self.phases.extend_from_slice(ops);
+        &mut self.spans[at]
+    }
+}
+
+impl Deref for SpanList {
+    type Target = [StealSpan];
+
+    fn deref(&self) -> &[StealSpan] {
+        &self.spans
+    }
+}
+
+impl<'a> IntoIterator for &'a SpanList {
+    type Item = &'a StealSpan;
+    type IntoIter = std::slice::Iter<'a, StealSpan>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.spans.iter()
+    }
+}
+
 /// In-flight attempt state inside the stitcher.
 struct Attempt {
     system: System,
     victim: u32,
-    phases: Vec<PhaseSlice>,
     /// A claim exists remotely: the SWS fetch-add claimed a block, or the
     /// SDC tail was published (and not rolled back).
     claimed: bool,
@@ -179,21 +255,69 @@ struct Attempt {
     at_unlock: Option<SpanOutcome>,
 }
 
-impl Attempt {
-    fn new(system: System, victim: u32) -> Attempt {
-        Attempt {
+/// One thief's stitching state: the attempt in flight and its ops so
+/// far, in a buffer every attempt of this thief reuses.
+struct Stitcher {
+    thief: u32,
+    open: Option<Attempt>,
+    ops: Vec<PhaseSlice>,
+}
+
+impl Stitcher {
+    /// End the open attempt, if any, with `outcome`: each op's duration
+    /// runs to the next one, and the ops move into `list`.
+    fn close(&mut self, list: &mut SpanList, outcome: SpanOutcome) {
+        let Some(a) = self.open.take() else {
+            return;
+        };
+        for i in 1..self.ops.len() {
+            self.ops[i - 1].dur_ns = self.ops[i].t_ns - self.ops[i - 1].t_ns;
+        }
+        list.push(a.system, self.thief, a.victim, outcome, &self.ops);
+        self.ops.clear();
+    }
+
+    /// The stream moved on (next claim/probe or end of trace) without a
+    /// terminal op: a published claim is `Open` — the mis-attribution
+    /// guard the chaos suite pins — everything else gave up before
+    /// claiming.
+    fn abandon(&mut self, list: &mut SpanList) {
+        let claimed = self.open.as_ref().is_some_and(|a| a.claimed);
+        self.close(list, if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
+    }
+
+    /// Abandon whatever is open and start a fresh attempt against
+    /// `victim` whose first op is `first`.
+    fn begin(
+        &mut self,
+        list: &mut SpanList,
+        system: System,
+        victim: u32,
+        first: PhaseSlice,
+    ) -> &mut Attempt {
+        self.abandon(list);
+        self.ops.push(first);
+        self.open.insert(Attempt {
             system,
             victim,
-            phases: Vec::new(),
             claimed: false,
             locked: false,
             ever_locked: false,
             at_unlock: None,
-        }
+        })
     }
 
-    fn push(&mut self, name: &'static str, site: AtomicSite, e: &ProtoEvent, contention: bool) {
-        self.phases.push(PhaseSlice {
+    /// Feed one of this thief's ops (`target != issuer`) through the
+    /// state machine described in the module docs.
+    fn step(&mut self, list: &mut SpanList, e: &ProtoEvent, cfg: &QueueConfig) {
+        let Some(site) = AtomicSite::from_id(e.site) else {
+            return;
+        };
+        let Ok(step) = decode(cfg, site, e) else {
+            return;
+        };
+        let (system, phase) = (site.protocol(), site.row().phase);
+        let op = |name, contention| PhaseSlice {
             name,
             t_ns: e.t_ns,
             dur_ns: 0,
@@ -201,148 +325,83 @@ impl Attempt {
             op: e.op,
             blocking: e.op.is_blocking(),
             contention,
-        });
-    }
-
-    fn into_span(mut self, thief: u32, outcome: SpanOutcome) -> StealSpan {
-        for i in 1..self.phases.len() {
-            self.phases[i - 1].dur_ns = self.phases[i].t_ns - self.phases[i - 1].t_ns;
-        }
-        let start_ns = self.phases.first().map_or(0, |p| p.t_ns);
-        let end_ns = self.phases.last().map_or(0, |p| p.t_ns);
-        StealSpan {
-            system: self.system,
-            thief,
-            victim: self.victim,
-            start_ns,
-            end_ns,
-            outcome,
-            phases: self.phases,
-        }
-    }
-}
-
-/// One thief's stitching state: finished spans plus the attempt in flight.
-struct Stitcher {
-    spans: Vec<StealSpan>,
-    open: Option<Attempt>,
-    thief: u32,
-}
-
-impl Stitcher {
-    /// End the open attempt, if any, with `outcome`.
-    fn close(&mut self, outcome: SpanOutcome) {
-        if let Some(a) = self.open.take() {
-            self.spans.push(a.into_span(self.thief, outcome));
-        }
-    }
-
-    /// The stream moved on (next claim/probe or end of trace) without a
-    /// terminal op: a published claim is `Open` — the mis-attribution
-    /// guard the chaos suite pins — everything else gave up before
-    /// claiming.
-    fn abandon(&mut self) {
-        let claimed = self.open.as_ref().is_some_and(|a| a.claimed);
-        self.close(if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
-    }
-
-    /// Abandon whatever is open and start a fresh attempt on `e`'s victim.
-    fn begin(&mut self, system: System, e: &ProtoEvent) -> &mut Attempt {
-        self.abandon();
-        self.open.insert(Attempt::new(system, e.target))
-    }
-}
-
-/// Stitch one PE's captured stream into spans. Owner-side ops
-/// (`target == issuer`) are ignored; the remainder replays the thief
-/// state machine described in the module docs over the steps
-/// [`sws_core::protocol::decode`] reads out of each op. Events must be in
-/// issuer-local order (as captured).
-pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> Vec<StealSpan> {
-    let mut st = Stitcher { spans: Vec::new(), open: None, thief: 0 };
-    for e in events {
-        if e.target == e.issuer {
-            continue;
-        }
-        st.thief = e.issuer;
-        let Some(site) = AtomicSite::from_id(e.site) else {
-            continue;
         };
-        let Ok(step) = decode(cfg, site, e) else {
-            continue;
-        };
-        let (system, phase) = (site.protocol(), site.row().phase);
         // The open attempt, if this op can belong to it.
-        let mine = st.open.as_mut().filter(|a| a.system == system && a.victim == e.target);
+        let mine = self.open.as_mut().filter(|a| a.system == system && a.victim == e.target);
         // An op that ends a steal but has no attempt to end — its claim
         // was never captured — stands alone as an open SWS span; SDC ops
         // outside an attempt carry nothing a span could be built from.
         let orphan = mine.is_none() && system == System::Sws;
         match step {
             Step::Probe => {
-                st.begin(system, e).push(phase, site, e, false);
-                st.close(SpanOutcome::Probe);
+                self.begin(list, system, e.target, op(phase, false));
+                self.close(list, SpanOutcome::Probe);
             }
             Step::Claim(claim) => {
-                let a = st.begin(system, e);
-                a.push(phase, site, e, false);
+                let a = self.begin(list, system, e.target, op(phase, false));
                 match claim {
-                    Claim::Closed => st.close(SpanOutcome::Closed),
-                    Claim::Exhausted | Claim::Overflow => st.close(SpanOutcome::Empty),
+                    Claim::Closed => self.close(list, SpanOutcome::Closed),
+                    Claim::Exhausted | Claim::Overflow => self.close(list, SpanOutcome::Empty),
                     Claim::Live { .. } => a.claimed = true,
                 }
             }
             Step::Payload | Step::TailPut | Step::Marker => {
                 if orphan {
-                    st.begin(system, e).push(phase, site, e, false);
-                    st.close(SpanOutcome::Open);
+                    self.begin(list, system, e.target, op(phase, false));
+                    self.close(list, SpanOutcome::Open);
                 } else if let Some(a) = mine {
                     a.claimed |= step == Step::TailPut;
-                    a.push(if step == Step::Marker { "marker" } else { phase }, site, e, false);
+                    self.ops.push(op(if step == Step::Marker { "marker" } else { phase }, false));
                 }
             }
             Step::Landed { .. } | Step::Poisoned { .. } | Step::LostRace => {
                 let poison = matches!(step, Step::Poisoned { .. }) && system == System::Sdc;
                 if orphan {
-                    st.begin(system, e).push(phase, site, e, false);
-                    st.close(SpanOutcome::Open);
-                } else if let Some(a) = mine {
-                    a.push(if poison { "poison" } else { phase }, site, e, false);
-                    st.close(match step {
-                        Step::Landed { tasks } => SpanOutcome::Completed { tasks },
-                        _ => SpanOutcome::Aborted,
-                    });
+                    self.begin(list, system, e.target, op(phase, false));
+                    self.close(list, SpanOutcome::Open);
+                } else if mine.is_some() {
+                    self.ops.push(op(if poison { "poison" } else { phase }, false));
+                    self.close(
+                        list,
+                        match step {
+                            Step::Landed { tasks } => SpanOutcome::Completed { tasks },
+                            _ => SpanOutcome::Aborted,
+                        },
+                    );
                 }
             }
             Step::Lock { won } => {
                 // Attach only while the open attempt is still in its
                 // lock loop; a lock CAS after a won-and-released lock
                 // is the next steal attempt.
+                let cas = op(if won { phase } else { "contend" }, !won);
                 let a = match mine {
-                    Some(a) if !a.ever_locked => a,
-                    _ => st.begin(system, e),
+                    Some(a) if !a.ever_locked => {
+                        self.ops.push(cas);
+                        a
+                    }
+                    _ => self.begin(list, system, e.target, cas),
                 };
                 (a.locked, a.ever_locked) = (won, won);
-                a.push(if won { phase } else { "contend" }, site, e, !won);
             }
             Step::Meta { empty } => match mine {
                 Some(a) if a.locked => {
-                    a.push(phase, site, e, false);
+                    self.ops.push(op(phase, false));
                     if empty {
                         a.at_unlock = Some(SpanOutcome::Empty);
                     }
                 }
                 Some(a) if !a.ever_locked => {
                     // Lock-free abort peek between contended CASes.
-                    a.push("peek", site, e, true);
+                    self.ops.push(op("peek", true));
                     if empty {
-                        st.close(SpanOutcome::Closed);
+                        self.close(list, SpanOutcome::Closed);
                     }
                 }
                 _ => {
                     // A damped probe: SDC probes with a bare meta read.
-                    st.begin(system, e).push("probe", site, e, false);
-                    st.close(SpanOutcome::Probe);
+                    self.begin(list, system, e.target, op("probe", false));
+                    self.close(list, SpanOutcome::Probe);
                 }
             },
             Step::Rollback { .. } => {
@@ -350,18 +409,18 @@ pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> Vec<StealSpan> {
                     // The tail put never landed.
                     a.claimed = false;
                     a.at_unlock = Some(SpanOutcome::Failed);
-                    a.push("rollback", site, e, false);
+                    self.ops.push(op("rollback", false));
                 }
             }
             Step::Unlock => {
                 if let Some(a) = mine {
                     a.locked = false;
-                    a.push(phase, site, e, false);
+                    self.ops.push(op(phase, false));
                     // Unlock without a published tail: the thief bailed
                     // out (meta fetch or marker put failed).
                     let bailed = (!a.claimed).then_some(SpanOutcome::Failed);
                     if let Some(outcome) = a.at_unlock.or(bailed) {
-                        st.close(outcome);
+                        self.close(list, outcome);
                     }
                 }
             }
@@ -369,20 +428,42 @@ pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> Vec<StealSpan> {
             _ => {}
         }
     }
-    st.abandon();
-    st.spans
 }
 
-/// Stitch every worker's stream in a report and sort the result by
-/// `(start_ns, thief)` — the same key the virtual-time merge uses.
-pub fn stitch_report(report: &RunReport, cfg: &QueueConfig) -> Vec<StealSpan> {
-    let mut spans: Vec<StealSpan> = report
-        .workers
-        .iter()
-        .flat_map(|w| stitch_pe(&w.proto, cfg))
-        .collect();
-    spans.sort_by_key(|s| (s.start_ns, s.thief));
-    spans
+/// Stitch a captured log into spans, in the order they close. Owner-side
+/// ops (`target == issuer`) are ignored; every other op goes to its
+/// issuer's state machine (see the module docs), which reads the steps
+/// [`sws_core::protocol::decode`] finds in it. Each issuer's ops must be
+/// in its issue order (as captured); how the issuers interleave does not
+/// matter, so one PE's stream and a run's merged log both do.
+pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> SpanList {
+    let mut list = SpanList::default();
+    // No thief op lands in more than one phase.
+    list.phases.reserve(events.iter().filter(|e| e.target != e.issuer).count());
+    let mut thieves: Vec<Stitcher> = Vec::new();
+    for e in events.iter().filter(|e| e.target != e.issuer) {
+        let thief = e.issuer as usize;
+        if thief >= thieves.len() {
+            let next = thieves.len() as u32..=e.issuer;
+            thieves.extend(next.map(|thief| Stitcher { thief, open: None, ops: Vec::new() }));
+        }
+        thieves[thief].step(&mut list, e, cfg);
+    }
+    for st in &mut thieves {
+        st.abandon(&mut list);
+    }
+    list
+}
+
+/// Stitch a run's merged capture in one pass and order the spans by
+/// `(start_ns, thief)` — the same key the virtual-time merge uses. A
+/// thief's spans keep the order they closed in.
+pub fn stitch_report(report: &RunReport, cfg: &QueueConfig) -> SpanList {
+    let mut list = stitch_pe(report.proto_trace(), cfg);
+    // `first_phase` grows in closing order, so the key is unique and an
+    // unstable sort is the stable one.
+    list.spans.sort_unstable_by_key(|s| (s.start_ns, s.thief, s.first_phase));
+    list
 }
 
 /// Aggregate comm accounting over a run's spans, with budget checking.
@@ -485,7 +566,7 @@ impl CommReport {
 
 /// Check every completed span in `spans` against the paper's op budget
 /// and tally outcomes. `faults` selects the fault-mode budgets.
-pub fn check_comms(spans: &[StealSpan], faults: bool) -> CommReport {
+pub fn check_comms(spans: &SpanList, faults: bool) -> CommReport {
     let system = spans.first().map_or(System::Sws, |s| s.system);
     let budget = system.comm_budget(faults);
     let mut r = CommReport {
@@ -599,9 +680,8 @@ mod tests {
         assert_eq!(s.ops(), 3);
         assert_eq!(s.blocking_ops(), 2);
         assert_eq!(s.latency_ns(), 25);
-        assert_eq!(s.phases[0].dur_ns, 10);
-        assert_eq!(s.phases[1].dur_ns, 15);
-        assert_eq!(s.phases[2].dur_ns, 0);
+        let durs: Vec<u64> = spans.phases(s).iter().map(|p| p.dur_ns).collect();
+        assert_eq!(durs, [10, 15, 0]);
         let report = check_comms(&spans, false);
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.completed, 1);

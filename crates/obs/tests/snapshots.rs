@@ -157,12 +157,12 @@ fn jsonl_schema_is_golden() {
 /// the schema validator (counters must be time-monotone per track).
 #[test]
 fn service_trace_carries_snapshot_counter_tracks() {
-    use sws_obs::{chrome_trace, validate_chrome_trace, TraceRun};
+    use sws_obs::{chrome_trace, validate_chrome_trace, SpanList, TraceRun};
 
     let report = service_report(QueueKind::Sws, 0xBA5E);
     let n_ticks = report.snapshot_ticks().len();
     assert!(n_ticks >= 3, "expected several snapshot ticks, got {n_ticks}");
-    let text = chrome_trace(&[TraceRun { report: &report, spans: &[] }]);
+    let text = chrome_trace(&[TraceRun { report: &report, spans: &SpanList::default() }]);
     assert!(text.contains("\"ring occupancy\""), "missing occupancy counter track");
     assert!(text.contains("\"in-flight arrivals\""), "missing in-flight counter track");
     let stats = validate_chrome_trace(&text).expect("service trace must validate");

@@ -5,11 +5,11 @@
 //! assertion.
 
 use sws_core::QueueConfig;
-use sws_obs::{check_comms, chrome_trace, stitch_report, validate_chrome_trace};
-use sws_obs::{Registry, SpanOutcome, TraceRun, TraceStats};
+use sws_obs::{check_comms, chrome_trace, stitch_pe, stitch_report, validate_chrome_trace};
+use sws_obs::{PhaseSlice, Registry, SpanList, SpanOutcome, StealSpan, TraceRun, TraceStats};
 use sws_sched::{run_service, run_workload, ServiceConfig};
 use sws_sched::{QueueKind, RunConfig, RunReport, SchedConfig};
-use sws_shmem::{FaultPlan, OpClass, TargetSel};
+use sws_shmem::{FaultPlan, OpClass, ProtoEvent, TargetSel};
 use sws_workloads::arrivals::{ArrivalPlan, FlatServe};
 use sws_workloads::uts::{UtsParams, UtsWorkload};
 
@@ -50,9 +50,8 @@ fn sws_spans_meet_the_three_two_budget() {
         assert_eq!(s.ops(), 3, "SWS steal is claim + payload + complete");
         assert_eq!(s.blocking_ops(), 2, "the completion set is passive");
         assert_eq!(s.contention_ops(), 0, "SWS has no lock to contend");
-        assert_eq!(s.phases[0].name, "claim");
-        assert_eq!(s.phases[1].name, "payload");
-        assert_eq!(s.phases[2].name, "complete");
+        let names: Vec<&str> = spans.phases(s).iter().map(|p| p.name).collect();
+        assert_eq!(names, ["claim", "payload", "complete"]);
     }
     reconcile(&report);
 }
@@ -121,34 +120,38 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// FNV-1a over every stitched span: system, thief, victim, start/end,
-/// outcome (with its task count) and each phase's name, site, op,
-/// blocking and contention flags.
-fn span_digest(report: &RunReport) -> u64 {
-    let mut text = String::new();
-    for s in stitch_report(report, &queue()) {
+/// One span as text: system, thief, victim, start/end, outcome (with its
+/// task count) and each phase's name, site, op, times, blocking and
+/// contention flags.
+fn span_text(s: &StealSpan, phases: &[PhaseSlice]) -> String {
+    let mut text = format!(
+        "|{} {} {} {} {} {:?}",
+        s.system.label(),
+        s.thief,
+        s.victim,
+        s.start_ns,
+        s.end_ns,
+        s.outcome
+    );
+    for p in phases {
         text.push_str(&format!(
-            "|{} {} {} {} {} {:?}",
-            s.system.label(),
-            s.thief,
-            s.victim,
-            s.start_ns,
-            s.end_ns,
-            s.outcome
+            ";{} {} {} {} {} {} {}",
+            p.name,
+            p.site.name(),
+            p.op.name(),
+            p.t_ns,
+            p.dur_ns,
+            p.blocking,
+            p.contention
         ));
-        for p in &s.phases {
-            text.push_str(&format!(
-                ";{} {} {} {} {} {} {}",
-                p.name,
-                p.site.name(),
-                p.op.name(),
-                p.t_ns,
-                p.dur_ns,
-                p.blocking,
-                p.contention
-            ));
-        }
     }
+    text
+}
+
+/// FNV-1a over every stitched span's [`span_text`].
+fn span_digest(report: &RunReport) -> u64 {
+    let spans = stitch_report(report, &queue());
+    let text: String = spans.iter().map(|s| span_text(s, spans.phases(s))).collect();
     fnv1a(text.as_bytes())
 }
 
@@ -192,17 +195,65 @@ fn span_results_are_pinned() {
     assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));
 }
 
-/// `RunReport::proto_trace` is a k-way merge of the per-PE streams; on
-/// real captures (SWS, SDC, and a run with 2 % of ops dropped) it equals
-/// the stable sort of their concatenation by the gate's key.
+/// `RunReport` holds the capture once, merged at teardown. On real
+/// captures (SWS, SDC, and a run with 2 % of ops dropped) the log is in
+/// the gate's `(t_ns, issuer)` order and every issuer's clock strictly
+/// increases in it, so the order is fixed by the events themselves; their
+/// count and the FNV-1a of every event were taken at commit d40c056,
+/// where the same log was checked against the stable sort of the per-PE
+/// streams.
 #[test]
 fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
-    for (kind, drop) in [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)] {
+    let runs = [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)];
+    let got = runs.map(|(kind, drop)| {
         let report = pinned_run(kind, drop, 0, false);
-        let mut sorted: Vec<_> = report.workers.iter().flat_map(|w| &w.proto).copied().collect();
-        sorted.sort_by_key(|e| (e.t_ns, e.issuer));
-        assert!(sorted.len() > 1000, "{kind:?}: {} events captured", sorted.len());
-        assert!(report.proto_trace() == sorted, "{kind:?} drop {drop}: merge differs from the sort");
+        let log: &[ProtoEvent] = &report.proto_trace();
+        assert!(log.is_sorted_by_key(|e| (e.t_ns, e.issuer)), "{kind:?} drop {drop}: out of order");
+        let mut last_t: Vec<Option<u64>> = vec![None; report.n_pes];
+        for e in log {
+            let last = last_t[e.issuer as usize].replace(e.t_ns);
+            assert!(last < Some(e.t_ns), "{kind:?} drop {drop}: pe{} clock repeats", e.issuer);
+        }
+        let text: String = log.iter().map(|e| format!("{e}|")).collect();
+        format!("{} events {:#018x}", log.len(), fnv1a(text.as_bytes()))
+    });
+    let pinned = [
+        "7054 events 0xb3767d490b97e09a",
+        "7975 events 0xa0fc4342f849aef6",
+        "6960 events 0x27a3f1e295edc77e",
+    ];
+    assert_eq!(got.each_ref().map(String::as_str), pinned, "{got:#?}");
+}
+
+/// `stitch_report` walks the merged log once, one state machine per
+/// thief. Its oracle is `stitch_pe` over each issuer's own stream — its
+/// subsequence of the merged log, which is what that PE captured — with
+/// the results laid end to end in rank order and stably sorted by
+/// `(start_ns, thief)`, on the captures `span_results_are_pinned` pins.
+#[test]
+fn one_pass_stitch_equals_the_per_issuer_stitch() {
+    let captures = [
+        (QueueKind::Sws, false, 0),
+        (QueueKind::Sdc, false, 0),
+        (QueueKind::Sws, true, 0),
+        (QueueKind::Sdc, true, 0),
+        (QueueKind::Sws, false, 8),
+    ];
+    for (kind, drop, period) in captures {
+        let report = pinned_run(kind, drop, period, false);
+        let spans = stitch_report(&report, &queue());
+        let got: Vec<(u64, u32, String)> =
+            spans.iter().map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s)))).collect();
+        let mut want = Vec::new();
+        for pe in 0..report.n_pes as u32 {
+            let stream: Vec<ProtoEvent> =
+                report.proto_trace().iter().filter(|e| e.issuer == pe).copied().collect();
+            let spans = stitch_pe(&stream, &queue());
+            want.extend(spans.iter().map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s)))));
+        }
+        want.sort_by_key(|&(start_ns, thief, _)| (start_ns, thief));
+        assert!(got.len() > 20, "{kind:?}: {} spans", got.len());
+        assert!(got == want, "{kind:?} drop {drop} period {period}: the one-pass stitch differs");
     }
 }
 
@@ -212,7 +263,7 @@ fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
 fn export_line(runs: &[&RunReport], stitch: bool) -> String {
     let spans: Vec<_> = runs
         .iter()
-        .map(|r| if stitch { stitch_report(r, &queue()) } else { Vec::new() })
+        .map(|r| if stitch { stitch_report(r, &queue()) } else { SpanList::default() })
         .collect();
     let runs: Vec<TraceRun> =
         runs.iter().zip(&spans).map(|(&report, spans)| TraceRun { report, spans }).collect();

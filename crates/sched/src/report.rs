@@ -89,11 +89,6 @@ pub struct WorkerStats {
     /// Virtual-time engine counters for this PE (all zeros in threaded
     /// mode). Wall-clock quantities — excluded from determinism checks.
     pub engine: EngineStats,
-    /// Site-annotated protocol op trace issued by this PE (empty unless
-    /// `RunConfig::capture_proto` was set). Merge across PEs with
-    /// [`crate::trace::merge_proto_events`] to recover the global
-    /// serialization order.
-    pub proto: Vec<ProtoEvent>,
     /// Service-mode counters (all zero for batch runs).
     pub service: ServiceStats,
     /// Steal attempts this PE made (probe-or-steal calls).
@@ -124,6 +119,10 @@ pub struct RunReport {
     pub workers: Vec<WorkerStats>,
     /// Communication statistics (per PE and aggregate).
     pub comm: StatsSummary,
+    /// The site-annotated protocol op trace, merged across PEs into
+    /// global serialization order at teardown (empty unless
+    /// `RunConfig::capture_proto` was set). The only copy of the capture.
+    pub proto: Vec<ProtoEvent>,
     /// Wall-clock time the simulation itself took.
     pub wall_ms: u64,
 }
@@ -382,11 +381,10 @@ impl RunReport {
         ticks
     }
 
-    /// The captured protocol trace merged across PEs into global
-    /// serialization order (empty unless the run captured one).
-    pub fn proto_trace(&self) -> Vec<ProtoEvent> {
-        let per_pe: Vec<&[ProtoEvent]> = self.workers.iter().map(|w| w.proto.as_slice()).collect();
-        sws_shmem::proto::merge_events(&per_pe)
+    /// The captured protocol trace in global serialization order (empty
+    /// unless the run captured one).
+    pub fn proto_trace(&self) -> &[ProtoEvent] {
+        &self.proto
     }
 
     /// Aggregate virtual-time engine counters across PEs.
@@ -454,6 +452,7 @@ mod tests {
             makespan_ns: makespan,
             workers,
             comm: StatsSummary::default(),
+            proto: Vec::new(),
             wall_ms: 0,
         }
     }

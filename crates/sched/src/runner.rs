@@ -2,6 +2,7 @@
 //! global termination, and collect the paper's metrics.
 
 use sws_core::{QueueConfig, SdcQueue, StealQueue, SwsQueue};
+use sws_shmem::proto::merge_events;
 use sws_shmem::{
     run_world, ExecMode, FaultPlan, NetModel, ShmemCtx, ShmemError, WorldConfig,
     CACHE_LINE_WORDS, HEAP_CTRL_WORDS,
@@ -51,8 +52,8 @@ pub struct RunConfig {
     /// are dropped before the world is built, keeping clean runs
     /// bit-identical to a `None` plan.
     pub faults: Option<FaultPlan>,
-    /// Capture site-annotated protocol ops into `WorkerStats::proto`
-    /// (the conformance checker's input). Off by default: hot paths see
+    /// Capture site-annotated protocol ops into `RunReport::proto` (the
+    /// conformance checker's input). Off by default: hot paths see
     /// one extra predictable branch per op at most.
     pub capture_proto: bool,
     /// Count per-site contention (CAS wins/losses, RMWs, loads, stores)
@@ -208,12 +209,16 @@ pub(crate) fn launch(
         let seeds = workload.seeds(ctx.my_pe(), ctx.n_pes());
         let mut ws = drive(PeSetup { ctx, sched, reg: &reg, td, seeds });
         ws.engine = ctx.engine_stats();
-        ws.proto = ctx.take_proto_events();
         ws.site_prof = ctx.take_site_profile();
-        ws
+        (ws, ctx.take_proto_events())
     })?;
 
-    let mut workers = out.results;
+    // The capture is merged once, here, and the per-PE streams are
+    // dropped, so the report holds the only copy. A run without capture
+    // has nothing to merge and leaves the merge's code pages untouched.
+    let (mut workers, streams): (Vec<WorkerStats>, Vec<_>) = out.results.into_iter().unzip();
+    let proto = if cfg.capture_proto { merge_events(&streams) } else { Vec::new() };
+    drop(streams);
     for (w, &t) in workers.iter_mut().zip(out.virtual_ns.iter()) {
         // In virtual mode runtime_ns was sampled pre-barrier; the final
         // clock includes the closing barrier. Report the pre-barrier
@@ -230,6 +235,7 @@ pub(crate) fn launch(
         makespan_ns,
         workers,
         comm: out.stats,
+        proto,
         wall_ms: out.elapsed.as_millis() as u64,
     })
 }

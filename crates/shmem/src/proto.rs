@@ -8,7 +8,7 @@
 //! streams by `(t_ns, issuer)` reconstructs the exact global order in
 //! which the memory effects were applied — which is what a refinement
 //! check needs to replay. Each stream is already in that order, so
-//! [`merge_events`] is a k-way merge, not a sort.
+//! [`merge_events`] is a k-way merge ([`merge_ordered`]), not a sort.
 //!
 //! Annotation happens in the protocol code (`sws-core`'s queues): a call
 //! to [`crate::ShmemCtx::proto_site`] arms the *next* one-sided op on the
@@ -20,9 +20,9 @@
 //! must not see it). With capture off, the annotation call is a no-op and
 //! the op surface is untouched apart from one predictable branch.
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::iter;
 
 /// "No site" sentinel for [`ProtoEvent::site`] annotations. Ops armed
 /// with this value (or never armed) are not captured.
@@ -138,44 +138,57 @@ impl std::fmt::Display for ProtoEvent {
 ///
 /// The result is what a stable sort of the concatenated streams by
 /// `(t_ns, issuer)` gives — equal keys in stream order, then in
-/// position order — for *every* input: a k-way merge over a heap of
-/// stream heads keyed `(t_ns, issuer, stream index)` yields exactly that
-/// order when each stream is itself ordered, and a stream the sizing
-/// pass finds unordered (no capture produces one) is merged from a
-/// stably sorted copy, which puts its equal keys in position order too.
+/// position order — for *every* input: [`merge_ordered`] over the
+/// streams, each taken as [`ordered`] finds it (no capture produces an
+/// unordered one).
 pub fn merge_events<S: AsRef<[ProtoEvent]>>(per_pe: &[S]) -> Vec<ProtoEvent> {
     let key = |e: &ProtoEvent| (e.t_ns, e.issuer);
-    let mut total = 0;
-    let streams: Vec<Cow<[ProtoEvent]>> = per_pe
-        .iter()
-        .map(|s| {
-            let s = s.as_ref();
-            total += s.len();
-            if s.is_sorted_by_key(key) {
-                return Cow::Borrowed(s);
-            }
-            let mut sorted = s.to_vec();
-            sorted.sort_by_key(key);
-            Cow::Owned(sorted)
-        })
-        .collect();
+    let streams = per_pe.iter().map(|s| ordered(s.as_ref().iter().copied(), key));
+    let mut merged = Vec::with_capacity(per_pe.iter().map(|s| s.as_ref().len()).sum());
+    merged.extend(merge_ordered(streams.collect(), key));
+    merged
+}
 
-    // One head per non-empty stream; `taken[i]` events of stream `i` are out.
-    let head = |i: usize, e: &ProtoEvent| Reverse((e.t_ns, e.issuer, i));
-    let mut heads: BinaryHeap<_> =
-        streams.iter().enumerate().filter_map(|(i, s)| s.first().map(|e| head(i, e))).collect();
-    let mut taken = vec![0usize; streams.len()];
-    let mut merged = Vec::with_capacity(total);
-    while let Some(mut least) = heads.peek_mut() {
-        let i = least.0 .2;
-        merged.push(streams[i][taken[i]]);
-        taken[i] += 1;
-        match streams[i].get(taken[i]) {
-            Some(e) => *least = head(i, e),
+/// `items` as a source ordered by `key`: as they come when they already
+/// are, else from a stably sorted copy.
+pub fn ordered<'a, T: 'a, K: Ord>(
+    items: impl Iterator<Item = T> + Clone + 'a,
+    key: impl Fn(&T) -> K,
+) -> Box<dyn Iterator<Item = T> + 'a> {
+    if items.clone().is_sorted_by_key(|t| key(&t)) {
+        return Box::new(items);
+    }
+    let mut sorted: Vec<T> = items.collect();
+    sorted.sort_by_key(key);
+    Box::new(sorted.into_iter())
+}
+
+/// The merge of `sources`, each ordered by `key`, over a binary heap of
+/// source heads keyed `(key, source index)`: the least head comes out
+/// and its source's next item takes its place. A tie goes to the earlier
+/// source, and a source's later item enters only after its earlier one
+/// left, so the result is what a stable sort of the sources laid end to
+/// end yields.
+pub fn merge_ordered<T, K: Ord, I: Iterator<Item = T>>(
+    mut sources: Vec<I>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = T> {
+    let mut heads: Vec<Option<T>> = sources.iter_mut().map(Iterator::next).collect();
+    let mut order: BinaryHeap<_> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, head)| head.as_ref().map(|t| Reverse((key(t), i))))
+        .collect();
+    iter::from_fn(move || {
+        let mut least = order.peek_mut()?;
+        let i = least.0 .1;
+        let next = sources[i].next();
+        match &next {
+            Some(t) => *least = Reverse((key(t), i)),
             None => drop(PeekMut::pop(least)),
         }
-    }
-    merged
+        std::mem::replace(&mut heads[i], next)
+    })
 }
 
 #[cfg(test)]

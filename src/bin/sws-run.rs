@@ -20,7 +20,7 @@
 use sws::obs::{
     build_stream, check_comms, check_steal_bound, chrome_trace, contention_table,
     contention_to_json, report_to_json, steal_bound_to_json, stitch_report, stream_to_jsonl,
-    AlertKind, Registry, SloPolicy, StealSpan, TraceRun,
+    AlertKind, Registry, SloPolicy, SpanList, TraceRun,
 };
 use sws::prelude::*;
 use sws::sched::trace::{
@@ -620,7 +620,7 @@ fn main() {
         _ => usage(),
     };
     let mut reports = Vec::new();
-    let mut spans: Vec<Vec<StealSpan>> = Vec::new();
+    let mut spans: Vec<SpanList> = Vec::new();
     let mut comms_ok = true;
     let mut bound_ok = true;
     let mut slo_ok = true;
@@ -698,7 +698,7 @@ fn main() {
         let report_spans = if args.capture() {
             stitch_report(&report, &queue_config(&args))
         } else {
-            Vec::new()
+            SpanList::default()
         };
         if args.json {
             println!("{}", report_to_json(&report));

@@ -153,7 +153,7 @@ fn replay_cmd(path: &str) -> ExitCode {
         Ok(res) => {
             println!(
                 "replayed {} decisions (truncated: {})",
-                res.trace.decisions.len(),
+                res.trace.len(),
                 res.trace.truncated
             );
             match res.failure {

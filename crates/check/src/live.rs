@@ -42,15 +42,17 @@
 //! `sws-explore schedule v1` file replayable by
 //! `sws-check explore --replay`.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use sws_core::steal_half::StealPolicy;
 use sws_core::stealval::Layout;
-use sws_core::{AtomicSite, MemOrder, Mutation, QueueConfig, Weakening};
+use sws_core::{AtomicSite, DepClass, MemOrder, Mutation, QueueConfig, Weakening};
 use sws_sched::{try_run_workload_mode, QueueKind, RunConfig, SchedConfig};
-use sws_shmem::explore::{ExploreConfig, ExploreGate, ExploreTrace, OpDesc, TRUNCATED_MSG};
+use sws_shmem::explore::{
+    Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc, TRUNCATED_MSG,
+};
 use sws_shmem::overrides::{ORD_ACQREL, ORD_ACQUIRE, ORD_RELAXED, ORD_RELEASE};
 use sws_shmem::{
     ExecMode, FaultPlan, OpClass, OrdTracker, OrderingCtl, OrderingOverrides, ShmemError,
@@ -418,7 +420,7 @@ pub fn run_schedule(sc: &Scenario, prefix: &[u32], max_steps: u64) -> RunResult 
 }
 
 // ---------------------------------------------------------------------------
-// The DFS explorer.
+// The explorer.
 // ---------------------------------------------------------------------------
 
 /// Exploration budgets.
@@ -444,7 +446,7 @@ impl Default for ExplorerConfig {
 }
 
 impl ExplorerConfig {
-    /// The nightly deep-sweep budget: one more preemption, a much
+    /// The deep-sweep budget: one more preemption, a much
     /// larger schedule allowance.
     pub fn deep() -> ExplorerConfig {
         ExplorerConfig {
@@ -503,9 +505,230 @@ pub fn dependent(a: &OpDesc, b: &OpDesc) -> bool {
     }
 }
 
-/// Explore one scenario: DFS over forced-choice prefixes with
-/// conflict-directed branching and preemption bounding. Returns the
-/// stats and the first (minimized, confirmed) counterexample, if any.
+/// No node: the root's parent, and the end of a child or sibling list.
+const NIL: u32 = u32::MAX;
+
+/// One node of the [`Tree`]: its parent's forced-choice prefix plus
+/// `choice`.
+#[derive(Clone, Copy)]
+struct Node {
+    parent: u32,
+    choice: u32,
+    first_child: u32,
+    next_sibling: u32,
+    /// This prefix has been admitted to the frontier.
+    queued: bool,
+}
+
+/// The execution tree: every forced-choice prefix the explorer admitted,
+/// plus the nodes of the runs' own choices leading to them. Node
+/// [`Tree::ROOT`] is the empty prefix; a node's children are its
+/// one-choice extensions, at most one per PE of the world, so finding a
+/// child scans at most `n_pes` siblings. A prefix is spelled out only
+/// when its node is popped, once per executed schedule.
+struct Tree {
+    nodes: Vec<Node>,
+}
+
+impl Tree {
+    const ROOT: u32 = 0;
+
+    /// The tree of the empty prefix, admitted.
+    fn new() -> Tree {
+        Tree {
+            nodes: vec![Node {
+                parent: NIL,
+                choice: 0,
+                first_child: NIL,
+                next_sibling: NIL,
+                queued: true,
+            }],
+        }
+    }
+
+    /// The child of `node` that forces `choice` next, created on first use.
+    fn child(&mut self, node: u32, choice: u32) -> u32 {
+        let mut c = self.nodes[node as usize].first_child;
+        while c != NIL {
+            if self.nodes[c as usize].choice == choice {
+                return c;
+            }
+            c = self.nodes[c as usize].next_sibling;
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            parent: node,
+            choice,
+            first_child: NIL,
+            next_sibling: self.nodes[node as usize].first_child,
+            queued: false,
+        });
+        self.nodes[node as usize].first_child = id;
+        id
+    }
+
+    /// Admit the prefix `choices[..i]` then `j` the first time it is
+    /// offered: its node, or `None` if it was admitted before. `path[t]`
+    /// is the node of `choices[..from + t]` (`path[0]` the node that was
+    /// run); the path grows only as deep as the deepest `i` asked for.
+    fn admit(
+        &mut self,
+        path: &mut Vec<u32>,
+        from: usize,
+        choices: &[u32],
+        i: usize,
+        j: u32,
+    ) -> Option<u32> {
+        while path.len() <= i - from {
+            let (last, depth) = (path[path.len() - 1], from + path.len() - 1);
+            path.push(self.child(last, choices[depth]));
+        }
+        let node = self.child(path[i - from], j);
+        let queued = std::mem::replace(&mut self.nodes[node as usize].queued, true);
+        (!queued).then_some(node)
+    }
+
+    /// The forced-choice prefix `node` stands for.
+    fn prefix(&self, mut node: u32) -> Vec<u32> {
+        let mut prefix = Vec::new();
+        while node != Tree::ROOT {
+            let n = self.nodes[node as usize];
+            prefix.push(n.choice);
+            node = n.parent;
+        }
+        prefix.reverse();
+        prefix
+    }
+}
+
+/// The latest two decisions of one access stream whose issuing PEs
+/// differ: enough to name the latest one *not* issued by a given PE.
+#[derive(Clone, Copy, Default)]
+struct LastTwo {
+    /// `(decision, issuer)`, latest first; `second`'s issuer is not
+    /// `first`'s.
+    first: Option<(usize, u32)>,
+    second: Option<(usize, u32)>,
+}
+
+impl LastTwo {
+    fn not_by(&self, pe: u32) -> Option<usize> {
+        match self.first {
+            Some((i, p)) if p != pe => Some(i),
+            _ => self.second.map(|(i, _)| i),
+        }
+    }
+
+    fn push(&mut self, i: usize, pe: u32) {
+        if self.first.is_some_and(|(_, p)| p != pe) {
+            self.second = self.first;
+        }
+        self.first = Some((i, pe));
+    }
+}
+
+/// Rows of the race index per target PE: one per [`DepClass`], a
+/// fieldless enum numbered from 0 whose last variant is `SdcPayload`.
+const DEP_CLASSES: usize = DepClass::SdcPayload as usize + 1;
+
+/// The DPOR back-scan: for each decision `k` from `from` on, the latest
+/// decision `i` in `from..k` whose chosen op is [`dependent`] with `k`'s
+/// and was issued by another PE, passed to `found(k, i)`. Dependence is
+/// same target, same class and a writer among the two, so per
+/// `(target, class)` the index keeps the latest two accesses and the
+/// latest two writes with distinct issuers: a write at `k` looks among
+/// all accesses, a read among the writes. O(1) a decision.
+fn races(trace: &ExploreTrace, from: usize, mut found: impl FnMut(usize, usize)) {
+    let mut index: Vec<[[LastTwo; 2]; DEP_CLASSES]> = Vec::new();
+    for k in from..trace.len() {
+        let d = trace.decision(k);
+        let (q, op) = d.enabled[d.chosen as usize];
+        let Some(site) = AtomicSite::from_id(op.site) else {
+            continue;
+        };
+        let row = op.target as usize;
+        if row >= index.len() {
+            index.resize(row + 1, Default::default());
+        }
+        let [all, writes] = &mut index[row][site.dep_class() as usize];
+        // A write depends on any access, a read only on writes.
+        let earlier = if op.writes { &*all } else { &*writes };
+        if let Some(i) = earlier.not_by(q) {
+            found(k, i);
+        }
+        all.push(k, q);
+        if op.writes {
+            writes.push(k, q);
+        }
+    }
+}
+
+/// Offer every branch point of one executed schedule past its forced
+/// prefix of length `from`, in frontier order, to `admit(i, j, preempts)`
+/// — force alternative `j` at decision `i`, `preempts` being the branch's
+/// injected preemptions — which says whether the branch was new. Two
+/// generators:
+///
+/// 1. *Brother branching*: at a decision, swap the chosen op with a
+///    co-pending dependent alternative (any alternative when
+///    `branch_everywhere`).
+/// 2. *DPOR backtracking*: for each op `B` at decision `k`, the latest
+///    earlier decision `i` whose op `A` (another PE) is dependent with
+///    `B` ([`races`]) schedules `B`'s PE at `i` instead — reordering
+///    conflicts whose second half is not yet pending when the first half
+///    runs (e.g. an owner ring write that happens long after the thief's
+///    payload read it races with).
+///
+/// Independent alternatives, branches over the preemption bound and new
+/// branches are counted in `stats`.
+fn harvest(
+    trace: &ExploreTrace,
+    from: usize,
+    preempts: u32,
+    cfg: &ExplorerConfig,
+    branch_everywhere: bool,
+    stats: &mut ScenarioStats,
+    mut admit: impl FnMut(usize, u32, u32) -> bool,
+) {
+    let mut offer = |stats: &mut ScenarioStats, i: usize, d: &Decision<'_>, j: usize, pe: u32| {
+        let prev_pending = d.prev.filter(|p| d.enabled.iter().any(|&(q, _)| q == *p));
+        let preempts = preempts + u32::from(prev_pending.is_some_and(|p| p != pe));
+        if preempts > cfg.preemptions {
+            stats.pruned_preempt += 1;
+        } else if admit(i, j as u32, preempts) {
+            stats.branches += 1;
+        }
+    };
+    for i in from..trace.len() {
+        let d = trace.decision(i);
+        let (_, chosen_op) = d.enabled[d.chosen as usize];
+        for (j, &(alt_pe, alt_op)) in d.enabled.iter().enumerate() {
+            if j as u32 == d.chosen {
+                continue;
+            }
+            if !branch_everywhere && !dependent(&alt_op, &chosen_op) {
+                stats.pruned_independent += 1;
+                continue;
+            }
+            offer(stats, i, &d, j, alt_pe);
+        }
+    }
+    races(trace, from, |k, i| {
+        let dk = trace.decision(k);
+        let q = dk.enabled[dk.chosen as usize].0;
+        let di = trace.decision(i);
+        match di.enabled.iter().position(|&(pe, _)| pe == q) {
+            Some(j) if j as u32 != di.chosen => offer(stats, i, &di, j, q),
+            _ => {}
+        }
+    });
+}
+
+/// Explore one scenario: breadth-first over an execution tree of
+/// forced-choice prefixes, with conflict-directed branching and
+/// preemption bounding. Returns the stats and the first (minimized,
+/// confirmed) counterexample, if any. Each executed schedule costs
+/// O(decisions) on top of running it.
 pub fn explore_scenario(
     sc: &Scenario,
     cfg: &ExplorerConfig,
@@ -520,12 +743,12 @@ pub fn explore_scenario(
     // race on a payload word). It costs more schedules per depth, which
     // is why plain exploration keeps the pruning.
     let branch_everywhere = sc.weaken.is_some();
-    // Each entry: (forced-choice prefix, injected preemptions so far).
-    // The bound counts only *injected* divergences from the default
-    // policy that preempt a still-pending PE — the default policy's own
-    // context switches (spin rotations, spinner interleaves, aging) are
-    // its natural schedule and cost nothing, exactly as in iterative
-    // context bounding.
+    // Each entry: (execution-tree node of a forced-choice prefix,
+    // injected preemptions so far). The bound counts only *injected*
+    // divergences from the default policy that preempt a still-pending
+    // PE — the default policy's own context switches (spin rotations,
+    // spinner interleaves, aging) are its natural schedule and cost
+    // nothing, exactly as in iterative context bounding.
     //
     // The frontier drains FIFO (breadth-first): shallow, few-preemption
     // schedules run before deep ones. Branch generation outpaces the
@@ -533,89 +756,36 @@ pub fn explore_scenario(
     // sink into the deepest subtree of the first trace and never return
     // — most single-preemption bugs (the common kind) would sit
     // unexplored at the bottom.
-    let mut frontier: VecDeque<(Vec<u32>, u32)> = VecDeque::new();
-    frontier.push_back((Vec::new(), 0));
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
-    seen.insert(Vec::new());
+    let mut tree = Tree::new();
+    let mut frontier: VecDeque<(u32, u32)> = VecDeque::from([(Tree::ROOT, 0)]);
 
-    while let Some((prefix, preempts)) = frontier.pop_front() {
+    while let Some((node, preempts)) = frontier.pop_front() {
         if stats.schedules >= cfg.max_schedules {
             break;
         }
+        let prefix = tree.prefix(node);
         let res = run_schedule(sc, &prefix, cfg.max_steps);
         stats.schedules += 1;
         stats.truncated += u64::from(res.truncated);
-        stats.max_depth = stats.max_depth.max(res.trace.decisions.len());
+        stats.max_depth = stats.max_depth.max(res.trace.len());
 
         if res.failure.is_some() {
             return (stats, Some(minimize(sc, &res, cfg)));
         }
 
-        // Branch points past the forced prefix. Two generators:
-        //
-        // 1. *Brother branching*: at a decision, swap the chosen op with
-        //    a co-pending dependent alternative.
-        // 2. *DPOR backtracking*: for each op `B` at decision `k`, find
-        //    the latest earlier decision `i` whose op `A` (another PE)
-        //    is dependent with `B`, and schedule `B`'s PE at `i` instead
-        //    — reordering conflicts whose second half is not yet pending
-        //    when the first half runs (e.g. an owner ring write that
-        //    happens long after the thief's payload read it races with).
-        let choices: Vec<u32> = res.trace.decisions.iter().map(|d| d.chosen).collect();
-        let mut push_branch = |stats: &mut ScenarioStats,
-                               i: usize,
-                               j: usize,
-                               alt_pe: u32,
-                               prev_pending: Option<u32>| {
-            let alt_preempt = u32::from(prev_pending.is_some_and(|p| p != alt_pe));
-            if preempts + alt_preempt > cfg.preemptions {
-                stats.pruned_preempt += 1;
-                return;
-            }
-            let mut branch = choices[..i].to_vec();
-            branch.push(j as u32);
-            if seen.insert(branch.clone()) {
-                frontier.push_back((branch, preempts + alt_preempt));
-                stats.branches += 1;
-            }
+        // Every branch extends the run's own choices, whose first
+        // `prefix.len()` are the prefix it was forced through.
+        let choices = res.trace.choices();
+        debug_assert_eq!(choices.get(..prefix.len()), Some(&prefix[..]));
+        let (from, mut path) = (prefix.len(), vec![node]);
+        let mut admit = |i, j, p| {
+            let Some(child) = tree.admit(&mut path, from, &choices, i, j) else {
+                return false;
+            };
+            frontier.push_back((child, p));
+            true
         };
-        for (i, d) in res.trace.decisions.iter().enumerate().skip(prefix.len()) {
-            let (_, chosen_op) = d.enabled[d.chosen as usize];
-            let prev_pending = d
-                .prev
-                .filter(|p| d.enabled.iter().any(|&(pe, _)| pe == *p));
-            for (j, &(alt_pe, alt_op)) in d.enabled.iter().enumerate() {
-                if j as u32 == d.chosen {
-                    continue;
-                }
-                if !branch_everywhere && !dependent(&alt_op, &chosen_op) {
-                    stats.pruned_independent += 1;
-                    continue;
-                }
-                push_branch(&mut stats, i, j, alt_pe, prev_pending);
-            }
-        }
-        for (k, dk) in res.trace.decisions.iter().enumerate() {
-            let (q, op_b) = dk.enabled[dk.chosen as usize];
-            let Some(i) = (prefix.len()..k).rev().find(|&i| {
-                let di = &res.trace.decisions[i];
-                let (p, op_a) = di.enabled[di.chosen as usize];
-                p != q && dependent(&op_a, &op_b)
-            }) else {
-                continue;
-            };
-            let di = &res.trace.decisions[i];
-            let Some(j) = di.enabled.iter().position(|&(pe, _)| pe == q) else {
-                continue;
-            };
-            if j as u32 == di.chosen {
-                continue;
-            }
-            let prev_pending = di
-                .prev
-                .filter(|p| di.enabled.iter().any(|&(pe, _)| pe == *p));
-            push_branch(&mut stats, i, j, q, prev_pending);
-        }
+        harvest(&res.trace, from, preempts, cfg, branch_everywhere, &mut stats, &mut admit);
     }
     (stats, None)
 }
@@ -623,7 +793,7 @@ pub fn explore_scenario(
 /// Shrink a failing schedule with ddmin and confirm the minimized
 /// schedule still fails (re-executed from scratch).
 fn minimize(sc: &Scenario, failing: &RunResult, cfg: &ExplorerConfig) -> Counterexample {
-    let full: Vec<u32> = failing.trace.decisions.iter().map(|d| d.chosen).collect();
+    let full = failing.trace.choices();
     let fails = |cand: &[u32]| run_schedule(sc, cand, cfg.max_steps).failure.is_some();
     let schedule = if full.is_empty() || !fails(&full) {
         // The failure is not prefix-stable (rare: default-policy suffix
@@ -772,6 +942,87 @@ mod tests {
             !dependent(&desc(probe, 0, false), &desc(sv_read, 0, false)),
             "two reads"
         );
+    }
+
+    /// The quadratic DPOR back-scan that [`races`] replaced: for each `k`,
+    /// scan `from..k` backwards for the latest dependent op of another PE.
+    fn back_scan(trace: &ExploreTrace, from: usize) -> Vec<(usize, usize)> {
+        let chosen = |i: usize| {
+            let d = trace.decision(i);
+            d.enabled[d.chosen as usize]
+        };
+        (0..trace.len())
+            .filter_map(|k| {
+                let (q, op_b) = chosen(k);
+                (from..k)
+                    .rev()
+                    .find(|&i| {
+                        let (p, op_a) = chosen(i);
+                        p != q && dependent(&op_a, &op_b)
+                    })
+                    .map(|i| (k, i))
+            })
+            .collect()
+    }
+
+    /// The prefix set that [`Tree`] replaced: admit `choices[..i]` then
+    /// `j` unless that exact prefix was admitted before.
+    fn admit_by_set(
+        seen: &mut std::collections::HashSet<Vec<u32>>,
+        choices: &[u32],
+        i: usize,
+        j: u32,
+    ) -> Option<Vec<u32>> {
+        let mut branch = choices[..i].to_vec();
+        branch.push(j);
+        seen.insert(branch.clone()).then_some(branch)
+    }
+
+    /// The race index and the execution tree against the structures they
+    /// replaced, over every corpus scenario's default schedule and the
+    /// first 24 frontier prefixes after it, plus the ring-reuse scenario
+    /// under a weakening (whose brother branching takes every
+    /// alternative): the same `k → i` pairs, and the same branches
+    /// admitted and popped in the same order.
+    #[test]
+    fn tree_and_race_index_match_the_prefix_set_and_the_back_scan() {
+        let cfg = ExplorerConfig::default();
+        let mut weakened = ring_reuse_scenario();
+        weakened.weaken = Some((
+            AtomicSite::SwsThiefComplete,
+            Weakening::Order(MemOrder::Relaxed),
+        ));
+        for sc in corpus().into_iter().chain([weakened]) {
+            let name = sc.name;
+            let mut stats = ScenarioStats::default();
+            let mut tree = Tree::new();
+            let mut seen = std::collections::HashSet::from([Vec::new()]);
+            let mut frontier = VecDeque::from([(Tree::ROOT, 0, Vec::new())]);
+            for _ in 0..25 {
+                let Some((node, preempts, want)) = frontier.pop_front() else {
+                    break;
+                };
+                let prefix = tree.prefix(node);
+                assert_eq!(prefix, want, "{name}: popped prefix");
+                let trace = run_schedule(&sc, &prefix, cfg.max_steps).trace;
+                let mut pairs = Vec::new();
+                races(&trace, prefix.len(), |k, i| pairs.push((k, i)));
+                assert_eq!(pairs, back_scan(&trace, prefix.len()), "{name} after {prefix:?}");
+                let choices = trace.choices();
+                let mut path = vec![node];
+                let everywhere = sc.weaken.is_some();
+                harvest(&trace, prefix.len(), preempts, &cfg, everywhere, &mut stats, |i, j, p| {
+                    let by_tree = tree.admit(&mut path, prefix.len(), &choices, i, j);
+                    let by_set = admit_by_set(&mut seen, &choices, i, j);
+                    assert_eq!(by_tree.is_some(), by_set.is_some(), "{name}: ({i}, {j})");
+                    if let (Some(node), Some(branch)) = (by_tree, by_set) {
+                        frontier.push_back((node, p, branch));
+                    }
+                    by_tree.is_some()
+                });
+            }
+            assert!(stats.branches > 25, "{name}: {stats:?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn default_schedule_of_every_corpus_scenario_is_clean() {
         );
         assert!(!res.truncated, "{}: default schedule truncated", sc.name);
         assert!(
-            !res.trace.decisions.is_empty(),
+            !res.trace.is_empty(),
             "{}: no gated decisions recorded",
             sc.name
         );
@@ -61,7 +61,7 @@ fn exploration_is_deterministic() {
     // decision logs.
     let ra = run_schedule(&sc, &[1, 0, 1], 40_000);
     let rb = run_schedule(&sc, &[1, 0, 1], 40_000);
-    assert_eq!(ra.trace.decisions, rb.trace.decisions);
+    assert_eq!(ra.trace, rb.trace);
     assert_eq!(ra.failure, rb.failure);
 }
 
@@ -92,13 +92,13 @@ fn mutation_is_found_shrunk_and_replayable() {
     let r1 = replay_schedule(&text, cfg.max_steps).expect("replay");
     let r2 = replay_schedule(&text, cfg.max_steps).expect("replay");
     assert_eq!(r1.failure, r2.failure, "replay nondeterministic");
-    assert_eq!(r1.trace.decisions, r2.trace.decisions);
+    assert_eq!(r1.trace, r2.trace);
     assert_eq!(r1.failure.as_deref(), Some(ce.failure.as_str()));
 
     // ddmin really shrank: the minimized schedule is no longer than the
     // failing run's full decision log (strictly shorter in practice).
     assert!(
-        ce.schedule.len() <= r1.trace.decisions.len(),
+        ce.schedule.len() <= r1.trace.len(),
         "shrunk schedule longer than its replay"
     );
 }
@@ -106,7 +106,8 @@ fn mutation_is_found_shrunk_and_replayable() {
 /// FNV-1a of the decision log of `sc`'s default schedule: every enabled
 /// set, descriptor and choice, in order.
 fn default_log_digest(sc: &Scenario) -> u64 {
-    let log = run_schedule(sc, &[], ExplorerConfig::default().max_steps).trace.decisions;
+    let trace = run_schedule(sc, &[], ExplorerConfig::default().max_steps).trace;
+    let log: Vec<_> = trace.decisions().collect();
     format!("{log:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))

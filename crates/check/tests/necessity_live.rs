@@ -123,7 +123,7 @@ fn identity_table_is_behaviorally_invisible() {
             Weakening::Order(AtomicSite::SwsOwnerAdvertise.production()),
         ));
         let t = run_schedule(&tabled, &[1, 0, 1], 40_000);
-        assert_eq!(bare.trace.decisions, t.trace.decisions, "{name}");
+        assert_eq!(bare.trace, t.trace, "{name}");
         assert_eq!(bare.failure, t.failure, "{name}");
     }
 }

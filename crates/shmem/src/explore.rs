@@ -30,10 +30,11 @@ use crate::proto::NO_SITE;
 /// loop the schedule starves) apart from real failures.
 pub const TRUNCATED_MSG: &str = "exploration step budget exceeded: schedule truncated";
 
-/// Descriptor of one pending gated operation — everything the explorer's
-/// dependence relation needs: the words the op touches in whose region,
-/// whether it writes, and the protocol site (if the op was annotated via
-/// `ShmemCtx::proto_site`; [`NO_SITE`] for control-plane traffic).
+/// Descriptor of one pending gated operation: the protocol site (if the
+/// op was annotated via `ShmemCtx::proto_site`; [`NO_SITE`] for
+/// control-plane traffic), the PE whose region it touches and whether it
+/// writes — what the explorer's dependence relation reads — plus the words
+/// it touches, which the decision log records.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct OpDesc {
     /// `sws_core::AtomicSite::id()` of the issuing protocol site, or
@@ -43,27 +44,12 @@ pub struct OpDesc {
     pub target: u32,
     /// First word offset touched in the target's region.
     pub offset: u32,
-    /// Number of words touched (over-approximated for strided/gather
-    /// shapes: the contiguous cover, which can only add dependences,
-    /// never hide one).
+    /// Number of words touched (the contiguous cover for strided/gather
+    /// shapes).
     pub len: u32,
     /// Does the op write (RMW counts as a write; a failed CAS is
     /// over-approximated as one)?
     pub writes: bool,
-}
-
-impl OpDesc {
-    /// Do two ops *conflict* — touch overlapping words of the same region
-    /// with at least one writer? Reordering a non-conflicting adjacent
-    /// pair commutes, which is what the explorer's pruning relies on.
-    pub fn conflicts(&self, other: &OpDesc) -> bool {
-        if self.target != other.target || !(self.writes || other.writes) {
-            return false;
-        }
-        let a = self.offset as u64..self.offset as u64 + self.len as u64;
-        let b = other.offset as u64..other.offset as u64 + other.len as u64;
-        a.start < b.end && b.start < a.end
-    }
 }
 
 /// Does this op kind write target memory? (Used to build [`OpDesc`].)
@@ -71,13 +57,14 @@ pub fn kind_writes(kind: OpKind) -> bool {
     !matches!(kind, OpKind::Get | OpKind::AtomicFetch)
 }
 
-/// One scheduling decision: who was runnable, who ran.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Decision {
+/// One scheduling decision: who was runnable, who ran. A view into an
+/// [`ExploreTrace`], whose enabled sets share one arena.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Decision<'t> {
     /// PE whose turn led into this decision (`None` for the first).
     pub prev: Option<u32>,
     /// Pending ops at the decision point, ascending PE rank.
-    pub enabled: Vec<(u32, OpDesc)>,
+    pub enabled: &'t [(u32, OpDesc)],
     /// Index into `enabled` of the op that ran.
     pub chosen: u32,
 }
@@ -102,13 +89,73 @@ impl Default for ExploreConfig {
     }
 }
 
-/// What one schedule execution recorded.
-#[derive(Clone, Debug, Default)]
+/// One logged decision: its enabled set is `enabled[start..start + len]`
+/// of the trace's arena.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Step {
+    prev: Option<u32>,
+    start: usize,
+    /// At most the world's PE count.
+    len: u32,
+    chosen: u32,
+}
+
+/// What one schedule execution recorded: every decision in order, as
+/// fixed-size steps over one arena of enabled sets, so logging a decision
+/// allocates nothing once the two vectors have grown.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExploreTrace {
-    /// Every decision, in order.
-    pub decisions: Vec<Decision>,
+    steps: Vec<Step>,
+    enabled: Vec<(u32, OpDesc)>,
     /// Did the run hit the step budget (and poison itself)?
     pub truncated: bool,
+}
+
+impl ExploreTrace {
+    /// Number of decisions.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// No decision was made.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// Decision `i` (panics if `i >= len()`).
+    pub fn decision(&self, i: usize) -> Decision<'_> {
+        self.view(&self.steps[i])
+    }
+
+    /// Every decision, in order.
+    pub fn decisions(&self) -> impl ExactSizeIterator<Item = Decision<'_>> + '_ {
+        self.steps.iter().map(|s| self.view(s))
+    }
+
+    /// The chosen index of every decision, in order: the forced prefix
+    /// that replays this run.
+    pub fn choices(&self) -> Vec<u32> {
+        self.steps.iter().map(|s| s.chosen).collect()
+    }
+
+    /// Log a decision.
+    pub(crate) fn push(&mut self, prev: Option<u32>, enabled: &[(u32, OpDesc)], chosen: u32) {
+        self.steps.push(Step {
+            prev,
+            start: self.enabled.len(),
+            len: enabled.len() as u32,
+            chosen,
+        });
+        self.enabled.extend_from_slice(enabled);
+    }
+
+    fn view(&self, s: &Step) -> Decision<'_> {
+        Decision {
+            prev: s.prev,
+            enabled: &self.enabled[s.start..s.start + s.len as usize],
+            chosen: s.chosen,
+        }
+    }
 }
 
 /// A pending PE passed over for this many decisions is *starving*
@@ -128,7 +175,7 @@ const SPIN_RUN: u32 = 2;
 
 /// The state of one schedule execution, owned by the executor.
 pub(crate) struct Schedule {
-    /// The forced prefix (its cursor is `trace.decisions.len()`) and the
+    /// The forced prefix (its cursor is `trace.len()`) and the
     /// step budget.
     cfg: ExploreConfig,
     trace: ExploreTrace,
@@ -197,7 +244,7 @@ impl Schedule {
     /// index, or `None` once the step budget is spent (the caller poisons
     /// the world with [`TRUNCATED_MSG`]).
     pub(crate) fn decide(&mut self, enabled: &[(u32, OpDesc)]) -> Option<usize> {
-        let step = self.trace.decisions.len();
+        let step = self.trace.len();
         if step as u64 >= self.cfg.max_steps {
             self.trace.truncated = true;
             return None;
@@ -215,11 +262,7 @@ impl Schedule {
             self.spin_run[p] = 0;
         }
         self.last_desc[p] = Some(desc);
-        self.trace.decisions.push(Decision {
-            prev: self.last,
-            enabled: enabled.to_vec(),
-            chosen: chosen as u32,
-        });
+        self.trace.push(self.last, enabled, chosen as u32);
         self.last = Some(pe);
         Some(chosen)
     }
@@ -249,7 +292,7 @@ impl Schedule {
     ///   yields can otherwise align with the holder's critical section
     ///   forever — a scheduler-induced livelock.
     fn default_pick(&self, blocked: &[(u32, OpDesc)]) -> usize {
-        let now = self.trace.decisions.len() as u64;
+        let now = self.trace.len() as u64;
         if let Some((j, _)) = blocked
             .iter()
             .enumerate()
@@ -318,12 +361,21 @@ mod tests {
     }
 
     #[test]
-    fn conflicts_need_overlap_and_a_writer() {
-        assert!(d(0, 4, 1, true).conflicts(&d(0, 4, 1, false)));
-        assert!(d(0, 2, 4, true).conflicts(&d(0, 5, 2, true)));
-        assert!(!d(0, 4, 1, false).conflicts(&d(0, 4, 1, false)), "two reads");
-        assert!(!d(0, 4, 1, true).conflicts(&d(1, 4, 1, true)), "regions differ");
-        assert!(!d(0, 4, 2, true).conflicts(&d(0, 6, 2, true)), "disjoint words");
+    fn the_flat_log_reads_back_each_decision() {
+        let (a, b) = ((0, d(0, 0, 1, true)), (2, d(1, 3, 2, false)));
+        let mut t = ExploreTrace::default();
+        t.push(None, &[a, b], 1);
+        t.push(Some(2), &[a], 0);
+        t.push(Some(0), &[], 0);
+        let want = [
+            Decision { prev: None, enabled: &[a, b], chosen: 1 },
+            Decision { prev: Some(2), enabled: &[a], chosen: 0 },
+            Decision { prev: Some(0), enabled: &[], chosen: 0 },
+        ];
+        assert_eq!(t.len(), 3);
+        assert!(t.decisions().eq(want));
+        assert_eq!(t.decision(1), want[1]);
+        assert_eq!(t.choices(), [1, 0, 0]);
     }
 
     #[test]
@@ -382,11 +434,7 @@ mod tests {
     fn starving_pe_preempts_an_interleaving_pair() {
         let mut g = ExploreGate::new(ExploreConfig::default()).schedule(4);
         for _ in 0..STARVE_AGE {
-            g.trace.decisions.push(Decision {
-                prev: None,
-                enabled: Vec::new(),
-                chosen: 0,
-            });
+            g.trace.push(None, &[], 0);
         }
         let blocked = vec![
             (0, d(0, 0, 1, true)),

@@ -834,22 +834,22 @@ mod tests {
         assert_ne!(TRUNCATED_MSG, POISON_MSG);
         let trace = gate.take_trace();
         assert!(trace.truncated);
-        assert_eq!(trace.decisions.len(), 10);
+        assert_eq!(trace.len(), 10);
         assert_eq!(drops.load(Ordering::Acquire), 2, "both PEs unwound");
     }
 
     #[test]
     fn the_decision_log_is_handed_over_once() {
         let gate = new_gate(ExploreConfig::default());
-        assert!(gate.take_trace().decisions.is_empty(), "no world has run");
+        assert!(gate.take_trace().is_empty(), "no world has run");
         run_world(WorldConfig::exploration(2, 256, Arc::clone(&gate)), |ctx| {
             let a = ctx.alloc_words(1);
             ctx.atomic_fetch_add(0, a, 1);
         })
         .unwrap();
-        assert!(!gate.take_trace().decisions.is_empty());
+        assert!(!gate.take_trace().is_empty());
         let again = gate.take_trace();
-        assert!(again.decisions.is_empty() && !again.truncated, "{again:?}");
+        assert!(again.is_empty() && !again.truncated, "{again:?}");
     }
 
     /// (Where contexts are switched, not parked threads: `crate::context`.)

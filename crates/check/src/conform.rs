@@ -37,13 +37,14 @@
 //!
 //! What a site admits, who may issue it and which word it touches come
 //! from the site catalog ([`sws_core::SiteRow`]); what an op's operands
-//! mean comes from [`sws_core::protocol::decode`]. This module owns only
-//! the model state and the rules that relate a step to it.
+//! mean comes from [`sws_core::protocol::decode`], and which completion
+//! word a claim reports into from the claim's [`Block`]. This module owns
+//! only the model state and the rules that relate a step to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sws_core::protocol::{decode, sdc_claim, Claim as Claimed, Completion, Geometry, Step, Word};
-use sws_core::ring::Ring;
+use sws_core::protocol::{decode, sdc_claim, sws_comp, Block, Claim as Claimed, Completion};
+use sws_core::protocol::{Geometry, Step, Word};
 use sws_core::stealval::Layout;
 use sws_core::{AtomicSite, QueueConfig};
 use sws_shmem::{FaultPlan, OpClass, ProtoEvent, ProtoOp, TargetSel};
@@ -151,8 +152,7 @@ pub struct ReplayStats {
 #[derive(Clone, Debug)]
 struct Claim {
     issuer: u32,
-    vol: u64,
-    start_slot: u64,
+    block: Block,
     resolved: bool,
 }
 
@@ -291,7 +291,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
                 event: "(end of trace)".into(),
                 detail: format!(
                     "claim by pe{} at comp offset {off} (vol {}) resolved",
-                    c.issuer, c.vol
+                    c.issuer, c.block.volume
                 ),
             });
         }
@@ -342,7 +342,6 @@ fn step(
         at.div(kind, want)
     })?;
 
-    let spe = cfg.policy.slot_budget() as u64;
     let comp_base = v.geo.base[1];
     let k = (off - v.geo.base[0]) as usize; // which control word, for sites on one
     match decoded {
@@ -351,7 +350,7 @@ fn step(
             // Every slot the new advertisement can complete into must
             // have been zeroed (construction relies on the zeroed heap;
             // re-advertisement on SwsOwnerSlotZero).
-            for c in (0..steals).map(|s| comp_base + epoch * spe + s) {
+            for c in (0..steals).map(|s| comp_base + sws_comp(cfg, epoch, s)) {
                 let found = v.word(Word::Comp, c);
                 if found != 0 {
                     let want = format!("comp[{c}] = 0, found {found:#x}");
@@ -373,14 +372,7 @@ fn step(
                 }
                 // Closed gate or exhausted advertisement: counter bump only.
                 Claimed::Closed | Claimed::Exhausted => {}
-                Claimed::Live { index, .. } if index >= spe => {
-                    let want = format!("steal index {index} within the {spe}-slot budget");
-                    return Err(at.div("claim-arg", want));
-                }
-                Claimed::Live { epoch, index, volume, start_slot } => {
-                    let comp_off = comp_base + epoch * spe + index;
-                    open_claim(v, at, comp_off, volume, start_slot, 0, stats)?;
-                }
+                Claimed::Live(block) => open_claim(v, at, comp_base + block.comp, block, 0, stats)?,
             }
         }
         Step::Lock { won } => {
@@ -417,27 +409,26 @@ fn step(
             if e.arg <= tail {
                 return Err(at.div("tail-monotonic", format!("a tail advance past {tail}")));
             }
-            let Some(vol) = sdc_claim(cfg.policy, tail, split).filter(|vol| e.arg == tail + vol) else {
+            let Some(block) = sdc_claim(cfg, tail, split).filter(|b| e.arg == tail + b.volume) else {
                 let want = format!("tail + the block sdc_claim reads from tail {tail}, split {split}");
                 return Err(at.div("tail-volume", want));
             };
-            let start = Ring::new(cfg.capacity).slot(tail) as u64;
+            v.ctl[k] = e.arg;
             // In fault-injected runs a claim marker for exactly this
             // volume precedes the tail advance.
-            let marker = Completion::Claimed(vol).word();
-            open_claim(v, at, comp_base + start, vol, start, marker, stats)?;
-            v.ctl[k] = e.arg;
+            let marker = Completion::Claimed(block.volume).word();
+            open_claim(v, at, comp_base + block.comp, block, marker, stats)?;
         }
         Step::Payload => {
             let Some(c) = v.pending_copy.remove(&e.issuer) else {
                 return Err(at.div("payload-without-claim", "a preceding claim"));
             };
-            let (cl, tw) = (&v.claims[&c], cfg.task_words as u64);
-            let (want_off, want_len) = (v.geo.base[2] + cl.start_slot * tw, cl.vol * tw);
+            let (b, tw) = (v.claims[&c].block, cfg.task_words as u64);
+            let (want_off, want_len) = (v.geo.base[2] + b.start_slot * tw, b.volume * tw);
             if off != want_off || e.len as u64 != want_len {
                 return Err(at.div(
                     "payload-geometry",
-                    format!("get@{want_off}+{want_len} (slot {}, vol {})", cl.start_slot, cl.vol),
+                    format!("get@{want_off}+{want_len} (slot {}, vol {})", b.start_slot, b.volume),
                 ));
             }
         }
@@ -482,8 +473,8 @@ fn step(
                 let want = format!("completion from the claimant pe{}", c.issuer);
                 return Err(at.div("completion-without-claim", want));
             }
-            if matches!(decoded, Step::Landed { tasks } if tasks != c.vol) {
-                return Err(at.div("completion-volume", format!("vol {}", c.vol)));
+            if matches!(decoded, Step::Landed { tasks } if tasks != c.block.volume) {
+                return Err(at.div("completion-volume", format!("vol {}", c.block.volume)));
             }
             c.resolved = true;
             v.comp.insert(off, e.arg);
@@ -498,14 +489,13 @@ fn step(
     Ok(())
 }
 
-/// Record a new claim by `at`'s issuer completing into `comp_off`, whose
-/// word must hold 0 or `marker`.
+/// Record a new claim of `block` by `at`'s issuer completing into
+/// `comp_off`, whose word must hold 0 or `marker`.
 fn open_claim(
     v: &mut Victim,
     at: &At,
     comp_off: u64,
-    vol: u64,
-    start_slot: u64,
+    block: Block,
     marker: u64,
     stats: &mut ReplayStats,
 ) -> Result<(), Divergence> {
@@ -519,7 +509,7 @@ fn open_claim(
     }
     stats.claims += 1;
     let issuer = at.e.issuer;
-    v.claims.insert(comp_off, Claim { issuer, vol, start_slot, resolved: false });
+    v.claims.insert(comp_off, Claim { issuer, block, resolved: false });
     v.pending_copy.insert(issuer, comp_off);
     Ok(())
 }
@@ -748,6 +738,7 @@ mod tests {
             offset: offset as u32,
             len: 1,
             site: site.id(),
+            attempt: 0,
             op,
             arg,
             arg2,

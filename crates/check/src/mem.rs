@@ -75,6 +75,10 @@ struct Mark {
     seq: u32,
 }
 
+/// A word's modification order, whose first store is the initial value,
+/// and its read marks. A word no op has touched holds no store yet: most
+/// of the completion block is such words, and they cost a cloned state
+/// nothing.
 #[derive(Clone, Debug, Hash)]
 struct Word {
     stores: Vec<Store>,
@@ -241,10 +245,16 @@ pub struct Memory {
 }
 
 /// The ordering table and the block map are fixed and the issued-site
-/// set only records the path: none of them is explored state.
+/// set only records the path: none of them is explored state. Neither is
+/// a word still at its initial value with no read mark, touched or not:
+/// only the other words go in, each with its index.
 impl std::hash::Hash for Memory {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.words.hash(state);
+        for (w, word) in self.words.iter().enumerate() {
+            if word.stores.len() > 1 || !word.marks.is_empty() {
+                (w, word).hash(state);
+            }
+        }
         self.clocks.hash(state);
         self.seqs.hash(state);
         self.floors.hash(state);
@@ -265,17 +275,7 @@ impl Memory {
             ords,
             base,
             issued: 0,
-            words: (0..n_words)
-                .map(|_| Word {
-                    stores: vec![Store {
-                        val: 0,
-                        author: INIT,
-                        seq: 0,
-                        msg: None,
-                    }],
-                    marks: Vec::new(),
-                })
-                .collect(),
+            words: (0..n_words).map(|_| Word { stores: Vec::new(), marks: Vec::new() }).collect(),
             clocks: vec![VClock::new(n_threads); n_threads],
             seqs: vec![0; n_threads],
             floors: vec![vec![0; n_words]; n_threads],
@@ -290,7 +290,7 @@ impl Memory {
 
     /// Address of word `i` of `place`. An index outside the block the
     /// scenario sized is a bug in the machine, not a protocol outcome.
-    fn word(&self, place: Place, i: usize) -> usize {
+    fn index(&self, place: Place, i: usize) -> usize {
         let (block, i) = match place {
             Place::Ctl(k) => (0, k + i),
             Place::Comp => (1, i),
@@ -298,6 +298,15 @@ impl Memory {
         };
         let w = self.base[block] + i;
         assert!(w < self.base[block + 1], "{place:?} word {i} is outside its block");
+        w
+    }
+
+    /// [`Memory::index`], giving the word its initial store on first use.
+    fn word(&mut self, place: Place, i: usize) -> usize {
+        let w = self.index(place, i);
+        if self.words[w].stores.is_empty() {
+            self.words[w].stores.push(Store { val: 0, author: INIT, seq: 0, msg: None });
+        }
         w
     }
 
@@ -509,8 +518,7 @@ impl Memory {
     /// The latest value in a word's modification order (end-state checks
     /// only — not a thread-visible read).
     pub fn latest(&self, place: Place, i: usize) -> u64 {
-        let stores = &self.words[self.word(place, i)].stores;
-        stores.last().expect("word has init store").val
+        self.words[self.index(place, i)].stores.last().map_or(0, |s| s.val)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use std::fmt::Debug;
 
-use sws_core::protocol::sdc_claim;
+use sws_core::protocol::{sdc_claim, sdc_comp, Block};
 use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
 
 use crate::explore::Chooser;
@@ -63,10 +63,10 @@ enum TPc {
     Claim,
     Lock,
     Meta,
-    TailPut { tail: u64, vol: u64 },
-    /// Releasing the lock, with the block the tail put claimed (none:
-    /// the shared region was empty).
-    Unlock { block: Option<(u64, u64)> },
+    TailPut { tail: u64, block: Block },
+    /// Releasing the lock, with the tail it read and the block the tail
+    /// put claimed (none: the shared region was empty).
+    Unlock { block: Option<(u64, Block)> },
 }
 
 const SITES: Sites = Sites {
@@ -134,7 +134,7 @@ impl Steps for Sdc {
                     self.pc = OPc::Next;
                     return Ok(());
                 }
-                let w = c.ring.slot(c.owner.reclaimed);
+                let w = sdc_comp(&c.cfg, c.owner.reclaimed) as usize;
                 let v = c.mem.load(0, Site::SdcReclaimRead, w, |n| ch.pick(n));
                 if v != 0 {
                     self.pc = OPc::ReclaimZero { vol: v, retire_to };
@@ -145,7 +145,7 @@ impl Steps for Sdc {
                 // thief schedules run).
             }
             OPc::ReclaimZero { vol, retire_to } => {
-                let w = c.ring.slot(c.owner.reclaimed);
+                let w = sdc_comp(&c.cfg, c.owner.reclaimed) as usize;
                 c.mem.store(0, Site::SdcReclaimZero, w, 0);
                 c.owner.reclaimed += vol;
                 if c.owner.reclaimed > self.tail {
@@ -184,12 +184,12 @@ impl Steps for Sdc {
                 // get under the lock; model both loads in this step.
                 let tail = c.mem.load(t, Site::SdcMetaRead, 0, |n| ch.pick(n));
                 let split = c.mem.load(t, Site::SdcMetaRead, 1, |n| ch.pick(n));
-                *pc = match sdc_claim(c.cfg.policy, tail, split) {
-                    Some(vol) => TPc::TailPut { tail, vol },
+                *pc = match sdc_claim(&c.cfg, tail, split) {
+                    Some(block) => TPc::TailPut { tail, block },
                     None => TPc::Unlock { block: None },
                 };
             }
-            TPc::TailPut { tail, vol } => {
+            TPc::TailPut { tail, block } => {
                 // Claim serialization: under the lock, the tail this
                 // thief read must be the true tail — a stale read here
                 // means two thieves will copy overlapping blocks.
@@ -203,15 +203,15 @@ impl Steps for Sdc {
                         ),
                     ));
                 }
-                c.mem.store(t, Site::SdcTailPut, 0, tail + vol);
-                self.tail = tail + vol;
-                *pc = TPc::Unlock { block: Some((tail, vol)) };
+                c.mem.store(t, Site::SdcTailPut, 0, tail + block.volume);
+                self.tail = tail + block.volume;
+                *pc = TPc::Unlock { block: Some((tail, block)) };
             }
             TPc::Unlock { block } => {
                 c.mem.store(t, Site::SdcUnlock, 0, 0);
                 *pc = TPc::Claim;
-                if let Some((tail, vol)) = block {
-                    c.begin_copy(t, tail, vol, c.ring.slot(tail));
+                if let Some((tail, b)) = block {
+                    c.begin_copy(t, tail, b.volume, b.comp as usize);
                 }
             }
         }

@@ -32,7 +32,9 @@
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
-use sws_core::protocol::{claims_taken, sws_claim, sws_probe, tasks_unclaimed, Claim, Completion};
+use sws_core::protocol::{
+    claims_taken, sws_claim, sws_comp, sws_probe, tasks_unclaimed, Claim, Completion,
+};
 use sws_core::stealval::{Gate, Layout, StealVal, ASTEALS_MASK, ASTEAL_UNIT};
 use sws_core::{AtomicSite as Site, Protocol, QueueConfig};
 
@@ -140,19 +142,6 @@ struct Oracle {
     tail: u32,
     /// Fetch-add bumps since the owner last wrote the word.
     bumps: u64,
-}
-
-/// Completion words per epoch slot. Production reserves `slot_budget()`,
-/// enough for an advertisement of 2¹⁹ tasks; no advertisement outgrows
-/// the ring, and every word of the model is state the explorer hashes
-/// and clones.
-fn stride(cfg: &QueueConfig) -> usize {
-    cfg.policy.max_steals(cfg.capacity as u64) as usize
-}
-
-/// Completion word `s` of epoch slot `slot`.
-fn comp(c: &Core, slot: u64, s: u64) -> usize {
-    slot as usize * stride(&c.cfg) + s as usize
 }
 
 impl Sws {
@@ -278,7 +267,7 @@ impl Sws {
             OPc::ReclaimComp { n, cont } => {
                 let front = self.epochs.front().expect("front record").clone();
                 if front.finished < n {
-                    let w = comp(c, front.slot as u64, front.finished as u64);
+                    let w = sws_comp(&c.cfg, front.slot.into(), front.finished.into()) as usize;
                     let v = c.mem.load(0, Site::SwsOwnerReclaimRead, w, |m| ch.pick(m));
                     if Completion::read(v) == Completion::Pending {
                         // Steal claimed but not yet completed: stop here.
@@ -354,7 +343,7 @@ impl Steps for Sws {
             OPc::AdvZero { slot } => {
                 let k = self.pending.as_ref().expect("pending advert").k;
                 for s in 0..policy.max_steals(k as u64) {
-                    let w = comp(c, slot as u64, s);
+                    let w = sws_comp(&c.cfg, slot.into(), s) as usize;
                     c.mem.store(0, Site::SwsOwnerSlotZero, w, 0);
                 }
                 self.pc = OPc::AdvPublish { slot };
@@ -455,9 +444,8 @@ impl Steps for Sws {
                 self.oracle.bumps += 1;
                 // What the fetched word gives the thief is production's
                 // own reading of it.
-                if let Claim::Live { epoch, index, volume, start_slot } = sws_claim(&c.cfg, old) {
-                    let w = comp(c, epoch, index);
-                    c.begin_copy(t, start_slot, volume, w);
+                if let Claim::Live(b) = sws_claim(&c.cfg, old) {
+                    c.begin_copy(t, b.start_slot, b.volume, b.comp as usize);
                 }
             }
         }
@@ -529,9 +517,7 @@ fn scenario(
     };
     // One-word tasks under the default (steal-half) policy.
     let cfg = QueueConfig::new(cap, 8).with_layout(layout);
-    let mut blocks = Protocol::Sws.blocks(&cfg);
-    blocks[1] = layout.n_epochs() * stride(&cfg);
-    let mut mem = Memory::new(1 + thief_attempts.len(), ords.clone(), blocks);
+    let mut mem = Memory::new(1 + thief_attempts.len(), ords.clone(), Protocol::Sws.blocks(&cfg));
     // The queue constructor publishes an empty open advertisement and
     // the world barriers before work starts: model as initial state.
     let sv = Site::SwsOwnerAdvertise.row().word;

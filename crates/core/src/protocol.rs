@@ -7,9 +7,11 @@
 //! fetched ([`sws_claim`]) or a damped probe read ([`sws_probe`]), the
 //! owner's view of its own advertisement ([`claims_taken`],
 //! [`tasks_unclaimed`]), the block an SDC thief claims from `tail` and
-//! `split` ([`sdc_claim`]), and a completion word as written and as read
-//! ([`Completion`]) — and the production queues (`queue/{sws,sdc}.rs`),
-//! the model machines (`sws-check`) and [`decode`] all call them.
+//! `split` ([`sdc_claim`]), the completion word a claim reports into
+//! ([`sws_comp`], [`sdc_comp`]; both claims read as one [`Block`]), and a
+//! completion word as written and as read ([`Completion`]) — and the
+//! production queues (`queue/{sws,sdc}.rs`), the model machines
+//! (`sws-check`) and [`decode`] all call them.
 //! [`decode`] turns a captured [`ProtoEvent`] into the protocol [`Step`]
 //! it represents and adds only the operand checks and the 24-bit
 //! [`Claim::Overflow`] class; [`Protocol::geometry`] places the words a
@@ -137,16 +139,20 @@ pub enum Claim {
     /// ([`decode`] only: the thief reads such a word by its gate).
     Overflow,
     /// The thief owns a block.
-    Live {
-        /// Completion epoch the advertisement was made under.
-        epoch: u64,
-        /// The claim's steal index (its completion slot within the epoch).
-        index: u64,
-        /// Tasks in the block.
-        volume: u64,
-        /// Ring slot of the block's first task.
-        start_slot: u64,
-    },
+    Live(Block),
+}
+
+/// A claimed block, as either protocol's thief reads it: the completion
+/// word it reports into, where its tasks start and how many there are.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
+pub struct Block {
+    /// Index of its completion word within the completion block
+    /// ([`sws_comp`], [`sdc_comp`]).
+    pub comp: u64,
+    /// Ring slot of the block's first task.
+    pub start_slot: u64,
+    /// Tasks in the block.
+    pub volume: u64,
 }
 
 /// The protocol step one captured op represents. Thief-side steps are
@@ -229,12 +235,19 @@ pub fn sws_claim(cfg: &QueueConfig, raw: u64) -> Claim {
     }
     let (policy, itasks, index) = (cfg.policy, sv.itasks as u64, sv.asteals as u64);
     let start = sv.tail as u64 + policy.claimed_before(itasks, index);
-    Claim::Live {
-        epoch: epoch as u64,
-        index,
-        volume: policy.volume(itasks, index),
+    Claim::Live(Block {
+        comp: sws_comp(cfg, epoch as u64, index),
         start_slot: Ring::new(cfg.capacity).slot(start) as u64,
-    }
+        volume: policy.volume(itasks, index),
+    })
+}
+
+/// The SWS completion word of claim `index` of an advertisement under
+/// `epoch`: each epoch owns [`StealPolicy::slot_budget`] words, one per
+/// claim an advertisement can admit ([`decode`] holds every advertisement
+/// to that many).
+pub fn sws_comp(cfg: &QueueConfig, epoch: u64, index: u64) -> u64 {
+    epoch * cfg.policy.slot_budget() as u64 + index
 }
 
 /// The damped probe's verdict on the stealval `raw` it read (§4.3): may a
@@ -265,8 +278,19 @@ pub fn tasks_unclaimed(policy: StealPolicy, itasks: u64, sv: &StealVal) -> u64 {
 /// The block an SDC thief claims from the `tail` and `split` it read
 /// under the lock (§3): the policy's first steal of the shared section,
 /// or `None` when the section is empty.
-pub fn sdc_claim(policy: StealPolicy, tail: u64, split: u64) -> Option<u64> {
-    (split > tail).then(|| policy.volume(split - tail, 0))
+pub fn sdc_claim(cfg: &QueueConfig, tail: u64, split: u64) -> Option<Block> {
+    (split > tail).then(|| Block {
+        comp: sdc_comp(cfg, tail),
+        start_slot: sdc_comp(cfg, tail),
+        volume: cfg.policy.volume(split - tail, 0),
+    })
+}
+
+/// The SDC completion word of the block starting at absolute index
+/// `tail`: the completion ring has one word per task slot, and a block
+/// reports into its first task's.
+pub fn sdc_comp(cfg: &QueueConfig, tail: u64) -> u64 {
+    Ring::new(cfg.capacity).slot(tail) as u64
 }
 
 /// Completion-word flags. Volumes are bounded by the 19-bit itasks field,
@@ -342,12 +366,12 @@ pub fn decode(cfg: &QueueConfig, site: AtomicSite, e: &ProtoEvent) -> Result<Ste
     Ok(match (site, e.op) {
         (SwsOwnerAdvertise, _) => {
             let sv = cfg.layout.decode(e.arg);
+            let steals = policy.max_steals(sv.itasks as u64);
             match sv.gate {
-                Gate::Open { epoch } if sv.asteals == 0 => Step::Advertise {
-                    epoch: epoch as u64,
-                    steals: policy.max_steals(sv.itasks as u64).min(policy.slot_budget() as u64),
-                },
-                _ => return Err("an open gate with asteals = 0"),
+                Gate::Open { epoch } if sv.asteals == 0 && steals <= policy.slot_budget() as u64 => {
+                    Step::Advertise { epoch: epoch as u64, steals }
+                }
+                _ => return Err("an open gate with asteals = 0 and claims within the slot budget"),
             }
         }
         (SwsOwnerAcquireSwap, _) if cfg.layout.decode(e.arg).gate == Gate::Closed => Step::Close,
@@ -385,7 +409,7 @@ pub fn decode(cfg: &QueueConfig, site: AtomicSite, e: &ProtoEvent) -> Result<Ste
         },
         (SdcLockCas, _) if e.arg == 1 && e.arg2 == 0 => Step::Lock { won },
         (SdcLockCas, _) => return Err("a CAS of 0 → 1"),
-        (SdcMetaRead, _) => Step::Meta { empty: sdc_claim(policy, e.prev, e.arg2).is_none() },
+        (SdcMetaRead, _) => Step::Meta { empty: sdc_claim(cfg, e.prev, e.arg2).is_none() },
         (SdcTailPut, _) => Step::TailPut,
         (SdcSplitPublish, _) => Step::Split,
         // The owner-local payload stores are never captured.
@@ -404,7 +428,7 @@ mod tests {
     }
 
     fn ev(site: AtomicSite, op: ProtoOp, arg: u64, arg2: u64, prev: u64) -> ProtoEvent {
-        ProtoEvent { t_ns: 0, issuer: 1, target: 0, offset: 0, len: 1, site: site.id(), op, arg, arg2, prev }
+        ProtoEvent { t_ns: 0, issuer: 1, target: 0, offset: 0, len: 1, site: site.id(), attempt: 0, op, arg, arg2, prev }
     }
 
     #[test]
@@ -440,14 +464,15 @@ mod tests {
         };
         let open = |asteals, itasks, tail| StealVal { asteals, gate: Gate::Open { epoch: 1 }, itasks, tail };
         // Steal-half of 8 from slot 98 of a 100-slot ring: 4 tasks, then 2
-        // starting 4 further on (wrapped), then 1, then nothing.
+        // starting 4 further on (wrapped), then 1, then nothing. Epoch 1's
+        // completion words follow epoch 0's 21.
         assert_eq!(
             claim(open(0, 8, 98)),
-            Ok(Step::Claim(Claim::Live { epoch: 1, index: 0, volume: 4, start_slot: 98 }))
+            Ok(Step::Claim(Claim::Live(Block { comp: 21, start_slot: 98, volume: 4 })))
         );
         assert_eq!(
             claim(open(1, 8, 98)),
-            Ok(Step::Claim(Claim::Live { epoch: 1, index: 1, volume: 2, start_slot: 2 }))
+            Ok(Step::Claim(Claim::Live(Block { comp: 22, start_slot: 2, volume: 2 })))
         );
         assert_eq!(claim(open(9, 8, 98)), Ok(Step::Claim(Claim::Exhausted)));
         let closed = StealVal { asteals: 3, gate: Gate::Closed, itasks: 0, tail: 0 };
@@ -456,10 +481,21 @@ mod tests {
         assert_eq!(claim(full), Ok(Step::Claim(Claim::Overflow)));
         let two_units = ev(AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, 2 * ASTEAL_UNIT, 0, 0);
         assert!(decode(&cfg(), AtomicSite::SwsThiefClaim, &two_units).is_err());
+        // An advertisement admits no more claims than its epoch has
+        // completion words: steal-one's 64.
+        let one = cfg().with_policy(StealPolicy::One);
+        let advert = |itasks| {
+            let raw = one.layout.encode(open(0, itasks, 0));
+            decode(&one, AtomicSite::SwsOwnerAdvertise, &ev(AtomicSite::SwsOwnerAdvertise, ProtoOp::Set, raw, 0, 0))
+        };
+        assert_eq!(advert(64), Ok(Step::Advertise { epoch: 1, steals: 64 }));
+        assert!(advert(65).is_err());
         // The probe says "work" unless the advertisement is exhausted.
         let probe = |sv| sws_probe(&cfg(), cfg().layout.encode(sv));
         assert!(probe(open(1, 8, 98)) && probe(closed) && !probe(open(4, 8, 98)));
-        assert_eq!((sdc_claim(cfg().policy, 5, 5), sdc_claim(cfg().policy, 5, 12)), (None, Some(3)));
+        // An SDC block reports into its first task's slot of the ring.
+        assert_eq!(sdc_claim(&cfg(), 5, 5), None);
+        assert_eq!(sdc_claim(&cfg(), 205, 212), Some(Block { comp: 5, start_slot: 5, volume: 3 }));
     }
 
     #[test]

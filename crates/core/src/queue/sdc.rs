@@ -60,7 +60,7 @@ use sws_shmem::{OpResult, ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::ordering::AtomicSite;
-use crate::protocol::{sdc_claim, Completion};
+use crate::protocol::{sdc_claim, sdc_comp, Completion};
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
     invariant_violation, QueueConfig, QueueStats, StealOutcome, StealQueue, SPLIT_UPDATE_NS,
@@ -148,7 +148,7 @@ impl<'a> SdcQueue<'a> {
     /// index `tail`.
     #[inline]
     fn comp_slot(&self, tail: u64) -> SymAddr {
-        self.comp.offset(self.ring.buf.ring().slot(tail))
+        self.comp.offset(sdc_comp(&self.ring.cfg, tail) as usize)
     }
 
     /// Owner: read the published tail (thieves advance it remotely).
@@ -388,6 +388,7 @@ impl StealQueue for SdcQueue<'_> {
     fn steal_from(&mut self, target: usize) -> StealOutcome {
         let ctx = self.ring.ctx;
         debug_assert_ne!(target, ctx.my_pe(), "stealing from self");
+        ctx.begin_attempt();
         self.ring.stats.steal_attempts += 1;
         let faults = ctx.faults_active();
         let policy = self.ring.cfg.retry;
@@ -412,7 +413,7 @@ impl StealQueue for SdcQueue<'_> {
                     // ordering: SdcMetaRead (lock-free abort peek)
                     ctx.proto_site(AtomicSite::SdcMetaRead.id());
                     match ctx.try_get_words(target, tail_a, &mut meta) {
-                        Ok(()) if sdc_claim(self.ring.cfg.policy, meta[0], meta[1]).is_none() => {
+                        Ok(()) if sdc_claim(&self.ring.cfg, meta[0], meta[1]).is_none() => {
                             self.ring.stats.steals_closed += 1;
                             return StealOutcome::Closed;
                         }
@@ -452,12 +453,12 @@ impl StealQueue for SdcQueue<'_> {
             return self.ring.failed(&e);
         }
         let tail = meta[0];
-        let Some(vol) = sdc_claim(self.ring.cfg.policy, tail, meta[1]) else {
+        let Some(block) = sdc_claim(&self.ring.cfg, tail, meta[1]) else {
             self.unlock(target);
             self.ring.stats.steals_empty += 1;
             return StealOutcome::Empty;
         };
-        let comp = self.comp_slot(tail);
+        let (comp, vol) = (self.comp.offset(block.comp as usize), block.volume);
         let marker = Completion::Claimed(vol).word();
 
         // 2b. Fault mode: write the claim marker *before* publishing the
@@ -506,7 +507,7 @@ impl StealQueue for SdcQueue<'_> {
         }
 
         // 5. Copy the stolen records.
-        let start = self.ring.buf.ring().slot(tail);
+        let start = block.start_slot as usize;
         if let Err(e) = self
             .ring
             .copy_block(target, start, vol, AtomicSite::SdcPayloadRead)
@@ -548,12 +549,13 @@ impl StealQueue for SdcQueue<'_> {
 
     fn probe(&self, target: usize) -> bool {
         let ctx = self.ring.ctx;
+        ctx.begin_attempt();
         let mut meta = [0u64; 2];
         // ordering: SdcMetaRead (read-only probe)
         ctx.proto_site(AtomicSite::SdcMetaRead.id());
         // An unreachable target has nothing to steal.
         ctx.try_get_words(target, self.tail_addr(), &mut meta).is_ok()
-            && sdc_claim(self.ring.cfg.policy, meta[0], meta[1]).is_some()
+            && sdc_claim(&self.ring.cfg, meta[0], meta[1]).is_some()
     }
 
     fn stats(&self) -> &QueueStats {

@@ -54,7 +54,9 @@ use sws_shmem::{ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
 use crate::ordering::AtomicSite;
-use crate::protocol::{claims_taken, sws_claim, sws_probe, tasks_unclaimed, Claim, Completion};
+use crate::protocol::{
+    claims_taken, sws_claim, sws_comp, sws_probe, tasks_unclaimed, Claim, Completion,
+};
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
     invariant_violation, Mutation, QueueConfig, QueueStats, StealOutcome, StealQueue,
@@ -108,8 +110,6 @@ pub struct SwsQueue<'a> {
     /// everything from `reclaimed` up to `split` is shared-side state.
     ring: OwnerRing<'a>,
     policy: StealPolicy,
-    /// Completion-array slots per epoch (policy-dependent).
-    slots_per_epoch: usize,
     sv_addr: SymAddr,
     comp_addr: SymAddr,
     /// Advertisement history, oldest first; the back entry is open iff an
@@ -143,7 +143,6 @@ impl<'a> SwsQueue<'a> {
         SwsQueue {
             ring: OwnerRing::new(ctx, cfg, buf_addr, AtomicSite::SwsOwnerPayloadWrite, 0x57EA_F417),
             policy: cfg.policy,
-            slots_per_epoch: cfg.policy.slot_budget(),
             sv_addr,
             comp_addr,
             epochs: VecDeque::from([EpochRec::open(0, 0, 0)]),
@@ -167,8 +166,7 @@ impl<'a> SwsQueue<'a> {
     /// (valid on every PE — symmetric).
     #[inline]
     fn comp_slot(&self, slot: usize, steal: u64) -> SymAddr {
-        debug_assert!((steal as usize) < self.slots_per_epoch);
-        self.comp_addr.offset(slot * self.slots_per_epoch + steal as usize)
+        self.comp_addr.offset(sws_comp(&self.ring.cfg, slot as u64, steal) as usize)
     }
 
     /// Read the live stealval — a charged local atomic; the owner pays the
@@ -498,6 +496,7 @@ impl StealQueue for SwsQueue<'_> {
     fn steal_from(&mut self, target: usize) -> StealOutcome {
         let ctx = self.ring.ctx;
         debug_assert_ne!(target, ctx.my_pe(), "stealing from self");
+        ctx.begin_attempt();
         self.ring.stats.steal_attempts += 1;
         let sv_addr = self.sv_addr;
 
@@ -512,9 +511,7 @@ impl StealQueue for SwsQueue<'_> {
         });
         let (comp, vol, start) = match claim.map(|raw| sws_claim(&self.ring.cfg, raw)) {
             Err(e) => return self.ring.failed(&e),
-            Ok(Claim::Live { epoch, index, volume, start_slot }) => {
-                (self.comp_slot(epoch as usize, index), volume, start_slot as usize)
-            }
+            Ok(Claim::Live(b)) => (self.comp_addr.offset(b.comp as usize), b.volume, b.start_slot as usize),
             Ok(Claim::Closed) => {
                 self.ring.stats.steals_closed += 1;
                 return StealOutcome::Closed;
@@ -591,6 +588,7 @@ impl StealQueue for SwsQueue<'_> {
 
     fn probe(&self, target: usize) -> bool {
         let ctx = self.ring.ctx;
+        ctx.begin_attempt();
         // ordering: SwsThiefProbe
         ctx.proto_site(AtomicSite::SwsThiefProbe.id());
         // An unreachable target has nothing to steal.
@@ -637,7 +635,7 @@ impl StealQueue for SwsQueue<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode, Step};
+    use crate::protocol::{decode, Block, Step};
     use crate::stealval::ASTEALS_BITS;
     use sws_shmem::{run_world, ProtoEvent, ProtoOp, WorldConfig};
 
@@ -652,7 +650,7 @@ mod tests {
         let cfg = QueueConfig::new(8, 24);
         let sv = |asteals, gate| StealVal { asteals, gate, itasks: 4, tail: 7 };
         let (open, full) = (Gate::Open { epoch: 1 }, (1 << ASTEALS_BITS) - 1);
-        let live = |index, volume, start_slot| Claim::Live { epoch: 1, index, volume, start_slot };
+        let live = |index, volume, start_slot| Claim::Live(Block { comp: sws_comp(&cfg, 1, index), start_slot, volume });
         let cases = [
             (sv(3, Gate::Closed), StealOutcome::Closed, Claim::Closed),
             (sv(3, open), StealOutcome::Empty, Claim::Exhausted),
@@ -670,10 +668,10 @@ mod tests {
                 let raw = cfg.layout.encode(sv);
                 let site = AtomicSite::SwsThiefClaim;
                 let (op, arg) = (ProtoOp::FetchAdd, ASTEAL_UNIT);
-                let e = ProtoEvent { t_ns: 0, issuer: 1, target: 0, offset: 0, len: 1, site: site.id(), op, arg, arg2: 0, prev: raw };
+                let e = ProtoEvent { t_ns: 0, issuer: 1, target: 0, offset: 0, len: 1, site: site.id(), attempt: 0, op, arg, arg2: 0, prev: raw };
                 assert_eq!(decode(&cfg, site, &e), Ok(Step::Claim(decoded)), "{sv:?}");
                 let (read, block) = match sws_claim(&cfg, raw) {
-                    Claim::Live { volume, start_slot, .. } => {
+                    Claim::Live(Block { volume, start_slot, .. }) => {
                         (StealOutcome::Got { tasks: volume }, (start_slot..start_slot + volume).map(|s| (s % 8) as u8).collect())
                     }
                     Claim::Closed => (StealOutcome::Closed, vec![]),

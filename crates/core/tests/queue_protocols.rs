@@ -154,6 +154,50 @@ fn steal_from_empty_target_reports_empty() {
     });
 }
 
+/// A captured 2-PE world per protocol: every op one `steal_from` or
+/// `probe` issues carries one attempt number, its own, and a PE's numbers
+/// rise by one a call — calls made while the sampling window is closed
+/// capture nothing but still use theirs.
+#[test]
+fn each_steal_attempt_stamps_its_ops_with_one_number() {
+    /// PE 1's calls against PE 0, with the window open or closed: the
+    /// thief ops each captured, and their distinct attempt numbers.
+    fn calls(ctx: &ShmemCtx, q: &mut dyn StealQueue) -> Vec<(usize, Vec<u32>)> {
+        if ctx.my_pe() == 0 {
+            for i in 0..64 {
+                q.enqueue(&task(i));
+            }
+            q.release();
+        }
+        ctx.barrier_all();
+        // (a steal rather than a probe, the window open)
+        let script = [(false, true), (true, true), (false, false), (true, false), (true, true)];
+        let mut calls = Vec::new();
+        for (steal, window) in script.into_iter().filter(|_| ctx.my_pe() == 1) {
+            ctx.set_capture_window(window);
+            if steal {
+                assert!(matches!(q.steal_from(0), StealOutcome::Got { .. }));
+            } else {
+                assert!(q.probe(0));
+            }
+            let events = ctx.take_proto_events();
+            let mut attempts: Vec<u32> =
+                events.iter().filter(|e| e.target != e.issuer).map(|e| e.attempt).collect();
+            let ops = attempts.len();
+            attempts.dedup();
+            calls.push((ops, attempts));
+        }
+        ctx.barrier_all();
+        calls
+    }
+    let world = || world(2).with_capture_proto();
+    let sws = run_world(world(), |ctx| calls(ctx, &mut SwsQueue::new(ctx, cfg_small()))).unwrap();
+    let sdc = run_world(world(), |ctx| calls(ctx, &mut SdcQueue::new(ctx, cfg_small()))).unwrap();
+    let want = |steal_ops| vec![(1, vec![1]), (steal_ops, vec![2]), (0, vec![]), (0, vec![]), (steal_ops, vec![5])];
+    assert_eq!(sws.results[1], want(3), "SWS");
+    assert_eq!(sdc.results[1], want(6), "SDC");
+}
+
 #[test]
 fn fig2_sws_steal_is_3_comms_2_blocking() {
     let out = run_world(world(2), |ctx| {

@@ -3,33 +3,25 @@
 //! and an op/blocking-op budget — the paper's Table 1 claim (SWS: 3 ops /
 //! 2 blocking; SDC: 6 / 5) as a checked runtime invariant.
 //!
-//! A span covers one steal attempt by one thief against one victim. The
-//! stitcher walks the log once, keeping one state machine per issuer
-//! (thief) over the protocol steps
-//! [`sws_core::protocol::decode`] reads out of each captured op (an op
-//! whose operands the protocol never issues is skipped — reporting it is
-//! the conformance replay's job), with phase names from the site catalog:
-//!
-//! * **SWS** — `SwsThiefClaim` (the fetch-add) always opens a new
-//!   attempt; the fetched stealval classifies it immediately (gate
-//!   closed → `Closed`, advertisement exhausted → `Empty`, otherwise a
-//!   live claim). A live claim continues through
-//!   `SwsThiefPayloadRead` and ends at `SwsThiefComplete`
-//!   (`set_nbi` → `Completed`; the fault path's CAS distinguishes
-//!   poison/reclaim → `Aborted`). `SwsThiefProbe` is its own
-//!   single-op span.
-//! * **SDC** — `SdcLockCas` opens an attempt; failed CASes and the
-//!   lock-free abort peeks between them are *contention* ops (charged
-//!   to the span but excluded from the per-steal core budget, matching
-//!   how the paper counts the protocol ops of an uncontended steal).
-//!   The locked path runs meta fetch → (fault marker) → tail put →
-//!   unlock → payload copy → completion; an unlock with no published
-//!   tail means the thief gave up (`Failed`/`Empty`).
-//!
-//! Capture only records ops whose memory effect applied, so a dropped
-//! completion leaves a span **open** — `SpanOutcome::Open` — rather
-//! than folding its ops into a neighbouring steal: any later claim
-//! against the same victim starts a fresh span by construction.
+//! A span is one steal attempt (or damped probe) by one thief against one
+//! victim: the thief's consecutive ops that carry one attempt number
+//! ([`ProtoEvent::attempt`]; the queue starts an attempt at the top of
+//! every `steal_from` and `probe`). Each op is read as the protocol step
+//! [`sws_core::protocol::decode`] finds in it (an op whose operands the
+//! protocol never issues is skipped — reporting it is the conformance
+//! replay's job) and named by its site's catalog row, or by its step where
+//! one site plays several parts: a lost SDC lock CAS is `contend`, a meta
+//! read is `probe` before any lock CAS and `peek` after a lost one, and
+//! the fault path writes a `marker`, a `rollback` and an SDC `poison`.
+//! While the lock is lost, CASes and peeks are *contention*: charged to
+//! the span but outside the per-steal core budget, as the paper counts an
+//! uncontended steal. One fold over the steps gives the outcome: a step
+//! that ends a steal decides it (landed, poisoned or lost race, a closed
+//! or exhausted claim, a probe, a meta read that found nothing); failing
+//! that, a claim published and not rolled back is **open** — capture
+//! records only ops whose memory effect applied, so a dropped completion
+//! leaves its span open instead of folding it into a neighbour — and
+//! anything else gave up (`Failed`).
 //!
 //! The result is a [`SpanList`]: the spans, and every span's phases in
 //! one array beside them, so no span owns heap memory.
@@ -236,206 +228,107 @@ impl<'a> IntoIterator for &'a SpanList {
     }
 }
 
-/// In-flight attempt state inside the stitcher.
-struct Attempt {
-    system: System,
-    victim: u32,
-    /// A claim exists remotely: the SWS fetch-add claimed a block, or the
-    /// SDC tail was published (and not rolled back).
-    claimed: bool,
-    /// SDC: the thief holds the victim's lock.
-    locked: bool,
-    /// SDC: the lock was won at some point (post-unlock ops like the
-    /// payload copy and completion still belong to this attempt, but a
-    /// fresh lock CAS or meta read no longer does).
-    ever_locked: bool,
-    /// SDC: how the attempt ends at its unlock, if it ends there — the
-    /// locked meta fetch saw an empty shared section, or the fault path
-    /// rolled the claim marker back.
-    at_unlock: Option<SpanOutcome>,
-}
-
-/// One thief's stitching state: the attempt in flight and its ops so
-/// far, in a buffer every attempt of this thief reuses.
+/// One thief's attempt in flight: its number and victim, its ops so far
+/// in a buffer every attempt reuses, and the fold of their steps — the
+/// SDC lock as the attempt last found it (`None`: no CAS yet), whether a
+/// claim stands published, and what a step that ends a steal decided.
+#[derive(Default)]
 struct Stitcher {
     thief: u32,
-    open: Option<Attempt>,
+    attempt: u32,
+    victim: u32,
     ops: Vec<PhaseSlice>,
+    lock: Option<bool>,
+    claimed: bool,
+    decided: Option<SpanOutcome>,
 }
 
 impl Stitcher {
-    /// End the open attempt, if any, with `outcome`: each op's duration
-    /// runs to the next one, and the ops move into `list`.
-    fn close(&mut self, list: &mut SpanList, outcome: SpanOutcome) {
-        let Some(a) = self.open.take() else {
-            return;
-        };
-        for i in 1..self.ops.len() {
-            self.ops[i - 1].dur_ns = self.ops[i].t_ns - self.ops[i - 1].t_ns;
-        }
-        list.push(a.system, self.thief, a.victim, outcome, &self.ops);
-        self.ops.clear();
-    }
-
-    /// The stream moved on (next claim/probe or end of trace) without a
-    /// terminal op: a published claim is `Open` — the mis-attribution
-    /// guard the chaos suite pins — everything else gave up before
-    /// claiming.
-    fn abandon(&mut self, list: &mut SpanList) {
-        let claimed = self.open.as_ref().is_some_and(|a| a.claimed);
-        self.close(list, if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
-    }
-
-    /// Abandon whatever is open and start a fresh attempt against
-    /// `victim` whose first op is `first`.
-    fn begin(
-        &mut self,
-        list: &mut SpanList,
-        system: System,
-        victim: u32,
-        first: PhaseSlice,
-    ) -> &mut Attempt {
-        self.abandon(list);
-        self.ops.push(first);
-        self.open.insert(Attempt {
-            system,
-            victim,
-            claimed: false,
-            locked: false,
-            ever_locked: false,
-            at_unlock: None,
-        })
-    }
-
-    /// Feed one of this thief's ops (`target != issuer`) through the
-    /// state machine described in the module docs.
+    /// Add one of this thief's ops (`target != issuer`), closing the
+    /// attempt in flight first if the op belongs to another.
     fn step(&mut self, list: &mut SpanList, e: &ProtoEvent, cfg: &QueueConfig) {
-        let Some(site) = AtomicSite::from_id(e.site) else {
+        // Owner-only sites never appear in a span.
+        let Some(site) = AtomicSite::from_id(e.site).filter(|s| !s.row().owner_only) else {
             return;
         };
         let Ok(step) = decode(cfg, site, e) else {
             return;
         };
-        let (system, phase) = (site.protocol(), site.row().phase);
-        let op = |name, contention| PhaseSlice {
+        if self.ops.is_empty() || e.attempt != self.attempt {
+            self.close(list);
+            (self.attempt, self.victim) = (e.attempt, e.target);
+        }
+        let name = self.fold(site, step);
+        if let Some(last) = self.ops.last_mut() {
+            last.dur_ns = e.t_ns - last.t_ns;
+        }
+        self.ops.push(PhaseSlice {
             name,
             t_ns: e.t_ns,
             dur_ns: 0,
             site,
             op: e.op,
             blocking: e.op.is_blocking(),
-            contention,
-        };
-        // The open attempt, if this op can belong to it.
-        let mine = self.open.as_mut().filter(|a| a.system == system && a.victim == e.target);
-        // An op that ends a steal but has no attempt to end — its claim
-        // was never captured — stands alone as an open SWS span; SDC ops
-        // outside an attempt carry nothing a span could be built from.
-        let orphan = mine.is_none() && system == System::Sws;
-        match step {
-            Step::Probe => {
-                self.begin(list, system, e.target, op(phase, false));
-                self.close(list, SpanOutcome::Probe);
+            contention: self.lock == Some(false) && matches!(step, Step::Lock { .. } | Step::Meta { .. }),
+        });
+    }
+
+    /// Fold one step into the attempt (see the module docs) and name its
+    /// op.
+    fn fold(&mut self, site: AtomicSite, step: Step) -> &'static str {
+        use SpanOutcome::*;
+        let phase = site.row().phase;
+        let (name, ends) = match step {
+            Step::Probe => (phase, Some(Probe)),
+            Step::Claim(Claim::Closed) => (phase, Some(Closed)),
+            Step::Claim(Claim::Exhausted | Claim::Overflow) => (phase, Some(Empty)),
+            Step::Claim(Claim::Live(_)) | Step::TailPut => {
+                self.claimed = true;
+                (phase, None)
             }
-            Step::Claim(claim) => {
-                let a = self.begin(list, system, e.target, op(phase, false));
-                match claim {
-                    Claim::Closed => self.close(list, SpanOutcome::Closed),
-                    Claim::Exhausted | Claim::Overflow => self.close(list, SpanOutcome::Empty),
-                    Claim::Live { .. } => a.claimed = true,
-                }
-            }
-            Step::Payload | Step::TailPut | Step::Marker => {
-                if orphan {
-                    self.begin(list, system, e.target, op(phase, false));
-                    self.close(list, SpanOutcome::Open);
-                } else if let Some(a) = mine {
-                    a.claimed |= step == Step::TailPut;
-                    self.ops.push(op(if step == Step::Marker { "marker" } else { phase }, false));
-                }
-            }
-            Step::Landed { .. } | Step::Poisoned { .. } | Step::LostRace => {
-                let poison = matches!(step, Step::Poisoned { .. }) && system == System::Sdc;
-                if orphan {
-                    self.begin(list, system, e.target, op(phase, false));
-                    self.close(list, SpanOutcome::Open);
-                } else if mine.is_some() {
-                    self.ops.push(op(if poison { "poison" } else { phase }, false));
-                    self.close(
-                        list,
-                        match step {
-                            Step::Landed { tasks } => SpanOutcome::Completed { tasks },
-                            _ => SpanOutcome::Aborted,
-                        },
-                    );
-                }
-            }
+            Step::Landed { tasks } => (phase, Some(Completed { tasks })),
+            Step::Poisoned { .. } if site.protocol() == System::Sdc => ("poison", Some(Aborted)),
+            Step::Poisoned { .. } | Step::LostRace => (phase, Some(Aborted)),
             Step::Lock { won } => {
-                // Attach only while the open attempt is still in its
-                // lock loop; a lock CAS after a won-and-released lock
-                // is the next steal attempt.
-                let cas = op(if won { phase } else { "contend" }, !won);
-                let a = match mine {
-                    Some(a) if !a.ever_locked => {
-                        self.ops.push(cas);
-                        a
-                    }
-                    _ => self.begin(list, system, e.target, cas),
-                };
-                (a.locked, a.ever_locked) = (won, won);
+                self.lock = Some(won);
+                (if won { phase } else { "contend" }, None)
             }
-            Step::Meta { empty } => match mine {
-                Some(a) if a.locked => {
-                    self.ops.push(op(phase, false));
-                    if empty {
-                        a.at_unlock = Some(SpanOutcome::Empty);
-                    }
-                }
-                Some(a) if !a.ever_locked => {
-                    // Lock-free abort peek between contended CASes.
-                    self.ops.push(op("peek", true));
-                    if empty {
-                        self.close(list, SpanOutcome::Closed);
-                    }
-                }
-                _ => {
-                    // A damped probe: SDC probes with a bare meta read.
-                    self.begin(list, system, e.target, op("probe", false));
-                    self.close(list, SpanOutcome::Probe);
-                }
+            Step::Meta { empty } => match self.lock {
+                None => ("probe", Some(Probe)),
+                Some(false) => ("peek", empty.then_some(Closed)),
+                Some(true) => (phase, empty.then_some(Empty)),
             },
+            Step::Marker => ("marker", None),
             Step::Rollback { .. } => {
-                if let Some(a) = mine {
-                    // The tail put never landed.
-                    a.claimed = false;
-                    a.at_unlock = Some(SpanOutcome::Failed);
-                    self.ops.push(op("rollback", false));
-                }
+                self.claimed = false;
+                ("rollback", None)
             }
-            Step::Unlock => {
-                if let Some(a) = mine {
-                    a.locked = false;
-                    self.ops.push(op(phase, false));
-                    // Unlock without a published tail: the thief bailed
-                    // out (meta fetch or marker put failed).
-                    let bailed = (!a.claimed).then_some(SpanOutcome::Failed);
-                    if let Some(outcome) = a.at_unlock.or(bailed) {
-                        self.close(list, outcome);
-                    }
-                }
-            }
-            // Owner-side steps never appear with target != issuer.
-            _ => {}
-        }
+            _ => (phase, None),
+        };
+        self.decided = ends.or(self.decided);
+        name
+    }
+
+    /// Close the attempt in flight, if any: failing a step that decided
+    /// it, a published claim is open and anything else gave up. Its ops
+    /// move into `list`.
+    fn close(&mut self, list: &mut SpanList) {
+        let Some(first) = self.ops.first() else {
+            return;
+        };
+        let claimed = std::mem::take(&mut self.claimed);
+        let outcome = self.decided.take().unwrap_or(if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
+        list.push(first.site.protocol(), self.thief, self.victim, outcome, &self.ops);
+        self.ops.clear();
+        self.lock = None;
     }
 }
 
 /// Stitch a captured log into spans, in the order they close. Owner-side
-/// ops (`target == issuer`) are ignored; every other op goes to its
-/// issuer's state machine (see the module docs), which reads the steps
-/// [`sws_core::protocol::decode`] finds in it. Each issuer's ops must be
-/// in its issue order (as captured); how the issuers interleave does not
-/// matter, so one PE's stream and a run's merged log both do.
+/// ops (`target == issuer`) are ignored; every other op joins its
+/// issuer's attempt in flight (see the module docs). Each issuer's ops
+/// must be in its issue order (as captured); how the issuers interleave
+/// does not matter, so one PE's stream and a run's merged log both do.
 pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> SpanList {
     let mut list = SpanList::default();
     // No thief op lands in more than one phase.
@@ -445,12 +338,12 @@ pub fn stitch_pe(events: &[ProtoEvent], cfg: &QueueConfig) -> SpanList {
         let thief = e.issuer as usize;
         if thief >= thieves.len() {
             let next = thieves.len() as u32..=e.issuer;
-            thieves.extend(next.map(|thief| Stitcher { thief, open: None, ops: Vec::new() }));
+            thieves.extend(next.map(|thief| Stitcher { thief, ..Stitcher::default() }));
         }
         thieves[thief].step(&mut list, e, cfg);
     }
     for st in &mut thieves {
-        st.abandon(&mut list);
+        st.close(&mut list);
     }
     list
 }
@@ -649,7 +542,8 @@ mod tests {
         })
     }
 
-    fn ev(t: u64, site: AtomicSite, op: ProtoOp, arg: u64, arg2: u64, prev: u64) -> ProtoEvent {
+    /// A captured op of PE 1's steal attempt `attempt` against PE 0.
+    fn ev(attempt: u32, t: u64, site: AtomicSite, op: ProtoOp, arg: u64, arg2: u64, prev: u64) -> ProtoEvent {
         ProtoEvent {
             t_ns: t,
             issuer: 1,
@@ -657,6 +551,7 @@ mod tests {
             offset: 0,
             len: 1,
             site: site.id(),
+            attempt,
             op,
             arg,
             arg2,
@@ -667,10 +562,10 @@ mod tests {
     #[test]
     fn sws_clean_steal_is_three_ops_two_blocking() {
         let events = [
-            ev(10, AtomicSite::SwsThiefProbe, ProtoOp::Fetch, 0, 0, sv_raw(0, 8)),
-            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
-            ev(30, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(45, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 4, 0, 0),
+            ev(1, 10, AtomicSite::SwsThiefProbe, ProtoOp::Fetch, 0, 0, sv_raw(0, 8)),
+            ev(2, 20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
+            ev(2, 30, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(2, 45, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 4, 0, 0),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -697,10 +592,10 @@ mod tests {
             tail: 0,
         });
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, closed_raw),
+            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, closed_raw),
             // Eight initial tasks under Half policy allow 3 steals; the
             // 9th asteal sees an exhausted advertisement.
-            ev(20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(9, 8)),
+            ev(2, 20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(9, 8)),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -714,12 +609,12 @@ mod tests {
         // First steal's completion never applied (dropped); the second
         // claim against the same victim must open a fresh span.
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
-            ev(20, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
+            ev(1, 20, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
             // no completion
-            ev(50, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(1, 8)),
-            ev(60, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(70, AtomicSite::SwsThiefComplete, ProtoOp::CompareSwap, 2, 0, 0),
+            ev(2, 50, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(1, 8)),
+            ev(2, 60, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(2, 70, AtomicSite::SwsThiefComplete, ProtoOp::CompareSwap, 2, 0, 0),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -733,8 +628,9 @@ mod tests {
     #[test]
     fn sws_fault_poison_is_aborted() {
         let events = [
-            ev(10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
+            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
             ev(
+                1,
                 20,
                 AtomicSite::SwsThiefComplete,
                 ProtoOp::CompareSwap,
@@ -751,18 +647,18 @@ mod tests {
     #[test]
     fn sdc_clean_steal_is_six_ops_five_blocking() {
         let events = [
-            // Damped probe (no open attempt).
-            ev(5, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            // Damped probe (its own attempt).
+            ev(1, 5, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
             // Contended round: failed CAS + abort peek.
-            ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 1),
-            ev(12, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            ev(2, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 1),
+            ev(2, 12, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
             // Won the lock.
-            ev(20, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
-            ev(25, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
-            ev(30, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
-            ev(35, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
-            ev(40, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(50, AtomicSite::SdcComplete, ProtoOp::SetNbi, 3, 0, 0),
+            ev(2, 20, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(2, 25, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            ev(2, 30, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
+            ev(2, 35, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(2, 40, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(2, 50, AtomicSite::SdcComplete, ProtoOp::SetNbi, 3, 0, 0),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -781,9 +677,9 @@ mod tests {
     #[test]
     fn sdc_peek_sees_closed_queue() {
         let events = [
-            ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 1),
+            ev(1, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 1),
             // tail (prev) == split (arg2): closed.
-            ev(12, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 8),
+            ev(1, 12, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 8),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 1);
@@ -795,16 +691,16 @@ mod tests {
         let m = Completion::Claimed(3).word();
         let events = [
             // Empty shared section: lock, meta (tail == split), unlock.
-            ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
-            ev(15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 4, 4),
-            ev(20, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(1, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(1, 15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 4, 4),
+            ev(1, 20, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
             // Fault path: lock, meta, marker, rollback (tail put never
             // applied), unlock → Failed.
-            ev(30, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
-            ev(35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
-            ev(40, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
-            ev(45, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 0, m, m),
-            ev(50, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(2, 30, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(2, 35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            ev(2, 40, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
+            ev(2, 45, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 0, m, m),
+            ev(2, 50, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -816,13 +712,13 @@ mod tests {
     fn sdc_fault_completed_is_seven_ops() {
         let m = Completion::Claimed(3).word();
         let events = [
-            ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
-            ev(15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
-            ev(20, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
-            ev(25, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
-            ev(30, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
-            ev(40, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(50, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 3, m, m),
+            ev(1, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(1, 15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            ev(1, 20, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
+            ev(1, 25, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
+            ev(1, 30, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(1, 40, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(1, 50, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 3, m, m),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 1);
@@ -838,13 +734,13 @@ mod tests {
     #[test]
     fn sdc_dropped_completion_is_open() {
         let events = [
-            ev(10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
-            ev(15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
-            ev(20, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
-            ev(25, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
-            ev(30, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(1, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(1, 15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
+            ev(1, 20, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
+            ev(1, 25, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(1, 30, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
             // completion dropped; next activity is a fresh probe.
-            ev(60, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 5),
+            ev(2, 60, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 5),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -852,9 +748,29 @@ mod tests {
         assert_eq!(spans[1].outcome, SpanOutcome::Probe);
     }
 
+    /// Two attempts against one victim: a won-lock empty attempt, then a
+    /// contended one whose peek finds the queue drained. The lock CAS
+    /// that opens the second is its own attempt's, not the first's.
+    #[test]
+    fn an_empty_attempt_then_a_contended_one_are_two_spans() {
+        let events = [
+            ev(1, 10, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(1, 15, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 4, 4),
+            ev(1, 20, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
+            ev(2, 30, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 1),
+            ev(2, 35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 4, 4),
+        ];
+        let spans = stitch_pe(&events, &cfg());
+        assert_eq!(spans.iter().map(|s| s.outcome).collect::<Vec<_>>(), [SpanOutcome::Empty, SpanOutcome::Closed]);
+        assert_eq!((spans[0].ops(), spans[0].contention_ops()), (3, 0));
+        assert_eq!((spans[1].ops(), spans[1].contention_ops()), (2, 2));
+        let names: Vec<&str> = spans.phases(&spans[1]).iter().map(|p| p.name).collect();
+        assert_eq!(names, ["contend", "peek"]);
+    }
+
     #[test]
     fn owner_ops_are_ignored() {
-        let mut e = ev(10, AtomicSite::SwsOwnerAdvertise, ProtoOp::Set, 0, 0, 0);
+        let mut e = ev(1, 10, AtomicSite::SwsOwnerAdvertise, ProtoOp::Set, 0, 0, 0);
         e.target = e.issuer;
         assert!(stitch_pe(&[e], &cfg()).is_empty());
     }

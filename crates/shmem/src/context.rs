@@ -434,53 +434,59 @@ mod switched {
             );
         }
 
+        // The two tests below read exact mapping bounds, which a sibling
+        // test's mapping placed right above a stack would merge into.
         #[test]
         fn a_reaped_stack_is_the_next_spawns_stack_guard_page_and_all() {
-            let mut first = Context::spawn(|| ()).unwrap();
-            let base = base_of(&first);
-            assert_guarded_stack_at(base);
-            assert!(resume(&mut first));
-            first.reap();
-            let mut local_at = 0;
-            let mut second = Context::spawn(|| {
-                let local = std::hint::black_box(7u8);
-                local_at = ptr::from_ref(&local) as usize;
-            })
-            .unwrap();
-            assert_eq!(base_of(&second), base, "the stack freed last is taken first");
-            assert!(resume(&mut second));
-            second.reap();
-            assert!((base + GUARD_BYTES..base + LEN).contains(&local_at));
-            assert_guarded_stack_at(base);
+            alone("a_reaped_stack_is_the_next_spawns_stack_guard_page_and_all", || {
+                let mut first = Context::spawn(|| ()).unwrap();
+                let base = base_of(&first);
+                assert_guarded_stack_at(base);
+                assert!(resume(&mut first));
+                first.reap();
+                let mut local_at = 0;
+                let mut second = Context::spawn(|| {
+                    let local = std::hint::black_box(7u8);
+                    local_at = ptr::from_ref(&local) as usize;
+                })
+                .unwrap();
+                assert_eq!(base_of(&second), base, "the stack freed last is taken first");
+                assert!(resume(&mut second));
+                second.reap();
+                assert!((base + GUARD_BYTES..base + LEN).contains(&local_at));
+                assert_guarded_stack_at(base);
+            });
         }
 
         #[test]
         fn an_abandoned_context_returns_its_stack_and_the_next_tenant_runs_on_it() {
-            let mut left = Context::spawn(|| {
-                let junk = std::hint::black_box([0xAAu8; 8192]);
-                suspend();
-                std::hint::black_box(&junk);
-            })
-            .unwrap();
-            let base = base_of(&left);
-            assert!(!resume(&mut left));
-            drop(left); // mid-run: its frames stay where they are
-            assert!(free_bases().contains(&base));
-            let mut sums = Vec::new();
-            let mut next = Context::spawn(|| {
-                for round in 1..=3u64 {
-                    // Its own locals are what it wrote, whatever lay there.
-                    let mine = std::hint::black_box([round; 1024]);
+            alone("an_abandoned_context_returns_its_stack_and_the_next_tenant_runs_on_it", || {
+                let mut left = Context::spawn(|| {
+                    let junk = std::hint::black_box([0xAAu8; 8192]);
                     suspend();
-                    sums.push(mine.iter().sum::<u64>());
-                }
-            })
-            .unwrap();
-            assert_eq!(base_of(&next), base);
-            while !resume(&mut next) {}
-            next.reap();
-            assert_eq!(sums, [1024, 2048, 3072]);
-            assert_guarded_stack_at(base);
+                    std::hint::black_box(&junk);
+                })
+                .unwrap();
+                let base = base_of(&left);
+                assert!(!resume(&mut left));
+                drop(left); // mid-run: its frames stay where they are
+                assert!(free_bases().contains(&base));
+                let mut sums = Vec::new();
+                let mut next = Context::spawn(|| {
+                    for round in 1..=3u64 {
+                        // Its own locals are what it wrote, whatever lay there.
+                        let mine = std::hint::black_box([round; 1024]);
+                        suspend();
+                        sums.push(mine.iter().sum::<u64>());
+                    }
+                })
+                .unwrap();
+                assert_eq!(base_of(&next), base);
+                while !resume(&mut next) {}
+                next.reap();
+                assert_eq!(sums, [1024, 2048, 3072]);
+                assert_guarded_stack_at(base);
+            });
         }
 
         #[test]

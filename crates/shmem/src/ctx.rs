@@ -57,6 +57,9 @@ pub struct ShmemCtx {
     /// opens it per sampled steal attempt (see `SchedConfig::
     /// sample_period`); always open by default (full capture).
     capture_window: Cell<bool>,
+    /// The steal attempt this PE is in ([`ShmemCtx::begin_attempt`]),
+    /// stamped on every captured event.
+    attempt: Cell<u32>,
     /// Per-site contention counters (`WorldConfig::profile_sites`);
     /// indexed by raw site id, bumped with plain stores in the op
     /// adapters. `None` keeps the op surface profile-free.
@@ -92,6 +95,7 @@ impl ShmemCtx {
             collective_depth: Cell::new(0),
             capture,
             capture_window: Cell::new(true),
+            attempt: Cell::new(0),
             site_prof,
             armed_site: Cell::new(NO_SITE),
             sites_observed,
@@ -195,6 +199,15 @@ impl ShmemCtx {
         self.capture_window.set(open);
     }
 
+    /// Start the next steal attempt: every event captured from here on
+    /// carries its number ([`ProtoEvent::attempt`]), so a span is the
+    /// events of one attempt. Numbers rise by one per call whether or not
+    /// the sampling window is open. Issues no op and charges no time.
+    #[inline]
+    pub fn begin_attempt(&self) {
+        self.attempt.set(self.attempt.get().wrapping_add(1));
+    }
+
     /// Whether the sampling window currently admits events: capture is
     /// armed *and* the window is open.
     #[inline]
@@ -267,6 +280,7 @@ impl ShmemCtx {
             offset: addr.word() as u32,
             len: len as u32,
             site,
+            attempt: self.attempt.get(),
             op,
             arg,
             arg2,

@@ -99,6 +99,9 @@ pub struct ProtoEvent {
     /// `AtomicSite` id (`sws_core::AtomicSite::id`); never [`NO_SITE`]
     /// in a captured event.
     pub site: u16,
+    /// The issuer's steal attempt the op belongs to
+    /// ([`crate::ShmemCtx::begin_attempt`]); not part of the rendering.
+    pub attempt: u32,
     /// Operation shape.
     pub op: ProtoOp,
     /// Operand (see the [`ProtoOp`] variant docs).
@@ -108,6 +111,9 @@ pub struct ProtoEvent {
     /// Pre-op value of the touched word (first word for bulk reads).
     pub prev: u64,
 }
+
+// The attempt number sits in what was padding: a capture costs what it did.
+const _: () = assert!(std::mem::size_of::<ProtoEvent>() == 56);
 
 impl std::fmt::Display for ProtoEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -204,6 +210,7 @@ mod tests {
             offset: 9,
             len: 1,
             site: 3,
+            attempt: 0,
             op: ProtoOp::FetchAdd,
             arg: 1,
             arg2: 0,

@@ -48,15 +48,13 @@ use std::sync::Arc;
 
 use sws_core::steal_half::StealPolicy;
 use sws_core::stealval::Layout;
-use sws_core::{AtomicSite, DepClass, MemOrder, Mutation, QueueConfig, Weakening};
+use sws_core::{AtomicSite, DepClass, Mutation, QueueConfig, Weakening};
 use sws_sched::{try_run_workload_mode, QueueKind, RunConfig, SchedConfig};
 use sws_shmem::explore::{
     Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc, TRUNCATED_MSG,
 };
-use sws_shmem::overrides::{ORD_ACQREL, ORD_ACQUIRE, ORD_RELAXED, ORD_RELEASE};
 use sws_shmem::{
-    ExecMode, FaultPlan, OpClass, OrdTracker, OrderingCtl, OrderingOverrides, ShmemError,
-    TargetSel,
+    ExecMode, FaultPlan, OpClass, OrdTracker, OrderingCtl, ShmemError, TargetSel,
 };
 use sws_task::{PayloadReader, TaskDescriptor, TaskRegistry};
 use sws_workloads::synth::{sized_task, SYNTH_FN};
@@ -233,27 +231,6 @@ pub fn find_scenario(name: &str) -> Option<Scenario> {
 // Ordering control (the necessity prover's mutant tables).
 // ---------------------------------------------------------------------------
 
-fn ord_code(o: MemOrder) -> u8 {
-    match o {
-        MemOrder::Relaxed => ORD_RELAXED,
-        MemOrder::Acquire => ORD_ACQUIRE,
-        MemOrder::Release => ORD_RELEASE,
-        MemOrder::AcqRel => ORD_ACQREL,
-    }
-}
-
-/// The catalog's production orderings as an explicit override table.
-/// Behaviorally identical to no table at all — the identity differential
-/// test pins this — but resolvable per site, so one entry can be
-/// weakened.
-pub fn production_overrides() -> OrderingOverrides {
-    let mut t = OrderingOverrides::identity();
-    for s in AtomicSite::ALL {
-        t = t.with(s.id(), ord_code(s.production()));
-    }
-    t
-}
-
 /// The live tracker's fresh-read obligations: only the payload block
 /// copies. Metadata reads (`SdcMetaRead` and friends) are deliberately
 /// excluded — the protocols read stale metadata legally (abort peeks,
@@ -266,20 +243,18 @@ pub fn fresh_spec() -> Vec<(u16, u32)> {
 }
 
 /// Build the ordering control for a live run: the production table with
-/// `weaken` applied (if any) plus the happens-before tracker.
+/// `weaken` applied (if any) — the table the model explores the same
+/// mutant under — plus the happens-before tracker.
 pub fn ordering_ctl(
     n_pes: usize,
     weaken: Option<(AtomicSite, Weakening)>,
 ) -> Arc<OrderingCtl> {
-    let mut ov = production_overrides();
-    if let Some((site, w)) = weaken {
-        ov = match w {
-            Weakening::Order(o) => ov.with(site.id(), ord_code(o)),
-            Weakening::CasFailure => ov.with_cas_fail_relaxed(site.id()),
-        };
-    }
+    let table = AtomicSite::production_table();
     Arc::new(OrderingCtl {
-        overrides: ov,
+        overrides: match weaken {
+            Some((site, w)) => w.apply(site, table),
+            None => table,
+        },
         tracker: Some(OrdTracker::new(n_pes, fresh_spec())),
     })
 }
@@ -906,6 +881,7 @@ pub fn replay_schedule(text: &str, max_steps: u64) -> Result<RunResult, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sws_core::MemOrder;
     use sws_shmem::NO_SITE;
 
     fn desc(site: u16, target: u32, writes: bool) -> OpDesc {

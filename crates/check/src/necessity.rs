@@ -15,6 +15,10 @@
 //!   [`sws_shmem::OrderingCtl`] and the vector-clock tracker checking
 //!   the weakened happens-before (see `sws_shmem::overrides`).
 //!
+//! Both tables are one value: [`sws_core::Weakening::apply`] on
+//! [`AtomicSite::production_table`], so the two oracles test the same
+//! mutant (`tests/necessity_live.rs` checks it for every mutant).
+//!
 //! A mutant the live oracle breaks yields a ddmin-shrunk schedule file
 //! committed under `crates/check/schedules/`; a mutant that survives is
 //! recorded in `schedules/EXHAUSTED.tsv` with the bounds that back the

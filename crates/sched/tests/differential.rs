@@ -278,21 +278,8 @@ fn threaded_mode_has_no_engine() {
 /// The identity override table: every site resolved through the table
 /// at its own production ordering, no tracker.
 fn identity_ctl() -> Arc<OrderingCtl> {
-    use sws_core::{AtomicSite, MemOrder};
-    use sws_shmem::overrides::{ORD_ACQREL, ORD_ACQUIRE, ORD_RELAXED, ORD_RELEASE};
-
-    let mut ov = sws_shmem::OrderingOverrides::identity();
-    for s in AtomicSite::ALL {
-        let code = match s.production() {
-            MemOrder::Relaxed => ORD_RELAXED,
-            MemOrder::Acquire => ORD_ACQUIRE,
-            MemOrder::Release => ORD_RELEASE,
-            MemOrder::AcqRel => ORD_ACQREL,
-        };
-        ov = ov.with(s.id(), code);
-    }
     Arc::new(OrderingCtl {
-        overrides: ov,
+        overrides: sws_core::AtomicSite::production_table(),
         tracker: None,
     })
 }

@@ -79,7 +79,7 @@ pub use error::{OpError, OpResult, ShmemError, ShmemResult};
 pub use fault::{FaultPlan, OpClass, RetryPolicy, TargetSel};
 pub use heap::{SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS, CTRL_WORDS as HEAP_CTRL_WORDS};
 pub use net::{Locality, NetModel, OpKind, ALL_OP_KINDS, OP_KIND_COUNT};
-pub use overrides::{OrdTracker, OrderingCtl, OrderingOverrides};
+pub use overrides::{MemOrder, OpRole, OrdTracker, OrderingCtl, OrderingOverrides};
 pub use prof::{merge_site_profiles, SiteCounters};
 pub use proto::{ProtoEvent, ProtoOp, NO_SITE};
 pub use runtime::{run_world, ExecMode, WorldConfig, WorldOutput};

@@ -24,6 +24,9 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::iter;
 
+use crate::net::OpKind;
+use crate::overrides::OpRole;
+
 /// "No site" sentinel for [`ProtoEvent::site`] annotations. Ops armed
 /// with this value (or never armed) are not captured.
 pub const NO_SITE: u16 = u16::MAX;
@@ -57,13 +60,40 @@ pub enum ProtoOp {
 }
 
 impl ProtoOp {
-    /// Does the op block the issuer until the remote effect is visible?
-    /// Mirrors `OpKind::is_blocking`: only the nbi shapes are passive —
-    /// they complete at the next `quiet`. This is the classification the
-    /// paper's Fig. 2 op budget counts (3 ops / 2 blocking for SWS, 6 / 5
-    /// for SDC), so the telemetry layer charges spans with it.
+    /// The op kind the shape is issued, costed and counted as.
+    pub fn kind(self) -> OpKind {
+        match self {
+            ProtoOp::FetchAdd => OpKind::AtomicFetchAdd,
+            ProtoOp::Swap => OpKind::AtomicSwap,
+            ProtoOp::CompareSwap => OpKind::AtomicCompareSwap,
+            ProtoOp::Fetch => OpKind::AtomicFetch,
+            ProtoOp::Set => OpKind::AtomicSet,
+            ProtoOp::SetNbi => OpKind::AtomicSetNbi,
+            ProtoOp::AddNbi => OpKind::AtomicAddNbi,
+            ProtoOp::Get => OpKind::Get,
+            ProtoOp::Put => OpKind::Put,
+        }
+    }
+
+    /// What the shape does to each word it touches, for ordering and
+    /// tracking.
+    pub fn role(self) -> OpRole {
+        match self {
+            ProtoOp::FetchAdd | ProtoOp::Swap | ProtoOp::AddNbi => OpRole::Rmw,
+            ProtoOp::CompareSwap => OpRole::Cas,
+            ProtoOp::Fetch | ProtoOp::Get => OpRole::Load,
+            ProtoOp::Set | ProtoOp::SetNbi | ProtoOp::Put => OpRole::Store,
+        }
+    }
+
+    /// Does the op block the issuer until the remote effect is visible
+    /// ([`OpKind::is_blocking`] of its [`ProtoOp::kind`])? Only the nbi
+    /// shapes are passive — they complete at the next `quiet`. This is
+    /// the classification the paper's Fig. 2 op budget counts (3 ops / 2
+    /// blocking for SWS, 6 / 5 for SDC), so the telemetry layer charges
+    /// spans with it.
     pub fn is_blocking(self) -> bool {
-        !matches!(self, ProtoOp::SetNbi | ProtoOp::AddNbi)
+        self.kind().is_blocking()
     }
 
     /// Short name for reports.

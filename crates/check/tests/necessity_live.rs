@@ -7,6 +7,8 @@ use sws_check::live::{
     explore_scenario, find_scenario, ordering_ctl, parse_schedule, replay_schedule,
     ring_reuse_scenario, run_schedule, write_schedule, ExplorerConfig,
 };
+use sws_check::mem::OrdTable;
+use sws_check::necessity::mutants;
 use sws_core::{AtomicSite, MemOrder, Weakening};
 
 fn test_cfg() -> ExplorerConfig {
@@ -125,5 +127,31 @@ fn identity_table_is_behaviorally_invisible() {
         let t = run_schedule(&tabled, &[1, 0, 1], 40_000);
         assert_eq!(bare.trace, t.trace, "{name}");
         assert_eq!(bare.failure, t.failure, "{name}");
+    }
+}
+
+/// Both oracles test one mutant. For every (site, weakening) the campaign
+/// covers, the CAS failure-path mutant included, the table a live world
+/// resolves its ops from holds the model table's entry at every catalog
+/// site — ordering and CAS failure ordering alike — and that entry is
+/// production everywhere but the mutated site, which holds the weakening.
+#[test]
+fn live_and_model_tables_agree_on_every_mutant() {
+    let space = mutants();
+    assert!(space.iter().any(|&(_, w)| w == Weakening::CasFailure));
+    for (site, w) in space {
+        let live = ordering_ctl(2, Some((site, w)));
+        let model = OrdTable::mutant(site, w);
+        for s in AtomicSite::ALL {
+            let resolved = live.overrides.entry(s.id());
+            let at = format!("{} {}: {}", site.name(), w.label(), s.name());
+            assert_eq!(resolved, (model.get(s), model.cas_fail(s)), "{at}");
+            let expected = match w {
+                Weakening::Order(o) if s == site => (o, MemOrder::Acquire),
+                Weakening::CasFailure if s == site => (s.production(), MemOrder::Relaxed),
+                _ => (s.production(), MemOrder::Acquire),
+            };
+            assert_eq!(resolved, expected, "{at}");
+        }
     }
 }

@@ -49,7 +49,7 @@ pub mod top;
 
 pub use bound::{check_steal_bound, steal_bound_to_json, StealBoundReport};
 pub use contention::{contention_rows, contention_table, contention_to_json, ContentionRow};
-pub use metrics::{HistId, MetricId, MetricKind, Registry, Shard};
+pub use metrics::{MetricKind, Registry};
 pub use perfetto::{chrome_trace, validate_chrome_trace, TraceRun, TraceStats};
 pub use report_json::{comm_report_to_json, report_to_json};
 pub use snap::{

@@ -1,18 +1,11 @@
-//! A per-PE sharded metrics registry.
+//! The per-PE sharded metrics registry a finished run exports through.
 //!
-//! Metrics are declared once against the [`Registry`] (getting back a
-//! cheap copyable [`MetricId`]/[`HistId`] handle), then recorded into a
-//! per-PE [`Shard`] with plain stores — no atomics, no locks — and
-//! merged only at report time. A disarmed registry costs exactly one
-//! predictable branch per record call, mirroring how the proto-capture
-//! layer gates itself; the differential suite pins that arming the
-//! telemetry does not perturb results.
-//!
-//! [`Registry::from_report`] adapts the existing ad-hoc stat carriers —
-//! `QueueStats`, `OpStats`, `EngineStats`, `WorkerStats` — into the
-//! registry as the single export surface: `render_text()` emits a
-//! Prometheus-style text exposition, `to_json()` a machine-readable
-//! snapshot (`sws-run --metrics` prints both ways).
+//! [`Registry::from_report`] is the only way to build one: it adapts the
+//! ad-hoc stat carriers — `QueueStats`, `OpStats`, `EngineStats`,
+//! `WorkerStats` — into one metric table with one shard per PE, merged
+//! only when rendered. `render_text()` emits a Prometheus-style text
+//! exposition, `to_json()` a machine-readable snapshot (`sws-run
+//! --metrics` prints both ways).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,11 +37,11 @@ impl MetricKind {
 
 /// Handle to a scalar metric.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MetricId(usize);
+struct MetricId(usize);
 
 /// Handle to a histogram metric.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct HistId(usize);
+struct HistId(usize);
 
 struct Desc {
     name: String,
@@ -58,89 +51,34 @@ struct Desc {
 
 /// One PE's metric storage: plain `u64` slots and histograms.
 #[derive(Default)]
-pub struct Shard {
-    armed: bool,
+struct Shard {
     scalars: Vec<u64>,
     hists: Vec<Pow2Histogram>,
 }
 
 impl Shard {
-    /// Add to a counter. One branch when the registry is disarmed.
-    #[inline]
-    pub fn add(&mut self, id: MetricId, v: u64) {
-        if !self.armed {
-            return;
-        }
+    fn add(&mut self, id: MetricId, v: u64) {
         self.scalars[id.0] += v;
     }
 
-    /// Store a gauge value.
-    #[inline]
-    pub fn set(&mut self, id: MetricId, v: u64) {
-        if !self.armed {
-            return;
-        }
+    fn set(&mut self, id: MetricId, v: u64) {
         self.scalars[id.0] = v;
     }
 
-    /// Record a histogram sample.
-    #[inline]
-    pub fn observe(&mut self, id: HistId, sample: u64) {
-        if !self.armed {
-            return;
-        }
+    fn observe(&mut self, id: HistId, sample: u64) {
         self.hists[id.0].record(sample);
     }
 }
 
-/// The sharded registry. Declare metrics up front, hand each PE its
-/// shard, merge at report time.
+/// The sharded registry: metrics declared up front, one shard per PE,
+/// merged at render time.
 pub struct Registry {
-    armed: bool,
     descs: Vec<Desc>,
     hist_descs: Vec<Desc>,
     shards: Vec<Shard>,
 }
 
 impl Registry {
-    /// An armed registry with one shard per PE.
-    pub fn new(n_shards: usize) -> Registry {
-        Registry::with_armed(n_shards, true)
-    }
-
-    /// A disarmed registry: every record call is a single early-return
-    /// branch and the report surfaces render empty.
-    pub fn disarmed(n_shards: usize) -> Registry {
-        Registry::with_armed(n_shards, false)
-    }
-
-    fn with_armed(n_shards: usize, armed: bool) -> Registry {
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            shards.push(Shard {
-                armed,
-                scalars: Vec::new(),
-                hists: Vec::new(),
-            });
-        }
-        Registry {
-            armed,
-            descs: Vec::new(),
-            hist_descs: Vec::new(),
-            shards,
-        }
-    }
-
-    /// Is the registry recording?
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Number of shards (PEs).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn scalar(&mut self, name: &str, help: &str, kind: MetricKind) -> MetricId {
         debug_assert!(
             !self.descs.iter().any(|d| d.name == name),
@@ -158,18 +96,15 @@ impl Registry {
         id
     }
 
-    /// Declare a counter.
-    pub fn counter(&mut self, name: &str, help: &str) -> MetricId {
+    fn counter(&mut self, name: &str, help: &str) -> MetricId {
         self.scalar(name, help, MetricKind::Counter)
     }
 
-    /// Declare a gauge.
-    pub fn gauge(&mut self, name: &str, help: &str) -> MetricId {
+    fn gauge(&mut self, name: &str, help: &str) -> MetricId {
         self.scalar(name, help, MetricKind::Gauge)
     }
 
-    /// Declare a histogram.
-    pub fn histogram(&mut self, name: &str, help: &str) -> HistId {
+    fn histogram(&mut self, name: &str, help: &str) -> HistId {
         debug_assert!(
             !self.hist_descs.iter().any(|d| d.name == name),
             "duplicate histogram {name}"
@@ -186,23 +121,18 @@ impl Registry {
         id
     }
 
-    /// A PE's shard, for recording.
-    pub fn shard_mut(&mut self, pe: usize) -> &mut Shard {
-        &mut self.shards[pe]
-    }
-
     /// Merged (summed-across-shards) value of a scalar.
-    pub fn merged(&self, id: MetricId) -> u64 {
+    fn merged(&self, id: MetricId) -> u64 {
         self.shards.iter().map(|s| s.scalars[id.0]).sum()
     }
 
     /// Per-shard values of a scalar.
-    pub fn per_pe(&self, id: MetricId) -> Vec<u64> {
+    fn per_pe(&self, id: MetricId) -> Vec<u64> {
         self.shards.iter().map(|s| s.scalars[id.0]).collect()
     }
 
     /// Merged histogram across shards.
-    pub fn merged_hist(&self, id: HistId) -> Pow2Histogram {
+    fn merged_hist(&self, id: HistId) -> Pow2Histogram {
         let mut h = Pow2Histogram::default();
         for s in &self.shards {
             h.merge(&s.hists[id.0]);
@@ -245,8 +175,7 @@ impl Registry {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"armed\":{},\"pes\":{},\"metrics\":{{",
-            self.armed,
+            "{{\"armed\":true,\"pes\":{},\"metrics\":{{",
             self.shards.len()
         );
         let by_name = |descs: &[Desc]| -> Vec<usize> {
@@ -298,8 +227,11 @@ impl Registry {
     /// carriers hold, one shard per PE, plus span-level latency
     /// histograms when stitched spans are available.
     pub fn from_report(report: &RunReport, spans: Option<&SpanList>) -> Registry {
-        let n = report.workers.len();
-        let mut reg = Registry::new(n);
+        let mut reg = Registry {
+            descs: Vec::new(),
+            hist_descs: Vec::new(),
+            shards: (0..report.workers.len()).map(|_| Shard::default()).collect(),
+        };
 
         // Worker-level.
         let tasks = reg.counter("sws_tasks_executed", "tasks executed");
@@ -397,7 +329,7 @@ impl Registry {
         }
 
         for (pe, w) in report.workers.iter().enumerate() {
-            let shard = reg.shard_mut(pe);
+            let shard = &mut reg.shards[pe];
             shard.add(tasks, w.tasks_executed);
             shard.add(task_ns, w.task_ns);
             shard.add(steal_ns, w.steal_ns);
@@ -416,7 +348,7 @@ impl Registry {
             shard.add(gate_wait_ns, w.engine.gate_wait_ns);
         }
         for (pe, st) in report.comm.per_pe.iter().enumerate() {
-            let shard = reg.shard_mut(pe);
+            let shard = &mut reg.shards[pe];
             for &(k, ops, bytes, failed) in &comm_ops {
                 shard.add(ops, st.count(k));
                 shard.add(bytes, st.bytes_of(k));
@@ -426,7 +358,7 @@ impl Registry {
         }
         if let Some(spans) = spans {
             for s in spans {
-                let shard = reg.shard_mut(s.thief as usize);
+                let shard = &mut reg.shards[s.thief as usize];
                 shard.observe(h_latency, s.latency_ns());
                 shard.observe(h_ops, s.ops());
                 shard.observe(h_blocking, s.blocking_ops());
@@ -447,85 +379,61 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sws_sched::report::WorkerStats;
 
-    #[test]
-    fn counters_merge_across_shards() {
-        let mut reg = Registry::new(3);
-        let c = reg.counter("sws_x", "x");
-        let g = reg.gauge("sws_g", "g");
-        let h = reg.histogram("sws_h", "h");
-        reg.shard_mut(0).add(c, 2);
-        reg.shard_mut(2).add(c, 5);
-        reg.shard_mut(1).set(g, 7);
-        reg.shard_mut(0).observe(h, 100);
-        reg.shard_mut(2).observe(h, 3);
-        assert_eq!(reg.merged(c), 7);
-        assert_eq!(reg.per_pe(c), vec![2, 0, 5]);
-        assert_eq!(reg.merged(g), 7);
-        let mh = reg.merged_hist(h);
-        assert_eq!(mh.n, 2);
-        assert_eq!(mh.sum, 103);
-        let text = reg.render_text();
-        assert!(text.contains("sws_x 7"), "{text}");
-        assert!(text.contains("# TYPE sws_g gauge"), "{text}");
-        assert!(text.contains("sws_h_count 2"), "{text}");
+    /// A finished three-PE run whose PEs executed `tasks` tasks each.
+    fn report(tasks: [u64; 3]) -> RunReport {
+        RunReport {
+            system: "SWS".to_string(),
+            n_pes: 3,
+            makespan_ns: 0,
+            workers: tasks
+                .iter()
+                .map(|&t| WorkerStats { tasks_executed: t, runtime_ns: t, ..WorkerStats::default() })
+                .collect(),
+            comm: Default::default(),
+            proto: Vec::new(),
+            wall_ms: 0,
+        }
     }
 
     #[test]
-    fn disarmed_records_nothing_with_one_branch() {
-        let mut reg = Registry::disarmed(2);
-        let c = reg.counter("sws_x", "x");
-        let h = reg.histogram("sws_h", "h");
-        reg.shard_mut(0).add(c, 2);
-        reg.shard_mut(1).observe(h, 9);
-        assert_eq!(reg.merged(c), 0);
-        assert_eq!(reg.merged_hist(h).n, 0);
-        assert!(!reg.armed());
+    fn counters_merge_across_shards() {
+        let reg = Registry::from_report(&report([2, 0, 5]), None);
+        let id = |name| MetricId(reg.descs.iter().position(|d| d.name == name).expect(name));
+        assert_eq!(reg.merged(id("sws_tasks_executed")), 7);
+        assert_eq!(reg.per_pe(id("sws_tasks_executed")), vec![2, 0, 5]);
+        assert_eq!(reg.merged(id("sws_runtime_ns")), 7);
+        assert_eq!(reg.merged_hist(HistId(0)).n, 0, "no spans, no samples");
+        let text = reg.render_text();
+        assert!(text.contains("sws_tasks_executed 7"), "{text}");
+        assert!(text.contains("# TYPE sws_runtime_ns gauge"), "{text}");
+        assert!(text.contains("sws_span_latency_ns_count 0"), "{text}");
     }
 
     #[test]
     fn json_emits_name_sorted_regardless_of_declaration_order() {
-        // Two registries with the same metrics declared in opposite
-        // orders must serialize identically (golden determinism for the
-        // snapshot stream's consumers).
-        let mut a = Registry::new(1);
-        let ax = a.counter("sws_x", "x");
-        let aa = a.counter("sws_a", "a");
-        let _ah = a.histogram("sws_zh", "zh");
-        let _ag = a.histogram("sws_bh", "bh");
-        let mut b = Registry::new(1);
-        let ba = b.counter("sws_a", "a");
-        let bx = b.counter("sws_x", "x");
-        let _bg = b.histogram("sws_bh", "bh");
-        let _bh = b.histogram("sws_zh", "zh");
-        a.shard_mut(0).add(ax, 3);
-        a.shard_mut(0).add(aa, 9);
-        b.shard_mut(0).add(bx, 3);
-        b.shard_mut(0).add(ba, 9);
-        assert_eq!(a.to_json(), b.to_json());
-        let j = a.to_json();
-        let x_at = j.find("\"sws_x\"").unwrap();
-        let a_at = j.find("\"sws_a\"").unwrap();
-        assert!(a_at < x_at, "metrics must emit name-sorted: {j}");
-        let bh_at = j.find("\"sws_bh\"").unwrap();
-        let zh_at = j.find("\"sws_zh\"").unwrap();
-        assert!(bh_at < zh_at, "histograms must emit name-sorted: {j}");
+        // `from_report` declares `sws_tasks_executed` before the queue,
+        // comm and engine metrics and the latency histogram before the
+        // op-count ones; the snapshot still emits every object by name.
+        let reg = Registry::from_report(&report([1, 2, 3]), None);
+        assert!(reg.descs[0].name > reg.descs[1].name, "declared out of order");
+        let j = reg.to_json();
+        let at = |name: &str| j.find(&format!("\"{name}\"")).expect(name);
+        assert!(at("sws_comm_ns") < at("sws_queue_popped"), "{j}");
+        assert!(at("sws_queue_popped") < at("sws_tasks_executed"), "{j}");
+        assert!(at("sws_span_blocking_ops") < at("sws_span_latency_ns"), "{j}");
     }
 
     #[test]
     fn json_snapshot_parses() {
-        let mut reg = Registry::new(2);
-        let c = reg.counter("sws_x", "x");
-        let h = reg.histogram("sws_h", "h");
-        reg.shard_mut(1).add(c, 4);
-        reg.shard_mut(0).observe(h, 5);
+        let reg = Registry::from_report(&report([0, 4, 0]), None);
         let j = crate::json::Json::parse(&reg.to_json()).expect("valid json");
-        assert_eq!(j.get("pes").unwrap().as_f64(), Some(2.0));
-        let m = j.get("metrics").unwrap().get("sws_x").unwrap();
+        assert_eq!(j.get("pes").unwrap().as_f64(), Some(3.0));
+        let m = j.get("metrics").unwrap().get("sws_tasks_executed").unwrap();
         assert_eq!(m.get("total").unwrap().as_f64(), Some(4.0));
-        assert_eq!(m.get("per_pe").unwrap().as_arr().unwrap().len(), 2);
-        let hh = j.get("histograms").unwrap().get("sws_h").unwrap();
-        assert_eq!(hh.get("n").unwrap().as_f64(), Some(1.0));
-        assert_eq!(hh.get("p50").unwrap().as_f64(), Some(8.0));
+        assert_eq!(m.get("per_pe").unwrap().as_arr().unwrap().len(), 3);
+        let hh = j.get("histograms").unwrap().get("sws_span_latency_ns").unwrap();
+        assert_eq!(hh.get("n").unwrap().as_f64(), Some(0.0));
     }
 }

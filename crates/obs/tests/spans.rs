@@ -207,7 +207,7 @@ fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
     let runs = [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)];
     let got = runs.map(|(kind, drop)| {
         let report = pinned_run(kind, drop, 0, false);
-        let log: &[ProtoEvent] = &report.proto_trace();
+        let log: &[ProtoEvent] = report.proto_trace();
         assert!(log.is_sorted_by_key(|e| (e.t_ns, e.issuer)), "{kind:?} drop {drop}: out of order");
         let mut last_t: Vec<Option<u64>> = vec![None; report.n_pes];
         for e in log {

@@ -68,16 +68,16 @@ pub struct WorldConfig {
     /// when off, the op surface carries no capture state.
     pub capture_proto: bool,
     /// Record per-site contention counters ([`crate::SiteCounters`])
-    /// with plain per-PE stores in the op adapters (`sws-run
-    /// --contention`). Off by default; when off, the op surface carries
-    /// no profiling state.
+    /// with plain per-PE stores at the op path's one observation point
+    /// (`sws-run --contention`). Off by default; when off, the op surface
+    /// carries no profiling state.
     pub profile_sites: bool,
     /// Per-site memory-ordering control for the necessity prover (see
-    /// [`crate::overrides`]): an override table resolving each annotated
-    /// atomic's ordering through the site catalog, plus an optional live
-    /// happens-before tracker. `None` (the default everywhere outside
-    /// `sws-check necessity`) keeps the op layer's hardcoded orderings
-    /// with zero dispatch cost.
+    /// [`crate::overrides`]): the catalog's ordering table, one mutant
+    /// applied or none, that every annotated op resolves its ordering
+    /// through, plus an optional live happens-before tracker. `None` (the
+    /// default everywhere outside `sws-check necessity`) runs every op at
+    /// its role default.
     pub ordering: Option<Arc<OrderingCtl>>,
 }
 
@@ -257,7 +257,7 @@ where
     let run_pe = |pe: usize| {
         let ctx = ShmemCtx::new(pe, Arc::clone(&world));
         match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-            Ok(r) => Ok((r, ctx.take_stats(), ctx.world().exec.finish(pe))),
+            Ok(r) => Ok((r, ctx.stats(), ctx.world().exec.finish(pe))),
             Err(payload) => {
                 // Poison so peers blocked in gates/barriers bail.
                 ctx.world().exec.poison();

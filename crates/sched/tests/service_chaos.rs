@@ -37,6 +37,17 @@ fn assert_conserved(r: &RunReport, label: &str) {
     );
 }
 
+/// Arrivals `plan` schedules over ingress PEs `0..n_ingress`: a run that
+/// shuts down before the last of them offers fewer.
+fn planned_arrivals(plan: &ArrivalPlan, n_ingress: usize) -> u64 {
+    (0..n_ingress)
+        .map(|pe| {
+            let mut clock = plan.clock(pe);
+            std::iter::from_fn(|| clock.take()).count() as u64
+        })
+        .sum()
+}
+
 #[test]
 fn poisson_quiesces_clean_both_queues() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
@@ -205,11 +216,8 @@ fn overload_defer_buffers_without_shedding() {
 #[test]
 fn elastic_membership_parks_and_rejoins() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        let w = FlatServe::new(
-            ArrivalPlan::poisson(0x5E41_0006, 3_000, 500_000),
-            2_500,
-            2,
-        );
+        let plan = ArrivalPlan::poisson(0x5E41_0006, 3_000, 500_000);
+        let w = FlatServe::new(plan.clone(), 2_500, 2);
         let svc = ServiceConfig::default().with_membership(
             MembershipPlan::fixed()
                 .away(2, 100_000, 80_000)
@@ -218,6 +226,7 @@ fn elastic_membership_parks_and_rejoins() {
         let label = format!("{kind:?} elastic");
         let r = run_service(&config(kind, 4), &svc, &w);
         assert_conserved(&r, &label);
+        assert_eq!(r.total_offered(), planned_arrivals(&plan, 2), "{label}: short plan");
         let parks: u64 = r.workers.iter().map(|w| w.service.parks).sum();
         let rejoins: u64 = r.workers.iter().map(|w| w.service.rejoins).sum();
         assert_eq!(parks, 2, "{label}: expected one park per away window");
@@ -296,10 +305,11 @@ fn pool_quiesces_between_waves() {
             start_ns: 0,
             horizon_ns: 900_000,
         };
-        let w = FlatServe::new(plan, 2_000, 1);
+        let w = FlatServe::new(plan.clone(), 2_000, 1);
         let label = format!("{kind:?} waves");
         let r = run_service(&config(kind, 4), &ServiceConfig::default(), &w);
         assert_conserved(&r, &label);
+        assert_eq!(r.total_offered(), planned_arrivals(&plan, 1), "{label}: short plan");
         let windows: u64 =
             r.workers.iter().map(|w| w.service.quiescent_windows).sum();
         assert!(windows > 0, "{label}: pool never observed quiescence");

@@ -89,8 +89,18 @@ fn explore_cmd(cfg: &ExplorerConfig) -> ExitCode {
         let (stats, ce) = explore_scenario(&sc, cfg);
         match ce {
             None => println!(
-                "clean  ({} schedules, {} branches, {} pruned independent, depth {})",
-                stats.schedules, stats.branches, stats.pruned_independent, stats.max_depth
+                "clean  ({} schedules, {} branches, {} pruned independent, depth {}) {}",
+                stats.schedules,
+                stats.branches,
+                stats.pruned_independent,
+                stats.max_depth,
+                if stats.exhausted {
+                    format!("exhausted at bound {}", cfg.preemptions)
+                } else if stats.schedules >= cfg.max_schedules {
+                    "stopped at the schedule budget".to_string()
+                } else {
+                    format!("stopped: {} schedules truncated", stats.truncated)
+                }
             ),
             Some(ce) => {
                 println!("FAILED after {} schedules: {}", stats.schedules, ce.failure);

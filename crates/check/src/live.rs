@@ -448,6 +448,9 @@ pub struct ScenarioStats {
     pub branches: u64,
     /// Deepest decision log seen.
     pub max_depth: usize,
+    /// The frontier emptied with no schedule truncated: every schedule
+    /// within the preemption bound was run.
+    pub exhausted: bool,
 }
 
 /// A minimized failing schedule.
@@ -736,7 +739,7 @@ pub fn explore_scenario(
 
     while let Some((node, preempts)) = frontier.pop_front() {
         if stats.schedules >= cfg.max_schedules {
-            break;
+            return (stats, None);
         }
         let prefix = tree.prefix(node);
         let res = run_schedule(sc, &prefix, cfg.max_steps);
@@ -762,6 +765,7 @@ pub fn explore_scenario(
         };
         harvest(&res.trace, from, preempts, cfg, branch_everywhere, &mut stats, &mut admit);
     }
+    stats.exhausted = stats.truncated == 0;
     (stats, None)
 }
 

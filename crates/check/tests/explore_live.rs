@@ -150,6 +150,7 @@ fn explore_results_are_pinned() {
             pruned_preempt,
             branches,
             max_depth,
+            exhausted: false,
         };
         assert_eq!(stats, want, "{name}");
         assert_eq!(default_log_digest(sc), log, "{name}: default schedule's log");
@@ -161,4 +162,22 @@ fn explore_results_are_pinned() {
     assert_eq!((stats.schedules, ce.schedule.len()), (17, 50));
     assert_eq!(ce.failure, "conservation: tag 1 executed 0 times (want 1)");
     assert_eq!(default_log_digest(&sc), 0x13a37d3432341610);
+}
+
+/// A search whose frontier empties with no truncated schedule says so;
+/// one stopped by the schedule budget does not. At preemption bound 0,
+/// `sdc-drops` has one admissible schedule and `sws-epochs-3pe` 123.
+#[test]
+fn an_emptied_frontier_is_exhausted_at_its_bound() {
+    let bound0 = ExplorerConfig { preemptions: 0, ..ExplorerConfig::default() };
+    for (name, schedules) in [("sdc-drops", 1), ("sws-epochs-3pe", 123)] {
+        let sc = corpus().into_iter().find(|sc| sc.name == name).expect("in the corpus");
+        let (stats, ce) = explore_scenario(&sc, &bound0);
+        assert_eq!(ce, None, "{name}");
+        assert_eq!((stats.schedules, stats.exhausted), (schedules, true), "{name}");
+        let budget = ExplorerConfig { max_schedules: schedules - 1, ..bound0.clone() };
+        if budget.max_schedules > 0 {
+            assert!(!explore_scenario(&sc, &budget).0.exhausted, "{name} under budget");
+        }
+    }
 }

@@ -12,7 +12,7 @@
 //! replay's job) and named by its site's catalog row, or by its step where
 //! one site plays several parts: a lost SDC lock CAS is `contend`, a meta
 //! read is `probe` before any lock CAS and `peek` after a lost one, and
-//! the fault path writes a `marker`, a `rollback` and an SDC `poison`.
+//! the fault path writes a `marker`, a `rollback` and a `poison`.
 //! While the lock is lost, CASes and peeks are *contention*: charged to
 //! the span but outside the per-steal core budget, as the paper counts an
 //! uncontended steal. One fold over the steps gives the outcome: a step
@@ -287,8 +287,8 @@ impl Stitcher {
                 (phase, None)
             }
             Step::Landed { tasks } => (phase, Some(Completed { tasks })),
-            Step::Poisoned { .. } if site.protocol() == System::Sdc => ("poison", Some(Aborted)),
-            Step::Poisoned { .. } | Step::LostRace => (phase, Some(Aborted)),
+            Step::Poisoned { .. } => ("poison", Some(Aborted)),
+            Step::LostRace => (phase, Some(Aborted)),
             Step::Lock { won } => {
                 self.lock = Some(won);
                 (if won { phase } else { "contend" }, None)
@@ -642,6 +642,8 @@ mod tests {
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].outcome, SpanOutcome::Aborted);
+        let names: Vec<_> = spans.phases(&spans[0]).iter().map(|p| p.name).collect();
+        assert_eq!(names, ["claim", "poison"]);
     }
 
     #[test]

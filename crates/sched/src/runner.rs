@@ -116,14 +116,13 @@ impl RunConfig {
     /// `RunConfig` field becomes a `WorldConfig` field, so no entry point
     /// can honour a field another drops. The heap is what one PE
     /// allocates: the workload's [`Workload::heap_words`], the detector's
-    /// counters, the driver's own block, the queue's three, in that order.
-    fn world(&self, mode: ExecMode, workload_words: usize, driver_words: usize) -> WorldConfig {
+    /// counters, the queue's three, in that order.
+    fn world(&self, mode: ExecMode, workload_words: usize) -> WorldConfig {
         // The bump allocator's cursor, replayed: the workload's words
         // follow the world's control words unaligned, every later block
-        // (detector, driver, the queue's three) starts on a line.
+        // (detector, the queue's three) starts on a line.
         let blocks = self.sched.kind.blocks(&self.sched.queue);
-        let heap_words = [CounterTd::HEAP_WORDS, driver_words]
-            .into_iter()
+        let heap_words = std::iter::once(CounterTd::HEAP_WORDS)
             .chain(blocks)
             .fold(HEAP_CTRL_WORDS + workload_words, |cursor, words| {
                 cursor.next_multiple_of(CACHE_LINE_WORDS) + words
@@ -173,16 +172,14 @@ impl<'r, 'a> PeSetup<'r, 'a> {
 /// The launch shared by batch and service runs: validate the fault plan
 /// (no crash may hit a PE below `protected_pes` — PE 0 hosts the
 /// termination counters, service mode adds its ingress PEs), build the
-/// world — its heap sized for the workload, the detector, the
-/// `driver_words` `drive` allocates before it builds its worker, and the
-/// queue — run `drive` on every PE between the common prologue and
-/// epilogue, and assemble the report.
+/// world — its heap sized for the workload, the detector and the queue —
+/// run `drive` on every PE between the common prologue and epilogue, and
+/// assemble the report.
 pub(crate) fn launch(
     cfg: &RunConfig,
     mode: ExecMode,
     workload: &impl Workload,
     protected_pes: usize,
-    driver_words: usize,
     drive: impl for<'r, 'a> Fn(PeSetup<'r, 'a>) -> WorkerStats + Sync,
 ) -> Result<RunReport, ShmemError> {
     let sched = cfg.sched;
@@ -200,7 +197,7 @@ pub(crate) fn launch(
             }
         }
     }
-    let world = cfg.world(mode, workload.heap_words(cfg.n_pes), driver_words);
+    let world = cfg.world(mode, workload.heap_words(cfg.n_pes));
     let out = run_world(world, |ctx| {
         let mut reg = TaskRegistry::new();
         workload.register(&mut reg);
@@ -266,7 +263,7 @@ pub fn try_run_workload_mode(
     workload: &impl Workload,
     mode: ExecMode,
 ) -> Result<RunReport, ShmemError> {
-    launch(cfg, mode, workload, 1, 0, |pe| match pe.kind() {
+    launch(cfg, mode, workload, 1, |pe| match pe.kind() {
         QueueKind::Sws => pe.worker(SwsQueue::new).run().0,
         QueueKind::Sdc => pe.worker(SdcQueue::new).run().0,
     })
@@ -296,7 +293,7 @@ mod tests {
             .with_retry(RetryPolicy::none());
         let drops = FaultPlan::seeded(7).with_drop(OpClass::All, TargetSel::Any, 0.01);
         let cfg = RunConfig::new(2, SchedConfig::new(QueueKind::Sws, queue)).with_faults(drops);
-        launch(&cfg, ExecMode::Virtual, &Idle, 1, 0, |pe| {
+        launch(&cfg, ExecMode::Virtual, &Idle, 1, |pe| {
             let worker = pe.worker(SwsQueue::new);
             let built = *worker.queue.config();
             assert_eq!(built.reclaim_grace_ns, 77);

@@ -82,3 +82,15 @@ fn the_op_layer_stays_under_its_ceiling() {
     let lines = ctx.lines().count();
     assert!(lines <= CTX_LINES, "crates/shmem/src/ctx.rs is {lines} lines, over its {CTX_LINES}-line ceiling");
 }
+
+/// The ceiling on the service loop, `crates/sched/src/service.rs`, set at
+/// its size once service mode stopped by the batch termination rule: the
+/// file may shrink — lower this with it — but never grow past it.
+const SERVICE_LINES: usize = 619;
+
+#[test]
+fn the_service_loop_stays_under_its_ceiling() {
+    let service = std::fs::read_to_string(workspace_root().join("crates/sched/src/service.rs")).expect("readable");
+    let lines = service.lines().count();
+    assert!(lines <= SERVICE_LINES, "crates/sched/src/service.rs is {lines} lines, over its {SERVICE_LINES}-line ceiling");
+}

@@ -159,9 +159,9 @@ fn assert_exhausted(run: Result<RunReport, ShmemError>, label: &str) {
 }
 
 /// The heap a run asks for is derived from what it allocates — workload
-/// state, detector counters, the service control block, the queue's three
-/// blocks — so every workload of this suite fits it, and none fits it
-/// with one line taken away: that run ends in an error, not a hang.
+/// state, detector counters, the queue's three blocks, the same for batch
+/// and service runs — so every workload of this suite fits it, and none
+/// fits it with one line taken away: that run ends in an error, not a hang.
 #[test]
 fn every_workload_runs_in_exactly_the_derived_heap() {
     fn batch<W: Workload>(c: &RunConfig, w: impl Fn() -> W, label: &str) {

@@ -37,8 +37,9 @@
 //!
 //! 3. **A trace-conformance (refinement) checker** ([`conform`], shipped
 //!    as the `sws-check` binary's `conform` subcommand): production runs
-//!    executed with `RunConfig::with_capture_proto()` emit their merged
-//!    site-annotated op trace, and [`conform::replay`] feeds it through
+//!    executed with `RunConfig::with_capture_proto()` emit their
+//!    site-annotated op trace, one log in the order the effects applied,
+//!    and [`conform::replay`] feeds it through
 //!    word-exact abstract victim machines, reporting the first
 //!    transition the protocol does not allow (with a ddmin-shrunken
 //!    witness). This closes the loop between the model checker's

@@ -74,7 +74,7 @@ fn the_queue_directory_stays_under_its_ceiling() {
 /// The ceiling on the one-sided op layer, `crates/shmem/src/ctx.rs`, set
 /// at its size once every op became one path to one observation point:
 /// the file may shrink — lower this with it — but never grow past it.
-const CTX_LINES: usize = 780;
+const CTX_LINES: usize = 775;
 
 #[test]
 fn the_op_layer_stays_under_its_ceiling() {

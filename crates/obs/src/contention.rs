@@ -126,7 +126,7 @@ mod tests {
             makespan_ns: 0,
             workers: vec![w],
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         }
     }

@@ -3,8 +3,8 @@
 //! Observability layer for the SWS/SDC experiments, built on the proto
 //! capture in `sws-shmem` and the scheduler reports in `sws-sched`:
 //!
-//! * [`span`] — stitch the captured [`ProtoEvent`](sws_shmem::ProtoEvent)
-//!   log into per-steal spans with a phase-level virtual-time
+//! * [`span`] — stitch the captured [`ProtoLog`](sws_shmem::ProtoLog)
+//!   into per-steal spans with a phase-level virtual-time
 //!   breakdown, and check the paper's per-steal op budget (SWS: ≤ 3
 //!   ops / ≤ 2 blocking; SDC: 6 / 5) as a runtime invariant
 //!   (`sws-run --assert-comms`).

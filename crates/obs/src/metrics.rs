@@ -392,7 +392,7 @@ mod tests {
                 .map(|&t| WorkerStats { tasks_executed: t, runtime_ns: t, ..WorkerStats::default() })
                 .collect(),
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         }
     }

@@ -502,7 +502,7 @@ mod tests {
             makespan_ns: 3500,
             workers: vec![pe0, pe1],
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         };
         let text = chrome_trace(&[TraceRun { report: &report, spans: &spans }]);
@@ -708,7 +708,7 @@ mod tests {
             makespan_ns: 0,
             workers,
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         };
         (report, spans)

@@ -347,7 +347,7 @@ mod tests {
             makespan_ns: 0,
             workers,
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         }
     }

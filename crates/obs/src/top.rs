@@ -194,7 +194,7 @@ mod tests {
                 ..WorkerStats::default()
             }],
             comm: Default::default(),
-            proto: Vec::new(),
+            proto: Default::default(),
             wall_ms: 0,
         };
         let policy = SloPolicy::default().with_slo_p99_ns(1_000);

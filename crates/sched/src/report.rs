@@ -8,7 +8,7 @@
 //! runtime of any process" since all PEs run until global termination.
 
 use sws_core::QueueStats;
-use sws_shmem::{EngineStats, OpStats, ProtoEvent, SiteCounters, StatsSummary};
+use sws_shmem::{EngineStats, OpStats, ProtoLog, SiteCounters, StatsSummary};
 
 use crate::snapshot::SnapRow;
 use crate::trace::{Event, Pow2Histogram};
@@ -119,10 +119,10 @@ pub struct RunReport {
     pub workers: Vec<WorkerStats>,
     /// Communication statistics (per PE and aggregate).
     pub comm: StatsSummary,
-    /// The site-annotated protocol op trace, merged across PEs into
-    /// global serialization order at teardown (empty unless
-    /// `RunConfig::capture_proto` was set). The only copy of the capture.
-    pub proto: Vec<ProtoEvent>,
+    /// The site-annotated protocol op trace, the world's one log in the
+    /// order its effects applied (empty unless `RunConfig::capture_proto`
+    /// was set).
+    pub proto: ProtoLog,
     /// Wall-clock time the simulation itself took.
     pub wall_ms: u64,
 }
@@ -381,9 +381,9 @@ impl RunReport {
         ticks
     }
 
-    /// The captured protocol trace in global serialization order (empty
-    /// unless the run captured one).
-    pub fn proto_trace(&self) -> &[ProtoEvent] {
+    /// The captured protocol trace in the order its effects applied
+    /// (empty unless the run captured one).
+    pub fn proto_trace(&self) -> &ProtoLog {
         &self.proto
     }
 
@@ -452,7 +452,7 @@ mod tests {
             makespan_ns: makespan,
             workers,
             comm: StatsSummary::default(),
-            proto: Vec::new(),
+            proto: ProtoLog::new(),
             wall_ms: 0,
         }
     }

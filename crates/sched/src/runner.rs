@@ -1,8 +1,9 @@
 //! Experiment runner: build a world, seed a workload, run every PE to
-//! global termination, and collect the paper's metrics.
+//! global termination, and collect the paper's metrics — plus, when
+//! capture is armed, the world's one protocol log, which the report
+//! holds as the world handed it over (in apply order, nothing to merge).
 
 use sws_core::{QueueConfig, SdcQueue, StealQueue, SwsQueue};
-use sws_shmem::proto::merge_events;
 use sws_shmem::{
     run_world, ExecMode, FaultPlan, NetModel, ShmemCtx, ShmemError, WorldConfig,
     CACHE_LINE_WORDS, HEAP_CTRL_WORDS,
@@ -53,8 +54,9 @@ pub struct RunConfig {
     /// bit-identical to a `None` plan.
     pub faults: Option<FaultPlan>,
     /// Capture site-annotated protocol ops into `RunReport::proto` (the
-    /// conformance checker's input). Off by default: hot paths see
-    /// one extra predictable branch per op at most.
+    /// conformance checker's input), in apply order; a threaded run
+    /// refuses it. Off by default: hot paths see one extra predictable
+    /// branch per op at most.
     pub capture_proto: bool,
     /// Count per-site contention (CAS wins/losses, RMWs, loads, stores)
     /// into `WorkerStats::site_prof`, keyed by raw `AtomicSite` id. Like
@@ -207,15 +209,10 @@ pub(crate) fn launch(
         let mut ws = drive(PeSetup { ctx, sched, reg: &reg, td, seeds });
         ws.engine = ctx.engine_stats();
         ws.site_prof = ctx.take_site_profile();
-        (ws, ctx.take_proto_events())
+        ws
     })?;
 
-    // The capture is merged once, here, and the per-PE streams are
-    // dropped, so the report holds the only copy. A run without capture
-    // has nothing to merge and leaves the merge's code pages untouched.
-    let (mut workers, streams): (Vec<WorkerStats>, Vec<_>) = out.results.into_iter().unzip();
-    let proto = if cfg.capture_proto { merge_events(&streams) } else { Vec::new() };
-    drop(streams);
+    let mut workers = out.results;
     for (w, &t) in workers.iter_mut().zip(out.virtual_ns.iter()) {
         // In virtual mode runtime_ns was sampled pre-barrier; the final
         // clock includes the closing barrier. Report the pre-barrier
@@ -232,7 +229,7 @@ pub(crate) fn launch(
         makespan_ns,
         workers,
         comm: out.stats,
-        proto,
+        proto: out.proto,
         wall_ms: out.elapsed.as_millis() as u64,
     })
 }

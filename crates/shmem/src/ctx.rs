@@ -12,7 +12,8 @@
 //! per-word loop. Both consume the armed site, resolve its orderings by
 //! the op's [`OpRole`] from the one ordering table ([`crate::overrides`]),
 //! drive the live tracker by role, apply the effect and end in one
-//! `observe` ([`SiteCounters`] and the [`ProtoEvent`]). With no table
+//! `observe` ([`SiteCounters`], and the [`ProtoEvent`] it appends to the
+//! world's one log at the serialization point). With no table
 //! attached, RMWs run `AcqRel`, loads `Acquire` and stores `Release`; a
 //! catalog-relaxed fetch runs `Relaxed`. The queue protocols establish
 //! happens-before through the metadata word (e.g. an owner's `Release`
@@ -36,7 +37,7 @@ use crate::fault::{FaultInjector, FAILED_OP_TIMEOUT_NS};
 use crate::net::OpKind;
 use crate::overrides::{MemOrder, OpRole, OrdTracker};
 use crate::prof::SiteCounters;
-use crate::proto::{ProtoEvent, ProtoOp, NO_SITE};
+use crate::proto::{ProtoEvent, ProtoLog, ProtoOp, NO_SITE};
 use crate::runtime::WorldShared;
 use crate::stats::OpStats;
 
@@ -54,9 +55,6 @@ pub struct ShmemCtx {
     /// Nonzero while inside a collective; collective-internal one-sided
     /// ops are control-plane and exempt from injection.
     collective_depth: Cell<u32>,
-    /// Protocol op-trace buffer (`WorldConfig::capture_proto`); `None`
-    /// keeps the op surface capture-free.
-    capture: Option<RefCell<Vec<ProtoEvent>>>,
     /// Sampling window over proto capture: when closed, annotated ops
     /// still arm/consume their site (so exploration and ordering
     /// resolution are untouched) but record no event. The scheduler
@@ -85,9 +83,8 @@ impl ShmemCtx {
             .faults
             .as_ref()
             .map(|plan| FaultInjector::new(std::sync::Arc::clone(plan), pe));
-        let capture = world.capture_proto.then(|| RefCell::new(Vec::new()));
         let site_prof = world.profile_sites.then(|| RefCell::new(Vec::new()));
-        let sites_observed = capture.is_some()
+        let sites_observed = world.capture_proto
             || site_prof.is_some()
             || world.exec.schedules_sites()
             || world.ordering.is_some();
@@ -99,7 +96,6 @@ impl ShmemCtx {
             pending_nbi_count: Cell::new(0),
             injector,
             collective_depth: Cell::new(0),
-            capture,
             capture_window: Cell::new(true),
             attempt: Cell::new(0),
             site_prof,
@@ -179,15 +175,13 @@ impl ShmemCtx {
     /// Whether this world records protocol op traces.
     #[inline]
     pub fn proto_capture_active(&self) -> bool {
-        self.capture.is_some()
+        self.world.capture_proto
     }
 
-    /// Drain the events captured so far (in issuer-local order).
-    pub fn take_proto_events(&self) -> Vec<ProtoEvent> {
-        match &self.capture {
-            Some(buf) => std::mem::take(&mut *buf.borrow_mut()),
-            None => Vec::new(),
-        }
+    /// Drain the world's capture so far — every PE's events, in apply
+    /// order.
+    pub fn take_proto_events(&self) -> ProtoLog {
+        self.world.exec.take_log()
     }
 
     /// Open or close the capture sampling window. While closed, armed
@@ -236,8 +230,9 @@ impl ShmemCtx {
     /// first word, word count and `[arg, arg2, prev]`, its captured event
     /// (an owner-local ring write passes `None`: profiled, not captured).
     /// Called inside the gated effect closure: a faulted op that never
-    /// applies is not observed, and the clock read here is the
-    /// pre-advance serialization key (see `crate::proto::merge_events`).
+    /// applies is not observed, the clock read here is the pre-advance
+    /// serialization key, and the event joins the world's log in apply
+    /// order (see `crate::proto`).
     #[inline]
     fn observe(&self, site: u16, op: ProtoOp, ev: Option<(usize, SymAddr, usize, [u64; 3])>) {
         if site != NO_SITE {
@@ -257,11 +252,11 @@ impl ShmemCtx {
             }
             v[i].count(op, ev.is_some_and(|(.., [_, expected, prev])| prev == expected));
         }
-        let (Some(buf), Some((target, addr, len, [arg, arg2, prev]))) = (&self.capture, ev) else {
+        let Some((target, addr, len, [arg, arg2, prev])) = ev else {
             return;
         };
-        if self.capture_window.get() {
-            buf.borrow_mut().push(ProtoEvent {
+        if self.world.capture_proto && self.capture_window.get() {
+            self.world.exec.record(&ProtoEvent {
                 t_ns: self.now_ns(),
                 issuer: self.pe as u32,
                 target: target as u32,
@@ -521,7 +516,7 @@ impl ShmemCtx {
             // A store's overwritten value is only observable while
             // capturing (and inside the sampling window); the extra load
             // happens solely on that path.
-            let capturing = self.capture.is_some() && self.capture_window.get();
+            let capturing = self.world.capture_proto && self.capture_window.get();
             let before = (op.role() == OpRole::Store && site != NO_SITE && capturing)
                 .then(|| word.load(Ordering::Acquire));
             let fetched = effect(word, ord, fail);

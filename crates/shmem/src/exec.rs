@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use crate::explore::OpDesc;
 use crate::lock::{Condvar, Mutex};
+use crate::proto::{ProtoEvent, ProtoLog};
 use crate::runtime::ExecMode;
 use crate::vclock::{EngineStats, VClock};
 
@@ -174,6 +175,23 @@ impl Exec {
         } = self
         {
             std::thread::yield_now();
+        }
+    }
+
+    /// Append `e` to the world's capture, in apply order. Plain threads
+    /// keep none: `run_world` refuses capture there.
+    #[inline]
+    pub(crate) fn record(&self, e: &ProtoEvent) {
+        if let Exec::Serial(clock) = self {
+            clock.record(e);
+        }
+    }
+
+    /// Hand the world's capture out (empty on plain threads).
+    pub(crate) fn take_log(&self) -> ProtoLog {
+        match self {
+            Exec::Serial(clock) => clock.take_log(),
+            Exec::Threads { .. } => ProtoLog::new(),
         }
     }
 

@@ -81,7 +81,7 @@ pub use heap::{SymmetricHeap, CACHE_LINE_BYTES, CACHE_LINE_WORDS, CTRL_WORDS as 
 pub use net::{Locality, NetModel, OpKind, ALL_OP_KINDS, OP_KIND_COUNT};
 pub use overrides::{MemOrder, OpRole, OrdTracker, OrderingCtl, OrderingOverrides};
 pub use prof::{merge_site_profiles, SiteCounters};
-pub use proto::{ProtoEvent, ProtoOp, NO_SITE};
+pub use proto::{ProtoEvent, ProtoLog, ProtoOp, NO_SITE};
 pub use runtime::{run_world, ExecMode, WorldConfig, WorldOutput};
 pub use stats::{OpStats, StatsSummary};
 pub use vclock::EngineStats;

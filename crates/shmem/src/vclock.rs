@@ -52,6 +52,7 @@ use std::sync::Arc;
 
 use crate::context::{self, Context, Turn};
 use crate::explore::{ExploreGate, OpDesc, Schedule, TRUNCATED_MSG};
+use crate::proto::{ProtoEvent, ProtoLog};
 
 /// Per-PE engine counters: how often the gate was crossed with and
 /// without giving up the CPU.
@@ -161,6 +162,8 @@ struct Sched {
     barrier_cost: u64,
     /// Set when it, not virtual time, picks who runs next.
     schedule: Option<Box<Schedule>>,
+    /// The world's capture, appended where each effect applies.
+    log: ProtoLog,
 }
 
 /// The serial executor shared by all PEs of a world: their clocks, and
@@ -200,6 +203,7 @@ impl VClock {
                 bar_max_clock: 0,
                 barrier_cost: 0,
                 schedule: explore.as_ref().map(|gate| Box::new(gate.schedule(n_pes))),
+                log: ProtoLog::new(),
             }),
             poison: Word::default(),
             explore,
@@ -253,6 +257,19 @@ impl VClock {
             TRUNCATED => panic!("{TRUNCATED_MSG}"),
             _ => panic!("{POISON_MSG}"),
         }
+    }
+
+    /// Append `e` to the world's capture. Called by the running PE at the
+    /// serialization point of the effect `e` records, so the log is in
+    /// apply order.
+    #[inline]
+    pub(crate) fn record(&self, e: &ProtoEvent) {
+        self.sched.with(|s| s.log.push(e));
+    }
+
+    /// Hand the capture out, leaving an empty log.
+    pub(crate) fn take_log(&self) -> ProtoLog {
+        self.sched.with(|s| std::mem::take(&mut s.log))
     }
 
     /// Advance `pe`'s clock by `dt` ns without gating (local work: task

@@ -94,8 +94,7 @@ fn counter(ts_ns: u64, name: &'static str, key: &'static str, negative: bool, va
 }
 
 /// What a scheduler event shows on its PE's track: an instant with at
-/// most one operand, or nothing (idle changes feed the idle counter,
-/// steal outcomes are the span slices).
+/// most one operand, or nothing (idle changes feed the idle counter).
 fn instant(e: &Event) -> Option<Rec> {
     let (name, operand) = match e.kind {
         EventKind::Release { exposed } => ("release", Some(("exposed", exposed))),
@@ -481,7 +480,6 @@ mod tests {
             events: vec![
                 at(1000, EventKind::Release { exposed: 4 }),
                 at(1000, EventKind::ExitIdle),
-                at(1000, EventKind::StealWon { victim: 1, tasks: 12 }),
                 at(2000, EventKind::AcquireMiss),
             ],
             snapshots: vec![SnapRow { t_ns: 1000, occupancy: 3, local: 2, admitted: 9, completed: 4, ..SnapRow::default() }],
@@ -588,7 +586,6 @@ mod tests {
                             idle_deltas.push((e.t_ns, -1));
                             continue;
                         }
-                        _ => continue,
                     };
                     put(pe as u32, e.t_ns, 0, name, Kind::Instant(operand));
                 }
@@ -678,12 +675,11 @@ mod tests {
             EventKind::CrashStop,
             EventKind::EnterIdle,
             EventKind::ExitIdle,
-            EventKind::StealWon { victim: 0, tasks: 1 },
         ];
         let workers = (0..n_pes)
             .map(|_| {
                 let mut events: Vec<Event> = (0..rng.below(12))
-                    .map(|_| Event { t_ns: t(rng), kind: kinds[rng.below(8) as usize] })
+                    .map(|_| Event { t_ns: t(rng), kind: kinds[rng.below(kinds.len() as u64) as usize] })
                     .collect();
                 if rng.chance(0.7) {
                     events.sort_by_key(|e| e.t_ns);

@@ -21,8 +21,10 @@ pub struct SchedConfig {
     pub damping: bool,
     /// Victim selection policy.
     pub victim: VictimPolicy,
-    /// Record per-PE scheduler event traces (see [`crate::trace`]).
-    /// Off by default: fine-grained runs produce millions of events.
+    /// Record per-PE scheduler events — release, acquire, idle,
+    /// quarantine, crash-stop (see [`crate::trace`]); steal attempts are
+    /// in the capture's spans. Off by default. `sws-run` sets it for
+    /// `--timeline` and `--trace-out`.
     pub trace: bool,
     /// Tasks executed between progress (completion-reclaim) calls.
     pub progress_interval: u64,

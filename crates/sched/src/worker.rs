@@ -319,10 +319,10 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         }
     }
 
-    /// One turn of the idle search: pick a live victim, attempt a steal,
-    /// attribute its time (a won steal is steal time, anything else is
-    /// search time) and log it. Returns `true` when this PE has work
-    /// again; it is still in the idle set then.
+    /// One turn of the idle search: pick a live victim, attempt a steal
+    /// and attribute its time (a won steal is steal time, anything else
+    /// is search time). Returns `true` when this PE has work again; it is
+    /// still in the idle set then.
     ///
     /// `spared[v]` marks victims whose failed steals never feed the
     /// quarantine streak — service mode's elastic PEs: to a thief a
@@ -353,32 +353,16 @@ impl<'r, 'a, Q: StealQueue> Worker<'r, 'a, Q> {
         let t0 = self.ctx.now_ns();
         let out = self.attempt_steal(target);
         let now = self.ctx.now_ns();
-        let victim = target as u32;
-        let (kind, failed_down) = match out {
-            StealOutcome::Got { tasks } => {
-                self.stats.steal_ns += now - t0;
-                if !self.had_work {
-                    self.had_work = true;
-                    self.stats.first_work_ns = now;
-                }
-                self.log.record(now, EventKind::StealWon {
-                    victim,
-                    tasks: tasks as u32,
-                });
-                return true;
+        if let StealOutcome::Got { .. } = out {
+            self.stats.steal_ns += now - t0;
+            if !self.had_work {
+                self.had_work = true;
+                self.stats.first_work_ns = now;
             }
-            StealOutcome::Empty => (EventKind::StealEmpty { victim }, None),
-            StealOutcome::Closed => (EventKind::StealClosed { victim }, None),
-            StealOutcome::Failed { target_down } => {
-                (EventKind::StealFailed { victim }, Some(target_down))
-            }
-            StealOutcome::Aborted { target_down } => {
-                (EventKind::StealAborted { victim }, Some(target_down))
-            }
-        };
+            return true;
+        }
         self.stats.search_ns += now - t0;
-        self.log.record(now, kind);
-        if let Some(down) = failed_down {
+        if let StealOutcome::Failed { target_down: down } | StealOutcome::Aborted { target_down: down } = out {
             if down || !spared.get(target).is_some_and(|&s| s) {
                 self.note_steal_failure(target, down);
             }

@@ -94,3 +94,15 @@ fn the_service_loop_stays_under_its_ceiling() {
     let lines = service.lines().count();
     assert!(lines <= SERVICE_LINES, "crates/sched/src/service.rs is {lines} lines, over its {SERVICE_LINES}-line ceiling");
 }
+
+/// The ceiling on the scheduler event log, `crates/sched/src/trace.rs`,
+/// set at its size once steal attempts were recorded only as spans: the
+/// file may shrink — lower this with it — but never grow past it.
+const TRACE_LINES: usize = 548;
+
+#[test]
+fn the_event_log_stays_under_its_ceiling() {
+    let trace = std::fs::read_to_string(workspace_root().join("crates/sched/src/trace.rs")).expect("readable");
+    let lines = trace.lines().count();
+    assert!(lines <= TRACE_LINES, "crates/sched/src/trace.rs is {lines} lines, over its {TRACE_LINES}-line ceiling");
+}

@@ -63,21 +63,12 @@ pub struct ReplayInput<'a> {
     pub queue: QueueConfig,
     /// The run's capture, in the order its effects applied.
     pub events: &'a ProtoLog,
-    /// Mutation hook for self-tests: applied to the fetched stealval a
-    /// claim is decoded from (and nowhere else), so a deliberately broken
-    /// decode diverges from production.
-    pub mutate_claim_decode: Option<fn(u64) -> u64>,
 }
 
 impl<'a> ReplayInput<'a> {
-    /// A plain replay of `events` under `queue`.
+    /// A replay of `events` under `queue`.
     pub fn new(proto: Proto, queue: QueueConfig, events: &'a ProtoLog) -> ReplayInput<'a> {
-        ReplayInput {
-            proto,
-            queue,
-            events,
-            mutate_claim_decode: None,
-        }
+        ReplayInput { proto, queue, events }
     }
 }
 
@@ -275,11 +266,7 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
         let Some(v) = victims[e.target as usize].as_mut() else {
             return Err(at.div("no-anchor", "an anchor op for this victim"));
         };
-        let mut seen = e;
-        if let (AtomicSite::SwsThiefClaim, Some(mutate)) = (site, input.mutate_claim_decode) {
-            seen.prev = mutate(seen.prev);
-        }
-        step(v, cfg, site, &at, &seen, &mut stats)?;
+        step(v, cfg, site, &at, &e, &mut stats)?;
     }
 
     // Quiescence: the trace runs to retire, which drains every claim —
@@ -539,7 +526,10 @@ pub fn shrink(input: &ReplayInput, kind: &str) -> Vec<ProtoEvent> {
 // The deterministic conformance matrix (production runs → replay).
 // ---------------------------------------------------------------------------
 
+use std::sync::Arc;
+
 use sws_sched::{run_workload, QueueKind, RunConfig, SchedConfig};
+use sws_shmem::OrderingCtl;
 use sws_workloads::synth::FlatBag;
 
 /// One deterministic production run to capture and replay.
@@ -591,9 +581,10 @@ pub fn case_queue(case: &ConformCase) -> QueueConfig {
 }
 
 /// Execute one matrix case's production run with capture on and return
-/// its op trace. Fully deterministic: calling this twice for the same
-/// case yields the same events.
-pub fn capture_case(case: &ConformCase) -> ProtoLog {
+/// its op trace, with `ordering` attached when given (the self-test plants
+/// a defect through it). Fully deterministic: calling this twice for the
+/// same case and control yields the same events.
+pub fn capture_case(case: &ConformCase, ordering: Option<Arc<OrderingCtl>>) -> ProtoLog {
     let queue = case_queue(case);
     // Short progress interval: the matrix workloads run ~40 tasks per
     // PE, so the default (64) would never reach the reclaim paths.
@@ -602,6 +593,9 @@ pub fn capture_case(case: &ConformCase) -> ProtoLog {
         .with_damping(case.damping)
         .with_progress_interval(8);
     let mut run = RunConfig::new(4, sched).with_capture_proto();
+    if let Some(ctl) = ordering {
+        run = run.with_ordering(ctl);
+    }
     if case.faults {
         run = run.with_faults(
             FaultPlan::seeded(case.seed ^ 0xFA_017).with_drop(OpClass::All, TargetSel::Any, 0.03),
@@ -612,18 +606,9 @@ pub fn capture_case(case: &ConformCase) -> ProtoLog {
 }
 
 /// Run one matrix case: execute the production run with capture on and
-/// replay its trace. `mutate` taps the replay's claim decode (the
-/// mutation self-test); pass `None` for the real check.
-pub fn run_case(
-    case: &ConformCase,
-    mutate: Option<fn(u64) -> u64>,
-) -> Result<ReplayStats, Divergence> {
-    replay(&ReplayInput {
-        proto: case.kind,
-        queue: case_queue(case),
-        events: &capture_case(case),
-        mutate_claim_decode: mutate,
-    })
+/// replay its trace.
+pub fn run_case(case: &ConformCase) -> Result<ReplayStats, Divergence> {
+    replay(&ReplayInput::new(case.kind, case_queue(case), &capture_case(case, None)))
 }
 
 /// Sites the matrix must observe at least once: every load-bearing
@@ -689,7 +674,7 @@ pub fn conform_all() -> ConformReport {
     let cases = matrix()
         .iter()
         .map(|case| {
-            let r = run_case(case, None);
+            let r = run_case(case);
             if let Ok(c) = &r {
                 seen.extend(&c.sites);
             }
@@ -879,15 +864,6 @@ mod tests {
         let evs = log(&evs);
         let input = ReplayInput::new(Proto::Sws, qc(), &evs);
         assert_eq!(replay(&input).unwrap_err().kind, "unresolved-claim");
-    }
-
-    #[test]
-    fn mutated_claim_decode_diverges() {
-        let evs = log(&sws_trace());
-        let mut input = ReplayInput::new(Proto::Sws, qc(), &evs);
-        input.mutate_claim_decode = Some(|raw| raw ^ 1); // flip tail bit 0
-        let d = replay(&input).unwrap_err();
-        assert_eq!(d.kind, "payload-geometry");
     }
 
     /// A tiny hand-built SDC trace: lock, meta read, tail put, unlock,

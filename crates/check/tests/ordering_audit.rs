@@ -89,7 +89,7 @@ fn load_bearing_sites_appear_in_captured_traces() {
         .iter()
         .filter(|c| c.name == "sws-epochs" || c.name == "sdc")
     {
-        let r = run_case(case, None)
+        let r = run_case(case)
             .unwrap_or_else(|d| panic!("case {} diverged during coverage run:\n{d}", case.name));
         seen.extend(r.sites);
     }

@@ -33,9 +33,9 @@ pub mod ring;
 pub mod steal_half;
 pub mod stealval;
 
-pub use ordering::{AtomicSite, DepClass, MemOrder, Necessity, Oracle, SiteRow, Weakening};
+pub use ordering::{AtomicSite, Defect, DepClass, MemOrder, Necessity, Oracle, SiteRow, Weakening};
 pub use protocol::{CommBudget, Protocol};
 pub use queue::sdc::SdcQueue;
 pub use queue::sws::SwsQueue;
-pub use queue::{Mutation, QueueConfig, QueueStats, StealOutcome, StealQueue};
+pub use queue::{QueueConfig, QueueStats, StealOutcome, StealQueue};
 pub use stealval::EncodeError;

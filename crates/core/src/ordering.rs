@@ -68,6 +68,40 @@ impl Weakening {
     }
 }
 
+/// A protocol defect planted on purpose, so a self-test can show that a
+/// checker catches a broken steal. Each variant names the obligation it
+/// breaks and the oracle that must catch it. A defect reaches the queues
+/// only as [`Defect::id`] in a world's ordering control
+/// ([`sws_shmem::OrderingCtl::defect`]); no queue configuration can name
+/// one.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
+pub enum Defect {
+    /// SWS thief: issue the passive completion *before* copying the
+    /// block. Breaks conservation: a preempted thief lets the owner
+    /// reconcile the epoch and overwrite the ring words mid-copy, so one
+    /// tag runs twice and another never. Caught by the explorer's per-tag
+    /// conservation oracle (`sws-check explore`'s self-test).
+    CompleteBeforeCopy,
+    /// SWS thief: decode the claim from the fetched stealval with tail
+    /// bit 0 flipped, so it copies the block one slot off the one it
+    /// claimed. Breaks multiplicity 1: the thief takes one task another
+    /// extractor also takes. Caught by the conformance replay's
+    /// `payload-geometry` check (`sws-check conform`'s self-test).
+    ClaimOneSlotOff,
+}
+
+impl Defect {
+    /// The raw id a world's ordering control carries.
+    pub fn id(self) -> u16 {
+        self as u16
+    }
+
+    /// Inverse of [`Defect::id`].
+    pub fn from_id(id: u16) -> Option<Defect> {
+        [Defect::CompleteBeforeCopy, Defect::ClaimOneSlotOff].into_iter().find(|d| d.id() == id)
+    }
+}
+
 /// Which oracle produced a piece of necessity evidence.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
 pub enum Oracle {

@@ -103,7 +103,7 @@ pub struct SdcQueue<'a> {
 impl<'a> SdcQueue<'a> {
     /// Collectively construct one queue per PE (identical `cfg` everywhere).
     pub fn new(ctx: &'a ShmemCtx, cfg: QueueConfig) -> SdcQueue<'a> {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         // Line-isolated placement: the meta block (lock/tail/split —
         // CASed by every thief) must not share a cache line with the
         // completion ring (written by thieves, chain-followed by the

@@ -53,14 +53,13 @@ use std::collections::VecDeque;
 use sws_shmem::{ShmemCtx, SymAddr};
 use sws_task::TaskDescriptor;
 
-use crate::ordering::AtomicSite;
+use crate::ordering::{AtomicSite, Defect};
 use crate::protocol::{
     claims_taken, sws_claim, sws_comp, sws_probe, tasks_unclaimed, Claim, Completion,
 };
 use crate::queue::owner::{is_down, OwnerRing};
 use crate::queue::{
-    invariant_violation, Mutation, QueueConfig, QueueStats, StealOutcome, StealQueue,
-    SPLIT_UPDATE_NS,
+    invariant_violation, QueueConfig, QueueStats, StealOutcome, StealQueue, SPLIT_UPDATE_NS,
 };
 use crate::steal_half::StealPolicy;
 use crate::stealval::{Gate, StealVal, ASTEAL_UNIT};
@@ -118,13 +117,17 @@ pub struct SwsQueue<'a> {
     /// Slot sets referenced by records still in `epochs` (must not be
     /// handed to a new advertisement that posts completions).
     slot_busy: Vec<bool>,
+    /// The defect a self-test planted through the world's ordering
+    /// control; `None` in every other world.
+    defect: Option<Defect>,
 }
 
 impl<'a> SwsQueue<'a> {
     /// Collectively construct one queue per PE (all PEs must call this
     /// with identical `cfg`).
     pub fn new(ctx: &'a ShmemCtx, cfg: QueueConfig) -> SwsQueue<'a> {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+        let defect = ctx.planted_defect().and_then(Defect::from_id);
         // Line-isolated placement: the stealval is the single most
         // contended word in the system — every thief RMWs it — so it must
         // never share a cache line with the completion arrays (written by
@@ -147,6 +150,7 @@ impl<'a> SwsQueue<'a> {
             comp_addr,
             epochs: VecDeque::from([EpochRec::open(0, 0, 0)]),
             slot_busy,
+            defect,
         }
     }
 
@@ -509,7 +513,10 @@ impl StealQueue for SwsQueue<'_> {
             ctx.proto_site(AtomicSite::SwsThiefClaim.id());
             ctx.try_atomic_fetch_add(target, sv_addr, ASTEAL_UNIT)
         });
-        let (comp, vol, start) = match claim.map(|raw| sws_claim(&self.ring.cfg, raw)) {
+        // Planted defect (conformance self-test): decode the claim with
+        // tail bit 0 flipped, so the copy lands one slot off.
+        let slot_off = u64::from(self.defect == Some(Defect::ClaimOneSlotOff));
+        let (comp, vol, start) = match claim.map(|raw| sws_claim(&self.ring.cfg, raw ^ slot_off)) {
             Err(e) => return self.ring.failed(&e),
             Ok(Claim::Live(b)) => (self.comp_addr.offset(b.comp as usize), b.volume, b.start_slot as usize),
             Ok(Claim::Closed) => {
@@ -534,10 +541,10 @@ impl StealQueue for SwsQueue<'_> {
             ctx.proto_site(AtomicSite::SwsThiefComplete.id());
             ctx.atomic_set_nbi(target, comp, Completion::Done(vol).word());
         };
-        // Seeded bug (exploration self-test): signal completion before
-        // the payload copy, licensing the owner to overwrite the ring
-        // words mid-steal.
-        let notify_early = self.ring.cfg.mutation == Some(Mutation::CompleteBeforeCopy);
+        // Planted defect (exploration self-test): signal completion
+        // before the payload copy, licensing the owner to overwrite the
+        // ring words mid-steal.
+        let notify_early = self.defect == Some(Defect::CompleteBeforeCopy);
         if notify_early {
             notify();
         }

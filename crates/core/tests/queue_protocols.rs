@@ -720,14 +720,15 @@ fn queue_config_validation_catches_misconfigurations() {
     use sws_core::stealval::Layout;
     // Oversized capacity for the 19-bit epoch-layout tail field.
     let too_big = QueueConfig::new((1 << 19) + 1, 24);
-    assert!(std::panic::catch_unwind(|| too_big.validate()).is_err());
+    assert_eq!(too_big.validate(), Err("capacity 524289 exceeds the 19-bit tail field".into()));
     // The same capacity fits the 20-bit ValidBit tail field but not the
     // 19-bit itasks field — still rejected.
     let vb = QueueConfig::new((1 << 19) + 1, 24).with_layout(Layout::ValidBit);
-    assert!(std::panic::catch_unwind(|| vb.validate()).is_err());
+    assert_eq!(vb.validate(), Err("capacity 524289 exceeds the itasks field".into()));
+    assert_eq!(QueueConfig::new(0, 24).validate(), Err("queue capacity must be nonzero".into()));
     // Sane configurations pass.
     let _ok = QueueConfig::new(1 << 19, 24).with_layout(Layout::ValidBit);
-    QueueConfig::new(16384, 192).validate();
+    assert_eq!(QueueConfig::new(16384, 192).validate(), Ok(()));
     // Word sizing follows from task bytes.
     assert_eq!(QueueConfig::new(64, 192).task_words, 24);
     assert_eq!(QueueConfig::new(64, 24).buffer_words(), 64 * 3);

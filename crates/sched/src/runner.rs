@@ -64,9 +64,9 @@ pub struct RunConfig {
     /// the virtual clock, so profiled runs stay byte-identical.
     pub profile_sites: bool,
     /// Per-site memory-ordering control (override table + optional live
-    /// happens-before tracker) for the necessity prover. `None` for
-    /// ordinary runs; `sws-check necessity` attaches one to weaken a
-    /// single catalog site per run.
+    /// happens-before tracker and planted defect). `None` for ordinary
+    /// runs; `sws-check necessity` attaches one to weaken a single
+    /// catalog site per run, its self-tests to plant a defect.
     pub ordering: Option<std::sync::Arc<sws_shmem::OrderingCtl>>,
 }
 
@@ -106,8 +106,8 @@ impl RunConfig {
         self
     }
 
-    /// Attach per-site ordering control (the necessity prover's mutant
-    /// table and live tracker).
+    /// Attach the test control (the necessity prover's mutant table and
+    /// live tracker, or a self-test's planted defect).
     #[must_use]
     pub fn with_ordering(mut self, ctl: std::sync::Arc<sws_shmem::OrderingCtl>) -> RunConfig {
         self.ordering = Some(ctl);

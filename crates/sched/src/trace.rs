@@ -73,11 +73,6 @@ impl EventLog {
     pub fn into_events(self) -> Vec<Event> {
         self.events
     }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 pub use sws_shmem::proto::{ProtoEvent, ProtoOp};
@@ -157,7 +152,6 @@ mod tests {
     fn disabled_log_records_nothing() {
         let mut log = EventLog::new(false);
         log.record(1, EventKind::EnterIdle);
-        assert!(!log.is_enabled());
         assert!(log.into_events().is_empty());
     }
 

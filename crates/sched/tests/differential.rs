@@ -287,6 +287,7 @@ fn identity_ctl() -> Arc<OrderingCtl> {
     Arc::new(OrderingCtl {
         overrides: sws_core::AtomicSite::production_table(),
         tracker: None,
+        defect: None,
     })
 }
 

@@ -30,13 +30,8 @@ use std::cell::RefCell;
 pub enum OpClass {
     /// Every remote operation.
     All,
-    /// Remote atomics (fetch-add, swap, compare-swap, fetch, set, and
-    /// their non-blocking forms).
-    Atomics,
     /// Blocking and strided gets.
     Gets,
-    /// Blocking, strided, and non-blocking puts.
-    Puts,
     /// Exactly one operation kind.
     Kind(OpKind),
 }
@@ -46,9 +41,7 @@ impl OpClass {
     pub fn matches(self, kind: OpKind) -> bool {
         match self {
             OpClass::All => !matches!(kind, OpKind::Barrier | OpKind::Quiet),
-            OpClass::Atomics => kind.is_atomic(),
             OpClass::Gets => matches!(kind, OpKind::Get),
-            OpClass::Puts => matches!(kind, OpKind::Put | OpKind::PutNbi),
             OpClass::Kind(k) => k == kind,
         }
     }
@@ -400,11 +393,7 @@ mod tests {
         assert!(OpClass::All.matches(OpKind::Get));
         assert!(!OpClass::All.matches(OpKind::Barrier));
         assert!(!OpClass::All.matches(OpKind::Quiet));
-        assert!(OpClass::Atomics.matches(OpKind::AtomicFetchAdd));
-        assert!(OpClass::Atomics.matches(OpKind::AtomicSetNbi));
-        assert!(!OpClass::Atomics.matches(OpKind::Get));
         assert!(OpClass::Gets.matches(OpKind::Get));
-        assert!(OpClass::Puts.matches(OpKind::PutNbi));
         assert!(OpClass::Kind(OpKind::Get).matches(OpKind::Get));
         assert!(!OpClass::Kind(OpKind::Get).matches(OpKind::Put));
     }

@@ -87,20 +87,6 @@ impl OpKind {
             OpKind::PutNbi | OpKind::AtomicAddNbi | OpKind::AtomicSetNbi
         )
     }
-
-    /// Whether this kind is an atomic memory operation.
-    pub fn is_atomic(self) -> bool {
-        matches!(
-            self,
-            OpKind::AtomicFetchAdd
-                | OpKind::AtomicSwap
-                | OpKind::AtomicCompareSwap
-                | OpKind::AtomicFetch
-                | OpKind::AtomicSet
-                | OpKind::AtomicAddNbi
-                | OpKind::AtomicSetNbi
-        )
-    }
 }
 
 /// Where an operation's target sits relative to the issuing PE.
@@ -196,20 +182,6 @@ impl NetModel {
             bandwidth_bytes_per_us: u64::MAX,
             nbi_issue_ns: 0,
             barrier_ns: 0,
-        }
-    }
-
-    /// A model with uniform small-op latency `rtt_ns` and effectively
-    /// infinite bandwidth — isolates message-count effects.
-    pub fn uniform_latency(rtt_ns: u64) -> NetModel {
-        NetModel {
-            remote_latency_ns: rtt_ns,
-            intra_node_latency_ns: rtt_ns,
-            node_size: 1,
-            local_latency_ns: rtt_ns / 20,
-            bandwidth_bytes_per_us: u64::MAX,
-            nbi_issue_ns: rtt_ns / 12,
-            barrier_ns: rtt_ns * 4,
         }
     }
 
@@ -325,15 +297,6 @@ mod tests {
         assert_eq!(
             issue + deferred,
             m.cost_ns(OpKind::AtomicSet, 8, Locality::Remote)
-        );
-    }
-
-    #[test]
-    fn uniform_latency_ignores_bytes() {
-        let m = NetModel::uniform_latency(1_000);
-        assert_eq!(
-            m.cost_ns(OpKind::Get, 8, Locality::Remote),
-            m.cost_ns(OpKind::Get, 1 << 20, Locality::Remote)
         );
     }
 

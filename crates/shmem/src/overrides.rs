@@ -12,7 +12,9 @@
 //! [`MemOrder::for_role`]: an RMW or CAS keeps both halves of its site's
 //! entry, a load only the acquire half, a store only the release half.
 //! With no table attached every site sits at `AcqRel`, so RMWs run
-//! `AcqRel`, loads `Acquire` and stores `Release`.
+//! `AcqRel`, loads `Acquire` and stores `Release`. The same control is
+//! the one seam through which a self-test plants a protocol defect
+//! (`sws_core::Defect`, carried as a raw id like the sites).
 //!
 //! Real x86 hardware cannot exhibit a weakened ordering under the
 //! serialized exploration gate — every load sees the latest store
@@ -43,6 +45,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
+use crate::ctx::ShmemCtx;
 use crate::lock::Mutex;
 use crate::proto::NO_SITE;
 
@@ -216,8 +219,9 @@ impl OrderingOverrides {
     }
 }
 
-/// The ordering control a world may carry: the ordering table plus an
-/// optional live happens-before tracker. See the module docs.
+/// The test control a world may carry: the ordering table, an optional
+/// live happens-before tracker, and an optional planted defect. See the
+/// module docs.
 #[derive(Debug)]
 pub struct OrderingCtl {
     /// The per-site ordering table every annotated op resolves through
@@ -227,6 +231,17 @@ pub struct OrderingCtl {
     /// them (the differential suites run overrides-attached worlds in
     /// virtual time, where there is nothing to track).
     pub tracker: Option<OrdTracker>,
+    /// Raw id of a protocol defect the queues plant (`sws_core::Defect`,
+    /// which this crate cannot name); `None` plants nothing.
+    pub defect: Option<u16>,
+}
+
+impl ShmemCtx {
+    /// The raw id of the defect this world's test control plants, if any.
+    /// Queues read it once, at construction.
+    pub fn planted_defect(&self) -> Option<u16> {
+        self.world().ordering.as_ref().and_then(|ctl| ctl.defect)
+    }
 }
 
 /// Violation kind tag for a fresh-obligated read that cannot prove it

@@ -77,9 +77,9 @@ pub struct WorldConfig {
     /// Per-site memory-ordering control for the necessity prover (see
     /// [`crate::overrides`]): the catalog's ordering table, one mutant
     /// applied or none, that every annotated op resolves its ordering
-    /// through, plus an optional live happens-before tracker. `None` (the
-    /// default everywhere outside `sws-check necessity`) runs every op at
-    /// its role default.
+    /// through, plus an optional live happens-before tracker and an
+    /// optional planted defect. `None` (the default everywhere outside
+    /// `sws-check`) runs every op at its role default.
     pub ordering: Option<Arc<OrderingCtl>>,
 }
 
@@ -150,8 +150,8 @@ impl WorldConfig {
         self
     }
 
-    /// Attach per-site ordering control (override table + optional
-    /// tracker) for the necessity prover.
+    /// Attach the test control (override table + optional tracker and
+    /// planted defect) for `sws-check`.
     #[must_use]
     pub fn with_ordering(mut self, ctl: Arc<OrderingCtl>) -> WorldConfig {
         self.ordering = Some(ctl);

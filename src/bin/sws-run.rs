@@ -403,6 +403,10 @@ fn parse_args() -> Args {
         eprintln!("--depth: a uts tree of {} levels cannot be traversed (at most 64)", args.depth);
         usage()
     }
+    if let Err(e) = queue_config(&args).validate() {
+        eprintln!("--capacity: {e}");
+        std::process::exit(2)
+    }
     if args.serve {
         if !matches!(args.workload.as_str(), "flat" | "uts") {
             eprintln!("--serve supports the flat and uts workloads");

@@ -40,3 +40,18 @@ fn histogram_refuses_a_sampled_capture() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr.lines().next(), Some("--histogram counts every steal and cannot read a --sample capture"));
 }
+
+/// A ring the queue cannot address is refused before launch, with one
+/// line and no usage: none of the PEs starts.
+#[test]
+fn an_out_of_range_capacity_is_refused_in_one_line() {
+    for (capacity, line) in [
+        ("0", "--capacity: queue capacity must be nonzero"),
+        ("600000", "--capacity: capacity 600000 exceeds the 19-bit tail field"),
+    ] {
+        let out = sws_run(&["uts", "--pes", "4", "--depth", "6", "--system", "sws", "--capacity", capacity]);
+        assert_eq!(out.status.code(), Some(2), "--capacity {capacity}: exit status");
+        assert!(out.stdout.is_empty(), "--capacity {capacity}: nothing ran");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), format!("{line}\n"), "--capacity {capacity}: stderr");
+    }
+}

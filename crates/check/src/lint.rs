@@ -32,8 +32,9 @@
 //!    `crates/core/src/queue/` must carry an `// ordering:` comment
 //!    naming its [`sws_core::AtomicSite`], on the same or one of the
 //!    three preceding lines, tying source to the audit table.
-//! 7. `unsafe-code` — `unsafe` outside the allowlist (the shmem
-//!    spinlock's one cell of interior mutability).
+//! 7. `unsafe-code` — `unsafe` outside the allowlist (three files: the
+//!    symmetric heap's aligned backing, the serial executor's context
+//!    switch, and SHA-1's one call into its SHA-extensions kernel).
 //! 8. `safety-comment` — every `unsafe` occurrence must carry a
 //!    `// SAFETY:` comment on the same line or within the eight
 //!    preceding lines, stating the invariant that makes it sound.

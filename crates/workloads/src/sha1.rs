@@ -8,6 +8,22 @@
 //! to the original benchmark. Implemented here rather than pulled in as
 //! a dependency (see DESIGN.md's dependency policy); verified against
 //! the FIPS-180 / RFC 3174 test vectors below.
+//!
+//! The compression function has two kernels, and the CPU picks one at
+//! run time. On an x86-64 CPU that reports the SHA extensions (and
+//! SSE4.1), `compress_sha` runs the eighty rounds as twenty
+//! `sha1rnds4`s; everywhere else the portable `compress_portable` runs.
+//! The two are bit-identical, so every tree, count and virtual time is
+//! the same on either. The hardware kernel is a safe
+//! `#[target_feature]` function; calling it is `unsafe` only because
+//! the caller must vouch that the CPU has those features, and the one
+//! call sits behind the check that does.
+
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{
+    __m128i, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32,
+    _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+};
 
 /// Digest size in bytes.
 pub const DIGEST_BYTES: usize = 20;
@@ -47,10 +63,10 @@ fn rounds(
     }
 }
 
-/// The SHA-1 compression function: fold one 64-byte `block` into the
-/// chaining state `h`.
+/// The portable compression function: fold one 64-byte `block` into the
+/// chaining state `h`. Every CPU without the SHA extensions runs it.
 #[inline(always)]
-fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
+fn compress_portable(h: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (wi, &bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
         *wi = u32::from_be_bytes(bytes);
@@ -65,6 +81,81 @@ fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
+/// The twenty rounds `20 * FUNC..20 * FUNC + 20`, five groups of four.
+/// `sha1nexte` adds the group's `e` (the `a` of `back`, rotated) to its
+/// first schedule word, and `sha1rnds4` runs its rounds with the mixing
+/// function and constant `FUNC`. The window `w` holds the schedule words
+/// of this group and the next three; `sha1msg1`/`sha1msg2` extend it by
+/// the group after those (the last four extensions are never read, and
+/// compile away).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse4.1")]
+#[inline]
+fn sha_rounds<const FUNC: i32>(abcd: &mut __m128i, back: &mut __m128i, w: &mut [__m128i; 4]) {
+    for _ in 0..5 {
+        let e = _mm_sha1nexte_epu32(*back, w[0]);
+        *back = *abcd;
+        *abcd = _mm_sha1rnds4_epu32::<FUNC>(*abcd, e);
+        let next = _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32(w[0], w[1]), w[2]), w[3]);
+        *w = [w[1], w[2], w[3], next];
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions. A vector
+/// holds four words, the first in the top lane: the state `abcd`, and
+/// the four schedule words of each group of four rounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse4.1")]
+fn compress_sha(h: &mut [u32; 5], block: &[u8; 64]) {
+    let words = block.as_chunks::<4>().0;
+    let word = |i: usize| u32::from_be_bytes(words[i]) as i32;
+    let mut w: [__m128i; 4] = core::array::from_fn(|g| {
+        _mm_set_epi32(
+            word(4 * g),
+            word(4 * g + 1),
+            word(4 * g + 2),
+            word(4 * g + 3),
+        )
+    });
+    let mut abcd = _mm_set_epi32(h[0] as i32, h[1] as i32, h[2] as i32, h[3] as i32);
+    // The state four rounds back. Seeded with `e` rotated back, so that
+    // the first group derives its `e` like every other.
+    let mut back = _mm_set_epi32(h[4].rotate_right(30) as i32, 0, 0, 0);
+    sha_rounds::<0>(&mut abcd, &mut back, &mut w);
+    sha_rounds::<1>(&mut abcd, &mut back, &mut w);
+    sha_rounds::<2>(&mut abcd, &mut back, &mut w);
+    sha_rounds::<3>(&mut abcd, &mut back, &mut w);
+    let s = [
+        _mm_extract_epi32::<3>(abcd),
+        _mm_extract_epi32::<2>(abcd),
+        _mm_extract_epi32::<1>(abcd),
+        _mm_extract_epi32::<0>(abcd),
+        (_mm_extract_epi32::<3>(back) as u32).rotate_left(30) as i32,
+    ];
+    for (hi, si) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(si as u32);
+    }
+}
+
+/// Whether the CPU reports every feature `compress_sha` enables.
+#[cfg(target_arch = "x86_64")]
+fn has_sha_extensions() -> bool {
+    is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+}
+
+/// The SHA-1 compression function: fold one 64-byte `block` into the
+/// chaining state `h`, on the SHA extensions when the CPU has them.
+#[inline(always)]
+fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_extensions() {
+        // SAFETY: the CPU reports `sha` and `sse4.1`, every feature
+        // `compress_sha` enables.
+        return unsafe { compress_sha(h, block) };
+    }
+    compress_portable(h, block)
+}
+
 /// The chaining state as the big-endian digest.
 fn digest(h: [u32; 5]) -> [u8; DIGEST_BYTES] {
     let mut out = [0u8; DIGEST_BYTES];
@@ -76,6 +167,12 @@ fn digest(h: [u32; 5]) -> [u8; DIGEST_BYTES] {
 
 /// Compute the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
+    sha1_with(compress, data)
+}
+
+/// [`sha1`] on the compression kernel `compress`.
+#[inline(always)]
+fn sha1_with(compress: impl Fn(&mut [u32; 5], &[u8; 64]), data: &[u8]) -> [u8; DIGEST_BYTES] {
     let (blocks, rest) = data.as_chunks::<64>();
     // Message padding: 0x80, zeros, 64-bit big-endian bit length — one
     // more block when the remainder leaves room for the nine bytes, else
@@ -97,6 +194,16 @@ pub fn sha1(data: &[u8]) -> [u8; DIGEST_BYTES] {
 /// 4-byte big-endian), matching the original benchmark's brg_sha1 rng
 /// spawn operation. The 24-byte message and its padding are one block.
 pub fn spawn_child(parent: &[u8; DIGEST_BYTES], child_index: u32) -> [u8; DIGEST_BYTES] {
+    spawn_child_with(compress, parent, child_index)
+}
+
+/// [`spawn_child`] on the compression kernel `compress`.
+#[inline(always)]
+fn spawn_child_with(
+    compress: impl Fn(&mut [u32; 5], &[u8; 64]),
+    parent: &[u8; DIGEST_BYTES],
+    child_index: u32,
+) -> [u8; DIGEST_BYTES] {
     const MSG_BYTES: usize = DIGEST_BYTES + 4;
     let mut block = [0u8; 64];
     block[..DIGEST_BYTES].copy_from_slice(parent);
@@ -179,24 +286,72 @@ mod tests {
         digest(h)
     }
 
+    type Kernel = fn(&mut [u32; 5], &[u8; 64]);
+
+    /// The compression kernels under test, by name: the portable one on
+    /// every host, and the SHA-extensions one only when the CPU reports
+    /// its features (through `compress`, which picks it there: the
+    /// kernel itself is no safe `fn` pointer).
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", compress_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if has_sha_extensions() {
+            kernels.push(("sha extensions", compress));
+        }
+        kernels
+    }
+
+    /// The reference's digest of `parent || child_index`.
+    fn reference_child(parent: &[u8; DIGEST_BYTES], child_index: u32) -> [u8; DIGEST_BYTES] {
+        let mut msg = [0u8; DIGEST_BYTES + 4];
+        msg[..DIGEST_BYTES].copy_from_slice(parent);
+        msg[DIGEST_BYTES..].copy_from_slice(&child_index.to_be_bytes());
+        reference_sha1(&msg)
+    }
+
+    /// Each of [`kernels`] against the reference; on a CPU without the SHA
+    /// extensions, only the portable half runs.
     #[test]
     fn matches_reference_across_every_padding_shape() {
         let data: Vec<u8> = (0..130u32).map(|i| (i * 89 + 3) as u8).collect();
-        for len in 0..=data.len() {
-            assert_eq!(sha1(&data[..len]), reference_sha1(&data[..len]), "len {len}");
+        for (name, kernel) in kernels() {
+            for len in 0..=data.len() {
+                let digest = sha1_with(kernel, &data[..len]);
+                assert_eq!(digest, reference_sha1(&data[..len]), "{name}, len {len}");
+            }
         }
     }
 
+    /// Each of [`kernels`] against the reference; on a CPU without the SHA
+    /// extensions, only the portable half runs.
     #[test]
     fn spawn_child_matches_reference_over_a_chain() {
-        let mut state = root_state(5);
-        for i in 0..10_000u32 {
-            let mut msg = [0u8; DIGEST_BYTES + 4];
-            msg[..DIGEST_BYTES].copy_from_slice(&state);
-            msg[DIGEST_BYTES..].copy_from_slice(&(i % 7).to_be_bytes());
-            let child = spawn_child(&state, i % 7);
-            assert_eq!(child, reference_sha1(&msg), "link {i}");
-            state = child;
+        for (name, kernel) in kernels() {
+            let mut state = root_state(5);
+            for i in 0..10_000u32 {
+                let child = spawn_child_with(kernel, &state, i % 7);
+                assert_eq!(child, reference_child(&state, i % 7), "{name}, link {i}");
+                state = child;
+            }
+        }
+    }
+
+    /// Each of [`kernels`] against the reference, under the root and two
+    /// other parents; on a CPU without the SHA extensions, only the
+    /// portable half runs.
+    #[test]
+    fn spawn_child_matches_reference_at_every_child_index() {
+        let root = root_state(5);
+        let parents = [root, spawn_child(&root, 0), spawn_child(&root, 200)];
+        for (name, kernel) in kernels() {
+            for (p, parent) in parents.iter().enumerate() {
+                // 200 is UTS's clamp on the child count.
+                for i in 0..=200u32 {
+                    let child = spawn_child_with(kernel, parent, i);
+                    assert_eq!(child, reference_child(parent, i), "{name}, parent {p}, index {i}");
+                }
+            }
         }
     }
 

@@ -704,3 +704,69 @@ mod table_tests {
         }
     }
 }
+
+
+#[cfg(test)]
+mod oracle_pins {
+    use super::shape_tests::geo;
+    use super::*;
+
+    fn stats(nodes: u64, max_depth: u64, leaves: u64) -> TreeStats {
+        TreeStats {
+            nodes,
+            max_depth,
+            leaves,
+        }
+    }
+
+    /// The oracle's counts of the `geo_small` family, one per depth limit
+    /// from 8 to 15 (the `sws-perf` `uts-local` tree).
+    #[test]
+    fn geo_small_counts_are_pinned() {
+        let pins = [
+            (8, stats(6_217, 8, 3_545)),
+            (9, stats(12_691, 9, 7_067)),
+            (10, stats(25_317, 10, 13_940)),
+            (11, stats(52_383, 11, 28_667)),
+            (12, stats(104_259, 12, 56_882)),
+            (13, stats(209_087, 13, 113_241)),
+            (14, stats(395_057, 14, 212_427)),
+            (15, stats(771_955, 15, 413_072)),
+        ];
+        for (depth_limit, want) in pins {
+            let got = UtsParams::geo_small(depth_limit).sequential_count();
+            assert_eq!(got, want, "geo_small({depth_limit})");
+        }
+    }
+
+    /// Binomial trees from a few roots: seed 11 is 121 levels deep.
+    #[test]
+    fn bin_small_counts_are_pinned() {
+        let pins = [
+            (0, stats(89, 5, 79)),
+            (1, stats(97, 4, 86)),
+            (3, stats(697, 22, 611)),
+            (11, stats(19_777, 121, 17_306)),
+        ];
+        for (seed, want) in pins {
+            let got = UtsParams::bin_small(16, seed).sequential_count();
+            assert_eq!(got, want, "bin_small(16, {seed})");
+        }
+    }
+
+    /// The three geometric shapes `geo_small` does not use.
+    #[test]
+    fn other_shape_counts_are_pinned() {
+        let pins = [
+            (geo(GeomShape::Fixed, 3.0, 8, 5), stats(60_171, 8, 45_110)),
+            (geo(GeomShape::Fixed, 2.2, 9, 0), stats(2_791, 9, 1_936)),
+            (geo(GeomShape::Cyclic, 3.0, 8, 5), stats(178, 4, 108)),
+            (geo(GeomShape::Cyclic, 4.0, 12, 1), stats(248, 6, 148)),
+            (geo(GeomShape::ExpDec, 3.0, 8, 5), stats(201, 6, 117)),
+            (geo(GeomShape::ExpDec, 4.0, 12, 1), stats(315, 12, 160)),
+        ];
+        for (params, want) in pins {
+            assert_eq!(params.sequential_count(), want, "{params:?}");
+        }
+    }
+}

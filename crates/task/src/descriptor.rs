@@ -252,7 +252,10 @@ mod tests {
                 let mut buf = [0xFFu8; MAX_PAYLOAD];
                 assert_eq!(decode_record(&want, &mut buf), (0xBEEF, len));
                 assert_eq!(&buf[..len], &payload[..]);
-                assert!(buf[len..].iter().all(|&b| b == 0xFF), "decode wrote past len {len}");
+                assert!(
+                    buf[len..].iter().all(|&b| b == 0xFF),
+                    "decode wrote past len {len}"
+                );
 
                 // Junk above the payload's last byte stays out of the
                 // descriptor.

@@ -174,8 +174,7 @@ impl ArrivalClock {
                 } else {
                     amp as i64 - (2 * amp * (phase - half) / half.max(1)) as i64
                 };
-                let mean =
-                    ((*base_gap_ns).max(1) as i64 * (100 + swing) / 100).max(1) as u64;
+                let mean = ((*base_gap_ns).max(1) as i64 * (100 + swing) / 100).max(1) as u64;
                 self.last_ns
                     .saturating_add(Self::exp_gap(&mut self.rng, mean))
             }
@@ -512,7 +511,11 @@ mod tests {
             horizon_ns: 1_000,
         };
         assert_eq!(collect(&plan, 0, 10), vec![10, 20, 20, 99]);
-        assert_eq!(collect(&plan, 3, 10), vec![10, 20, 20, 99], "same on every PE");
+        assert_eq!(
+            collect(&plan, 3, 10),
+            vec![10, 20, 20, 99],
+            "same on every PE"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use sws_shmem::{ShmemCtx, SymAddr};
 use sws_sched::{TaskCtx, Workload};
+use sws_shmem::{ShmemCtx, SymAddr};
 use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};
 
 /// Task function id for vertex-visit tasks.
@@ -75,8 +75,7 @@ impl GraphParams {
 
     /// Neighbor `i` of `v`.
     pub fn neighbor(&self, v: u64, i: u32) -> u64 {
-        mix(self.seed ^ v.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (i as u64) << 40)
-            % self.n_vertices
+        mix(self.seed ^ v.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ (i as u64) << 40) % self.n_vertices
     }
 
     /// Sequential BFS oracle: vertices reachable from `root`
@@ -153,9 +152,7 @@ impl Workload for BfsWorkload {
             let table = SymAddr::from_word(visited_word.load(Ordering::Relaxed));
             let (owner, slot) = BfsWorkload::owner_and_slot(v, tctx.n_pes());
             // One remote atomic claims the vertex; exactly one task wins.
-            let prev = tctx
-                .shmem()
-                .atomic_swap(owner, table.offset(slot), 1);
+            let prev = tctx.shmem().atomic_swap(owner, table.offset(slot), 1);
             if prev == 0 {
                 claimed.fetch_add(1, Ordering::Relaxed);
                 tctx.compute(params.visit_ns);

@@ -74,7 +74,13 @@ fn compress_portable(h: &mut [u32; 5], block: &[u8; 64]) {
     let mut s = *h;
     rounds(&mut s, &mut w, 0, |b, c, d| (b & c) | (!b & d), 0x5A827999);
     rounds(&mut s, &mut w, 20, |b, c, d| b ^ c ^ d, 0x6ED9EBA1);
-    rounds(&mut s, &mut w, 40, |b, c, d| (b & c) | (b & d) | (c & d), 0x8F1BBCDC);
+    rounds(
+        &mut s,
+        &mut w,
+        40,
+        |b, c, d| (b & c) | (b & d) | (c & d),
+        0x8F1BBCDC,
+    );
     rounds(&mut s, &mut w, 60, |b, c, d| b ^ c ^ d, 0xCA62C1D6);
     for (hi, si) in h.iter_mut().zip(s) {
         *hi = hi.wrapping_add(si);
@@ -349,7 +355,11 @@ mod tests {
                 // 200 is UTS's clamp on the child count.
                 for i in 0..=200u32 {
                     let child = spawn_child_with(kernel, parent, i);
-                    assert_eq!(child, reference_child(parent, i), "{name}, parent {p}, index {i}");
+                    assert_eq!(
+                        child,
+                        reference_child(parent, i),
+                        "{name}, parent {p}, index {i}"
+                    );
                 }
             }
         }
@@ -357,7 +367,10 @@ mod tests {
 
     #[test]
     fn spawn_child_is_pinned() {
-        assert_eq!(hex(&spawn_child(&root_state(5), 3)), "97df2befffb3e8a9e35d038e84b16f66e2499205");
+        assert_eq!(
+            hex(&spawn_child(&root_state(5), 3)),
+            "97df2befffb3e8a9e35d038e84b16f66e2499205"
+        );
     }
 
     #[test]
@@ -380,10 +393,7 @@ mod tests {
 
     #[test]
     fn empty_message() {
-        assert_eq!(
-            hex(&sha1(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
+        assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
     }
 
     #[test]

@@ -98,7 +98,10 @@ mod tests {
 
     #[test]
     fn record_words_match_fig6_sizes() {
-        assert_eq!(TaskDescriptor::words_for(sized_task(0, 24).bytes_needed()), 3);
+        assert_eq!(
+            TaskDescriptor::words_for(sized_task(0, 24).bytes_needed()),
+            3
+        );
         assert_eq!(
             TaskDescriptor::words_for(sized_task(0, 192).bytes_needed()),
             24

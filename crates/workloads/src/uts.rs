@@ -564,7 +564,9 @@ mod shape_tests {
         let mut expdec = 0u64;
         for seed in 0..6 {
             fixed += geo(GeomShape::Fixed, 2.2, 9, seed).sequential_count().nodes;
-            expdec += geo(GeomShape::ExpDec, 2.2, 9, seed).sequential_count().nodes;
+            expdec += geo(GeomShape::ExpDec, 2.2, 9, seed)
+                .sequential_count()
+                .nodes;
         }
         assert!(
             expdec * 2 < fixed,
@@ -704,7 +706,6 @@ mod table_tests {
         }
     }
 }
-
 
 #[cfg(test)]
 mod oracle_pins {

@@ -34,7 +34,9 @@
 //!    three preceding lines, tying source to the audit table.
 //! 7. `unsafe-code` — `unsafe` outside the allowlist (three files: the
 //!    symmetric heap's aligned backing, the serial executor's context
-//!    switch, and SHA-1's one call into its SHA-extensions kernel).
+//!    switch, and SHA-1's two calls into its CPU-feature kernels, the
+//!    SHA-extensions compression function and the AVX-512 batch of
+//!    sixteen children).
 //! 8. `safety-comment` — every `unsafe` occurrence must carry a
 //!    `// SAFETY:` comment on the same line or within the eight
 //!    preceding lines, stating the invariant that makes it sound.

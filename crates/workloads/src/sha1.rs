@@ -9,20 +9,33 @@
 //! a dependency (see DESIGN.md's dependency policy); verified against
 //! the FIPS-180 / RFC 3174 test vectors below.
 //!
-//! The compression function has two kernels, and the CPU picks one at
-//! run time. On an x86-64 CPU that reports the SHA extensions (and
-//! SSE4.1), `compress_sha` runs the eighty rounds as twenty
-//! `sha1rnds4`s; everywhere else the portable `compress_portable` runs.
-//! The two are bit-identical, so every tree, count and virtual time is
-//! the same on either. The hardware kernel is a safe
-//! `#[target_feature]` function; calling it is `unsafe` only because
-//! the caller must vouch that the CPU has those features, and the one
-//! call sits behind the check that does.
+//! Three kernels hash a block, and the CPU picks among them at run
+//! time; all are bit-identical, so every tree, count and virtual time is
+//! the same on any of them.
+//!
+//! - [`spawn_child`] and [`sha1`] hash one block at a time through
+//!   `compress`. On an x86-64 CPU that reports the SHA extensions (and
+//!   SSE4.1), it runs `compress_sha`, the eighty rounds as twenty
+//!   `sha1rnds4`s; everywhere else the portable `compress_portable`.
+//!   The UTS handlers derive every child this way.
+//! - [`spawn_children`] derives many children, [`LANES`] a call. On an
+//!   x86-64 CPU that reports `avx512f` it runs `spawn_children_avx512`,
+//!   one child per 32-bit lane (`vprold` rotates, `vpternlogd` mixes);
+//!   everywhere else each child goes through [`spawn_child`]. Only the
+//!   sequential oracle (`UtsParams::sequential_count`) calls it, so on
+//!   an AVX-512 host every checked run compares two independent kernels.
+//!
+//! The hardware kernels are safe `#[target_feature]` functions; calling
+//! one is `unsafe` only because the caller must vouch that the CPU has
+//! its features, and each of the two calls sits behind the check that
+//! does.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
-    __m128i, _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32,
-    _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32, _mm_xor_si128,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_extracti32x4_epi32, _mm512_rol_epi32,
+    _mm512_set1_epi32, _mm512_set_epi32, _mm512_ternarylogic_epi32, _mm512_xor_si512,
+    _mm_extract_epi32, _mm_set_epi32, _mm_sha1msg1_epu32, _mm_sha1msg2_epu32, _mm_sha1nexte_epu32,
+    _mm_sha1rnds4_epu32, _mm_xor_si128,
 };
 
 /// Digest size in bytes.
@@ -221,6 +234,148 @@ fn spawn_child_with(
     digest(h)
 }
 
+/// Children [`spawn_children`] derives per kernel call: one per 32-bit
+/// lane of an AVX-512 register.
+pub const LANES: usize = 16;
+
+/// [`spawn_child`] of every `(parent, index)` in `jobs`: `out[i]` becomes
+/// `spawn_child(&jobs[i].0, jobs[i].1)`, and `out` past `jobs.len()` is
+/// left as it was (it panics if `out` is shorter). On a CPU that reports
+/// `avx512f` the children are hashed [`LANES`] at a time in one AVX-512
+/// kernel, a lane each; elsewhere one at a time by [`spawn_child`].
+pub fn spawn_children(jobs: &[([u8; DIGEST_BYTES], u32)], out: &mut [[u8; DIGEST_BYTES]]) {
+    let out = &mut out[..jobs.len()];
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx512f") {
+        // SAFETY: the CPU reports `avx512f`, the one feature
+        // `spawn_children_avx512` enables.
+        return unsafe { spawn_children_avx512(jobs, out) };
+    }
+    spawn_children_each(jobs, out)
+}
+
+/// [`spawn_children`] one child at a time: what every CPU without
+/// AVX-512 runs.
+pub(crate) fn spawn_children_each(
+    jobs: &[([u8; DIGEST_BYTES], u32)],
+    out: &mut [[u8; DIGEST_BYTES]],
+) {
+    for (child, (parent, index)) in out.iter_mut().zip(jobs) {
+        *child = spawn_child(parent, *index);
+    }
+}
+
+/// A vector whose lane `l` is `word(l)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn gather(word: impl Fn(usize) -> u32) -> __m512i {
+    let w = |l: usize| word(l) as i32;
+    _mm512_set_epi32(
+        w(15),
+        w(14),
+        w(13),
+        w(12),
+        w(11),
+        w(10),
+        w(9),
+        w(8),
+        w(7),
+        w(6),
+        w(5),
+        w(4),
+        w(3),
+        w(2),
+        w(1),
+        w(0),
+    )
+}
+
+/// The lanes of `v`, lane 0 first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn scatter(v: __m512i) -> [u32; LANES] {
+    let quarters = [
+        _mm512_extracti32x4_epi32::<0>(v),
+        _mm512_extracti32x4_epi32::<1>(v),
+        _mm512_extracti32x4_epi32::<2>(v),
+        _mm512_extracti32x4_epi32::<3>(v),
+    ];
+    let mut lanes = [0; LANES];
+    for (four, q) in lanes.as_chunks_mut::<4>().0.iter_mut().zip(quarters) {
+        *four = [
+            _mm_extract_epi32::<0>(q),
+            _mm_extract_epi32::<1>(q),
+            _mm_extract_epi32::<2>(q),
+            _mm_extract_epi32::<3>(q),
+        ]
+        .map(|word| word as u32);
+    }
+    lanes
+}
+
+/// [`rounds`] on sixteen lanes, from round `FROM`: the mixing function
+/// is the `vpternlogd` truth table `FUNC` of `(b, c, d)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lane_rounds<const FUNC: i32, const FROM: usize>(
+    s: &mut [__m512i; 5],
+    w: &mut [__m512i; 16],
+    k: u32,
+) {
+    let k = _mm512_set1_epi32(k as i32);
+    for turn in (FROM..FROM + 20).step_by(5) {
+        for j in 0..5 {
+            let i = turn + j;
+            if i >= 16 {
+                let x = _mm512_xor_si512(
+                    _mm512_xor_si512(w[(i + 13) % 16], w[(i + 8) % 16]),
+                    w[(i + 2) % 16],
+                );
+                w[i % 16] = _mm512_rol_epi32::<1>(_mm512_xor_si512(x, w[i % 16]));
+            }
+            let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|v| (v + 5 - j) % 5);
+            let f = _mm512_ternarylogic_epi32::<FUNC>(s[b], s[c], s[d]);
+            let t = _mm512_add_epi32(_mm512_add_epi32(k, w[i % 16]), f);
+            s[e] = _mm512_add_epi32(_mm512_add_epi32(s[e], _mm512_rol_epi32::<5>(s[a])), t);
+            s[b] = _mm512_rol_epi32::<30>(s[b]);
+        }
+    }
+}
+
+/// [`spawn_children`] on AVX-512, [`LANES`] children a call of the
+/// compression function: lane `l` of every vector is job `l`'s block.
+/// Only a block's first six words (the parent's five and the index)
+/// differ between lanes; the rest is padding. A short last chunk fills
+/// its spare lanes with its last job and keeps none of them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn spawn_children_avx512(jobs: &[([u8; DIGEST_BYTES], u32)], out: &mut [[u8; DIGEST_BYTES]]) {
+    for (jobs, out) in jobs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        let job = |l: usize| &jobs[l.min(jobs.len() - 1)];
+        let mut w = [_mm512_set1_epi32(0); 16];
+        for (i, wi) in w[..5].iter_mut().enumerate() {
+            *wi = gather(|l| u32::from_be_bytes(job(l).0.as_chunks::<4>().0[i]));
+        }
+        w[5] = gather(|l| job(l).1);
+        w[6] = _mm512_set1_epi32(0x8000_0000u32 as i32);
+        w[15] = _mm512_set1_epi32((DIGEST_BYTES as i32 + 4) * 8);
+        let mut s = H0.map(|h| _mm512_set1_epi32(h as i32));
+        lane_rounds::<0xCA, 0>(&mut s, &mut w, 0x5A827999);
+        lane_rounds::<0x96, 20>(&mut s, &mut w, 0x6ED9EBA1);
+        lane_rounds::<0xE8, 40>(&mut s, &mut w, 0x8F1BBCDC);
+        lane_rounds::<0x96, 60>(&mut s, &mut w, 0xCA62C1D6);
+        for (j, (&h, si)) in H0.iter().zip(s).enumerate() {
+            let words = scatter(_mm512_add_epi32(_mm512_set1_epi32(h as i32), si));
+            for (child, word) in out.iter_mut().zip(words) {
+                child.as_chunks_mut::<4>().0[j] = word.to_be_bytes();
+            }
+        }
+    }
+}
+
 /// UTS root derivation from a scalar seed.
 pub fn root_state(seed: u32) -> [u8; DIGEST_BYTES] {
     sha1(&seed.to_be_bytes())
@@ -362,6 +517,102 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    type BatchKernel = fn(&[([u8; DIGEST_BYTES], u32)], &mut [[u8; DIGEST_BYTES]]);
+
+    /// The batch kernels under test, by name: one child at a time on every
+    /// host, and the AVX-512 one only when the CPU reports `avx512f`
+    /// (through `spawn_children`, which picks it there).
+    fn batch_kernels() -> Vec<(&'static str, BatchKernel)> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<(&'static str, BatchKernel)> = vec![("each", spawn_children_each)];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            kernels.push(("avx512f", spawn_children));
+        }
+        kernels
+    }
+
+    /// Each of [`batch_kernels`] against the reference at every child
+    /// index of three parents, [`LANES`] children a call.
+    #[test]
+    fn spawn_children_matches_reference_at_every_child_index() {
+        let root = root_state(5);
+        let parents = [root, spawn_child(&root, 0), spawn_child(&root, 200)];
+        for (name, kernel) in batch_kernels() {
+            for (p, parent) in parents.iter().enumerate() {
+                let jobs: Vec<_> = (0..=200u32).map(|i| (*parent, i)).collect();
+                for batch in jobs.chunks(LANES) {
+                    let mut out = [[0; DIGEST_BYTES]; LANES];
+                    kernel(batch, &mut out);
+                    for (&(parent, i), child) in batch.iter().zip(&out) {
+                        assert_eq!(
+                            *child,
+                            reference_child(&parent, i),
+                            "{name}, parent {p}, index {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sixteen parents in one call: each lane reads its own parent.
+    #[test]
+    fn spawn_children_keeps_sixteen_parents_apart() {
+        let mut state = root_state(7);
+        let jobs: [([u8; DIGEST_BYTES], u32); LANES] = core::array::from_fn(|l| {
+            state = spawn_child(&state, l as u32);
+            (state, (l * 13 % 7) as u32)
+        });
+        for (name, kernel) in batch_kernels() {
+            let mut out = [[0; DIGEST_BYTES]; LANES];
+            kernel(&jobs, &mut out);
+            for (l, (&(parent, i), child)) in jobs.iter().zip(&out).enumerate() {
+                assert_eq!(*child, reference_child(&parent, i), "{name}, lane {l}");
+            }
+        }
+    }
+
+    /// A call with `n < LANES` jobs, right after a full one, writes the
+    /// first `n` children and nothing past them, whatever the kernel's
+    /// spare lanes hold.
+    #[test]
+    fn spawn_children_writes_only_the_jobs_of_a_partial_call() {
+        let root = root_state(11);
+        let full: Vec<_> = (0..LANES as u32)
+            .map(|i| (spawn_child(&root, i), 100 + i))
+            .collect();
+        let jobs: Vec<_> = (0..LANES as u32).map(|i| (root, i)).collect();
+        const UNTOUCHED: [u8; DIGEST_BYTES] = [0xA5; DIGEST_BYTES];
+        for (name, kernel) in batch_kernels() {
+            for n in 1..LANES {
+                kernel(&full, &mut [[0; DIGEST_BYTES]; LANES]);
+                let mut out = [UNTOUCHED; LANES];
+                kernel(&jobs[..n], &mut out);
+                for (l, child) in out.iter().enumerate() {
+                    let want = if l < n {
+                        reference_child(&root, l as u32)
+                    } else {
+                        UNTOUCHED
+                    };
+                    assert_eq!(*child, want, "{name}, {n} jobs, lane {l}");
+                }
+            }
+        }
+    }
+
+    /// More than [`LANES`] jobs in one call are hashed a chunk at a time.
+    #[test]
+    fn spawn_children_takes_any_number_of_jobs() {
+        let root = root_state(3);
+        let jobs: Vec<_> = (0..37u32).map(|i| (root, i)).collect();
+        let mut out = vec![[0; DIGEST_BYTES]; jobs.len()];
+        spawn_children(&jobs, &mut out);
+        for (&(parent, i), child) in jobs.iter().zip(&out) {
+            assert_eq!(*child, reference_child(&parent, i), "index {i}");
         }
     }
 

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use sws_sched::{TaskCtx, Workload};
 use sws_task::{PayloadReader, TaskDescriptor, TaskRegistry};
 
-use crate::sha1::{rand_bits, root_state, spawn_child, to_prob, DIGEST_BYTES, RAND_MAX};
+use crate::sha1::{
+    rand_bits, root_state, spawn_child, spawn_children, to_prob, DIGEST_BYTES, LANES, RAND_MAX,
+};
 
 /// Task function id used by UTS node tasks.
 pub const UTS_FN: u16 = 10;
@@ -104,28 +106,50 @@ impl UtsParams {
     /// Number of children of the node with `state` at `depth`: the
     /// definition. Traversals read it through a [`ChildTable`].
     pub fn num_children(&self, state: &[u8; DIGEST_BYTES], depth: u32) -> u32 {
+        self.children_at(self.depth_term(depth), state, depth)
+    }
+
+    /// The part of a geometric tree's child count that depends on the
+    /// depth alone: `ln(1 - p)` for the geometric draw with mean `b`,
+    /// `p = 1/(1+b)`. `None` where no node has children whatever its
+    /// draw (at or past the depth limit, or a mean of 0), and for a
+    /// binomial tree, whose formula has no such term.
+    fn depth_term(&self, depth: u32) -> Option<f64> {
+        let TreeKind::Geometric {
+            b0,
+            depth_limit,
+            shape,
+        } = self.kind
+        else {
+            return None;
+        };
+        if depth >= depth_limit {
+            return None;
+        }
+        let b = shape.mean_children(b0, depth, depth_limit);
+        if b <= 0.0 {
+            return None;
+        }
+        let p = 1.0 / (1.0 + b);
+        Some((1.0 - p).ln())
+    }
+
+    /// [`UtsParams::num_children`] given its depth's
+    /// [`UtsParams::depth_term`] `log_q`.
+    fn children_at(&self, log_q: Option<f64>, state: &[u8; DIGEST_BYTES], depth: u32) -> u32 {
         match self.kind {
-            TreeKind::Geometric {
-                b0,
-                depth_limit,
-                shape,
-            } => {
-                if depth >= depth_limit {
+            TreeKind::Geometric { .. } => {
+                let Some(log_q) = log_q else {
                     return 0;
-                }
-                let b = shape.mean_children(b0, depth, depth_limit);
-                if b <= 0.0 {
-                    return 0;
-                }
+                };
                 // Geometric draw with mean b: P(X = k) = p(1-p)^k with
                 // p = 1/(1+b); inverse-CDF on the node's uniform value
                 // (UTS: floor(log(u) / log(1 - p))).
-                let p = 1.0 / (1.0 + b);
                 let u = to_prob(state);
                 if u <= 0.0 {
                     return 0;
                 }
-                let k = (u.ln() / (1.0 - p).ln()).floor();
+                let k = (u.ln() / log_q).floor();
                 // Clamp: astronomically unlikely tails would explode the
                 // queue; UTS clamps with MAXNUMCHILDREN similarly.
                 k.clamp(0.0, 200.0) as u32
@@ -166,7 +190,8 @@ impl UtsParams {
     /// Every entry is found by evaluating [`UtsParams::num_children`];
     /// the closed form `qʲ·2³¹`, `q = b/(1+b)`, only says where to look.
     fn thresholds(&self, b: f64, depth: u32) -> Box<[u32]> {
-        let formula = |v: u32| self.num_children(&drawing(v), depth);
+        let log_q = self.depth_term(depth);
+        let formula = |v: u32| self.children_at(log_q, &drawing(v), depth);
         let mut row = Vec::new();
         let mut ceiling = RAND_MAX;
         let mut guess = (1u64 << 31) as f64;
@@ -194,16 +219,57 @@ impl UtsParams {
     /// Sequential traversal oracle: (total nodes, max depth, leaves).
     /// Used to verify parallel runs and calibrate presets; it evaluates
     /// the formula at every node, so a run checked against it has also
-    /// checked its [`ChildTable`].
+    /// checked its [`ChildTable`]. The counts do not depend on the order
+    /// the nodes are visited in, and the traversal derives children
+    /// [`LANES`] at a time ([`spawn_children`]): on a CPU with AVX-512 a
+    /// run checked against it has also checked the handlers' one-at-a-time
+    /// SHA-1 kernel against an independent one.
     pub fn sequential_count(&self) -> TreeStats {
-        self.traverse(|state, depth| self.num_children(state, depth))
+        let depth_limit = match self.kind {
+            TreeKind::Geometric { depth_limit, .. } => depth_limit,
+            TreeKind::Binomial { .. } => 0,
+        };
+        let terms: Vec<Option<f64>> = (0..depth_limit).map(|d| self.depth_term(d)).collect();
+        self.traverse(|state, depth| {
+            let log_q = terms.get(depth as usize).copied().flatten();
+            self.children_at(log_q, state, depth)
+        })
     }
 
-    /// Depth-first count of the tree `num_children` describes.
+    /// Count the tree `num_children` describes. The counts do not depend
+    /// on the visit order, which is depth-first but batched: a visited
+    /// node's children queue up and are derived [`LANES`] at a time, when
+    /// the queue is full or no visited node is left.
     fn traverse(&self, num_children: impl Fn(&[u8; DIGEST_BYTES], u32) -> u32) -> TreeStats {
+        self.traverse_with(spawn_children, num_children)
+    }
+
+    /// [`UtsParams::traverse`] deriving children with `spawn`.
+    fn traverse_with(
+        &self,
+        spawn: impl Fn(&[([u8; DIGEST_BYTES], u32)], &mut [[u8; DIGEST_BYTES]]),
+        num_children: impl Fn(&[u8; DIGEST_BYTES], u32) -> u32,
+    ) -> TreeStats {
         let mut stack = vec![(self.root(), 0u32)];
+        // The queued children: `(parent, index)` and, beside it, depth.
+        let mut jobs = Vec::with_capacity(LANES);
+        let mut depths = Vec::with_capacity(LANES);
+        let mut children = [[0; DIGEST_BYTES]; LANES];
+        let mut derive = |jobs: &mut Vec<_>, depths: &mut Vec<u32>, stack: &mut Vec<_>| {
+            let children = &mut children[..jobs.len()];
+            spawn(jobs, children);
+            stack.extend(children.iter().copied().zip(depths.drain(..)));
+            jobs.clear();
+        };
         let mut stats = TreeStats::default();
-        while let Some((state, depth)) = stack.pop() {
+        loop {
+            let Some((state, depth)) = stack.pop() else {
+                if jobs.is_empty() {
+                    return stats;
+                }
+                derive(&mut jobs, &mut depths, &mut stack);
+                continue;
+            };
             stats.nodes += 1;
             stats.max_depth = stats.max_depth.max(depth as u64);
             let n = num_children(&state, depth);
@@ -211,10 +277,13 @@ impl UtsParams {
                 stats.leaves += 1;
             }
             for i in 0..n {
-                stack.push((spawn_child(&state, i), depth + 1));
+                jobs.push((state, i));
+                depths.push(depth + 1);
+                if jobs.len() == LANES {
+                    derive(&mut jobs, &mut depths, &mut stack);
+                }
             }
         }
-        stats
     }
 
     /// A node's task payload: state ‖ depth (LE) — with the record
@@ -752,6 +821,17 @@ mod oracle_pins {
         for (seed, want) in pins {
             let got = UtsParams::bin_small(16, seed).sequential_count();
             assert_eq!(got, want, "bin_small(16, {seed})");
+        }
+    }
+
+    /// The traversal deriving children one at a time (what a CPU without
+    /// AVX-512 runs) counts the trees the batched one counts.
+    #[test]
+    fn one_at_a_time_traversal_counts_the_same_trees() {
+        for p in [UtsParams::geo_small(12), UtsParams::bin_small(16, 11)] {
+            let formula = |state: &[u8; DIGEST_BYTES], depth| p.num_children(state, depth);
+            let each = p.traverse_with(crate::sha1::spawn_children_each, formula);
+            assert_eq!(each, p.sequential_count(), "{p:?}");
         }
     }
 

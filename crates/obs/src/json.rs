@@ -47,7 +47,10 @@ pub enum Json {
 impl Json {
     /// Parse a complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            b: text.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -146,7 +149,11 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {:?} at offset {}", other.map(|b| b as char), self.pos)),
+            other => Err(format!(
+                "unexpected {:?} at offset {}",
+                other.map(|b| b as char),
+                self.pos
+            )),
         }
     }
 
@@ -203,8 +210,7 @@ impl<'a> Parser<'a> {
                             }
                             let hex = std::str::from_utf8(&self.b[self.pos + 1..self.pos + 5])
                                 .map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -217,7 +223,10 @@ impl<'a> Parser<'a> {
                     // (both ASCII, so the run ends on a scalar boundary)
                     // with one validation: linear in the input.
                     let run = &self.b[self.pos..];
-                    let len = run.iter().position(|&c| matches!(c, b'"' | b'\\')).unwrap_or(run.len());
+                    let len = run
+                        .iter()
+                        .position(|&c| matches!(c, b'"' | b'\\'))
+                        .unwrap_or(run.len());
                     out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
                     self.pos += len;
                 }

@@ -188,7 +188,11 @@ impl Registry {
             if emitted > 0 {
                 out.push(',');
             }
-            let per: Vec<String> = self.per_pe(MetricId(i)).iter().map(u64::to_string).collect();
+            let per: Vec<String> = self
+                .per_pe(MetricId(i))
+                .iter()
+                .map(u64::to_string)
+                .collect();
             let _ = write!(
                 out,
                 "\"{}\":{{\"kind\":\"{}\",\"total\":{},\"per_pe\":[{}]}}",
@@ -230,7 +234,9 @@ impl Registry {
         let mut reg = Registry {
             descs: Vec::new(),
             hist_descs: Vec::new(),
-            shards: (0..report.workers.len()).map(|_| Shard::default()).collect(),
+            shards: (0..report.workers.len())
+                .map(|_| Shard::default())
+                .collect(),
         };
 
         // Worker-level.
@@ -247,45 +253,73 @@ impl Registry {
         // Queue-level.
         type QueueGetter = fn(&sws_core::QueueStats) -> u64;
         let q_named: Vec<(MetricId, QueueGetter)> = vec![
-            (reg.counter("sws_queue_enqueued", "tasks enqueued"), |q| q.enqueued),
-            (reg.counter("sws_queue_popped", "tasks popped locally"), |q| q.popped),
-            (reg.counter("sws_queue_releases", "release operations"), |q| q.releases),
-            (reg.counter("sws_queue_acquires", "acquire operations"), |q| q.acquires),
-            (reg.counter("sws_queue_acquire_misses", "acquires that found nothing"), |q| {
-                q.acquire_misses
+            (reg.counter("sws_queue_enqueued", "tasks enqueued"), |q| {
+                q.enqueued
             }),
-            (reg.counter("sws_queue_steal_attempts", "steal attempts issued"), |q| {
-                q.steal_attempts
-            }),
-            (reg.counter("sws_queue_steals_won", "steals that landed tasks"), |q| q.steals_won),
-            (reg.counter("sws_queue_tasks_stolen", "tasks landed by steals"), |q| {
-                q.tasks_stolen
-            }),
-            (reg.counter("sws_queue_steals_empty", "steals that found nothing"), |q| {
-                q.steals_empty
-            }),
-            (reg.counter("sws_queue_steals_closed", "steals that hit a closed gate"), |q| {
-                q.steals_closed
-            }),
-            (reg.counter("sws_queue_owner_polls", "owner progress polls"), |q| q.owner_polls),
-            (reg.counter("sws_queue_reclaimed", "claims reclaimed by the owner"), |q| {
-                q.reclaimed
-            }),
-            (reg.counter("sws_queue_steals_retried", "ops retried under faults"), |q| {
-                q.steals_retried
-            }),
-            (reg.counter("sws_queue_steals_failed", "steals abandoned under faults"), |q| {
-                q.steals_failed
-            }),
-            (reg.counter("sws_queue_steals_aborted", "steals aborted after claiming"), |q| {
-                q.steals_aborted
-            }),
-            (reg.counter("sws_queue_completions_poisoned", "poisoned completions"), |q| {
-                q.completions_poisoned
-            }),
-            (reg.counter("sws_queue_claims_reclaimed", "claims lost to reclaim"), |q| {
-                q.claims_reclaimed
-            }),
+            (
+                reg.counter("sws_queue_popped", "tasks popped locally"),
+                |q| q.popped,
+            ),
+            (
+                reg.counter("sws_queue_releases", "release operations"),
+                |q| q.releases,
+            ),
+            (
+                reg.counter("sws_queue_acquires", "acquire operations"),
+                |q| q.acquires,
+            ),
+            (
+                reg.counter("sws_queue_acquire_misses", "acquires that found nothing"),
+                |q| q.acquire_misses,
+            ),
+            (
+                reg.counter("sws_queue_steal_attempts", "steal attempts issued"),
+                |q| q.steal_attempts,
+            ),
+            (
+                reg.counter("sws_queue_steals_won", "steals that landed tasks"),
+                |q| q.steals_won,
+            ),
+            (
+                reg.counter("sws_queue_tasks_stolen", "tasks landed by steals"),
+                |q| q.tasks_stolen,
+            ),
+            (
+                reg.counter("sws_queue_steals_empty", "steals that found nothing"),
+                |q| q.steals_empty,
+            ),
+            (
+                reg.counter("sws_queue_steals_closed", "steals that hit a closed gate"),
+                |q| q.steals_closed,
+            ),
+            (
+                reg.counter("sws_queue_owner_polls", "owner progress polls"),
+                |q| q.owner_polls,
+            ),
+            (
+                reg.counter("sws_queue_reclaimed", "claims reclaimed by the owner"),
+                |q| q.reclaimed,
+            ),
+            (
+                reg.counter("sws_queue_steals_retried", "ops retried under faults"),
+                |q| q.steals_retried,
+            ),
+            (
+                reg.counter("sws_queue_steals_failed", "steals abandoned under faults"),
+                |q| q.steals_failed,
+            ),
+            (
+                reg.counter("sws_queue_steals_aborted", "steals aborted after claiming"),
+                |q| q.steals_aborted,
+            ),
+            (
+                reg.counter("sws_queue_completions_poisoned", "poisoned completions"),
+                |q| q.completions_poisoned,
+            ),
+            (
+                reg.counter("sws_queue_claims_reclaimed", "claims lost to reclaim"),
+                |q| q.claims_reclaimed,
+            ),
         ];
 
         // Comm-level (per op kind), engine-level.
@@ -389,7 +423,11 @@ mod tests {
             makespan_ns: 0,
             workers: tasks
                 .iter()
-                .map(|&t| WorkerStats { tasks_executed: t, runtime_ns: t, ..WorkerStats::default() })
+                .map(|&t| WorkerStats {
+                    tasks_executed: t,
+                    runtime_ns: t,
+                    ..WorkerStats::default()
+                })
                 .collect(),
             comm: Default::default(),
             proto: Default::default(),
@@ -417,12 +455,18 @@ mod tests {
         // comm and engine metrics and the latency histogram before the
         // op-count ones; the snapshot still emits every object by name.
         let reg = Registry::from_report(&report([1, 2, 3]), None);
-        assert!(reg.descs[0].name > reg.descs[1].name, "declared out of order");
+        assert!(
+            reg.descs[0].name > reg.descs[1].name,
+            "declared out of order"
+        );
         let j = reg.to_json();
         let at = |name: &str| j.find(&format!("\"{name}\"")).expect(name);
         assert!(at("sws_comm_ns") < at("sws_queue_popped"), "{j}");
         assert!(at("sws_queue_popped") < at("sws_tasks_executed"), "{j}");
-        assert!(at("sws_span_blocking_ops") < at("sws_span_latency_ns"), "{j}");
+        assert!(
+            at("sws_span_blocking_ops") < at("sws_span_latency_ns"),
+            "{j}"
+        );
     }
 
     #[test]
@@ -433,7 +477,11 @@ mod tests {
         let m = j.get("metrics").unwrap().get("sws_tasks_executed").unwrap();
         assert_eq!(m.get("total").unwrap().as_f64(), Some(4.0));
         assert_eq!(m.get("per_pe").unwrap().as_arr().unwrap().len(), 3);
-        let hh = j.get("histograms").unwrap().get("sws_span_latency_ns").unwrap();
+        let hh = j
+            .get("histograms")
+            .unwrap()
+            .get("sws_span_latency_ns")
+            .unwrap();
         assert_eq!(hh.get("n").unwrap().as_f64(), Some(0.0));
     }
 }

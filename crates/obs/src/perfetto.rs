@@ -61,14 +61,27 @@ pub struct TraceRun<'a> {
 #[derive(Copy, Clone)]
 enum Kind {
     /// `ph:"X"`, `cat:"steal"`: a stitched span and its totals.
-    Steal { victim: u32, ops: u64, blocking: u64, tasks: u64 },
+    Steal {
+        victim: u32,
+        ops: u64,
+        blocking: u64,
+        tasks: u64,
+    },
     /// `ph:"X"`, `cat:"phase"`: one protocol op nested in its span.
-    Phase { site: AtomicSite, op: ProtoOp, blocking: bool },
+    Phase {
+        site: AtomicSite,
+        op: ProtoOp,
+        blocking: bool,
+    },
     /// `ph:"i"`, `cat:"sched"`: a scheduler event and its one operand.
     Instant(Option<(&'static str, u32)>),
     /// `ph:"C"`: a counter sample, as sign and magnitude (the idle count
     /// is signed, the snapshot sums are `u64`).
-    Counter { key: &'static str, negative: bool, value: u64 },
+    Counter {
+        key: &'static str,
+        negative: bool,
+        value: u64,
+    },
 }
 
 /// One trace event as plain data.
@@ -90,7 +103,16 @@ fn track_key(r: &Rec) -> (u64, Reverse<u64>) {
 
 /// A counter sample on `tid` 0.
 fn counter(ts_ns: u64, name: &'static str, key: &'static str, negative: bool, value: u64) -> Rec {
-    Rec { ts_ns, dur_ns: 0, name, kind: Kind::Counter { key, negative, value } }
+    Rec {
+        ts_ns,
+        dur_ns: 0,
+        name,
+        kind: Kind::Counter {
+            key,
+            negative,
+            value,
+        },
+    }
 }
 
 /// What a scheduler event shows on its PE's track: an instant with at
@@ -104,7 +126,12 @@ fn instant(e: &Event) -> Option<Rec> {
         EventKind::CrashStop => ("crash-stop", None),
         _ => return None,
     };
-    Some(Rec { ts_ns: e.t_ns, dur_ns: 0, name, kind: Kind::Instant(operand) })
+    Some(Rec {
+        ts_ns: e.t_ns,
+        dur_ns: 0,
+        name,
+        kind: Kind::Instant(operand),
+    })
 }
 
 /// The `idle PEs` counter: every PE's idle enters (+1) and exits (−1)
@@ -120,7 +147,13 @@ fn idle_counter(report: &RunReport) -> impl Iterator<Item = Rec> + '_ {
     });
     merge_ordered(deltas.collect(), |&d| d).scan(0, |idle, (t, d)| {
         *idle += d;
-        Some(counter(t, "idle PEs", "idle", *idle < 0, idle.unsigned_abs()))
+        Some(counter(
+            t,
+            "idle PEs",
+            "idle",
+            *idle < 0,
+            idle.unsigned_abs(),
+        ))
     })
 }
 
@@ -130,7 +163,10 @@ fn idle_counter(report: &RunReport) -> impl Iterator<Item = Rec> + '_ {
 /// deterministic tick times. Each PE contributes its latest row at or
 /// before the tick, so PEs that stopped early (crash-stop) hold their
 /// last value instead of dropping out of the aggregate.
-fn snapshot_counters<'a>(report: &'a RunReport, ticks: &'a [u64]) -> impl Iterator<Item = Rec> + 'a {
+fn snapshot_counters<'a>(
+    report: &'a RunReport,
+    ticks: &'a [u64],
+) -> impl Iterator<Item = Rec> + 'a {
     ticks.iter().flat_map(move |&t| {
         let (mut occupancy, mut admitted, mut completed) = (0u64, 0u64, 0u64);
         for w in &report.workers {
@@ -170,7 +206,17 @@ fn push_int(out: &mut String, label: &str, mut v: u64) {
 fn push_us(out: &mut String, label: &str, ns: u64) {
     push_int(out, label, ns / 1000);
     let frac = ns % 1000;
-    push_int(out, if frac < 10 { ".00" } else if frac < 100 { ".0" } else { "." }, frac);
+    push_int(
+        out,
+        if frac < 10 {
+            ".00"
+        } else if frac < 100 {
+            ".0"
+        } else {
+            "."
+        },
+        frac,
+    );
 }
 
 /// Write one event; `place` is its `"pid":…,"tid":…` fragment.
@@ -186,9 +232,18 @@ fn write(out: &mut String, place: &str, r: Rec) {
     out.push_str(place);
     push_us(out, ",\"ts\":", r.ts_ns);
     match r.kind {
-        Kind::Steal { victim, ops, blocking, tasks } => {
+        Kind::Steal {
+            victim,
+            ops,
+            blocking,
+            tasks,
+        } => {
             push_us(out, ",\"dur\":", r.dur_ns);
-            push_int(out, ",\"cat\":\"steal\",\"args\":{\"victim\":", victim.into());
+            push_int(
+                out,
+                ",\"cat\":\"steal\",\"args\":{\"victim\":",
+                victim.into(),
+            );
             push_int(out, ",\"ops\":", ops);
             push_int(out, ",\"blocking\":", blocking);
             push_int(out, ",\"tasks\":", tasks);
@@ -210,7 +265,11 @@ fn write(out: &mut String, place: &str, r: Rec) {
             push_int(out, "\":", value.into());
             out.push_str("}}");
         }
-        Kind::Counter { key, negative, value } => {
+        Kind::Counter {
+            key,
+            negative,
+            value,
+        } => {
             out.push_str(",\"args\":{\"");
             out.push_str(key);
             push_int(out, if negative { "\":-" } else { "\":" }, value);
@@ -228,12 +287,20 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
     for (pid, run) in (1u64..).zip(runs) {
         out.push_str(sep);
         sep = ",\n";
-        push_int(&mut out, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid);
+        push_int(
+            &mut out,
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+            pid,
+        );
         out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
         out.push_str(&escape(&run.report.system));
         out.push_str("\"}}");
         for pe in 0..run.report.n_pes as u64 {
-            push_int(&mut out, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid);
+            push_int(
+                &mut out,
+                ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":",
+                pid,
+            );
             push_int(&mut out, ",\"tid\":", pe);
             push_int(&mut out, ",\"args\":{\"name\":\"PE ", pe);
             out.push_str("\"}}");
@@ -252,7 +319,10 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
         let mut by_thief: Vec<u32> = (0..spans.len() as u32).collect();
         by_thief.sort_by_key(|&i| spans[i as usize].thief);
         let mut by_thief = &by_thief[..];
-        let tids = spans.iter().map(|s| s.thief as usize + 1).fold(report.workers.len(), usize::max);
+        let tids = spans
+            .iter()
+            .map(|s| s.thief as usize + 1)
+            .fold(report.workers.len(), usize::max);
         for tid in 0..tids {
             let mine = by_thief.partition_point(|&i| spans[i as usize].thief as usize == tid);
             let (ids, rest) = by_thief.split_at(mine);
@@ -260,16 +330,34 @@ pub fn chrome_trace(runs: &[TraceRun]) -> String {
             let slices = ids.iter().flat_map(|&i| {
                 let s = &spans[i as usize];
                 let (ops, blocking) = (s.ops(), s.blocking_ops());
-                let kind = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
-                let parent =
-                    Rec { ts_ns: s.start_ns, dur_ns: s.latency_ns(), name: s.outcome.label(), kind };
+                let kind = Kind::Steal {
+                    victim: s.victim,
+                    ops,
+                    blocking,
+                    tasks: s.tasks(),
+                };
+                let parent = Rec {
+                    ts_ns: s.start_ns,
+                    dur_ns: s.latency_ns(),
+                    name: s.outcome.label(),
+                    kind,
+                };
                 // Nested phase slices — none for single-op spans, where
                 // the parent slice already tells the whole story.
                 let phases = spans.phases(s);
                 let nested = if phases.len() > 1 { phases } else { &[] };
                 iter::once(parent).chain(nested.iter().map(|p| {
-                    let kind = Kind::Phase { site: p.site, op: p.op, blocking: p.blocking };
-                    Rec { ts_ns: p.t_ns, dur_ns: p.dur_ns, name: p.name, kind }
+                    let kind = Kind::Phase {
+                        site: p.site,
+                        op: p.op,
+                        blocking: p.blocking,
+                    };
+                    Rec {
+                        ts_ns: p.t_ns,
+                        dur_ns: p.dur_ns,
+                        name: p.name,
+                        kind,
+                    }
                 }))
             });
             let events = report.workers.get(tid).map_or(&[][..], |w| &w.events[..]);
@@ -463,15 +551,33 @@ mod tests {
             let s = spans.push(System::Sws, thief, 1, outcome, phases);
             (s.start_ns, s.end_ns) = (start_ns, end_ns);
         };
-        let probe = [phase("probe", 1000, 0, AtomicSite::SwsThiefProbe, ProtoOp::Fetch)];
+        let probe = [phase(
+            "probe",
+            1000,
+            0,
+            AtomicSite::SwsThiefProbe,
+            ProtoOp::Fetch,
+        )];
         span(0, (1000, 1000), SpanOutcome::Probe, &probe);
         span(
             0,
             (1000, 3500),
             SpanOutcome::Completed { tasks: 12 },
             &[
-                phase("claim", 1000, 2500, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd),
-                phase("complete", 3500, 0, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi),
+                phase(
+                    "claim",
+                    1000,
+                    2500,
+                    AtomicSite::SwsThiefClaim,
+                    ProtoOp::FetchAdd,
+                ),
+                phase(
+                    "complete",
+                    3500,
+                    0,
+                    AtomicSite::SwsThiefComplete,
+                    ProtoOp::SetNbi,
+                ),
             ],
         );
         span(7, (999, 999), SpanOutcome::Probe, &probe);
@@ -482,7 +588,14 @@ mod tests {
                 at(1000, EventKind::ExitIdle),
                 at(2000, EventKind::AcquireMiss),
             ],
-            snapshots: vec![SnapRow { t_ns: 1000, occupancy: 3, local: 2, admitted: 9, completed: 4, ..SnapRow::default() }],
+            snapshots: vec![SnapRow {
+                t_ns: 1000,
+                occupancy: 3,
+                local: 2,
+                admitted: 9,
+                completed: 4,
+                ..SnapRow::default()
+            }],
             ..WorkerStats::default()
         };
         let pe1 = WorkerStats {
@@ -503,7 +616,10 @@ mod tests {
             proto: Default::default(),
             wall_ms: 0,
         };
-        let text = chrome_trace(&[TraceRun { report: &report, spans: &spans }]);
+        let text = chrome_trace(&[TraceRun {
+            report: &report,
+            spans: &spans,
+        }]);
         let want = r#"{"traceEvents":[
 {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"S\"WS"}},
 {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"PE 0"}},
@@ -526,7 +642,10 @@ mod tests {
 "#;
         assert_eq!(text, want);
         validate_chrome_trace(&text).expect("valid");
-        assert_eq!(chrome_trace(&[]), "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n");
+        assert_eq!(
+            chrome_trace(&[]),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\"}\n"
+        );
     }
 
     /// The exporter `chrome_trace` replaced, kept as its oracle: every
@@ -539,12 +658,20 @@ mod tests {
         for (pid, run) in (1u64..).zip(runs) {
             out.push_str(sep);
             sep = ",\n";
-            push_int(&mut out, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid);
+            push_int(
+                &mut out,
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+                pid,
+            );
             out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
             out.push_str(&escape(&run.report.system));
             out.push_str("\"}}");
             for pe in 0..run.report.n_pes as u64 {
-                push_int(&mut out, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid);
+                push_int(
+                    &mut out,
+                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":",
+                    pid,
+                );
                 push_int(&mut out, ",\"tid\":", pe);
                 push_int(&mut out, ",\"args\":{\"name\":\"PE ", pe);
                 out.push_str("\"}}");
@@ -553,16 +680,36 @@ mod tests {
         for (pid, run) in (1u64..).zip(runs) {
             let mut tracks: BTreeMap<u32, Vec<Rec>> = BTreeMap::new();
             let mut put = |tid, ts_ns, dur_ns, name, kind| {
-                tracks.entry(tid).or_default().push(Rec { ts_ns, dur_ns, name, kind });
+                tracks.entry(tid).or_default().push(Rec {
+                    ts_ns,
+                    dur_ns,
+                    name,
+                    kind,
+                });
             };
             for s in run.spans.iter() {
                 let (ops, blocking) = (s.ops(), s.blocking_ops());
-                let totals = Kind::Steal { victim: s.victim, ops, blocking, tasks: s.tasks() };
-                put(s.thief, s.start_ns, s.latency_ns(), s.outcome.label(), totals);
+                let totals = Kind::Steal {
+                    victim: s.victim,
+                    ops,
+                    blocking,
+                    tasks: s.tasks(),
+                };
+                put(
+                    s.thief,
+                    s.start_ns,
+                    s.latency_ns(),
+                    s.outcome.label(),
+                    totals,
+                );
                 let phases = run.spans.phases(s);
                 if phases.len() > 1 {
                     for p in phases {
-                        let kind = Kind::Phase { site: p.site, op: p.op, blocking: p.blocking };
+                        let kind = Kind::Phase {
+                            site: p.site,
+                            op: p.op,
+                            blocking: p.blocking,
+                        };
                         put(s.thief, p.t_ns, p.dur_ns, p.name, kind);
                     }
                 }
@@ -576,7 +723,9 @@ mod tests {
                             ("acquire-hit", Some(("recovered", recovered)))
                         }
                         EventKind::AcquireMiss => ("acquire-miss", None),
-                        EventKind::Quarantined { victim } => ("quarantine", Some(("victim", victim))),
+                        EventKind::Quarantined { victim } => {
+                            ("quarantine", Some(("victim", victim)))
+                        }
                         EventKind::CrashStop => ("crash-stop", None),
                         EventKind::EnterIdle => {
                             idle_deltas.push((e.t_ns, 1));
@@ -591,7 +740,17 @@ mod tests {
                 }
             }
             let mut count = |t, name, key, negative, value| {
-                put(0, t, 0, name, Kind::Counter { key, negative, value });
+                put(
+                    0,
+                    t,
+                    0,
+                    name,
+                    Kind::Counter {
+                        key,
+                        negative,
+                        value,
+                    },
+                );
             };
             idle_deltas.sort_unstable();
             let mut idle = 0i64;
@@ -612,7 +771,13 @@ mod tests {
                     completed += r.completed;
                 }
                 count(t, "ring occupancy", "tasks", false, occupancy);
-                count(t, "in-flight arrivals", "tasks", false, admitted.saturating_sub(completed));
+                count(
+                    t,
+                    "in-flight arrivals",
+                    "tasks",
+                    false,
+                    admitted.saturating_sub(completed),
+                );
             }
             for (tid, track) in &mut tracks {
                 track.sort_by_key(track_key);
@@ -659,7 +824,15 @@ mod tests {
                 let (t_ns, dur_ns) = (t(rng), rng.below(3) * 500);
                 let contention = rng.chance(0.2);
                 let blocking = op.is_blocking();
-                phases.push(PhaseSlice { name: "claim", t_ns, dur_ns, site, op, blocking, contention });
+                phases.push(PhaseSlice {
+                    name: "claim",
+                    t_ns,
+                    dur_ns,
+                    site,
+                    op,
+                    blocking,
+                    contention,
+                });
             }
             let thief = rng.below(n_pes as u64 + 3) as u32;
             let outcome = outcomes[rng.below(4) as usize];
@@ -679,7 +852,10 @@ mod tests {
         let workers = (0..n_pes)
             .map(|_| {
                 let mut events: Vec<Event> = (0..rng.below(12))
-                    .map(|_| Event { t_ns: t(rng), kind: kinds[rng.below(kinds.len() as u64) as usize] })
+                    .map(|_| Event {
+                        t_ns: t(rng),
+                        kind: kinds[rng.below(kinds.len() as u64) as usize],
+                    })
                     .collect();
                 if rng.chance(0.7) {
                     events.sort_by_key(|e| e.t_ns);
@@ -695,7 +871,11 @@ mod tests {
                     })
                     .collect();
                 snapshots.sort_by_key(|r| r.t_ns);
-                WorkerStats { events, snapshots, ..WorkerStats::default() }
+                WorkerStats {
+                    events,
+                    snapshots,
+                    ..WorkerStats::default()
+                }
             })
             .collect();
         let report = RunReport {
@@ -716,10 +896,13 @@ mod tests {
     fn streaming_export_equals_collect_and_sort() {
         let mut rng = SplitMix64::new(0xE4_9047);
         for _ in 0..400 {
-            let runs: Vec<(RunReport, SpanList)> =
-                (0..1 + rng.below(2)).map(|_| synthetic_run(&mut rng)).collect();
-            let runs: Vec<TraceRun> =
-                runs.iter().map(|(report, spans)| TraceRun { report, spans }).collect();
+            let runs: Vec<(RunReport, SpanList)> = (0..1 + rng.below(2))
+                .map(|_| synthetic_run(&mut rng))
+                .collect();
+            let runs: Vec<TraceRun> = runs
+                .iter()
+                .map(|(report, spans)| TraceRun { report, spans })
+                .collect();
             assert_eq!(chrome_trace(&runs), collect_and_sort(&runs));
         }
     }

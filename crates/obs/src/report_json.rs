@@ -99,17 +99,19 @@ pub fn report_to_json(r: &RunReport) -> String {
     ));
     let lat = r.service_latency();
     let (deferred, blocked, wait_ns, parks, rejoins, readmitted) =
-        r.workers.iter().fold((0u64, 0u64, 0u64, 0u64, 0u64, 0u64), |a, w| {
-            let s = &w.service;
-            (
-                a.0 + s.deferred,
-                a.1 + s.blocked,
-                a.2 + s.admission_wait_ns,
-                a.3 + s.parks,
-                a.4 + s.rejoins,
-                a.5 + s.readmitted,
-            )
-        });
+        r.workers
+            .iter()
+            .fold((0u64, 0u64, 0u64, 0u64, 0u64, 0u64), |a, w| {
+                let s = &w.service;
+                (
+                    a.0 + s.deferred,
+                    a.1 + s.blocked,
+                    a.2 + s.admission_wait_ns,
+                    a.3 + s.parks,
+                    a.4 + s.rejoins,
+                    a.5 + s.readmitted,
+                )
+            });
     out.push_str(&format!(
         ",\"service\":{{\"offered\":{},\"admitted\":{},\"shed\":{},\
          \"shed_rate\":{:.4},\"deferred\":{},\"blocked\":{},\

@@ -271,7 +271,8 @@ impl Stitcher {
             site,
             op: e.op,
             blocking: e.op.is_blocking(),
-            contention: self.lock == Some(false) && matches!(step, Step::Lock { .. } | Step::Meta { .. }),
+            contention: self.lock == Some(false)
+                && matches!(step, Step::Lock { .. } | Step::Meta { .. }),
         });
     }
 
@@ -319,8 +320,18 @@ impl Stitcher {
             return;
         };
         let claimed = std::mem::take(&mut self.claimed);
-        let outcome = self.decided.take().unwrap_or(if claimed { SpanOutcome::Open } else { SpanOutcome::Failed });
-        list.push(first.site.protocol(), self.thief, self.victim, outcome, &self.ops);
+        let outcome = self.decided.take().unwrap_or(if claimed {
+            SpanOutcome::Open
+        } else {
+            SpanOutcome::Failed
+        });
+        list.push(
+            first.site.protocol(),
+            self.thief,
+            self.victim,
+            outcome,
+            &self.ops,
+        );
         self.ops.clear();
         self.lock = None;
     }
@@ -343,7 +354,10 @@ fn stitch(events: impl Iterator<Item = ProtoEvent>, cfg: &QueueConfig) -> SpanLi
         let thief = e.issuer as usize;
         if thief >= thieves.len() {
             let next = thieves.len() as u32..=e.issuer;
-            thieves.extend(next.map(|thief| Stitcher { thief, ..Stitcher::default() }));
+            thieves.extend(next.map(|thief| Stitcher {
+                thief,
+                ..Stitcher::default()
+            }));
         }
         thieves[thief].step(&mut list, &e, cfg);
     }
@@ -360,7 +374,8 @@ pub fn stitch_report(report: &RunReport, cfg: &QueueConfig) -> SpanList {
     let mut list = stitch(report.proto_trace().iter(), cfg);
     // `first_phase` grows in closing order, so the key is unique and an
     // unstable sort is the stable one.
-    list.spans.sort_unstable_by_key(|s| (s.start_ns, s.thief, s.first_phase));
+    list.spans
+        .sort_unstable_by_key(|s| (s.start_ns, s.thief, s.first_phase));
     list
 }
 
@@ -548,7 +563,15 @@ mod tests {
     }
 
     /// A captured op of PE 1's steal attempt `attempt` against PE 0.
-    fn ev(attempt: u32, t: u64, site: AtomicSite, op: ProtoOp, arg: u64, arg2: u64, prev: u64) -> ProtoEvent {
+    fn ev(
+        attempt: u32,
+        t: u64,
+        site: AtomicSite,
+        op: ProtoOp,
+        arg: u64,
+        arg2: u64,
+        prev: u64,
+    ) -> ProtoEvent {
         ProtoEvent {
             t_ns: t,
             issuer: 1,
@@ -567,10 +590,42 @@ mod tests {
     #[test]
     fn sws_clean_steal_is_three_ops_two_blocking() {
         let events = [
-            ev(1, 10, AtomicSite::SwsThiefProbe, ProtoOp::Fetch, 0, 0, sv_raw(0, 8)),
-            ev(2, 20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
-            ev(2, 30, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(2, 45, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 4, 0, 0),
+            ev(
+                1,
+                10,
+                AtomicSite::SwsThiefProbe,
+                ProtoOp::Fetch,
+                0,
+                0,
+                sv_raw(0, 8),
+            ),
+            ev(
+                2,
+                20,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                sv_raw(0, 8),
+            ),
+            ev(
+                2,
+                30,
+                AtomicSite::SwsThiefPayloadRead,
+                ProtoOp::Get,
+                0,
+                0,
+                0,
+            ),
+            ev(
+                2,
+                45,
+                AtomicSite::SwsThiefComplete,
+                ProtoOp::SetNbi,
+                4,
+                0,
+                0,
+            ),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -597,10 +652,26 @@ mod tests {
             tail: 0,
         });
         let events = [
-            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, closed_raw),
+            ev(
+                1,
+                10,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                closed_raw,
+            ),
             // Eight initial tasks under Half policy allow 3 steals; the
             // 9th asteal sees an exhausted advertisement.
-            ev(2, 20, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(9, 8)),
+            ev(
+                2,
+                20,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                sv_raw(9, 8),
+            ),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -614,12 +685,52 @@ mod tests {
         // First steal's completion never applied (dropped); the second
         // claim against the same victim must open a fresh span.
         let events = [
-            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
-            ev(1, 20, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
+            ev(
+                1,
+                10,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                sv_raw(0, 8),
+            ),
+            ev(
+                1,
+                20,
+                AtomicSite::SwsThiefPayloadRead,
+                ProtoOp::Get,
+                0,
+                0,
+                0,
+            ),
             // no completion
-            ev(2, 50, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(1, 8)),
-            ev(2, 60, AtomicSite::SwsThiefPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(2, 70, AtomicSite::SwsThiefComplete, ProtoOp::CompareSwap, 2, 0, 0),
+            ev(
+                2,
+                50,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                sv_raw(1, 8),
+            ),
+            ev(
+                2,
+                60,
+                AtomicSite::SwsThiefPayloadRead,
+                ProtoOp::Get,
+                0,
+                0,
+                0,
+            ),
+            ev(
+                2,
+                70,
+                AtomicSite::SwsThiefComplete,
+                ProtoOp::CompareSwap,
+                2,
+                0,
+                0,
+            ),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 2);
@@ -633,7 +744,15 @@ mod tests {
     #[test]
     fn sws_fault_poison_is_aborted() {
         let events = [
-            ev(1, 10, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, sv_raw(0, 8)),
+            ev(
+                1,
+                10,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                sv_raw(0, 8),
+            ),
             ev(
                 1,
                 20,
@@ -706,7 +825,15 @@ mod tests {
             ev(2, 30, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
             ev(2, 35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 8, 2),
             ev(2, 40, AtomicSite::SdcComplete, ProtoOp::Set, m, 0, 0),
-            ev(2, 45, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 0, m, m),
+            ev(
+                2,
+                45,
+                AtomicSite::SdcComplete,
+                ProtoOp::CompareSwap,
+                0,
+                m,
+                m,
+            ),
             ev(2, 50, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
         ];
         let spans = stitch_pe(&events, &cfg());
@@ -725,7 +852,15 @@ mod tests {
             ev(1, 25, AtomicSite::SdcTailPut, ProtoOp::Put, 5, 0, 0),
             ev(1, 30, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
             ev(1, 40, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0),
-            ev(1, 50, AtomicSite::SdcComplete, ProtoOp::CompareSwap, 3, m, m),
+            ev(
+                1,
+                50,
+                AtomicSite::SdcComplete,
+                ProtoOp::CompareSwap,
+                3,
+                m,
+                m,
+            ),
         ];
         let spans = stitch_pe(&events, &cfg());
         assert_eq!(spans.len(), 1);
@@ -768,7 +903,10 @@ mod tests {
             ev(2, 35, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 4, 4),
         ];
         let spans = stitch_pe(&events, &cfg());
-        assert_eq!(spans.iter().map(|s| s.outcome).collect::<Vec<_>>(), [SpanOutcome::Empty, SpanOutcome::Closed]);
+        assert_eq!(
+            spans.iter().map(|s| s.outcome).collect::<Vec<_>>(),
+            [SpanOutcome::Empty, SpanOutcome::Closed]
+        );
         assert_eq!((spans[0].ops(), spans[0].contention_ops()), (3, 0));
         assert_eq!((spans[1].ops(), spans[1].contention_ops()), (2, 2));
         let names: Vec<&str> = spans.phases(&spans[1]).iter().map(|p| p.name).collect();

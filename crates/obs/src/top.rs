@@ -34,7 +34,11 @@ fn get_arr(j: &Json, key: &str) -> Result<Vec<u64>, String> {
         .get(key)
         .and_then(|v| v.as_arr())
         .ok_or_else(|| format!("missing array field {key:?}"))?;
-    Ok(arr.iter().filter_map(|v| v.as_f64()).map(|v| v as u64).collect())
+    Ok(arr
+        .iter()
+        .filter_map(|v| v.as_f64())
+        .map(|v| v as u64)
+        .collect())
 }
 
 /// Render the dashboard for the latest frame in `stream_text` (the
@@ -113,7 +117,11 @@ pub fn render_dashboard(stream_text: &str) -> Result<String, String> {
         out,
         "sws-top — {system} on {n_pes} PEs — t={} — frame {snaps} — alert: {}",
         fmt_ns(t_ns),
-        if alert_state == "firing" { "FIRING" } else { "ok" }
+        if alert_state == "firing" {
+            "FIRING"
+        } else {
+            "ok"
+        }
     );
     let _ = writeln!(
         out,
@@ -141,7 +149,11 @@ pub fn render_dashboard(stream_text: &str) -> Result<String, String> {
         ),
         None => writeln!(out, "alerts    none"),
     };
-    let _ = writeln!(out, "{:>4} {:>8} {:>7} {:>9} {:>7}  occupancy", "PE", "ring", "local", "tasks", "steals");
+    let _ = writeln!(
+        out,
+        "{:>4} {:>8} {:>7} {:>9} {:>7}  occupancy",
+        "PE", "ring", "local", "tasks", "steals"
+    );
     let max_occ = occupancy.iter().copied().max().unwrap_or(0).max(1);
     for (pe, &occ) in occupancy.iter().enumerate() {
         let bar_len = (occ * 20 / max_occ) as usize;

@@ -89,7 +89,10 @@ fn dropped_completions_leave_open_spans() {
     }
     // Deterministic (seeded plans): at the kill rate the retry budget
     // is exhausted often enough that some spans must stay open.
-    assert!(total_open > 0, "expected open spans from killed completions");
+    assert!(
+        total_open > 0,
+        "expected open spans from killed completions"
+    );
 }
 
 #[test]
@@ -114,13 +117,13 @@ fn open_spans_do_not_leak_ops_into_neighbours() {
                 SpanOutcome::Open => {
                     saw_open = true;
                     // An open SWS span holds at most claim + payload.
-                    assert!(
-                        s.ops() <= 2,
-                        "open span carries completed-steal ops: {s:?}"
-                    );
+                    assert!(s.ops() <= 2, "open span carries completed-steal ops: {s:?}");
                 }
                 SpanOutcome::Completed { .. } => {
-                    assert!(s.ops() <= 3, "completed span inflated by a neighbour: {s:?}");
+                    assert!(
+                        s.ops() <= 3,
+                        "completed span inflated by a neighbour: {s:?}"
+                    );
                 }
                 _ => {}
             }

@@ -17,9 +17,11 @@ fn run(kind: QueueKind, faults: bool) -> RunReport {
     let sched = SchedConfig::new(kind, QueueConfig::new(1024, 48)).with_seed(0xBA5E);
     let mut cfg = RunConfig::new(4, sched).with_capture_proto();
     if faults {
-        cfg = cfg.with_faults(
-            FaultPlan::seeded(0xFA17).with_drop(OpClass::All, TargetSel::Any, 0.02),
-        );
+        cfg = cfg.with_faults(FaultPlan::seeded(0xFA17).with_drop(
+            OpClass::All,
+            TargetSel::Any,
+            0.02,
+        ));
     }
     run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(7)))
 }
@@ -154,7 +156,8 @@ fn json_superset_carries_text_report_figures() {
         for k in path {
             v = v.get(k).unwrap_or_else(|| panic!("missing key {k}"));
         }
-        v.as_f64().unwrap_or_else(|| panic!("{path:?} not a number")) as u64
+        v.as_f64()
+            .unwrap_or_else(|| panic!("{path:?} not a number")) as u64
     };
 
     assert_eq!(num(&["makespan_ns"]), report.makespan_ns);
@@ -245,7 +248,11 @@ fn a_four_megabyte_string_heavy_document_parses_to_what_was_written() {
     for (i, (item, value)) in items.iter().zip(&want).enumerate() {
         let members = item.as_obj().expect("an object");
         assert_eq!(members[0].0, *value, "key of item {i}");
-        assert_eq!(members[0].1.as_str(), Some(value.as_str()), "string of item {i}");
+        assert_eq!(
+            members[0].1.as_str(),
+            Some(value.as_str()),
+            "string of item {i}"
+        );
         assert_eq!(members[1].1.as_f64(), Some(i as f64));
     }
 }

@@ -99,11 +99,19 @@ fn sampled_trace_is_deterministic_per_seed() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
         let a = report_for(kind, 0xBA5E, PERIOD);
         let b = report_for(kind, 0xBA5E, PERIOD);
-        assert_eq!(a.proto_trace(), b.proto_trace(), "{kind:?} sampled trace diverged");
+        assert_eq!(
+            a.proto_trace(),
+            b.proto_trace(),
+            "{kind:?} sampled trace diverged"
+        );
         assert_eq!(a.total_sampled_attempts(), b.total_sampled_attempts());
         // And a different seed re-phases the sampler.
         let c = report_for(kind, 0xD1CE, PERIOD);
-        assert_ne!(a.proto_trace(), c.proto_trace(), "{kind:?} trace ignores the seed");
+        assert_ne!(
+            a.proto_trace(),
+            c.proto_trace(),
+            "{kind:?} trace ignores the seed"
+        );
     }
 }
 

@@ -17,7 +17,11 @@ const INTERVAL: u64 = 50_000;
 /// A short 4-PE service run: Poisson arrivals at a ~5µs mean gap over a
 /// 300µs horizon, 3µs tasks, one ingress PE, snapshots every 50µs.
 fn service_report(kind: QueueKind, seed: u64) -> RunReport {
-    let w = FlatServe::new(ArrivalPlan::poisson(0x0B5_0001 ^ seed, 5_000, 300_000), 3_000, 1);
+    let w = FlatServe::new(
+        ArrivalPlan::poisson(0x0B5_0001 ^ seed, 5_000, 300_000),
+        3_000,
+        1,
+    );
     let sched = SchedConfig::new(kind, QueueConfig::new(1024, 24)).with_seed(seed);
     run_service(
         &RunConfig::new(4, sched),
@@ -49,7 +53,11 @@ fn stream_is_byte_identical_per_seed() {
 fn frames_tick_on_the_interval_grid_with_monotone_counters() {
     let report = service_report(QueueKind::Sws, 7);
     let stream = build_stream(&report, &SloPolicy::default());
-    assert!(stream.frames.len() >= 3, "expected several frames, got {}", stream.frames.len());
+    assert!(
+        stream.frames.len() >= 3,
+        "expected several frames, got {}",
+        stream.frames.len()
+    );
     let mut prev_t = 0u64;
     let mut prev = (0u64, 0u64, 0u64);
     for f in &stream.frames {
@@ -57,8 +65,16 @@ fn frames_tick_on_the_interval_grid_with_monotone_counters() {
         assert_eq!(f.t_ns % INTERVAL, 0, "tick {} off the grid", f.t_ns);
         assert_eq!(f.occupancy.len(), report.n_pes);
         let cur = (f.offered, f.admitted, f.completed);
-        assert!(cur.0 >= prev.0 && cur.1 >= prev.1 && cur.2 >= prev.2, "counters regressed");
-        assert!(f.admitted <= f.offered, "admitted {} > offered {}", f.admitted, f.offered);
+        assert!(
+            cur.0 >= prev.0 && cur.1 >= prev.1 && cur.2 >= prev.2,
+            "counters regressed"
+        );
+        assert!(
+            f.admitted <= f.offered,
+            "admitted {} > offered {}",
+            f.admitted,
+            f.offered
+        );
         prev_t = f.t_ns;
         prev = cur;
     }
@@ -76,8 +92,16 @@ fn forced_breach_fires_once_and_healthy_runs_stay_silent() {
 
     // 1ns SLO: every nonzero window burns at ≥ 100%.
     let breach = build_stream(&report, &SloPolicy::default().with_slo_p99_ns(1));
-    let fires = breach.alerts.iter().filter(|a| a.kind == AlertKind::Fire).count();
-    let clears = breach.alerts.iter().filter(|a| a.kind == AlertKind::Clear).count();
+    let fires = breach
+        .alerts
+        .iter()
+        .filter(|a| a.kind == AlertKind::Fire)
+        .count();
+    let clears = breach
+        .alerts
+        .iter()
+        .filter(|a| a.kind == AlertKind::Clear)
+        .count();
     assert_eq!(fires, 1, "breach must fire exactly once, got {fires}");
     assert_eq!(clears, 0, "latency can never drop under a 1ns SLO");
     assert!(breach.firing_at_end());
@@ -87,8 +111,15 @@ fn forced_breach_fires_once_and_healthy_runs_stay_silent() {
     }
 
     // 1s SLO: virtual latencies are microseconds; burn stays ~0%.
-    let healthy = build_stream(&report, &SloPolicy::default().with_slo_p99_ns(1_000_000_000));
-    assert!(healthy.alerts.is_empty(), "healthy run alerted: {:?}", healthy.alerts);
+    let healthy = build_stream(
+        &report,
+        &SloPolicy::default().with_slo_p99_ns(1_000_000_000),
+    );
+    assert!(
+        healthy.alerts.is_empty(),
+        "healthy run alerted: {:?}",
+        healthy.alerts
+    );
     assert!(!healthy.firing_at_end());
 }
 
@@ -106,16 +137,43 @@ fn zero_interval_runs_produce_no_frames() {
 }
 
 const HDR_KEYS: &[&str] = &[
-    "schema", "kind", "system", "n_pes", "slo_p99_ns", "window", "fire_pct", "clear_pct",
+    "schema",
+    "kind",
+    "system",
+    "n_pes",
+    "slo_p99_ns",
+    "window",
+    "fire_pct",
+    "clear_pct",
 ];
 
 const SNAP_KEYS: &[&str] = &[
-    "kind", "t_ns", "occupancy", "local", "tasks", "steals", "offered", "admitted", "shed",
-    "deferred", "blocked", "completed", "win_n", "win_p50_ns", "win_p99_ns", "burn_pct", "alert",
+    "kind",
+    "t_ns",
+    "occupancy",
+    "local",
+    "tasks",
+    "steals",
+    "offered",
+    "admitted",
+    "shed",
+    "deferred",
+    "blocked",
+    "completed",
+    "win_n",
+    "win_p50_ns",
+    "win_p99_ns",
+    "burn_pct",
+    "alert",
 ];
 
 const ALERT_KEYS: &[&str] = &[
-    "kind", "t_ns", "event", "win_p99_ns", "slo_p99_ns", "burn_pct",
+    "kind",
+    "t_ns",
+    "event",
+    "win_p99_ns",
+    "slo_p99_ns",
+    "burn_pct",
 ];
 
 /// Golden schema: every line of the stream parses as JSON and carries
@@ -161,10 +219,22 @@ fn service_trace_carries_snapshot_counter_tracks() {
 
     let report = service_report(QueueKind::Sws, 0xBA5E);
     let n_ticks = report.snapshot_ticks().len();
-    assert!(n_ticks >= 3, "expected several snapshot ticks, got {n_ticks}");
-    let text = chrome_trace(&[TraceRun { report: &report, spans: &SpanList::default() }]);
-    assert!(text.contains("\"ring occupancy\""), "missing occupancy counter track");
-    assert!(text.contains("\"in-flight arrivals\""), "missing in-flight counter track");
+    assert!(
+        n_ticks >= 3,
+        "expected several snapshot ticks, got {n_ticks}"
+    );
+    let text = chrome_trace(&[TraceRun {
+        report: &report,
+        spans: &SpanList::default(),
+    }]);
+    assert!(
+        text.contains("\"ring occupancy\""),
+        "missing occupancy counter track"
+    );
+    assert!(
+        text.contains("\"in-flight arrivals\""),
+        "missing in-flight counter track"
+    );
     let stats = validate_chrome_trace(&text).expect("service trace must validate");
     // Idle-PE counters plus one sample per snapshot tick per new track.
     assert!(

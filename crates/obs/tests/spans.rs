@@ -46,7 +46,10 @@ fn reconcile(report: &RunReport) {
 fn sws_spans_meet_the_three_two_budget() {
     let report = captured_run(QueueKind::Sws, 0xBA5E);
     let spans = stitch_report(&report, &queue());
-    for s in spans.iter().filter(|s| matches!(s.outcome, SpanOutcome::Completed { .. })) {
+    for s in spans
+        .iter()
+        .filter(|s| matches!(s.outcome, SpanOutcome::Completed { .. }))
+    {
         assert_eq!(s.ops(), 3, "SWS steal is claim + payload + complete");
         assert_eq!(s.blocking_ops(), 2, "the completion set is passive");
         assert_eq!(s.contention_ops(), 0, "SWS has no lock to contend");
@@ -60,8 +63,15 @@ fn sws_spans_meet_the_three_two_budget() {
 fn sdc_spans_meet_the_six_five_budget() {
     let report = captured_run(QueueKind::Sdc, 0xBA5E);
     let spans = stitch_report(&report, &queue());
-    for s in spans.iter().filter(|s| matches!(s.outcome, SpanOutcome::Completed { .. })) {
-        assert_eq!(s.core_ops(), 6, "SDC steal is lock/meta/tail/unlock/payload/complete");
+    for s in spans
+        .iter()
+        .filter(|s| matches!(s.outcome, SpanOutcome::Completed { .. }))
+    {
+        assert_eq!(
+            s.core_ops(),
+            6,
+            "SDC steal is lock/meta/tail/unlock/payload/complete"
+        );
         assert_eq!(s.core_blocking(), 5, "only the completion set is passive");
     }
     reconcile(&report);
@@ -82,13 +92,22 @@ fn exported_trace_passes_the_schema_validator() {
     let sws_spans = stitch_report(&sws, &queue());
     let sdc_spans = stitch_report(&sdc, &queue());
     let text = chrome_trace(&[
-        TraceRun { report: &sdc, spans: &sdc_spans },
-        TraceRun { report: &sws, spans: &sws_spans },
+        TraceRun {
+            report: &sdc,
+            spans: &sdc_spans,
+        },
+        TraceRun {
+            report: &sws,
+            spans: &sws_spans,
+        },
     ]);
     let stats = validate_chrome_trace(&text).expect("emitted trace must validate");
     assert!(stats.complete > 0, "expected duration slices");
     assert!(stats.counters > 0, "expected the idle-PE counter track");
-    assert!(stats.metadata >= 2 + 16, "process + thread names for both runs");
+    assert!(
+        stats.metadata >= 2 + 16,
+        "process + thread names for both runs"
+    );
     assert!(stats.tracks >= 2, "at least one track per run");
 }
 
@@ -115,9 +134,9 @@ fn metrics_registry_reflects_the_run() {
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// One span as text: system, thief, victim, start/end, outcome (with its
@@ -151,7 +170,10 @@ fn span_text(s: &StealSpan, phases: &[PhaseSlice]) -> String {
 /// FNV-1a over every stitched span's [`span_text`].
 fn span_digest(report: &RunReport) -> u64 {
     let spans = stitch_report(report, &queue());
-    let text: String = spans.iter().map(|s| span_text(s, spans.phases(s))).collect();
+    let text: String = spans
+        .iter()
+        .map(|s| span_text(s, spans.phases(s)))
+        .collect();
     fnv1a(text.as_bytes())
 }
 
@@ -159,13 +181,17 @@ fn span_digest(report: &RunReport) -> u64 {
 /// armed — optionally 2 % of ops dropped, 1-in-`period` steal sampling,
 /// and the scheduler event log (which never moves a span).
 fn pinned_run(kind: QueueKind, drop: bool, period: u32, trace: bool) -> RunReport {
-    let mut sched = SchedConfig::new(kind, queue()).with_seed(0xBA5E).with_sample_period(period);
+    let mut sched = SchedConfig::new(kind, queue())
+        .with_seed(0xBA5E)
+        .with_sample_period(period);
     sched.trace = trace;
     let mut cfg = RunConfig::new(8, sched).with_capture_proto();
     if drop {
-        cfg = cfg.with_faults(
-            FaultPlan::seeded(0x5E41_0002).with_drop(OpClass::All, TargetSel::Any, 0.02),
-        );
+        cfg = cfg.with_faults(FaultPlan::seeded(0x5E41_0002).with_drop(
+            OpClass::All,
+            TargetSel::Any,
+            0.02,
+        ));
     }
     run_workload(&cfg, &UtsWorkload::new(UtsParams::geo_small(8)))
 }
@@ -192,7 +218,10 @@ fn span_results_are_pinned() {
         0xc707_c823_29f3_d04f,
         0xcc93_8d62_b03d_c86d,
     ];
-    assert_eq!(got.map(|d| format!("{d:#018x}")), pinned.map(|d| format!("{d:#018x}")));
+    assert_eq!(
+        got.map(|d| format!("{d:#018x}")),
+        pinned.map(|d| format!("{d:#018x}"))
+    );
 }
 
 /// `RunReport` holds the world's one capture log, appended where each
@@ -204,15 +233,26 @@ fn span_results_are_pinned() {
 /// per-PE streams merged at teardown — the apply-order log reproduces it.
 #[test]
 fn merged_trace_is_the_stable_sort_of_the_captured_streams() {
-    let runs = [(QueueKind::Sws, false), (QueueKind::Sdc, false), (QueueKind::Sws, true)];
+    let runs = [
+        (QueueKind::Sws, false),
+        (QueueKind::Sdc, false),
+        (QueueKind::Sws, true),
+    ];
     let got = runs.map(|(kind, drop)| {
         let report = pinned_run(kind, drop, 0, false);
         let log: &ProtoLog = report.proto_trace();
-        assert!(log.iter().is_sorted_by_key(|e| (e.t_ns, e.issuer)), "{kind:?} drop {drop}: out of order");
+        assert!(
+            log.iter().is_sorted_by_key(|e| (e.t_ns, e.issuer)),
+            "{kind:?} drop {drop}: out of order"
+        );
         let mut last_t: Vec<Option<u64>> = vec![None; report.n_pes];
         for e in log {
             let last = last_t[e.issuer as usize].replace(e.t_ns);
-            assert!(last < Some(e.t_ns), "{kind:?} drop {drop}: pe{} clock repeats", e.issuer);
+            assert!(
+                last < Some(e.t_ns),
+                "{kind:?} drop {drop}: pe{} clock repeats",
+                e.issuer
+            );
         }
         let text: String = log.iter().map(|e| format!("{e}|")).collect();
         format!("{} events {:#018x}", log.len(), fnv1a(text.as_bytes()))
@@ -242,18 +282,30 @@ fn one_pass_stitch_equals_the_per_issuer_stitch() {
     for (kind, drop, period) in captures {
         let report = pinned_run(kind, drop, period, false);
         let spans = stitch_report(&report, &queue());
-        let got: Vec<(u64, u32, String)> =
-            spans.iter().map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s)))).collect();
+        let got: Vec<(u64, u32, String)> = spans
+            .iter()
+            .map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s))))
+            .collect();
         let mut want = Vec::new();
         for pe in 0..report.n_pes as u32 {
-            let stream: Vec<ProtoEvent> =
-                report.proto_trace().iter().filter(|e| e.issuer == pe).collect();
+            let stream: Vec<ProtoEvent> = report
+                .proto_trace()
+                .iter()
+                .filter(|e| e.issuer == pe)
+                .collect();
             let spans = stitch_pe(&stream, &queue());
-            want.extend(spans.iter().map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s)))));
+            want.extend(
+                spans
+                    .iter()
+                    .map(|s| (s.start_ns, s.thief, span_text(s, spans.phases(s)))),
+            );
         }
         want.sort_by_key(|&(start_ns, thief, _)| (start_ns, thief));
         assert!(got.len() > 20, "{kind:?}: {} spans", got.len());
-        assert!(got == want, "{kind:?} drop {drop} period {period}: the one-pass stitch differs");
+        assert!(
+            got == want,
+            "{kind:?} drop {drop} period {period}: the one-pass stitch differs"
+        );
     }
 }
 
@@ -263,13 +315,28 @@ fn one_pass_stitch_equals_the_per_issuer_stitch() {
 fn export_line(runs: &[&RunReport], stitch: bool) -> String {
     let spans: Vec<_> = runs
         .iter()
-        .map(|r| if stitch { stitch_report(r, &queue()) } else { SpanList::default() })
+        .map(|r| {
+            if stitch {
+                stitch_report(r, &queue())
+            } else {
+                SpanList::default()
+            }
+        })
         .collect();
-    let runs: Vec<TraceRun> =
-        runs.iter().zip(&spans).map(|(&report, spans)| TraceRun { report, spans }).collect();
+    let runs: Vec<TraceRun> = runs
+        .iter()
+        .zip(&spans)
+        .map(|(&report, spans)| TraceRun { report, spans })
+        .collect();
     let text = chrome_trace(&runs);
-    let TraceStats { events, complete, instants, counters, metadata, tracks } =
-        validate_chrome_trace(&text).expect("emitted trace must validate");
+    let TraceStats {
+        events,
+        complete,
+        instants,
+        counters,
+        metadata,
+        tracks,
+    } = validate_chrome_trace(&text).expect("emitted trace must validate");
     format!(
         "{:#018x} events {events} complete {complete} instants {instants} \
          counters {counters} metadata {metadata} tracks {tracks}",
@@ -333,11 +400,17 @@ fn export_results_are_pinned() {
 #[test]
 fn captures_encode_at_most_twenty_bytes_an_event() {
     for kind in [QueueKind::Sws, QueueKind::Sdc] {
-        for (what, report) in [("service", served_run(kind)), ("uts", pinned_run(kind, false, 0, false))] {
+        for (what, report) in [
+            ("service", served_run(kind)),
+            ("uts", pinned_run(kind, false, 0, false)),
+        ] {
             let log = report.proto_trace();
             assert!(log.len() > 500, "{kind:?} {what}: {} events", log.len());
             let per_event = log.encoded_len() as f64 / log.len() as f64;
-            assert!(per_event <= 20.0, "{kind:?} {what}: {per_event:.2} B an event");
+            assert!(
+                per_event <= 20.0,
+                "{kind:?} {what}: {per_event:.2} B an event"
+            );
         }
     }
 }
@@ -361,8 +434,15 @@ fn each_thiefs_completed_spans_are_its_won_steals() {
                     *thief = (thief.0 + 1, thief.1 + tasks);
                 }
             }
-            let counted: Vec<_> = report.workers.iter().map(|w| (w.queue.steals_won, w.queue.tasks_stolen)).collect();
-            assert!(won.iter().map(|w| w.0).sum::<u64>() > 20, "{kind:?} {what}: {won:?}");
+            let counted: Vec<_> = report
+                .workers
+                .iter()
+                .map(|w| (w.queue.steals_won, w.queue.tasks_stolen))
+                .collect();
+            assert!(
+                won.iter().map(|w| w.0).sum::<u64>() > 20,
+                "{kind:?} {what}: {won:?}"
+            );
             assert_eq!(won, counted, "{kind:?} {what}: completed spans per thief");
         }
     }

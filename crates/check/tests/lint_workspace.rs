@@ -87,7 +87,7 @@ fn the_op_layer_stays_under_its_ceiling() {
 /// The ceiling on the service loop, `crates/sched/src/service.rs`, set at
 /// its size once service mode stopped by the batch termination rule: the
 /// file may shrink — lower this with it — but never grow past it.
-const SERVICE_LINES: usize = 619;
+const SERVICE_LINES: usize = 618;
 
 #[test]
 fn the_service_loop_stays_under_its_ceiling() {
@@ -107,4 +107,18 @@ fn the_event_log_stays_under_its_ceiling() {
     let trace = std::fs::read_to_string(workspace_root().join("crates/sched/src/trace.rs")).expect("readable");
     let lines = trace.lines().count();
     assert!(lines <= TRACE_LINES, "crates/sched/src/trace.rs is {lines} lines, over its {TRACE_LINES}-line ceiling");
+}
+
+/// The ceiling on `sws-run`, `src/bin/sws-run.rs`, set at its size once
+/// the library became the one judge of a run's configuration: the parser
+/// checks only what the CLI alone knows, so a restated library rule
+/// cannot grow back. The file may shrink — lower this with it — but
+/// never grow past it.
+const SWS_RUN_LINES: usize = 768;
+
+#[test]
+fn the_cli_stays_under_its_ceiling() {
+    let cli = std::fs::read_to_string(workspace_root().join("src/bin/sws-run.rs")).expect("readable");
+    let lines = cli.lines().count();
+    assert!(lines <= SWS_RUN_LINES, "src/bin/sws-run.rs is {lines} lines, over its {SWS_RUN_LINES}-line ceiling");
 }

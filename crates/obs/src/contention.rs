@@ -44,12 +44,11 @@ pub fn contention_rows(report: &RunReport) -> Vec<ContentionRow> {
         .collect()
 }
 
-/// Render the contention table as aligned text. Empty profile (run
-/// without `--contention`, or a run that never touched a catalog site)
-/// renders a one-line notice instead of an empty table.
-pub fn contention_table(report: &RunReport) -> String {
+/// Render [`contention_rows`] as an aligned text table. Empty profile
+/// (run without `--contention`, or a run that never touched a catalog
+/// site) renders a one-line notice instead of an empty table.
+pub fn contention_table(rows: &[ContentionRow]) -> String {
     use std::fmt::Write as _;
-    let rows = contention_rows(report);
     if rows.is_empty() {
         return "contention: no per-site profile (run with --contention)\n".to_string();
     }
@@ -59,7 +58,7 @@ pub fn contention_table(report: &RunReport) -> String {
         "{:<22} {:>9} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9}",
         "site", "rmw", "cas-won", "cas-lost", "loss%", "loads", "stores", "bulk"
     );
-    for r in &rows {
+    for r in rows {
         let c = &r.counters;
         // Tenths of a percent, integer math: deterministic text.
         let loss = match (c.cas_lost * 1000).checked_div(c.cas_won + c.cas_lost) {
@@ -82,13 +81,13 @@ pub fn contention_table(report: &RunReport) -> String {
     out
 }
 
-/// The contention profile as a single-line JSON object:
+/// [`contention_rows`] as a single-line JSON object:
 /// `{"sites":{"<name>":{"rmw":..,"cas_won":..,...},...}}` in catalog
 /// order.
-pub fn contention_to_json(report: &RunReport) -> String {
+pub fn contention_to_json(rows: &[ContentionRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\"sites\":{");
-    for (i, r) in contention_rows(report).iter().enumerate() {
+    for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -146,10 +145,10 @@ mod tests {
         // SwsThiefClaim precedes SdcLockCas in the catalog.
         assert_eq!(rows[0].site, AtomicSite::SwsThiefClaim);
         assert_eq!(rows[1].site, AtomicSite::SdcLockCas);
-        let text = contention_table(&report);
+        let text = contention_table(&rows);
         assert!(text.contains("SwsThiefClaim"), "{text}");
         assert!(text.contains("25.0"), "loss% of 1/4: {text}");
-        let j = crate::json::Json::parse(&contention_to_json(&report)).expect("valid json");
+        let j = crate::json::Json::parse(&contention_to_json(&rows)).expect("valid json");
         let lock = j.get("sites").unwrap().get("SdcLockCas").unwrap();
         assert_eq!(lock.get("cas_lost").unwrap().as_f64(), Some(1.0));
     }
@@ -157,8 +156,9 @@ mod tests {
     #[test]
     fn empty_profile_renders_notice() {
         let report = report_with_profile(Vec::new());
-        assert!(contention_rows(&report).is_empty());
-        assert!(contention_table(&report).contains("no per-site profile"));
-        assert_eq!(contention_to_json(&report), "{\"sites\":{}}");
+        let rows = contention_rows(&report);
+        assert!(rows.is_empty());
+        assert!(contention_table(&rows).contains("no per-site profile"));
+        assert_eq!(contention_to_json(&rows), "{\"sites\":{}}");
     }
 }

@@ -171,12 +171,14 @@ impl<'r, 'a> PeSetup<'r, 'a> {
     }
 }
 
-/// The launch shared by batch and service runs: validate the fault plan
-/// (no crash may hit a PE below `protected_pes` — PE 0 hosts the
-/// termination counters, service mode adds its ingress PEs), build the
-/// world — its heap sized for the workload, the detector and the queue —
-/// run `drive` on every PE between the common prologue and epilogue, and
-/// assemble the report.
+/// The launch shared by batch and service runs. It refuses, as
+/// [`ShmemError::BadConfig`] before any PE starts, a queue the stealval
+/// cannot address and a fault plan that crashes a PE below
+/// `protected_pes` (PE 0 hosts the termination counters, service mode
+/// adds its ingress PEs); `run_world` refuses the rest of a malformed
+/// plan. Then it builds the world — its heap sized for the workload, the
+/// detector and the queue — runs `drive` on every PE between the common
+/// prologue and epilogue, and assembles the report.
 pub(crate) fn launch(
     cfg: &RunConfig,
     mode: ExecMode,
@@ -185,19 +187,12 @@ pub(crate) fn launch(
     drive: impl for<'r, 'a> Fn(PeSetup<'r, 'a>) -> WorkerStats + Sync,
 ) -> Result<RunReport, ShmemError> {
     let sched = cfg.sched;
-    if let Some(plan) = &cfg.faults {
-        if plan.is_active() {
-            plan.validate(cfg.n_pes).expect("invalid fault plan");
-            // A run that kills a protected PE cannot terminate, so reject
-            // the plan up front.
-            for pe in 0..protected_pes {
-                assert!(
-                    plan.crash_at(pe).is_none(),
-                    "fault plan crashes PE {pe}, which hosts the termination \
-                     counters or feeds the service (ingress PE)"
-                );
-            }
-        }
+    sched.queue.validate().map_err(ShmemError::BadConfig)?;
+    // A run that kills a protected PE cannot terminate.
+    let crashes = cfg.faults.iter().flat_map(|plan| &plan.crashes);
+    if let Some(pe) = crashes.map(|c| c.pe).find(|&pe| pe < protected_pes) {
+        let role = if pe == 0 { "hosts the termination counters" } else { "feeds the service (ingress PE)" };
+        return Err(ShmemError::BadConfig(format!("fault plan crashes PE {pe}, which {role}")));
     }
     let world = cfg.world(mode, workload.heap_words(cfg.n_pes));
     let out = run_world(world, |ctx| {
@@ -250,11 +245,11 @@ pub fn run_workload_mode(
     try_run_workload_mode(cfg, workload, mode).expect("workload run failed")
 }
 
-/// As [`run_workload_mode`], but surfacing PE panics as an error instead
-/// of aborting. The exploration scheduler uses this: an invariant
-/// violation inside the queue under an adversarial interleaving arrives
-/// here as [`sws_shmem::ShmemError::PePanicked`] and becomes a
-/// counterexample rather than a test abort.
+/// As [`run_workload_mode`], but a malformed configuration is
+/// [`ShmemError::BadConfig`] before any PE starts, and a PE panic is
+/// [`ShmemError::PePanicked`] instead of an abort. The exploration
+/// scheduler uses the latter: an invariant violation inside the queue
+/// under an adversarial interleaving becomes a counterexample.
 pub fn try_run_workload_mode(
     cfg: &RunConfig,
     workload: &impl Workload,

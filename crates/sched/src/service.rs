@@ -73,12 +73,12 @@ pub trait ArrivalSource {
 
 /// A workload that can be driven by open-world arrivals.
 pub trait ServiceWorkload: Workload {
-    /// Number of ingress PEs (ranks `0..n`). Must be at least 1.
-    fn n_ingress(&self, n_pes: usize) -> usize;
+    /// Number of ingress PEs (ranks `0..n`), in `1..=n_pes`.
+    fn n_ingress(&self) -> usize;
 
     /// The arrival source for `pe`, `Some` exactly when
-    /// `pe < self.n_ingress(n_pes)`.
-    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>>;
+    /// `pe < self.n_ingress()`.
+    fn arrival_source(&self, pe: usize) -> Option<Box<dyn ArrivalSource>>;
 }
 
 /// What an ingress PE does with an arrival when its ring occupancy is at
@@ -583,29 +583,28 @@ pub fn run_service<W: ServiceWorkload>(
     try_run_service(cfg, svc, workload).expect("service run failed")
 }
 
-/// As [`run_service`], but a world that cannot be launched or a PE that
-/// panicked is an error, not a panic (the shape of
-/// [`crate::try_run_workload_mode`]). A malformed `svc` still panics.
+/// As [`run_service`], but every failure is an error, not a panic (the
+/// shape of [`crate::try_run_workload_mode`]): an ingress count outside
+/// `1..=n_pes`, a high-water mark outside 1..=100 or a malformed
+/// membership plan is [`ShmemError::BadConfig`] before any PE starts.
 pub fn try_run_service<W: ServiceWorkload>(
     cfg: &RunConfig,
     svc: &ServiceConfig,
     workload: &W,
 ) -> Result<RunReport, ShmemError> {
-    let n_ingress = workload.n_ingress(cfg.n_pes);
-    assert!(
-        (1..=cfg.n_pes).contains(&n_ingress),
-        "service mode needs 1..=n_pes ingress PEs (got {n_ingress})"
-    );
-    assert!(
-        (1..=100).contains(&svc.hwm_pct),
-        "admission high-water mark must be 1..=100 percent"
-    );
-    svc.membership
-        .validate(cfg.n_pes, n_ingress)
-        .expect("invalid membership plan");
+    let n_ingress = workload.n_ingress();
+    if !(1..=cfg.n_pes).contains(&n_ingress) {
+        let why = format!("service mode needs 1..={} ingress PEs (got {n_ingress})", cfg.n_pes);
+        return Err(ShmemError::BadConfig(why));
+    }
+    if !(1..=100).contains(&svc.hwm_pct) {
+        let why = format!("admission high-water mark must be 1..=100 percent (got {})", svc.hwm_pct);
+        return Err(ShmemError::BadConfig(why));
+    }
+    svc.membership.validate(cfg.n_pes, n_ingress).map_err(ShmemError::BadConfig)?;
     launch(cfg, ExecMode::Virtual, workload, n_ingress, |pe| {
         let ctx = pe.ctx;
-        let src = workload.arrival_source(ctx.my_pe(), ctx.n_pes());
+        let src = workload.arrival_source(ctx.my_pe());
         debug_assert_eq!(
             src.is_some(),
             ctx.my_pe() < n_ingress,

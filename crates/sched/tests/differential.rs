@@ -333,11 +333,11 @@ impl Workload for TableProbe<'_> {
 }
 
 impl ServiceWorkload for TableProbe<'_> {
-    fn n_ingress(&self, n_pes: usize) -> usize {
-        self.inner.n_ingress(n_pes)
+    fn n_ingress(&self) -> usize {
+        self.inner.n_ingress()
     }
-    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
-        self.inner.arrival_source(pe, n_pes)
+    fn arrival_source(&self, pe: usize) -> Option<Box<dyn ArrivalSource>> {
+        self.inner.arrival_source(pe)
     }
 }
 

@@ -280,12 +280,12 @@ impl Workload for FlatServe {
 }
 
 impl ServiceWorkload for FlatServe {
-    fn n_ingress(&self, n_pes: usize) -> usize {
-        self.n_ingress.clamp(1, n_pes)
+    fn n_ingress(&self) -> usize {
+        self.n_ingress
     }
 
-    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
-        (pe < self.n_ingress(n_pes)).then(|| {
+    fn arrival_source(&self, pe: usize) -> Option<Box<dyn ArrivalSource>> {
+        (pe < self.n_ingress).then(|| {
             Box::new(FlatSource {
                 clock: self.plan.clock(pe),
                 task_ns: self.task_ns,
@@ -387,12 +387,12 @@ impl Workload for UtsServe {
 }
 
 impl ServiceWorkload for UtsServe {
-    fn n_ingress(&self, n_pes: usize) -> usize {
-        self.n_ingress.clamp(1, n_pes)
+    fn n_ingress(&self) -> usize {
+        self.n_ingress
     }
 
-    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
-        (pe < self.n_ingress(n_pes)).then(|| {
+    fn arrival_source(&self, pe: usize) -> Option<Box<dyn ArrivalSource>> {
+        (pe < self.n_ingress).then(|| {
             Box::new(UtsSource {
                 clock: self.plan.clock(pe),
                 pe_base: spawn_child(&self.inner.params().root(), pe as u32),
@@ -522,9 +522,8 @@ mod tests {
     fn flat_source_descriptors_roundtrip() {
         let plan = ArrivalPlan::poisson(5, 1_000, 100_000);
         let fs = FlatServe::new(plan, 700, 2);
-        let mut src = fs.arrival_source(0, 4).expect("pe 0 is ingress");
-        assert!(fs.arrival_source(2, 4).is_none(), "pe 2 is not ingress");
-        assert!(fs.arrival_source(0, 1).is_some(), "clamped to world size");
+        let mut src = fs.arrival_source(0).expect("pe 0 is ingress");
+        assert!(fs.arrival_source(2).is_none(), "pe 2 is not ingress");
         let due = src.next_due_ns().expect("plan is non-empty");
         let t = src.pop(due);
         assert_eq!(t.fn_id(), FLAT_SERVE_FN);
@@ -539,8 +538,8 @@ mod tests {
     fn uts_source_roots_are_distinct_per_arrival_and_pe() {
         let plan = ArrivalPlan::poisson(9, 1_000, 1_000_000);
         let us = UtsServe::new(UtsParams::geo_small(6), plan, 2, 2);
-        let mut a = us.arrival_source(0, 4).expect("ingress");
-        let mut b = us.arrival_source(1, 4).expect("ingress");
+        let mut a = us.arrival_source(0).expect("ingress");
+        let mut b = us.arrival_source(1).expect("ingress");
         let mut states = std::collections::HashSet::new();
         for src in [&mut a, &mut b] {
             for _ in 0..5 {

@@ -19,9 +19,11 @@
 //!
 //! The paper runs T1WL (270 billion nodes, depth 18) on 2,112 cores;
 //! that scale is far beyond this in-process reproduction, so the presets
-//! here are scaled-down trees of the same families (DESIGN.md §2). The
-//! full T1/T3 parameter sets are provided for reference and work
-//! unchanged given enough time.
+//! here are scaled-down trees of the same families (DESIGN.md §2). They
+//! are trees of this crate's own stream, not the reference UTS rng's: the
+//! child digest is the reference's, but the root, the draw, the geometric
+//! formula and the shapes differ (ROADMAP item 21), so the paper's
+//! parameters do not draw the paper's trees here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,13 +43,15 @@ pub const UTS_FN: u16 = 10;
 pub enum GeomShape {
     /// Constant expected branching factor `b0` until the depth limit.
     Fixed,
-    /// Branching decays linearly to zero at the depth limit (UTS shape
-    /// function a=3, the shape used by the paper's T1 family).
+    /// Branching decays linearly to zero at the depth limit. (The
+    /// reference's T1 is shape a=3, which is *fixed* branching.)
     Linear,
-    /// Cyclic: branching oscillates with depth (UTS shape a=2) —
-    /// alternating bushy and sparse generations.
+    /// Cyclic: branching oscillates with depth — alternating bushy and
+    /// sparse generations. A formula of this crate's own, not the
+    /// reference's a=2.
     Cyclic,
-    /// Exponential decay with depth (UTS shape a=1).
+    /// Exponential decay with depth. A formula of this crate's own, not
+    /// the reference's a=1.
     ExpDec,
 }
 
@@ -355,8 +359,10 @@ pub struct TreeStats {
 
 /// Named parameter presets.
 impl UtsParams {
-    /// The paper's T1 geometric family (linear decay, b0 = 4, depth 10,
-    /// seed 19): ~4.1 M nodes. Reference scale — minutes of simulation.
+    /// The paper's T1 parameters (b0 = 4, depth 10, seed 19). The
+    /// reference UTS rng draws 4,130,071 nodes from them; this crate's own
+    /// stream, which differs from it in root, draw, geometric formula and
+    /// shapes, draws a 3-node tree (ROADMAP item 21).
     pub fn t1() -> UtsParams {
         UtsParams {
             kind: TreeKind::Geometric {

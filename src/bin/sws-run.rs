@@ -18,9 +18,10 @@
 //! seeded plan.
 
 use sws::obs::{
-    build_stream, check_comms, check_steal_bound, chrome_trace, contention_table,
-    contention_to_json, report_to_json, steal_bound_to_json, stitch_report, stream_to_jsonl,
-    AlertKind, Registry, SloPolicy, SpanList, SpanOutcome, TraceRun,
+    build_stream, check_comms, check_steal_bound, chrome_trace, comm_report_to_json,
+    contention_rows, contention_table, contention_to_json, report_to_json, steal_bound_to_json,
+    stitch_report, stream_to_jsonl, AlertKind, CommReport, Registry, SloPolicy, SpanList,
+    SpanOutcome, StealBoundReport, TraceRun,
 };
 use sws::prelude::*;
 use sws::sched::trace::{render_timeline, Pow2Histogram};
@@ -77,7 +78,7 @@ impl Args {
     }
 
     fn faults_active(&self) -> bool {
-        self.drop_prob > 0.0 || self.stall.is_some() || self.crash.is_some()
+        self.drop_prob != 0.0 || self.stall.is_some() || self.crash.is_some()
     }
 
     /// Flags meaningless outside `--serve` (only the unambiguous ones:
@@ -242,18 +243,7 @@ const FLAGS: &[(&str, &[Flag])] = &[
         },
     ]),
     ("fault injection (chaos runs; deterministic per seed)", &[
-        Flag {
-            name: "--drop-prob",
-            arg: "P",
-            help: "drop each remote op with probability P (0.0–1.0)",
-            set: |a, v| {
-                a.drop_prob = num(v);
-                if !(0.0..=1.0).contains(&a.drop_prob) {
-                    eprintln!("--drop-prob must be in 0.0–1.0");
-                    usage()
-                }
-            },
-        },
+        Flag { name: "--drop-prob", arg: "P", help: "drop each remote op with probability P (0.0–1.0)", set: |a, v| a.drop_prob = num(v) },
         Flag {
             name: "--stall",
             arg: "PE:FROM:DUR",
@@ -376,59 +366,16 @@ fn parse_args() -> Args {
         eprintln!("--histogram counts every steal and cannot read a --sample capture");
         usage()
     }
-    // Surface fault-plan mistakes as CLI errors, not runner panics.
-    if let Some((pe, _)) = args.crash {
-        if pe == 0 {
-            eprintln!("--crash: PE 0 hosts the termination counters and cannot crash");
-            usage()
-        }
-        if pe >= args.pes {
-            eprintln!("--crash: PE {pe} out of range (--pes {})", args.pes);
-            usage()
-        }
-    }
-    if let Some((pe, _, _)) = args.stall {
-        if pe >= args.pes {
-            eprintln!("--stall: PE {pe} out of range (--pes {})", args.pes);
-            usage()
-        }
-    }
-    if let Some(Err(e)) = fault_plan(&args).map(|plan| plan.validate(args.pes)) {
-        eprintln!("sws-run: invalid fault plan: {e}");
-        std::process::exit(1)
-    }
     // The tree about doubles per level (771,955 nodes at 15) and the
     // workload keeps one child-count row per level.
     if args.workload == "uts" && args.depth > 64 {
         eprintln!("--depth: a uts tree of {} levels cannot be traversed (at most 64)", args.depth);
         usage()
     }
-    if let Err(e) = queue_config(&args).validate() {
-        eprintln!("--capacity: {e}");
-        std::process::exit(2)
-    }
     if args.serve {
         if !matches!(args.workload.as_str(), "flat" | "uts") {
             eprintln!("--serve supports the flat and uts workloads");
             usage()
-        }
-        if !(1..=args.pes).contains(&args.ingress) {
-            eprintln!("--ingress must be 1..=pes (got {})", args.ingress);
-            usage()
-        }
-        if !(1..=100).contains(&args.hwm) {
-            eprintln!("--hwm must be 1..=100 percent (got {})", args.hwm);
-            usage()
-        }
-        if let Err(e) = membership_plan(&args).validate(args.pes, args.ingress) {
-            eprintln!("--away: {e}");
-            usage()
-        }
-        if let Some((pe, _)) = args.crash {
-            if pe < args.ingress {
-                eprintln!("--crash: PE {pe} is an ingress PE; its arrival plan would be lost");
-                usage()
-            }
         }
         if args.slo_alerts != "off" && args.slo_p99.is_none() {
             eprintln!("--slo-alerts needs --slo-p99 NS as the objective");
@@ -448,7 +395,7 @@ fn fault_plan(args: &Args) -> Option<FaultPlan> {
         return None;
     }
     let mut plan = FaultPlan::seeded(args.seed ^ 0xFA17);
-    if args.drop_prob > 0.0 {
+    if args.drop_prob != 0.0 {
         plan = plan.with_drop(OpClass::All, TargetSel::Any, args.drop_prob);
     }
     if let Some((pe, from, dur)) = args.stall {
@@ -536,9 +483,11 @@ fn run_batch(cfg: &RunConfig, workload: &impl Workload) -> RunReport {
     or_exit(sws::sched::try_run_workload_mode(cfg, workload, ExecMode::Virtual))
 }
 
-/// A run's report, batch or service. A `ShmemError` — a world the host
-/// cannot launch (no memory for its heap, no mapping for a PE's stack), a
-/// PE that panicked — is one line on stderr and exit 1.
+/// A run's report, batch or service. A `ShmemError` — a configuration the
+/// library refuses (a PE out of range, a ring the stealval cannot address,
+/// a crash of PE 0, a heap the host cannot give), a PE that panicked — is
+/// one line on stderr and exit 1. The library is the one judge of a
+/// configuration; the parser checks only what the CLI alone knows.
 fn or_exit(run: Result<RunReport, sws::shmem::ShmemError>) -> RunReport {
     run.unwrap_or_else(|e| {
         eprintln!("sws-run: {e}");
@@ -706,27 +655,22 @@ fn main() {
         } else {
             SpanList::default()
         };
+        // Each check runs once; the two branches differ only in rendering.
+        let comm = args.assert_comms.then(|| check_comms(&report_spans, args.faults_active()));
+        let bound = args.assert_steal_bound.then(|| check_steal_bound(&report));
+        let registry = args.metrics.then(|| Registry::from_report(&report, Some(&report_spans)));
+        let contention = args.contention.then(|| contention_rows(&report));
+        comms_ok &= comm.as_ref().is_none_or(CommReport::ok);
+        bound_ok &= bound.as_ref().is_none_or(StealBoundReport::ok);
         if args.json {
             println!("{}", report_to_json(&report));
-            if args.assert_comms {
-                let comm = check_comms(&report_spans, args.faults_active());
-                comms_ok &= comm.ok();
-                println!("{}", sws::obs::comm_report_to_json(&comm));
-            }
-            if args.assert_steal_bound {
-                let bound = check_steal_bound(&report);
-                bound_ok &= bound.ok();
-                println!("{}", steal_bound_to_json(&bound));
-            }
-            if args.metrics {
-                println!(
-                    "{}",
-                    Registry::from_report(&report, Some(&report_spans)).to_json()
-                );
-            }
-            if args.contention {
-                println!("{}", contention_to_json(&report));
-            }
+            let lines = [
+                comm.as_ref().map(comm_report_to_json),
+                bound.as_ref().map(steal_bound_to_json),
+                registry.as_ref().map(Registry::to_json),
+                contention.as_deref().map(contention_to_json),
+            ];
+            lines.into_iter().flatten().for_each(|line| println!("{line}"));
         } else {
             println!("{}", report.summary_line());
             if let Some(faults) = report.fault_summary_line() {
@@ -756,25 +700,13 @@ fn main() {
                     println!("   hottest victim: PE {pe} fed {c} of {} steals", h.n);
                 }
             }
-            if args.assert_comms {
-                let comm = check_comms(&report_spans, args.faults_active());
-                comms_ok &= comm.ok();
-                print!("{}", comm.render());
-            }
-            if args.assert_steal_bound {
-                let bound = check_steal_bound(&report);
-                bound_ok &= bound.ok();
-                print!("{}", bound.render());
-            }
-            if args.metrics {
-                print!(
-                    "{}",
-                    Registry::from_report(&report, Some(&report_spans)).render_text()
-                );
-            }
-            if args.contention {
-                print!("{}", contention_table(&report));
-            }
+            let blocks = [
+                comm.as_ref().map(CommReport::render),
+                bound.as_ref().map(StealBoundReport::render),
+                registry.as_ref().map(Registry::render_text),
+                contention.as_deref().map(contention_table),
+            ];
+            blocks.into_iter().flatten().for_each(|block| print!("{block}"));
             if args.sample > 1 {
                 println!(
                     "   sampling: 1-in-{} steal attempts captured ({} of {}; \

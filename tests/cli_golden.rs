@@ -41,17 +41,21 @@ fn histogram_refuses_a_sampled_capture() {
     assert_eq!(stderr.lines().next(), Some("--histogram counts every steal and cannot read a --sample capture"));
 }
 
-/// A ring the queue cannot address is refused before launch, with one
-/// line and no usage: none of the PEs starts.
+/// Every row of `tests/golden/sws-run/refusals.txt` is a configuration
+/// the library refuses before any PE starts: one stderr line, the row's
+/// line of `refusals.out`, nothing on stdout, exit 1. CI runs the same
+/// table against the release binary.
 #[test]
-fn an_out_of_range_capacity_is_refused_in_one_line() {
-    for (capacity, line) in [
-        ("0", "--capacity: queue capacity must be nonzero"),
-        ("600000", "--capacity: capacity 600000 exceeds the 19-bit tail field"),
-    ] {
-        let out = sws_run(&["uts", "--pes", "4", "--depth", "6", "--system", "sws", "--capacity", capacity]);
-        assert_eq!(out.status.code(), Some(2), "--capacity {capacity}: exit status");
-        assert!(out.stdout.is_empty(), "--capacity {capacity}: nothing ran");
-        assert_eq!(String::from_utf8_lossy(&out.stderr), format!("{line}\n"), "--capacity {capacity}: stderr");
+fn every_refused_configuration_is_one_line_and_exit_1() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sws-run");
+    let rows = std::fs::read_to_string(dir.join("refusals.txt")).expect("refusal table");
+    let lines = std::fs::read_to_string(dir.join("refusals.out")).expect("refusal lines");
+    let rows: Vec<&str> = rows.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
+    assert_eq!(rows.len(), lines.lines().count(), "one stderr line per row");
+    for (args, line) in rows.into_iter().zip(lines.lines()) {
+        let out = sws_run(&args.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(1), "sws-run {args}: exit status");
+        assert!(out.stdout.is_empty(), "sws-run {args}: nothing ran");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), format!("{line}\n"), "sws-run {args}: stderr");
     }
 }

@@ -143,11 +143,11 @@ impl<W: Workload> Workload for OneLineOver<W> {
 }
 
 impl<W: ServiceWorkload> ServiceWorkload for OneLineOver<W> {
-    fn n_ingress(&self, n_pes: usize) -> usize {
-        self.0.n_ingress(n_pes)
+    fn n_ingress(&self) -> usize {
+        self.0.n_ingress()
     }
-    fn arrival_source(&self, pe: usize, n_pes: usize) -> Option<Box<dyn ArrivalSource>> {
-        self.0.arrival_source(pe, n_pes)
+    fn arrival_source(&self, pe: usize) -> Option<Box<dyn ArrivalSource>> {
+        self.0.arrival_source(pe)
     }
 }
 

@@ -1,5 +1,6 @@
-//! `sws-run`'s `--histogram` and `--timeline` output, pinned line by
-//! line. Each row of `tests/golden/sws-run/commands.txt` names a golden
+//! `sws-run`'s `--histogram` and `--timeline` output, and one run with
+//! `--metrics`, `--contention` and both assertions, pinned line by line.
+//! Each row of `tests/golden/sws-run/commands.txt` names a golden
 //! file and the arguments whose stdout it holds; CI diffs the release
 //! binary's stdout against the same files.
 
@@ -27,7 +28,7 @@ fn histogram_and_timeline_stdout_match_the_goldens() {
         assert_eq!(got, want, "sws-run {args}: {name}.out differs in length");
         checked += 1;
     }
-    assert_eq!(checked, 6, "every golden command ran");
+    assert_eq!(checked, 7, "every golden command ran");
 }
 
 /// Sampled spans cannot feed a histogram of every steal: the pair is

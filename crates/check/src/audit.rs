@@ -79,7 +79,10 @@ pub(crate) fn run_scenarios(
     protocol: Protocol,
     cfg: &Config,
 ) -> Result<RunOutcome, Failure> {
-    let mut selected = worlds.iter().filter(|w| w.protocol() == protocol).peekable();
+    let mut selected = worlds
+        .iter()
+        .filter(|w| w.protocol() == protocol)
+        .peekable();
     if selected.peek().is_none() {
         return Err(Failure {
             scenario: protocol.label(),
@@ -111,7 +114,11 @@ pub(crate) fn weakened(
     w: Weakening,
     cfg: &Config,
 ) -> Result<RunOutcome, Failure> {
-    run_scenarios(&all_scenarios(&OrdTable::mutant(site, w), true), site.protocol(), cfg)
+    run_scenarios(
+        &all_scenarios(&OrdTable::mutant(site, w), true),
+        site.protocol(),
+        cfg,
+    )
 }
 
 /// Run the full audit. Errs if the *production* table itself fails (a
@@ -128,7 +135,10 @@ pub fn run_audit(cfg: &Config) -> Result<Vec<AuditRow>, Failure> {
     for site in AtomicSite::ALL {
         let half = |o: MemOrder| {
             let w = Weakening::Order(o);
-            space.contains(&(site, w)).then(|| weakened(site, w, cfg)).transpose()
+            space
+                .contains(&(site, w))
+                .then(|| weakened(site, w, cfg))
+                .transpose()
         };
         rows.push(AuditRow {
             site,
@@ -291,7 +301,10 @@ mod tests {
             all.into_iter().partition(|w| w.protocol() == Protocol::Sws);
         assert!(!sws.is_empty() && !sdc.is_empty());
         let cfg = Config::default();
-        assert_eq!(run_scenarios(&sws, Protocol::Sws, &cfg).unwrap(), RunOutcome::Pass);
+        assert_eq!(
+            run_scenarios(&sws, Protocol::Sws, &cfg).unwrap(),
+            RunOutcome::Pass
+        );
         let f = run_scenarios(&sws, Protocol::Sdc, &cfg).expect_err("nothing ran");
         assert_eq!((f.scenario, f.violation.kind()), ("SDC", "no-end-state"));
         assert!(run_scenarios(&[], Protocol::Sws, &cfg).is_err());

@@ -68,7 +68,11 @@ pub struct ReplayInput<'a> {
 impl<'a> ReplayInput<'a> {
     /// A replay of `events` under `queue`.
     pub fn new(proto: Proto, queue: QueueConfig, events: &'a ProtoLog) -> ReplayInput<'a> {
-        ReplayInput { proto, queue, events }
+        ReplayInput {
+            proto,
+            queue,
+            events,
+        }
     }
 }
 
@@ -254,7 +258,10 @@ pub fn replay(input: &ReplayInput) -> Result<ReplayStats, Divergence> {
         if row.protocol != input.proto || !row.ops.contains(&e.op) {
             return Err(at.div(
                 "site-op-mismatch",
-                format!("an op shape {} admits in a {:?} trace", row.name, input.proto),
+                format!(
+                    "an op shape {} admits in a {:?} trace",
+                    row.name, input.proto
+                ),
             ));
         }
         if row.owner_only && e.issuer != e.target {
@@ -305,7 +312,10 @@ fn step(
     let (off, word) = (e.offset as u64, site.row().word);
     let (lo, len) = v.geo.range(word);
     if off < lo || off >= lo + len {
-        return Err(at.div("stray-offset", format!("{word:?} words [{lo}, {})", lo + len)));
+        return Err(at.div(
+            "stray-offset",
+            format!("{word:?} words [{lo}, {})", lo + len),
+        ));
     }
     // Puts carry no captured pre-value and payload is not modeled; a get
     // of control words captures its first two.
@@ -316,7 +326,10 @@ fn step(
         _ => Some(e.prev == v.word(word, off)),
     };
     if captured == Some(false) {
-        return Err(at.div("word-mismatch", format!("word {off} = {:#x}", v.word(word, off))));
+        return Err(at.div(
+            "word-mismatch",
+            format!("word {off} = {:#x}", v.word(word, off)),
+        ));
     }
     let decoded = decode(cfg, site, seen).map_err(|want| {
         let kind = match site {
@@ -397,8 +410,10 @@ fn step(
             if e.arg <= tail {
                 return Err(at.div("tail-monotonic", format!("a tail advance past {tail}")));
             }
-            let Some(block) = sdc_claim(cfg, tail, split).filter(|b| e.arg == tail + b.volume) else {
-                let want = format!("tail + the block sdc_claim reads from tail {tail}, split {split}");
+            let Some(block) = sdc_claim(cfg, tail, split).filter(|b| e.arg == tail + b.volume)
+            else {
+                let want =
+                    format!("tail + the block sdc_claim reads from tail {tail}, split {split}");
                 return Err(at.div("tail-volume", want));
             };
             v.ctl[k] = e.arg;
@@ -416,7 +431,10 @@ fn step(
             if off != want_off || e.len as u64 != want_len {
                 return Err(at.div(
                     "payload-geometry",
-                    format!("get@{want_off}+{want_len} (slot {}, vol {})", b.start_slot, b.volume),
+                    format!(
+                        "get@{want_off}+{want_len} (slot {}, vol {})",
+                        b.start_slot, b.volume
+                    ),
                 ));
             }
         }
@@ -497,7 +515,14 @@ fn open_claim(
     }
     stats.claims += 1;
     let issuer = at.e.issuer;
-    v.claims.insert(comp_off, Claim { issuer, block, resolved: false });
+    v.claims.insert(
+        comp_off,
+        Claim {
+            issuer,
+            block,
+            resolved: false,
+        },
+    );
     v.pending_copy.insert(issuer, comp_off);
     Ok(())
 }
@@ -597,9 +622,11 @@ pub fn capture_case(case: &ConformCase, ordering: Option<Arc<OrderingCtl>>) -> P
         run = run.with_ordering(ctl);
     }
     if case.faults {
-        run = run.with_faults(
-            FaultPlan::seeded(case.seed ^ 0xFA_017).with_drop(OpClass::All, TargetSel::Any, 0.03),
-        );
+        run = run.with_faults(FaultPlan::seeded(case.seed ^ 0xFA_017).with_drop(
+            OpClass::All,
+            TargetSel::Any,
+            0.03,
+        ));
     }
     let workload = FlatBag::new(160, 2_000, 24);
     run_workload(&run, &workload).proto
@@ -608,7 +635,11 @@ pub fn capture_case(case: &ConformCase, ordering: Option<Arc<OrderingCtl>>) -> P
 /// Run one matrix case: execute the production run with capture on and
 /// replay its trace.
 pub fn run_case(case: &ConformCase) -> Result<ReplayStats, Divergence> {
-    replay(&ReplayInput::new(case.kind, case_queue(case), &capture_case(case, None)))
+    replay(&ReplayInput::new(
+        case.kind,
+        case_queue(case),
+        &capture_case(case, None),
+    ))
 }
 
 /// Sites the matrix must observe at least once: every load-bearing
@@ -755,12 +786,62 @@ mod tests {
         let advert = layout.encode(sws_core_stealval(0, 2, 5));
         let claimed = advert.wrapping_add(ASTEAL_UNIT);
         vec![
-            ev(1, 0, 0, sv, AtomicSite::SwsOwnerAdvertise, ProtoOp::Set, empty, 0, 0),
+            ev(
+                1,
+                0,
+                0,
+                sv,
+                AtomicSite::SwsOwnerAdvertise,
+                ProtoOp::Set,
+                empty,
+                0,
+                0,
+            ),
             // zero the two slots steal-half uses for itasks = 2
-            ev(2, 0, 0, comp, AtomicSite::SwsOwnerSlotZero, ProtoOp::Set, 0, 0, 0),
-            ev(3, 0, 0, comp + 1, AtomicSite::SwsOwnerSlotZero, ProtoOp::Set, 0, 0, 0),
-            ev(4, 0, 0, sv, AtomicSite::SwsOwnerAdvertise, ProtoOp::Set, advert, 0, empty),
-            ev(5, 1, 0, sv, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, advert),
+            ev(
+                2,
+                0,
+                0,
+                comp,
+                AtomicSite::SwsOwnerSlotZero,
+                ProtoOp::Set,
+                0,
+                0,
+                0,
+            ),
+            ev(
+                3,
+                0,
+                0,
+                comp + 1,
+                AtomicSite::SwsOwnerSlotZero,
+                ProtoOp::Set,
+                0,
+                0,
+                0,
+            ),
+            ev(
+                4,
+                0,
+                0,
+                sv,
+                AtomicSite::SwsOwnerAdvertise,
+                ProtoOp::Set,
+                advert,
+                0,
+                empty,
+            ),
+            ev(
+                5,
+                1,
+                0,
+                sv,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                advert,
+            ),
             {
                 // payload read: slot 5, vol 1 → 3 words at buf + 5*3
                 let mut e = ev(
@@ -777,9 +858,29 @@ mod tests {
                 e.len = 3;
                 e
             },
-            ev(7, 1, 0, comp, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 1, 0, 0),
+            ev(
+                7,
+                1,
+                0,
+                comp,
+                AtomicSite::SwsThiefComplete,
+                ProtoOp::SetNbi,
+                1,
+                0,
+                0,
+            ),
             // second thief: asteals = 1, claimed_before = 1 → slot 6, vol 1
-            ev(8, 2, 0, sv, AtomicSite::SwsThiefClaim, ProtoOp::FetchAdd, ASTEAL_UNIT, 0, claimed),
+            ev(
+                8,
+                2,
+                0,
+                sv,
+                AtomicSite::SwsThiefClaim,
+                ProtoOp::FetchAdd,
+                ASTEAL_UNIT,
+                0,
+                claimed,
+            ),
             {
                 let mut e = ev(
                     9,
@@ -795,7 +896,17 @@ mod tests {
                 e.len = 3;
                 e
             },
-            ev(10, 2, 0, comp + 1, AtomicSite::SwsThiefComplete, ProtoOp::SetNbi, 1, 0, 0),
+            ev(
+                10,
+                2,
+                0,
+                comp + 1,
+                AtomicSite::SwsThiefComplete,
+                ProtoOp::SetNbi,
+                1,
+                0,
+                0,
+            ),
         ]
     }
 
@@ -874,23 +985,93 @@ mod tests {
         let comp = next_block(meta, 3);
         let buf = next_block(comp, 64);
         vec![
-            ev(1, 0, 0, split, AtomicSite::SdcSplitPublish, ProtoOp::Set, 2, 0, 0),
-            ev(2, 1, 0, lock, AtomicSite::SdcLockCas, ProtoOp::CompareSwap, 1, 0, 0),
+            ev(
+                1,
+                0,
+                0,
+                split,
+                AtomicSite::SdcSplitPublish,
+                ProtoOp::Set,
+                2,
+                0,
+                0,
+            ),
+            ev(
+                2,
+                1,
+                0,
+                lock,
+                AtomicSite::SdcLockCas,
+                ProtoOp::CompareSwap,
+                1,
+                0,
+                0,
+            ),
             {
-                let mut e = ev(3, 1, 0, tail, AtomicSite::SdcMetaRead, ProtoOp::Get, 0, 2, 0);
+                let mut e = ev(
+                    3,
+                    1,
+                    0,
+                    tail,
+                    AtomicSite::SdcMetaRead,
+                    ProtoOp::Get,
+                    0,
+                    2,
+                    0,
+                );
                 e.len = 2;
                 e
             },
             ev(4, 1, 0, tail, AtomicSite::SdcTailPut, ProtoOp::Put, 1, 0, 0),
             ev(5, 1, 0, lock, AtomicSite::SdcUnlock, ProtoOp::Set, 0, 0, 1),
             {
-                let mut e = ev(6, 1, 0, buf, AtomicSite::SdcPayloadRead, ProtoOp::Get, 0, 0, 0);
+                let mut e = ev(
+                    6,
+                    1,
+                    0,
+                    buf,
+                    AtomicSite::SdcPayloadRead,
+                    ProtoOp::Get,
+                    0,
+                    0,
+                    0,
+                );
                 e.len = 3;
                 e
             },
-            ev(7, 1, 0, comp, AtomicSite::SdcComplete, ProtoOp::SetNbi, 1, 0, 0),
-            ev(8, 0, 0, comp, AtomicSite::SdcReclaimRead, ProtoOp::Fetch, 0, 0, 1),
-            ev(9, 0, 0, comp, AtomicSite::SdcReclaimZero, ProtoOp::Set, 0, 0, 1),
+            ev(
+                7,
+                1,
+                0,
+                comp,
+                AtomicSite::SdcComplete,
+                ProtoOp::SetNbi,
+                1,
+                0,
+                0,
+            ),
+            ev(
+                8,
+                0,
+                0,
+                comp,
+                AtomicSite::SdcReclaimRead,
+                ProtoOp::Fetch,
+                0,
+                0,
+                1,
+            ),
+            ev(
+                9,
+                0,
+                0,
+                comp,
+                AtomicSite::SdcReclaimZero,
+                ProtoOp::Set,
+                0,
+                0,
+                1,
+            ),
         ]
     }
 
@@ -953,7 +1134,9 @@ mod tests {
         let cases: [(&str, Proto, Edit); 25] = [
             ("time-regression", Proto::Sws, |t| t[5].t_ns = 5),
             ("unknown-site", Proto::Sws, |t| t[4].site = 999),
-            ("site-op-mismatch", Proto::Sws, |t| t[7].site = SwsThiefProbe.id()),
+            ("site-op-mismatch", Proto::Sws, |t| {
+                t[7].site = SwsThiefProbe.id()
+            }),
             ("remote-owner-op", Proto::Sws, |t| t[3].issuer = 1),
             ("no-anchor", Proto::Sws, |t| t[4].target = 3),
             ("stray-offset", Proto::Sws, |t| t[4].offset += 1),
@@ -978,25 +1161,51 @@ mod tests {
                     tail: 0,
                 });
                 t.push(owner_sv(SwsOwnerAcquireSwap, Swap, full));
-                t.push(ev(12, 1, 0, SV, SwsThiefClaim, FetchAdd, ASTEAL_UNIT, 0, full));
+                t.push(ev(
+                    12,
+                    1,
+                    0,
+                    SV,
+                    SwsThiefClaim,
+                    FetchAdd,
+                    ASTEAL_UNIT,
+                    0,
+                    full,
+                ));
             }),
             // A claim marker stored over an unreclaimed completion.
             ("claim-collision", Proto::Sdc, |t| {
                 t.truncate(7);
                 let comp = t[6].offset as u64;
-                t.push(ev(8, 1, 0, comp, SdcComplete, Set, Completion::Claimed(1).word(), 0, 1));
+                t.push(ev(
+                    8,
+                    1,
+                    0,
+                    comp,
+                    SdcComplete,
+                    Set,
+                    Completion::Claimed(1).word(),
+                    0,
+                    1,
+                ));
             }),
             ("zero-arg", Proto::Sws, |t| t[1].arg = 1),
             ("zero-live-claim", Proto::Sws, |t| {
                 let comp = t[1].offset as u64;
                 t.insert(5, ev(5, 0, 0, comp, SwsOwnerSlotZero, Set, 0, 0, 0));
             }),
-            ("payload-without-claim", Proto::Sws, |t| { t.remove(4); }),
+            ("payload-without-claim", Proto::Sws, |t| {
+                t.remove(4);
+            }),
             ("payload-geometry", Proto::Sws, |t| t[5].offset += 3),
             ("completion-without-claim", Proto::Sws, |t| t[6].offset += 1),
             ("completion-volume", Proto::Sws, |t| t[6].arg = 2),
-            ("unlock-not-holder", Proto::Sdc, |t| (t[4].issuer, t[4].t_ns) = (2, 5)),
-            ("tail-put-without-lock", Proto::Sdc, |t| { t.remove(1); }),
+            ("unlock-not-holder", Proto::Sdc, |t| {
+                (t[4].issuer, t[4].t_ns) = (2, 5)
+            }),
+            ("tail-put-without-lock", Proto::Sdc, |t| {
+                t.remove(1);
+            }),
             ("tail-monotonic", Proto::Sdc, |t| t[3].arg = 0),
             ("tail-volume", Proto::Sdc, |t| t[3].arg = 2),
             ("split-shrink-without-lock", Proto::Sdc, |t| {
@@ -1004,9 +1213,15 @@ mod tests {
                 (shrink.t_ns, shrink.arg, shrink.prev) = (10, 1, 2);
                 t.push(shrink);
             }),
-            ("unresolved-claim", Proto::Sws, |t| { t.remove(6); }),
+            ("unresolved-claim", Proto::Sws, |t| {
+                t.remove(6);
+            }),
         ];
-        assert_eq!(cases.map(|c| c.0), KINDS, "one case per kind, in KINDS order");
+        assert_eq!(
+            cases.map(|c| c.0),
+            KINDS,
+            "one case per kind, in KINDS order"
+        );
         for (kind, proto, edit) in cases {
             let mut evs = match proto {
                 Proto::Sws => sws_trace(),

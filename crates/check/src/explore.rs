@@ -64,7 +64,13 @@ impl<'a> Chooser<'a> {
     /// step's choice tree is exhausted.
     fn next_prefix(&self) -> Option<Vec<u32>> {
         let mut digits: Vec<u32> = (0..self.factors.len())
-            .map(|i| if i < self.prefix.len() { self.prefix[i] } else { 0 })
+            .map(|i| {
+                if i < self.prefix.len() {
+                    self.prefix[i]
+                } else {
+                    0
+                }
+            })
             .collect();
         for i in (0..digits.len()).rev() {
             if digits[i] + 1 < self.factors[i] {
@@ -340,8 +346,22 @@ mod tests {
 
     #[test]
     fn preemption_bound_cuts_schedules() {
-        let full = explore(&toy(false), &Config { preemptions: 4, max_states: 10_000 }).unwrap();
-        let bounded = explore(&toy(false), &Config { preemptions: 0, max_states: 10_000 }).unwrap();
+        let full = explore(
+            &toy(false),
+            &Config {
+                preemptions: 4,
+                max_states: 10_000,
+            },
+        )
+        .unwrap();
+        let bounded = explore(
+            &toy(false),
+            &Config {
+                preemptions: 0,
+                max_states: 10_000,
+            },
+        )
+        .unwrap();
         assert!(bounded.end_states < full.end_states);
         assert!(bounded.end_states >= 2);
     }

@@ -53,9 +53,7 @@ use sws_sched::{try_run_workload_mode, QueueKind, RunConfig, SchedConfig};
 use sws_shmem::explore::{
     Decision, ExploreConfig, ExploreGate, ExploreTrace, OpDesc, TRUNCATED_MSG,
 };
-use sws_shmem::{
-    ExecMode, FaultPlan, OpClass, OrdTracker, OrderingCtl, ShmemError, TargetSel,
-};
+use sws_shmem::{ExecMode, FaultPlan, OpClass, OrdTracker, OrderingCtl, ShmemError, TargetSel};
 use sws_task::{PayloadReader, TaskDescriptor, TaskRegistry};
 use sws_workloads::synth::{sized_task, SYNTH_FN};
 
@@ -123,7 +121,10 @@ pub fn corpus() -> Vec<Scenario> {
         weaken: None,
     };
     vec![
-        Scenario { name: "sws-epochs-half", ..base.clone() },
+        Scenario {
+            name: "sws-epochs-half",
+            ..base.clone()
+        },
         Scenario {
             name: "sws-validbit-half",
             layout: Layout::ValidBit,
@@ -247,10 +248,7 @@ pub fn fresh_spec() -> Vec<(u16, u32)> {
 /// Build the ordering control for a live run: the production table with
 /// `weaken` applied (if any) — the table the model explores the same
 /// mutant under — plus the happens-before tracker.
-pub fn ordering_ctl(
-    n_pes: usize,
-    weaken: Option<(AtomicSite, Weakening)>,
-) -> Arc<OrderingCtl> {
+pub fn ordering_ctl(n_pes: usize, weaken: Option<(AtomicSite, Weakening)>) -> Arc<OrderingCtl> {
     let table = AtomicSite::production_table();
     Arc::new(OrderingCtl {
         overrides: match weaken {
@@ -381,9 +379,11 @@ pub fn run_schedule(sc: &Scenario, prefix: &[u32], max_steps: u64) -> RunResult 
         run = run.with_ordering(defect_ctl(sc.defect));
     }
     if sc.faults {
-        run = run.with_faults(
-            FaultPlan::seeded(sc.seed ^ 0xFA_017).with_drop(OpClass::All, TargetSel::Any, 0.05),
-        );
+        run = run.with_faults(FaultPlan::seeded(sc.seed ^ 0xFA_017).with_drop(
+            OpClass::All,
+            TargetSel::Any,
+            0.05,
+        ));
     }
     let bag = TaggedBag::new(sc.tasks, sc.spawn_total);
     let res = try_run_workload_mode(&run, &bag, ExecMode::Explore(Arc::clone(&gate)));
@@ -776,7 +776,15 @@ pub fn explore_scenario(
             frontier.push_back((child, p));
             true
         };
-        harvest(&res.trace, from, preempts, cfg, branch_everywhere, &mut stats, &mut admit);
+        harvest(
+            &res.trace,
+            from,
+            preempts,
+            cfg,
+            branch_everywhere,
+            &mut stats,
+            &mut admit,
+        );
     }
     stats.exhausted = stats.truncated == 0;
     (stats, None)
@@ -858,8 +866,7 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, String> {
         if let Some(rest) = line.strip_prefix("scenario: ") {
             scenario = Some(rest.trim().to_string());
         } else if let Some(rest) = line.strip_prefix("choices: ") {
-            let parsed: Result<Vec<u32>, _> =
-                rest.split_whitespace().map(str::parse).collect();
+            let parsed: Result<Vec<u32>, _> = rest.split_whitespace().map(str::parse).collect();
             choices = Some(parsed.map_err(|e| format!("bad choice: {e}"))?);
         } else if let Some(rest) = line.strip_prefix("weaken: ") {
             let mut parts = rest.split_whitespace();
@@ -1000,19 +1007,31 @@ mod tests {
                 let trace = run_schedule(&sc, &prefix, cfg.max_steps).trace;
                 let mut pairs = Vec::new();
                 races(&trace, prefix.len(), |k, i| pairs.push((k, i)));
-                assert_eq!(pairs, back_scan(&trace, prefix.len()), "{name} after {prefix:?}");
+                assert_eq!(
+                    pairs,
+                    back_scan(&trace, prefix.len()),
+                    "{name} after {prefix:?}"
+                );
                 let choices = trace.choices();
                 let mut path = vec![node];
                 let everywhere = sc.weaken.is_some();
-                harvest(&trace, prefix.len(), preempts, &cfg, everywhere, &mut stats, |i, j, p| {
-                    let by_tree = tree.admit(&mut path, prefix.len(), &choices, i, j);
-                    let by_set = admit_by_set(&mut seen, &choices, i, j);
-                    assert_eq!(by_tree.is_some(), by_set.is_some(), "{name}: ({i}, {j})");
-                    if let (Some(node), Some(branch)) = (by_tree, by_set) {
-                        frontier.push_back((node, p, branch));
-                    }
-                    by_tree.is_some()
-                });
+                harvest(
+                    &trace,
+                    prefix.len(),
+                    preempts,
+                    &cfg,
+                    everywhere,
+                    &mut stats,
+                    |i, j, p| {
+                        let by_tree = tree.admit(&mut path, prefix.len(), &choices, i, j);
+                        let by_set = admit_by_set(&mut seen, &choices, i, j);
+                        assert_eq!(by_tree.is_some(), by_set.is_some(), "{name}: ({i}, {j})");
+                        if let (Some(node), Some(branch)) = (by_tree, by_set) {
+                            frontier.push_back((node, p, branch));
+                        }
+                        by_tree.is_some()
+                    },
+                );
             }
             assert!(stats.branches > 25, "{name}: {stats:?}");
         }
@@ -1048,7 +1067,10 @@ mod tests {
             )),
         };
         let text = write_schedule(&ce);
-        assert!(text.contains("weaken: SwsThiefComplete to-relaxed"), "{text}");
+        assert!(
+            text.contains("weaken: SwsThiefComplete to-relaxed"),
+            "{text}"
+        );
         let file = parse_schedule(&text).expect("round trip");
         assert_eq!(file.weaken, ce.weaken);
         assert!(

@@ -94,9 +94,19 @@ pub(crate) enum TPc {
     /// Running the protocol's steps towards a block ([`Steps::step_thief`]).
     Steal,
     /// Copying word `i` of the `vol`-task block at ring position `start`.
-    Copy { start: u64, vol: u64, i: u64, comp: usize, tags: Vec<u64> },
+    Copy {
+        start: u64,
+        vol: u64,
+        i: u64,
+        comp: usize,
+        tags: Vec<u64>,
+    },
     /// Storing `vol` into completion word `comp`.
-    Complete { comp: usize, vol: u64, tags: Vec<u64> },
+    Complete {
+        comp: usize,
+        vol: u64,
+        tags: Vec<u64>,
+    },
     Done,
 }
 
@@ -200,7 +210,13 @@ impl Core {
     /// will report it in completion word `comp`.
     pub fn begin_copy(&mut self, t: usize, start: u64, vol: u64, comp: usize) {
         self.claimed += vol;
-        self.thieves[t - 1].pc = TPc::Copy { start, vol, i: 0, comp, tags: Vec::new() };
+        self.thieves[t - 1].pc = TPc::Copy {
+            start,
+            vol,
+            i: 0,
+            comp,
+            tags: Vec::new(),
+        };
     }
 
     /// The steps of a thief that owns a block: copy it word by word,
@@ -208,7 +224,13 @@ impl Core {
     fn step_block(&mut self, t: usize) -> Result<(), Violation> {
         let th = &mut self.thieves[t - 1];
         match std::mem::replace(&mut th.pc, TPc::Steal) {
-            TPc::Copy { start, vol, i, comp, mut tags } => {
+            TPc::Copy {
+                start,
+                vol,
+                i,
+                comp,
+                mut tags,
+            } => {
                 let slot = self.ring.slot(start + i);
                 let v = self.mem.read_fresh(t, self.sites.read, slot)?;
                 if v == 0 {
@@ -221,11 +243,18 @@ impl Core {
                 th.pc = if i + 1 == vol {
                     TPc::Complete { comp, vol, tags }
                 } else {
-                    TPc::Copy { start, vol, i: i + 1, comp, tags }
+                    TPc::Copy {
+                        start,
+                        vol,
+                        i: i + 1,
+                        comp,
+                        tags,
+                    }
                 };
             }
             TPc::Complete { comp, vol, tags } => {
-                self.mem.store(t, self.sites.complete, comp, Completion::Done(vol).word());
+                self.mem
+                    .store(t, self.sites.complete, comp, Completion::Done(vol).word());
                 th.stolen.extend(tags);
             }
             TPc::Steal | TPc::Done => unreachable!("thief {t} owns no block"),
@@ -264,7 +293,11 @@ impl Machine {
             owner: Owner::default(),
             thieves: thief_attempts
                 .iter()
-                .map(|&attempts| Thief { pc: TPc::Steal, attempts, stolen: Vec::new() })
+                .map(|&attempts| Thief {
+                    pc: TPc::Steal,
+                    attempts,
+                    stolen: Vec::new(),
+                })
                 .collect(),
             n_tags: 0,
             claimed: 0,
@@ -306,7 +339,11 @@ impl World for Machine {
 
     fn describe(&self, t: usize) -> String {
         match t {
-            0 => format!("owner {:?} (ip {})", self.half.view().pc(0), self.core.owner.ip),
+            0 => format!(
+                "owner {:?} (ip {})",
+                self.half.view().pc(0),
+                self.core.owner.ip
+            ),
             _ => match &self.core.thieves[t - 1].pc {
                 TPc::Steal => format!("thief {:?}", self.half.view().pc(t)),
                 pc => format!("thief {pc:?}"),

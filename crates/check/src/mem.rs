@@ -265,7 +265,12 @@ impl Memory {
             ords,
             base,
             issued: 0,
-            words: (0..n_words).map(|_| Word { stores: Vec::new(), marks: Vec::new() }).collect(),
+            words: (0..n_words)
+                .map(|_| Word {
+                    stores: Vec::new(),
+                    marks: Vec::new(),
+                })
+                .collect(),
             clocks: vec![VClock::new(n_threads); n_threads],
             seqs: vec![0; n_threads],
             floors: vec![vec![0; n_words]; n_threads],
@@ -287,7 +292,10 @@ impl Memory {
             Place::Payload => (2, i),
         };
         let w = self.base[block] + i;
-        assert!(w < self.base[block + 1], "{place:?} word {i} is outside its block");
+        assert!(
+            w < self.base[block + 1],
+            "{place:?} word {i} is outside its block"
+        );
         w
     }
 
@@ -295,7 +303,12 @@ impl Memory {
     fn word(&mut self, place: Place, i: usize) -> usize {
         let w = self.index(place, i);
         if self.words[w].stores.is_empty() {
-            self.words[w].stores.push(Store { val: 0, author: INIT, seq: 0, msg: None });
+            self.words[w].stores.push(Store {
+                val: 0,
+                author: INIT,
+                seq: 0,
+                msg: None,
+            });
         }
         w
     }
@@ -309,7 +322,11 @@ impl Memory {
             [] => row.ops.is_empty(),
             _ => row.ops.iter().any(|op| shapes.contains(op)),
         };
-        assert!(admitted, "{} admits {:?}, not {shapes:?}", row.name, row.ops);
+        assert!(
+            admitted,
+            "{} admits {:?}, not {shapes:?}",
+            row.name, row.ops
+        );
         self.issued |= 1 << site.id();
         (self.word(row.word, i), self.ords.get(site))
     }
@@ -492,7 +509,9 @@ impl Memory {
 
     /// Atomic fetch-add; returns the previous value.
     pub fn fetch_add(&mut self, t: usize, site: AtomicSite, i: usize, delta: u64) -> u64 {
-        self.rmw(t, site, i, ProtoOp::FetchAdd, |old| Some(old.wrapping_add(delta)))
+        self.rmw(t, site, i, ProtoOp::FetchAdd, |old| {
+            Some(old.wrapping_add(delta))
+        })
     }
 
     /// Atomic swap; returns the previous value.
@@ -502,13 +521,18 @@ impl Memory {
 
     /// Atomic compare-and-swap; returns the previous value.
     pub fn cas(&mut self, t: usize, site: AtomicSite, i: usize, expected: u64, new: u64) -> u64 {
-        self.rmw(t, site, i, ProtoOp::CompareSwap, |old| (old == expected).then_some(new))
+        self.rmw(t, site, i, ProtoOp::CompareSwap, |old| {
+            (old == expected).then_some(new)
+        })
     }
 
     /// The latest value in a word's modification order (end-state checks
     /// only — not a thread-visible read).
     pub fn latest(&self, place: Place, i: usize) -> u64 {
-        self.words[self.index(place, i)].stores.last().map_or(0, |s| s.val)
+        self.words[self.index(place, i)]
+            .stores
+            .last()
+            .map_or(0, |s| s.val)
     }
 }
 
@@ -585,8 +609,8 @@ mod tests {
         let mut m = mem(3);
         m.store_payload(0, SwsOwnerPayloadWrite, 0, 5).unwrap();
         m.store(0, SwsOwnerAdvertise, 0, 1); // flag, heads the sequence
-        // t1 bumps the flag with a *relaxed* RMW: atomicity still sees 1,
-        // and the sequence headed by t0's release continues.
+                                             // t1 bumps the flag with a *relaxed* RMW: atomicity still sees 1,
+                                             // and the sequence headed by t0's release continues.
         assert_eq!(m.fetch_add(1, SwsThiefClaim, 0, 10), 1);
         // t2 acquire-loads the RMW's store: synchronizes with t0.
         assert_eq!(m.load(2, SwsThiefProbe, 0, pick(2)), 11);
@@ -598,12 +622,19 @@ mod tests {
         let mut m = mem(2);
         m.store_payload(0, SwsOwnerPayloadWrite, 0, 3).unwrap();
         m.store(0, SwsOwnerAdvertise, 0, 1); // publication flag
-        // t1 acquires the flag (so the fresh-read is legal), reads the
-        // payload (leaves a mark) — but t0 never hears back.
+                                             // t1 acquires the flag (so the fresh-read is legal), reads the
+                                             // payload (leaves a mark) — but t0 never hears back.
         assert_eq!(m.load(1, SwsThiefProbe, 0, pick(1)), 1);
         m.read_fresh(1, SwsThiefPayloadRead, 0).unwrap();
         let err = m.store_payload(0, SwsOwnerPayloadWrite, 0, 4).unwrap_err();
-        assert!(matches!(err, Violation::Race { reader: 1, writer: 0, .. }));
+        assert!(matches!(
+            err,
+            Violation::Race {
+                reader: 1,
+                writer: 0,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -63,10 +63,15 @@ enum TPc {
     Claim,
     Lock,
     Meta,
-    TailPut { tail: u64, block: Block },
+    TailPut {
+        tail: u64,
+        block: Block,
+    },
     /// Releasing the lock, with the tail it read and the block the tail
     /// put claimed (none: the shared region was empty).
-    Unlock { block: Option<(u64, Block)> },
+    Unlock {
+        block: Option<(u64, Block)>,
+    },
 }
 
 const SITES: Sites = Sites {
@@ -89,7 +94,9 @@ impl Steps for Sdc {
                 }
                 // Acquire only runs with an empty local deque.
                 Some(OwnerOp::Acquire) if c.owner.head == c.owner.split => {
-                    self.pc = OPc::Lock { take: Take::UpperHalf }
+                    self.pc = OPc::Lock {
+                        take: Take::UpperHalf,
+                    }
                 }
                 Some(OwnerOp::Progress) => self.pc = OPc::Reclaim { retire_to: None },
                 Some(OwnerOp::Retire) => self.pc = OPc::Lock { take: Take::All },
@@ -111,8 +118,14 @@ impl Steps for Sdc {
                 let avail = c.owner.split - tail;
                 self.pc = match take {
                     Take::UpperHalf if avail == 0 => OPc::Unlock { take }, // miss
-                    Take::UpperHalf => OPc::Put { new_split: tail + avail / 2, take },
-                    Take::All => OPc::Put { new_split: tail, take },
+                    Take::UpperHalf => OPc::Put {
+                        new_split: tail + avail / 2,
+                        take,
+                    },
+                    Take::All => OPc::Put {
+                        new_split: tail,
+                        take,
+                    },
                 };
             }
             OPc::Put { new_split, take } => {
@@ -124,7 +137,9 @@ impl Steps for Sdc {
                 c.mem.store(0, Site::SdcUnlock, 0, 0);
                 self.pc = match take {
                     Take::UpperHalf => OPc::Next,
-                    Take::All => OPc::Reclaim { retire_to: Some(c.owner.split) },
+                    Take::All => OPc::Reclaim {
+                        retire_to: Some(c.owner.split),
+                    },
                 };
             }
             OPc::Reclaim { retire_to } => {
@@ -205,7 +220,9 @@ impl Steps for Sdc {
                 }
                 c.mem.store(t, Site::SdcTailPut, 0, tail + block.volume);
                 self.tail = tail + block.volume;
-                *pc = TPc::Unlock { block: Some((tail, block)) };
+                *pc = TPc::Unlock {
+                    block: Some((tail, block)),
+                };
             }
             TPc::Unlock { block } => {
                 c.mem.store(t, Site::SdcUnlock, 0, 0);
@@ -248,8 +265,20 @@ fn scenario(
     };
     // One-word tasks under the default (steal-half) policy.
     let cfg = QueueConfig::new(cap, 8);
-    let mem = Memory::new(1 + thief_attempts.len(), ords.clone(), Protocol::Sdc.blocks(&cfg));
-    Machine::new(name, Half::Sdc(half), SITES, cfg, script.to_vec(), thief_attempts, mem)
+    let mem = Memory::new(
+        1 + thief_attempts.len(),
+        ords.clone(),
+        Protocol::Sdc.blocks(&cfg),
+    );
+    Machine::new(
+        name,
+        Half::Sdc(half),
+        SITES,
+        cfg,
+        script.to_vec(),
+        thief_attempts,
+        mem,
+    )
 }
 
 /// The SDC scenario catalog (see [`crate::all_scenarios`]): the shapes
@@ -258,7 +287,13 @@ fn scenario(
 pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
     use OwnerOp::*;
     let mut v = vec![
-        scenario("sdc_basic", 8, &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll], &[2], ords),
+        scenario(
+            "sdc_basic",
+            8,
+            &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll],
+            &[2],
+            ords,
+        ),
         scenario(
             "sdc_ring_reuse",
             2,
@@ -269,7 +304,9 @@ pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
         scenario(
             "sdc_acquire",
             8,
-            &[Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
+            &[
+                Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
+            ],
             &[2],
             ords,
         ),

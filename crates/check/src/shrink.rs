@@ -64,9 +64,7 @@ mod tests {
     #[test]
     fn preserves_order_for_adjacent_cores() {
         let input: Vec<u32> = (0..16).collect();
-        let out = ddmin(&input, |s| {
-            s.windows(2).any(|w| w == [5, 6])
-        });
+        let out = ddmin(&input, |s| s.windows(2).any(|w| w == [5, 6]));
         assert_eq!(out, vec![5, 6]);
     }
 

@@ -92,14 +92,25 @@ enum OPc {
     Next,
     RelReadSv,
     /// A reclaim pass that goes on with `cont`: at the front record.
-    Reclaim { cont: Cont },
+    Reclaim {
+        cont: Cont,
+    },
     /// … reading the live advertisement's claim count from the word.
-    ReclaimSv { cont: Cont },
+    ReclaimSv {
+        cont: Cont,
+    },
     /// … reading the front record's completion slots below `n`.
-    ReclaimComp { n: u32, cont: Cont },
+    ReclaimComp {
+        n: u32,
+        cont: Cont,
+    },
     SlotWait,
-    AdvZero { slot: u8 },
-    AdvPublish { slot: u8 },
+    AdvZero {
+        slot: u8,
+    },
+    AdvPublish {
+        slot: u8,
+    },
     AcqSwap,
     RetireSwap,
 }
@@ -153,7 +164,10 @@ impl Sws {
         if self.oracle.bumps > ASTEALS_MASK {
             return Err(proto(
                 "overflow",
-                format!("{} claim bumps exceed the 24-bit asteals field", self.oracle.bumps),
+                format!(
+                    "{} claim bumps exceed the 24-bit asteals field",
+                    self.oracle.bumps
+                ),
             ));
         }
         let o = &self.oracle;
@@ -242,7 +256,11 @@ impl Sws {
             // Acquire only runs with an empty local deque.
             OwnerOp::Acquire if local == 0 && live => self.pc = OPc::AcqSwap,
             OwnerOp::Acquire => {}
-            OwnerOp::Progress => self.pc = OPc::Reclaim { cont: Cont::Progress },
+            OwnerOp::Progress => {
+                self.pc = OPc::Reclaim {
+                    cont: Cont::Progress,
+                }
+            }
             OwnerOp::Retire => self.pc = OPc::RetireSwap,
             OwnerOp::Enqueue | OwnerOp::PopAll => unreachable!("the shared machine runs {op:?}"),
         }
@@ -254,7 +272,12 @@ impl Sws {
             OPc::Reclaim { cont } => match self.epochs.front() {
                 None => self.exit_reclaim(c, cont),
                 Some(front) if front.open => self.pc = OPc::ReclaimSv { cont },
-                Some(front) => self.pc = OPc::ReclaimComp { n: front.claimed, cont },
+                Some(front) => {
+                    self.pc = OPc::ReclaimComp {
+                        n: front.claimed,
+                        cont,
+                    }
+                }
             },
             OPc::ReclaimSv { cont } => {
                 // The open record is the live advertisement: clamp its
@@ -378,13 +401,18 @@ impl Steps for Sws {
             }
             OPc::AcqSwap | OPc::RetireSwap => {
                 let retire = self.pc == OPc::RetireSwap;
-                let closed = layout.encode(StealVal { gate: Gate::Closed, ..StealVal::empty() });
+                let closed = layout.encode(StealVal {
+                    gate: Gate::Closed,
+                    ..StealVal::empty()
+                });
                 let old = c.mem.swap(0, Site::SwsOwnerAcquireSwap, 0, closed);
                 let sv = self.check_rmw_view(layout, old)?;
                 self.oracle = Oracle::default();
                 if !retire {
                     let left = self.close_back(c, &sv);
-                    self.pc = OPc::Reclaim { cont: Cont::Acquire(left) };
+                    self.pc = OPc::Reclaim {
+                        cont: Cont::Acquire(left),
+                    };
                 } else {
                     let back_open = self.epochs.back().is_some_and(|r| r.open);
                     if sv.gate != Gate::Closed && back_open {
@@ -459,7 +487,10 @@ impl Steps for Sws {
         if !self.epochs.is_empty() {
             return Err(proto(
                 "reconciliation",
-                format!("{} epoch records left undrained after retire", self.epochs.len()),
+                format!(
+                    "{} epoch records left undrained after retire",
+                    self.epochs.len()
+                ),
             ));
         }
         if self.slot_busy.iter().any(|&b| b) {
@@ -517,12 +548,24 @@ fn scenario(
     };
     // One-word tasks under the default (steal-half) policy.
     let cfg = QueueConfig::new(cap, 8).with_layout(layout);
-    let mut mem = Memory::new(1 + thief_attempts.len(), ords.clone(), Protocol::Sws.blocks(&cfg));
+    let mut mem = Memory::new(
+        1 + thief_attempts.len(),
+        ords.clone(),
+        Protocol::Sws.blocks(&cfg),
+    );
     // The queue constructor publishes an empty open advertisement and
     // the world barriers before work starts: model as initial state.
     let sv = Site::SwsOwnerAdvertise.row().word;
     mem.set_init(sv, 0, layout.encode(StealVal::empty()));
-    Machine::new(name, Half::Sws(half), SITES, cfg, script.to_vec(), thief_attempts, mem)
+    Machine::new(
+        name,
+        Half::Sws(half),
+        SITES,
+        cfg,
+        script.to_vec(),
+        thief_attempts,
+        mem,
+    )
 }
 
 /// The SWS scenario catalog (see [`crate::all_scenarios`]).
@@ -530,18 +573,33 @@ pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
     use OwnerOp::*;
     // Most scenarios run the paper's final design: epochs, undamped.
     let epochs = |name, cap, script: &[OwnerOp], thief_attempts: &[u32]| {
-        scenario(name, Layout::Epochs, cap, script, thief_attempts, false, ords)
+        scenario(
+            name,
+            Layout::Epochs,
+            cap,
+            script,
+            thief_attempts,
+            false,
+            ords,
+        )
     };
     let steal_all = [Enqueue, Enqueue, Release, Retire, PopAll];
     let mut v = vec![
         // The headline 2-PE scenario: one advertisement, one thief.
-        epochs("sws_basic", 8, &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll], &[2]),
+        epochs(
+            "sws_basic",
+            8,
+            &[Enqueue, Enqueue, Enqueue, Release, Retire, PopAll],
+            &[2],
+        ),
         // Epoch flip: acquire closes the gate mid-steal and re-advertises
         // the unclaimed remainder under the other epoch.
         epochs(
             "sws_epoch_flip",
             8,
-            &[Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
+            &[
+                Enqueue, Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
+            ],
             &[2],
         ),
         // Ring reuse at capacity 2: an enqueue lands on a slot a thief
@@ -555,7 +613,15 @@ pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
         // §4.3 steal damping: the thief probes read-only and only
         // fetch-adds after observing available work. Exercises the
         // SwsThiefProbe site and the probe-before-claim monitor.
-        scenario("sws_damped_probe", Layout::Epochs, 8, &steal_all, &[2], true, ords),
+        scenario(
+            "sws_damped_probe",
+            Layout::Epochs,
+            8,
+            &steal_all,
+            &[2],
+            true,
+            ords,
+        ),
     ];
     if !audit_only {
         // 3 PEs: two thieves racing fetch-adds on one advertisement.
@@ -565,7 +631,9 @@ pub(crate) fn scenarios(ords: &OrdTable, audit_only: bool) -> Vec<Machine> {
             "sws_validbit",
             Layout::ValidBit,
             8,
-            &[Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll],
+            &[
+                Enqueue, Enqueue, Enqueue, Release, PopAll, Acquire, Retire, PopAll,
+            ],
             &[2],
             false,
             ords,

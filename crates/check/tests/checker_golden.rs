@@ -16,17 +16,31 @@ fn checker_stdout_matches_the_goldens() {
     let commands = std::fs::read_to_string(dir.join("commands.txt")).expect("command list");
     let prefix = format!("{}/", root.display());
     let mut checked = 0;
-    for row in commands.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+    for row in commands
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
         let (name, args) = row.split_once(' ').expect("NAME ARGS...");
         let out = Command::new(env!("CARGO_BIN_EXE_sws-check"))
             .args(args.split_whitespace())
             .output()
             .expect("sws-check starts");
-        assert!(out.status.success(), "sws-check {args}: {}", String::from_utf8_lossy(&out.stderr));
-        let got = String::from_utf8(out.stdout).expect("utf-8 stdout").replace(&prefix, "");
+        assert!(
+            out.status.success(),
+            "sws-check {args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = String::from_utf8(out.stdout)
+            .expect("utf-8 stdout")
+            .replace(&prefix, "");
         let want = std::fs::read_to_string(dir.join(format!("{name}.out"))).expect("golden file");
         for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(g, w, "sws-check {args}: line {} of {name}.out differs", i + 1);
+            assert_eq!(
+                g,
+                w,
+                "sws-check {args}: line {} of {name}.out differs",
+                i + 1
+            );
         }
         assert_eq!(got, want, "sws-check {args}: {name}.out differs in length");
         checked += 1;

@@ -7,7 +7,9 @@
 //! planted protocol defect is caught *and shrinks* to a small witness of
 //! the same divergence kind.
 
-use sws_check::conform::{capture_case, case_queue, conform_all, matrix, replay, shrink, Proto, ReplayInput};
+use sws_check::conform::{
+    capture_case, case_queue, conform_all, matrix, replay, shrink, Proto, ReplayInput,
+};
 use sws_check::live::defect_ctl;
 use sws_core::Defect;
 
@@ -19,7 +21,10 @@ fn clean_runs_conform_and_cover_both_protocols() {
         "conformance matrix failed:\n{}",
         report.render()
     );
-    assert!(report.cases.len() >= 7, "matrix shrank below the 7-config floor");
+    assert!(
+        report.cases.len() >= 7,
+        "matrix shrank below the 7-config floor"
+    );
 }
 
 /// With no defect planted, attaching the control must not move one
@@ -29,7 +34,11 @@ fn a_control_that_plants_nothing_moves_nothing() {
     for case in &matrix() {
         let plain = capture_case(case, None);
         assert!(!plain.is_empty(), "{}: nothing captured", case.name);
-        assert!(plain == capture_case(case, Some(defect_ctl(None))), "{}: the capture moved", case.name);
+        assert!(
+            plain == capture_case(case, Some(defect_ctl(None))),
+            "{}: the capture moved",
+            case.name
+        );
     }
 }
 

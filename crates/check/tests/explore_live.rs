@@ -75,7 +75,10 @@ fn mutation_is_found_shrunk_and_replayable() {
     };
     let (stats, ce) = explore_scenario(&sc, &cfg);
     let ce: Counterexample = ce.unwrap_or_else(|| {
-        panic!("explorer missed the seeded bug after {} schedules", stats.schedules)
+        panic!(
+            "explorer missed the seeded bug after {} schedules",
+            stats.schedules
+        )
     });
     assert!(
         ce.failure.contains("conservation") || ce.failure.contains("invariant"),
@@ -110,7 +113,9 @@ fn default_log_digest(sc: &Scenario) -> u64 {
     let log: Vec<_> = trace.decisions().collect();
     format!("{log:?}")
         .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// The schedule is *the* schedule, whatever executes it. These counts and
@@ -125,13 +130,55 @@ fn explore_results_are_pinned() {
     // (scenario, branches, pruned independent, pruned by the preemption
     // bound, max depth, digest of the default schedule's log)
     let pinned = [
-        ("sws-epochs-half", 1_361, 4_416, 482, 190, 0x85564d4e6868207b),
-        ("sws-validbit-half", 1_361, 4_416, 482, 190, 0x9b17799a36afff1f),
-        ("sws-epochs-one-damped", 674, 2_881, 559, 169, 0xe3aedcd6a0e36cfe),
-        ("sws-epochs-3pe", 2_602, 25_481, 7_702, 469, 0x55350201b928fdff),
-        ("sws-epochs-drops", 1_315, 3_701, 441, 166, 0x8d437d04709c69f0),
+        (
+            "sws-epochs-half",
+            1_361,
+            4_416,
+            482,
+            190,
+            0x85564d4e6868207b,
+        ),
+        (
+            "sws-validbit-half",
+            1_361,
+            4_416,
+            482,
+            190,
+            0x9b17799a36afff1f,
+        ),
+        (
+            "sws-epochs-one-damped",
+            674,
+            2_881,
+            559,
+            169,
+            0xe3aedcd6a0e36cfe,
+        ),
+        (
+            "sws-epochs-3pe",
+            2_602,
+            25_481,
+            7_702,
+            469,
+            0x55350201b928fdff,
+        ),
+        (
+            "sws-epochs-drops",
+            1_315,
+            3_701,
+            441,
+            166,
+            0x8d437d04709c69f0,
+        ),
         ("sdc-half", 307, 2_036, 1_790, 150, 0x11300700cf5404aa),
-        ("sdc-quarter-3pe", 1_557, 8_677, 1_546, 224, 0x51508503d3aa936c),
+        (
+            "sdc-quarter-3pe",
+            1_557,
+            8_677,
+            1_546,
+            224,
+            0x51508503d3aa936c,
+        ),
         ("sdc-drops", 331, 2_209, 2_103, 153, 0xffceec48d81719c4),
     ];
     let cfg = ExplorerConfig::default();
@@ -153,7 +200,11 @@ fn explore_results_are_pinned() {
             exhausted: false,
         };
         assert_eq!(stats, want, "{name}");
-        assert_eq!(default_log_digest(sc), log, "{name}: default schedule's log");
+        assert_eq!(
+            default_log_digest(sc),
+            log,
+            "{name}: default schedule's log"
+        );
     }
 
     let sc = mutant_scenario();
@@ -169,15 +220,31 @@ fn explore_results_are_pinned() {
 /// `sdc-drops` has one admissible schedule and `sws-epochs-3pe` 123.
 #[test]
 fn an_emptied_frontier_is_exhausted_at_its_bound() {
-    let bound0 = ExplorerConfig { preemptions: 0, ..ExplorerConfig::default() };
+    let bound0 = ExplorerConfig {
+        preemptions: 0,
+        ..ExplorerConfig::default()
+    };
     for (name, schedules) in [("sdc-drops", 1), ("sws-epochs-3pe", 123)] {
-        let sc = corpus().into_iter().find(|sc| sc.name == name).expect("in the corpus");
+        let sc = corpus()
+            .into_iter()
+            .find(|sc| sc.name == name)
+            .expect("in the corpus");
         let (stats, ce) = explore_scenario(&sc, &bound0);
         assert_eq!(ce, None, "{name}");
-        assert_eq!((stats.schedules, stats.exhausted), (schedules, true), "{name}");
-        let budget = ExplorerConfig { max_schedules: schedules - 1, ..bound0.clone() };
+        assert_eq!(
+            (stats.schedules, stats.exhausted),
+            (schedules, true),
+            "{name}"
+        );
+        let budget = ExplorerConfig {
+            max_schedules: schedules - 1,
+            ..bound0.clone()
+        };
         if budget.max_schedules > 0 {
-            assert!(!explore_scenario(&sc, &budget).0.exhausted, "{name} under budget");
+            assert!(
+                !explore_scenario(&sc, &budget).0.exhausted,
+                "{name} under budget"
+            );
         }
     }
 }

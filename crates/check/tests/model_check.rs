@@ -101,7 +101,12 @@ fn model_verdicts_are_pinned() {
         ("SwsThiefClaim", "to-release", "stale-read", "sws_basic"),
         ("SwsOwnerAdvertise", "to-relaxed", "stale-read", "sws_basic"),
         ("SwsThiefComplete", "to-relaxed", "race", "sws_ring_reuse"),
-        ("SwsOwnerReclaimRead", "to-relaxed", "race", "sws_ring_reuse"),
+        (
+            "SwsOwnerReclaimRead",
+            "to-relaxed",
+            "race",
+            "sws_ring_reuse",
+        ),
         ("SdcLockCas", "to-release", "conservation", "sdc_basic"),
         ("SdcUnlock", "to-relaxed", "conservation", "sdc_basic"),
         ("SdcMetaRead", "to-relaxed", "stale-read", "sdc_basic"),
@@ -134,13 +139,20 @@ fn every_catalog_site_is_issued_by_the_model() {
     for audit_only in [false, true] {
         let issued = all_scenarios(&OrdTable::production(), audit_only)
             .iter()
-            .map(|w| explore(w, &Config::default()).expect("production is clean").sites)
+            .map(|w| {
+                explore(w, &Config::default())
+                    .expect("production is clean")
+                    .sites
+            })
             .fold(0, |all, sites| all | sites);
         let missed: Vec<&str> = AtomicSite::ALL
             .iter()
             .filter(|s| issued & (1 << s.id()) == 0)
             .map(|s| s.name())
             .collect();
-        assert!(missed.is_empty(), "audit_only={audit_only}: no scenario issues {missed:?}");
+        assert!(
+            missed.is_empty(),
+            "audit_only={audit_only}: no scenario issues {missed:?}"
+        );
     }
 }

@@ -315,8 +315,8 @@ fn cross_epoch_steals_with_concurrent_owner_churn() {
 fn churn_on_tiny_ring() {
     use Op::*;
     let ops = [
-        Enqueue, Enqueue, Enqueue, Enqueue, Release, Enqueue, Pop, Pop, Pop, Acquire, Pop,
-        Release, Enqueue, Enqueue, Acquire, Pop, Pop, Progress, Release, Acquire, Pop, Pop,
+        Enqueue, Enqueue, Enqueue, Enqueue, Release, Enqueue, Pop, Pop, Pop, Acquire, Pop, Release,
+        Enqueue, Enqueue, Acquire, Pop, Pop, Progress, Release, Acquire, Pop, Pop,
     ];
     drive_single_pe(&ops, true);
     drive_single_pe(&ops, false);

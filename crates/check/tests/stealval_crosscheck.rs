@@ -112,7 +112,15 @@ fn validbit_encode_matches_hand_packing_at_field_extremes() {
             "asteals={asteals:#x} itasks={itasks:#x} tail={tail:#x}"
         );
         let d = Layout::ValidBit.decode(pack_validbit(asteals, 1, itasks, tail));
-        assert_eq!(d, sv(asteals as u32, Gate::Open { epoch: 0 }, itasks as u32, tail as u32));
+        assert_eq!(
+            d,
+            sv(
+                asteals as u32,
+                Gate::Open { epoch: 0 },
+                itasks as u32,
+                tail as u32
+            )
+        );
     }
 }
 
@@ -125,13 +133,24 @@ fn closed_gate_is_all_ones_epoch_or_cleared_valid_bit() {
     assert_eq!(v, pack_epochs(3, 0b11, 7, 9));
     for epoch in MAX_EPOCHS as u64..4 {
         let d = Layout::Epochs.decode(pack_epochs(0, epoch, 7, 9));
-        assert_eq!(d.gate, Gate::Closed, "epoch bits {epoch:#b} must read Closed");
-        assert_eq!((d.itasks, d.tail), (7, 9), "owner fields survive a closed gate");
+        assert_eq!(
+            d.gate,
+            Gate::Closed,
+            "epoch bits {epoch:#b} must read Closed"
+        );
+        assert_eq!(
+            (d.itasks, d.tail),
+            (7, 9),
+            "owner fields survive a closed gate"
+        );
     }
     // Fig. 3: Closed is simply valid = 0.
     let v = Layout::ValidBit.encode(sv(3, Gate::Closed, 7, 9));
     assert_eq!(v, pack_validbit(3, 0, 7, 9));
-    assert_eq!(Layout::ValidBit.decode(pack_validbit(0, 0, 7, 9)).gate, Gate::Closed);
+    assert_eq!(
+        Layout::ValidBit.decode(pack_validbit(0, 0, 7, 9)).gate,
+        Gate::Closed
+    );
 }
 
 #[test]
@@ -141,33 +160,52 @@ fn out_of_range_fields_error_instead_of_bleeding() {
     let open = Gate::Open { epoch: 0 };
     assert!(matches!(
         Layout::Epochs.try_encode(sv(0, open, 0x8_0000, 0)),
-        Err(EncodeError::ItasksOverflow { itasks: 0x8_0000, max: 0x7_FFFF })
+        Err(EncodeError::ItasksOverflow {
+            itasks: 0x8_0000,
+            max: 0x7_FFFF
+        })
     ));
     assert!(matches!(
         Layout::Epochs.try_encode(sv(0, open, 0, 0x8_0000)),
-        Err(EncodeError::TailOverflow { tail: 0x8_0000, max: 0x7_FFFF })
+        Err(EncodeError::TailOverflow {
+            tail: 0x8_0000,
+            max: 0x7_FFFF
+        })
     ));
     assert!(matches!(
         Layout::ValidBit.try_encode(sv(0, open, 0, 0x10_0000)),
-        Err(EncodeError::TailOverflow { tail: 0x10_0000, max: 0xF_FFFF })
+        Err(EncodeError::TailOverflow {
+            tail: 0x10_0000,
+            max: 0xF_FFFF
+        })
     ));
     assert!(matches!(
         Layout::ValidBit.try_encode(sv(0x100_0000, open, 0, 0)),
-        Err(EncodeError::AstealsOverflow { asteals: 0x100_0000 })
+        Err(EncodeError::AstealsOverflow {
+            asteals: 0x100_0000
+        })
     ));
     // An open epoch at MAX_EPOCHS is reserved for the Closed pattern in
     // Fig. 4 and does not exist at all in Fig. 3.
     assert!(matches!(
         Layout::Epochs.try_encode(sv(0, Gate::Open { epoch: 2 }, 0, 0)),
-        Err(EncodeError::EpochOutOfRange { epoch: 2, n_epochs: 2 })
+        Err(EncodeError::EpochOutOfRange {
+            epoch: 2,
+            n_epochs: 2
+        })
     ));
     assert!(matches!(
         Layout::ValidBit.try_encode(sv(0, Gate::Open { epoch: 1 }, 0, 0)),
-        Err(EncodeError::EpochOutOfRange { epoch: 1, n_epochs: 1 })
+        Err(EncodeError::EpochOutOfRange {
+            epoch: 1,
+            n_epochs: 1
+        })
     ));
     // The ValidBit tail max is legal on ValidBit but one bit too wide for
     // Epochs — the exact boundary the two layouts disagree on.
-    assert!(Layout::ValidBit.try_encode(sv(0, open, 0, 0xF_FFFF)).is_ok());
+    assert!(Layout::ValidBit
+        .try_encode(sv(0, open, 0, 0xF_FFFF))
+        .is_ok());
     assert!(Layout::Epochs.try_encode(sv(0, open, 0, 0xF_FFFF)).is_err());
 }
 

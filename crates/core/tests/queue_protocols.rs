@@ -5,7 +5,7 @@
 
 use sws_core::stealval::Layout;
 use sws_core::{QueueConfig, SdcQueue, StealOutcome, StealQueue, SwsQueue};
-use sws_shmem::{run_world, NetModel, ShmemCtx, WorldConfig};
+use sws_shmem::{run_world, NetModel, ShmemCtx, WorldConfig, WorldOutput};
 use sws_task::TaskDescriptor;
 
 fn cfg_small() -> QueueConfig {
@@ -160,9 +160,8 @@ fn steal_from_empty_target_reports_empty() {
 /// capture nothing but still use theirs.
 #[test]
 fn each_steal_attempt_stamps_its_ops_with_one_number() {
-    /// PE 1's calls against PE 0, with the window open or closed: the
-    /// thief ops each captured, and their distinct attempt numbers.
-    fn calls(ctx: &ShmemCtx, q: &mut dyn StealQueue) -> Vec<(usize, Vec<u32>)> {
+    /// PE 1's calls against PE 0, with the window open or closed.
+    fn calls(ctx: &ShmemCtx, q: &mut dyn StealQueue) {
         if ctx.my_pe() == 0 {
             for i in 0..64 {
                 q.enqueue(&task(i));
@@ -172,7 +171,6 @@ fn each_steal_attempt_stamps_its_ops_with_one_number() {
         ctx.barrier_all();
         // (a steal rather than a probe, the window open)
         let script = [(false, true), (true, true), (false, false), (true, false), (true, true)];
-        let mut calls = Vec::new();
         for (steal, window) in script.into_iter().filter(|_| ctx.my_pe() == 1) {
             ctx.set_capture_window(window);
             if steal {
@@ -180,22 +178,26 @@ fn each_steal_attempt_stamps_its_ops_with_one_number() {
             } else {
                 assert!(q.probe(0));
             }
-            let events = ctx.take_proto_events();
-            let mut attempts: Vec<u32> =
-                events.iter().filter(|e| e.target != e.issuer).map(|e| e.attempt).collect();
-            let ops = attempts.len();
-            attempts.dedup();
-            calls.push((ops, attempts));
         }
         ctx.barrier_all();
-        calls
+    }
+    /// The captured thief ops as runs of one attempt number: `(attempt, ops)`.
+    fn attempts(out: &WorldOutput<()>) -> Vec<(u32, usize)> {
+        let mut runs: Vec<(u32, usize)> = Vec::new();
+        for e in out.proto.iter().filter(|e| e.issuer == 1 && e.target != e.issuer) {
+            match runs.last_mut() {
+                Some((attempt, ops)) if *attempt == e.attempt => *ops += 1,
+                _ => runs.push((e.attempt, 1)),
+            }
+        }
+        runs
     }
     let world = || world(2).with_capture_proto();
     let sws = run_world(world(), |ctx| calls(ctx, &mut SwsQueue::new(ctx, cfg_small()))).unwrap();
     let sdc = run_world(world(), |ctx| calls(ctx, &mut SdcQueue::new(ctx, cfg_small()))).unwrap();
-    let want = |steal_ops| vec![(1, vec![1]), (steal_ops, vec![2]), (0, vec![]), (0, vec![]), (steal_ops, vec![5])];
-    assert_eq!(sws.results[1], want(3), "SWS");
-    assert_eq!(sdc.results[1], want(6), "SDC");
+    let want = |steal_ops| vec![(1, 1), (2, steal_ops), (5, steal_ops)];
+    assert_eq!(attempts(&sws), want(3), "SWS");
+    assert_eq!(attempts(&sdc), want(6), "SDC");
 }
 
 #[test]
@@ -550,7 +552,8 @@ fn deterministic_virtual_execution() {
     // Identical seeds ⇒ identical steal interleavings and identical
     // virtual makespans in virtual-time mode.
     fn run_once() -> (Vec<u64>, u64) {
-        let out = run_world(world(4).with_net(NetModel::edr_infiniband()), |ctx| {
+        let cfg = WorldConfig { net: NetModel::edr_infiniband(), ..world(4) };
+        let out = run_world(cfg, |ctx| {
             let mut q = SwsQueue::new(ctx, QueueConfig::new(256, 24));
             if ctx.my_pe() == 0 {
                 for i in 0..200 {

@@ -22,10 +22,10 @@
 //! determinism test in `tests/snapshots.rs`.
 //!
 //! **Burn rate with hysteresis.** Burn is `windowed p99 / SLO` in
-//! percent. The alert fires when burn reaches
-//! [`SloPolicy::fire_pct`] and clears only when it falls back to
-//! [`SloPolicy::clear_pct`] — a deliberately lower bar, so a burn rate
-//! hovering at the fire threshold produces one alert, not a flap storm.
+//! percent over the last three frames. The alert fires when burn reaches
+//! 100 % and clears only when it falls back to 75 % — a deliberately
+//! lower bar, so a burn rate hovering at the fire threshold produces one
+//! alert, not a flap storm.
 
 use sws_sched::report::RunReport;
 use sws_sched::snapshot::SnapRow;
@@ -37,32 +37,12 @@ use crate::json::escape;
 pub const SNAP_SCHEMA: &str = "sws-obs-snap/v1";
 
 /// SLO alerting policy for the snapshot stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SloPolicy {
     /// Latency SLO: windowed arrival p99 must stay at or under this,
     /// virtual ns. `0` disables alerting (frames still carry windowed
     /// percentiles).
     pub slo_p99_ns: u64,
-    /// Burn window length in frames: percentiles are computed over the
-    /// samples of the last `window` ticks (clamped to ≥ 1).
-    pub window: usize,
-    /// Fire when burn (windowed p99 as a percentage of the SLO)
-    /// reaches this.
-    pub fire_pct: u64,
-    /// Clear only when burn falls back to this (must be < `fire_pct`
-    /// for hysteresis to bite).
-    pub clear_pct: u64,
-}
-
-impl Default for SloPolicy {
-    fn default() -> SloPolicy {
-        SloPolicy {
-            slo_p99_ns: 0,
-            window: 3,
-            fire_pct: 100,
-            clear_pct: 75,
-        }
-    }
 }
 
 impl SloPolicy {
@@ -70,21 +50,6 @@ impl SloPolicy {
     #[must_use]
     pub fn with_slo_p99_ns(mut self, ns: u64) -> SloPolicy {
         self.slo_p99_ns = ns;
-        self
-    }
-
-    /// Set the burn window length in frames.
-    #[must_use]
-    pub fn with_window(mut self, frames: usize) -> SloPolicy {
-        self.window = frames;
-        self
-    }
-
-    /// Set the fire/clear burn thresholds (percent of SLO).
-    #[must_use]
-    pub fn with_thresholds(mut self, fire_pct: u64, clear_pct: u64) -> SloPolicy {
-        self.fire_pct = fire_pct;
-        self.clear_pct = clear_pct;
         self
     }
 }
@@ -168,13 +133,6 @@ pub struct SnapStream {
     pub alerts: Vec<AlertEvent>,
 }
 
-impl SnapStream {
-    /// Alerts still firing when the stream ended.
-    pub fn firing_at_end(&self) -> bool {
-        self.frames.last().is_some_and(|f| f.firing)
-    }
-}
-
 /// A PE's latest snapshot row at or before `t` (hold-last; `None`
 /// before its first tick).
 fn row_at(rows: &[SnapRow], t: u64) -> Option<&SnapRow> {
@@ -182,12 +140,20 @@ fn row_at(rows: &[SnapRow], t: u64) -> Option<&SnapRow> {
     (i > 0).then(|| &rows[i - 1])
 }
 
+/// Burn window length in frames: percentiles are computed over the
+/// samples of the last `WINDOW` ticks.
+const WINDOW: usize = 3;
+/// Fire when burn (windowed p99 as a percentage of the SLO) reaches this.
+const FIRE_PCT: u64 = 100;
+/// Clear only when burn falls back to this (below `FIRE_PCT`, so the
+/// hysteresis bites).
+const CLEAR_PCT: u64 = 75;
+
 /// Aggregate `report`'s per-PE snapshot rows into per-tick frames and
 /// run the burn-rate state machine over them.
 pub fn build_stream(report: &RunReport, policy: &SloPolicy) -> SnapStream {
     let ticks = report.snapshot_ticks();
     let n_pes = report.workers.len();
-    let window = policy.window.max(1);
     // Pool-wide cumulative latency histogram at each tick, for
     // windowed differencing.
     let mut cum_hists: Vec<Pow2Histogram> = Vec::with_capacity(ticks.len());
@@ -221,7 +187,7 @@ pub fn build_stream(report: &RunReport, policy: &SloPolicy) -> SnapStream {
             f.completed += r.completed;
             cum.merge(&r.latency);
         }
-        let win = match fi.checked_sub(window) {
+        let win = match fi.checked_sub(WINDOW) {
             Some(base) => cum.diff(&cum_hists[base]),
             None => cum.clone(),
         };
@@ -235,7 +201,7 @@ pub fn build_stream(report: &RunReport, policy: &SloPolicy) -> SnapStream {
             f.burn_pct = f.win_p99_ns.saturating_mul(100) / policy.slo_p99_ns;
         }
         if policy.slo_p99_ns > 0 {
-            if !firing && f.win_n > 0 && f.burn_pct >= policy.fire_pct {
+            if !firing && f.win_n > 0 && f.burn_pct >= FIRE_PCT {
                 firing = true;
                 alerts.push(AlertEvent {
                     t_ns: t,
@@ -243,7 +209,7 @@ pub fn build_stream(report: &RunReport, policy: &SloPolicy) -> SnapStream {
                     win_p99_ns: f.win_p99_ns,
                     burn_pct: f.burn_pct,
                 });
-            } else if firing && f.win_n > 0 && f.burn_pct <= policy.clear_pct {
+            } else if firing && f.win_n > 0 && f.burn_pct <= CLEAR_PCT {
                 firing = false;
                 alerts.push(AlertEvent {
                     t_ns: t,
@@ -279,9 +245,9 @@ pub fn stream_to_jsonl(report: &RunReport, policy: &SloPolicy, stream: &SnapStre
         escape(&report.system),
         report.n_pes,
         policy.slo_p99_ns,
-        policy.window.max(1),
-        policy.fire_pct,
-        policy.clear_pct
+        WINDOW,
+        FIRE_PCT,
+        CLEAR_PCT
     );
     let mut next_alert = 0usize;
     for f in &stream.frames {
@@ -365,63 +331,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn breach_fires_once_and_clears_with_hysteresis() {
-        // Cumulative latency per tick: ticks 1-2 add slow samples (p99
-        // breaches a 100ns SLO), ticks 3-5 add only fast ones, so the
-        // 1-frame window burn falls; with fire=100 clear=50 the stream
-        // must show exactly one fire and one clear, no flapping.
-        let mut rows = Vec::new();
+    /// Rows of one PE whose cumulative latency grows by `batches`, one
+    /// batch a tick of 100 ns.
+    fn rows_of(batches: &[(u64, usize)]) -> Vec<SnapRow> {
         let mut samples: Vec<u64> = Vec::new();
-        for (tick, batch) in [
-            (1u64, vec![1_000u64; 4]),
-            (2, vec![1_000; 4]),
-            (3, vec![10; 4]),
-            (4, vec![10; 4]),
-            (5, vec![10; 4]),
-        ] {
-            samples.extend(batch);
+        let mut rows = Vec::new();
+        for (tick, &(sample, count)) in (1u64..).zip(batches) {
+            samples.extend(std::iter::repeat_n(sample, count));
             rows.push(row(tick * 100, &samples));
         }
+        rows
+    }
+
+    #[test]
+    fn breach_fires_once_and_clears_with_hysteresis() {
+        // Tick 1 adds slow samples (p99 1024 ns breaches a 100 ns SLO),
+        // ticks 2-5 only fast ones (p99 16 ns): the alert fires on the
+        // first frame, holds while the slow samples are in the 3-frame
+        // window, and clears on the first frame they have left it.
+        let rows = rows_of(&[(1_000, 4), (10, 4), (10, 4), (10, 4), (10, 4)]);
         let report = report_from_rows(vec![rows]);
-        let policy = SloPolicy::default()
-            .with_slo_p99_ns(100)
-            .with_window(1)
-            .with_thresholds(100, 50);
-        let s = build_stream(&report, &policy);
+        let s = build_stream(&report, &SloPolicy::default().with_slo_p99_ns(100));
         assert_eq!(s.frames.len(), 5);
         let kinds: Vec<AlertKind> = s.alerts.iter().map(|a| a.kind).collect();
         assert_eq!(kinds, vec![AlertKind::Fire, AlertKind::Clear]);
         assert_eq!(s.alerts[0].t_ns, 100, "fires on the first breached frame");
-        assert_eq!(s.alerts[1].t_ns, 300, "clears when the window turns fast");
-        assert!(s.frames[0].firing && s.frames[1].firing);
-        assert!(!s.frames[2].firing && !s.frames[4].firing);
-        assert!(!s.firing_at_end());
+        assert_eq!(s.alerts[1].t_ns, 400, "clears when the window turns fast");
+        assert!(s.frames[..3].iter().all(|f| f.firing));
+        assert!(!s.frames[3].firing && !s.frames[4].firing);
     }
 
     #[test]
     fn hysteresis_holds_between_clear_and_fire_thresholds() {
-        // Burn sits between clear (50%) and fire (200%) after an
-        // initial breach: the alert must stay up (no clear, no re-fire).
-        let mut rows = Vec::new();
-        let mut samples: Vec<u64> = Vec::new();
-        for (tick, batch) in [
-            (1u64, vec![1_000u64; 4]), // burn 1024/100 ≥ 200% → fire
-            (2, vec![100; 4]),         // burn ~128% — between thresholds
-            (3, vec![100; 4]),
-        ] {
-            samples.extend(batch);
-            rows.push(row(tick * 100, &samples));
-        }
+        // After a breach the window holds only 100 ns samples: p99 128
+        // ns is 85 % of a 150 ns SLO, between clear (75 %) and fire
+        // (100 %), so the alert stays up (no clear, no re-fire).
+        let rows = rows_of(&[(1_000, 4), (100, 4), (100, 4), (100, 4), (100, 4)]);
         let report = report_from_rows(vec![rows]);
-        let policy = SloPolicy::default()
-            .with_slo_p99_ns(100)
-            .with_window(1)
-            .with_thresholds(200, 50);
-        let s = build_stream(&report, &policy);
+        let s = build_stream(&report, &SloPolicy::default().with_slo_p99_ns(150));
+        assert_eq!(s.frames[4].burn_pct, 85);
         assert_eq!(s.alerts.len(), 1, "one fire, held: {:?}", s.alerts);
         assert_eq!(s.alerts[0].kind, AlertKind::Fire);
-        assert!(s.firing_at_end());
+        assert!(s.frames.iter().all(|f| f.firing));
     }
 
     #[test]
@@ -439,7 +390,7 @@ mod tests {
     fn jsonl_lines_parse_and_interleave_alerts() {
         let rows = vec![row(100, &[1_000; 4]), row(200, &[1_000; 8])];
         let report = report_from_rows(vec![rows]);
-        let policy = SloPolicy::default().with_slo_p99_ns(10).with_window(2);
+        let policy = SloPolicy::default().with_slo_p99_ns(10);
         let s = build_stream(&report, &policy);
         let text = stream_to_jsonl(&report, &policy, &s);
         let lines: Vec<&str> = text.lines().collect();

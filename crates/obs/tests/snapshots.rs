@@ -104,7 +104,7 @@ fn forced_breach_fires_once_and_healthy_runs_stay_silent() {
         .count();
     assert_eq!(fires, 1, "breach must fire exactly once, got {fires}");
     assert_eq!(clears, 0, "latency can never drop under a 1ns SLO");
-    assert!(breach.firing_at_end());
+    assert!(breach.frames.last().unwrap().firing);
     // No flapping: alert kinds must strictly alternate.
     for pair in breach.alerts.windows(2) {
         assert_ne!(pair[0].kind, pair[1].kind, "consecutive identical alerts");
@@ -120,7 +120,7 @@ fn forced_breach_fires_once_and_healthy_runs_stay_silent() {
         "healthy run alerted: {:?}",
         healthy.alerts
     );
-    assert!(!healthy.firing_at_end());
+    assert!(healthy.frames.iter().all(|f| !f.firing));
 }
 
 /// Batch reports (no service loop) and zero-interval service runs carry

@@ -429,17 +429,6 @@ impl RunReport {
     }
 }
 
-/// Mean and population standard deviation of a sample.
-pub fn mean_sd(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,14 +537,6 @@ mod tests {
         assert_eq!(r.throughput_per_s(), 0.0);
         assert_eq!(r.parallel_efficiency(), 1.0);
         assert_eq!(r.mean_steal_op_ns(), 0.0);
-    }
-
-    #[test]
-    fn mean_sd_basics() {
-        let (m, s) = mean_sd(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-9);
-        assert!((s - 2.0).abs() < 1e-9);
-        assert_eq!(mean_sd(&[]), (0.0, 0.0));
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl MembershipPlan {
         self
     }
 
-    /// Does the plan schedule any absences?
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Check the plan against a world: windows must name departable PEs
     /// (not PE 0, not ingress, in range), have nonzero length, and not
     /// overlap per PE.
@@ -584,14 +579,18 @@ pub fn run_service<W: ServiceWorkload>(
 }
 
 /// As [`run_service`], but every failure is an error, not a panic (the
-/// shape of [`crate::try_run_workload_mode`]): an ingress count outside
-/// `1..=n_pes`, a high-water mark outside 1..=100 or a malformed
-/// membership plan is [`ShmemError::BadConfig`] before any PE starts.
+/// shape of [`crate::try_run_workload_mode`]): a world of no PEs, an
+/// ingress count outside `1..=n_pes`, a high-water mark outside 1..=100
+/// or a malformed membership plan is [`ShmemError::BadConfig`] before
+/// any PE starts.
 pub fn try_run_service<W: ServiceWorkload>(
     cfg: &RunConfig,
     svc: &ServiceConfig,
     workload: &W,
 ) -> Result<RunReport, ShmemError> {
+    if cfg.n_pes == 0 {
+        return Err(ShmemError::BadConfig("n_pes must be nonzero".into()));
+    }
     let n_ingress = workload.n_ingress();
     if !(1..=cfg.n_pes).contains(&n_ingress) {
         let why = format!("service mode needs 1..={} ingress PEs (got {n_ingress})", cfg.n_pes);

@@ -77,11 +77,6 @@ impl<'a> TaskCtx<'a> {
         self.compute_ns += ns;
     }
 
-    /// Subtasks spawned so far.
-    pub fn spawn_count(&self) -> usize {
-        self.spawned.len() / self.task_words
-    }
-
     /// Mark the running task as a service-mode arrival injected at
     /// virtual time `inject_ns`. The worker records the enqueue→completion
     /// latency — including this task's compute charge — into the PE's
@@ -130,7 +125,6 @@ mod tests {
             c.spawn_parts(1, &[2]);
             c.compute(500);
             c.compute(250);
-            assert_eq!(c.spawn_count(), 2);
             assert_eq!(c.compute_ns(), 750);
             // Both forms leave the same thing: one whole record each, in
             // spawn order.
@@ -152,7 +146,6 @@ mod tests {
             c.compute(10);
             c.mark_arrival(5);
             c.reset();
-            assert_eq!(c.spawn_count(), 0);
             assert!(c.spawned().is_empty());
             assert_eq!(c.compute_ns(), 0);
             assert_eq!(c.take_arrival_mark(), None);

@@ -76,7 +76,13 @@ fn rows() -> Vec<Row> {
         svc().with_membership(plan)
     };
     let crash = |pe| plan().map(|p| p.with_crash(pe, 100));
+    let no_pes = |mut row: Row| {
+        row.args = row.args.replace("--pes 4 ", "--pes 0 ").trim_end().to_string();
+        row.cfg.n_pes = 0;
+        row
+    };
     vec![
+        no_pes(batch("", 16384, None, "n_pes must be nonzero")),
         batch("--crash 0:100", 16384, crash(0), "PE 0"),
         batch("--crash 9:100", 16384, crash(9), "PE 9"),
         batch("--stall 9:1:2", 16384, plan().map(|p| p.with_stall(9, 1, 2)), "PE 9"),
@@ -84,6 +90,7 @@ fn rows() -> Vec<Row> {
         batch("--drop-prob 1.5", 16384, plan().map(|p| p.with_drop(OpClass::All, TargetSel::Any, 1.5)), "1.5"),
         batch("--capacity 0", 0, None, "capacity must be nonzero"),
         batch("--capacity 600000", 600_000, None, "600000"),
+        no_pes(serve("", 1, svc(), None, "n_pes must be nonzero")),
         serve("--hwm 0", 1, svc().with_hwm_pct(0), None, "got 0"),
         serve("--hwm 101", 1, svc().with_hwm_pct(101), None, "got 101"),
         serve("--ingress 0", 0, svc(), None, "got 0"),

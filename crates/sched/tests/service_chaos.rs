@@ -339,22 +339,23 @@ fn diurnal_cycle_with_counter_td() {
 
 #[test]
 fn trace_replay_is_exact() {
-    let times: Vec<u64> = (0..40).map(|i| 1_000 + i * 2_500).collect();
-    let plan = ArrivalPlan {
-        pattern: ArrivalPattern::Trace(times.clone()),
-        seed: 0,
-        start_ns: 0,
-        horizon_ns: u64::MAX,
+    // The service offers exactly the arrivals each ingress PE's own clock
+    // generates from the plan: no more, no fewer.
+    let plan = ArrivalPlan::poisson(0x5E41_0011, 2_500, 100_000);
+    let generated = |pe| {
+        let mut clock = plan.clock(pe);
+        std::iter::from_fn(|| clock.take()).count() as u64
     };
-    let w = FlatServe::new(plan, 1_500, 2);
+    let expected = generated(0) + generated(1);
+    assert!(expected > 40, "{expected} arrivals");
+    let w = FlatServe::new(plan.clone(), 1_500, 2);
     let r = run_service(
         &config(QueueKind::Sws, 4),
         &ServiceConfig::default(),
         &w,
     );
     assert_conserved(&r, "trace replay");
-    // The trace replays verbatim on each of the two ingress PEs.
-    assert_eq!(r.total_offered(), 2 * times.len() as u64);
+    assert_eq!(r.total_offered(), expected);
 }
 
 #[test]

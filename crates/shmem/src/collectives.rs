@@ -1,4 +1,4 @@
-//! Collective operations: barrier, broadcast, reductions, and the
+//! Collective operations: barrier, reductions, and the
 //! collective symmetric allocator.
 //!
 //! All collectives must be called by every PE of the world in the same
@@ -20,21 +20,6 @@ impl ShmemCtx {
         let cost = self.world().net.barrier_ns;
         self.record_barrier(cost);
         self.world().exec.barrier(self.my_pe(), cost);
-    }
-
-    /// Broadcast a 64-bit value from `root` to every PE; returns the value.
-    pub fn broadcast64(&self, root: usize, value: u64) -> u64 {
-        assert!(root < self.n_pes(), "broadcast root {root} out of range");
-        self.with_collective(|| {
-            let slot = SymmetricHeap::ctrl(ctrl::BCAST);
-            if self.my_pe() == root {
-                self.atomic_set(root, slot, value);
-            }
-            self.barrier_all();
-            let v = self.atomic_fetch(root, slot);
-            self.barrier_all();
-            v
-        })
     }
 
     /// Global sum reduction of one u64 per PE; every PE gets the total.

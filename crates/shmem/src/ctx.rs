@@ -37,7 +37,7 @@ use crate::fault::{FaultInjector, FAILED_OP_TIMEOUT_NS};
 use crate::net::OpKind;
 use crate::overrides::{MemOrder, OpRole, OrdTracker};
 use crate::prof::SiteCounters;
-use crate::proto::{ProtoEvent, ProtoLog, ProtoOp, NO_SITE};
+use crate::proto::{ProtoEvent, ProtoOp, NO_SITE};
 use crate::runtime::WorldShared;
 use crate::stats::OpStats;
 
@@ -176,12 +176,6 @@ impl ShmemCtx {
     #[inline]
     pub fn proto_capture_active(&self) -> bool {
         self.world.capture_proto
-    }
-
-    /// Drain the world's capture so far — every PE's events, in apply
-    /// order.
-    pub fn take_proto_events(&self) -> ProtoLog {
-        self.world.exec.take_log()
     }
 
     /// Open or close the capture sampling window. While closed, armed
@@ -739,13 +733,6 @@ impl ShmemCtx {
     pub fn pe_known_down(&self, pe: usize) -> bool {
         self.world.down[pe].load(Ordering::Acquire)
     }
-
-    /// Whether a peer PE panicked and poisoned the world (threaded mode).
-    /// Poll loops that spin on remote state must check this to propagate
-    /// failure instead of spinning forever.
-    pub fn world_poisoned(&self) -> bool {
-        self.world.exec.is_poisoned()
-    }
 }
 
 /// Panic handler for infallible wrappers reached by an injected fault.
@@ -754,15 +741,6 @@ fn op_panic<R>(e: OpError) -> R {
 }
 
 impl ShmemCtx {
-    /// Convenience: blocking read of one remote word (a 1-word `get`,
-    /// *not* an atomic — use [`Self::atomic_fetch`] for synchronizing
-    /// reads).
-    pub fn get_word(&self, pe: usize, addr: SymAddr) -> u64 {
-        let mut v = [0u64];
-        self.get_words(pe, addr, &mut v);
-        v[0]
-    }
-
     /// Convenience: blocking write of one remote word (a 1-word `put`).
     pub fn put_word(&self, pe: usize, addr: SymAddr, val: u64) {
         self.put_words(pe, addr, &[val]);

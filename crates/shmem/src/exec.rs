@@ -80,12 +80,14 @@ impl Exec {
     }
 
     /// Block until `pe` may apply one shared-visible effect. `desc` is
-    /// only evaluated by a substrate that schedules on it.
+    /// only evaluated by a substrate that schedules on it. Once the world
+    /// is poisoned this unwinds instead, on either substrate, so a PE
+    /// spinning on remote state cannot outlive a peer's panic.
     #[inline]
     pub(crate) fn enter(&self, pe: usize, desc: impl FnOnce() -> OpDesc) {
         match self {
             Exec::Serial(clock) => clock.gate(pe, desc),
-            Exec::Threads { .. } => {}
+            Exec::Threads { barrier, .. } => barrier.check_poison(),
         }
     }
 
@@ -153,13 +155,6 @@ impl Exec {
         match self {
             Exec::Serial(clock) => clock.poison(),
             Exec::Threads { barrier, .. } => barrier.poison(),
-        }
-    }
-
-    pub(crate) fn is_poisoned(&self) -> bool {
-        match self {
-            Exec::Serial(clock) => clock.is_poisoned(),
-            Exec::Threads { barrier, .. } => barrier.is_poisoned(),
         }
     }
 
@@ -234,9 +229,7 @@ impl ThreadBarrier {
     }
 
     fn wait(&self) {
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("threaded world poisoned: a peer PE panicked");
-        }
+        self.check_poison();
         let mut g = self.inner.lock();
         g.arrived += 1;
         if g.arrived == g.live {
@@ -247,9 +240,7 @@ impl ThreadBarrier {
             let gen = g.generation;
             while g.generation == gen {
                 g = self.cv.wait(g);
-                if self.poisoned.load(Ordering::Acquire) {
-                    panic!("threaded world poisoned: a peer PE panicked");
-                }
+                self.check_poison();
             }
         }
     }
@@ -266,8 +257,12 @@ impl ThreadBarrier {
         }
     }
 
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+    /// Unwind if a peer PE panicked.
+    #[inline]
+    fn check_poison(&self) {
+        if self.poisoned.load(Ordering::Acquire) {
+            panic!("threaded world poisoned: a peer PE panicked");
+        }
     }
 
     fn poison(&self) {

@@ -115,7 +115,7 @@ pub const CTRL_WORDS: usize = 8;
 
 /// Control-block slots (word offsets within the reserved prefix).
 pub(crate) mod ctrl {
-    /// Broadcast slot used by the collective allocator and `broadcast64`.
+    /// Broadcast slot the collective allocator hands its offset out through.
     pub const BCAST: usize = 0;
     /// Accumulator used by reductions (on the root PE).
     pub const REDUCE: usize = 1;

@@ -10,7 +10,7 @@
 //!   non-blocking (`_nbi`) variants completed by [`ShmemCtx::quiet`], and
 //!   64-bit remote atomics (`fetch_add`, `swap`, `compare_swap`, `fetch`,
 //!   `set`) — the operation set §4 of the paper relies on;
-//! * **collectives**: barrier, broadcast, and reductions, plus a collective
+//! * **collectives**: barrier and reductions, plus a collective
 //!   symmetric allocator;
 //! * a **network cost model** ([`NetModel`]) charging a configurable
 //!   latency + bandwidth cost per operation class, with per-PE counters

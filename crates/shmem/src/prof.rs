@@ -55,16 +55,6 @@ impl SiteCounters {
         self.total() == 0
     }
 
-    /// Fraction of compare-swaps that lost (0.0 when none ran).
-    pub fn cas_loss_rate(&self) -> f64 {
-        let n = self.cas_won + self.cas_lost;
-        if n == 0 {
-            0.0
-        } else {
-            self.cas_lost as f64 / n as f64
-        }
-    }
-
     /// Count one applied op of shape `op` (`won`: a compare-swap's
     /// outcome). An owner-local ring write counts as a [`ProtoOp::Set`].
     #[inline]
@@ -119,13 +109,11 @@ mod tests {
         assert_eq!(m[0].rmw, 4);
         assert_eq!(m[0].loads, 5);
         assert_eq!(m[1].cas_lost, 2);
-        assert!((m[1].cas_loss_rate() - 0.5).abs() < 1e-12);
         assert!(!m[1].is_empty());
     }
 
     #[test]
     fn empty_profile_set_merges_to_empty() {
         assert!(merge_site_profiles(&[]).is_empty());
-        assert_eq!(SiteCounters::default().cas_loss_rate(), 0.0);
     }
 }

@@ -129,11 +129,6 @@ impl<'a> PayloadReader<'a> {
     pub fn bytes<const N: usize>(&mut self) -> [u8; N] {
         self.take()
     }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +145,6 @@ mod tests {
         assert_eq!(r.u32(), 70_000);
         assert_eq!(r.u64(), 1 << 40);
         assert_eq!(r.bytes::<3>(), [1, 2, 3]);
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

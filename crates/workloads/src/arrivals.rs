@@ -16,9 +16,8 @@
 //!   doing the load balancing between waves).
 //!
 //! Patterns: Poisson (exponential gaps), bursty (periodic back-to-back
-//! bursts — forces the high-water mark), diurnal (exponential gaps whose
-//! mean swings along a triangle wave — slow load waves), and an explicit
-//! replayable trace.
+//! bursts — forces the high-water mark) and diurnal (exponential gaps
+//! whose mean swings along a triangle wave — slow load waves).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,9 +67,6 @@ pub enum ArrivalPattern {
         /// Swing around the base gap, percent (0..100).
         amplitude_pct: u32,
     },
-    /// Explicit absolute arrival times (ns, sorted ascending), replayed
-    /// verbatim on every ingress PE.
-    Trace(Vec<u64>),
 }
 
 /// A seeded arrival plan: pattern, horizon, and per-ingress-PE streams.
@@ -113,7 +109,7 @@ pub struct ArrivalClock {
     end_ns: u64,
     /// Next due time (absolute ns), if already generated.
     pending: Option<u64>,
-    /// Arrivals generated so far (drives bursty/trace indexing).
+    /// Arrivals generated so far (drives bursty indexing).
     index: u64,
     /// Last generated due time (gap patterns accumulate from here).
     last_ns: u64,
@@ -178,7 +174,6 @@ impl ArrivalClock {
                 self.last_ns
                     .saturating_add(Self::exp_gap(&mut self.rng, mean))
             }
-            ArrivalPattern::Trace(times) => *times.get(self.index as usize)?,
         };
         if due >= self.end_ns {
             return None;
@@ -499,22 +494,6 @@ mod tests {
         assert!(
             outer as f64 / middle as f64 > 1.3,
             "no diurnal skew: outer {outer} vs middle {middle}"
-        );
-    }
-
-    #[test]
-    fn trace_replays_verbatim() {
-        let plan = ArrivalPlan {
-            pattern: ArrivalPattern::Trace(vec![10, 20, 20, 99]),
-            seed: 0,
-            start_ns: 0,
-            horizon_ns: 1_000,
-        };
-        assert_eq!(collect(&plan, 0, 10), vec![10, 20, 20, 99]);
-        assert_eq!(
-            collect(&plan, 3, 10),
-            vec![10, 20, 20, 99],
-            "same on every PE"
         );
     }
 

@@ -8,14 +8,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sws_sched::{TaskCtx, Workload};
-use sws_task::{PayloadReader, PayloadWriter, TaskDescriptor, TaskRegistry};
+use sws_task::{PayloadWriter, TaskDescriptor, TaskRegistry};
 
 /// Task function id for synthetic spin tasks.
 pub const SYNTH_FN: u16 = 30;
 
 /// Build a task whose *record* (header + payload) is exactly
-/// `record_bytes` long, tagged with `tag` (recoverable via
-/// [`task_tag`]). Matches Fig. 6's 24-byte and 192-byte task sizes.
+/// `record_bytes` long, tagged with `tag` (the payload's first eight
+/// bytes, little-endian). Matches Fig. 6's 24-byte and 192-byte task sizes.
 pub fn sized_task(tag: u64, record_bytes: usize) -> TaskDescriptor {
     assert!(record_bytes >= 16, "need room for header + tag");
     let mut w = PayloadWriter::new();
@@ -26,11 +26,6 @@ pub fn sized_task(tag: u64, record_bytes: usize) -> TaskDescriptor {
     let t = TaskDescriptor::new(SYNTH_FN, w.as_slice());
     debug_assert_eq!(t.bytes_needed(), record_bytes);
     t
-}
-
-/// Recover the tag of a [`sized_task`].
-pub fn task_tag(t: &TaskDescriptor) -> u64 {
-    PayloadReader::new(t.payload()).u64()
 }
 
 /// A flat bag of `count` independent tasks of `task_ns` each, seeded on
@@ -92,7 +87,6 @@ mod tests {
         for bytes in [24, 32, 48, 192] {
             let t = sized_task(7, bytes);
             assert_eq!(t.bytes_needed(), bytes);
-            assert_eq!(task_tag(&t), 7);
         }
     }
 

@@ -171,3 +171,52 @@ fn corrupt_task_record_is_rejected_loudly() {
     .unwrap_err();
     assert!(format!("{err}").contains("corrupt task record"));
 }
+
+/// Every task seeded on PE 1 panics there (a stolen one runs cleanly
+/// elsewhere); every other PE starts empty and searches.
+struct PanicsOnPe1;
+
+impl Workload for PanicsOnPe1 {
+    fn register<'a>(&self, reg: &mut TaskRegistry<TaskCtx<'a>>) {
+        reg.register(1, |tctx, _| {
+            if tctx.my_pe() == 1 {
+                panic!("deliberate task panic");
+            }
+            tctx.compute(1_000);
+        });
+    }
+
+    fn seeds(&self, pe: usize, _n_pes: usize) -> Vec<TaskDescriptor> {
+        let n = if pe == 1 { 8 } else { 0 };
+        (0..n).map(|i| TaskDescriptor::new(1, &[i])).collect()
+    }
+}
+
+/// A task panic on one PE of a threaded world ends the run with that
+/// PE's panic, on both queues: the peers, spinning in their search loops
+/// and never reaching a barrier, unwind at their next remote op once the
+/// world is poisoned. A hang here is caught by the watchdog, not CI's
+/// timeout.
+#[test]
+fn threaded_task_panic_ends_the_run_with_that_pe() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    for kind in [QueueKind::Sws, QueueKind::Sdc] {
+        let (tx, rx) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let cfg = RunConfig::new(4, SchedConfig::new(kind, QueueConfig::new(256, 24)));
+            let got = sws::sched::try_run_workload_mode(&cfg, &PanicsOnPe1, ExecMode::Threaded);
+            let _ = tx.send(got.map(|r| r.total_tasks()));
+        });
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(Err(sws::shmem::ShmemError::PePanicked { pe, message })) => {
+                assert_eq!(pe, 1, "{kind:?}: {message}");
+                assert!(message.contains("deliberate task panic"), "{kind:?}: {message}");
+                run.join().expect("the run's thread returns after sending");
+            }
+            Ok(other) => panic!("{kind:?}: ended as {other:?}, not PE 1's panic"),
+            Err(_) => panic!("{kind:?}: still running after 20 s: the peers never saw the poison"),
+        }
+    }
+}
